@@ -1,9 +1,10 @@
 """Shared infrastructure for the experiment benchmarks.
 
-Each ``bench_eXX_*.py`` regenerates one experiment from DESIGN.md §3: it
+Each ``bench_eXX_*.py`` regenerates one experiment of the reproduction: it
 prints the table of rows the paper would report, asserts the claim that
 makes the experiment a *reproduction* rather than a demo, and records the
-rows as JSON under ``benchmarks/results/`` for EXPERIMENTS.md.
+rows as JSON under ``benchmarks/results/``, which
+``tools/generate_experiments_md.py`` renders into a report.
 
 Benchmarks use ``benchmark.pedantic(..., rounds=1)`` — the experiments are
 sweeps, not microbenchmarks, so wall-clock is reported for one full sweep.

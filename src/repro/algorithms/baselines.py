@@ -157,31 +157,36 @@ def state_round_robin_regimen(
 ) -> ScheduleResult:
     """Round-robin over each state's *eligible* jobs, as an explicit regimen.
 
-    The state-dependent cousin of :func:`round_robin_baseline`: in state
-    ``S``, machine ``i`` takes the ``i``-th eligible job of ``S``
-    (cyclically).  Unlike the Malewicz DP this materializes in ``O(2^n ·
-    n)`` time with no assignment enumeration, so it is the standard
-    *evaluation workload* for the exact Markov engines at n ≈ 14–20
-    (``benchmarks/bench_perf_exact_markov.py``, the engine-equivalence
-    property tests, and the ``state_round_robin`` registry algorithm) —
-    a nontrivial regimen whose exact expected makespan is well-defined
-    because every eligible job set is nonempty and every job has a
-    positive-probability machine.
+    The state-dependent cousin of :func:`round_robin_baseline`: in a state
+    with ``k`` eligible jobs, machine ``i`` takes the ``(i mod k)``-th of
+    them in job order.  The dense table is filled from
+    :func:`~repro.sim.exact.lattice.eligibility_masks` with one vectorized
+    pass per eligible count and no per-state Python, so this is the
+    standard *evaluation workload* for the exact Markov engines at n ≈
+    14–20 (``benchmarks/bench_perf_exact_markov.py``, the
+    engine-equivalence property tests, and the ``state_round_robin``
+    registry algorithm) — a nontrivial regimen whose exact expected
+    makespan is well-defined because every eligible job set is nonempty
+    and every job has a positive-probability machine.
     """
-    from .._util import iterable_from_bitmask
-    from ..sim.exact import check_state_budget
-    from ..sim.markov import eligible_bitmask
+    from ..sim.exact.lattice import (
+        bit_positions,
+        check_state_budget,
+        eligibility_masks,
+        popcount_array,
+    )
 
     n, m = instance.n, instance.m
     check_state_budget(n, 1, max_states)
-    assignments: dict[int, np.ndarray] = {}
-    for state in range(1, 1 << n):
-        jobs = iterable_from_bitmask(eligible_bitmask(instance, state))
-        assignments[state] = np.array(
-            [jobs[i % len(jobs)] for i in range(m)], dtype=np.int32
-        )
+    elig = eligibility_masks(instance)
+    count = popcount_array(elig)
+    table = np.full((1 << n, m), Regimen.UNDEFINED, dtype=np.int32)
+    for k in np.unique(count[count > 0]):
+        states = np.flatnonzero(count == k)
+        jobs = bit_positions(elig[states], int(k), n)
+        table[states] = jobs[:, np.arange(m) % k]
     return ScheduleResult(
-        schedule=Regimen(n, m, assignments),
+        schedule=Regimen.from_table(table),
         algorithm="state_round_robin",
     )
 

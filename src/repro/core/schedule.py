@@ -31,7 +31,7 @@ from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
-from ..errors import ScheduleError, ValidationError
+from ..errors import ExactSolverLimitError, ScheduleError, ValidationError
 from . import mass as mass_mod
 from .instance import SUUInstance
 
@@ -422,44 +422,109 @@ class AdaptivePolicy:
         return f"AdaptivePolicy({self.name!r})"
 
 
+#: Entry budget of a dense regimen table: ``2^n · m`` int32 entries, 128 MiB.
+#: Room for a 2^22-state regimen (the exact solvers' default ceiling) at m = 8.
+REGIMEN_MAX_ENTRIES = 1 << 25
+
+
+def _check_regimen_shape(n: int, m: int) -> None:
+    """Reject a bad size or a table over budget, before allocating it."""
+    if n < 0 or m < 1:
+        raise ValidationError(f"regimen needs n >= 0 and m >= 1, got n={n}, m={m}")
+    entries = (1 << n) * m
+    if entries > REGIMEN_MAX_ENTRIES:
+        raise ExactSolverLimitError(
+            f"regimen table would need 2^{n} x {m} = {entries} entries "
+            f"(limit {REGIMEN_MAX_ENTRIES})"
+        )
+
+
 class Regimen:
     """An explicit regimen (Def 2.2): one assignment per unfinished set.
 
-    Exponential in ``n``; only used on small instances, primarily as the
-    output of the exact Malewicz solver.  States are bitmasks of unfinished
-    jobs.
+    Stored as one dense ``(2^n, m)`` int32 table: row ``S`` is the
+    assignment in the unfinished-set bitmask ``S``.  A row of
+    :attr:`UNDEFINED` marks a state the regimen assigns nothing; row 0
+    (every job finished) never needs an assignment.  Exponential in ``n``
+    and capped at :data:`REGIMEN_MAX_ENTRIES`.  Built by the exact
+    Malewicz solver and the ``state_round_robin`` baseline, and read
+    directly by the exact Markov engines.
     """
 
-    __slots__ = ("_n", "_m", "_assignments")
+    #: Filler of a table row whose state has no assignment.
+    UNDEFINED: int = -2
+
+    __slots__ = ("_table",)
 
     def __init__(self, n: int, m: int, assignments: Mapping[int, np.ndarray]):
-        self._n = int(n)
-        self._m = int(m)
-        table: dict[int, np.ndarray] = {}
+        """Sugar for :meth:`from_table`: fill the table from ``{state: a}``."""
+        n, m = int(n), int(m)
+        _check_regimen_shape(n, m)
+        table = np.full((1 << n, m), self.UNDEFINED, dtype=np.int32)
         for state, a in assignments.items():
-            table[int(state)] = validate_assignment(np.asarray(a), self._n, self._m)
-        self._assignments = table
+            s = int(state)
+            if not 0 <= s < table.shape[0]:
+                raise ValidationError(f"state {s:#x} is not a subset of {n} jobs")
+            table[s] = validate_assignment(np.asarray(a), n, m)
+        table.setflags(write=False)
+        self._table = table
+
+    @classmethod
+    def from_table(cls, table: np.ndarray) -> "Regimen":
+        """The regimen with dense ``(2^n, m)`` table ``table`` (copied).
+
+        Each row must be an assignment (entries :data:`IDLE` or a job id
+        in ``[0, n)``) or a row of :attr:`UNDEFINED`.
+        """
+        tab = np.asarray(table)
+        rows = tab.shape[0] if tab.ndim == 2 else 0
+        if rows == 0 or rows & (rows - 1) or not np.issubdtype(tab.dtype, np.integer):
+            raise ValidationError(
+                "regimen table must be an integer array of shape (2^n, m), "
+                f"got {tab.dtype} {tab.shape}"
+            )
+        n = rows.bit_length() - 1
+        _check_regimen_shape(n, tab.shape[1])
+        undefined = np.all(tab == cls.UNDEFINED, axis=1)
+        bad = np.any((tab < IDLE) | (tab >= n), axis=1) & ~undefined
+        if np.any(bad):
+            raise ValidationError(
+                f"regimen table row {int(np.argmax(bad)):#x} holds an entry that "
+                f"is neither IDLE nor a job id in [0, {n})"
+            )
+        regimen = cls.__new__(cls)
+        regimen._table = tab.astype(np.int32, copy=True)
+        regimen._table.setflags(write=False)
+        return regimen
 
     @property
     def n(self) -> int:
-        return self._n
+        return self._table.shape[0].bit_length() - 1
 
     @property
     def m(self) -> int:
-        return self._m
+        return self._table.shape[1]
+
+    @property
+    def table(self) -> np.ndarray:
+        """The read-only ``(2^n, m)`` int32 table."""
+        return self._table
+
+    def defined(self) -> np.ndarray:
+        """``(2^n,)`` bool: which states have an assignment."""
+        return self._table[:, 0] != self.UNDEFINED
 
     @property
     def states(self) -> list[int]:
-        return sorted(self._assignments)
+        """The states that have an assignment, ascending."""
+        return np.flatnonzero(self.defined()).tolist()
 
     def assignment_for_state(self, state: int) -> np.ndarray:
         """Assignment for the unfinished-set bitmask ``state``."""
-        try:
-            return self._assignments[int(state)]
-        except KeyError:
-            raise ScheduleError(
-                f"regimen has no assignment for state {state:#x}"
-            ) from None
+        s = int(state)
+        if not 0 <= s < self._table.shape[0] or self._table[s, 0] == self.UNDEFINED:
+            raise ScheduleError(f"regimen has no assignment for state {s:#x}")
+        return self._table[s]
 
     def as_policy(self) -> AdaptivePolicy:
         """View the regimen as an :class:`AdaptivePolicy` for the simulator."""
@@ -475,7 +540,7 @@ class Regimen:
         return AdaptivePolicy(rule, name="regimen", stationary=True, randomized=False)
 
     def __repr__(self) -> str:
-        return f"Regimen(n={self._n}, m={self._m}, states={len(self._assignments)})"
+        return f"Regimen(n={self.n}, m={self.m}, states={int(self.defined().sum())})"
 
 
 # ----------------------------------------------------------------------

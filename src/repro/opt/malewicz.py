@@ -4,19 +4,36 @@ Malewicz showed that an optimal schedule can be taken to be a *regimen*
 (the assignment depends only on the unfinished set) and that when both the
 DAG width and ``m`` are constants an optimal regimen is computable in
 polynomial time by dynamic programming over unfinished sets.  This module
-implements that DP exactly, by enumerating, for every reachable unfinished
-set ``S``, all assignments of machines to eligible jobs and choosing the
-one minimizing
+implements that DP exactly: for every unfinished set ``S`` it tries every
+assignment of machines to eligible jobs and keeps the first one minimizing
 
     E[S] = (1 + Σ_{S' ⊊ S} P_a(S→S') · E[S']) / (1 − P_a(S→S)) ,
 
-which is the standard first-passage optimality equation for absorbing
-chains whose transitions never add jobs back.  Processing states in order
-of increasing popcount makes every needed ``E[S']`` available.
+the standard first-passage optimality equation for absorbing chains whose
+transitions never add jobs back.  Every ``S'`` lies in a lower popcount
+layer, so solving the layers in increasing order makes every needed
+``E[S']`` available.  Idle machines are never needed: assigning any
+eligible job weakly dominates idling.
 
-Complexity is ``O(2^n · (k+1)^m · 2^k)`` with ``k`` the number of eligible
-jobs per state — exact ground truth for the ratio experiments on small
-instances, exactly the regime Malewicz proved tractable.
+The DP is vectorized over the subset lattice of
+:mod:`repro.sim.exact.lattice`, one (popcount layer, eligible count ``k``)
+group of states at a time.  The states of a group share the ``k^m``
+assignment *signatures* (machine ``i`` takes the ``σ_i``-th eligible
+job), enumerated once in :func:`~repro.opt.bruteforce.iter_assignments`
+order.  For every state × signature the group computes the success
+probability of each *slot* (a distinct job the signature serves), the
+subset weights and XOR deltas, gathers ``E[S ^ delta]`` from the finished
+layers, and keeps each state's first minimizing signature.  A group runs
+in chunks of at most :data:`CHUNK_ENTRIES` subset-table entries, so
+memory stays bounded however large the group.
+
+Every candidate value is computed with the floating-point operations of
+the per-state loop in :mod:`repro.opt.scalar` (the golden reference), in
+the same order, and the choice follows its rule (a later signature wins
+only when lower by more than 1e-15), so the two agree bit for bit;
+property tests hold them to equal values and identical tables.  The work is
+``O(2^n · k^m · 2^min(k, m))`` — exact ground truth on the constant-width,
+constant-``m`` instances Malewicz proved tractable.
 """
 
 from __future__ import annotations
@@ -28,10 +45,22 @@ import numpy as np
 from ..core.instance import SUUInstance
 from ..core.schedule import Regimen
 from ..errors import ExactSolverLimitError
-from ..sim.markov import eligible_bitmask, transition_distribution
-from .bruteforce import count_assignments, iter_assignments
+from ..sim.exact.lattice import bit_positions, eligibility_masks, popcount_array
+from .bruteforce import count_assignments
 
 __all__ = ["ExactSolution", "optimal_regimen", "optimal_expected_makespan"]
+
+#: Entry budget of one chunk's ``(2^slots, states, signatures)`` subset
+#: tables (weights and XOR deltas, 16 MiB each).
+CHUNK_ENTRIES = 1 << 21
+
+#: A self-loop probability at or above this makes no progress (infinite
+#: expectation), as in the scalar DP.
+_STAY_EPS = 1e-15
+
+#: A later signature replaces the best so far only when its value is lower
+#: by more than this, as in the scalar DP.
+_TIE_EPS = 1e-15
 
 
 @dataclass
@@ -43,14 +72,98 @@ class ExactSolution:
     states_solved: int
 
 
-def _reachable_states(n: int) -> list[int]:
-    """All subsets ordered by increasing popcount (0 first).
+def _signatures(k: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``k^m`` assignment signatures of a state with ``k`` eligible jobs.
 
-    Every subset can be reachable in principle (any combination of jobs can
-    complete in one step), so we solve the full lattice; the DP only reads
-    values of strict subsets.
+    ``sig[a, i]`` is the eligible-job rank machine ``i`` takes under
+    signature ``a``, in ``iter_assignments`` order (machine 0 varies
+    slowest).  The distinct ranks of a signature, ascending, are its
+    slots: ``slot_of[a, i]`` is machine ``i``'s slot and
+    ``slot_rank[a, s]`` the rank at slot ``s``, or ``k`` past the last.
     """
-    return sorted(range(1 << n), key=lambda s: s.bit_count())
+    sig = np.stack(np.unravel_index(np.arange(k**m), (k,) * m), axis=1)
+    used = np.zeros((sig.shape[0], k), dtype=bool)
+    used[np.arange(sig.shape[0])[:, None], sig] = True
+    slot_of = np.take_along_axis(np.cumsum(used, axis=1) - 1, sig, axis=1)
+    slot_rank = np.sort(np.where(used, np.arange(k), k), axis=1)[:, : min(k, m)]
+    return sig, slot_of, slot_rank
+
+
+def _sum_order(slots: int) -> np.ndarray:
+    """Subset columns in the order the scalar DP adds their terms.
+
+    Column ``t`` completes slot ``s`` iff bit ``s`` of ``t`` is set.  The
+    scalar transition dict lists subsets with slot 0 as the leading digit,
+    "completes" before "stays"; column 0 (nothing completes, the
+    self-loop) comes last there and is not summed.
+    """
+    pos = np.arange((1 << slots) - 1)
+    order = np.zeros_like(pos)
+    for s in range(slots):
+        order |= ((~pos >> (slots - 1 - s)) & 1) << s
+    return order
+
+
+def _signature_values(p, states, jobs, bitval, sig, slot_of, slot_rank, expect):
+    """``E`` of every (state, signature) pair of one chunk; ``inf`` if stuck.
+
+    ``jobs`` holds each state's eligible jobs ascending, ``bitval`` their
+    bits plus a trailing 0 (the bit of a padding slot).
+    """
+    slots = slot_rank.shape[1]
+    shape = (states.size, sig.shape[0])
+    # Per-slot failure products, machine by machine as the scalar DP
+    # multiplies them; padding slots keep 1 and never complete.
+    fail = np.ones((slots, *shape))
+    slot_ids = np.arange(slots)[:, None, None]
+    for i in range(p.shape[0]):
+        f = 1.0 - p[i][jobs[:, sig[:, i]]]
+        fail *= np.where(slot_of[:, i] == slot_ids, f, 1.0)
+    q = 1.0 - fail
+    # Subset tables, doubled slot by slot: column t completes slot s iff
+    # bit s of t is set, and weights multiply slot factors in slot order.
+    w = np.empty((1 << slots, *shape))
+    d = np.empty((1 << slots, *shape), dtype=np.int64)
+    w[0], d[0] = 1.0, 0
+    for s in range(slots):
+        c = 1 << s
+        np.multiply(w[:c], q[s], out=w[c : 2 * c])
+        w[:c] *= 1.0 - q[s]
+        np.bitwise_or(d[:c], bitval[:, slot_rank[:, s]], out=d[c : 2 * c])
+    acc = np.ones(shape)
+    for t in _sum_order(slots):
+        acc += w[t] * expect[states[:, None] ^ d[t]]
+    stay = w[0]
+    moves = stay < 1.0 - _STAY_EPS
+    return np.where(moves, acc / np.where(moves, 1.0 - stay, 1.0), np.inf)
+
+
+def _solve_group(p, states, jobs, signatures, expect):
+    """Best value and first best signature of every state in one group."""
+    sig, slot_of, slot_rank = signatures
+    width = 1 << slot_rank.shape[1]
+    a_step = max(1, min(sig.shape[0], CHUNK_ENTRIES // width))
+    g_step = max(1, CHUNK_ENTRIES // (a_step * width))
+    bitval = np.zeros((states.size, jobs.shape[1] + 1), dtype=np.int64)
+    bitval[:, :-1] = np.left_shift(1, jobs)
+    best_e = np.full(states.size, np.inf)
+    best_a = np.zeros(states.size, dtype=np.int64)
+    for g0 in range(0, states.size, g_step):
+        g = slice(g0, g0 + g_step)
+        for a0 in range(0, sig.shape[0], a_step):
+            a = slice(a0, a0 + a_step)
+            e = _signature_values(
+                p, states[g], jobs[g], bitval[g], sig[a], slot_of[a], slot_rank[a], expect
+            )
+            # The scalar DP's rule, one signature column at a time: a later
+            # signature wins only when lower by more than _TIE_EPS, so
+            # near-ties (equal values rounded apart) keep the earlier one.
+            cur_e, cur_a = best_e[g], best_a[g]
+            for j in range(e.shape[1]):
+                better = e[:, j] < cur_e - _TIE_EPS
+                cur_e[better] = e[better, j]
+                cur_a[better] = a0 + j
+    return best_e, best_a
 
 
 def optimal_regimen(
@@ -64,7 +177,7 @@ def optimal_regimen(
     ``max_states`` or some state would require enumerating more than
     ``max_assignments_per_state`` assignments — the guards that keep this
     solver inside the "constant width, constant m" regime where it is
-    intended to run.
+    intended to run.  Both are checked before the DP tables are allocated.
     """
     n, m = instance.n, instance.m
     if n > 62:
@@ -73,53 +186,41 @@ def optimal_regimen(
         raise ExactSolverLimitError(
             f"exact DP needs 2^{n} states (limit {max_states})"
         )
-    expect = np.zeros(1 << n, dtype=np.float64)
-    assignments: dict[int, np.ndarray] = {}
-    states = _reachable_states(n)
-    for state in states:
-        if state == 0:
-            continue
-        elig_mask = eligible_bitmask(instance, state)
-        eligible = [j for j in range(n) if (elig_mask >> j) & 1]
-        if not eligible:  # unreachable in a valid execution, but stay total
-            eligible = [j for j in range(n) if (state >> j) & 1]
-        total = count_assignments(m, len(eligible), allow_idle=False)
-        if total > max_assignments_per_state:
+    elig = eligibility_masks(instance)
+    eligible = popcount_array(elig)
+    k_max = int(eligible.max())
+    total = count_assignments(m, k_max, allow_idle=False)
+    if total > max_assignments_per_state:
+        raise ExactSolverLimitError(
+            f"state with {k_max} eligible jobs needs {total} "
+            f"assignments (limit {max_assignments_per_state})"
+        )
+    size = 1 << n
+    expect = np.zeros(size, dtype=np.float64)
+    table = np.full((size, m), Regimen.UNDEFINED, dtype=np.int32)
+    # Groups of one (popcount layer, eligible count), lower layers first;
+    # the first group is the empty set alone, which needs no assignment.
+    key = popcount_array(np.arange(size)) * (n + 1) + eligible
+    order = np.argsort(key, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(key[order])) + 1)[1:]
+    signatures = {k: _signatures(k, m) for k in map(int, np.unique(eligible[1:]))}
+    for states in groups:
+        k = int(eligible[states[0]])
+        jobs = bit_positions(elig[states], k, n)
+        best_e, best_a = _solve_group(instance.p, states, jobs, signatures[k], expect)
+        stuck = np.isinf(best_e)
+        if stuck.any():
             raise ExactSolverLimitError(
-                f"state with {len(eligible)} eligible jobs needs {total} "
-                f"assignments (limit {max_assignments_per_state})"
-            )
-        best_e = np.inf
-        best_a: np.ndarray | None = None
-        # Idle machines are never needed: assigning any eligible job weakly
-        # dominates idling (success probabilities only increase), so we
-        # enumerate total functions M -> eligible only.
-        for a in iter_assignments(m, eligible, allow_idle=False):
-            dist = transition_distribution(instance, state, a)
-            stay = dist.get(state, 0.0)
-            if stay >= 1.0 - 1e-15:
-                continue  # no progress; infinite expectation
-            acc = 1.0
-            for nxt, pr in dist.items():
-                if nxt != state:
-                    acc += pr * expect[nxt]
-            e = acc / (1.0 - stay)
-            if e < best_e - 1e-15:
-                best_e = e
-                best_a = a.copy()
-        if best_a is None:
-            raise ExactSolverLimitError(
-                f"no progressing assignment from state {state:#x} "
+                f"no progressing assignment from state "
+                f"{int(states[np.argmax(stuck)]):#x} "
                 "(some eligible job has p_ij = 0 on all machines?)"
             )
-        expect[state] = best_e
-        assignments[state] = best_a
-    regimen = Regimen(n, m, assignments)
-    full = (1 << n) - 1
+        expect[states] = best_e
+        table[states] = np.take_along_axis(jobs, signatures[k][0][best_a], axis=1)
     return ExactSolution(
-        regimen=regimen,
-        expected_makespan=float(expect[full]),
-        states_solved=len(assignments),
+        regimen=Regimen.from_table(table),
+        expected_makespan=float(expect[size - 1]),
+        states_solved=size - 1,
     )
 
 

@@ -40,6 +40,7 @@ __all__ = [
     "popcount_array",
     "eligibility_masks",
     "assignment_success",
+    "bit_positions",
     "TransitionBlock",
     "build_step_structure",
     "build_regimen_structure",
@@ -203,7 +204,7 @@ def _make_block(
     return TransitionBlock(sel, deltas, weights, layer_ptr)
 
 
-def _bit_positions(act: np.ndarray, k: int, n: int) -> np.ndarray:
+def bit_positions(act: np.ndarray, k: int, n: int) -> np.ndarray:
     """``(G, k)`` column positions of the set bits of each mask in ``act``."""
     if k == 0:
         return np.zeros((act.size, 0), dtype=np.int64)
@@ -234,7 +235,7 @@ def build_step_structure(
     blocks = []
     for kk in np.unique(karr):
         sel = states[karr == kk]
-        bits = _bit_positions(act[sel], int(kk), n)
+        bits = bit_positions(act[sel], int(kk), n)
         qbits = q[bits] if kk else np.zeros((sel.size, 0), dtype=np.float64)
         blocks.append(_make_block(sel, bits, qbits, pc, n))
     return blocks
@@ -249,7 +250,7 @@ def build_regimen_structure(
 ) -> list[TransitionBlock]:
     """Transition blocks for a per-state assignment table (a regimen).
 
-    ``table`` is the ``(2^n, m)`` materialized regimen (row ``S`` is the
+    ``table`` is a regimen's dense ``(2^n, m)`` table (row ``S`` is the
     assignment in state ``S``; row 0 is ignored).  Unlike the oblivious
     case there is no shared ``q`` vector, so per-state success
     probabilities are accumulated with one vectorized sweep per machine:
@@ -273,7 +274,7 @@ def build_regimen_structure(
     blocks = []
     for kk in np.unique(karr):
         sel = states[karr == kk]
-        bits = _bit_positions(act[sel], int(kk), n)
+        bits = bit_positions(act[sel], int(kk), n)
         if kk:
             failb = np.ones((sel.size, kk), dtype=np.float64)
             for i in range(m):

@@ -31,7 +31,7 @@ import numpy as np
 from ... import obs
 from ..._util import iterable_from_bitmask
 from ...core.instance import SUUInstance
-from ...core.schedule import IDLE, CyclicSchedule, Regimen
+from ...core.schedule import CyclicSchedule, Regimen
 from ...errors import ScheduleError
 from .lattice import (
     DEFAULT_MAX_STATES,
@@ -55,13 +55,20 @@ __all__ = [
 _STAY_EPS = 1e-15
 
 
-def _materialize_regimen(regimen: Regimen, n: int, m: int) -> np.ndarray:
-    """The regimen as a ``(2^n, m)`` table (raises if a state is missing)."""
-    size = 1 << n
-    table = np.full((size, m), IDLE, dtype=np.int32)
-    for state in range(1, size):
-        table[state] = regimen.assignment_for_state(state)
-    return table
+def _regimen_table(instance: SUUInstance, regimen: Regimen) -> np.ndarray:
+    """The regimen's table, checked to fit ``instance`` and cover every state."""
+    if (regimen.n, regimen.m) != (instance.n, instance.m):
+        raise ScheduleError(
+            f"regimen is for n={regimen.n}, m={regimen.m}; "
+            f"the instance has n={instance.n}, m={instance.m}"
+        )
+    missing = ~regimen.defined()
+    missing[0] = False
+    if missing.any():
+        raise ScheduleError(
+            f"regimen has no assignment for state {int(np.argmax(missing)):#x}"
+        )
+    return regimen.table
 
 
 def expected_makespan_regimen(
@@ -71,19 +78,20 @@ def expected_makespan_regimen(
 ) -> float:
     """Exact expected makespan of ``regimen``, vectorized per layer.
 
-    For every state block, ``E[S] = (1 + Σ_{T≠∅} w_T E[S ^ T]) / (1 - w_∅)``
-    is evaluated as one gather + einsum over the block's subset table.
-    Raises :class:`ScheduleError` when some state makes no progress
-    (infinite expectation), like the scalar engine.
+    Reads the regimen's dense table directly.  For every state block,
+    ``E[S] = (1 + Σ_{T≠∅} w_T E[S ^ T]) / (1 - w_∅)`` is evaluated as one
+    gather + einsum over the block's subset table.  Raises
+    :class:`ScheduleError` when some state has no assignment or makes no
+    progress (infinite expectation), like the scalar engine.
     """
     n = instance.n
     check_state_budget(n, 1, max_states)
     if n == 0:
         return 0.0
     size = 1 << n
+    table = _regimen_table(instance, regimen)
     obs.add("exact.states_allocated", size)
     with obs.span("exact.lattice.build", states=size, op="regimen"):
-        table = _materialize_regimen(regimen, n, instance.m)
         elig = eligibility_masks(instance)
         pc = popcount_array(np.arange(size, dtype=np.int64))
         blocks = build_regimen_structure(

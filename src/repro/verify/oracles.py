@@ -71,6 +71,7 @@ from ..errors import (
 )
 from ..flow import FLOW_ENGINES, make_flow_network
 from ..lp.acc_mass import LP_ENGINES, check_fractional, solve_lp1, solve_lp2
+from ..opt import scalar as golden_dp
 from ..opt.bruteforce import count_assignments, max_sum_mass_opt
 from ..opt.malewicz import optimal_regimen
 from ..rounding.round_lp import round_acc_mass
@@ -408,6 +409,19 @@ def check_opt(ctx: CaseContext) -> list[Discrepancy]:
     except ExactSolverLimitError:
         return []
     out: list[Discrepancy] = []
+    golden = golden_dp.optimal_regimen(instance)
+    same_table = np.array_equal(sol.regimen.table, golden.regimen.table)
+    gap = abs(sol.expected_makespan - golden.expected_makespan)
+    if not same_table or gap > 1e-12 * max(1.0, golden.expected_makespan):
+        out.append(
+            Discrepancy(
+                "opt",
+                f"vectorized Malewicz DP gives E={sol.expected_makespan!r}, the "
+                f"scalar golden DP E={golden.expected_makespan!r}"
+                + ("" if same_table else "; their regimen tables differ"),
+                {"dp": sol.expected_makespan, "golden": golden.expected_makespan},
+            )
+        )
     re_eval = evaluate(instance, sol.regimen, mode="exact").makespan
     if abs(re_eval - sol.expected_makespan) > 1e-6 * max(1.0, re_eval):
         out.append(

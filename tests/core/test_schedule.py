@@ -18,8 +18,11 @@ from repro import (
     ScheduleError,
     SUUInstance,
     ValidationError,
+    evaluate,
 )
+from repro.core import schedule as schedule_mod
 from repro.core.schedule import validate_assignment
+from repro.errors import ExactSolverLimitError
 
 
 class TestValidateAssignment:
@@ -239,6 +242,62 @@ class TestAdaptiveAndRegimen:
             np.random.default_rng(0),
         )
         assert a.tolist() == [0, 1, 2]
+
+
+class TestDenseRegimen:
+    """``Regimen`` is one dense ``(2^n, m)`` int32 table."""
+
+    def test_dict_sugar_fills_the_table(self):
+        r = Regimen(2, 1, {0b11: np.array([0]), 0b10: np.array([1])})
+        assert r.table.dtype == np.int32 and not r.table.flags.writeable
+        undefined = Regimen.UNDEFINED
+        assert r.table[:, 0].tolist() == [undefined, undefined, 1, 0]
+        assert r.states == [0b10, 0b11]
+
+    def test_from_table_round_trip(self):
+        r = Regimen(2, 2, {s: np.array([0, IDLE]) for s in (1, 2, 3)})
+        again = Regimen.from_table(r.table)
+        np.testing.assert_array_equal(again.table, r.table)
+        assert (again.n, again.m, again.states) == (2, 2, [1, 2, 3])
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            np.zeros((3, 2), dtype=np.int32),
+            np.zeros(4, dtype=np.int32),
+            np.zeros((0, 2), dtype=np.int32),
+            np.zeros((4, 0), dtype=np.int32),
+            np.zeros((4, 2)),
+        ],
+        ids=["rows-not-a-power-of-2", "1-d", "no-rows", "no-machines", "float"],
+    )
+    def test_from_table_rejects_a_wrong_shape(self, table):
+        with pytest.raises(ValidationError):
+            Regimen.from_table(table)
+
+    @pytest.mark.parametrize("entry", [2, -3])
+    def test_from_table_rejects_out_of_range_entries(self, entry):
+        table = np.zeros((4, 2), dtype=np.int32)
+        table[3, 1] = entry
+        with pytest.raises(ValidationError, match="row 0x3"):
+            Regimen.from_table(table)
+
+    def test_missing_state_fails_the_sparse_solver(self):
+        inst = SUUInstance(np.array([[0.5, 0.5]]))
+        r = Regimen(2, 1, {0b11: np.array([0]), 0b10: np.array([1])})
+        with pytest.raises(ScheduleError, match="no assignment for state 0x1"):
+            evaluate(inst, r, mode="exact", engine="sparse")
+
+    def test_over_budget_table_is_refused_before_allocation(self):
+        # 2^40 x 2 int32 entries would be 8 TiB: reaching the allocation
+        # would raise MemoryError, not the limit error.
+        with pytest.raises(ExactSolverLimitError):
+            Regimen(40, 2, {1: np.array([0, 0])})
+
+    def test_table_constructor_is_budgeted_too(self, monkeypatch):
+        monkeypatch.setattr(schedule_mod, "REGIMEN_MAX_ENTRIES", 4)
+        with pytest.raises(ExactSolverLimitError):
+            Regimen.from_table(np.zeros((4, 2), dtype=np.int32))
 
 
 class TestChainBandsAndPseudo:

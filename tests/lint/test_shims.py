@@ -4,9 +4,8 @@ Each shim must (a) still detect a planted violation through its old
 ``check_file(path, rel)`` API, (b) exit 0 on the committed tree via its
 old ``main()``, (c) run standalone as a script with no ``PYTHONPATH``
 help, and (d) expose the historical module constants other tooling may
-import.  These tests absorb the checker halves of the pre-framework
-``tests/test_legacy_shims.py`` / ``tests/test_solver_callsites.py`` /
-``tests/obs/test_instrumentation_lint.py``.
+import.  These tests took over the checker halves of the per-checker
+test files that predate the lint framework.
 """
 
 from __future__ import annotations

@@ -22,9 +22,12 @@ from repro.algorithms.baselines import (
     serial_baseline,
     state_round_robin_regimen,
 )
+from repro._util import iterable_from_bitmask
+from repro.core.schedule import Regimen
 from repro.errors import ScheduleError, ValidationError
 from repro.sim.markov import (
     EXACT_ENGINES,
+    eligible_bitmask,
     exact_completion_curve,
     expected_makespan_cyclic,
     expected_makespan_regimen,
@@ -82,6 +85,14 @@ def test_sparse_matches_scalar_on_fuzzer_families(family):
         cyclic = round_robin_baseline(instance).schedule
         serial = serial_baseline(instance).schedule
         regimen = state_round_robin_regimen(instance).schedule
+        # The vectorized table against its per-state definition.
+        expected = np.full((1 << instance.n, instance.m), Regimen.UNDEFINED)
+        for state in range(1, 1 << instance.n):
+            jobs = iterable_from_bitmask(eligible_bitmask(instance, state))
+            expected[state] = [jobs[i % len(jobs)] for i in range(instance.m)]
+        np.testing.assert_array_equal(
+            regimen.table, expected, err_msg=f"{family} trial {trial}"
+        )
         for label, fn in [
             ("cyclic/rr", lambda e: expected_makespan_cyclic(instance, cyclic, engine=e)),
             ("cyclic/serial", lambda e: expected_makespan_cyclic(instance, serial, engine=e)),

@@ -121,6 +121,19 @@ class TestPlantedBugs:
         out = check_case(spec_for("exact_regimen", n=2), cfg=FAST)
         assert any(d.check == "opt" and "lower bound" in d.message for d in out)
 
+    def test_broken_malewicz_dp_is_caught(self, monkeypatch):
+        """A DP off by 1e-6 must trip the opt oracle's golden comparison."""
+        real = oracles.optimal_regimen
+
+        def off(instance, **kw):
+            sol = real(instance, **kw)
+            sol.expected_makespan += 1e-6
+            return sol
+
+        monkeypatch.setattr(oracles, "optimal_regimen", off)
+        out = check_case(spec_for("serial"), cfg=FAST, only="opt")
+        assert any(d.check == "opt" and "golden" in d.message for d in out)
+
     def test_broken_vector_lp_engine_is_caught(self, monkeypatch):
         """An inflated vector-engine optimum must trip the lpflow oracle."""
         real = oracles.solve_lp2
