@@ -1,6 +1,6 @@
 """PERF — evaluation server throughput, latency, and dedup effectiveness.
 
-Replays the ``serve-smoke`` mixed load (duplicates + batchable company +
+Replays the ``serve-smoke`` mixed load (duplicates + distinct-seed MC +
 exact route + solver-name sugar, see ``tools/serve_load.py``) against a
 real in-process server over HTTP and records throughput, latency
 percentiles, and the dedup hit-rate into
@@ -78,8 +78,6 @@ def test_perf_serve_mixed_load(benchmark, recorder):
         jobs_computed=counters["serve.jobs_computed"],
         dedup_hits=counters["serve.dedup_hits"],
         cache_hits=counters["serve.cache_hits"],
-        batch_groups=counters["serve.batch_groups"],
-        batched_jobs=counters["serve.batched_jobs"],
     )
     recorder.claim("all_contracts_held", not summary["failures"])
     recorder.claim("dedup_coalesces_duplicates", summary["dedup_hit_rate"] >= 0.25)

@@ -21,9 +21,9 @@ Subcommands
                      dispatch, timing, seed-discipline, warning, and
                      pickling contracts in one parse pass per file
 ``trace``            summarize Chrome trace-event JSON from ``evaluate --trace``
-``serve``            evaluation-as-a-service: the asyncio batch server
-                     (repro.serve) with content-hash dedup, cross-request
-                     MC batching, and an HTTP/JSON protocol
+``serve``            evaluation-as-a-service: the asyncio server
+                     (repro.serve) with content-hash dedup, a result
+                     cache, admission control and an HTTP/JSON protocol
 
 Every makespan number any subcommand prints flows through
 :func:`repro.evaluate.evaluate`.
@@ -354,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv = sub.add_parser(
         "serve",
         help="run the evaluation server: POST /evaluate, GET /jobs/<id>, "
-        "GET /healthz, GET /metrics (content-hash dedup + MC batching)",
+        "GET /healthz, GET /metrics (content-hash dedup + result cache)",
     )
     sv.add_argument("--host", default="127.0.0.1")
     sv.add_argument(
@@ -372,12 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="cap on summed exact-route DP cells in flight "
         "(default: the exact engine's own guard)",
-    )
-    sv.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=10.0,
-        help="how long an MC job waits for batchable company",
     )
     sv.add_argument(
         "--cache-dir",
@@ -885,7 +879,6 @@ def _cmd_serve(args) -> int:
 
     kwargs = {
         "max_queue": args.max_queue,
-        "batch_window_s": args.batch_window_ms / 1000.0,
         "workers": args.workers,
         "cache_dir": (
             None if args.no_cache else (args.cache_dir or DEFAULT_SERVE_CACHE_DIR)
@@ -904,7 +897,6 @@ def _cmd_serve(args) -> int:
             print(
                 f"suu serve: listening on http://{bound[0]}:{bound[1]} "
                 f"(workers={config.workers}, max_queue={config.max_queue}, "
-                f"batch_window={config.batch_window_s * 1000:.0f}ms, "
                 f"cache={config.cache_dir or 'off'})",
                 file=sys.stderr,
                 flush=True,

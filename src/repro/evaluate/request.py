@@ -33,7 +33,9 @@ __all__ = [
 
 #: Bump to invalidate every served/cached evaluation result when request
 #: semantics change (mirrors ``ExperimentSpec.SPEC_VERSION``).
-REQUEST_HASH_VERSION = 1
+#: v2: the step-free oblivious Monte Carlo kernel changed every
+#: oblivious/cyclic MC number at a fixed seed.
+REQUEST_HASH_VERSION = 2
 
 #: Metrics a request may ask for.  ``state_distribution`` is exact-only.
 METRICS = ("makespan", "completion_curve", "state_distribution")

@@ -153,8 +153,7 @@ def _gen_diamond(rng, n=16, m=6, width=3, jitter=False, prob_model="uniform", **
 # methods, specs, portfolio, fuzzer, CLI).  The adapter preserves the
 # historical experiment-algorithm contract exactly — ``fn(instance, rng,
 # **params)``, with a ``constants=`` preset keyword only for solvers that
-# declare the need — so existing spec hashes are unchanged (names and
-# params are all the hash sees; SPEC_VERSION stays at 3).
+# declare the need — so spec hashes depend only on names and params.
 # ----------------------------------------------------------------------
 @register_algorithm("solve")
 def _alg_solve(instance, rng, constants="practical", method="auto", allow_fallback=False):

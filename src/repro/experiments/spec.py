@@ -28,7 +28,10 @@ __all__ = ["ExperimentSpec", "SPEC_VERSION", "EVALUATION_KEYS"]
 #: streams replaced the single sim_seed stream, changing every number.
 #: v3: specs gained the declarative ``evaluation:`` block (the field enters
 #: the canonical JSON, so every hash changes even though mc numbers do not).
-SPEC_VERSION = 3
+#: v4: oblivious/cyclic Monte Carlo draws each job's completion step from
+#: its cumulative hazard (one exponential per job and replication), which
+#: consumes the stream differently and changes those numbers.
+SPEC_VERSION = 4
 
 #: Keys the ``evaluation:`` block accepts.  ``mode`` selects the runner
 #: route ("mc" — the sharded default — or "exact", one front-door call);

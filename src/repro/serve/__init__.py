@@ -3,9 +3,8 @@
 A zero-dependency asyncio job server (``suu serve``) that turns the
 library's one front door into a long-running service: content-hash
 dedup of identical in-flight and completed requests
-(:mod:`repro.serve.keys`, :mod:`repro.serve.cache`), cross-request
-Monte Carlo batching with a bitwise solo-parity guarantee
-(:mod:`repro.serve.batching`), admission control and a worker pool
+(:mod:`repro.serve.keys`, :mod:`repro.serve.cache`), admission control
+and a worker pool that runs every job as a plain ``evaluate()`` call
 (:mod:`repro.serve.server`), and a stdlib HTTP/JSON wire protocol with
 matching client (:mod:`repro.serve.protocol`,
 :mod:`repro.serve.client`).
@@ -14,7 +13,6 @@ matching client (:mod:`repro.serve.protocol`,
 and the protocol table.
 """
 
-from .batching import BatchMember, batch_signature, batchable_request, run_batched_group
 from .cache import DEFAULT_SERVE_CACHE_DIR, SERVE_CACHE_SCHEMA_VERSION, ResultCache
 from .client import ServeClient
 from .keys import instance_hash, job_key, schedule_hash
@@ -22,7 +20,6 @@ from .protocol import PROTOCOL_VERSION, decode_schedule, start_http_server
 from .server import EvaluationServer, Job, ServerConfig
 
 __all__ = [
-    "BatchMember",
     "DEFAULT_SERVE_CACHE_DIR",
     "EvaluationServer",
     "Job",
@@ -31,12 +28,9 @@ __all__ = [
     "SERVE_CACHE_SCHEMA_VERSION",
     "ServeClient",
     "ServerConfig",
-    "batch_signature",
-    "batchable_request",
     "decode_schedule",
     "instance_hash",
     "job_key",
-    "run_batched_group",
     "schedule_hash",
     "start_http_server",
 ]

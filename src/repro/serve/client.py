@@ -11,12 +11,24 @@ from __future__ import annotations
 
 import http.client
 import json
+import sys
 
 from ..core.instance import SUUInstance
 from ..errors import AdmissionError, ServeError
 from ..evaluate.report import EvaluationReport
 
 __all__ = ["ServeClient"]
+
+
+def _interned(pairs: list[tuple[str, object]]) -> dict:
+    """A decoded JSON object whose field names are shared across replies.
+
+    Every envelope repeats the same few dozen field names, so a caller
+    that keeps many envelopes (a load generator, a benchmark) holds each
+    name once instead of once per reply: about half the memory of a
+    retained MC envelope.
+    """
+    return {sys.intern(k): v for k, v in pairs}
 
 
 class ServeClient:
@@ -37,7 +49,7 @@ class ServeClient:
             resp = conn.getresponse()
             raw = resp.read()
             try:
-                data = json.loads(raw) if raw else {}
+                data = json.loads(raw, object_pairs_hook=_interned) if raw else {}
             except json.JSONDecodeError:
                 raise ServeError(
                     f"{method} {path}: non-JSON reply (HTTP {resp.status})"

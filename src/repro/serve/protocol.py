@@ -32,7 +32,8 @@ from .server import EvaluationServer
 __all__ = ["start_http_server", "decode_schedule", "PROTOCOL_VERSION"]
 
 #: Bumped when the wire shape of requests/envelopes changes.
-PROTOCOL_VERSION = 1
+#: v2: envelope provenance no longer carries ``batched_with``.
+PROTOCOL_VERSION = 2
 
 _MAX_BODY = 64 * 1024 * 1024  # refuse absurd payloads before buffering them
 

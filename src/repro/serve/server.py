@@ -1,4 +1,4 @@
-"""The asyncio evaluation server: dedup, batching, admission, workers.
+"""The asyncio evaluation server: dedup, cache, admission, workers.
 
 Request lifecycle (``docs/architecture.md`` has the diagram):
 
@@ -7,10 +7,7 @@ submit ──▶ admission control ──▶ cache lookup ──▶ in-flight de
    │        (queue depth,          (memory LRU,      (same job_key
    │         state-cost guard       then disk)        joins the leader)
    │         → AdmissionError)
-   └──▶ queue ──▶ batch window ──▶ group by batch_signature
-                                     ├─ lockstep group → run_batched_group
-                                     └─ solo job       → evaluate()
-                                   (both on the worker thread pool)
+   └──▶ queue ──▶ evaluate() on the worker thread pool
 ```
 
 Everything upstream of the worker pool is pure asyncio bookkeeping —
@@ -40,10 +37,9 @@ import numpy as np
 from .. import obs
 from ..core.instance import SUUInstance
 from ..errors import AdmissionError, ServeError, ValidationError, censored_message
-from ..evaluate.dispatch import Route, exact_state_cost, select_route
+from ..evaluate.dispatch import exact_state_cost, select_route
 from ..evaluate.facade import evaluate
 from ..evaluate.request import EvaluationRequest
-from .batching import BatchMember, batch_signature, batchable_request, run_batched_group
 from .cache import DEFAULT_SERVE_CACHE_DIR, ResultCache
 from .keys import job_key
 
@@ -60,10 +56,6 @@ class ServerConfig:
     #: in flight — the exact-engine guard applied server-wide, so one burst
     #: of large exact solves cannot exhaust memory.
     max_inflight_states: int = 1 << 24
-    #: How long an admitted MC job waits for batchable company (seconds).
-    batch_window_s: float = 0.01
-    #: Replication budget of one lockstep group (member reps summed).
-    max_batch_reps: int = 100_000
     #: Worker threads bridging asyncio to the engines.
     workers: int = 4
     #: On-disk result cache; None disables the disk layer.
@@ -85,15 +77,10 @@ class Job:
     instance: SUUInstance
     schedule: object
     request: EvaluationRequest
-    route: Route
     future: asyncio.Future
     envelope: dict
     queue_sw: obs.Stopwatch = field(default_factory=obs.stopwatch)
     exact_cost: int = 0
-
-    @property
-    def batchable(self) -> bool:
-        return batchable_request(self.request, self.route, self.schedule)
 
 
 def _resolve_schedule(instance, schedule, request):
@@ -111,7 +98,7 @@ def _resolve_schedule(instance, schedule, request):
 
 
 class EvaluationServer:
-    """Async façade over ``evaluate()`` with dedup, batching, and shedding.
+    """Async façade over ``evaluate()`` with dedup, caching, and shedding.
 
     Use as an async context manager (or call :meth:`start` / :meth:`stop`);
     :meth:`submit` is the whole client API — the HTTP layer
@@ -129,8 +116,8 @@ class EvaluationServer:
             "serve.jobs_computed": 0,
             "serve.dedup_hits": 0,
             "serve.cache_hits": 0,
+            # Retired cross-request batching; kept at 0 for /metrics readers.
             "serve.batch_groups": 0,
-            "serve.batched_jobs": 0,
             "serve.shed": 0,
             "serve.errors": 0,
         }
@@ -264,9 +251,6 @@ class EvaluationServer:
             envelope["report"] = report
             envelope["warnings"] = _wire_warnings(report)
             envelope["provenance"]["cache_hit"] = False
-            envelope["provenance"]["batched_with"] = list(
-                leader.envelope["provenance"]["batched_with"]
-            )
             envelope["provenance"]["queue_time_s"] = leader.envelope[
                 "provenance"
             ]["queue_time_s"]
@@ -308,7 +292,6 @@ class EvaluationServer:
             instance=instance,
             schedule=concrete,
             request=request,
-            route=route,
             future=asyncio.get_running_loop().create_future(),
             envelope=envelope,
             exact_cost=cost,
@@ -331,89 +314,33 @@ class EvaluationServer:
 
     # -- scheduler -------------------------------------------------------
     async def _scheduler(self) -> None:
-        """Collect admitted jobs, form batch groups, dispatch to workers."""
+        """Hand each admitted job to the worker pool as it arrives."""
         loop = asyncio.get_running_loop()
         while True:
-            first = await self._queue.get()
-            window = [first]
-            if first.batchable and self.config.batch_window_s > 0:
-                deadline = loop.time() + self.config.batch_window_s
-                while True:
-                    remaining = deadline - loop.time()
-                    if remaining <= 0:
-                        break
-                    try:
-                        window.append(
-                            await asyncio.wait_for(self._queue.get(), remaining)
-                        )
-                    except asyncio.TimeoutError:
-                        break
-            # Opportunistic same-tick pickup even with a zero window.
-            while not self._queue.empty():
-                window.append(self._queue.get_nowait())
-            for unit in self._partition(window):
-                task = loop.create_task(self._dispatch(unit))
-                self._compute_tasks.add(task)
-                task.add_done_callback(self._compute_tasks.discard)
+            job = await self._queue.get()
+            task = loop.create_task(self._dispatch(job))
+            self._compute_tasks.add(task)
+            task.add_done_callback(self._compute_tasks.discard)
 
-    def _partition(self, window: list[Job]) -> list[list[Job]]:
-        """Split a window into compute units: batch groups and solo jobs."""
-        groups: OrderedDict[tuple, list[Job]] = OrderedDict()
-        units: list[list[Job]] = []
-        for job in window:
-            if not job.batchable:
-                units.append([job])
-                continue
-            sig = batch_signature(job.instance, job.schedule, job.request)
-            bucket = groups.setdefault(sig, [])
-            reps = sum(j.request.reps for j in bucket)
-            if bucket and reps + job.request.reps > self.config.max_batch_reps:
-                units.append(bucket.copy())
-                bucket.clear()
-            bucket.append(job)
-        units.extend(bucket for bucket in groups.values() if bucket)
-        return units
-
-    async def _dispatch(self, unit: list[Job]) -> None:
+    async def _dispatch(self, job: Job) -> None:
         loop = asyncio.get_running_loop()
-        for job in unit:
-            job.envelope["status"] = "running"
-            job.envelope["provenance"]["queue_time_s"] = job.queue_sw.elapsed_s
+        job.envelope["status"] = "running"
+        job.envelope["provenance"]["queue_time_s"] = job.queue_sw.elapsed_s
         sw = obs.stopwatch()
         try:
-            if len(unit) == 1:
-                reports = await loop.run_in_executor(
-                    self._pool, _compute_solo, unit[0]
-                )
-            else:
-                self._count("serve.batch_groups")
-                self._count("serve.batched_jobs", len(unit))
-                members = [
-                    BatchMember(j.instance, j.schedule, j.request, j.route)
-                    for j in unit
-                ]
-                reports = await loop.run_in_executor(
-                    self._pool, _run_group, members
-                )
+            report_dict = await loop.run_in_executor(self._pool, _compute, job)
         except BaseException as exc:
-            self._count("serve.errors", len(unit))
-            for job in unit:
-                self._finish(job)
-                if not job.future.done():
-                    job.future.set_exception(exc)
-            return
-        compute_s = sw.elapsed_s
-        self._count("serve.jobs_computed", len(unit))
-        peer_ids = [j.job_id for j in unit]
-        for job, report_dict in zip(unit, reports):
-            job.envelope["provenance"]["compute_time_s"] = compute_s
-            job.envelope["provenance"]["batched_with"] = [
-                pid for pid in peer_ids if pid != job.job_id
-            ]
-            if job.key is not None:
-                self.cache.put(job.key, report_dict)
+            self._count("serve.errors")
             self._finish(job)
-            job.future.set_result(report_dict)
+            if not job.future.done():
+                job.future.set_exception(exc)
+            return
+        job.envelope["provenance"]["compute_time_s"] = sw.elapsed_s
+        self._count("serve.jobs_computed")
+        if job.key is not None:
+            self.cache.put(job.key, report_dict)
+        self._finish(job)
+        job.future.set_result(report_dict)
 
     def _finish(self, job: Job) -> None:
         self._pending -= 1
@@ -445,7 +372,6 @@ class EvaluationServer:
             "provenance": {
                 "cache_hit": cache_hit,
                 "deduped_with": deduped_with,
-                "batched_with": [],
                 "queue_time_s": None,
                 "compute_time_s": None,
             },
@@ -480,8 +406,8 @@ def _wire_warnings(report_dict: dict) -> list[str]:
     return [censored_message(truncated, report_dict.get("n_reps", 0), max_steps)]
 
 
-def _compute_solo(job: Job) -> list[dict]:
-    """Worker-thread body for a solo job: the plain ``evaluate()`` call."""
+def _compute(job: Job) -> dict:
+    """Worker-thread body: the plain ``evaluate()`` call."""
     import warnings as _warnings
 
     with _warnings.catch_warnings():
@@ -489,20 +415,4 @@ def _compute_solo(job: Job) -> list[dict]:
         # wording); the in-process warning has no console to land on here.
         _warnings.simplefilter("ignore")
         report = evaluate(job.instance, job.schedule, request=job.request)
-    return [report.to_dict()]
-
-
-def _run_group(members: list[BatchMember]) -> list[dict]:
-    """Worker-thread body for a lockstep batch group."""
-    import warnings as _warnings
-
-    sw = obs.stopwatch()
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
-        reports = run_batched_group(members)
-    elapsed = sw.elapsed_s
-    out = []
-    for report in reports:
-        report.wall_time_s = elapsed
-        out.append(report.to_dict())
-    return out
+    return report.to_dict()

@@ -7,8 +7,8 @@
 
 Use the :mod:`repro.sim.markov` facade unless you need an engine module
 directly; the facade routes on its ``engine=`` argument and re-exports
-the scalar per-state primitives used by the Malewicz DP and the
-execution tree.
+the scalar per-state primitives used by the golden per-state Malewicz
+DP (:mod:`repro.opt.scalar`) and the execution tree.
 """
 
 from .lattice import (

@@ -10,8 +10,8 @@ equivalence with the sparse engine to ≤1e-9 is property-tested in
 ``tests/sim/test_exact_engines_equiv.py``.
 
 The per-state primitives (:func:`eligible_bitmask`,
-:func:`transition_distribution`) also serve the Malewicz DP
-(:mod:`repro.opt.malewicz`) and the execution tree
+:func:`transition_distribution`) also serve the golden per-state
+Malewicz DP (:mod:`repro.opt.scalar`) and the execution tree
 (:mod:`repro.sim.exec_tree`), which enumerate single states anyway.
 """
 

@@ -26,7 +26,8 @@ engine, practical to n ≈ 18–20 for regimens) or ``engine="scalar"`` (the
 original per-state dict DP, kept as the golden reference; the two agree
 to ≤1e-9, property-tested).  The per-state primitives
 :func:`eligible_bitmask` and :func:`transition_distribution` are
-re-exported unchanged for the Malewicz DP and the execution tree.
+re-exported unchanged for the golden per-state Malewicz DP
+(:mod:`repro.opt.scalar`) and the execution tree.
 """
 
 from __future__ import annotations

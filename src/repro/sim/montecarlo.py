@@ -1,9 +1,11 @@
 """Monte Carlo estimation of expected makespan.
 
-For oblivious (and cyclic) schedules all replications share the same
-assignment per step, so the whole replication batch advances in lockstep
-with numpy array operations — per the hpc-parallel guide, the hot loop is
-over *steps* only, never over replications or jobs.  Deterministic adaptive
+For oblivious (and cyclic) schedules the assignment of every step is fixed
+in advance, so no step needs simulating: an eligible job completes at the
+first step where its cumulative log-mass (the log form of the Def 2.4
+mass) exceeds an Exp(1) draw.  The kernel loops over *jobs* in
+topological order, each a handful of numpy calls over all replications,
+never over steps or replications.  Deterministic adaptive
 policies and regimens run on the frontier-memoized batched engine
 (:mod:`repro.sim.batch`); randomized policies fall back to the scalar
 engine one replication at a time.  ``docs/architecture.md`` documents the
@@ -21,7 +23,6 @@ from .. import obs
 from .._deprecation import warn_legacy
 from .._util import as_rng
 from ..core.instance import SUUInstance
-from ..core.mass import assignment_success_prob
 from ..core.schedule import CyclicSchedule, ObliviousSchedule
 from ..errors import SimulationLimitError, ValidationError, warn_censored
 from .batch import batchable, simulate_batch
@@ -69,16 +70,31 @@ class MakespanEstimate:
         )
 
 
-def _per_step_success(instance: SUUInstance, table: np.ndarray) -> np.ndarray:
-    """Per-step per-job one-step success probabilities for a schedule table.
+#: Per-step hazard cap.  A machine with ``p_ij = 1`` gives an infinite
+#: hazard; capping it keeps cumulative sums finite (so later steps still
+#: order correctly) while its survival ``e^-64 ≈ 1.6e-28`` is far below
+#: anything a run can observe.
+_HAZARD_CAP = 64.0
 
-    Entry ``(t, j)``: probability job ``j`` completes in step ``t`` given it
-    is eligible and unfinished and the step-``t`` assignment is applied.
+
+def _cumulative_hazard(p: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Cumulative per-job log-mass ``Λ[j, k] = Σ_{t<k} h_tj`` of a table.
+
+    ``h_tj = -Σ_{i: table[t, i] = j} log(1 - p_ij)`` is the log form of the
+    Def 2.4 mass: an eligible job survives step ``t`` with probability
+    ``exp(-h_tj)``.  Returns an ``(n, T + 1)`` array with ``Λ[:, 0] = 0``.
     """
     T = table.shape[0]
-    out = np.empty((T, instance.n), dtype=np.float64)
-    for t in range(T):
-        out[t] = assignment_success_prob(instance.p, table[t])
+    n = p.shape[1]
+    steps, machines = np.nonzero(table >= 0)
+    jobs = table[steps, machines]
+    with np.errstate(divide="ignore"):
+        h = -np.log1p(-p[machines, jobs])
+    per_step = np.bincount(steps * n + jobs, weights=h, minlength=T * n)
+    out = np.zeros((n, T + 1), dtype=np.float64)
+    np.cumsum(
+        np.minimum(per_step.reshape(T, n), _HAZARD_CAP).T, axis=1, out=out[:, 1:]
+    )
     return out
 
 
@@ -89,69 +105,79 @@ def _vectorized_oblivious(
     rng: np.random.Generator,
     max_steps: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate ``reps`` executions in lockstep.
+    """Simulate ``reps`` executions of an oblivious schedule, step-free.
+
+    Under a fixed assignment per step, an eligible job completes at the
+    first step ``k`` at which its cumulative hazard ``Λ_j(k)`` exceeds
+    ``Λ_j(start) + E_j`` with ``E_j ~ Exp(1)``, where ``start`` is the step
+    its last predecessor completed.  Jobs are visited in topological order
+    with one ``searchsorted`` per job over all replications; cycles are
+    skipped in closed form.  Exact in distribution.
 
     Returns ``(makespans, finished_flags)``; unfinished runs report the
     censored step count ``max_steps``.
     """
-    n = instance.n
     dag = instance.dag
-    # Predecessor-count bookkeeping for eligibility, vectorized across reps.
-    pred_lists = [dag.predecessors(j) for j in range(n)]
-    pred_counts = np.array([len(pl) for pl in pred_lists], dtype=np.int64)
-    has_preds = pred_counts > 0
-    # (n_pred_edges,) flattened predecessor incidence for a fast gather:
-    # finished[:, pred_src] summed per job via matmul with a sparse-ish
-    # 0/1 matrix.  n is small enough that a dense (n, n) matrix is fine.
-    pred_matrix = np.zeros((n, n), dtype=np.float64)
-    for j, pl in enumerate(pred_lists):
-        for u in pl:
-            pred_matrix[u, j] = 1.0
-
     if isinstance(schedule, ObliviousSchedule):
-        prefix_q = _per_step_success(instance, schedule.table)
-        cycle_q = None
-        prefix_len = schedule.length
-    else:
-        prefix_q = _per_step_success(instance, schedule.prefix.table)
-        cycle_q = _per_step_success(instance, schedule.cycle.table)
-        prefix_len = schedule.prefix_length
-
-    finished = np.zeros((reps, n), dtype=bool)
-    makespan = np.full(reps, max_steps, dtype=np.int64)
-    done_reps = np.zeros(reps, dtype=bool)
-
-    horizon = max_steps
-    if isinstance(schedule, ObliviousSchedule):
+        prefix, cycle = schedule.table, None
         horizon = min(max_steps, schedule.length)
+    else:
+        prefix, cycle = schedule.prefix.table, schedule.cycle.table
+        horizon = max_steps
+    P = prefix.shape[0]
+    lam_p = _cumulative_hazard(instance.p, prefix)
+    lam_c = None if cycle is None else _cumulative_hazard(instance.p, cycle)
+    L = 0 if cycle is None else cycle.shape[0]
+    draws = rng.standard_exponential((reps, instance.n))
+    # Completion step per (job, rep); ``never`` = not within the horizon.
+    never = horizon + 1
+    done_at = np.empty((instance.n, reps), dtype=np.int64)
+    no_start = np.zeros(reps, dtype=np.int64)
+    for j in dag.topological_order():
+        preds = list(dag.predecessors(j))
+        start = done_at[preds].max(axis=0) if preds else no_start
+        threshold = lam_p[j, np.minimum(start, P)] + draws[:, j]
+        step = np.searchsorted(lam_p[j], threshold, side="right")
+        late = step > P
+        if late.any():
+            if lam_c is None or lam_c[j, L] == 0:
+                later = never
+            else:
+                # Past the prefix: the hazard still to accumulate, counted
+                # from the first step of the cycle repetition the job starts
+                # in (repetition 0, offset 0, for jobs that start in the prefix).
+                offset = np.maximum(start - P, 0)
+                rest = threshold - lam_p[j, P] + lam_c[j, offset % L]
+                later = _cycle_completion(lam_c[j], rest, P + offset // L * L)
+            step = np.where(late, later, step)
+        # Censor in float, then store: cycle step counts can exceed int64.
+        done_at[j] = np.minimum(step, never)
+    last = done_at.max(axis=0)
+    finished = last <= horizon
+    return np.where(finished, last, max_steps), finished
 
-    for t in range(horizon):
-        if done_reps.all():
-            break
-        if t < prefix_len:
-            q = prefix_q[t]
-        elif cycle_q is not None:
-            q = cycle_q[(t - prefix_len) % cycle_q.shape[0]]
-        else:  # pragma: no cover - loop bound prevents this
-            break
-        if not q.any():
-            continue
-        # Eligibility: all predecessors finished.
-        if has_preds.any():
-            finished_pred_count = finished.astype(np.float64) @ pred_matrix
-            eligible = finished_pred_count >= pred_counts[None, :]
-        else:
-            eligible = np.ones((reps, n), dtype=bool)
-        attempt = (~finished) & eligible & (q[None, :] > 0)
-        if not attempt.any():
-            continue
-        draws = rng.random((reps, n))
-        newly = attempt & (draws < q[None, :])
-        finished |= newly
-        just_done = (~done_reps) & finished.all(axis=1)
-        makespan[just_done] = t + 1
-        done_reps |= just_done
-    return makespan, done_reps
+
+def _cycle_completion(lam: np.ndarray, rest: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """Completion steps of a job with ``rest`` hazard to go in the cycle.
+
+    ``base`` counts the steps before the cycle repetition the count starts
+    from, and ``lam`` is the job's cumulative hazard over one cycle
+    (``lam[-1] > 0``).
+    Whole cycles are skipped by floor division in float, so a tiny cycle
+    hazard yields a huge (or infinite) step count rather than an overflow;
+    the caller censors the float result before casting it.
+    """
+    L = lam.shape[0] - 1
+    total = lam[L]
+    with np.errstate(over="ignore"):
+        cycles = np.floor(rest / total)
+    within = np.searchsorted(lam, np.maximum(rest - cycles * total, 0.0), side="right")
+    # Rounding can leave the remainder at a full cycle's hazard: it then
+    # falls in the next cycle, at the job's first step with any hazard.
+    spill = within > L
+    cycles[spill] += 1
+    within[spill] = np.searchsorted(lam, 0.0, side="right")
+    return base + cycles * L + within
 
 
 def _estimate_makespan(

@@ -104,6 +104,17 @@ class TestEvaluateEndpoint:
         assert envelope["status"] == "done"
         assert served.job(envelope["job_id"]) == envelope
 
+    def test_replies_share_field_name_strings(self, served, inst, sched):
+        # A caller keeping many envelopes holds each field name once.
+        a, b = (
+            served.evaluate_raw(
+                inst.to_dict(), sched.to_dict(), {"mode": "mc", "reps": 10, "seed": seed}
+            )
+            for seed in (11, 12)
+        )
+        assert list(a["report"]) == list(b["report"])
+        assert all(ka is kb for ka, kb in zip(a["report"], b["report"]))
+
     def test_duplicate_posts_coalesce_over_the_wire(self, served, inst, sched):
         req = {"mode": "mc", "reps": 30, "seed": 4}
         first = served.evaluate_raw(inst.to_dict(), sched.to_dict(), req)
@@ -126,6 +137,8 @@ class TestOperationalEndpoints:
         assert snap["serve.requests"] >= 1
         assert snap["serve.jobs_computed"] >= 1
         assert "serve.dedup_total" in snap
+        # Cross-request batching is retired; the counter stays, at zero.
+        assert snap["serve.batch_groups"] == 0
 
 
 class TestErrorMapping:

@@ -1,4 +1,4 @@
-"""EvaluationServer: dedup, cache replay, batching, admission, drain.
+"""EvaluationServer: dedup, cache replay, admission, drain.
 
 Tentpole acceptance: N concurrent identical requests trigger exactly one
 computation (asserted via the ``serve.jobs_computed`` / ``serve.dedup_hits``
@@ -43,7 +43,6 @@ def sched(inst):
 
 def _config(**kwargs):
     kwargs.setdefault("cache_dir", None)  # never touch the repo's cwd cache
-    kwargs.setdefault("batch_window_s", 0.0)
     return ServerConfig(**kwargs)
 
 
@@ -161,29 +160,6 @@ class TestCache:
         assert cache.get("k0") is None and cache.get("k3") == {"i": 3}
 
 
-class TestBatching:
-    def test_compatible_requests_share_one_lockstep_run(self, inst, sched):
-        req_a = EvaluationRequest(mode="mc", reps=40, seed=1)
-        req_b = EvaluationRequest(mode="mc", reps=25, seed=2)
-
-        async def run():
-            async with EvaluationServer(_config(batch_window_s=0.05)) as server:
-                a, b = await asyncio.gather(
-                    server.submit(inst, sched, req_a),
-                    server.submit(inst, sched, req_b),
-                )
-                return a, b, dict(server.metrics)
-
-        a, b, metrics = asyncio.run(run())
-        assert metrics["serve.batch_groups"] == 1
-        assert metrics["serve.batched_jobs"] == 2
-        assert a["provenance"]["batched_with"] == [b["job_id"]]
-        assert b["provenance"]["batched_with"] == [a["job_id"]]
-        # The batch changed nothing: both match their solo runs bitwise.
-        assert _strip(a["report"]) == _solo_dict(inst, sched, req_a)
-        assert _strip(b["report"]) == _solo_dict(inst, sched, req_b)
-
-
 class TestAdmission:
     def test_queue_full_sheds_with_retry_hint(self, inst, sched):
         request = EvaluationRequest(mode="mc", reps=10, seed=1)
@@ -232,6 +208,38 @@ class TestLifecycleAndRoutes:
             assert server._pending == 0
 
         asyncio.run(run())
+
+    def test_concurrent_mc_requests_each_match_solo(self, inst, sched):
+        # Distinct seeds, reps, schedule kinds and metrics in flight at
+        # once: each job is its own evaluate() call, bitwise the solo one.
+        cycle = np.tile(np.arange(inst.n, dtype=np.int32)[:, None], (1, inst.m))
+        cyclic = CyclicSchedule(ObliviousSchedule.empty(inst.m), ObliviousSchedule(cycle))
+        jobs = [
+            (sched, EvaluationRequest(mode="mc", reps=40, seed=1)),
+            (sched, EvaluationRequest(mode="mc", reps=25, seed=2, max_steps=200)),
+            (cyclic, EvaluationRequest(mode="mc", reps=57, seed=3)),
+            (
+                cyclic,
+                EvaluationRequest(
+                    mode="mc", reps=40, seed=4, metrics=("completion_curve",), horizon=12
+                ),
+            ),
+        ]
+
+        async def run():
+            async with EvaluationServer(_config()) as server:
+                envelopes = await asyncio.gather(
+                    *(server.submit(inst, s, r) for s, r in jobs)
+                )
+                return envelopes, dict(server.metrics)
+
+        envelopes, metrics = asyncio.run(run())
+        assert metrics["serve.jobs_computed"] == len(jobs)
+        assert metrics["serve.batch_groups"] == 0
+        for envelope, (schedule, request) in zip(envelopes, jobs):
+            assert "batched_with" not in envelope["provenance"]
+            assert _strip(envelope["report"]) == _solo_dict(inst, schedule, request)
+        assert len(envelopes[-1]["report"]["completion_curve"]) == 12
 
     def test_solver_name_matches_facade_sugar(self, inst):
         request = EvaluationRequest(mode="mc", reps=40, seed=6)

@@ -6,7 +6,7 @@ daemon thread, then drives a mixed workload through the stdlib
 :class:`~repro.serve.client.ServeClient` from a client thread pool:
 
 * duplicate requests (same instance/schedule/seed) that must coalesce,
-* batchable same-instance requests at distinct seeds,
+* same-instance Monte Carlo requests at distinct seeds,
 * exact-route (cyclic) requests,
 * registry-solver-name sugar,
 
@@ -92,7 +92,7 @@ def _workload(n_requests: int):
         kind = i % 4
         if kind == 0:  # duplicates: must coalesce in flight or via cache
             stream.append((oblivious.to_dict(), {"mode": "mc", "reps": 60, "seed": 7}))
-        elif kind == 1:  # batchable company at distinct seeds
+        elif kind == 1:  # same instance, distinct seeds: computed apart
             stream.append((oblivious.to_dict(), {"mode": "mc", "reps": 40, "seed": i}))
         elif kind == 2:  # exact route through the same front door
             stream.append((cyclic.to_dict(), {"mode": "exact"}))
@@ -104,7 +104,7 @@ def _workload(n_requests: int):
 def run_load(n_requests: int = 64, clients: int = 8) -> dict:
     """Drive the mixed load; returns the summary dict (see module doc)."""
     inst, oblivious, stream = _workload(n_requests)
-    config = ServerConfig(cache_dir=None, batch_window_s=0.01)
+    config = ServerConfig(cache_dir=None)
     failures: list[str] = []
 
     with HttpServerThread(config) as handle:
@@ -143,7 +143,6 @@ def run_load(n_requests: int = 64, clients: int = 8) -> dict:
         "serve.jobs_computed",
         "serve.dedup_hits",
         "serve.cache_hits",
-        "serve.batch_groups",
         "serve.shed",
         "serve.errors",
         "serve.pending",
