@@ -21,8 +21,7 @@ Quickstart — two calls, ``solve`` then ``evaluate``::
 the cheapest engine satisfying the request (exact Markov when the state
 guard admits it, batched/lockstep Monte Carlo otherwise, sharded parallel
 when ``workers=`` is set) and returns an ``EvaluationReport`` with engine
-provenance.  The pre-front-door entry points (``estimate_makespan``,
-``expected_makespan_*``, ...) remain as deprecated shims.
+provenance.
 """
 
 from .core import (
@@ -52,14 +51,7 @@ from .errors import (
     UnsupportedDagError,
     ValidationError,
 )
-from .sim import (
-    MakespanEstimate,
-    estimate_makespan,
-    expected_makespan_cyclic,
-    expected_makespan_regimen,
-    simulate,
-    simulate_batch,
-)
+from .sim import MakespanEstimate, simulate, simulate_batch
 
 # The subpackage and the front-door function share the name on purpose:
 # after these imports the attribute ``repro.evaluate`` is the *callable*
@@ -70,9 +62,8 @@ from .evaluate import evaluate as evaluate
 
 # Dual nature: the subpackage's full public surface is mirrored onto the
 # function object, so every idiom works — ``repro.evaluate(inst, s)``,
-# ``repro.evaluate.evaluate(inst, s)`` (what the deprecation warnings
-# spell out), and ``repro.evaluate.<any __all__ name>`` after a plain
-# ``import repro.evaluate``.
+# ``repro.evaluate.evaluate(inst, s)``, and ``repro.evaluate.<any
+# __all__ name>`` after a plain ``import repro.evaluate``.
 import sys as _sys
 
 _evaluate_module = _sys.modules[__name__ + ".evaluate"]
@@ -111,9 +102,6 @@ __all__ = [
     "ValidationError",
     # sim
     "MakespanEstimate",
-    "estimate_makespan",
-    "expected_makespan_cyclic",
-    "expected_makespan_regimen",
     "simulate",
     "simulate_batch",
     # evaluation front door (re-exported lazily below)

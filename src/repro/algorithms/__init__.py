@@ -4,7 +4,7 @@ Every solver is registered in the capability-typed registry
 (:mod:`repro.algorithms.registry`); external code dispatches through
 :func:`solve`, :func:`resolve_solver` / :func:`iter_solvers`, or the
 :func:`run_portfolio` meta-runner rather than importing concrete solver
-functions (``tools/check_solver_callsites.py`` enforces this for
+functions (the ``solver-callsite`` lint rule enforces this for
 first-party code).
 """
 

@@ -23,7 +23,6 @@ certifies the leaderboard's lower-bound sandwich on small instances.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +30,7 @@ import numpy as np
 from .. import obs
 from ..core.instance import SUUInstance
 from ..core.schedule import ScheduleResult
-from ..errors import CensoredEstimateWarning, ReproError
+from ..errors import ReproError
 from .constants import PRACTICAL, SUUConstants
 from .registry import Solver, iter_solvers, resolve_solver
 
@@ -152,7 +151,9 @@ def run_portfolio(
     :class:`~repro.errors.ReproError` is skipped with the message as the
     reason — one broken solver must not take down the leaderboard.
     """
-    from ..evaluate import evaluate  # lazy: algorithms must import before evaluate
+    # Lazy: algorithms must import before evaluate.  The quiet core: a
+    # censored member shows in its row's ``truncated``, not as a warning.
+    from ..evaluate.facade import _evaluate
 
     candidates: list[Solver]
     if solvers is None:
@@ -184,19 +185,17 @@ def run_portfolio(
                     )
                     solve_time = sw_solve.elapsed_s
                     sw_eval = obs.stopwatch()
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore", CensoredEstimateWarning)
-                        report = evaluate(
-                            instance,
-                            result.schedule,
-                            mode=mode,
-                            reps=reps,
-                            seed=seed,
-                            max_steps=max_steps,
-                            workers=workers,
-                            executor=executor,
-                            shards=shards,
-                        )
+                    report = _evaluate(
+                        instance,
+                        result.schedule,
+                        mode=mode,
+                        reps=reps,
+                        seed=seed,
+                        max_steps=max_steps,
+                        workers=workers,
+                        executor=executor,
+                        shards=shards,
+                    )
                 except ReproError as exc:
                     skipped.append((rec.name, f"{type(exc).__name__}: {exc}"))
                     continue

@@ -57,14 +57,11 @@ def reference_makespan(
     instance: SUUInstance,
     exact_limit: int = 10,
     include_lp: bool = True,
-    lp_engine: str = "vector",
 ) -> tuple[float, str]:
     """``(T^OPT or best lower bound, kind)`` for ratio denominators.
 
     The exact DP is attempted when ``n <= exact_limit`` and the assignment
-    enumeration stays small; otherwise the combined lower bound is used,
-    with its LP component built by ``lp_engine``
-    (:data:`repro.lp.LP_ENGINES`).
+    enumeration stays small; otherwise the combined lower bound is used.
     """
     if instance.n <= exact_limit:
         try:
@@ -74,7 +71,7 @@ def reference_makespan(
             )
         except ExactSolverLimitError:
             pass
-    lbs = lower_bounds(instance, include_lp=include_lp, lp_engine=lp_engine)
+    lbs = lower_bounds(instance, include_lp=include_lp)
     return lbs.best, "lower_bound"
 
 

@@ -113,20 +113,17 @@ def lp_lower_bound(instance: SUUInstance, engine: str = "vector") -> float:
     return frac.t / LEMMA42_FACTOR
 
 
-def lower_bounds(
-    instance: SUUInstance, include_lp: bool = True, lp_engine: str = "vector"
-) -> LowerBounds:
+def lower_bounds(instance: SUUInstance, include_lp: bool = True) -> LowerBounds:
     """Compute all lower bounds; ``best`` is their maximum.
 
-    ``include_lp=False`` skips the LP solve (the only non-trivial cost);
-    ``lp_engine`` selects the LP construction engine when it runs.
+    ``include_lp=False`` skips the LP solve (the only non-trivial cost).
     """
     q = instance.all_machines_success
     # q_j > 0 by the standing assumption (some p_ij > 0).
     inv_q = 1.0 / q
     single = float(inv_q.max())
     path = float(instance.dag.longest_path_length(weights=inv_q))
-    lp = lp_lower_bound(instance, engine=lp_engine) if include_lp else 0.0
+    lp = lp_lower_bound(instance) if include_lp else 0.0
     # Per-step expected completions <= rho (Prop 2.1 + optional stopping).
     rho = float(instance.p.max(axis=1).sum())
     throughput = instance.n / max(rho, 1e-12)

@@ -12,7 +12,6 @@ Subcommands
 ``evaluate``         the one evaluation front door (repro.evaluate): exact or
                      MC, auto-dispatched, with engine provenance
 ``simulate``         legacy alias: Monte-Carlo estimate + baselines table
-``exact``            legacy alias of ``evaluate --mode exact``
 ``gantt``            render a schedule (or a fresh solve) as an ASCII Gantt chart
 ``demo``             end-to-end demonstration on a built-in scenario
 ``run-experiments``  run a named experiment suite through the cached runner
@@ -210,38 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--max-steps", type=int, default=200_000)
     r.add_argument("--baselines", action="store_true", help="also run baselines")
-
-    x = sub.add_parser(
-        "exact",
-        help="exact expected makespan of a cyclic schedule "
-        "(legacy alias of `evaluate --mode exact`)",
-    )
-    x.add_argument("input", type=Path, help="instance .json")
-    x.add_argument(
-        "--schedule", type=Path, help="cyclic schedule .json (default: solve now)"
-    )
-    x.add_argument("--method", default="auto")
-    x.add_argument("--constants", default="practical", choices=sorted(_PRESETS))
-    x.add_argument("--seed", type=int, default=0)
-    x.add_argument(
-        "--engine",
-        default="sparse",
-        choices=["sparse", "scalar"],
-        help="sparse = vectorized layered sweep (default); scalar = golden reference",
-    )
-    x.add_argument(
-        "--max-states",
-        type=int,
-        default=None,
-        help="cap on DP entries 2^n x (prefix+cycle); default from repro.sim.exact",
-    )
-    x.add_argument(
-        "--curve",
-        type=int,
-        default=0,
-        metavar="T",
-        help="also print the exact Pr[all done by t] for t = 1..T",
-    )
 
     ga = sub.add_parser("gantt", help="render a schedule as an ASCII Gantt chart")
     ga.add_argument("input", type=Path, help="instance .json")
@@ -558,37 +525,20 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _load_or_solve_schedule(args, inst, cyclic_only: bool):
-    """Shared schedule acquisition for `evaluate` / `exact` / `gantt`.
-
-    Returns ``(schedule, error_exit_code)`` — exactly one is non-None.
-    """
+def _load_or_solve_schedule(args, inst):
+    """Schedule acquisition for `evaluate`: load ``--schedule`` or solve now."""
     from .core import CyclicSchedule, ObliviousSchedule
 
     if args.schedule:
         data = json.loads(args.schedule.read_text())
         if data.get("kind") == "cyclic":
-            return CyclicSchedule.from_dict(data), None
-        if cyclic_only:
-            print(
-                "exact evaluation needs a cyclic schedule "
-                "(a finite one may never finish)",
-                file=sys.stderr,
-            )
-            return None, 2
-        return ObliviousSchedule.from_dict(data), None
+            return CyclicSchedule.from_dict(data)
+        return ObliviousSchedule.from_dict(data)
     result = solve(
         inst, constants=_PRESETS[args.constants], rng=args.seed, method=args.method
     )
-    if cyclic_only and not isinstance(result.schedule, CyclicSchedule):
-        print(
-            f"{result.algorithm} produced a non-cyclic schedule; pass "
-            "--schedule with a cyclic one",
-            file=sys.stderr,
-        )
-        return None, 2
     print(f"algorithm: {result.algorithm}")
-    return result.schedule, None
+    return result.schedule
 
 
 def _cmd_evaluate(args) -> int:
@@ -597,9 +547,7 @@ def _cmd_evaluate(args) -> int:
     from .evaluate import EvaluationRequest, evaluate
 
     inst = _load_instance(args.input)
-    schedule, err = _load_or_solve_schedule(args, inst, cyclic_only=False)
-    if err is not None:
-        return err
+    schedule = _load_or_solve_schedule(args, inst)
     metrics = tuple(args.metric) if args.metric else ("makespan",)
     try:
         request = EvaluationRequest(
@@ -659,36 +607,6 @@ def _cmd_evaluate(args) -> int:
         args.trace.write_text(json.dumps(trace, indent=2))
         print(f"trace written to {args.trace} (load in Perfetto / chrome://tracing)")
         print(render_summary(summarize_trace(trace)))
-    return 0
-
-
-def _cmd_exact(args) -> int:
-    from .errors import ReproError
-    from .evaluate import evaluate
-
-    inst = _load_instance(args.input)
-    schedule, err = _load_or_solve_schedule(args, inst, cyclic_only=True)
-    if err is not None:
-        return err
-    metrics = ("makespan", "completion_curve") if args.curve > 0 else ("makespan",)
-    try:
-        report = evaluate(
-            inst,
-            schedule,
-            metrics=metrics,
-            mode="exact",
-            engine=args.engine,
-            max_states=args.max_states,
-            horizon=args.curve if args.curve > 0 else None,
-        )
-    except ReproError as exc:
-        print(f"exact solve failed: {exc}", file=sys.stderr)
-        return 2
-    print(f"engine            : {args.engine}")
-    print(f"E[makespan] exact : {report.makespan:.9f}")
-    if report.completion_curve is not None:
-        for t, pr in enumerate(report.completion_curve, start=1):
-            print(f"  Pr[done by {t:3d}] = {pr:.6f}")
     return 0
 
 
@@ -927,7 +845,6 @@ def main(argv: list[str] | None = None) -> int:
         "portfolio": _cmd_portfolio,
         "evaluate": _cmd_evaluate,
         "simulate": _cmd_simulate,
-        "exact": _cmd_exact,
         "gantt": _cmd_gantt,
         "demo": _cmd_demo,
         "run-experiments": _cmd_run_experiments,

@@ -68,9 +68,10 @@ class CensoredEstimateWarning(UserWarning):
 
     The reported mean is then only a lower bound on the true expectation.
     Emitted (via :func:`warn_censored`, so every route words it
-    identically) by the estimator, the sharded merge, and the evaluation
-    front door; silence it only after deciding the bias is acceptable for
-    the use at hand.
+    identically) by the evaluation front door, once per call, and by the
+    experiment runner, once per spec; the engines below them only count
+    censored replications.  Silence it only after deciding the bias is
+    acceptable for the use at hand.
     """
 
 
@@ -110,10 +111,9 @@ def censored_message(truncated: int, reps: int, max_steps: int) -> str:
 def warn_censored(truncated: int, reps: int, max_steps: int, stacklevel: int) -> None:
     """Emit the one canonical censoring warning.
 
-    Shared by the single-stream estimator, the sharded merge, and the
-    front door's adaptive-precision loop, so "exactly one warning,
-    identical wording, for every route" is a property of this function
-    rather than of three hand-synced string literals.
+    Called by :func:`repro.evaluate.evaluate` and the experiment runner
+    only, so "exactly one warning, identical wording, for every route" is
+    a property of this function rather than of hand-synced literals.
     """
     import warnings
 

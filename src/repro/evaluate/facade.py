@@ -6,17 +6,15 @@ dispatcher (:mod:`repro.evaluate.dispatch`) picks the cheapest engine
 that serves the request and the answer always arrives as an
 :class:`~repro.evaluate.report.EvaluationReport` with engine provenance.
 
-The legacy entry points (``estimate_makespan``, ``expected_makespan_*``,
-``completion_curve``, ``exact_completion_curve``, ``state_distribution``)
-remain as deprecation shims for external callers; internally only this
-module talks to the engine layer (enforced by
-``tools/check_legacy_callsites.py``).
+The engine layer only counts censored replications; :func:`evaluate` is
+the one place that turns the count into a warning.  Callers that report
+censoring some other way (the evaluation server, the portfolio, the
+fuzzer's oracles) call the non-warning core :func:`_evaluate`.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -24,11 +22,11 @@ from .. import obs
 from .._util import as_rng
 from ..core.instance import SUUInstance
 from ..core.schedule import Regimen, ScheduleResult
-from ..errors import CensoredEstimateWarning, ValidationError, warn_censored
+from ..errors import ValidationError, warn_censored
 from ..sim.exact.lattice import DEFAULT_MAX_STATES
 from .dispatch import Route, schedule_kind, select_route
-from .report import EvaluationReport
-from .request import EvaluationRequest
+from .report import EvaluationReport, censoring
+from .request import EvaluationRequest, step_budget
 
 __all__ = ["evaluate"]
 
@@ -57,15 +55,32 @@ def evaluate(
     a finite chain within the ``max_states`` guard, batched/lockstep
     Monte Carlo otherwise, sharded parallel MC when ``workers`` /
     ``executor`` / ``shards`` is set.  ``mode="exact"`` / ``mode="mc"``
-    force a route.  With ``mode="mc"`` and an integer ``seed`` the
-    samples are bitwise identical to the legacy single-stream estimator
-    at the same seed.
+    force a route.  With ``mode="mc"`` the samples are a pure function
+    of the integer ``seed``.
 
     Censoring surfaces uniformly: any route whose replications hit the
     step budget emits one :class:`~repro.errors.CensoredEstimateWarning`
     (or raises with ``require_finished=True``), and an exact solve past
     its guard raises :class:`~repro.errors.ExactSolverLimitError` —
     identically for every schedule kind and backend.
+    """
+    report = _evaluate(instance, schedule, request, **kwargs)
+    if report.truncated:
+        warn_censored(*censoring(report.to_dict()), stacklevel=2)
+    return report
+
+
+def _evaluate(
+    instance: SUUInstance,
+    schedule,
+    request: EvaluationRequest | None = None,
+    **kwargs,
+) -> EvaluationReport:
+    """:func:`evaluate` without the censoring warning.
+
+    The report's ``truncated`` count is the only censoring signal, so a
+    caller on a worker thread never has to touch the process-global
+    warning filters to stay quiet.
     """
     # The stopwatch starts before request construction/validation so
     # wall_time_s covers the whole call, not just the post-dispatch body.
@@ -191,15 +206,15 @@ def _run_exact(
 # Monte Carlo route
 # ----------------------------------------------------------------------
 def _mc_curve(samples: np.ndarray, truncated: int, horizon: int) -> np.ndarray:
-    """Empirical completion CDF — the estimator's shared implementation.
+    """Empirical completion CDF from makespan samples (1-based steps).
 
-    Delegates to :func:`repro.sim.montecarlo.censored_completion_cdf`, so
-    the facade's curve is bitwise the legacy ``completion_curve`` by
-    construction (one implementation, not two kept in sync).
+    Replications censored at the budget sit at ``horizon`` only because
+    observation stopped there, so they are subtracted from the final bin
+    and the last point reports the *finished* fraction.
     """
-    from ..sim.montecarlo import censored_completion_cdf
-
-    return censored_completion_cdf(samples, truncated, horizon)
+    counts = np.bincount(samples, minlength=horizon + 1)[1:]
+    counts[horizon - 1] -= truncated
+    return np.cumsum(counts, dtype=np.float64) / samples.size
 
 
 def _precision_met(
@@ -221,14 +236,11 @@ def _run_mc(
 ) -> EvaluationReport:
     from ..sim.montecarlo import _estimate_makespan
 
-    # A curve-only run observes exactly `horizon` steps, like the legacy
-    # completion_curve; once makespan is also requested the request's own
-    # budget governs and the curve is the CDF's first `horizon` points
-    # (the validator guarantees max_steps >= horizon in that case).
-    if "completion_curve" in request.metrics and "makespan" not in request.metrics:
-        run_max_steps = request.horizon
-    else:
-        run_max_steps = request.max_steps
+    # A curve-only run observes exactly `horizon` steps; once makespan is
+    # also requested the request's own budget governs and the curve is the
+    # CDF's first `horizon` points (the validator guarantees
+    # max_steps >= horizon in that case).
+    run_max_steps = step_budget(request.metrics, request.horizon, request.max_steps)
     need_samples = (
         request.keep_samples
         or "completion_curve" in request.metrics
@@ -236,29 +248,25 @@ def _run_mc(
     )
 
     def run(reps: int, rng):
-        # Censoring is re-emitted once by this routine's caller with the
-        # correct attribution; the engine-layer warning is suppressed.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CensoredEstimateWarning)
-            return _estimate_makespan(
-                instance,
-                schedule,
-                reps=reps,
-                rng=rng,
-                max_steps=run_max_steps,
-                keep_samples=need_samples,
-                require_finished=request.require_finished,
-                engine=route.engine,
-                workers=request.workers,
-                executor=request.executor,
-                shards=request.shards,
-            )
+        return _estimate_makespan(
+            instance,
+            schedule,
+            reps=reps,
+            rng=rng,
+            max_steps=run_max_steps,
+            keep_samples=need_samples,
+            require_finished=request.require_finished,
+            engine=route.engine,
+            workers=request.workers,
+            executor=request.executor,
+            shards=request.shards,
+        )
 
     if not request.wants_precision:
-        # Single round: the raw seed passes straight through, so samples
-        # are bitwise the legacy path's at the same seed — including the
-        # sharded route, whose root-seed derivation distinguishes an
-        # integer (reproducible passthrough) from a generator (one draw).
+        # Single round: the raw seed passes straight through to the
+        # estimator — including the sharded route, whose root-seed
+        # derivation distinguishes an integer (reproducible passthrough)
+        # from a generator (one draw).
         with obs.span("mc.round", round=1, reps=request.reps):
             est = run(request.reps, request.seed)
         samples = est.samples
@@ -267,13 +275,11 @@ def _run_mc(
         lo, hi = est.min, est.max
         rounds, met = 1, None
         engine_used = est.engine_used
-        if truncated:
-            warn_censored(truncated, n_reps, run_max_steps, stacklevel=3)
     else:
         # Adaptive precision: double the replication count until the CI
         # half-width meets the target or the budget is spent.  One
         # generator feeds every round, so rounds draw fresh independent
-        # replications; one merged warning is emitted below.
+        # replications; their censoring counts add up.
         rng = as_rng(request.seed)
         budget = request.effective_budget()
         chunks: list[np.ndarray] = []
@@ -301,14 +307,11 @@ def _run_mc(
                 break
             next_reps = min(n_reps, budget - n_reps)
         samples = np.concatenate(chunks)
-        if truncated:
-            warn_censored(truncated, n_reps, run_max_steps, stacklevel=3)
 
     curve = None
     if "completion_curve" in request.metrics:
-        # Full-budget CDF truncated to the requested horizon; for a
-        # curve-only request run_max_steps == horizon and this is exactly
-        # the legacy completion_curve.
+        # Full-budget CDF truncated to the requested horizon (for a
+        # curve-only request run_max_steps == horizon).
         curve = _mc_curve(samples, truncated, run_max_steps)[: request.horizon]
     # Like the exact route, the makespan fields are populated only when
     # the metric was requested: a curve-only run observes just `horizon`

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ValidationError
-from .request import EvaluationRequest
+from .request import EvaluationRequest, step_budget
 
 __all__ = ["EvaluationReport"]
 
@@ -50,7 +50,7 @@ class EvaluationReport:
         The makespan estimate.  On the exact route ``std_err`` is 0,
         ``n_reps``/``truncated`` are 0, and ``exact`` is True; on the MC
         route ``truncated`` counts budget-censored replications (the mean
-        is then a lower bound, exactly as the legacy estimator reports).
+        is then a lower bound).
     completion_curve / state_distribution:
         Requested extra metrics (None when not requested).
     sharded / rounds / precision_met:
@@ -96,12 +96,12 @@ class EvaluationReport:
 
     @property
     def mean(self) -> float | None:
-        """Alias of :attr:`makespan` (the legacy estimate's field name)."""
+        """Alias of :attr:`makespan` (``MakespanEstimate``'s field name)."""
         return self.makespan
 
     @property
     def engine_used(self) -> str:
-        """Alias of :attr:`engine` (the legacy estimate's field name)."""
+        """Alias of :attr:`engine` (``MakespanEstimate``'s field name)."""
         return self.engine
 
     @property
@@ -264,3 +264,21 @@ class EvaluationReport:
             f"EvaluationReport({value}, mode={self.mode}, engine={self.engine}, "
             f"schedule={self.schedule_kind})"
         )
+
+
+def censoring(report: dict) -> tuple[int, int, int] | None:
+    """``(truncated, reps, step budget)`` of a censored report, else None.
+
+    Takes the wire dict (:meth:`EvaluationReport.to_dict`), the one form
+    both :func:`repro.evaluate.evaluate`'s warning and the evaluation
+    server's response envelope have at hand, so the two derive the
+    :func:`~repro.errors.censored_message` arguments identically.
+    """
+    truncated = report.get("truncated", 0)
+    if not truncated:
+        return None
+    request = report.get("request") or {}
+    budget = step_budget(
+        request.get("metrics") or (), request.get("horizon"), request.get("max_steps")
+    )
+    return truncated, report.get("n_reps", 0), budget

@@ -1,11 +1,9 @@
 """Typed evaluation requests and the one shared argument validator.
 
 Every way this repo judges a schedule answers the same question — how it
-behaves under the Def 2.1 stochastic execution model — yet each legacy
-entry point (``estimate_makespan``, ``expected_makespan_*``,
-``completion_curve``, ...) grew its own argument conventions and its own
-(or no) validation.  :class:`EvaluationRequest` is the single typed
-description of "what do you want to know and at what cost", and
+behaves under the Def 2.1 stochastic execution model.
+:class:`EvaluationRequest` is the single typed description of "what do
+you want to know and at what cost", and
 :meth:`EvaluationRequest.validate` is the single place every route —
 exact, Monte Carlo, sharded — rejects malformed or conflicting arguments
 with a :class:`~repro.errors.ValidationError`.
@@ -65,6 +63,14 @@ _PARALLEL_FIELDS = ("workers", "executor", "shards")
 _PRECISION_FIELDS = ("rtol", "target_ci", "budget")
 
 
+def step_budget(metrics, horizon: int | None, max_steps: int) -> int:
+    """Steps a Monte Carlo run observes: ``horizon`` for a curve-only
+    request (the curve covers exactly that many), else ``max_steps``."""
+    if "completion_curve" in metrics and "makespan" not in metrics:
+        return horizon
+    return max_steps
+
+
 def _normalize_metrics(metrics) -> tuple[str, ...]:
     if isinstance(metrics, str):
         metrics = (metrics,)
@@ -94,13 +100,11 @@ class EvaluationRequest:
     reps / seed / max_steps:
         Monte Carlo replication count, RNG seed (int, generator, or None),
         and per-replication step budget.  With ``mode="mc"`` and the same
-        seed the samples are bitwise identical to the legacy
-        ``estimate_makespan`` path.
+        integer seed the samples are bitwise identical.
     horizon:
         Curve / distribution length; required when ``completion_curve``
         or ``state_distribution`` is requested (it is the Monte Carlo
-        step budget for the curve run, matching the legacy
-        ``completion_curve(max_steps=...)`` semantics).
+        step budget of a curve-only run, see :func:`step_budget`).
     rtol / target_ci / budget:
         Adaptive-precision MC: replications double until the 95% CI
         half-width is below ``target_ci`` (absolute) and ``rtol * |mean|``

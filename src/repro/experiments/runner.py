@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .. import obs
-from ..errors import ExperimentError, StaleCacheWarning
+from ..errors import ExperimentError, StaleCacheWarning, warn_censored
 from ..parallel.estimate import merged_estimate
 from ..parallel.executor import Executor, get_executor
 from ..parallel.merge import PartialEstimate
@@ -347,6 +347,9 @@ def _assemble(pend: _PendingSpec) -> ExperimentResult:
         lo, hi = est.min, est.max
         truncated = est.truncated
         engine_used = est.engine_used
+        if truncated:
+            # One warning per spec, for the merged estimate.
+            warn_censored(truncated, spec.reps, spec.max_steps, stacklevel=2)
     obs.graft_snapshot(pend.reference_telemetry)
     ratio = None
     if pend.need_reference and pend.reference is not None:

@@ -2,13 +2,12 @@
 
 One engine, many rules: each file under ``src/`` is parsed and walked
 exactly once per run, and every registered :class:`Rule` receives the AST
-events it declared hooks for.  The seven built-in rules guard the repo's
+events it declared hooks for.  The six built-in rules guard the repo's
 standing contracts:
 
 ========================  ====================================================
 rule id                   contract guarded
 ========================  ====================================================
-``legacy-callsite``       first-party evaluation goes through ``evaluate()``
 ``bare-timer``            ``repro.obs`` is the one sanctioned timing layer
 ``solver-callsite``       solvers dispatch through the capability registry
 ``seed-discipline``       all randomness threads an explicit ``Generator``

@@ -1,9 +1,8 @@
 """Structured lint findings.
 
 A :class:`Finding` is one violation at one source location.  Everything
-downstream — the human renderer, ``--json`` export, the delegating
-``tools/check_*.py`` shims, and the kill-tests — consumes this one shape,
-so a rule never formats output itself: it states *what* is wrong and
+downstream — the human renderer, ``--json`` export and the kill-tests —
+consumes this one shape, so a rule never formats output itself: it states *what* is wrong and
 *where*, and presentation is the engine's problem.
 """
 
@@ -31,14 +30,6 @@ class Finding:
     def format(self) -> str:
         """The canonical human rendering: ``path:line:col: rule-id: message``."""
         return f"{self.path}:{self.line}:{self.col}: {self.rule_id}: {self.message}"
-
-    def format_legacy(self) -> str:
-        """The pre-framework ``tools/check_*.py`` rendering (no column, no id).
-
-        The three delegating shims print this form so their verdict lines
-        stay byte-identical to the standalone checkers they replaced.
-        """
-        return f"{self.path}:{self.line}: {self.message}"
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -1,11 +1,4 @@
-"""Dispatch-contract rules: every call goes through the sanctioned door.
-
-``legacy-callsite`` and ``solver-callsite`` are the framework ports of
-``tools/check_legacy_callsites.py`` and ``tools/check_solver_callsites.py``
-(which remain as thin delegating shims).  Violation semantics — what
-counts as a hit, and the message text after ``path:line:`` — are
-byte-equivalent to the standalone checkers they replaced.
-"""
+"""Dispatch-contract rules: every call goes through the sanctioned door."""
 
 from __future__ import annotations
 
@@ -13,7 +6,7 @@ import ast
 
 from .base import Rule, register
 
-__all__ = ["LegacyCallsiteRule", "SolverCallsiteRule"]
+__all__ = ["SolverCallsiteRule"]
 
 
 def _callee_name(node: ast.Call) -> str | None:
@@ -22,75 +15,6 @@ def _callee_name(node: ast.Call) -> str | None:
     if isinstance(node.func, ast.Attribute):
         return node.func.attr
     return None
-
-
-#: The public names that are deprecation shims over the engine layer
-#: (mirrors repro._deprecation.LEGACY_ENTRY_POINTS).
-LEGACY_ENTRY_POINTS = frozenset(
-    {
-        "estimate_makespan",
-        "completion_curve",
-        "expected_makespan_regimen",
-        "expected_makespan_cyclic",
-        "exact_completion_curve",
-        "state_distribution",
-    }
-)
-
-#: Modules allowed to mention legacy names: the shim definitions, the
-#: engine layer they wrap, and the package re-export surfaces.
-LEGACY_ALLOWED_MODULES = frozenset(
-    {
-        "repro/sim/montecarlo.py",
-        "repro/sim/markov.py",
-        "repro/sim/__init__.py",
-        "repro/sim/exact/__init__.py",
-        "repro/sim/exact/sparse.py",
-        "repro/sim/exact/scalar.py",
-        "repro/sim/exact/lattice.py",
-        "repro/__init__.py",
-    }
-)
-
-
-@register
-class LegacyCallsiteRule(Rule):
-    """First-party code must use the ``evaluate()`` front door (PR 5).
-
-    The pre-front-door entry points are :class:`DeprecationWarning` shims
-    kept for external callers only; a call or import inside ``src/``
-    silently bypasses dispatch, adaptive precision, and provenance.
-    """
-
-    id = "legacy-callsite"
-    description = (
-        "legacy evaluation entry points (estimate_makespan, completion_curve, "
-        "...) are external-caller shims; first-party code goes through "
-        "repro.evaluate.evaluate()"
-    )
-
-    def exempt(self, rel: str) -> bool:
-        return rel in LEGACY_ALLOWED_MODULES
-
-    def visit_Call(self, node: ast.Call, ctx) -> None:
-        name = _callee_name(node)
-        if name in LEGACY_ENTRY_POINTS:
-            ctx.report(
-                self,
-                node,
-                f"call to legacy entry point {name}() — go through "
-                "repro.evaluate.evaluate()",
-            )
-
-    def visit_ImportFrom(self, node: ast.ImportFrom, ctx) -> None:
-        imported = {a.name for a in node.names} & LEGACY_ENTRY_POINTS
-        if imported:
-            ctx.report(
-                self,
-                node,
-                f"imports legacy entry point(s) {sorted(imported)} — go "
-                "through repro.evaluate.evaluate()",
-            )
 
 
 #: Concrete solver functions — the registry records' ``fn`` targets plus

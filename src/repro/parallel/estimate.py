@@ -1,7 +1,7 @@
 """Sharded Monte Carlo estimation: the orchestration half of the backend.
 
-:func:`sharded_estimate` is what ``estimate_makespan(..., workers=N)``
-routes through: build a deterministic shard plan
+:func:`sharded_estimate` is what ``evaluate(..., workers=N)`` routes
+through: build a deterministic shard plan
 (:mod:`repro.parallel.sharding`), run each shard on the chosen executor
 (:mod:`repro.parallel.executor`), and fold per-shard partials in shard
 order (:mod:`repro.parallel.merge`) into one
@@ -16,12 +16,7 @@ import pickle
 import numpy as np
 
 from .. import obs
-from ..errors import (
-    ScheduleError,
-    SimulationLimitError,
-    ValidationError,
-    warn_censored,
-)
+from ..errors import ScheduleError, SimulationLimitError, ValidationError
 from .executor import Executor, get_executor
 from .merge import merge_partials
 from .sharding import make_shard_plan, resolve_root_seed
@@ -52,9 +47,9 @@ def merged_estimate(
     """Fold shard outcomes (in shard order) into one MakespanEstimate.
 
     Shared by this module and the experiment runner, so both the direct
-    estimator and suite execution merge with identical semantics —
-    including re-emitting the censoring warning exactly once for the
-    merged estimate.
+    estimator and suite execution merge with identical semantics.  The
+    merged ``truncated`` count is returned, not warned about: each caller
+    warns once for its own result.
     """
     from ..sim.montecarlo import MakespanEstimate
 
@@ -77,8 +72,6 @@ def merged_estimate(
         raise SimulationLimitError(
             f"{merged.truncated}/{reps} replications hit the {max_steps}-step budget"
         )
-    if merged.truncated:
-        warn_censored(merged.truncated, reps, max_steps, stacklevel=3)
     samples = None
     if keep_samples:
         samples = np.concatenate(

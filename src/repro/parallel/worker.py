@@ -6,7 +6,7 @@ multiprocessing start method.  Two task families exist:
 
 * **object tasks** (:func:`estimate_shard`) — the instance and schedule are
   shipped to the worker by pickle.  Used by
-  ``estimate_makespan(..., workers=N)``; oblivious/cyclic schedules and
+  ``evaluate(..., workers=N)``; oblivious/cyclic schedules and
   regimens pickle fine, adaptive policies built from closures do not (the
   orchestrator pre-flights this and points callers at the spec route).
 * **spec tasks** (:func:`run_spec_task`) — only the JSON spec dict travels;
@@ -16,20 +16,18 @@ multiprocessing start method.  Two task families exist:
   per-process LRU cache makes the rebuild a one-time cost per spec rather
   than per shard.
 
-Workers silence :class:`~repro.errors.CensoredEstimateWarning` — truncation
-counts travel back inside the partials and the *parent* re-emits one
-warning for the merged estimate, instead of one per shard per process.
+Workers never warn about censoring: truncation counts travel back inside
+the partials, and the *parent* warns once for the merged estimate instead
+of once per shard per process.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .. import obs
-from ..errors import CensoredEstimateWarning
 from .merge import PartialEstimate
 from .sharding import Shard
 
@@ -80,17 +78,15 @@ def _estimate_partial(
     # executor) — both travel the same snapshot/graft protocol.
     with obs.capture(enabled=trace) as tel:
         with obs.span("parallel.shard", shard=shard.index, reps=shard.reps):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", CensoredEstimateWarning)
-                est = _estimate_makespan(
-                    instance,
-                    schedule,
-                    reps=shard.reps,
-                    rng=shard.rng(),
-                    max_steps=max_steps,
-                    keep_samples=True,
-                    engine=engine,
-                )
+            est = _estimate_makespan(
+                instance,
+                schedule,
+                reps=shard.reps,
+                rng=shard.rng(),
+                max_steps=max_steps,
+                keep_samples=True,
+                engine=engine,
+            )
     assert est.samples is not None
     return ShardOutcome(
         shard_index=shard.index,

@@ -38,7 +38,8 @@ from .. import obs
 from ..core.instance import SUUInstance
 from ..errors import AdmissionError, ServeError, ValidationError, censored_message
 from ..evaluate.dispatch import exact_state_cost, select_route
-from ..evaluate.facade import evaluate
+from ..evaluate.facade import _evaluate
+from ..evaluate.report import censoring
 from ..evaluate.request import EvaluationRequest
 from .cache import DEFAULT_SERVE_CACHE_DIR, ResultCache
 from .keys import job_key
@@ -388,31 +389,17 @@ class EvaluationServer:
 def _wire_warnings(report_dict: dict) -> list[str]:
     """Censoring surfaced as response data, in the canonical wording.
 
-    Worker threads cannot safely re-route Python warnings to a client
-    connection (the ``warnings`` machinery is process-global), so the
-    envelope derives the message from the report's ``truncated`` count
-    via the same :func:`~repro.errors.censored_message` the in-process
-    warning uses — one wording, every route.
+    Worker threads cannot route Python warnings to a client connection,
+    so the envelope derives the message from the report through the same
+    :func:`~repro.evaluate.report.censoring` and
+    :func:`~repro.errors.censored_message` that ``evaluate()``'s warning
+    uses — one wording, every route.
     """
-    truncated = report_dict.get("truncated", 0)
-    if not truncated:
-        return []
-    request = report_dict.get("request") or {}
-    metrics = request.get("metrics") or []
-    if "completion_curve" in metrics and "makespan" not in metrics:
-        max_steps = request.get("horizon")
-    else:
-        max_steps = request.get("max_steps")
-    return [censored_message(truncated, report_dict.get("n_reps", 0), max_steps)]
+    censored = censoring(report_dict)
+    return [censored_message(*censored)] if censored else []
 
 
 def _compute(job: Job) -> dict:
-    """Worker-thread body: the plain ``evaluate()`` call."""
-    import warnings as _warnings
-
-    with _warnings.catch_warnings():
-        # Censoring reaches the client as envelope data (one canonical
-        # wording); the in-process warning has no console to land on here.
-        _warnings.simplefilter("ignore")
-        report = evaluate(job.instance, job.schedule, request=job.request)
-    return report.to_dict()
+    """Worker-thread body: ``evaluate()`` without its censoring warning,
+    which reaches the client as envelope data instead."""
+    return _evaluate(job.instance, job.schedule, request=job.request).to_dict()

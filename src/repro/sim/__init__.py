@@ -1,9 +1,8 @@
 """Stochastic simulation and exact analysis of SUU schedules.
 
-This is the **engine layer**.  First-party code evaluates schedules
-through :func:`repro.evaluate.evaluate` (the one front door, which
-dispatches here); the estimator/exact-solver names re-exported below are
-deprecation shims kept for external callers.
+This is the **engine layer**.  Schedules are evaluated through
+:func:`repro.evaluate.evaluate`, the one front door, which dispatches
+here.
 
 Three execution engines share one set of semantics (Def 2.1); see
 ``docs/architecture.md`` for the decision tree:
@@ -21,16 +20,8 @@ default, with the original scalar DP retained behind ``engine="scalar"``.
 from .batch import BatchExecutionResult, batchable, simulate_batch
 from .engine import DEFAULT_MAX_STEPS, ExecutionResult, eligible_mask, simulate, simulate_or_raise
 from .exec_tree import ExecutionTree, build_execution_tree
-from .markov import (
-    EXACT_ENGINES,
-    eligible_bitmask,
-    exact_completion_curve,
-    expected_makespan_cyclic,
-    expected_makespan_regimen,
-    state_distribution,
-    transition_distribution,
-)
-from .montecarlo import MakespanEstimate, completion_curve, estimate_makespan
+from .markov import EXACT_ENGINES, eligible_bitmask, transition_distribution
+from .montecarlo import MakespanEstimate
 
 __all__ = [
     "BatchExecutionResult",
@@ -45,12 +36,6 @@ __all__ = [
     "build_execution_tree",
     "EXACT_ENGINES",
     "eligible_bitmask",
-    "exact_completion_curve",
-    "state_distribution",
-    "expected_makespan_cyclic",
-    "expected_makespan_regimen",
     "transition_distribution",
     "MakespanEstimate",
-    "completion_curve",
-    "estimate_makespan",
 ]

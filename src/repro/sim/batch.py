@@ -21,8 +21,8 @@ Only *deterministic* policies are eligible: a randomized rule queried once
 per state would hand every replication in that state the same draw, which
 correlates replications (the per-replication marginal would still be
 correct, but the estimator's standard error would be wrong).
-:func:`repro.sim.montecarlo.estimate_makespan` routes randomized policies
-to the scalar engine automatically.
+:func:`repro.evaluate.evaluate` routes randomized policies to the scalar
+engine automatically.
 
 ``docs/architecture.md`` documents the full engine decision tree.
 """
@@ -138,8 +138,8 @@ def simulate_batch(
     schedule:
         An :class:`AdaptivePolicy` with ``randomized=False``, or a
         :class:`Regimen`.  Oblivious and cyclic schedules are rejected —
-        use :func:`repro.sim.montecarlo.estimate_makespan`, whose dedicated
-        lockstep path never queries per state at all.
+        :func:`repro.evaluate.evaluate` sends them to the dedicated
+        oblivious kernel, which never queries per state at all.
     memoize:
         Cache success-probability vectors across steps keyed by
         :meth:`AdaptivePolicy.frontier_key`.  Replications sharing a

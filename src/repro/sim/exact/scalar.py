@@ -262,7 +262,7 @@ def exact_completion_curve(
 ) -> np.ndarray:
     """Exact ``Pr[all jobs done by step t]`` for ``t = 1..horizon``.
 
-    The exact counterpart of :func:`repro.sim.montecarlo.completion_curve`,
+    The exact counterpart of the Monte Carlo ``completion_curve`` metric,
     usable for small ``n``; the two agree to sampling error (tested).
     """
     dist = state_distribution(instance, schedule, horizon, max_states=max_states)

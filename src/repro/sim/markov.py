@@ -20,7 +20,8 @@ Both are exponential in ``n`` and guarded by ``max_states``, which caps
 the **full** DP allocation ``2^n × width`` (``width`` = schedule positions
 or horizon steps), not just the subset count.
 
-This module is a thin facade over :mod:`repro.sim.exact`.  Every solver
+This module is a thin facade over :mod:`repro.sim.exact`, reached through
+:func:`repro.evaluate.evaluate` (``mode="exact"``).  Every solver
 takes ``engine="sparse"`` (default — the vectorized layer-at-a-time
 engine, practical to n ≈ 18–20 for regimens) or ``engine="scalar"`` (the
 original per-state dict DP, kept as the golden reference; the two agree
@@ -35,7 +36,6 @@ from __future__ import annotations
 import numpy as np
 
 from .. import obs
-from .._deprecation import warn_legacy
 from ..core.instance import SUUInstance
 from ..core.schedule import CyclicSchedule, Regimen
 from ..errors import ValidationError
@@ -44,10 +44,6 @@ from .exact.lattice import DEFAULT_MAX_STATES as _DEFAULT_MAX_STATES
 from .exact.scalar import eligible_bitmask, transition_distribution
 
 __all__ = [
-    "expected_makespan_regimen",
-    "expected_makespan_cyclic",
-    "state_distribution",
-    "exact_completion_curve",
     "transition_distribution",
     "eligible_bitmask",
     "EXACT_ENGINES",
@@ -137,7 +133,7 @@ def _exact_completion_curve(
 ) -> np.ndarray:
     """Exact ``Pr[all jobs done by step t]`` for ``t = 1..horizon``.
 
-    The exact counterpart of :func:`repro.sim.montecarlo.completion_curve`,
+    The exact counterpart of the Monte Carlo ``completion_curve`` metric,
     usable for small ``n``; the two agree to sampling error (tested).
     """
     with obs.span(
@@ -146,77 +142,3 @@ def _exact_completion_curve(
         return _engine(engine).exact_completion_curve(
             instance, schedule, horizon, max_states=max_states
         )
-
-# ----------------------------------------------------------------------
-# Deprecated public shims — external callers only.  First-party code goes
-# through repro.evaluate.evaluate() (mode="exact"), which delegates to the
-# private implementations above unchanged.
-# ----------------------------------------------------------------------
-def expected_makespan_regimen(
-    instance: SUUInstance,
-    regimen: Regimen,
-    max_states: int = _DEFAULT_MAX_STATES,
-    engine: str = "sparse",
-) -> float:
-    """Deprecated shim over :func:`_expected_makespan_regimen`.
-
-    Use ``repro.evaluate.evaluate(instance, regimen, mode="exact")`` — the
-    report's ``makespan`` matches this value to machine precision and the
-    auto mode applies the same ``max_states`` guard.
-    """
-    warn_legacy("repro.sim.expected_makespan_regimen")
-    return _expected_makespan_regimen(
-        instance, regimen, max_states=max_states, engine=engine
-    )
-
-
-def expected_makespan_cyclic(
-    instance: SUUInstance,
-    schedule: CyclicSchedule,
-    max_states: int = _DEFAULT_MAX_STATES,
-    engine: str = "sparse",
-) -> float:
-    """Deprecated shim over :func:`_expected_makespan_cyclic`.
-
-    Use ``repro.evaluate.evaluate(instance, schedule, mode="exact")``.
-    """
-    warn_legacy("repro.sim.expected_makespan_cyclic")
-    return _expected_makespan_cyclic(
-        instance, schedule, max_states=max_states, engine=engine
-    )
-
-
-def state_distribution(
-    instance: SUUInstance,
-    schedule: CyclicSchedule,
-    horizon: int,
-    max_states: int = _DEFAULT_MAX_STATES,
-    engine: str = "sparse",
-) -> np.ndarray:
-    """Deprecated shim over :func:`_state_distribution`.
-
-    Use ``repro.evaluate.evaluate(instance, schedule,
-    metrics="state_distribution", horizon=T)``.
-    """
-    warn_legacy("repro.sim.state_distribution")
-    return _state_distribution(
-        instance, schedule, horizon, max_states=max_states, engine=engine
-    )
-
-
-def exact_completion_curve(
-    instance: SUUInstance,
-    schedule: CyclicSchedule,
-    horizon: int,
-    max_states: int = _DEFAULT_MAX_STATES,
-    engine: str = "sparse",
-) -> np.ndarray:
-    """Deprecated shim over :func:`_exact_completion_curve`.
-
-    Use ``repro.evaluate.evaluate(instance, schedule, mode="exact",
-    metrics="completion_curve", horizon=T)``.
-    """
-    warn_legacy("repro.sim.exact_completion_curve")
-    return _exact_completion_curve(
-        instance, schedule, horizon, max_states=max_states, engine=engine
-    )

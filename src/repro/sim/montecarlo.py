@@ -20,15 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs
-from .._deprecation import warn_legacy
 from .._util import as_rng
 from ..core.instance import SUUInstance
 from ..core.schedule import CyclicSchedule, ObliviousSchedule
-from ..errors import SimulationLimitError, ValidationError, warn_censored
+from ..errors import SimulationLimitError, ValidationError
 from .batch import batchable, simulate_batch
 from .engine import DEFAULT_MAX_STEPS, simulate
 
-__all__ = ["MakespanEstimate", "estimate_makespan", "completion_curve"]
+__all__ = ["MakespanEstimate"]
 
 
 @dataclass
@@ -39,8 +38,9 @@ class MakespanEstimate:
     finishing; their (censored) makespans are included in the mean, so when
     ``truncated > 0`` the mean is a *lower* bound on the true expectation
     and callers should enlarge ``max_steps``.
-    :func:`estimate_makespan` emits a :class:`~repro.errors.CensoredEstimateWarning`
-    whenever that happens, so a biased mean cannot be read silently; pass
+    :func:`repro.evaluate.evaluate` emits a
+    :class:`~repro.errors.CensoredEstimateWarning` whenever that happens,
+    so a biased mean cannot be read silently; pass
     ``require_finished=True`` to escalate censoring to an error instead.
     """
 
@@ -192,15 +192,11 @@ def _estimate_makespan(
     workers: int | None = None,
     executor=None,
     shards: int | None = None,
-    _warn_stacklevel: int = 2,
 ) -> MakespanEstimate:
     """Estimate the expected makespan of ``schedule`` by Monte Carlo.
 
-    Engine-layer implementation; first-party callers go through
-    :func:`repro.evaluate.evaluate` (mode ``"mc"``), which delegates here
-    unchanged — same streams, bitwise-identical samples at a fixed seed.
-    ``_warn_stacklevel`` keeps the censoring warning attributed to the
-    real caller when an extra frame (the public shim) sits in between.
+    Engine-layer implementation behind :func:`repro.evaluate.evaluate`
+    (mode ``"mc"``), which delegates here unchanged.
 
     With ``engine="auto"`` (see ``docs/architecture.md``): oblivious and
     cyclic schedules use the vectorized lockstep path; deterministic
@@ -225,9 +221,10 @@ def _estimate_makespan(
     :class:`~repro.experiments.spec.ExperimentSpec` (whose workers rebuild
     the schedule from the registry) or ``executor="serial"``.
 
-    When any replication is censored at the step budget, a
-    :class:`~repro.errors.CensoredEstimateWarning` is emitted (the mean is
-    then only a lower bound); ``require_finished=True`` raises instead.
+    Replications censored at the step budget are counted in
+    ``truncated`` (the mean is then only a lower bound) without a warning:
+    the front door warns once for the whole request.
+    ``require_finished=True`` raises instead.
     """
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
@@ -288,8 +285,6 @@ def _estimate_makespan(
         raise SimulationLimitError(
             f"{truncated}/{reps} replications hit the {max_steps}-step budget"
         )
-    if truncated:
-        warn_censored(truncated, reps, max_steps, stacklevel=_warn_stacklevel)
     values = samples.astype(np.float64)
     mean = float(values.mean())
     std_err = float(values.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
@@ -302,106 +297,4 @@ def _estimate_makespan(
         max=float(values.max()),
         samples=samples if keep_samples else None,
         engine_used=engine_used,
-    )
-
-
-def estimate_makespan(
-    instance: SUUInstance,
-    schedule,
-    reps: int = 200,
-    rng: np.random.Generator | int | None = None,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    keep_samples: bool = False,
-    require_finished: bool = False,
-    engine: str = "auto",
-    workers: int | None = None,
-    executor=None,
-    shards: int | None = None,
-) -> MakespanEstimate:
-    """Deprecated shim over :func:`_estimate_makespan`.
-
-    Use :func:`repro.evaluate.evaluate` — ``evaluate(instance, schedule,
-    mode="mc", seed=s)`` returns bitwise-identical samples plus engine
-    provenance, and ``mode="auto"`` upgrades small regimen/cyclic cases
-    to the exact Markov answer for free.
-    """
-    warn_legacy("repro.sim.estimate_makespan")
-    return _estimate_makespan(
-        instance,
-        schedule,
-        reps=reps,
-        rng=rng,
-        max_steps=max_steps,
-        keep_samples=keep_samples,
-        require_finished=require_finished,
-        engine=engine,
-        workers=workers,
-        executor=executor,
-        shards=shards,
-        _warn_stacklevel=3,  # skip this shim frame: blame the caller's line
-    )
-
-
-def censored_completion_cdf(
-    samples: np.ndarray, truncated: int, horizon: int
-) -> np.ndarray:
-    """Empirical completion CDF from makespan samples (1-based steps).
-
-    The one implementation of the censoring-aware arithmetic, shared by
-    :func:`_completion_curve` and the evaluation front door so the two
-    stay bitwise identical: replications censored at the budget sit at
-    ``horizon`` only because observation stopped there, so they are
-    subtracted from the final bin and the last point reports the
-    *finished* fraction.
-    """
-    counts = np.bincount(samples, minlength=horizon + 1)[1:]
-    counts[horizon - 1] -= truncated
-    return np.cumsum(counts, dtype=np.float64) / samples.size
-
-
-def _completion_curve(
-    instance: SUUInstance,
-    schedule,
-    reps: int = 200,
-    rng: np.random.Generator | int | None = None,
-    max_steps: int = 10_000,
-) -> np.ndarray:
-    """Empirical ``Pr[all jobs done by step t]`` for ``t = 1..max_steps``.
-
-    Returns an array of length ``max_steps``; useful for plotting the
-    completion CDF of competing schedules.
-
-    Replications censored at the step budget are *not done* at any
-    ``t <= max_steps`` — their samples sit at ``max_steps`` only because
-    that is where observation stopped — so the final point reports the
-    finished fraction, not 1.0.  (A run that genuinely finishes in step
-    ``max_steps`` still counts there; the two are distinguished by the
-    estimate's ``truncated`` counter, which only covers unfinished runs.)
-    """
-    if max_steps < 1:
-        raise ValidationError("completion_curve needs max_steps >= 1")
-    rng = as_rng(rng)
-    est = _estimate_makespan(
-        instance, schedule, reps=reps, rng=rng, max_steps=max_steps, keep_samples=True
-    )
-    assert est.samples is not None
-    return censored_completion_cdf(est.samples, est.truncated, max_steps)
-
-
-def completion_curve(
-    instance: SUUInstance,
-    schedule,
-    reps: int = 200,
-    rng: np.random.Generator | int | None = None,
-    max_steps: int = 10_000,
-) -> np.ndarray:
-    """Deprecated shim over :func:`_completion_curve`.
-
-    Use ``repro.evaluate.evaluate(instance, schedule, mode="mc",
-    metrics="completion_curve", horizon=T, seed=s)`` — the returned
-    report's ``completion_curve`` is bitwise identical at the same seed.
-    """
-    warn_legacy("repro.sim.completion_curve")
-    return _completion_curve(
-        instance, schedule, reps=reps, rng=rng, max_steps=max_steps
     )

@@ -52,7 +52,6 @@ small absolute epsilon for exact-vs-exact float comparisons.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,12 +62,7 @@ from ..core.dag import DagClass
 from ..core.schedule import AdaptivePolicy, CyclicSchedule, ObliviousSchedule, Regimen
 from ..delay.flatten import flatten_pseudo
 from ..delay.random_delay import find_good_delays
-from ..errors import (
-    CensoredEstimateWarning,
-    ExactSolverLimitError,
-    ReproError,
-    RoundingError,
-)
+from ..errors import ExactSolverLimitError, ReproError, RoundingError
 from ..flow import FLOW_ENGINES, make_flow_network
 from ..lp.acc_mass import LP_ENGINES, check_fractional, solve_lp1, solve_lp2
 from ..opt import scalar as golden_dp
@@ -76,6 +70,7 @@ from ..opt.bruteforce import count_assignments, max_sum_mass_opt
 from ..opt.malewicz import optimal_regimen
 from ..rounding.round_lp import round_acc_mass
 from ..evaluate import evaluate
+from ..evaluate.facade import _evaluate
 from ..sim.exec_tree import build_execution_tree
 from .cases import CaseSpec, build_case
 
@@ -170,18 +165,17 @@ class CaseContext:
     def estimate(self, label: str, reps: int | None = None, seed: int | None = None):
         """Run one engine route through the front door (``mode="mc"``)."""
         cfg = self.cfg
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CensoredEstimateWarning)
-            return evaluate(
-                self.instance,
-                self.schedule,
-                mode="mc",
-                reps=cfg.reps if reps is None else reps,
-                seed=self.spec.sim_seed if seed is None else seed,
-                max_steps=self.max_steps,
-                keep_samples=True,
-                **self.routes[label],
-            )
+        # Tight budgets censor on purpose; the report's count is checked.
+        return _evaluate(
+            self.instance,
+            self.schedule,
+            mode="mc",
+            reps=cfg.reps if reps is None else reps,
+            seed=self.spec.sim_seed if seed is None else seed,
+            max_steps=self.max_steps,
+            keep_samples=True,
+            **self.routes[label],
+        )
 
     @property
     def estimates(self) -> dict:
@@ -495,8 +489,8 @@ def check_curve(ctx: CaseContext) -> list[Discrepancy]:
       point must equal the *finished* fraction, not count censored
       replications as completed.
     * Analytic cross-check (small cyclic schedules): the empirical curve
-      prefix stays within a Dvoretzky–Kiefer–Wolfowitz band of
-      :func:`repro.sim.markov.exact_completion_curve`.
+      prefix stays within a Dvoretzky–Kiefer–Wolfowitz band of the exact
+      curve (``evaluate(..., mode="exact", metrics="completion_curve")``).
     """
     spec, instance, schedule, cfg = ctx.spec, ctx.instance, ctx.schedule, ctx.cfg
     # The first route is engine="auto" by the _engine_routes invariant, so
@@ -505,17 +499,15 @@ def check_curve(ctx: CaseContext) -> list[Discrepancy]:
     est = ctx.estimates[auto_label]
     if est.samples is None:
         return []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CensoredEstimateWarning)
-        curve = evaluate(
-            instance,
-            schedule,
-            mode="mc",
-            metrics="completion_curve",
-            reps=cfg.reps,
-            seed=spec.sim_seed,
-            horizon=ctx.max_steps,
-        ).completion_curve
+    curve = _evaluate(
+        instance,
+        schedule,
+        mode="mc",
+        metrics="completion_curve",
+        reps=cfg.reps,
+        seed=spec.sim_seed,
+        horizon=ctx.max_steps,
+    ).completion_curve
     out: list[Discrepancy] = []
     if curve.shape != (ctx.max_steps,):
         return [

@@ -14,8 +14,9 @@ from repro.algorithms import (
     round_robin_baseline,
     serial_baseline,
 )
+from repro.evaluate import evaluate
 from repro.opt import optimal_expected_makespan
-from repro.sim import estimate_makespan, expected_makespan_cyclic, simulate
+from repro.sim import simulate
 
 
 class TestSerial:
@@ -28,7 +29,7 @@ class TestSerial:
         inst = SUUInstance(np.array([[0.5], [0.5]]))
         result = serial_baseline(inst)
         # all machines on the one job: E = 1/(1-0.25) = 4/3
-        exact = expected_makespan_cyclic(inst, result.schedule)
+        exact = evaluate(inst, result.schedule, mode="exact").makespan
         assert exact == pytest.approx(1 / 0.75)
 
     def test_never_violates_precedence(self, tiny_tree, rng):
@@ -87,8 +88,8 @@ class TestGreedyAndRandom:
     def test_both_finish(self, tiny_tree, rng):
         for factory in (greedy_prob_policy, random_policy):
             result = factory(tiny_tree)
-            est = estimate_makespan(
-                tiny_tree, result.schedule, reps=30, rng=rng, max_steps=50_000
+            est = evaluate(
+                tiny_tree, result.schedule, mode="mc", reps=30, seed=rng, max_steps=50_000
             )
             assert est.truncated == 0
 
@@ -104,10 +105,10 @@ class TestExactBaseline:
         exact = exact_baseline(tiny_independent)
         topt = exact.certificates["expected_makespan"]
         for name, result in all_baselines(tiny_independent).items():
-            est = estimate_makespan(
-                tiny_independent, result.schedule, reps=800, rng=rng, max_steps=50_000
+            est = evaluate(
+                tiny_independent, result.schedule, mode="mc", reps=800, seed=rng, max_steps=50_000
             )
-            assert est.mean >= topt - 3 * est.std_err - 0.05, name
+            assert est.makespan >= topt - 3 * est.std_err - 0.05, name
 
 
 class TestAllBaselines:

@@ -7,9 +7,9 @@ import pytest
 
 from repro import CyclicSchedule, PrecedenceDAG, SUUInstance
 from repro.algorithms import PRACTICAL, build_chain_bands, solve_chains
+from repro.evaluate import evaluate
 from repro.lp import solve_lp1
 from repro.rounding import round_acc_mass
-from repro.sim import estimate_makespan
 from repro.workloads import probability_matrix
 
 
@@ -69,8 +69,8 @@ class TestSolveChains:
 
     def test_completes_all_jobs(self, chains_instance, rng):
         result = solve_chains(chains_instance, PRACTICAL, rng=rng)
-        est = estimate_makespan(
-            chains_instance, result.schedule, reps=60, rng=rng, max_steps=200_000
+        est = evaluate(
+            chains_instance, result.schedule, mode="mc", reps=60, seed=rng, max_steps=200_000
         )
         assert est.truncated == 0
 

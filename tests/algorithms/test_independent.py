@@ -13,8 +13,8 @@ from repro.algorithms import (
     suu_i_lp,
     suu_i_oblivious,
 )
+from repro.evaluate import evaluate
 from repro.opt import optimal_expected_makespan
-from repro.sim import estimate_makespan
 from repro.workloads import probability_matrix
 
 
@@ -25,19 +25,19 @@ class TestSUUIAdaptive:
 
     def test_finishes(self, medium_independent, rng):
         result = suu_i_adaptive(medium_independent)
-        est = estimate_makespan(
-            medium_independent, result.schedule, reps=50, rng=rng, max_steps=5000
+        est = evaluate(
+            medium_independent, result.schedule, mode="mc", reps=50, seed=rng, max_steps=5000
         )
         assert est.truncated == 0
 
     def test_near_optimal_on_tiny(self, tiny_independent, rng):
         result = suu_i_adaptive(tiny_independent)
-        est = estimate_makespan(
-            tiny_independent, result.schedule, reps=2000, rng=rng, max_steps=5000
+        est = evaluate(
+            tiny_independent, result.schedule, mode="mc", reps=2000, seed=rng, max_steps=5000
         )
         topt = optimal_expected_makespan(tiny_independent)
         # Thm 3.3 allows O(log n); on 3 friendly jobs it is much closer
-        assert est.mean <= 3 * topt
+        assert est.makespan <= 3 * topt
 
     def test_policy_assigns_only_unfinished(self, tiny_independent, rng):
         policy = suu_i_adaptive(tiny_independent).schedule
@@ -65,8 +65,8 @@ class TestSUUIOblivious:
 
     def test_finishes_and_bounded(self, medium_independent, rng):
         result = suu_i_oblivious(medium_independent, PRACTICAL)
-        est = estimate_makespan(
-            medium_independent, result.schedule, reps=100, rng=rng, max_steps=100_000
+        est = evaluate(
+            medium_independent, result.schedule, mode="mc", reps=100, seed=rng, max_steps=100_000
         )
         assert est.truncated == 0
 
@@ -107,8 +107,8 @@ class TestSUUILP:
 
     def test_finishes(self, medium_independent, rng):
         result = suu_i_lp(medium_independent, PRACTICAL)
-        est = estimate_makespan(
-            medium_independent, result.schedule, reps=100, rng=rng, max_steps=100_000
+        est = evaluate(
+            medium_independent, result.schedule, mode="mc", reps=100, seed=rng, max_steps=100_000
         )
         assert est.truncated == 0
 

@@ -6,7 +6,8 @@ import pytest
 
 from repro import PrecedenceDAG, SUUInstance
 from repro.algorithms import PRACTICAL, depth_layers, solve, solve_layered
-from repro.sim import estimate_makespan, simulate
+from repro.evaluate import evaluate
+from repro.sim import simulate
 from repro.workloads import layered_dag, probability_matrix
 
 
@@ -61,7 +62,7 @@ class TestSolveLayered:
         dag = layered_dag(18, layers=4, rng=rng)
         inst = SUUInstance(probability_matrix(5, 18, rng=rng), dag)
         result = solve_layered(inst, PRACTICAL, rng=rng)
-        est = estimate_makespan(inst, result.schedule, reps=40, rng=rng, max_steps=300_000)
+        est = evaluate(inst, result.schedule, mode="mc", reps=40, seed=rng, max_steps=300_000)
         assert est.truncated == 0
 
     def test_per_layer_certificates(self, diamond_instance, rng):
@@ -72,8 +73,8 @@ class TestSolveLayered:
 
     def test_works_on_paper_classes_too(self, small_chains_instance, rng):
         result = solve_layered(small_chains_instance, PRACTICAL, rng=rng)
-        est = estimate_makespan(
-            small_chains_instance, result.schedule, reps=30, rng=rng, max_steps=300_000
+        est = evaluate(
+            small_chains_instance, result.schedule, mode="mc", reps=30, seed=rng, max_steps=300_000
         )
         assert est.truncated == 0
 

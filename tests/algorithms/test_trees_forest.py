@@ -8,7 +8,8 @@ import pytest
 from repro import SUUInstance, UnsupportedDagError
 from repro.algorithms import PRACTICAL, solve_forest, solve_tree
 from repro.decomp import lemma46_width_bound
-from repro.sim import estimate_makespan, simulate
+from repro.evaluate import evaluate
+from repro.sim import simulate
 from repro.workloads import (
     in_tree_dag,
     mixed_forest_dag,
@@ -34,7 +35,7 @@ class TestSolveTree:
     def test_completes_all_jobs(self, kind, rng):
         inst = tree_instance(kind=kind)
         result = solve_tree(inst, PRACTICAL, rng=rng)
-        est = estimate_makespan(inst, result.schedule, reps=40, rng=rng, max_steps=300_000)
+        est = evaluate(inst, result.schedule, mode="mc", reps=40, seed=rng, max_steps=300_000)
         assert est.truncated == 0
 
     def test_width_within_lemma_bound(self, rng):
@@ -64,7 +65,7 @@ class TestSolveForest:
     def test_completes_all_jobs(self, rng):
         inst = tree_instance(kind="mixed")
         result = solve_forest(inst, PRACTICAL, rng=rng)
-        est = estimate_makespan(inst, result.schedule, reps=40, rng=rng, max_steps=300_000)
+        est = evaluate(inst, result.schedule, mode="mc", reps=40, seed=rng, max_steps=300_000)
         assert est.truncated == 0
 
     def test_rejects_general_dag(self, rng):

@@ -83,16 +83,6 @@ class TestScenarioGuarantees:
         assert rec.mean_makespan + 5 * rec.std_err >= bounds["vector"]
         assert rec.mean_makespan + 5 * rec.std_err >= topt
 
-    @pytest.mark.parametrize("family", ["grid", "project", "greedy_trap"])
-    def test_reference_engines_agree(self, family):
-        instance = self._scenario(family)
-        refs = {
-            e: reference_makespan(instance, exact_limit=0, lp_engine=e)
-            for e in LP_ENGINES
-        }
-        assert all(kind == "lower_bound" for _, kind in refs.values())
-        assert refs["vector"][0] == pytest.approx(refs["scalar"][0], abs=1e-9)
-
 
 class TestCompareAlgorithms:
     def test_shared_reference(self, tiny_independent, rng):

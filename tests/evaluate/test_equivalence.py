@@ -1,160 +1,24 @@
-"""Cross-route equivalence: the front door changes *nothing* numerically.
+"""Cross-route equivalence through the front door.
 
-Satellite acceptance: ``evaluate(mode="exact")`` matches the legacy exact
-solvers to 1e-12, ``evaluate(mode="mc", seed=s)`` is bitwise identical to
-the legacy ``estimate_makespan(seed=s)`` for every schedule kind, and the
-sharded route is worker-count invariant through the facade.
+A joint makespan + curve request samples exactly what a makespan-only
+request samples, and the sharded route is worker-count invariant through
+the facade.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
 
 from repro import SUUInstance
-from repro.algorithms.baselines import (
-    greedy_prob_policy,
-    random_policy,
-    round_robin_baseline,
-    serial_baseline,
-    state_round_robin_regimen,
-)
-from repro.core.schedule import ObliviousSchedule
+from repro.algorithms.baselines import serial_baseline
 from repro.evaluate import evaluate
-from repro.sim.markov import (
-    expected_makespan_cyclic,
-    expected_makespan_regimen,
-    exact_completion_curve,
-    state_distribution,
-)
-from repro.sim.montecarlo import completion_curve, estimate_makespan
 
 
 @pytest.fixture
 def inst():
     rng = np.random.default_rng(11)
     return SUUInstance(rng.uniform(0.25, 0.9, size=(3, 5)), name="equiv")
-
-
-def _schedules(inst):
-    """One representative of every schedule kind."""
-    finite = ObliviousSchedule(
-        np.tile(np.arange(inst.n, dtype=np.int32)[:, None], (8, inst.m))[: 8 * inst.n]
-    )
-    return {
-        "oblivious": finite,
-        "cyclic": round_robin_baseline(inst).schedule,
-        "serial-cyclic": serial_baseline(inst).schedule,
-        "regimen": state_round_robin_regimen(inst).schedule,
-        "adaptive-deterministic": greedy_prob_policy(inst).schedule,
-        "adaptive-randomized": random_policy(inst).schedule,
-    }
-
-
-def _legacy(fn, *args, **kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return fn(*args, **kwargs)
-
-
-class TestExactEquivalence:
-    @pytest.mark.parametrize("engine", ["sparse", "scalar"])
-    def test_cyclic_matches_legacy_solver(self, inst, engine):
-        sched = round_robin_baseline(inst).schedule
-        report = evaluate(inst, sched, mode="exact", engine=engine)
-        legacy = _legacy(expected_makespan_cyclic, inst, sched, engine=engine)
-        assert abs(report.makespan - legacy) <= 1e-12
-
-    @pytest.mark.parametrize("engine", ["sparse", "scalar"])
-    def test_regimen_matches_legacy_solver(self, inst, engine):
-        regimen = state_round_robin_regimen(inst).schedule
-        report = evaluate(inst, regimen, mode="exact", engine=engine)
-        legacy = _legacy(expected_makespan_regimen, inst, regimen, engine=engine)
-        assert abs(report.makespan - legacy) <= 1e-12
-
-    def test_exact_curve_matches_legacy(self, inst):
-        sched = round_robin_baseline(inst).schedule
-        report = evaluate(
-            inst, sched, mode="exact", metrics=("completion_curve",), horizon=24
-        )
-        legacy = _legacy(exact_completion_curve, inst, sched, 24)
-        np.testing.assert_array_equal(report.completion_curve, legacy)
-
-    def test_state_distribution_matches_legacy(self, inst):
-        sched = round_robin_baseline(inst).schedule
-        report = evaluate(
-            inst, sched, metrics=("state_distribution",), horizon=9
-        )
-        legacy = _legacy(state_distribution, inst, sched, 9)
-        np.testing.assert_array_equal(report.state_distribution, legacy)
-
-
-class TestMonteCarloBitwise:
-    @pytest.mark.parametrize(
-        "kind",
-        [
-            "oblivious",
-            "cyclic",
-            "serial-cyclic",
-            "regimen",
-            "adaptive-deterministic",
-            "adaptive-randomized",
-        ],
-    )
-    def test_samples_bitwise_identical_to_legacy(self, inst, kind):
-        sched = _schedules(inst)[kind]
-        seed = 42
-        report = evaluate(
-            inst, sched, mode="mc", reps=60, seed=seed, max_steps=400, keep_samples=True
-        )
-        legacy = _legacy(
-            estimate_makespan,
-            inst,
-            sched,
-            reps=60,
-            rng=seed,
-            max_steps=400,
-            keep_samples=True,
-        )
-        np.testing.assert_array_equal(report.samples, legacy.samples)
-        assert report.makespan == legacy.mean
-        assert report.std_err == legacy.std_err
-        assert report.truncated == legacy.truncated
-        assert report.engine == legacy.engine_used
-
-    def test_mc_curve_bitwise_identical_to_legacy(self, inst):
-        sched = round_robin_baseline(inst).schedule
-        report = evaluate(
-            inst,
-            sched,
-            mode="mc",
-            metrics="completion_curve",
-            reps=80,
-            seed=9,
-            horizon=30,
-        )
-        legacy = _legacy(completion_curve, inst, sched, reps=80, rng=9, max_steps=30)
-        np.testing.assert_array_equal(report.completion_curve, legacy)
-
-    def test_forced_engines_match_legacy(self, inst):
-        pol = greedy_prob_policy(inst).schedule
-        for engine in ("scalar", "batched"):
-            report = evaluate(
-                inst, pol, mode="mc", engine=engine, reps=30, seed=5, keep_samples=True
-            )
-            legacy = _legacy(
-                estimate_makespan,
-                inst,
-                pol,
-                reps=30,
-                rng=5,
-                engine=engine,
-                keep_samples=True,
-            )
-            np.testing.assert_array_equal(report.samples, legacy.samples)
-            assert report.engine == engine
 
 
 class TestJointMetrics:
@@ -187,21 +51,6 @@ class TestJointMetrics:
 
 
 class TestWorkerInvariance:
-    def test_sharded_int_seed_is_bitwise_the_legacy_sharded_path(self, inst):
-        """Regression: an int seed passes through to the shard-plan root
-        untouched, so the facade's sharded numbers equal the legacy
-        sharded estimator's at the same seed."""
-        sched = serial_baseline(inst).schedule
-        report = evaluate(
-            inst, sched, mode="mc", reps=60, seed=5, shards=2, executor="serial"
-        )
-        legacy = _legacy(
-            estimate_makespan, inst, sched, reps=60, rng=5, shards=2, executor="serial"
-        )
-        assert report.makespan == legacy.mean
-        assert report.std_err == legacy.std_err
-        assert (report.min, report.max) == (legacy.min, legacy.max)
-
     def test_workers_2_matches_serial_through_facade(self, inst):
         """Satellite: ``workers=2`` invariance through the facade."""
         sched = serial_baseline(inst).schedule

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.errors import ExperimentError, StaleCacheWarning
+from repro.errors import CensoredEstimateWarning, ExperimentError, StaleCacheWarning
 from repro.experiments import (
     RESULT_SCHEMA_VERSION,
     ExperimentResult,
@@ -316,6 +316,19 @@ class TestStalePartials:
             _warnings.simplefilter("error", StaleCacheWarning)
             res = run_experiment(spec, cache_dir=tmp_path)
         assert res.max == 1000.0  # the cached partial really was reused
+
+
+class TestCensoring:
+    def test_censored_spec_warns_once_with_the_merged_count(self):
+        """Shards only count censored replications; the runner warns once
+        per spec, for the merged estimate."""
+        spec = _tiny_spec(reps=100, max_steps=4)  # 4 shards of 25
+        with pytest.warns(CensoredEstimateWarning) as record:
+            (result,) = run_suite([spec], cache_dir=None, executor="serial")
+        censored = [w for w in record if issubclass(w.category, CensoredEstimateWarning)]
+        assert len(censored) == 1
+        assert 0 < result.truncated < spec.reps
+        assert f"{result.truncated}/{spec.reps} replications" in str(censored[0].message)
 
 
 class TestRunSuite:

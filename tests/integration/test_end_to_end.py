@@ -8,7 +8,8 @@ import pytest
 from repro import SUUInstance, solve
 from repro.algorithms import LEAN, PRACTICAL, all_baselines
 from repro.analysis import compare_algorithms
-from repro.sim import estimate_makespan, simulate
+from repro.evaluate import evaluate
+from repro.sim import simulate
 from repro.workloads import (
     grid_computing,
     project_management,
@@ -48,14 +49,14 @@ class TestScenarios:
         rng = np.random.default_rng(0)
         inst = project_management(workstreams=4, tasks_per_stream=3, workers=5, rng=rng)
         result = solve(inst, rng=rng)
-        est = estimate_makespan(inst, result.schedule, reps=40, rng=rng, max_steps=300_000)
+        est = evaluate(inst, result.schedule, mode="mc", reps=40, seed=rng, max_steps=300_000)
         assert est.truncated == 0
 
     def test_grid_computing_end_to_end(self):
         rng = np.random.default_rng(1)
         inst = grid_computing(num_workflows=2, stages=3, fanout=2, machines=6, rng=rng)
         result = solve(inst, rng=rng)
-        est = estimate_makespan(inst, result.schedule, reps=30, rng=rng, max_steps=300_000)
+        est = evaluate(inst, result.schedule, mode="mc", reps=30, seed=rng, max_steps=300_000)
         assert est.truncated == 0
 
     def test_comparison_harness_runs_on_scenario(self):
@@ -77,9 +78,9 @@ class TestSerializationRoundTrips:
         result = solve(inst, rng=rng)
         sched = result.schedule
         clone = CyclicSchedule.from_dict(sched.to_dict())
-        e1 = estimate_makespan(inst, sched, reps=50, rng=11, max_steps=300_000)
-        e2 = estimate_makespan(inst, clone, reps=50, rng=11, max_steps=300_000)
-        assert e1.mean == e2.mean  # identical schedule + seed => identical runs
+        e1 = evaluate(inst, sched, mode="mc", reps=50, seed=11, max_steps=300_000)
+        e2 = evaluate(inst, clone, mode="mc", reps=50, seed=11, max_steps=300_000)
+        assert e1.makespan == e2.makespan  # identical schedule + seed => identical runs
 
     def test_instance_roundtrip_same_solution(self):
         inst = random_instance(8, 3, dag_kind="chains", rng=5)

@@ -18,13 +18,10 @@ from repro.algorithms import (
     suu_i_adaptive,
     suu_i_oblivious,
 )
+from repro.evaluate import evaluate
 from repro.lp import solve_lp1
 from repro.opt import optimal_expected_makespan, optimal_regimen
-from repro.sim import (
-    build_execution_tree,
-    estimate_makespan,
-    expected_makespan_cyclic,
-)
+from repro.sim import build_execution_tree
 from repro.workloads import probability_matrix
 
 
@@ -55,7 +52,7 @@ class TestTheorem22MassAccumulation:
             ObliviousSchedule.empty(1),
             ObliviousSchedule(np.array([[1], [1], [1], [0]])),
         )
-        T = expected_makespan_cyclic(inst, cyc)
+        T = evaluate(inst, cyc, mode="exact").makespan
         depth = int(np.ceil(2 * T))
         tree = build_execution_tree(inst, cyc, depth=depth, job=0, max_nodes=500_000)
         assert tree.prob_mass_at_least(0.25) >= 0.25 - 1e-9
@@ -71,12 +68,12 @@ class TestTheorem33AdaptiveRatio:
         p = rng.uniform(0.1, 0.9, size=(3, n))
         inst = SUUInstance(p)
         topt = optimal_expected_makespan(inst)
-        est = estimate_makespan(
-            inst, suu_i_adaptive(inst).schedule, reps=600, rng=rng, max_steps=10_000
+        est = evaluate(
+            inst, suu_i_adaptive(inst).schedule, mode="mc", reps=600, seed=rng, max_steps=10_000
         )
         # generous constant: 96e log n would be the paper's; anything near
         # topt confirms the mechanism
-        assert est.mean <= 6 * np.log2(n) * topt
+        assert est.makespan <= 6 * np.log2(n) * topt
 
 
 class TestTheorem36ObliviousRatio:
@@ -88,10 +85,8 @@ class TestTheorem36ObliviousRatio:
         inst = SUUInstance(p)
         topt = optimal_expected_makespan(inst)
         result = suu_i_oblivious(inst, PRACTICAL)
-        est = estimate_makespan(
-            inst, result.schedule, reps=300, rng=rng, max_steps=50_000
-        )
-        assert est.mean <= 40 * np.log2(n) ** 2 * topt
+        est = evaluate(inst, result.schedule, mode="mc", reps=300, seed=rng, max_steps=50_000)
+        assert est.makespan <= 40 * np.log2(n) ** 2 * topt
 
 
 class TestLemma42:
@@ -116,13 +111,13 @@ class TestTheorem44Chains:
         chains = [list(range(k, k + 3)) for k in range(0, n, 3)]
         inst = SUUInstance(p, PrecedenceDAG.from_chains(chains, n))
         result = solve_chains(inst, PRACTICAL, rng=rng)
-        est = estimate_makespan(inst, result.schedule, reps=60, rng=rng, max_steps=300_000)
+        est = evaluate(inst, result.schedule, mode="mc", reps=60, seed=rng, max_steps=300_000)
         # crude sanity: within the polylog envelope with practical constants
         from repro.bounds import lower_bounds
 
         lb = lower_bounds(inst).best
         envelope = 64 * np.log2(m + 1) * np.log2(n) ** 2
-        assert est.mean <= envelope * lb
+        assert est.makespan <= envelope * lb
 
     def test_beats_serial_on_wide_instance(self):
         """With many machines and a wide chain structure the pipeline's
@@ -137,6 +132,6 @@ class TestTheorem44Chains:
         inst = SUUInstance(p, PrecedenceDAG.from_chains(chains, n))
         fast = solve_chains(inst, LEAN, rng=rng)
         slow = serial_baseline(inst)
-        e_fast = estimate_makespan(inst, fast.schedule, reps=60, rng=rng, max_steps=100_000)
-        e_slow = estimate_makespan(inst, slow.schedule, reps=60, rng=rng, max_steps=100_000)
-        assert e_fast.mean < e_slow.mean
+        e_fast = evaluate(inst, fast.schedule, mode="mc", reps=60, seed=rng, max_steps=100_000)
+        e_slow = evaluate(inst, slow.schedule, mode="mc", reps=60, seed=rng, max_steps=100_000)
+        assert e_fast.makespan < e_slow.makespan

@@ -27,12 +27,12 @@ from repro.errors import ValidationError
 class TestRegistry:
     def test_six_builtin_rules_registered(self):
         assert set(all_rule_ids()) >= {
-            "legacy-callsite",
             "bare-timer",
             "solver-callsite",
             "seed-discipline",
             "typed-warning",
             "fork-safe-task",
+            "blocking-in-async",
         }
 
     def test_catalogue_has_descriptions(self):

@@ -15,16 +15,6 @@ from repro.lint import lint_file
 #: rule id -> (violating snippet, expected findings, message fragment,
 #:             clean snippet)
 KILL_TESTS = {
-    "legacy-callsite": (
-        "from repro.sim import estimate_makespan\n"
-        "def f(i, s):\n"
-        "    return estimate_makespan(i, s)\n",
-        2,  # the import and the call
-        "legacy entry point",
-        "from repro.evaluate import evaluate\n"
-        "def f(i, s):\n"
-        "    return evaluate(i, s)\n",
-    ),
     "solver-callsite": (
         "from repro.algorithms.chains import solve_chains\n"
         "def f(i):\n"
@@ -131,11 +121,15 @@ class TestDispatchRuleDetails:
         assert not missing, f"registry solver functions not banned: {missing}"
 
     def test_allowlisted_module_is_exempt(self, tmp_path):
-        # The sim engine layer legitimately mentions legacy names.
-        shim = tmp_path / "montecarlo.py"
-        shim.write_text("def estimate_makespan(i, s):\n    return 0\n")
+        # The algorithms package defines the solvers and may call them.
+        src = tmp_path / "pipeline.py"
+        src.write_text(
+            "from repro.algorithms.chains import solve_chains\n"
+            "def f(i):\n"
+            "    return solve_chains(i)\n"
+        )
         assert (
-            lint_file(shim, rel="repro/sim/montecarlo.py", rules=["legacy-callsite"])
+            lint_file(src, rel="repro/algorithms/pipeline.py", rules=["solver-callsite"])
             == []
         )
 

@@ -7,8 +7,8 @@ import pytest
 
 from repro import PrecedenceDAG, SUUInstance
 from repro.errors import ExactSolverLimitError
+from repro.evaluate import evaluate
 from repro.opt import optimal_expected_makespan, optimal_regimen
-from repro.sim import estimate_makespan, expected_makespan_regimen
 
 
 class TestClosedForms:
@@ -54,20 +54,20 @@ class TestOptimality:
                     [elig[int(rng.integers(0, len(elig)))] for _ in range(2)],
                     dtype=np.int32,
                 )
-            val = expected_makespan_regimen(inst, Regimen(3, 2, assignments))
+            val = evaluate(inst, Regimen(3, 2, assignments), mode="exact").makespan
             assert opt_val <= val + 1e-9
 
     def test_dp_value_matches_markov_reevaluation(self, tiny_tree):
         sol = optimal_regimen(tiny_tree)
-        val = expected_makespan_regimen(tiny_tree, sol.regimen)
+        val = evaluate(tiny_tree, sol.regimen, mode="exact").makespan
         assert val == pytest.approx(sol.expected_makespan)
 
     def test_dp_value_matches_monte_carlo(self, tiny_chain, rng):
         sol = optimal_regimen(tiny_chain)
-        est = estimate_makespan(
-            tiny_chain, sol.regimen.as_policy(), reps=3000, rng=rng, max_steps=10_000
+        est = evaluate(
+            tiny_chain, sol.regimen.as_policy(), mode="mc", reps=3000, seed=rng, max_steps=10_000
         )
-        assert est.mean == pytest.approx(sol.expected_makespan, rel=0.08)
+        assert est.makespan == pytest.approx(sol.expected_makespan, rel=0.08)
 
     def test_precedence_makes_things_slower(self, rng):
         p = rng.uniform(0.2, 0.9, size=(2, 4))

@@ -266,6 +266,33 @@ class TestLifecycleAndRoutes:
         assert envelope["report"]["mode"] == "exact"
         assert _strip(envelope["report"]) == _solo_dict(inst, sched_cyc, request)
 
+    def test_censored_jobs_leave_the_warning_filters_alone(self, inst, sched, monkeypatch):
+        """Regression: worker threads used to silence censoring with the
+        process-global ``warnings.catch_warnings()``, whose save/restore
+        races across threads; a round could leave an "ignore" filter
+        behind, after which a censored ``evaluate()`` in any thread
+        returned its lower-bound mean without a warning."""
+        shown = []
+        monkeypatch.setattr(
+            warnings, "showwarning", lambda message, category, *args: shown.append(category)
+        )
+        requests = [
+            EvaluationRequest(mode="mc", reps=40, seed=seed, max_steps=2) for seed in range(8)
+        ]
+
+        async def run():
+            async with EvaluationServer(_config(workers=2)) as server:
+                return await asyncio.gather(*(server.submit(inst, sched, r) for r in requests))
+
+        for _ in range(10):
+            before = list(warnings.filters)
+            envelopes = asyncio.run(run())
+            assert warnings.filters == before
+            assert CensoredEstimateWarning not in shown
+            assert all(envelope["warnings"] for envelope in envelopes)
+        evaluate(inst, sched, request=requests[0])
+        assert shown.count(CensoredEstimateWarning) == 1
+
     def test_censoring_reaches_the_envelope_in_canonical_wording(self, inst, sched):
         request = EvaluationRequest(mode="mc", reps=40, seed=3, max_steps=2)
         with pytest.warns(CensoredEstimateWarning) as rec:

@@ -24,7 +24,8 @@ from repro.algorithms import (
     suu_i_adaptive,
 )
 from repro.errors import ScheduleError
-from repro.sim import estimate_makespan, simulate_batch
+from repro.evaluate import evaluate
+from repro.sim import simulate_batch
 from repro.sim.batch import batchable
 
 
@@ -132,25 +133,24 @@ class TestStatisticalEquivalence:
     def test_mean_matches_scalar_engine(self, factory):
         inst = _flaky_instance()
         policy = factory(inst).schedule
-        scalar = estimate_makespan(
-            inst, policy, reps=600, rng=101, max_steps=100_000, engine="scalar"
+        scalar = evaluate(
+            inst, policy, mode="mc", reps=600, seed=101, max_steps=100_000, engine="scalar"
         )
-        batched = estimate_makespan(
-            inst, policy, reps=600, rng=202, max_steps=100_000, engine="batched"
+        batched = evaluate(
+            inst, policy, mode="mc", reps=600, seed=202, max_steps=100_000, engine="batched"
         )
         # Two independent estimators of the same mean: the gap is normal
         # with s.e. = hypot(se1, se2); 4 sigma keeps the seeded test stable.
         gap_se = float(np.hypot(scalar.std_err, batched.std_err))
-        assert abs(scalar.mean - batched.mean) <= 4.0 * gap_se
+        assert abs(scalar.makespan - batched.makespan) <= 4.0 * gap_se
 
     def test_mean_matches_exact_regimen_value(self, tiny_independent):
         from repro.opt import optimal_regimen
-        from repro.sim import expected_makespan_regimen
 
         sol = optimal_regimen(tiny_independent)
-        exact = expected_makespan_regimen(tiny_independent, sol.regimen)
-        est = estimate_makespan(
-            tiny_independent, sol.regimen, reps=4000, rng=17, engine="batched"
+        exact = evaluate(tiny_independent, sol.regimen, mode="exact").makespan
+        est = evaluate(
+            tiny_independent, sol.regimen, mode="mc", reps=4000, seed=17, engine="batched"
         )
         lo, hi = est.ci95
         slack = 3 * est.std_err
@@ -158,14 +158,20 @@ class TestStatisticalEquivalence:
 
     def test_chain_instance_matches_scalar(self, small_chains_instance):
         policy = msm_eligible_policy(small_chains_instance).schedule
-        scalar = estimate_makespan(
-            small_chains_instance, policy, reps=400, rng=1, max_steps=100_000, engine="scalar"
-        )
-        batched = estimate_makespan(
-            small_chains_instance, policy, reps=400, rng=2, max_steps=100_000, engine="batched"
+        scalar, batched = (
+            evaluate(
+                small_chains_instance,
+                policy,
+                mode="mc",
+                reps=400,
+                seed=seed,
+                max_steps=100_000,
+                engine=engine,
+            )
+            for seed, engine in ((1, "scalar"), (2, "batched"))
         )
         gap_se = float(np.hypot(scalar.std_err, batched.std_err))
-        assert abs(scalar.mean - batched.mean) <= 4.0 * gap_se
+        assert abs(scalar.makespan - batched.makespan) <= 4.0 * gap_se
 
 
 class TestMemoizationTransparency:
@@ -201,24 +207,20 @@ class TestMemoizationTransparency:
 class TestEstimatorRouting:
     def test_auto_equals_batched_for_deterministic_policy(self, medium_independent):
         policy = suu_i_adaptive(medium_independent).schedule
-        auto = estimate_makespan(medium_independent, policy, reps=60, rng=9)
-        forced = estimate_makespan(
-            medium_independent, policy, reps=60, rng=9, engine="batched"
-        )
+        auto = evaluate(medium_independent, policy, mode="mc", reps=60, seed=9)
+        forced = evaluate(medium_independent, policy, mode="mc", reps=60, seed=9, engine="batched")
         assert auto.engine_used == forced.engine_used == "batched"
-        assert auto.mean == forced.mean
+        assert auto.makespan == forced.makespan
         assert auto.std_err == forced.std_err
 
     def test_randomized_policy_takes_scalar_path(self, tiny_independent):
         policy = random_policy(tiny_independent).schedule
-        auto = estimate_makespan(tiny_independent, policy, reps=30, rng=9)
-        forced = estimate_makespan(
-            tiny_independent, policy, reps=30, rng=9, engine="scalar"
-        )
+        auto = evaluate(tiny_independent, policy, mode="mc", reps=30, seed=9)
+        forced = evaluate(tiny_independent, policy, mode="mc", reps=30, seed=9, engine="scalar")
         assert auto.engine_used == forced.engine_used == "scalar"
-        assert auto.mean == forced.mean
+        assert auto.makespan == forced.makespan
 
     def test_unknown_engine_rejected(self, tiny_independent):
         policy = suu_i_adaptive(tiny_independent).schedule
         with pytest.raises(ValueError):
-            estimate_makespan(tiny_independent, policy, reps=10, rng=0, engine="warp")
+            evaluate(tiny_independent, policy, mode="mc", reps=10, seed=0, engine="warp")

@@ -25,14 +25,8 @@ from repro.algorithms.baselines import (
 from repro._util import iterable_from_bitmask
 from repro.core.schedule import Regimen
 from repro.errors import ScheduleError, ValidationError
-from repro.sim.markov import (
-    EXACT_ENGINES,
-    eligible_bitmask,
-    exact_completion_curve,
-    expected_makespan_cyclic,
-    expected_makespan_regimen,
-    state_distribution,
-)
+from repro.evaluate import evaluate
+from repro.sim.markov import EXACT_ENGINES, eligible_bitmask
 from repro.verify.cases import DAG_KINDS, PROB_MODELS, CaseSpec, build_instance
 
 FAMILIES = [f"{dag}/{prob}" for dag in DAG_KINDS for prob in PROB_MODELS]
@@ -65,6 +59,16 @@ def _instance(family: str, trial: int):
     return build_instance(spec)
 
 
+def _exact(instance, schedule, engine, **kwargs):
+    return evaluate(instance, schedule, mode="exact", engine=engine, **kwargs)
+
+
+def _curve(instance, schedule, horizon, engine):
+    return _exact(
+        instance, schedule, engine, metrics="completion_curve", horizon=horizon
+    ).completion_curve
+
+
 def _solve_both(fn):
     """Run ``fn(engine)`` on both engines; outcomes must have the same kind."""
     outcomes = {}
@@ -94,9 +98,9 @@ def test_sparse_matches_scalar_on_fuzzer_families(family):
             regimen.table, expected, err_msg=f"{family} trial {trial}"
         )
         for label, fn in [
-            ("cyclic/rr", lambda e: expected_makespan_cyclic(instance, cyclic, engine=e)),
-            ("cyclic/serial", lambda e: expected_makespan_cyclic(instance, serial, engine=e)),
-            ("regimen", lambda e: expected_makespan_regimen(instance, regimen, engine=e)),
+            ("cyclic/rr", lambda e: _exact(instance, cyclic, e).makespan),
+            ("cyclic/serial", lambda e: _exact(instance, serial, e).makespan),
+            ("regimen", lambda e: _exact(instance, regimen, e).makespan),
         ]:
             outcomes = _solve_both(fn)
             if outcomes["sparse"][0] == "ok":
@@ -111,8 +115,12 @@ def test_sparse_matches_scalar_on_fuzzer_families(family):
 def test_state_distribution_engines_agree(family):
     instance = _instance(family, 0)
     cyclic = round_robin_baseline(instance).schedule
-    sparse = state_distribution(instance, cyclic, horizon=10, engine="sparse")
-    scalar = state_distribution(instance, cyclic, horizon=10, engine="scalar")
+    sparse, scalar = (
+        _exact(
+            instance, cyclic, e, metrics="state_distribution", horizon=10
+        ).state_distribution
+        for e in ("sparse", "scalar")
+    )
     np.testing.assert_allclose(sparse, scalar, atol=1e-12)
     np.testing.assert_allclose(sparse.sum(axis=1), 1.0, atol=1e-12)
 
@@ -122,20 +130,20 @@ def test_completion_curve_is_a_cdf_prefix(family):
     instance = _instance(family, 0)
     cyclic = round_robin_baseline(instance).schedule
     for engine in EXACT_ENGINES:
-        curve = exact_completion_curve(instance, cyclic, horizon=12, engine=engine)
+        curve = _curve(instance, cyclic, 12, engine)
         assert curve.shape == (12,)
         assert np.all(np.diff(curve) >= -1e-12), f"{engine}: curve not monotone"
         assert curve[-1] <= 1.0 + 1e-12, f"{engine}: curve exceeds 1"
         assert curve[0] >= -1e-12
-    sparse = exact_completion_curve(instance, cyclic, horizon=12, engine="sparse")
-    scalar = exact_completion_curve(instance, cyclic, horizon=12, engine="scalar")
+    sparse = _curve(instance, cyclic, 12, "sparse")
+    scalar = _curve(instance, cyclic, 12, "scalar")
     np.testing.assert_allclose(sparse, scalar, atol=1e-12)
 
 
 def test_unknown_engine_rejected(tiny_independent):
     regimen = state_round_robin_regimen(tiny_independent).schedule
-    with pytest.raises(ValidationError, match="unknown exact engine"):
-        expected_makespan_regimen(tiny_independent, regimen, engine="warp")
+    with pytest.raises(ValidationError, match="unknown engine"):
+        _exact(tiny_independent, regimen, "warp")
 
 
 def test_sparse_reaches_beyond_old_scalar_ceiling():
@@ -150,12 +158,10 @@ def test_sparse_reaches_beyond_old_scalar_ceiling():
 
     instance = SUUInstance(p, name="n17")
     serial = serial_baseline(instance).schedule
-    value = expected_makespan_cyclic(instance, serial, engine="sparse")
+    value = _exact(instance, serial, "sparse").makespan
     q = 1.0 - (1.0 - p[0]) * (1.0 - p[1])
     # The serial cycle works each job for several consecutive steps then
     # moves on; cross-check against Monte Carlo instead of a closed form.
-    from repro.sim import estimate_makespan
-
-    est = estimate_makespan(instance, serial, reps=600, rng=7, max_steps=10_000)
+    est = evaluate(instance, serial, mode="mc", reps=600, seed=7, max_steps=10_000)
     assert q.min() > 0
-    assert abs(est.mean - value) <= 5 * est.std_err + 1e-6
+    assert abs(est.makespan - value) <= 5 * est.std_err + 1e-6

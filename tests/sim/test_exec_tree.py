@@ -7,7 +7,8 @@ import pytest
 
 from repro import CyclicSchedule, ObliviousSchedule, PrecedenceDAG, SUUInstance
 from repro.errors import ExactSolverLimitError
-from repro.sim import build_execution_tree, expected_makespan_cyclic
+from repro.evaluate import evaluate
+from repro.sim import build_execution_tree
 
 
 def cyc(table):
@@ -78,6 +79,6 @@ class TestExactProbabilities:
         # where the tree's all-finished probability is far from 1.
         tree = build_execution_tree(tiny_independent, sched, depth=2, job=0)
         p_done2 = tree.prob_all_finished()
-        exact = expected_makespan_cyclic(tiny_independent, sched)
+        exact = evaluate(tiny_independent, sched, mode="exact").makespan
         assert 0 < p_done2 < 1
         assert exact > 2 * (1 - p_done2)  # Markov E >= contribution of slow paths

@@ -18,18 +18,28 @@ from repro import (
     SUUInstance,
 )
 from repro.errors import ExactSolverLimitError
-from repro.sim.markov import (
-    eligible_bitmask,
-    expected_makespan_cyclic,
-    expected_makespan_regimen,
-    state_distribution,
-    transition_distribution,
-)
+from repro.evaluate import evaluate
+from repro.sim.markov import eligible_bitmask, transition_distribution
 
 
 @pytest.fixture(params=["sparse", "scalar"])
 def engine(request):
     return request.param
+
+
+def exact_makespan(instance, schedule, engine, **kwargs) -> float:
+    return evaluate(instance, schedule, mode="exact", engine=engine, **kwargs).makespan
+
+
+def exact_state_distribution(instance, schedule, horizon, engine, **kwargs):
+    return evaluate(
+        instance,
+        schedule,
+        metrics="state_distribution",
+        horizon=horizon,
+        engine=engine,
+        **kwargs,
+    ).state_distribution
 
 
 class TestEligibleBitmask:
@@ -82,7 +92,7 @@ class TestRegimenExpectation:
     def test_single_job_geometric(self, engine):
         inst = SUUInstance(np.array([[0.25]]))
         r = Regimen(1, 1, {0b1: np.array([0])})
-        assert expected_makespan_regimen(inst, r, engine=engine) == pytest.approx(4.0)
+        assert exact_makespan(inst, r, engine=engine) == pytest.approx(4.0)
 
     def test_two_parallel_certain(self, engine):
         inst = SUUInstance(np.ones((2, 2)))
@@ -95,7 +105,7 @@ class TestRegimenExpectation:
                 0b10: np.array([1, 1]),
             },
         )
-        assert expected_makespan_regimen(inst, r, engine=engine) == pytest.approx(1.0)
+        assert exact_makespan(inst, r, engine=engine) == pytest.approx(1.0)
 
     def test_max_of_two_geometrics(self, engine):
         # two jobs, each its own machine with p; E[max of two Geom(p)]
@@ -112,7 +122,7 @@ class TestRegimenExpectation:
         )
         # E[max] = 2/p - 1/(1-(1-p)^2)  (inclusion–exclusion of geometrics)
         expected = 2 / p - 1 / (1 - (1 - p) ** 2)
-        assert expected_makespan_regimen(inst, r, engine=engine) == pytest.approx(
+        assert exact_makespan(inst, r, engine=engine) == pytest.approx(
             expected
         )
 
@@ -130,13 +140,13 @@ class TestRegimenExpectation:
             },
         )
         with pytest.raises(ScheduleError):
-            expected_makespan_regimen(inst, r, engine=engine)
+            exact_makespan(inst, r, engine=engine)
 
     def test_size_guard(self, engine):
         inst = SUUInstance(np.ones((1, 20)))
         r = Regimen(20, 1, {})
         with pytest.raises(ExactSolverLimitError):
-            expected_makespan_regimen(inst, r, max_states=1 << 10, engine=engine)
+            exact_makespan(inst, r, max_states=1 << 10, engine=engine)
 
 
 class TestCyclicExpectation:
@@ -145,7 +155,7 @@ class TestCyclicExpectation:
         cyc = CyclicSchedule(
             ObliviousSchedule.empty(1), ObliviousSchedule(np.array([[0]]))
         )
-        assert expected_makespan_cyclic(inst, cyc, engine=engine) == pytest.approx(4.0)
+        assert exact_makespan(inst, cyc, engine=engine) == pytest.approx(4.0)
 
     def test_job_served_every_other_step(self, engine):
         # cycle [job0, idle]: success prob p per 2 steps; E = sum over k of
@@ -156,7 +166,7 @@ class TestCyclicExpectation:
             ObliviousSchedule.empty(1),
             ObliviousSchedule(np.array([[0], [-1]])),
         )
-        assert expected_makespan_cyclic(inst, cyc, engine=engine) == pytest.approx(
+        assert exact_makespan(inst, cyc, engine=engine) == pytest.approx(
             2 / p - 1
         )
 
@@ -167,7 +177,7 @@ class TestCyclicExpectation:
             ObliviousSchedule(np.array([[0]])),
             ObliviousSchedule(np.array([[-1]])),
         )
-        assert expected_makespan_cyclic(inst, cyc, engine=engine) == pytest.approx(1.0)
+        assert exact_makespan(inst, cyc, engine=engine) == pytest.approx(1.0)
 
     def test_dead_cycle_raises(self, engine):
         inst = SUUInstance(np.array([[0.5]]))
@@ -176,7 +186,7 @@ class TestCyclicExpectation:
             ObliviousSchedule(np.array([[-1]])),  # idle forever after prefix
         )
         with pytest.raises(ScheduleError):
-            expected_makespan_cyclic(inst, cyc, engine=engine)
+            exact_makespan(inst, cyc, engine=engine)
 
     def test_chain_with_certain_probs(self, engine):
         dag = PrecedenceDAG(2, [(0, 1)])
@@ -185,7 +195,7 @@ class TestCyclicExpectation:
             ObliviousSchedule.empty(1),
             ObliviousSchedule(np.array([[0], [1]])),
         )
-        assert expected_makespan_cyclic(inst, cyc, engine=engine) == pytest.approx(2.0)
+        assert exact_makespan(inst, cyc, engine=engine) == pytest.approx(2.0)
 
     def test_matches_regimen_when_cycle_is_constant(self, tiny_independent, engine):
         # a constant cyclic schedule is the oblivious regimen
@@ -195,10 +205,10 @@ class TestCyclicExpectation:
         )
         states = {s: a for s in range(1, 8)}
         reg = Regimen(3, 3, states)
-        assert expected_makespan_cyclic(
+        assert exact_makespan(
             tiny_independent, cyc, engine=engine
         ) == pytest.approx(
-            expected_makespan_regimen(tiny_independent, reg, engine=engine)
+            exact_makespan(tiny_independent, reg, engine=engine)
         )
 
 
@@ -221,13 +231,13 @@ class TestAllocationGuard:
         cyc = self._round_robin(10, 8)
         assert (1 << 10) <= (1 << 12)  # the old subset-only guard would pass
         with pytest.raises(ExactSolverLimitError) as excinfo:
-            expected_makespan_cyclic(inst, cyc, max_states=1 << 12, engine=engine)
+            exact_makespan(inst, cyc, max_states=1 << 12, engine=engine)
         # the error names the real state count, 2^10 x 8
         assert "8192" in str(excinfo.value)
 
     def test_cyclic_at_exactly_the_budget_solves(self, engine):
         inst = SUUInstance(np.full((1, 6), 0.5))
-        value = expected_makespan_cyclic(
+        value = exact_makespan(
             inst, self._round_robin(6, 8), max_states=(1 << 6) * 8, engine=engine
         )
         assert np.isfinite(value) and value > 6.0
@@ -236,12 +246,12 @@ class TestAllocationGuard:
         inst = SUUInstance(np.full((1, 10), 0.5))
         cyc = self._round_robin(10, 1)
         with pytest.raises(ExactSolverLimitError) as excinfo:
-            state_distribution(inst, cyc, horizon=8, max_states=1 << 12, engine=engine)
+            exact_state_distribution(inst, cyc, horizon=8, max_states=1 << 12, engine=engine)
         assert "9216" in str(excinfo.value)  # 2^10 x (8 + 1)
 
     def test_state_distribution_at_exactly_the_budget_solves(self, engine):
         inst = SUUInstance(np.full((1, 6), 0.5))
-        dist = state_distribution(
+        dist = exact_state_distribution(
             inst,
             self._round_robin(6, 1),
             horizon=3,
@@ -260,6 +270,6 @@ class TestAllocationGuard:
         table = np.vstack([np.arange(7), np.arange(2, 9)]).astype(np.int32)
         cyc = CyclicSchedule(ObliviousSchedule.empty(7), ObliviousSchedule(table))
         with pytest.raises(ExactSolverLimitError, match="subset-table"):
-            expected_makespan_cyclic(inst, cyc, max_states=1 << 10, engine="sparse")
-        value = expected_makespan_cyclic(inst, cyc, max_states=1 << 10, engine="scalar")
+            exact_makespan(inst, cyc, max_states=1 << 10, engine="sparse")
+        value = exact_makespan(inst, cyc, max_states=1 << 10, engine="scalar")
         assert np.isfinite(value) and value > 1.0

@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.evaluate import evaluate
 from repro.opt.malewicz import optimal_regimen
-from repro.sim import estimate_makespan, expected_makespan_regimen
 
 #: 99% two-sided normal quantile.
 Z99 = 2.576
@@ -38,33 +38,33 @@ def exact_engine(request):
     return request.param
 
 
+def exact_makespan(instance, regimen, engine) -> float:
+    return evaluate(instance, regimen, mode="exact", engine=engine).makespan
+
+
 class TestMarkovVsMonteCarlo:
     def _assert_in_ci(self, est, exact, label):
         half = Z99 * est.std_err + 1e-9
-        assert abs(est.mean - exact) <= half, (
-            f"{label}: mean {est.mean:.4f} outside exact {exact:.4f} ± {half:.4f}"
+        assert abs(est.makespan - exact) <= half, (
+            f"{label}: mean {est.makespan:.4f} outside exact {exact:.4f} ± {half:.4f}"
         )
 
     def test_scalar_engine_inside_99_ci(self, small_case, exact_engine):
         instance, sol = small_case
-        exact = expected_makespan_regimen(instance, sol.regimen, engine=exact_engine)
-        est = estimate_makespan(
-            instance, sol.regimen, reps=2000, rng=42, engine="scalar"
-        )
+        exact = exact_makespan(instance, sol.regimen, exact_engine)
+        est = evaluate(instance, sol.regimen, mode="mc", reps=2000, seed=42, engine="scalar")
         self._assert_in_ci(est, exact, "scalar")
 
     def test_batched_engine_inside_99_ci(self, small_case, exact_engine):
         instance, sol = small_case
-        exact = expected_makespan_regimen(instance, sol.regimen, engine=exact_engine)
-        est = estimate_makespan(
-            instance, sol.regimen, reps=4000, rng=43, engine="batched"
-        )
+        exact = exact_makespan(instance, sol.regimen, exact_engine)
+        est = evaluate(instance, sol.regimen, mode="mc", reps=4000, seed=43, engine="batched")
         self._assert_in_ci(est, exact, "batched")
 
     def test_workers2_inside_99_ci(self, small_case, exact_engine):
         instance, sol = small_case
-        exact = expected_makespan_regimen(instance, sol.regimen, engine=exact_engine)
-        est = estimate_makespan(instance, sol.regimen, reps=4000, rng=44, workers=2)
+        exact = exact_makespan(instance, sol.regimen, exact_engine)
+        est = evaluate(instance, sol.regimen, mode="mc", reps=4000, seed=44, workers=2)
         self._assert_in_ci(est, exact, "workers=2")
 
     def test_dp_value_matches_markov_evaluator(self, small_case, exact_engine):
@@ -72,7 +72,7 @@ class TestMarkovVsMonteCarlo:
         # chain evaluation of its regimen are two exact solvers for the
         # same number; they must agree to float precision, not to a CI.
         instance, sol = small_case
-        exact = expected_makespan_regimen(instance, sol.regimen, engine=exact_engine)
+        exact = exact_makespan(instance, sol.regimen, exact_engine)
         assert exact == pytest.approx(sol.expected_makespan, rel=1e-9)
         # Both engines' means also straddle this one value, tying the
         # whole triangle together (regression anchor for the fuzzer's

@@ -19,13 +19,8 @@ from repro import (
     Regimen,
     SUUInstance,
 )
-from repro.sim import (
-    completion_curve,
-    estimate_makespan,
-    expected_makespan_cyclic,
-    expected_makespan_regimen,
-    simulate,
-)
+from repro.evaluate import evaluate
+from repro.sim import simulate
 from repro.sim.batch import simulate_batch
 
 
@@ -81,25 +76,29 @@ class TestOneBasedConvention:
             (one_job_cycle(), {"workers": 2}),  # sharded process backend
         ]
         for schedule, kwargs in routes:
-            est = estimate_makespan(
-                inst, schedule, reps=20, rng=0, keep_samples=True, **kwargs
-            )
+            est = evaluate(inst, schedule, mode="mc", reps=20, seed=0, keep_samples=True, **kwargs)
             assert est.samples is not None
             assert est.samples.tolist() == [1] * 20, kwargs
-            assert est.mean == 1.0
+            assert est.makespan == 1.0
             assert est.min == est.max == 1.0
 
     def test_completion_curve_first_entry_is_step_one(self):
         # curve[0] is Pr[all done by step 1] — not a phantom "step 0".
-        curve = completion_curve(
-            certain_instance(), one_job_cycle(), reps=20, rng=0, max_steps=4
-        )
+        curve = evaluate(
+            certain_instance(),
+            one_job_cycle(),
+            mode="mc",
+            metrics="completion_curve",
+            horizon=4,
+            reps=20,
+            seed=0,
+        ).completion_curve
         assert curve.tolist() == [1.0, 1.0, 1.0, 1.0]
 
     def test_exact_oracles_agree(self):
         inst = certain_instance()
-        assert expected_makespan_cyclic(inst, one_job_cycle()) == 1.0
-        assert expected_makespan_regimen(inst, one_job_regimen()) == 1.0
+        assert evaluate(inst, one_job_cycle(), mode="exact").makespan == 1.0
+        assert evaluate(inst, one_job_regimen(), mode="exact").makespan == 1.0
 
     def test_two_step_chain_counts_from_one(self):
         # Chain 0 → 1 with certain completions: job 0 at step 1, job 1 at

@@ -103,9 +103,10 @@ class TestExact:
     def test_fresh_solve_both_engines_agree(self, instance_file, capsys):
         values = {}
         for engine in ("sparse", "scalar"):
-            assert main(["exact", str(instance_file), "--engine", engine]) == 0
+            argv = ["evaluate", str(instance_file), "--mode", "exact", "--engine", engine]
+            assert main(argv) == 0
             out = capsys.readouterr().out
-            assert f"engine            : {engine}" in out
+            assert f"engine            : markov-{engine}" in out
             values[engine] = self._value(out)
         assert values["sparse"] == pytest.approx(values["scalar"], rel=1e-9)
         assert values["sparse"] >= 1.0
@@ -114,19 +115,17 @@ class TestExact:
         sched = tmp_path / "sched.json"
         main(["solve", str(instance_file), "--save", str(sched)])
         capsys.readouterr()
-        assert (
-            main(
-                ["exact", str(instance_file), "--schedule", str(sched), "--curve", "5"]
-            )
-            == 0
-        )
+        argv = ["evaluate", str(instance_file), "--mode", "exact", "--schedule", str(sched)]
+        curve = ["--metric", "makespan", "--metric", "completion-curve", "--horizon", "5"]
+        assert main(argv + curve) == 0
         out = capsys.readouterr().out
         assert "algorithm" not in out  # no fresh solve happened
         assert "Pr[done by   5]" in out
 
     def test_max_states_guard_reported(self, instance_file, capsys):
-        assert main(["exact", str(instance_file), "--max-states", "4"]) == 2
-        assert "exact solve failed" in capsys.readouterr().err
+        argv = ["evaluate", str(instance_file), "--mode", "exact", "--max-states", "4"]
+        assert main(argv) == 2
+        assert "evaluation failed" in capsys.readouterr().err
 
 
 class TestDemo:

@@ -211,16 +211,16 @@ class TestRandomInstance:
 class TestGreedyTrap:
     def test_separation_between_greedy_and_msm(self):
         from repro.algorithms import greedy_prob_policy, msm_eligible_policy
-        from repro.sim import estimate_makespan
+        from repro.evaluate import evaluate
         from repro.workloads import greedy_trap
 
         inst = greedy_trap(12, 4)
-        greedy = estimate_makespan(
-            inst, greedy_prob_policy(inst).schedule, reps=60, rng=0, max_steps=10_000
-        ).mean
-        msm = estimate_makespan(
-            inst, msm_eligible_policy(inst).schedule, reps=60, rng=0, max_steps=10_000
-        ).mean
+        greedy = evaluate(
+            inst, greedy_prob_policy(inst).schedule, mode="mc", reps=60, seed=0, max_steps=10_000
+        ).makespan
+        msm = evaluate(
+            inst, msm_eligible_policy(inst).schedule, mode="mc", reps=60, seed=0, max_steps=10_000
+        ).makespan
         # greedy completes ~1 job/step, MSM ~m jobs/step
         assert greedy > 2.5 * msm
 
