@@ -9,7 +9,7 @@ set instead of once per replication-step, and the completion draws become
 one Bernoulli matrix per step.
 
 The claim asserted here is deliberately below the typically measured
-factor (~20×) to absorb machine noise; the measured number is recorded in
+factor (~24×) to absorb machine noise; the measured number is recorded in
 ``benchmarks/results/perf_batch_engine.json``.  Statistical equivalence of
 the two engines is proved separately in ``tests/sim/test_batch.py``.
 

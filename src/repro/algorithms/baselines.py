@@ -31,6 +31,7 @@ from ..core.schedule import (
     ScheduleResult,
 )
 from ..opt.malewicz import optimal_regimen
+from .msm import MSMGreedy
 from .replication import serial_tail
 
 __all__ = [
@@ -129,12 +130,10 @@ def msm_eligible_policy(instance: SUUInstance) -> ScheduleResult:
     ineligible jobs and idle forever), which is itself an instructive
     failure; this policy is the repaired version.
     """
-    from .msm import msm_alg
-
-    p = instance.p
+    greedy = MSMGreedy(instance.p)
 
     def rule(inst, unfinished, eligible, t, rng):
-        return msm_alg(p, jobs=sorted(eligible))
+        return greedy.assign(eligible)
 
     return ScheduleResult(
         schedule=AdaptivePolicy(rule, name="msm-eligible", stationary=True, randomized=False),

@@ -30,7 +30,7 @@ from ..errors import UnsupportedDagError
 from ..lp.acc_mass import solve_lp2
 from ..rounding.round_lp import round_acc_mass
 from .constants import PRACTICAL, SUUConstants
-from .msm import msm_alg, msm_e_alg
+from .msm import MSMGreedy
 from .replication import replicate_with_tail
 
 __all__ = ["suu_i_adaptive", "suu_i_oblivious", "suu_i_lp"]
@@ -55,10 +55,10 @@ def suu_i_adaptive(instance: SUUInstance) -> ScheduleResult:
     implicitly.
     """
     _require_independent(instance, "SUU-I-ALG")
-    p = instance.p
+    greedy = MSMGreedy(instance.p)
 
     def rule(inst, unfinished, eligible, t, rng):
-        return msm_alg(p, jobs=sorted(unfinished))
+        return greedy.assign(unfinished)
 
     policy = AdaptivePolicy(rule, name="suu-i-alg", stationary=True, randomized=False)
     return ScheduleResult(
@@ -91,6 +91,7 @@ def suu_i_oblivious(
     threshold = constants.obl_mass_threshold
     round_limit = constants.obl_round_limit(n)
 
+    greedy = MSMGreedy(p)
     t = 1
     # Hard terminator: at this horizon one call covers everything.
     t_ceiling = 2 * int(math.ceil(n / instance.p_min_positive)) + 2
@@ -102,7 +103,7 @@ def suu_i_oblivious(
         candidate: list[ObliviousSchedule] = []
         rounds = 0
         while remaining and rounds < round_limit:
-            res = msm_e_alg(p, t, jobs=remaining)
+            res = greedy.extend(t, jobs=remaining)
             candidate.append(res.schedule)
             rounds += 1
             remaining = [j for j in remaining if res.mass[j] < threshold - 1e-12]

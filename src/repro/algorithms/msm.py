@@ -12,36 +12,135 @@ the problem itself is NP-hard).
 ``x_ij = min(t_i, ⌊(1 − mass_j)/p_ij⌋)`` units at a time.  Its running time
 is independent of ``t`` (each pair is processed once) and it keeps the 1/3
 factor (Lemma 3.4).
+
+Both greedies walk one order — the positive pairs sorted by
+``(-p_ij, i, j)`` — and that order depends on ``p`` alone, never on the
+job subset.  :class:`MSMGreedy` sorts it once, on first use; each call then
+filters it by the subset and stops as soon as every machine is busy.
+SUU-I-ALG, which re-runs MSM-ALG on the unfinished set every step, so pays
+for the sort once per policy instead of once per step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from ..core.schedule import IDLE, ObliviousSchedule
+from ..errors import ValidationError
 
-__all__ = ["msm_alg", "MSMExtendedResult", "msm_e_alg"]
+__all__ = ["msm_alg", "MSMGreedy", "MSMExtendedResult", "msm_e_alg"]
+
+#: A job's mass budget, with the slack that absorbs float rounding.
+_UNIT_MASS = 1.0 + 1e-12
 
 
-def _sorted_pairs(p: np.ndarray, jobs: np.ndarray) -> list[tuple[float, int, int]]:
-    """Positive (p, i, j) triples over the given job subset, sorted.
+def _sorted_pairs(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The positive pairs of ``p`` as ``(prob, machine, job)`` arrays, sorted.
 
     Non-increasing in probability; ties broken by (machine, job) index so
     the greedy is fully deterministic.
     """
-    out: list[tuple[float, int, int]] = []
-    for j in jobs:
-        col = p[:, j]
-        for i in np.flatnonzero(col > 0.0):
-            out.append((float(col[i]), int(i), int(j)))
-    out.sort(key=lambda rec: (-rec[0], rec[1], rec[2]))
-    return out
+    machines, jobs = np.nonzero(p > 0.0)
+    probs = p[machines, jobs]
+    order = np.lexsort((jobs, machines, -probs))
+    return probs[order], machines[order], jobs[order]
 
 
-def msm_alg(p: np.ndarray, jobs: np.ndarray | list[int] | None = None) -> np.ndarray:
+class MSMGreedy:
+    """The greedy order of one probability matrix, sorted on first use.
+
+    :meth:`assign` is MSM-ALG and :meth:`extend` is MSM-E-ALG, each over any
+    job subset.  Construction does no work, so a policy built on it costs
+    nothing until its first query.  The lazy sort publishes the finished
+    order in one attribute store: a racing second caller recomputes the
+    same order and never sees a half-built one.
+    """
+
+    __slots__ = ("_p", "_order")
+
+    def __init__(self, p: np.ndarray):
+        self._p = p
+        self._order: tuple[list[float], list[int], list[int]] | None = None
+
+    def _pairs(self, jobs: Iterable[int] | None):
+        """The job subset as a membership test, and the greedy order.
+
+        The order is ``(p_ij, i, j)`` triples over every positive pair; the
+        callers skip pairs outside the subset as they walk it, so they can
+        stop at the first point where every machine is busy.
+        """
+        order = self._order
+        if order is None:
+            order = self._order = tuple(a.tolist() for a in _sorted_pairs(self._p))
+        if jobs is None:
+            member = range(self._p.shape[1])
+        elif isinstance(jobs, (set, frozenset)):
+            member = jobs
+        else:
+            member = frozenset(int(j) for j in jobs)
+        return member, zip(*order)
+
+    def assign(self, jobs: Iterable[int] | None = None) -> np.ndarray:
+        """MSM-ALG over ``jobs`` (default: all): the ``(m,)`` assignment."""
+        m, n = self._p.shape
+        f = [IDLE] * m
+        load = [0.0] * n
+        free = m
+        member, pairs = self._pairs(jobs)
+        for pij, i, j in pairs:
+            if f[i] == IDLE and j in member and load[j] + pij <= _UNIT_MASS:
+                f[i] = j
+                load[j] += pij
+                free -= 1
+                if not free:
+                    break
+        return np.array(f, dtype=np.int32)
+
+    def extend(
+        self,
+        t: int,
+        jobs: Iterable[int] | None = None,
+        build_schedule: bool = True,
+    ) -> "MSMExtendedResult":
+        """MSM-E-ALG over ``jobs`` (default: all) for length ``t``."""
+        if t < 1:
+            raise ValidationError("schedule length t must be >= 1")
+        m, n = self._p.shape
+        t = int(t)
+        x = np.zeros((m, n), dtype=np.int64)
+        capacity = [t] * m
+        mass = [0.0] * n
+        free = m
+        member, pairs = self._pairs(jobs)
+        for pij, i, j in pairs:
+            if capacity[i] <= 0 or j not in member:
+                continue
+            budget = int(math.floor((1.0 - mass[j]) / pij + 1e-12))
+            units = min(capacity[i], budget)
+            if units <= 0:
+                continue
+            x[i, j] = units
+            capacity[i] -= units
+            mass[j] += units * pij
+            if not capacity[i]:
+                free -= 1
+                if not free:
+                    break
+        mass_arr = np.array(mass, dtype=np.float64)
+        if not build_schedule:
+            return MSMExtendedResult(x=x, t=t, schedule=None, mass=mass_arr)
+        # Lay out the units: machine i works through its assigned jobs in job
+        # order, one unit per step (Algorithm 1's output spec).
+        sequences = [np.repeat(np.arange(n), x[i]).tolist() for i in range(m)]
+        schedule = ObliviousSchedule.from_machine_sequences(sequences, length=t)
+        return MSMExtendedResult(x=x, t=t, schedule=schedule, mass=mass_arr)
+
+
+def msm_alg(p: np.ndarray, jobs: Iterable[int] | None = None) -> np.ndarray:
     """MSM-ALG (Figure 2): a greedy 1/3-approximate MaxSumMass assignment.
 
     Parameters
@@ -54,16 +153,10 @@ def msm_alg(p: np.ndarray, jobs: np.ndarray | list[int] | None = None) -> np.nda
         the unfinished set each step.
 
     Returns the ``(m,)`` assignment array (entries: job id or ``IDLE``).
+    Callers that query one matrix repeatedly hold an :class:`MSMGreedy`
+    instead, so the greedy order is sorted once.
     """
-    m, n = p.shape
-    job_arr = np.arange(n) if jobs is None else np.asarray(sorted(jobs), dtype=np.int64)
-    f = np.full(m, IDLE, dtype=np.int32)
-    load = np.zeros(n, dtype=np.float64)
-    for pij, i, j in _sorted_pairs(p, job_arr):
-        if f[i] == IDLE and load[j] + pij <= 1.0 + 1e-12:
-            f[i] = j
-            load[j] += pij
-    return f
+    return MSMGreedy(p).assign(jobs)
 
 
 @dataclass
@@ -90,7 +183,7 @@ class MSMExtendedResult:
 def msm_e_alg(
     p: np.ndarray,
     t: int,
-    jobs: np.ndarray | list[int] | None = None,
+    jobs: Iterable[int] | None = None,
     build_schedule: bool = True,
 ) -> MSMExtendedResult:
     """MSM-E-ALG (Algorithm 1): greedy MaxSumMass-Ext for length ``t``.
@@ -106,36 +199,7 @@ def msm_e_alg(
     ``build_schedule=False`` to skip the layout and get ``schedule=None``
     (the unit matrix ``x`` fully determines it).
     """
-    if t < 1:
-        raise ValueError("schedule length t must be >= 1")
-    m, n = p.shape
-    job_arr = np.arange(n) if jobs is None else np.asarray(sorted(jobs), dtype=np.int64)
-    x = np.zeros((m, n), dtype=np.int64)
-    capacity = np.full(m, int(t), dtype=np.int64)
-    mass = np.zeros(n, dtype=np.float64)
-    for pij, i, j in _sorted_pairs(p, job_arr):
-        if capacity[i] <= 0:
-            continue
-        budget = int(math.floor((1.0 - mass[j]) / pij + 1e-12))
-        units = min(int(capacity[i]), budget)
-        if units <= 0:
-            continue
-        x[i, j] = units
-        capacity[i] -= units
-        mass[j] += units * pij
-
-    if not build_schedule:
-        return MSMExtendedResult(x=x, t=int(t), schedule=None, mass=mass)
-    # Lay out the units: machine i works through its assigned jobs in job
-    # order, one unit per step (Algorithm 1's output spec).
-    sequences: list[list[int]] = []
-    for i in range(m):
-        seq: list[int] = []
-        for j in job_arr:
-            seq.extend([int(j)] * int(x[i, j]))
-        sequences.append(seq)
-    schedule = ObliviousSchedule.from_machine_sequences(sequences, length=t)
-    return MSMExtendedResult(x=x, t=int(t), schedule=schedule, mass=mass)
+    return MSMGreedy(p).extend(t, jobs, build_schedule)
 
 
 def msm_mass_of_assignment(p: np.ndarray, assignment: np.ndarray) -> float:

@@ -62,7 +62,7 @@ def validate_assignment(assignment: np.ndarray, n: int, m: int) -> np.ndarray:
     if a.shape != (m,):
         raise ValidationError(f"assignment must have shape ({m},), got {a.shape}")
     a = a.astype(np.int32, copy=True)
-    if np.any(a < IDLE) or np.any(a >= n):
+    if a.size and (a.min() < IDLE or a.max() >= n):
         raise ValidationError("assignment entries must be IDLE or a job id in [0, n)")
     return a
 

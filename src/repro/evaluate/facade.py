@@ -234,7 +234,7 @@ def _run_mc(
     request: EvaluationRequest,
     route: Route,
 ) -> EvaluationReport:
-    from ..sim.montecarlo import _estimate_makespan
+    from ..sim.montecarlo import _estimate_makespan, mean_std_err
 
     # A curve-only run observes exactly `horizon` steps; once makespan is
     # also requested the request's own budget governs and the curve is the
@@ -297,11 +297,7 @@ def _run_mc(
             n_reps += est.n_reps
             lo, hi = min(lo, est.min), max(hi, est.max)
             engine_used = est.engine_used
-            values = np.concatenate(chunks).astype(np.float64)
-            mean = float(values.mean())
-            std_err = (
-                float(values.std(ddof=1) / math.sqrt(n_reps)) if n_reps > 1 else 0.0
-            )
+            mean, std_err = mean_std_err(np.concatenate(chunks))
             met = _precision_met(mean, std_err, request)
             if met or n_reps >= budget:
                 break

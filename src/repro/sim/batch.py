@@ -5,10 +5,15 @@ time, re-running the policy's Python code every step of every replication.
 This module advances *all* replications of an adaptive policy in lockstep:
 
 * state is a ``(reps, jobs)`` boolean completion matrix;
-* the policy is queried once per distinct *frontier state* — the set of
-  completed jobs — per step, and (for stationary policies) the resulting
-  per-job success-probability vector is memoized across steps, exploiting
-  that Def 2.1 adaptive policies are functions of the completed-job set;
+* each step groups the replications by *frontier state* — the set of
+  completed jobs — and (for stationary policies) memoizes each state's
+  per-job success-probability vector across steps, exploiting that
+  Def 2.1 adaptive policies are functions of the completed-job set;
+* the frontier states missing from the memo are resolved together by
+  :func:`frontier_eligible` (one predecessor-matrix product), one rule
+  call per state — the only per-state Python left — and
+  :func:`frontier_success_prob` (Def 2.1 idling and the product-form
+  success probability for all of them in one ``bincount``);
 * per-step job completions are drawn as one vectorized Bernoulli over the
   ``(reps, jobs)`` success-probability matrix.
 
@@ -16,6 +21,9 @@ Because executions are monotone (jobs only finish), the number of distinct
 frontier states encountered is typically far below ``reps × steps``, so the
 policy's Python code runs orders of magnitude less often than in the scalar
 loop while the per-replication makespan distribution is exactly the same.
+Each success-probability row is bitwise the row that
+:func:`~repro.sim.engine.effective_assignment` and
+:func:`~repro.core.mass.assignment_success_prob` give for that state.
 
 Only *deterministic* policies are eligible: a randomized rule queried once
 per state would hand every replication in that state the same draw, which
@@ -30,23 +38,24 @@ engine automatically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .. import obs
 from .._util import as_rng
 from ..core.instance import SUUInstance
-from ..core.mass import assignment_success_prob
 from ..core.schedule import AdaptivePolicy, CyclicSchedule, ObliviousSchedule, Regimen
-from ..errors import ScheduleError
-from .engine import (
-    DEFAULT_MAX_STEPS,
-    assignment_for_step,
-    effective_assignment,
-    eligible_mask,
-)
+from ..errors import ScheduleError, ValidationError
+from .engine import DEFAULT_MAX_STEPS
 
-__all__ = ["BatchExecutionResult", "simulate_batch", "batchable"]
+__all__ = [
+    "BatchExecutionResult",
+    "simulate_batch",
+    "batchable",
+    "frontier_eligible",
+    "frontier_success_prob",
+]
 
 
 @dataclass
@@ -97,30 +106,107 @@ def batchable(schedule) -> bool:
     return False
 
 
-def _query_state(
+def _predecessor_matrix(instance: SUUInstance) -> np.ndarray | None:
+    """``(n, n)`` 0/1 matrix with a 1 at ``[u, v]`` for each edge ``u ≺ v``.
+
+    ``None`` for an instance without edges, where every job is eligible.
+    """
+    dag = instance.dag
+    if not dag.num_edges:
+        return None
+    pred = np.zeros((instance.n, instance.n), dtype=np.float64)
+    u, v = np.asarray(dag.edges, dtype=np.int64).T
+    pred[u, v] = 1.0
+    return pred
+
+
+def frontier_eligible(
+    instance: SUUInstance, finished: np.ndarray, pred: np.ndarray | None = None
+) -> np.ndarray:
+    """``(k, n)`` eligibility of ``k`` frontier states in one matrix product.
+
+    Row ``s`` is :func:`~repro.sim.engine.eligible_mask` of
+    ``finished[s]``: job ``j`` is eligible iff none of its predecessors is
+    unfinished (so, as there, a finished job counts as eligible).  Pass
+    ``pred`` (from the instance's DAG) to skip rebuilding it per call.
+    """
+    if pred is None:
+        pred = _predecessor_matrix(instance)
+    if pred is None:
+        return np.ones(finished.shape, dtype=bool)
+    # Entry [s, j] counts job j's unfinished predecessors in state s; the
+    # counts are small integers, exact in float64.
+    return (~finished).astype(np.float64) @ pred == 0.0
+
+
+def frontier_success_prob(
+    instance: SUUInstance,
+    assignments: np.ndarray,
+    finished: np.ndarray,
+    eligible: np.ndarray,
+) -> np.ndarray:
+    """``(k, n)`` one-step success probabilities of ``k`` frontier states.
+
+    ``assignments[s]`` is the raw ``(m,)`` assignment the schedule names in
+    state ``finished[s]`` (eligibility ``eligible[s]``).  Def 2.1 idling
+    drops machines on finished or ineligible jobs, and
+    ``q_j = 1 - exp(Σ_i log1p(-p_ij))`` over the working machines, with
+    ``q_j = 1`` when one of them has ``p_ij = 1``.  One ``bincount`` sums
+    each state's terms in machine order, so row ``s`` is bitwise
+    ``assignment_success_prob(p, effective_assignment(...))`` of that state.
+    """
+    k, m = assignments.shape
+    n = instance.n
+    named = assignments >= 0
+    jobs = np.where(named, assignments, 0)
+    state = np.arange(k)[:, None]
+    working = named & ~finished[state, jobs] & eligible[state, jobs]
+    cell = (state * n + jobs)[working]
+    probs = instance.p[np.arange(m)[None, :], jobs][working]
+    with np.errstate(divide="ignore"):
+        contrib = np.log1p(-np.minimum(probs, 1.0 - 1e-300))
+    log_fail = np.bincount(cell, weights=contrib, minlength=k * n)
+    q = 1.0 - np.exp(log_fail)
+    q[cell[probs >= 1.0]] = 1.0
+    return q.reshape(k, n)
+
+
+def _frontier_assignments(
     instance: SUUInstance,
     schedule,
     t: int,
-    finished_row: np.ndarray,
+    finished: np.ndarray,
+    eligible: np.ndarray,
     policy_rng: np.random.Generator,
 ) -> np.ndarray:
-    """One-step success-probability vector for one frontier state.
+    """``(k, m)`` raw assignments of ``schedule`` in ``k`` frontier states.
 
-    Runs the exact same query pipeline as the scalar engine — raw
-    assignment, Def 2.1 idling, product-form success probability — so the
-    two engines are statistically indistinguishable by construction.
+    A regimen is read from its table in one gather.  An adaptive policy's
+    rule runs once per state, in row order, so what it draws from
+    ``policy_rng`` is fixed by the seed and the states' order.
     """
-    elig = eligible_mask(instance, finished_row)
-    if isinstance(schedule, AdaptivePolicy):
-        # Inline the adaptive branch of assignment_for_step so eligibility
-        # is computed once per query instead of twice.
-        unfinished = frozenset(int(j) for j in np.flatnonzero(~finished_row))
-        eligible = frozenset(int(j) for j in np.flatnonzero(elig & ~finished_row))
-        a = schedule.assignment_for(instance, unfinished, eligible, t, policy_rng)
-    else:
-        a = assignment_for_step(instance, schedule, t, finished_row, policy_rng)
-    effective = effective_assignment(instance, a, finished_row, elig)
-    return assignment_success_prob(instance.p, effective)
+    k = finished.shape[0]
+    unfinished = ~finished
+    if isinstance(schedule, Regimen):
+        states = unfinished @ (1 << np.arange(instance.n, dtype=np.int64))
+        undefined = schedule.table[states, 0] == Regimen.UNDEFINED
+        if undefined.any():
+            state = int(states[np.argmax(undefined)])
+            raise ScheduleError(f"regimen has no assignment for state {state:#x}")
+        return schedule.table[states]
+    jobs = range(instance.n)
+    unfinished_rows = unfinished.tolist()
+    open_rows = (unfinished & eligible).tolist()
+    out = np.empty((k, instance.m), dtype=np.int32)
+    for s in range(k):
+        out[s] = schedule.assignment_for(
+            instance,
+            frozenset(compress(jobs, unfinished_rows[s])),
+            frozenset(compress(jobs, open_rows[s])),
+            t,
+            policy_rng,
+        )
+    return out
 
 
 def simulate_batch(
@@ -153,7 +239,7 @@ def simulate_batch(
     produce bitwise-identical makespans under the same seed.
     """
     if reps < 1:
-        raise ValueError("reps must be >= 1")
+        raise ValidationError(f"reps must be >= 1, got {reps}")
     if isinstance(schedule, (ObliviousSchedule, CyclicSchedule)):
         raise ScheduleError(
             "oblivious/cyclic schedules have their own lockstep path in "
@@ -167,6 +253,12 @@ def simulate_batch(
             )
         frontier_key = schedule.frontier_key
     elif isinstance(schedule, Regimen):
+        if (schedule.n, schedule.m) != (instance.n, instance.m):
+            raise ScheduleError(
+                f"regimen is for n={schedule.n}, m={schedule.m}; "
+                f"the instance has n={instance.n}, m={instance.m}"
+            )
+
         # A regimen is stationary by definition (Def 2.2).
         def frontier_key(token, t):
             return token
@@ -181,6 +273,7 @@ def simulate_batch(
     policy_rng = np.random.default_rng(int(rng.integers(0, 2**63)))
 
     n = instance.n
+    pred = _predecessor_matrix(instance)
     finished = np.zeros((reps, n), dtype=bool)
     makespans = np.full(reps, max_steps, dtype=np.int64)
     done = np.zeros(reps, dtype=bool)
@@ -195,23 +288,30 @@ def simulate_batch(
         steps = t + 1
         active_idx = np.flatnonzero(~done)
         fin_active = finished[active_idx]  # (A, n) copy
-        # Group replications by frontier state: one policy query per
-        # distinct completed-job set, scattered back via fancy indexing.
+        # Group replications by frontier state: one row per distinct
+        # completed-job set, scattered back via fancy indexing.
         packed = np.packbits(fin_active, axis=1)
         uniq, inverse = np.unique(packed, axis=0, return_inverse=True)
         q_rows = np.empty((uniq.shape[0], n), dtype=np.float64)
         lookups += uniq.shape[0]
-        for k in range(uniq.shape[0]):
-            token = uniq[k].tobytes()
-            key = frontier_key(token, t)
+        keys = [frontier_key(row.tobytes(), t) for row in uniq]
+        missing = []
+        for k, key in enumerate(keys):
             q = memo.get(key) if memoize else None
             if q is None:
-                row = np.unpackbits(uniq[k])[:n].astype(bool)
-                q = _query_state(instance, schedule, t, row, policy_rng)
-                queries += 1
-                if memoize:
-                    memo[key] = q
-            q_rows[k] = q
+                missing.append(k)
+            else:
+                q_rows[k] = q
+        if missing:
+            fin = np.unpackbits(uniq[missing], axis=1, count=n).astype(bool)
+            elig = frontier_eligible(instance, fin, pred)
+            raw = _frontier_assignments(instance, schedule, t, fin, elig, policy_rng)
+            q_new = frontier_success_prob(instance, raw, fin, elig)
+            q_rows[missing] = q_new
+            queries += len(missing)
+            if memoize:
+                for k, q in zip(missing, q_new):
+                    memo[keys[k]] = q
         q_matrix = q_rows[inverse]
         draws = rng.random((active_idx.size, n))
         newly = (~fin_active) & (draws < q_matrix)

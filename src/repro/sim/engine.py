@@ -103,9 +103,9 @@ def assignment_for_step(
 ) -> np.ndarray:
     """The raw step-``t`` assignment of ``schedule`` in state ``finished``.
 
-    Shared by the scalar engine and the batched engine
-    (:mod:`repro.sim.batch`) so the two agree on query semantics exactly.
-    The returned assignment is *raw*: machines may still name finished or
+    The scalar engine's query; the batched engine (:mod:`repro.sim.batch`)
+    resolves many frontier states at once with the same semantics.  The
+    returned assignment is *raw*: machines may still name finished or
     ineligible jobs; apply :func:`effective_assignment` before drawing
     completions.
     """

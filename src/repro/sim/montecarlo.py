@@ -27,7 +27,21 @@ from ..errors import SimulationLimitError, ValidationError
 from .batch import batchable, simulate_batch
 from .engine import DEFAULT_MAX_STEPS, simulate
 
-__all__ = ["MakespanEstimate"]
+__all__ = ["MakespanEstimate", "mean_std_err"]
+
+
+def mean_std_err(samples: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error ``std(ddof=1) / sqrt(n)``.
+
+    Computed in float64; the standard error of a single sample is 0.  The
+    sharded path merges per-shard moments instead
+    (:mod:`repro.parallel.merge`), since it has no samples to hand.
+    """
+    values = np.asarray(samples, dtype=np.float64)
+    n = values.size
+    mean = float(values.mean())
+    std_err = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return mean, std_err
 
 
 @dataclass
@@ -286,8 +300,7 @@ def _estimate_makespan(
             f"{truncated}/{reps} replications hit the {max_steps}-step budget"
         )
     values = samples.astype(np.float64)
-    mean = float(values.mean())
-    std_err = float(values.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+    mean, std_err = mean_std_err(values)
     return MakespanEstimate(
         mean=mean,
         std_err=std_err,

@@ -2,11 +2,24 @@
 
 from __future__ import annotations
 
+import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.algorithms.msm import msm_alg, msm_e_alg, msm_mass_of_assignment
-from repro.core.schedule import IDLE
+from repro.algorithms.msm import (
+    MSMExtendedResult,
+    MSMGreedy,
+    msm_alg,
+    msm_e_alg,
+    msm_mass_of_assignment,
+)
+from repro.core.schedule import IDLE, ObliviousSchedule
+from repro.errors import ValidationError
 from repro.opt import max_sum_mass_opt
 from repro.workloads import probability_matrix
 
@@ -148,7 +161,7 @@ class TestMSMEAlg:
 
     def test_rejects_bad_t(self):
         p = probability_matrix(2, 2, rng=11)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             msm_e_alg(p, t=0)
 
     def test_lemma34_against_lp_upper_bound(self):
@@ -175,3 +188,164 @@ class TestMSMEAlg:
             ub = -lp.solve().value
             got = msm_e_alg(p, t=t).total_capped_mass
             assert got >= ub / 3 - 1e-9
+
+
+# ----------------------------------------------------------------------
+# Golden reference: the list-sorting greedy that sorted every call's pairs
+# afresh, kept verbatim.  The once-sorted MSMGreedy must reproduce it
+# exactly, ties and all.
+# ----------------------------------------------------------------------
+def _golden_sorted_pairs(p: np.ndarray, jobs: np.ndarray) -> list[tuple[float, int, int]]:
+    """Positive (p, i, j) triples over the given job subset, sorted.
+
+    Non-increasing in probability; ties broken by (machine, job) index so
+    the greedy is fully deterministic.
+    """
+    out: list[tuple[float, int, int]] = []
+    for j in jobs:
+        col = p[:, j]
+        for i in np.flatnonzero(col > 0.0):
+            out.append((float(col[i]), int(i), int(j)))
+    out.sort(key=lambda rec: (-rec[0], rec[1], rec[2]))
+    return out
+
+
+def _golden_msm_alg(p: np.ndarray, jobs: np.ndarray | list[int] | None = None) -> np.ndarray:
+    m, n = p.shape
+    job_arr = np.arange(n) if jobs is None else np.asarray(sorted(jobs), dtype=np.int64)
+    f = np.full(m, IDLE, dtype=np.int32)
+    load = np.zeros(n, dtype=np.float64)
+    for pij, i, j in _golden_sorted_pairs(p, job_arr):
+        if f[i] == IDLE and load[j] + pij <= 1.0 + 1e-12:
+            f[i] = j
+            load[j] += pij
+    return f
+
+
+def _golden_msm_e_alg(
+    p: np.ndarray,
+    t: int,
+    jobs: np.ndarray | list[int] | None = None,
+    build_schedule: bool = True,
+) -> MSMExtendedResult:
+    if t < 1:
+        raise ValueError("schedule length t must be >= 1")
+    m, n = p.shape
+    job_arr = np.arange(n) if jobs is None else np.asarray(sorted(jobs), dtype=np.int64)
+    x = np.zeros((m, n), dtype=np.int64)
+    capacity = np.full(m, int(t), dtype=np.int64)
+    mass = np.zeros(n, dtype=np.float64)
+    for pij, i, j in _golden_sorted_pairs(p, job_arr):
+        if capacity[i] <= 0:
+            continue
+        budget = int(math.floor((1.0 - mass[j]) / pij + 1e-12))
+        units = min(int(capacity[i]), budget)
+        if units <= 0:
+            continue
+        x[i, j] = units
+        capacity[i] -= units
+        mass[j] += units * pij
+
+    if not build_schedule:
+        return MSMExtendedResult(x=x, t=int(t), schedule=None, mass=mass)
+    # Lay out the units: machine i works through its assigned jobs in job
+    # order, one unit per step (Algorithm 1's output spec).
+    sequences: list[list[int]] = []
+    for i in range(m):
+        seq: list[int] = []
+        for j in job_arr:
+            seq.extend([int(j)] * int(x[i, j]))
+        sequences.append(seq)
+    schedule = ObliviousSchedule.from_machine_sequences(sequences, length=t)
+    return MSMExtendedResult(x=x, t=int(t), schedule=schedule, mass=mass)
+
+
+@st.composite
+def _greedy_cases(draw):
+    """``(p, jobs)``: a probability matrix and a job subset in some form.
+
+    ``tied`` rounds to the 0.1 grid, so equal probabilities (the sort's
+    tie-breaks), zeros and ones are common; ``mixed`` plants exact zeros
+    and ones into continuous values.
+    """
+    m = draw(st.integers(1, 9))
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["continuous", "tied", "mixed"]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = gen.random((m, n))
+    if kind == "tied":
+        p = np.round(p, 1)
+    elif kind == "mixed":
+        p[gen.random((m, n)) < 0.2] = 0.0
+        p[gen.random((m, n)) < 0.1] = 1.0
+    form = draw(st.sampled_from(["all", "empty", "partial", "unsorted", "frozenset"]))
+    if form == "all":
+        return p, None
+    if form == "empty":
+        return p, []
+    subset = np.flatnonzero(gen.random(n) < gen.random()).tolist()
+    if form == "unsorted":
+        gen.shuffle(subset)
+    return p, frozenset(subset) if form == "frozenset" else subset
+
+
+class TestGoldenReference:
+    """MSM-ALG / MSM-E-ALG over the once-sorted order == the per-call sort."""
+
+    _settings = settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+
+    @_settings
+    @given(case=_greedy_cases())
+    def test_msm_alg_matches_golden(self, case):
+        p, jobs = case
+        expected = _golden_msm_alg(p, jobs)
+        got = msm_alg(p, jobs)
+        assert got.dtype == expected.dtype
+        assert got.tolist() == expected.tolist()
+
+    @_settings
+    @given(case=_greedy_cases(), t=st.integers(1, 12))
+    def test_msm_e_alg_matches_golden(self, case, t):
+        p, jobs = case
+        expected = _golden_msm_e_alg(p, t, jobs)
+        got = msm_e_alg(p, t, jobs)
+        assert np.array_equal(got.x, expected.x)
+        assert got.mass.tobytes() == expected.mass.tobytes()
+        assert np.array_equal(got.schedule.table, expected.schedule.table)
+
+    def test_unit_budget_absorbs_float_rounding(self):
+        # 0.56 + 0.34 + 0.1 sums to just above 1.0 in floating point; the
+        # budget's slack still lets the third machine join.
+        p = np.array([[0.56], [0.34], [0.1]])
+        assert msm_alg(p).tolist() == _golden_msm_alg(p).tolist() == [0, 0, 0]
+
+    def test_one_greedy_serves_every_subset(self):
+        # A policy holds one MSMGreedy across queries on different subsets.
+        p = np.round(np.random.default_rng(5).random((6, 20)), 1)
+        greedy = MSMGreedy(p)
+        for k in range(20):
+            jobs = frozenset(range(k, 20, 3))
+            assert greedy.assign(jobs).tolist() == _golden_msm_alg(p, jobs).tolist()
+            res = greedy.extend(3, jobs, build_schedule=False)
+            assert np.array_equal(res.x, _golden_msm_e_alg(p, 3, jobs).x)
+
+    def test_racing_first_queries_see_the_whole_order(self):
+        # Threads race on the lazy sort of a fresh MSMGreedy; each must
+        # still walk the complete order.
+        p = np.round(np.random.default_rng(9).random((8, 32)), 1)
+        subsets = [frozenset(range(k, 32, 1 + k % 4)) for k in range(16)]
+        expected = [_golden_msm_alg(p, jobs).tolist() for jobs in subsets]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                greedy = MSMGreedy(p)
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    got = list(
+                        pool.map(lambda jobs: greedy.assign(jobs).tolist(), subsets, timeout=30)
+                    )
+                assert got == expected
+        finally:
+            sys.setswitchinterval(interval)

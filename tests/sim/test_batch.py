@@ -20,13 +20,19 @@ from repro import AdaptivePolicy, CyclicSchedule, ObliviousSchedule, SUUInstance
 from repro.algorithms import (
     greedy_prob_policy,
     msm_eligible_policy,
+    online_greedy,
     random_policy,
     suu_i_adaptive,
 )
+from repro.algorithms.baselines import state_round_robin_regimen
+from repro.core.mass import assignment_success_prob
 from repro.errors import ScheduleError
 from repro.evaluate import evaluate
 from repro.sim import simulate_batch
-from repro.sim.batch import batchable
+from repro.sim.batch import batchable, frontier_eligible, frontier_success_prob
+from repro.sim.engine import effective_assignment, eligible_mask
+from repro.verify.cases import DAG_KINDS
+from repro.workloads import random_instance
 
 
 def _flaky_instance(n=12, m=4, lo=0.05, hi=0.4, seed=3):
@@ -72,6 +78,12 @@ class TestRejections:
             simulate_batch(
                 tiny_independent, random_policy(tiny_independent).schedule, reps=4, rng=0
             )
+
+    def test_regimen_of_another_size_rejected(self, tiny_independent):
+        other = SUUInstance(np.full((3, 4), 0.5))
+        regimen = state_round_robin_regimen(other).schedule
+        with pytest.raises(ScheduleError, match="regimen is for n=4"):
+            simulate_batch(tiny_independent, regimen, reps=4, rng=0)
 
     def test_reps_validated(self, tiny_independent):
         policy = suu_i_adaptive(tiny_independent).schedule
@@ -224,3 +236,124 @@ class TestEstimatorRouting:
         policy = suu_i_adaptive(tiny_independent).schedule
         with pytest.raises(ValueError):
             evaluate(tiny_independent, policy, mode="mc", reps=10, seed=0, engine="warp")
+
+
+def _certain_and_impossible(inst: SUUInstance, seed: int) -> SUUInstance:
+    """``inst`` with some ``p == 1`` and some ``p == 0`` entries planted.
+
+    Machine 0 is certain on every third job; machine 1 (when there is a
+    second machine) is useless on every other job, which keeps every job
+    with a positive machine.
+    """
+    p = inst.p.copy()
+    p[0, seed % 3 :: 3] = 1.0
+    if inst.m > 1:
+        p[1, ::2] = 0.0
+        p[0, ::2] = np.maximum(p[0, ::2], 0.05)
+    return SUUInstance(p, inst.dag)
+
+
+class TestFrontierStepParity:
+    """Each row of the vectorized step is bitwise the scalar helpers' row."""
+
+    @pytest.mark.parametrize("kind", DAG_KINDS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_match_scalar_helpers(self, kind, seed):
+        inst = _certain_and_impossible(random_instance(10, 6, kind, rng=seed), seed)
+        gen = np.random.default_rng(seed)
+        k = 128
+        finished = gen.random((k, inst.n)) < gen.random((k, 1))
+        finished[0], finished[1] = False, True
+        # A rule that names anything: idle, finished, ineligible or open
+        # jobs.  In half the states every machine piles onto one of two
+        # jobs, so a job's log terms come from several machines and the
+        # order they are summed in shows in the last bits.
+        raw = gen.integers(-1, inst.n, size=(k, inst.m)).astype(np.int32)
+        piles = gen.integers(0, inst.n, size=(k, 2))
+        crowded = piles[np.arange(k)[:, None], gen.integers(0, 2, size=(k, inst.m))]
+        raw[k // 2 :] = crowded[k // 2 :]
+        elig = frontier_eligible(inst, finished)
+        q = frontier_success_prob(inst, raw, finished, elig)
+        assert q.shape == (k, inst.n)
+        for s in range(k):
+            mask = eligible_mask(inst, finished[s])
+            assert np.array_equal(elig[s], mask)
+            expected = assignment_success_prob(
+                inst.p, effective_assignment(inst, raw[s], finished[s], mask)
+            )
+            assert q[s].tobytes() == expected.tobytes()
+
+    def test_hand_worked_rows(self):
+        p = np.array([[1.0, 0.3], [0.5, 0.0]])
+        inst = SUUInstance(p)
+        finished = np.zeros((2, 2), dtype=bool)
+        finished[1, 1] = True
+        raw = np.array([[0, 1], [1, 0]], dtype=np.int32)
+        q = frontier_success_prob(inst, raw, finished, frontier_eligible(inst, finished))
+        # State 0: a certain machine on job 0, a useless one on job 1.
+        assert q[0].tolist() == [1.0, 0.0]
+        # State 1: machine 0 names finished job 1 and idles.
+        assert q[1].tolist() == [0.5, 0.0]
+
+
+#: Seeded ``evaluate(mode="mc", reps=300, seed=2024)`` results, recorded
+#: when the engine still queried one frontier state at a time and MSM-ALG
+#: sorted its pairs on every call.  Equality is exact: the sample streams
+#: are pinned, so cached results and the request/spec hash salts stay valid.
+PINNED_MC = {
+    "suu_i_adaptive": (6.24, 0.11316467219203166),
+    "suu_i_adaptive_tied": (4.963333333333333, 0.05652484055179126),
+    "msm_eligible": (6.296666666666667, 0.07319714728639258),
+    "msm_eligible_tied": (5.2, 0.05486377169695912),
+    "greedy_prob": (25.586666666666666, 0.752481933224353),
+    "online_greedy": (6.986666666666666, 0.05172031235185377),
+    "regimen": (7.97, 0.07648419951806863),
+}
+
+
+def _tied(kind: str, n: int, m: int, seed: int) -> SUUInstance:
+    """Probabilities on the 0.1 grid (greedy ties), with ``p == 1`` entries."""
+    inst = random_instance(n, m, kind, rng=seed)
+    p = np.round(inst.p, 1)
+    p[0, :] = np.maximum(p[0, :], 0.1)
+    p[-1, ::3] = 1.0
+    return SUUInstance(p, inst.dag)
+
+
+def _pinned_case(name: str):
+    return {
+        "suu_i_adaptive": lambda: (
+            suu_i_adaptive,
+            random_instance(14, 5, "independent", "sparse", rng=7),
+        ),
+        "suu_i_adaptive_tied": lambda: (suu_i_adaptive, _tied("independent", 12, 4, 3)),
+        "msm_eligible": lambda: (msm_eligible_policy, random_instance(12, 4, "layered", rng=8)),
+        "msm_eligible_tied": lambda: (msm_eligible_policy, _tied("mixed_forest", 12, 4, 4)),
+        "greedy_prob": lambda: (
+            greedy_prob_policy,
+            random_instance(12, 3, "chains", "sparse", rng=9),
+        ),
+        "online_greedy": lambda: (online_greedy, random_instance(12, 4, "out_tree", rng=10)),
+        "regimen": lambda: (
+            state_round_robin_regimen,
+            random_instance(8, 3, "diamond", rng=11),
+        ),
+    }[name]()
+
+
+class TestPinnedStreams:
+    @pytest.mark.parametrize("name", sorted(PINNED_MC))
+    def test_seeded_mc_is_unchanged(self, name):
+        factory, inst = _pinned_case(name)
+        report = evaluate(inst, factory(inst).schedule, mode="mc", reps=300, seed=2024)
+        assert report.engine_used == "batched"
+        assert (report.makespan, report.std_err) == PINNED_MC[name]
+
+    def test_precision_loop_is_unchanged(self):
+        inst = random_instance(12, 4, "layered", rng=8)
+        report = evaluate(
+            inst, msm_eligible_policy(inst).schedule,
+            mode="mc", reps=50, seed=5, rtol=0.01, budget=400,
+        )
+        assert (report.n_reps, report.rounds) == (400, 4)
+        assert (report.makespan, report.std_err) == (6.1625, 0.06304896752338147)

@@ -8,6 +8,7 @@ import pytest
 from repro import CyclicSchedule, ObliviousSchedule, PrecedenceDAG, SUUInstance
 from repro.errors import CensoredEstimateWarning, SimulationLimitError
 from repro.evaluate import evaluate
+from repro.sim.montecarlo import mean_std_err
 
 
 def geometric_instance(p=0.5):
@@ -185,3 +186,14 @@ class TestCompletionCurve:
         # Interior points agree with the raw samples.
         for t in range(1, max_steps):
             assert curve[t - 1] == pytest.approx(float((est.samples <= t).mean()))
+
+
+class TestMeanStdErr:
+    def test_matches_the_float64_formula_bitwise(self):
+        samples = np.random.default_rng(4).integers(1, 60, size=257)
+        values = samples.astype(np.float64)
+        expected = (float(values.mean()), float(values.std(ddof=1) / np.sqrt(257)))
+        assert mean_std_err(samples) == expected
+
+    def test_single_sample_has_zero_std_err(self):
+        assert mean_std_err(np.array([7])) == (7.0, 0.0)
