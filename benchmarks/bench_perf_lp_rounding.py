@@ -16,6 +16,15 @@ speedups plus exact-agreement evidence:
   network.  The array engine's win is in graph construction (flat list
   appends vs two edge-dataclass allocations per edge); the blocking-flow
   phases themselves are near-identical on these shallow networks.
+* **LP solve call**: the (LP1)s a ``solve()`` of the ``pipeline_mc``
+  shape meets (n=40, m=8: a chains instance, the Lemma 4.6 blocks of an
+  out-tree and of a mixed forest), each solved by
+  ``LinearProgram.solve()`` (one ``scipy.optimize.milp`` call) against
+  the ``linprog(method="highs")`` call it replaced.  Both drive the same
+  HiGHS, so the solved vectors must be bitwise equal (≥1.15x is
+  asserted; a future SciPy whose defaults drift from ``linprog``'s
+  forced options fails the equality).  Both sides are best-of-5 over
+  the whole LP set.
 
 ``REPRO_PERF_LP_N`` resizes the workloads (CI's perf-smoke job runs
 n=128 and asserts only that the vector engine wins; the committed
@@ -33,8 +42,10 @@ import os
 import time
 
 import numpy as np
+from scipy.optimize import linprog
 
 from repro.analysis import Table
+from repro.decomp.chain_decomposition import decompose_forest
 from repro.flow import make_flow_network
 from repro.lp.acc_mass import build_lp1, build_lp2, solve_lp2
 from repro.workloads import random_instance
@@ -49,6 +60,8 @@ LP2_SPEEDUP_FLOOR = 5.0 if N >= 512 else 1.5
 #: timer noise on a ~10 ms workload can eat it entirely, so CI smoke only
 #: gates against a pathological slowdown.
 FLOW_SPEEDUP_FLOOR = 1.0 if N >= 512 else 0.5
+#: One milp call against the linprog call it replaced, on the same LPs.
+LP_CALL_SPEEDUP_FLOOR = 1.15
 
 
 def _best_of(fn, rounds: int = 3) -> tuple[float, object]:
@@ -96,6 +109,43 @@ def _flow_workload(engine: str, num_jobs: int, num_machines: int) -> int:
     for i in range(num_machines):
         net.add_edge(num_jobs + i, sink, 30)
     return net.max_flow(source, sink)
+
+
+def _pipeline_lp1s() -> list:
+    """The (LP1)s of ``pipeline_mc``-shaped solves (n=40, m=8).
+
+    A chains instance solves one LP; a forest solves one per Lemma 4.6
+    block, on the block's induced sub-instance and its chains.
+    """
+    lps = []
+    for seed in range(2):
+        lps.append(build_lp1(random_instance(40, 8, "chains", rng=seed)))
+        for kind in ("out_tree", "mixed_forest"):
+            inst = random_instance(40, 8, kind, rng=seed)
+            for block in decompose_forest(inst.dag).blocks:
+                sub, old_to_new = inst.induced([j for chain in block for j in chain])
+                lps.append(build_lp1(sub, [[old_to_new[j] for j in c] for c in block]))
+    return lps
+
+
+def _linprog_solve(lp):
+    """The former ``LinearProgram.solve`` body: one ``linprog`` call."""
+    c, A, b, bounds = lp.assemble()
+    return linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs").x
+
+
+def _lp_call_row() -> dict:
+    lps = _pipeline_lp1s()
+    t_linprog, x_linprog = _best_of(lambda: [_linprog_solve(lp) for lp in lps], rounds=5)
+    t_milp, x_milp = _best_of(lambda: [lp.solve().x for lp in lps], rounds=5)
+    return {
+        "workload": f"LP solve call ({len(lps)} pipeline LP1s n=40 m=8)",
+        "scalar_s": t_linprog,
+        "vector_s": t_milp,
+        "speedup": t_linprog / t_milp,
+        "agreement": max(float(np.abs(a - b).max()) for a, b in zip(x_linprog, x_milp)),
+        "bitwise": all(a.tobytes() == b.tobytes() for a, b in zip(x_linprog, x_milp)),
+    }
 
 
 def _measure():
@@ -149,6 +199,7 @@ def _measure():
             "agreement": abs(v_array - v_scalar),
         }
     )
+    rows.append(_lp_call_row())
     return rows
 
 
@@ -165,13 +216,14 @@ def test_perf_lp_rounding(benchmark, recorder, phase_breakdown):
         )
         recorder.add(**r)
     print("\n" + table.render())
-    lp2_row, lp1_row, solve_row, flow_row = rows
+    lp2_row, lp1_row, solve_row, flow_row, call_row = rows
     recorder.add(
         kind="summary",
         n=N,
         m=M,
         lp2_speedup_floor=LP2_SPEEDUP_FLOOR,
         flow_speedup_floor=FLOW_SPEEDUP_FLOOR,
+        lp_call_speedup_floor=LP_CALL_SPEEDUP_FLOOR,
     )
     recorder.claim(
         "lp2_construction_at_least_5x_n512",
@@ -189,6 +241,12 @@ def test_perf_lp_rounding(benchmark, recorder, phase_breakdown):
     assert flow_row["speedup"] >= FLOW_SPEEDUP_FLOOR
     assert solve_row["agreement"] <= 1e-9
     assert flow_row["agreement"] == 0
+    recorder.claim("lp_call_bitwise_equal_to_linprog", call_row["bitwise"])
+    recorder.claim(
+        "lp_call_at_least_1_15x_linprog", call_row["speedup"] >= LP_CALL_SPEEDUP_FLOOR
+    )
+    assert call_row["bitwise"], "milp and linprog solved vectors differ"
+    assert call_row["speedup"] >= LP_CALL_SPEEDUP_FLOOR
 
     # Phase-time breakdown of one traced vector LP2 solve plus the array
     # flow workload: lp.build vs lp.solve, with rows/nnz/phase counters.

@@ -1,9 +1,17 @@
-"""A small sparse LP modelling layer over ``scipy.optimize.linprog``.
+"""A small sparse LP modelling layer over HiGHS.
 
 The paper's (LP1)/(LP2) are ordinary linear programs; this layer gives them
 named variables and named constraint rows so the builders in
 :mod:`repro.lp.acc_mass` read like the paper and the tests can inspect
 individual constraints.
+
+Every solve is one call to the public ``scipy.optimize.milp`` with no
+integrality, the thinnest public path to HiGHS.  HiGHS's defaults for an
+LP (dual simplex, with presolve) are the options ``linprog(method="highs")``
+sets explicitly, and the matrix reaches HiGHS in the same canonical CSC
+form, so the solved vector is bitwise the one ``linprog`` returns;
+``tests/lp/test_highs_parity.py`` keeps ``linprog`` as the golden
+reference.
 
 Constraints accumulate as COO triplet blocks (row ids, column ids,
 coefficients) rather than per-row dicts, so the vectorized builders can
@@ -84,11 +92,30 @@ class LPSolution:
         return float(self.x[self.indexer[key]])
 
 
+def _require_finite(
+    c: np.ndarray, A: sparse.csc_array, b: np.ndarray, bounds: np.ndarray
+) -> None:
+    """Reject what ``milp`` passes through unchecked (it validates ``c`` only).
+
+    Given a NaN coefficient, HiGHS reports success with a wrong optimum.
+    Infinite bounds are legitimate (unbounded variables); NaN ones are not.
+    """
+    for what, values in (
+        ("objective", c),
+        ("constraint coefficients", A.data),
+        ("right-hand sides", b),
+    ):
+        if not np.isfinite(values).all():
+            raise ValidationError(f"LP {what} must be finite")
+    if np.isnan(bounds).any():
+        raise ValidationError("LP variable bounds must not be NaN")
+
+
 class LinearProgram:
     """``min c·x  s.t.  A_ub x <= b_ub,  lb <= x <= ub`` with named rows.
 
     Coefficients are accumulated as COO triplet blocks and assembled into
-    one CSR matrix at solve time (duplicate entries in a row sum, matching
+    one CSC matrix at solve time (duplicate entries in a row sum, matching
     the old per-row dict behaviour).  Equality constraints are expressed
     as paired inequalities by the (few) callers that need them.
     """
@@ -209,12 +236,14 @@ class LinearProgram:
         return list(self._row_names)
 
     # -- assembly and solving ----------------------------------------------
-    def assemble(self) -> tuple[np.ndarray, sparse.csr_matrix, np.ndarray, np.ndarray]:
+    def assemble(self) -> tuple[np.ndarray, sparse.csc_array, np.ndarray, np.ndarray]:
         """``(c, A_ub, b_ub, bounds)`` with duplicate COO entries summed.
 
-        ``bounds`` is an ``(num_vars, 2)`` float array of ``(lb, ub)``
-        pairs with ``np.inf`` marking unbounded-above — the form
-        ``scipy.optimize.linprog`` consumes without a Python-level loop.
+        ``A_ub`` is built straight from the COO triplets into CSC, the
+        column-wise layout HiGHS stores, so the solve converts nothing;
+        its canonical (sorted, summed) form is the one a COO→CSR→CSC
+        round trip gives.  ``bounds`` is an ``(num_vars, 2)`` float array
+        of ``(lb, ub)`` pairs with ``np.inf`` marking unbounded-above.
         """
         nv = self.num_vars
         c = np.zeros(nv)
@@ -227,7 +256,7 @@ class LinearProgram:
         else:
             rows = cols = np.zeros(0, dtype=np.int64)
             data = np.zeros(0, dtype=np.float64)
-        A = sparse.csr_matrix(
+        A = sparse.csc_array(
             (data, (rows, cols)), shape=(self.num_rows, nv), dtype=np.float64
         )
         b = np.asarray(self._rhs, dtype=np.float64)
@@ -240,22 +269,34 @@ class LinearProgram:
         return c, A, b, bounds
 
     def solve(self) -> LPSolution:
-        """Solve with HiGHS; raises :class:`LPError` on any non-optimal status."""
-        from scipy.optimize import linprog
+        """Solve with HiGHS through one ``scipy.optimize.milp`` call.
 
+        Raises :class:`ValidationError` on a non-finite objective,
+        coefficient or right-hand side, or a NaN bound, before HiGHS sees
+        the problem, and :class:`LPError` on any non-optimal status.
+        """
         if self.num_vars == 0:
             return LPSolution(value=0.0, x=np.zeros(0), indexer=self.vars)
         c, A, b, bounds = self.assemble()
+        _require_finite(c, A, b, bounds)
         obs.add("lp.vars", self.num_vars)
         obs.add("lp.rows", self.num_rows)
         obs.add("lp.nnz", int(A.nnz))
         with obs.span(
             "lp.solve", rows=self.num_rows, vars=self.num_vars, nnz=int(A.nnz)
         ):
-            res = linprog(c, A_ub=A if self.num_rows else None, b_ub=b if self.num_rows else None, bounds=bounds, method="highs")
+            # Imported inside the span: the first solve in a process pays
+            # for loading scipy.optimize, and the trace should say so.
+            from scipy.optimize import Bounds, LinearConstraint, milp
+
+            res = milp(
+                c,
+                bounds=Bounds(bounds[:, 0], bounds[:, 1]),
+                constraints=LinearConstraint(A, -np.inf, b) if self.num_rows else None,
+            )
         if not res.success:
             raise LPError(f"LP solve failed: status={res.status} ({res.message})")
-        return LPSolution(value=float(res.fun), x=np.asarray(res.x), indexer=self.vars)
+        return LPSolution(value=float(res.fun), x=res.x, indexer=self.vars)
 
     def check_feasible(self, x: np.ndarray, tol: float = 1e-7) -> bool:
         """Check that a candidate point satisfies all rows and bounds."""
