@@ -13,14 +13,14 @@ records the wall-clock speedup:
   states are ``(S, τ)`` pairs and the sparse engine additionally
   vectorizes the rho-shape cycle solve across each layer.
 
-``REPRO_PERF_EXACT_N`` resizes the regimen workload (CI's perf-smoke job
-runs n=12 and only asserts the sparse engine wins; the committed
-``benchmarks/results/perf_exact_markov.json`` records the full n=14 run,
-where ≥10× is asserted).  The sparse engine is timed best-of-3 — its
-absolute runtime is tens of milliseconds, where timer noise matters; the
-scalar path is timed once.  Engine agreement to ≤1e-9 is asserted here
-*and* property-tested across all workload families in
-``tests/sim/test_exact_engines_equiv.py``.
+``REPRO_PERF_EXACT_N`` resizes the regimen workload; below n=14 only a
+1.5× win is asserted.  CI's perf-smoke job runs the full n=14 size,
+where ≥10× is asserted, as does the committed
+``benchmarks/results/perf_exact_markov.json``.  The sparse engine is
+timed best-of-3 — its absolute runtime is tens of milliseconds, where
+timer noise matters; the scalar path is timed once.  Engine agreement
+to ≤1e-9 is asserted here *and* property-tested across all workload
+families in ``tests/sim/test_exact_engines_equiv.py``.
 """
 
 from __future__ import annotations

@@ -180,9 +180,10 @@ def state_round_robin_regimen(
     elig = eligibility_masks(instance)
     count = popcount_array(elig)
     table = np.full((1 << n, m), Regimen.UNDEFINED, dtype=np.int32)
-    for k in np.unique(count[count > 0]):
+    # Every nonempty set has an eligible job: count 0 is the empty set's.
+    for k in np.flatnonzero(np.bincount(count))[1:]:
         states = np.flatnonzero(count == k)
-        jobs = bit_positions(elig[states], int(k), n)
+        jobs = bit_positions(elig[states], int(k))
         table[states] = jobs[:, np.arange(m) % k]
     return ScheduleResult(
         schedule=Regimen.from_table(table),

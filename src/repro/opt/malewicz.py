@@ -206,7 +206,7 @@ def optimal_regimen(
     signatures = {k: _signatures(k, m) for k in map(int, np.unique(eligible[1:]))}
     for states in groups:
         k = int(eligible[states[0]])
-        jobs = bit_positions(elig[states], k, n)
+        jobs = bit_positions(elig[states], k)
         best_e, best_a = _solve_group(instance.p, states, jobs, signatures[k], expect)
         stuck = np.isinf(best_e)
         if stuck.any():

@@ -14,8 +14,8 @@ DP (:mod:`repro.opt.scalar`) and the execution tree.
 from .lattice import (
     DEFAULT_MAX_STATES,
     TransitionBlock,
+    build_position_structures,
     build_regimen_structure,
-    build_step_structure,
     check_state_budget,
     eligibility_masks,
     popcount_array,
@@ -25,8 +25,8 @@ from . import scalar, sparse
 __all__ = [
     "DEFAULT_MAX_STATES",
     "TransitionBlock",
+    "build_position_structures",
     "build_regimen_structure",
-    "build_step_structure",
     "check_state_budget",
     "eligibility_masks",
     "popcount_array",

@@ -9,16 +9,22 @@ solvers in :mod:`repro.sim.exact.sparse` can sweep the chain one popcount
 layer at a time without any per-state Python:
 
 * :func:`eligibility_masks` — the eligible-set bitmask of every state, as
-  one ``(2^n,)`` int64 array (``n`` vectorized passes over the lattice).
+  one ``(2^n,)`` int64 array, doubled over the highest job (``2^n`` work).
 * :class:`TransitionBlock` — all states with the same *active count* ``k``
   under one assignment rule, stored CSR-style: ``states`` sorted by
   popcount with a ``layer_ptr`` row pointer, and per state the ``2^k``
   completion subsets as XOR ``deltas`` plus their product-measure
   ``weights`` (column 0 is the empty subset — the self-loop probability).
-* :func:`build_step_structure` / :func:`build_regimen_structure` — group
-  the whole lattice into blocks for one oblivious assignment (shared ``q``
-  vector) or a per-state regimen table (per-state ``q`` via a machine
-  sweep, the "assignment signature" of each state).
+* :func:`build_position_structures` / :func:`build_regimen_structure` —
+  group the whole lattice into blocks for each oblivious assignment of a
+  schedule (shared ``q`` vector) or for a per-state regimen table
+  (per-state ``q`` via a machine sweep, the "assignment signature" of
+  each state).
+
+Every kernel costs about the size of what it returns: active-bit
+positions are peeled lowest bit first and the ``2^k`` subset tables
+double bit by bit, so no step builds a bit matrix or a full-width
+temporary per bit.
 
 Because a job set can only shrink, ``S XOR delta`` always lands in a
 strictly lower layer (for ``delta != 0``), which is what makes the
@@ -31,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..._util import bitmask_from_iterable
 from ...core.instance import SUUInstance
 from ...errors import ExactSolverLimitError
 
@@ -42,7 +49,7 @@ __all__ = [
     "assignment_success",
     "bit_positions",
     "TransitionBlock",
-    "build_step_structure",
+    "build_position_structures",
     "build_regimen_structure",
 ]
 
@@ -74,18 +81,21 @@ def check_state_budget(n: int, width: int, max_states: int) -> None:
         )
 
 
-def _check_structure_budget(karr: np.ndarray, max_states: int) -> None:
-    """Guard the transient subset tables, the sparse engine's own footprint.
+def _check_structure_budget(karrs: list[np.ndarray], max_states: int) -> None:
+    """Guard the subset tables, the sparse engine's own footprint.
 
     Each state's block row holds ``2^k`` completion subsets (``k`` = its
-    active-job count, up to ``m``), so the structure is ``Σ_S 2^{k(S)}``
+    active-job count, up to ``m``), so one structure is ``Σ_S 2^{k(S)}``
     entries — independent of the DP-table size the ``max_states`` guard
     covers, and the dominant allocation when many jobs are active at
-    once.  The budget is ``8 × max_states`` (tables are transient and of
-    the same order as the DP table at typical ``m``); past it, the scalar
-    engine — whose per-state dicts are transient — is the right tool.
+    once.  ``karrs`` holds the active-count array of every structure a
+    solver keeps alive at once (one per distinct position of a cyclic
+    schedule), and the budget covers their sum: ``8 × max_states``
+    (the same order as the DP table at typical ``m``).  Past it, the
+    scalar engine — whose per-state dicts are transient — is the right
+    tool.
     """
-    entries = int(np.sum(np.left_shift(np.int64(1), karr)))
+    entries = sum(int(np.sum(np.left_shift(np.int64(1), karr))) for karr in karrs)
     limit = 8 * int(max_states)
     if entries > limit:
         raise ExactSolverLimitError(
@@ -119,17 +129,25 @@ def eligibility_masks(instance: SUUInstance) -> np.ndarray:
 
     Vectorized counterpart of :func:`repro.sim.markov.eligible_bitmask`:
     job ``j`` is eligible in state ``S`` iff it is unfinished and none of
-    its predecessors is (``S & pred_mask(j) == 0``).
+    its predecessors is (``S & pred_mask(j) == 0``).  Built by doubling
+    over the highest job: for every set ``S`` of jobs below ``j``, the set
+    ``S | 1<<j`` keeps the eligible jobs of ``S`` except ``j``'s direct
+    successors, and adds ``j`` itself when ``S`` holds none of its
+    predecessors — ``2^n`` work in total.
     """
     n = instance.n
-    states = np.arange(1 << n, dtype=np.int64)
+    dag = instance.dag
     elig = np.zeros(1 << n, dtype=np.int64)
+    lower = np.arange(1 << max(n - 1, 0), dtype=np.int64)
     for j in range(n):
-        ok = ((states >> j) & 1).astype(bool)
-        pm = instance.dag.pred_mask(j)
+        half = 1 << j
+        upper = elig[half : 2 * half]
+        np.bitwise_and(elig[:half], ~bitmask_from_iterable(dag.successors(j)), out=upper)
+        pm = dag.pred_mask(j)
         if pm:
-            ok &= (states & pm) == 0
-        elig[ok] |= 1 << j
+            np.bitwise_or(upper, 1 << j, out=upper, where=(lower[:half] & pm) == 0)
+        else:
+            upper |= 1 << j
     return elig
 
 
@@ -187,58 +205,107 @@ class TransitionBlock:
 def _make_block(
     sel: np.ndarray, bits: np.ndarray, qbits: np.ndarray, pc: np.ndarray, n: int
 ) -> TransitionBlock:
-    """Assemble one block from per-state active-bit positions and probs."""
-    order = np.argsort(pc[sel], kind="stable")
-    sel = sel[order]
-    bits = bits[order]
-    qbits = qbits[order]
+    """Assemble one block from its states (in popcount order), their
+    active-bit positions and the bits' success probabilities.
+
+    The subset tables double bit by bit, as the Malewicz DP's do: subset
+    ``t`` completes active bit ``b`` iff bit ``b`` of ``t`` is set, so the
+    first ``2^b`` subsets give the next ``2^b`` by adding bit ``b``, and
+    each weight multiplies its bit factors (``q`` or ``1 - q``) in bit
+    order starting from 1.0.  Each table is doubled subset-major, then
+    transposed once into the stored ``(G, 2^k)`` layout, the one the
+    sweeps' ``einsum`` sums in; the deltas are transposed before the
+    weights are doubled, so at most three tables are alive at once.
+    """
     k = bits.shape[1]
-    # Membership table of the 2^k subsets: incl[t, b] = bit b in subset t.
-    incl = ((np.arange(1 << k)[:, None] >> np.arange(k)[None, :]) & 1).astype(bool)
-    deltas = (np.left_shift(np.int64(1), bits)) @ incl.T.astype(np.int64)
-    weights = np.ones((sel.size, 1 << k), dtype=np.float64)
+    deltas = np.empty((1 << k, sel.size), dtype=np.int64)
+    deltas[0] = 0
     for b in range(k):
-        qb = qbits[:, b : b + 1]
-        weights *= np.where(incl[:, b][None, :], qb, 1.0 - qb)
+        c = 1 << b
+        np.bitwise_or(deltas[:c], np.left_shift(np.int64(1), bits[:, b]), out=deltas[c : 2 * c])
+    deltas = np.ascontiguousarray(deltas.T)
+    weights = np.empty((1 << k, sel.size), dtype=np.float64)
+    weights[0] = 1.0
+    for b in range(k):
+        c = 1 << b
+        np.multiply(weights[:c], qbits[:, b], out=weights[c : 2 * c])
+        weights[:c] *= 1.0 - qbits[:, b]
+    weights = np.ascontiguousarray(weights.T)
     layer_ptr = np.searchsorted(pc[sel], np.arange(n + 2))
     return TransitionBlock(sel, deltas, weights, layer_ptr)
 
 
-def bit_positions(act: np.ndarray, k: int, n: int) -> np.ndarray:
-    """``(G, k)`` column positions of the set bits of each mask in ``act``."""
-    if k == 0:
-        return np.zeros((act.size, 0), dtype=np.int64)
-    bitmat = ((act[:, None] >> np.arange(n, dtype=np.int64)[None, :]) & 1).astype(bool)
-    return np.nonzero(bitmat)[1].reshape(act.size, k)
+def bit_positions(act: np.ndarray, k: int) -> np.ndarray:
+    """``(G, k)`` positions of the set bits of each mask in ``act``, ascending.
+
+    Every mask has exactly ``k`` bits set.  The lowest set bit is peeled
+    ``k`` times: ``low = rest & -rest`` is a power of two whose position
+    is the popcount of ``low - 1``, so the work is ``O(G·k)``.
+    """
+    out = np.empty((act.size, k), dtype=np.int64)
+    rest = np.array(act, dtype=np.int64)
+    for b in range(k):
+        low = rest & -rest
+        out[:, b] = popcount_array(low - 1)
+        rest ^= low
+    return out
 
 
-def build_step_structure(
+def _active_classes(act: np.ndarray, karr: np.ndarray, order: np.ndarray):
+    """``(sel, bits)`` per active count ``k``, ascending in ``k``.
+
+    ``order`` lists every state in popcount order (see
+    :func:`_popcount_order`), so each ``sel`` comes out sorted by popcount
+    and, within a popcount, by state.
+    """
+    korder = karr[order]
+    for k in np.flatnonzero(np.bincount(karr)):
+        sel = order[korder == k]
+        yield sel, bit_positions(act[sel], int(k))
+
+
+def _popcount_order(pc: np.ndarray) -> np.ndarray:
+    """Every state sorted by popcount, ties by state (one stable sort)."""
+    return np.argsort(pc.astype(np.uint8), kind="stable")
+
+
+def build_position_structures(
     instance: SUUInstance,
-    assignment: np.ndarray,
+    assignments: list[np.ndarray],
     elig: np.ndarray,
     pc: np.ndarray,
     max_states: int = DEFAULT_MAX_STATES,
-) -> list[TransitionBlock]:
-    """Transition blocks of the whole lattice under one oblivious step.
+) -> list[list[TransitionBlock]]:
+    """Transition blocks of the whole lattice for each oblivious step.
 
-    All states share the assignment's ``q`` vector; they are grouped by
-    active count ``k`` so each group has a rectangular ``(G, 2^k)``
-    subset table.  States with ``k = 0`` (nothing progresses, including
-    the absorbing empty state) form the ``2^0``-column block.
+    All states of a step share its assignment's ``q`` vector; they are
+    grouped by active count ``k`` so each group has a rectangular
+    ``(G, 2^k)`` subset table.  States with ``k = 0`` (nothing progresses,
+    including the absorbing empty state) form the ``2^0``-column block.
+    Steps that repeat an assignment share one structure — long serial
+    tails repeat one for many positions — so construction is linear in
+    the number of *distinct* assignments.  A solver keeps every distinct
+    structure alive through its sweep, so the subset-table budget covers
+    their sum, checked before any block is built.
     """
     n = instance.n
-    q, served = assignment_success(instance.p, assignment)
-    act = elig & served
-    karr = popcount_array(act)
-    _check_structure_budget(karr, max_states)
-    states = np.arange(1 << n, dtype=np.int64)
-    blocks = []
-    for kk in np.unique(karr):
-        sel = states[karr == kk]
-        bits = bit_positions(act[sel], int(kk), n)
-        qbits = q[bits] if kk else np.zeros((sel.size, 0), dtype=np.float64)
-        blocks.append(_make_block(sel, bits, qbits, pc, n))
-    return blocks
+    keys = [a.tobytes() for a in assignments]
+    steps = {}
+    for key, a in zip(keys, assignments):
+        if key not in steps:
+            q, served = assignment_success(instance.p, a)
+            act = elig & served
+            steps[key] = (q, act, popcount_array(act))
+    _check_structure_budget([karr for _, _, karr in steps.values()], max_states)
+    order = _popcount_order(pc)
+    structures = {
+        key: [
+            _make_block(sel, bits, q[bits], pc, n)
+            for sel, bits in _active_classes(act, karr, order)
+        ]
+        for key, (q, act, karr) in steps.items()
+    }
+    return [structures[key] for key in keys]
 
 
 def build_regimen_structure(
@@ -253,35 +320,38 @@ def build_regimen_structure(
     ``table`` is a regimen's dense ``(2^n, m)`` table (row ``S`` is the
     assignment in state ``S``; row 0 is ignored).  Unlike the oblivious
     case there is no shared ``q`` vector, so per-state success
-    probabilities are accumulated with one vectorized sweep per machine:
-    machine ``i`` contributes ``1 - p[i, j]`` to the failure product of
-    the active bit it points at, per state.
+    probabilities are accumulated machine by machine: machine ``i``
+    multiplies ``1 - p[i, j]`` into the failure product of the active bit
+    it points at, found by its rank among the state's active bits (the
+    popcount of the lower ones).
     """
     p = instance.p
     n, m = instance.n, instance.m
-    size = 1 << n
-    states = np.arange(size, dtype=np.int64)
-    served = np.zeros(size, dtype=np.int64)
+    # Per machine, indexed by table entry: the bit of a job it serves with
+    # positive probability, and the job's failure factor.  The two padding
+    # columns at the end are what IDLE (-1) and UNDEFINED (-2) index.
+    jobbit = np.zeros((m, n + 2), dtype=np.int64)
+    jobbit[:, :n] = np.where(p > 0.0, np.left_shift(np.int64(1), np.arange(n)), 0)
+    fail = np.ones((m, n + 2), dtype=np.float64)
+    fail[:, :n] = 1.0 - p
+    served = np.zeros(1 << n, dtype=np.int64)
     for i in range(m):
-        j = table[:, i].astype(np.int64)
-        jn = np.maximum(j, 0)
-        positive = (j >= 0) & (p[i, jn] > 0.0)
-        served |= np.where(positive, np.left_shift(np.int64(1), jn), np.int64(0))
+        served |= jobbit[i, table[:, i]]
     act = elig & served
     act[0] = 0
     karr = popcount_array(act)
-    _check_structure_budget(karr, max_states)
+    _check_structure_budget([karr], max_states)
     blocks = []
-    for kk in np.unique(karr):
-        sel = states[karr == kk]
-        bits = bit_positions(act[sel], int(kk), n)
-        if kk:
-            failb = np.ones((sel.size, kk), dtype=np.float64)
-            for i in range(m):
-                j = table[sel, i].astype(np.int64)
-                failb *= np.where(j[:, None] == bits, 1.0 - p[i, bits], 1.0)
-            qbits = 1.0 - failb
-        else:
-            qbits = np.zeros((sel.size, 0), dtype=np.float64)
-        blocks.append(_make_block(sel, bits, qbits, pc, n))
+    for sel, bits in _active_classes(act, karr, _popcount_order(pc)):
+        k = bits.shape[1]
+        act_sel = act[sel]
+        rows = np.arange(sel.size)
+        # A machine on no active job has hit = 0, so its rank (the
+        # popcount of act & -1) is k: the spare column k absorbs it.
+        failb = np.ones((sel.size, k + 1), dtype=np.float64)
+        for i in range(m):
+            j = table[sel, i]
+            hit = act_sel & jobbit[i, j]
+            failb[rows, popcount_array(act_sel & (hit - 1))] *= fail[i, j]
+        blocks.append(_make_block(sel, bits, 1.0 - failb[:, :k], pc, n))
     return blocks

@@ -36,8 +36,8 @@ from ...errors import ScheduleError
 from .lattice import (
     DEFAULT_MAX_STATES,
     TransitionBlock,
+    build_position_structures,
     build_regimen_structure,
-    build_step_structure,
     check_state_budget,
     eligibility_masks,
     popcount_array,
@@ -131,23 +131,9 @@ def _position_structures(
     pc: np.ndarray,
     max_states: int,
 ) -> list[list[TransitionBlock]]:
-    """One block list per schedule position, deduplicated by assignment.
-
-    Long serial tails repeat the same assignment for many consecutive
-    positions; sharing one structure keeps construction linear in the
-    number of *distinct* assignments.
-    """
-    cache: dict[bytes, list[TransitionBlock]] = {}
-    out = []
-    for tau in range(positions):
-        a = _position_assignment(schedule, tau)
-        key = a.tobytes()
-        if key not in cache:
-            cache[key] = build_step_structure(
-                instance, a, elig, pc, max_states=max_states
-            )
-        out.append(cache[key])
-    return out
+    """One block list per schedule position, shared by equal assignments."""
+    assignments = [_position_assignment(schedule, tau) for tau in range(positions)]
+    return build_position_structures(instance, assignments, elig, pc, max_states)
 
 
 def expected_makespan_cyclic(

@@ -8,6 +8,12 @@ path (`repro.sim.exact.scalar`) must agree to ≤1e-9 — including on
 *which* cases are infeasible (no-progress ``ScheduleError``) — and the
 exact completion curve must be a CDF prefix: monotone nondecreasing and
 ending at most 1.
+
+The lattice kernels the sparse engine, ``state_round_robin`` and the
+Malewicz DP share are held *bitwise* to the bit-matrix kernels they
+replaced, kept here as the golden reference: eligibility masks, active-bit
+positions, and every transition block's states, deltas, weights and layer
+pointers.
 """
 
 from __future__ import annotations
@@ -26,8 +32,18 @@ from repro._util import iterable_from_bitmask
 from repro.core.schedule import Regimen
 from repro.errors import ScheduleError, ValidationError
 from repro.evaluate import evaluate
+from repro.opt.malewicz import optimal_regimen
+from repro.sim.exact.lattice import (
+    assignment_success,
+    bit_positions,
+    build_position_structures,
+    build_regimen_structure,
+    eligibility_masks,
+    popcount_array,
+)
 from repro.sim.markov import EXACT_ENGINES, eligible_bitmask
 from repro.verify.cases import DAG_KINDS, PROB_MODELS, CaseSpec, build_instance
+from repro.workloads import random_instance
 
 FAMILIES = [f"{dag}/{prob}" for dag in DAG_KINDS for prob in PROB_MODELS]
 
@@ -165,3 +181,170 @@ def test_sparse_reaches_beyond_old_scalar_ceiling():
     est = evaluate(instance, serial, mode="mc", reps=600, seed=7, max_steps=10_000)
     assert q.min() > 0
     assert abs(est.makespan - value) <= 5 * est.std_err + 1e-6
+
+
+# ----------------------------------------------------------------------
+# Golden lattice kernels: the boolean-scatter eligibility masks, the
+# bit-matrix active-bit positions, and blocks built with a matmul for the
+# deltas, one full-width ``np.where`` per bit for the weights and one
+# argsort per block.
+# ----------------------------------------------------------------------
+def _golden_eligibility_masks(instance):
+    n = instance.n
+    states = np.arange(1 << n, dtype=np.int64)
+    elig = np.zeros(1 << n, dtype=np.int64)
+    for j in range(n):
+        ok = ((states >> j) & 1).astype(bool)
+        pm = instance.dag.pred_mask(j)
+        if pm:
+            ok &= (states & pm) == 0
+        elig[ok] |= 1 << j
+    return elig
+
+
+def _golden_bit_positions(act, k, n):
+    if k == 0:
+        return np.zeros((act.size, 0), dtype=np.int64)
+    bitmat = ((act[:, None] >> np.arange(n, dtype=np.int64)[None, :]) & 1).astype(bool)
+    return np.nonzero(bitmat)[1].reshape(act.size, k)
+
+
+def _golden_block(sel, bits, qbits, pc, n):
+    order = np.argsort(pc[sel], kind="stable")
+    sel, bits, qbits = sel[order], bits[order], qbits[order]
+    k = bits.shape[1]
+    incl = ((np.arange(1 << k)[:, None] >> np.arange(k)[None, :]) & 1).astype(bool)
+    deltas = (np.left_shift(np.int64(1), bits)) @ incl.T.astype(np.int64)
+    weights = np.ones((sel.size, 1 << k), dtype=np.float64)
+    for b in range(k):
+        qb = qbits[:, b : b + 1]
+        weights *= np.where(incl[:, b][None, :], qb, 1.0 - qb)
+    layer_ptr = np.searchsorted(pc[sel], np.arange(n + 2))
+    return sel, deltas, weights, layer_ptr
+
+
+def _golden_step_structure(instance, assignment, elig, pc):
+    n = instance.n
+    q, served = assignment_success(instance.p, assignment)
+    act = elig & served
+    karr = popcount_array(act)
+    states = np.arange(1 << n, dtype=np.int64)
+    blocks = []
+    for kk in np.unique(karr):
+        sel = states[karr == kk]
+        bits = _golden_bit_positions(act[sel], int(kk), n)
+        qbits = q[bits] if kk else np.zeros((sel.size, 0), dtype=np.float64)
+        blocks.append(_golden_block(sel, bits, qbits, pc, n))
+    return blocks
+
+
+def _golden_regimen_structure(instance, table, elig, pc):
+    p = instance.p
+    n, m = instance.n, instance.m
+    size = 1 << n
+    states = np.arange(size, dtype=np.int64)
+    served = np.zeros(size, dtype=np.int64)
+    for i in range(m):
+        j = table[:, i].astype(np.int64)
+        jn = np.maximum(j, 0)
+        positive = (j >= 0) & (p[i, jn] > 0.0)
+        served |= np.where(positive, np.left_shift(np.int64(1), jn), np.int64(0))
+    act = elig & served
+    act[0] = 0
+    karr = popcount_array(act)
+    blocks = []
+    for kk in np.unique(karr):
+        sel = states[karr == kk]
+        bits = _golden_bit_positions(act[sel], int(kk), n)
+        if kk:
+            failb = np.ones((sel.size, kk), dtype=np.float64)
+            for i in range(m):
+                j = table[sel, i].astype(np.int64)
+                failb *= np.where(j[:, None] == bits, 1.0 - p[i, bits], 1.0)
+            qbits = 1.0 - failb
+        else:
+            qbits = np.zeros((sel.size, 0), dtype=np.float64)
+        blocks.append(_golden_block(sel, bits, qbits, pc, n))
+    return blocks
+
+
+def _assert_blocks_identical(blocks, golden, label):
+    assert len(blocks) == len(golden), label
+    for i, (block, (states, deltas, weights, layer_ptr)) in enumerate(zip(blocks, golden)):
+        for name, got, want in [
+            ("states", block.states, states),
+            ("deltas", block.deltas, deltas),
+            ("weights", block.weights.view(np.int64), weights.view(np.int64)),
+            ("layer_ptr", block.layer_ptr, layer_ptr),
+        ]:
+            assert got.dtype == want.dtype, f"{label} block {i} {name} dtype"
+            # The sweeps' einsum sums in layout order: keep (G, 2^k) C order.
+            assert got.flags.c_contiguous, f"{label} block {i} {name} layout"
+            np.testing.assert_array_equal(got, want, err_msg=f"{label} block {i} {name}")
+
+
+#: Every fuzzer family at two trials, plus one n=16, m=4 chains instance
+#: (``family`` None), whose lattice has popcount classes up to 9 wide.
+KERNEL_CASES = [(family, trial) for family in FAMILIES for trial in range(2)] + [(None, 0)]
+
+
+def _kernel_instance(family, trial):
+    if family is None:
+        return random_instance(16, 4, "chains", rng=7)
+    return _instance(family, trial)
+
+
+@pytest.mark.parametrize(
+    "family,trial",
+    KERNEL_CASES,
+    ids=[f"{f}#{t}" if f else "chains-n16-m4" for f, t in KERNEL_CASES],
+)
+def test_lattice_kernels_match_golden_bitwise(family, trial):
+    instance = _kernel_instance(family, trial)
+    label = f"{family}#{trial}"
+    n = instance.n
+    elig = eligibility_masks(instance)
+    golden_elig = _golden_eligibility_masks(instance)
+    assert elig.dtype == golden_elig.dtype
+    np.testing.assert_array_equal(elig, golden_elig)
+    count = popcount_array(elig)
+    for k in np.unique(count):
+        act = elig[count == k]
+        np.testing.assert_array_equal(
+            bit_positions(act, int(k)), _golden_bit_positions(act, int(k), n)
+        )
+    pc = popcount_array(np.arange(1 << n, dtype=np.int64))
+    for name, schedule in [
+        ("round_robin", round_robin_baseline(instance).schedule),
+        ("serial", serial_baseline(instance).schedule),
+    ]:
+        P = schedule.prefix_length
+        assignments = [
+            schedule.prefix.table[tau] if tau < P else schedule.cycle.table[tau - P]
+            for tau in range(P + schedule.cycle_length)
+        ]
+        structures = build_position_structures(instance, assignments, elig, pc)
+        for tau, (a, blocks) in enumerate(zip(assignments, structures)):
+            _assert_blocks_identical(
+                blocks,
+                _golden_step_structure(instance, a, elig, pc),
+                f"{label} {name} position {tau}",
+            )
+    regimens = [("state_round_robin", state_round_robin_regimen(instance).schedule)]
+    if n <= 8:
+        regimens.append(("optimal", optimal_regimen(instance).regimen))
+    for name, regimen in regimens:
+        _assert_blocks_identical(
+            build_regimen_structure(instance, regimen.table, elig, pc),
+            _golden_regimen_structure(instance, regimen.table, elig, pc),
+            f"{label} {name}",
+        )
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_eligibility_masks_match_definition(family):
+    instance = _instance(family, 0)
+    elig = eligibility_masks(instance)
+    assert elig.shape == (1 << instance.n,)
+    for state in range(1 << instance.n):
+        assert elig[state] == eligible_bitmask(instance, state), f"state {state:#x}"

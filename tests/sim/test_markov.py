@@ -273,3 +273,21 @@ class TestAllocationGuard:
             exact_makespan(inst, cyc, max_states=1 << 10, engine="sparse")
         value = exact_makespan(inst, cyc, max_states=1 << 10, engine="scalar")
         assert np.isfinite(value) and value > 1.0
+
+    def test_sparse_structure_budget_covers_all_positions(self):
+        # The sweep keeps every distinct position's tables alive at once,
+        # so the budget covers their sum: each of the two positions needs
+        # 8748 entries, under the 16384 limit of max_states = 2^11 on its
+        # own, but 17496 together.
+        inst = SUUInstance(np.full((7, 9), 0.5))
+        table = np.vstack([np.arange(7), np.arange(2, 9)]).astype(np.int32)
+        cyc = CyclicSchedule(ObliviousSchedule.empty(7), ObliviousSchedule(table))
+        budget = 1 << 11
+        with pytest.raises(ExactSolverLimitError, match="17496 subset-table"):
+            exact_makespan(inst, cyc, max_states=budget, engine="sparse")
+        with pytest.raises(ExactSolverLimitError, match="17496 subset-table"):
+            exact_state_distribution(inst, cyc, horizon=2, max_states=budget, engine="sparse")
+        value = exact_makespan(inst, cyc, max_states=budget, engine="scalar")
+        assert np.isfinite(value) and value > 1.0
+        dist = exact_state_distribution(inst, cyc, horizon=2, max_states=budget, engine="scalar")
+        assert dist.shape == (3, 1 << 9)
