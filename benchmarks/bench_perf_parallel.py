@@ -1,4 +1,4 @@
-"""PERF — sharded process executor vs single-worker execution.
+"""PERF — sharded process executor vs in-process and single-worker execution.
 
 Scaling study for the parallel backend (`repro/parallel/`): a 1000-rep
 suite over the four A3 failure regimes, estimated with the *randomized*
@@ -9,9 +9,11 @@ exactly the regime where fanning replication shards out to worker
 processes is the only remaining speedup axis.
 
 Each spec's 1000 replications split into 16 `SeedSequence.spawn`-seeded
-shards; `workers=1` and `workers=N` execute the *same* shards and merge in
-the same order, so the benchmark first asserts that every worker count
-produces identical numbers, then measures wall-clock.
+shards; the in-process run (`run_suite` with no executor), `workers=1` and
+`workers=N` execute the *same* shards and merge in the same order, so the
+benchmark first asserts that every row produces identical numbers, then
+measures wall-clock.  The in-process row is the baseline a pool has to
+beat: a one-process pool only adds task shipping to it.
 
 The ≥2.5x speedup claim at ``workers=4`` is only assertable on hardware
 with ≥4 usable cores — process parallelism cannot beat physics on a 1-core
@@ -36,6 +38,7 @@ from repro.analysis import Table
 from repro.experiments import ExperimentSpec, run_suite
 from repro.experiments.suites import A3_REGIMES
 from repro.parallel import ProcessExecutor, default_workers
+from repro.parallel.worker import _clear_worker_caches
 
 REPS = int(os.environ.get("REPRO_PERF_PARALLEL_REPS", "1000"))
 MAX_STEPS = 300_000
@@ -66,8 +69,16 @@ def _suite() -> list[ExperimentSpec]:
     ]
 
 
-def _timed_run(workers: int) -> tuple[float, list]:
+def _timed_run(workers: int | None) -> tuple[float, list]:
+    """One suite run: in-process when ``workers`` is None, else on a pool."""
     specs = _suite()
+    # Every run rebuilds its schedules: an in-process run would otherwise
+    # leave them cached in this process for the forked pools to inherit.
+    _clear_worker_caches()
+    if workers is None:
+        t0 = time.perf_counter()
+        results = run_suite(specs, cache_dir=None)
+        return time.perf_counter() - t0, results
     with ProcessExecutor(workers=workers) as exe:
         t0 = time.perf_counter()
         results = run_suite(specs, cache_dir=None, executor=exe)
@@ -78,9 +89,10 @@ def _timed_run(workers: int) -> tuple[float, list]:
 def _measure():
     # Warm-up: the first suite execution pays one-time costs (allocator
     # growth, code paths becoming hot) that would otherwise be billed to
-    # whichever worker count happens to run first.
-    _timed_run(WORKER_COUNTS[0])
-    runs = {}
+    # whichever row happens to run first.  It runs in this process, so
+    # the pools' forked workers start warm too.
+    _timed_run(None)
+    runs = {None: _timed_run(None)}
     for workers in WORKER_COUNTS:
         runs[workers] = _timed_run(workers)
     return runs
@@ -136,28 +148,32 @@ def test_perf_parallel_scaling(benchmark, recorder):
     runs = benchmark.pedantic(_measure, rounds=1, iterations=1)
     cores = default_workers()
     base_wall, base_results = runs[WORKER_COUNTS[0]]
+    in_process_wall = runs[None][0]
 
     table = Table(
-        ["workers", "wall (s)", "speedup", "spec/s"],
+        ["workers", "wall (s)", "speedup", "vs in-process", "spec/s"],
         title=(
             f"PERF  process-sharded suite, random_policy "
             f"(n=16, m=6, reps={REPS}, {len(base_results)} specs, {cores} cores)"
         ),
     )
     invariant = True
-    for workers in WORKER_COUNTS:
-        wall, results = runs[workers]
+    for workers, (wall, results) in runs.items():
         speedup = base_wall / wall
         invariant &= all(
             (a.mean, a.std_err, a.min, a.max, a.truncated)
             == (b.mean, b.std_err, b.min, b.max, b.truncated)
             for a, b in zip(base_results, results)
         )
-        table.add_row([workers, wall, speedup, len(results) / wall])
+        label = "in-process" if workers is None else workers
+        table.add_row(
+            [label, wall, speedup, in_process_wall / wall, len(results) / wall]
+        )
         recorder.add(
-            workers=workers,
+            workers=label,
             wall_s=wall,
             speedup=speedup,
+            speedup_vs_in_process=in_process_wall / wall,
             means=[r.mean for r in results],
         )
     print("\n" + table.render())
@@ -168,6 +184,7 @@ def test_perf_parallel_scaling(benchmark, recorder):
         cpu_count=cores,
         reps=REPS,
         speedup_at_4_workers=speedup_at_4,
+        in_process_wall_s=in_process_wall,
         required_speedup=REQUIRED_SPEEDUP,
         speedup_assertable=cores >= 4,
     )

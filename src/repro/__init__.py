@@ -19,9 +19,9 @@ Quickstart — two calls, ``solve`` then ``evaluate``::
 
 ``evaluate()`` is the one front door for judging any schedule: it picks
 the cheapest engine satisfying the request (exact Markov when the state
-guard admits it, batched/lockstep Monte Carlo otherwise, sharded parallel
-when ``workers=`` is set) and returns an ``EvaluationReport`` with engine
-provenance.
+guard admits it, batched/lockstep Monte Carlo otherwise) and returns an
+``EvaluationReport`` with engine provenance.  ``run_experiment(spec,
+workers=N)`` spreads a spec's replications over worker processes.
 """
 
 from .core import (

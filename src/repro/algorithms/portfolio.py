@@ -133,9 +133,6 @@ def run_portfolio(
     reps: int = 200,
     max_steps: int = 200_000,
     mode: str = "auto",
-    workers: int | None = None,
-    executor: str | None = None,
-    shards: int | None = None,
 ) -> PortfolioReport:
     """Race solvers on ``instance`` and rank them by evaluated makespan.
 
@@ -192,9 +189,6 @@ def run_portfolio(
                         reps=reps,
                         seed=seed,
                         max_steps=max_steps,
-                        workers=workers,
-                        executor=executor,
-                        shards=shards,
                     )
                 except ReproError as exc:
                     skipped.append((rec.name, f"{type(exc).__name__}: {exc}"))

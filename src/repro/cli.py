@@ -139,15 +139,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluation mode shared by every member (auto picks exact "
         "when the state guard admits it)",
     )
-    po.add_argument("--workers", type=int, default=None)
-    po.add_argument("--executor", default=None, choices=["serial", "process"])
-    po.add_argument("--shards", type=int, default=None)
     po.add_argument("--json", type=Path, help="also write the leaderboard JSON here")
 
     ev = sub.add_parser(
         "evaluate",
         help="evaluate a schedule through the one front door "
-        "(auto-dispatching exact / MC / sharded engine selection)",
+        "(auto-dispatching exact / MC engine selection)",
     )
     ev.add_argument("input", type=Path, help="instance .json")
     ev.add_argument(
@@ -184,9 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--rtol", type=float, default=None, help="target relative CI half-width")
     ev.add_argument("--target-ci", type=float, default=None, help="target absolute CI half-width")
     ev.add_argument("--budget", type=int, default=None, help="max total replications for --rtol/--target-ci")
-    ev.add_argument("--workers", type=int, default=None, help="sharded parallel MC worker processes")
-    ev.add_argument("--executor", default=None, choices=["serial", "process"])
-    ev.add_argument("--shards", type=int, default=None)
     ev.add_argument("--require-finished", action="store_true")
     ev.add_argument("--json", type=Path, help="also write the full report JSON here")
     ev.add_argument(
@@ -448,9 +442,6 @@ def _cmd_portfolio(args) -> int:
             reps=args.reps,
             max_steps=args.max_steps,
             mode=args.mode,
-            workers=args.workers,
-            executor=args.executor,
-            shards=args.shards,
         )
     except ReproError as exc:
         print(f"portfolio failed: {exc}", file=sys.stderr)
@@ -562,9 +553,6 @@ def _cmd_evaluate(args) -> int:
             budget=args.budget,
             engine=args.engine,
             max_states=args.max_states,
-            workers=args.workers,
-            executor=args.executor,
-            shards=args.shards,
             require_finished=args.require_finished,
         )
         with obs.capture(enabled=args.trace is not None) as tel:
@@ -659,6 +647,7 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_run_experiments(args) -> int:
+    from .errors import ReproError
     from .experiments import DEFAULT_CACHE_DIR, suite_names
     from .parallel import get_executor
 
@@ -672,7 +661,11 @@ def _cmd_run_experiments(args) -> int:
     if not names:
         names = ["smoke"]
     cache_dir = None if args.no_cache else (args.cache_dir or DEFAULT_CACHE_DIR)
-    executor = get_executor(args.executor, args.workers)
+    try:
+        executor = get_executor(args.executor, args.workers)
+    except ReproError as exc:
+        print(f"run-experiments failed: {exc}", file=sys.stderr)
+        return 2
     if executor.name == "process":
         print(
             f"executor: process x {executor.workers} workers",

@@ -13,9 +13,10 @@ so the repo exposes exactly one evaluation API:
 ``evaluate()`` dispatches any schedule kind (cyclic, finite oblivious,
 regimen, adaptive policy) to the cheapest engine satisfying the request:
 exact sparse Markov when the ``2^n × width`` guard admits it, batched or
-lockstep Monte Carlo otherwise, and the sharded parallel backend when
-``workers=`` is set.  See :class:`EvaluationRequest` for the knobs and
-:class:`EvaluationReport` for the result shape.
+lockstep Monte Carlo otherwise.  See :class:`EvaluationRequest` for the
+knobs and :class:`EvaluationReport` for the result shape.  Spreading
+replications over processes is the experiment runner's job
+(``run_experiment(spec, workers=N)``).
 """
 
 from .dispatch import Route, exact_state_cost, exact_supported, schedule_kind, select_route

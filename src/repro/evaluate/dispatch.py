@@ -6,9 +6,8 @@ The decision tree (also rendered in ``docs/architecture.md``):
 request forces exact?  (mode="exact" | engine="sparse" | state_distribution)
 ├── yes → exact Markov     (ValidationError if the schedule has no finite
 │                           chain; ExactSolverLimitError if the guard trips)
-├── request forces MC?  (mode="mc" | engine="batched" | workers/executor/
-│   │                    shards | rtol/target_ci/budget)
-│   └── yes → Monte Carlo  (sharded when a parallel knob is set)
+├── request forces MC?  (mode="mc" | engine="batched" | rtol/target_ci/budget)
+│   └── yes → Monte Carlo
 └── auto:
     schedule is a Regimen / CyclicSchedule serving all metrics,
     and the full DP allocation 2^n × width fits max_states?
@@ -46,7 +45,6 @@ class Route:
 
     mode: str  # "exact" | "mc"
     engine: str  # exact: "sparse"|"scalar"; mc: "auto"|"batched"|"scalar"
-    sharded: bool
     reason: str
     #: Auto-mode cost model, recorded as dispatch-span attributes: the
     #: exact DP allocation this request would need and the cap it was
@@ -133,19 +131,17 @@ def select_route(instance: SUUInstance, schedule, request: EvaluationRequest) ->
     if request.forces_exact:
         if not ok:
             raise ValidationError(f"mode='exact' cannot serve this request: {why_not}")
-        return Route("exact", _exact_engine(request), False, "exact route requested")
+        return Route("exact", _exact_engine(request), "exact route requested")
     forced_mc = (
         request.mode == "mc"
         or request.engine == "batched"
-        or request.wants_parallel
         or request.wants_precision
     )
     if forced_mc:
         return Route(
             "mc",
             _mc_engine(request),
-            request.wants_parallel,
-            "MC route requested (mode/engine/parallel/precision argument)",
+            "MC route requested (mode/engine/precision argument)",
         )
     # mode="auto": prefer exact whenever the whole request fits the guard.
     if ok:
@@ -155,7 +151,6 @@ def select_route(instance: SUUInstance, schedule, request: EvaluationRequest) ->
             return Route(
                 "exact",
                 _exact_engine(request),
-                False,
                 f"auto: exact chain fits ({cost} <= max_states {cap})",
                 cost=cost,
                 cap=cap,
@@ -163,9 +158,8 @@ def select_route(instance: SUUInstance, schedule, request: EvaluationRequest) ->
         return Route(
             "mc",
             _mc_engine(request),
-            False,
             f"auto: exact chain needs {cost} DP entries > max_states {cap}",
             cost=cost,
             cap=cap,
         )
-    return Route("mc", _mc_engine(request), False, f"auto: {why_not}")
+    return Route("mc", _mc_engine(request), f"auto: {why_not}")

@@ -41,9 +41,9 @@ def evaluate(
 
     Either pass a pre-built :class:`EvaluationRequest`, or keyword
     arguments that construct one (``metrics=``, ``mode=``, ``reps=``,
-    ``seed=``, ``workers=``, ...; see the request class for the full
-    list).  ``schedule`` may be any schedule kind — cyclic, finite
-    oblivious, regimen, adaptive policy — or a
+    ``seed=``, ...; see the request class for the full list).
+    ``schedule`` may be any schedule kind — cyclic, finite oblivious,
+    regimen, adaptive policy — or a
     :class:`~repro.core.schedule.ScheduleResult` (unwrapped), or a solver
     *name* from the capability-typed registry
     (:mod:`repro.algorithms.registry`): ``evaluate(inst, "serial")``
@@ -53,16 +53,18 @@ def evaluate(
 
     Routing (``mode="auto"``): exact sparse Markov when the schedule has
     a finite chain within the ``max_states`` guard, batched/lockstep
-    Monte Carlo otherwise, sharded parallel MC when ``workers`` /
-    ``executor`` / ``shards`` is set.  ``mode="exact"`` / ``mode="mc"``
-    force a route.  With ``mode="mc"`` the samples are a pure function
-    of the integer ``seed``.
+    Monte Carlo otherwise.  ``mode="exact"`` / ``mode="mc"`` force a
+    route.  With ``mode="mc"`` the samples are a pure function of the
+    integer ``seed``.  Replications run in this process; to spread them
+    over worker processes, describe the run as an
+    :class:`~repro.experiments.spec.ExperimentSpec` and call
+    ``run_experiment(spec, workers=N)``.
 
     Censoring surfaces uniformly: any route whose replications hit the
     step budget emits one :class:`~repro.errors.CensoredEstimateWarning`
     (or raises with ``require_finished=True``), and an exact solve past
     its guard raises :class:`~repro.errors.ExactSolverLimitError` —
-    identically for every schedule kind and backend.
+    identically for every schedule kind.
     """
     report = _evaluate(instance, schedule, request, **kwargs)
     if report.truncated:
@@ -115,7 +117,6 @@ def _evaluate(
             dspan.set(
                 mode=route.mode,
                 engine=route.engine,
-                sharded=route.sharded,
                 reason=route.reason,
                 exact_state_cost=route.cost,
                 max_states_cap=route.cap,
@@ -257,16 +258,11 @@ def _run_mc(
             keep_samples=need_samples,
             require_finished=request.require_finished,
             engine=route.engine,
-            workers=request.workers,
-            executor=request.executor,
-            shards=request.shards,
         )
 
     if not request.wants_precision:
         # Single round: the raw seed passes straight through to the
-        # estimator — including the sharded route, whose root-seed
-        # derivation distinguishes an integer (reproducible passthrough)
-        # from a generator (one draw).
+        # estimator.
         with obs.span("mc.round", round=1, reps=request.reps):
             est = run(request.reps, request.seed)
         samples = est.samples
@@ -326,7 +322,6 @@ def _run_mc(
         max=hi if wants_makespan else None,
         samples=samples if request.keep_samples else None,
         completion_curve=curve,
-        sharded=route.sharded,
         rounds=rounds,
         precision_met=met,
         reason=route.reason,

@@ -43,7 +43,7 @@ class EvaluationReport:
     engine:
         Engine provenance: ``markov-sparse`` / ``markov-scalar`` on the
         exact route; ``oblivious-lockstep`` / ``batched`` / ``scalar`` on
-        the Monte Carlo route (per-shard engine when sharded).
+        the Monte Carlo route.
     schedule_kind:
         ``cyclic`` / ``oblivious`` / ``regimen`` / ``adaptive``.
     makespan / std_err / n_reps / truncated / min / max / samples:
@@ -53,10 +53,10 @@ class EvaluationReport:
         is then a lower bound).
     completion_curve / state_distribution:
         Requested extra metrics (None when not requested).
-    sharded / rounds / precision_met:
-        MC provenance: whether the sharded backend ran, how many
-        adaptive-precision rounds were spent, and whether the precision
-        target was met within the budget (None when no target was set).
+    rounds / precision_met:
+        MC provenance: how many adaptive-precision rounds were spent, and
+        whether the precision target was met within the budget (None when
+        no target was set).
     reason:
         Human-readable dispatch rationale (why this route was picked).
     wall_time_s:
@@ -80,7 +80,6 @@ class EvaluationReport:
     samples: np.ndarray | None = None
     completion_curve: np.ndarray | None = None
     state_distribution: np.ndarray | None = None
-    sharded: bool = False
     rounds: int = 1
     precision_met: bool | None = None
     reason: str = ""
@@ -133,8 +132,6 @@ class EvaluationReport:
                 "budget": self.request.budget,
                 "engine": self.request.engine,
                 "max_states": self.request.max_states,
-                "workers": self.request.workers,
-                "shards": self.request.shards,
             }
         return {
             "mode": self.mode,
@@ -158,7 +155,6 @@ class EvaluationReport:
                 if self.state_distribution is not None
                 else None
             ),
-            "sharded": self.sharded,
             "rounds": self.rounds,
             "precision_met": self.precision_met,
             "reason": self.reason,
@@ -189,7 +185,7 @@ class EvaluationReport:
         unknown = set(d) - _DERIVED_KEYS - {
             "mode", "engine", "schedule_kind", "makespan", "std_err",
             "n_reps", "truncated", "min", "max", "completion_curve",
-            "state_distribution", "sharded", "rounds", "precision_met",
+            "state_distribution", "rounds", "precision_met",
             "reason", "wall_time_s", "telemetry",
         }
         if unknown:
@@ -227,7 +223,6 @@ class EvaluationReport:
             state_distribution=(
                 np.asarray(dist, dtype=np.float64) if dist is not None else None
             ),
-            sharded=d.get("sharded", False),
             rounds=d.get("rounds", 1),
             precision_met=d.get("precision_met"),
             reason=d.get("reason", ""),

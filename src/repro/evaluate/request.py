@@ -5,8 +5,8 @@ behaves under the Def 2.1 stochastic execution model.
 :class:`EvaluationRequest` is the single typed description of "what do
 you want to know and at what cost", and
 :meth:`EvaluationRequest.validate` is the single place every route —
-exact, Monte Carlo, sharded — rejects malformed or conflicting arguments
-with a :class:`~repro.errors.ValidationError`.
+exact or Monte Carlo — rejects malformed or conflicting arguments with a
+:class:`~repro.errors.ValidationError`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ __all__ = [
 #: semantics change (mirrors ``ExperimentSpec.SPEC_VERSION``).
 #: v2: the step-free oblivious Monte Carlo kernel changed every
 #: oblivious/cyclic MC number at a fixed seed.
-REQUEST_HASH_VERSION = 2
+#: v3: the payload lost the ``workers`` / ``executor`` / ``shards`` keys.
+REQUEST_HASH_VERSION = 3
 
 #: Metrics a request may ask for.  ``state_distribution`` is exact-only.
 METRICS = ("makespan", "completion_curve", "state_distribution")
@@ -54,10 +55,6 @@ ENGINES = {
 #: Default replication budget, as a multiple of ``reps``, when a precision
 #: target (``rtol`` / ``target_ci``) is set without an explicit ``budget``.
 DEFAULT_BUDGET_FACTOR = 32
-
-#: Arguments that steer the sharded parallel backend; they conflict with
-#: any request that can only resolve to the exact route.
-_PARALLEL_FIELDS = ("workers", "executor", "shards")
 
 #: Arguments that steer the adaptive-precision Monte Carlo loop.
 _PRECISION_FIELDS = ("rtol", "target_ci", "budget")
@@ -118,9 +115,6 @@ class EvaluationRequest:
         Exact-solver guard on the full DP allocation (default
         ``repro.sim.exact.DEFAULT_MAX_STATES``); in auto mode it is also
         the exact-vs-MC dispatch threshold.
-    workers / executor / shards:
-        Sharded parallel MC (``repro.parallel``); merged results are
-        worker-count invariant at a fixed seed.
     keep_samples / require_finished:
         Passed through to the estimator: retain the per-replication
         makespans / escalate censoring to an error.
@@ -137,9 +131,6 @@ class EvaluationRequest:
     budget: int | None = None
     engine: str = "auto"
     max_states: int | None = None
-    workers: int | None = None
-    executor: object | None = None
-    shards: int | None = None
     keep_samples: bool = False
     require_finished: bool = False
 
@@ -148,11 +139,6 @@ class EvaluationRequest:
         self.validate()
 
     # -- derived views ---------------------------------------------------
-    @property
-    def wants_parallel(self) -> bool:
-        """Any sharded-backend knob set?"""
-        return any(getattr(self, f) is not None for f in _PARALLEL_FIELDS)
-
     @property
     def wants_precision(self) -> bool:
         """Adaptive-precision loop requested?"""
@@ -182,12 +168,12 @@ class EvaluationRequest:
         construction spelling (``"completion-curve"`` and
         ``"completion_curve"`` hash identically — the validator already
         normalized the metrics), and sensitive to every knob that changes
-        the numbers: seed, reps, step budget, precision targets, engine,
-        guard caps, and shard plan.
+        the numbers: seed, reps, step budget, precision targets, engine
+        and guard caps.
 
         Only reproducible requests hash: a live ``numpy`` ``Generator``
-        seed or a non-string executor instance has no stable content, so
-        the server could neither dedup nor cache it —
+        seed has no stable content, so the server could neither dedup nor
+        cache it —
         :class:`~repro.errors.ValidationError` is raised instead of
         producing a digest that silently collides.
         """
@@ -198,11 +184,6 @@ class EvaluationRequest:
                 "request_hash() needs a reproducible request; seed must be an "
                 f"int or None, not {type(self.seed).__name__} (a live generator "
                 "has no stable content to hash)"
-            )
-        if self.executor is not None and not isinstance(self.executor, str):
-            raise ValidationError(
-                "request_hash() needs a reproducible request; executor must be "
-                "a name ('serial'/'process') or None, not an executor instance"
             )
         payload = {
             "metrics": list(self.metrics),
@@ -216,9 +197,6 @@ class EvaluationRequest:
             "budget": self.budget,
             "engine": self.engine,
             "max_states": self.max_states,
-            "workers": self.workers,
-            "executor": self.executor,
-            "shards": self.shards,
             "keep_samples": self.keep_samples,
             "require_finished": self.require_finished,
             "__version__": REQUEST_HASH_VERSION,
@@ -280,14 +258,6 @@ class EvaluationRequest:
                 )
         if self.max_states is not None and self.max_states < 1:
             raise ValidationError(f"max_states must be >= 1, got {self.max_states}")
-        if self.workers is not None and self.workers < 1:
-            raise ValidationError(f"workers must be >= 1, got {self.workers}")
-        if self.shards is not None and self.shards < 1:
-            raise ValidationError(f"shards must be >= 1, got {self.shards}")
-        if isinstance(self.executor, str) and self.executor not in ("serial", "process"):
-            raise ValidationError(
-                f"unknown executor {self.executor!r}; expected 'serial' or 'process'"
-            )
         needs_horizon = {"completion_curve", "state_distribution"} & set(self.metrics)
         if needs_horizon:
             if self.horizon is None:
@@ -321,15 +291,6 @@ class EvaluationRequest:
                 "requested with mode='mc'"
             )
         if self.forces_exact:
-            given_parallel = [f for f in _PARALLEL_FIELDS if getattr(self, f) is not None]
-            if given_parallel:
-                raise ValidationError(
-                    f"conflicting request: {'/'.join(given_parallel)} steer the "
-                    "sharded Monte Carlo backend, but the request can only "
-                    "resolve to the exact Markov route (mode='exact', "
-                    "engine='sparse', or a state_distribution metric), "
-                    "which is not sharded"
-                )
             given_precision = [
                 f for f in _PRECISION_FIELDS if getattr(self, f) is not None
             ]

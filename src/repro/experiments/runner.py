@@ -38,10 +38,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .. import obs
-from ..errors import ExperimentError, StaleCacheWarning, warn_censored
-from ..parallel.estimate import merged_estimate
+from ..errors import (
+    ExperimentError,
+    ScheduleError,
+    StaleCacheWarning,
+    ValidationError,
+    warn_censored,
+)
 from ..parallel.executor import Executor, get_executor
-from ..parallel.merge import PartialEstimate
+from ..parallel.merge import PartialEstimate, merge_partials
 from ..parallel.sharding import Shard, make_shard_plan
 from ..parallel.worker import ShardOutcome, SpecTask, run_spec_task, spec_payload
 from .spec import ExperimentSpec
@@ -336,17 +341,23 @@ def _assemble(pend: _PendingSpec) -> ExperimentResult:
         truncated = 0
         engine_used = pend.engine_used or "markov-sparse"
     else:
-        est = merged_estimate(
-            sorted(pend.shard_outcomes.values(), key=lambda o: o.shard_index),
-            reps=spec.reps,
-            max_steps=spec.max_steps,
-            keep_samples=False,
-            require_finished=False,
-        )
-        mean, std_err = est.mean, est.std_err
-        lo, hi = est.min, est.max
-        truncated = est.truncated
-        engine_used = est.engine_used
+        outcomes = sorted(pend.shard_outcomes.values(), key=lambda o: o.shard_index)
+        obs.add("parallel.shards", len(outcomes))
+        for o in outcomes:
+            obs.graft_snapshot(o.telemetry)
+        merged = merge_partials(o.partial for o in outcomes)
+        if merged.count != spec.reps:
+            raise ValidationError(
+                f"shard partials cover {merged.count} replications, "
+                f"expected {spec.reps}"
+            )
+        engines = {o.engine_used for o in outcomes}
+        if len(engines) != 1:  # pragma: no cover - engine choice is deterministic
+            raise ScheduleError(f"shards disagree on the engine: {sorted(engines)}")
+        (engine_used,) = engines
+        mean, std_err = merged.mean, merged.std_err
+        lo, hi = merged.min, merged.max
+        truncated = merged.truncated
         if truncated:
             # One warning per spec, for the merged estimate.
             warn_censored(truncated, spec.reps, spec.max_steps, stacklevel=2)

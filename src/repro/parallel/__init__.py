@@ -1,6 +1,7 @@
-"""Sharded parallel execution backend for experiments and Monte Carlo.
+"""Sharded parallel execution backend of the experiment runner.
 
-The backend splits estimation work along two axes (``docs/architecture.md``
+The runner (:func:`repro.experiments.run_suite`) is its only client; it
+splits a suite's estimation work along two axes (``docs/architecture.md``
 has the full design):
 
 * **across specs** — a suite fans its experiments out to a worker pool;
@@ -11,8 +12,9 @@ Both axes share one :class:`Executor` abstraction (``serial`` /
 ``process``) and one streaming aggregator that merges per-shard partial
 estimates (count/mean/M2, min/max, truncation counts).  Shard plans are
 pure functions of ``(reps, seed)``, and partials merge in shard order, so
-the result of a sharded estimate is bitwise identical for any worker count
-— parallelism changes wall-clock, never numbers.
+a spec's result is bitwise identical for any worker count — parallelism
+changes wall-clock, never numbers.  Tasks carry spec JSON, never pickled
+schedules, so every registry solver parallelizes.
 """
 
 from .executor import (

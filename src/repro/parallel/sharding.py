@@ -5,8 +5,8 @@ contiguous shards, each with its own independent RNG stream derived via
 :meth:`numpy.random.SeedSequence.spawn`.  Two properties make sharded
 estimation reproducible by construction:
 
-* **The plan is a pure function of** ``(reps, seed, n_shards)`` — never of
-  the executor, the worker count, or task completion order.  Running the
+* **The plan is a pure function of** ``(reps, seed)`` — never of the
+  executor, the worker count, or task completion order.  Running the
   same plan serially, on one worker, or on sixteen workers executes the
   exact same shards with the exact same streams, so the merged estimate is
   bitwise identical for any worker count.
@@ -15,9 +15,9 @@ estimation reproducible by construction:
   ``spawn_key=(i,)``.  Shards never share a stream, so per-shard sample
   moments are independent and may be merged (:mod:`repro.parallel.merge`).
 
-``n_shards`` defaults to :func:`default_shard_count`, itself a pure
-function of ``reps`` — so the default plan, and therefore the numbers a
-spec produces, do not depend on how many workers happen to be available.
+The shard count is :func:`default_shard_count`, itself a pure function of
+``reps`` — so the plan, and therefore the numbers a spec produces, do not
+depend on how many workers happen to be available.
 """
 
 from __future__ import annotations
@@ -38,20 +38,20 @@ __all__ = [
     "resolve_root_seed",
 ]
 
-#: Upper bound on the number of shards a default plan creates.  Changing
-#: either constant changes the default shard plan and therefore the RNG
+#: Upper bound on the number of shards a plan creates.  Changing
+#: either constant changes the shard plan and therefore the RNG
 #: stream structure of every estimate; the experiment-spec hash folds in
 #: ``default_shard_count(reps)`` so cached results invalidate themselves
 #: when that happens.
 DEFAULT_MAX_SHARDS = 16
 
-#: A default-plan shard carries at least this many replications, so tiny
+#: A shard carries at least this many replications, so tiny
 #: estimates do not pay per-shard overhead for nothing.
 MIN_SHARD_REPS = 25
 
 
 def default_shard_count(reps: int) -> int:
-    """Number of shards the default plan uses for ``reps`` replications.
+    """Number of shards the plan uses for ``reps`` replications.
 
     A pure function of ``reps`` (never of the worker count): small
     estimates stay in one shard, large ones split into up to
@@ -100,44 +100,24 @@ class ShardPlan:
         return len(self.shards)
 
 
-def resolve_root_seed(rng: np.random.Generator | int | None) -> int:
-    """Root entropy for a shard plan from any accepted ``rng`` argument.
+def resolve_root_seed(seed: int) -> int:
+    """Root entropy for a shard plan: the spec's integer ``sim_seed``.
 
-    Integers pass through (the reproducible path used by experiment specs);
-    ``None`` draws fresh OS entropy; a :class:`~numpy.random.Generator`
-    contributes one draw, so callers holding a generator still get
-    deterministic-but-decoupled shard streams.
+    Spec JSON comes from outside the program, so anything but an integer
+    is rejected here rather than deep inside ``SeedSequence``.
     """
-    if rng is None:
-        return int(np.random.SeedSequence().generate_state(1)[0])
-    if isinstance(rng, np.random.Generator):
-        return int(rng.integers(0, 2**63))
-    if isinstance(rng, (int, np.integer)):
-        return int(rng)
-    raise ValidationError(f"cannot derive a shard-plan seed from {rng!r}")
+    if isinstance(seed, (int, np.integer)):
+        return int(seed)
+    raise ValidationError(f"cannot derive a shard-plan seed from {seed!r}")
 
 
-def make_shard_plan(
-    reps: int,
-    seed: np.random.Generator | int | None,
-    n_shards: int | None = None,
-) -> ShardPlan:
+def make_shard_plan(reps: int, seed: int) -> ShardPlan:
     """Split ``reps`` replications into a deterministic shard plan.
 
     Shard sizes differ by at most one (earlier shards take the remainder),
     and shard ``i`` owns the ``i``-th spawned child of the root seed.
-    Passing ``n_shards`` overrides the default plan — the override changes
-    the stream structure (statistically equivalent, not bitwise identical),
-    which is why spec-driven runs always use the default.
     """
-    if reps < 1:
-        raise ValidationError("reps must be >= 1")
-    if n_shards is None:
-        n_shards = default_shard_count(reps)
-    if not (1 <= n_shards <= reps):
-        raise ValidationError(
-            f"need 1 <= n_shards <= reps, got n_shards={n_shards} for reps={reps}"
-        )
+    n_shards = default_shard_count(reps)
     entropy = resolve_root_seed(seed)
     base, extra = divmod(reps, n_shards)
     shards = tuple(

@@ -2,19 +2,13 @@
 
 Everything in this module is a plain module-level function operating on
 picklable payloads, so it can cross the process boundary under any
-multiprocessing start method.  Two task families exist:
-
-* **object tasks** (:func:`estimate_shard`) — the instance and schedule are
-  shipped to the worker by pickle.  Used by
-  ``evaluate(..., workers=N)``; oblivious/cyclic schedules and
-  regimens pickle fine, adaptive policies built from closures do not (the
-  orchestrator pre-flights this and points callers at the spec route).
-* **spec tasks** (:func:`run_spec_task`) — only the JSON spec dict travels;
-  the worker rebuilds the instance and schedule through the experiment
-  registries.  Rebuilding is deterministic (instance and solver seeds live
-  in the spec), so every worker reconstructs the identical schedule, and a
-  per-process LRU cache makes the rebuild a one-time cost per spec rather
-  than per shard.
+multiprocessing start method.  Tasks are **spec tasks**
+(:func:`run_spec_task`): only the JSON spec dict travels, and the worker
+rebuilds the instance and schedule through the experiment registries.
+Rebuilding is deterministic (instance and solver seeds live in the spec),
+so every worker reconstructs the identical schedule — closure-based
+adaptive policies included — and a per-process LRU cache makes the
+rebuild a one-time cost per spec rather than per shard.
 
 Workers never warn about censoring: truncation counts travel back inside
 the partials, and the *parent* warns once for the merged estimate instead
@@ -35,7 +29,6 @@ __all__ = [
     "ShardOutcome",
     "SpecTask",
     "SpecTaskOutcome",
-    "estimate_shard",
     "run_spec_task",
 ]
 
@@ -54,7 +47,6 @@ class ShardOutcome:
     partial: PartialEstimate
     engine_used: str
     elapsed_s: float
-    samples: tuple[int, ...] | None = None
     telemetry: dict | None = None
 
 
@@ -64,12 +56,11 @@ def _estimate_partial(
     shard: Shard,
     max_steps: int,
     engine: str,
-    keep_samples: bool,
     trace: bool = False,
 ) -> ShardOutcome:
     """Run one shard through the (single-process) estimator and summarize it."""
-    # Engine-layer call: shards are below the repro.evaluate front door,
-    # which is what routed the request here in the first place.
+    # Engine-layer call: a shard is a slice of one spec's replications,
+    # below the repro.evaluate front door.
     from ..sim.montecarlo import _estimate_makespan
 
     sw = obs.stopwatch()
@@ -93,39 +84,10 @@ def _estimate_partial(
         partial=PartialEstimate.from_samples(est.samples, truncated=est.truncated),
         engine_used=est.engine_used,
         elapsed_s=sw.elapsed_s,
-        samples=tuple(int(x) for x in est.samples) if keep_samples else None,
         telemetry=tel.snapshot() if tel is not None else None,
     )
 
 
-@dataclass(frozen=True)
-class _ObjectShardTask:
-    """Payload for :func:`estimate_shard`: ship the objects themselves."""
-
-    instance: object
-    schedule: object
-    shard: Shard
-    max_steps: int
-    engine: str
-    keep_samples: bool
-    trace: bool = False
-
-
-def estimate_shard(task: _ObjectShardTask) -> ShardOutcome:
-    return _estimate_partial(
-        task.instance,
-        task.schedule,
-        task.shard,
-        task.max_steps,
-        task.engine,
-        task.keep_samples,
-        trace=task.trace,
-    )
-
-
-# ----------------------------------------------------------------------
-# Spec route: rebuild instance + schedule from the registries.
-# ----------------------------------------------------------------------
 @lru_cache(maxsize=8)
 def _build_instance_from_spec(spec_json: str):
     """Rebuild (spec, instance) from canonical spec JSON, cached per process."""
@@ -204,7 +166,6 @@ def run_spec_task(task: SpecTask) -> SpecTaskOutcome:
             task.shard,
             max_steps=spec.max_steps,
             engine=spec.engine,
-            keep_samples=False,
             trace=task.trace,
         )
         # Certificates ride on shard 0 only: every shard holds the same

@@ -33,7 +33,9 @@ __all__ = ["start_http_server", "decode_schedule", "PROTOCOL_VERSION"]
 
 #: Bumped when the wire shape of requests/envelopes changes.
 #: v2: envelope provenance no longer carries ``batched_with``.
-PROTOCOL_VERSION = 2
+#: v3: requests no longer take ``workers`` / ``executor`` / ``shards``, and
+#: the envelope's report lost ``sharded`` and ``request.workers/shards``.
+PROTOCOL_VERSION = 3
 
 _MAX_BODY = 64 * 1024 * 1024  # refuse absurd payloads before buffering them
 

@@ -13,10 +13,8 @@ submit ──▶ admission control ──▶ cache lookup ──▶ in-flight de
 Everything upstream of the worker pool is pure asyncio bookkeeping —
 the event loop never blocks on a simulation.  Compute runs on a
 :class:`concurrent.futures.ThreadPoolExecutor` via
-``loop.run_in_executor`` (numpy releases the GIL in the hot kernels,
-and process-pool requests still fan out through ``repro.parallel``
-inside the worker); results resolve asyncio futures that the protocol
-layer awaits.
+``loop.run_in_executor`` (numpy releases the GIL in the hot kernels);
+results resolve asyncio futures that the protocol layer awaits.
 
 Dedup and caching apply only to *reproducible* jobs (integer seed):
 a ``None`` seed means "fresh randomness", and replaying or coalescing

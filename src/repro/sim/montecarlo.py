@@ -34,7 +34,7 @@ def mean_std_err(samples: np.ndarray) -> tuple[float, float]:
     """Sample mean and its standard error ``std(ddof=1) / sqrt(n)``.
 
     Computed in float64; the standard error of a single sample is 0.  The
-    sharded path merges per-shard moments instead
+    experiment runner merges per-shard moments instead
     (:mod:`repro.parallel.merge`), since it has no samples to hand.
     """
     values = np.asarray(samples, dtype=np.float64)
@@ -203,9 +203,6 @@ def _estimate_makespan(
     keep_samples: bool = False,
     require_finished: bool = False,
     engine: str = "auto",
-    workers: int | None = None,
-    executor=None,
-    shards: int | None = None,
 ) -> MakespanEstimate:
     """Estimate the expected makespan of ``schedule`` by Monte Carlo.
 
@@ -221,19 +218,9 @@ def _estimate_makespan(
     forces :func:`repro.sim.batch.simulate_batch` (rejecting schedules it
     cannot batch).
 
-    ``workers`` / ``executor`` / ``shards`` engage the sharded parallel
-    backend (:mod:`repro.parallel`): replications split into independent
-    :meth:`~numpy.random.SeedSequence.spawn`-seeded shards, each shard runs
-    through this same engine routing, and per-shard moments merge into one
-    estimate.  ``workers=N`` fans shards out to ``N`` worker processes
-    (``executor="serial"`` runs the same shards in-process); the merged
-    numbers are identical for every worker count at a fixed seed.  The
-    sharded path draws its shard streams from a root seed, so it is
-    statistically equivalent — not bitwise identical — to the default
-    single-stream path.  Process execution ships ``(instance, schedule)``
-    by pickle; closure-based adaptive policies must instead go through an
-    :class:`~repro.experiments.spec.ExperimentSpec` (whose workers rebuild
-    the schedule from the registry) or ``executor="serial"``.
+    The experiment runner calls this once per replication shard
+    (:mod:`repro.parallel.worker`); that is the only place replications
+    are split and spread over processes.
 
     Replications censored at the step budget are counted in
     ``truncated`` (the mean is then only a lower bound) without a warning:
@@ -244,23 +231,6 @@ def _estimate_makespan(
         raise ValidationError(f"reps must be >= 1, got {reps}")
     if engine not in ("auto", "batched", "scalar"):
         raise ValidationError(f"unknown engine {engine!r}; expected auto|batched|scalar")
-    if workers is not None or executor is not None or shards is not None:
-        # Imported lazily: repro.parallel.worker calls back into this module.
-        from ..parallel.estimate import sharded_estimate
-
-        return sharded_estimate(
-            instance,
-            schedule,
-            reps=reps,
-            rng=rng,
-            max_steps=max_steps,
-            engine=engine,
-            executor=executor,
-            workers=workers,
-            shards=shards,
-            keep_samples=keep_samples,
-            require_finished=require_finished,
-        )
     rng = as_rng(rng)
     if isinstance(schedule, (ObliviousSchedule, CyclicSchedule)):
         # Validate regardless of engine choice: the scalar loop would

@@ -2,8 +2,8 @@
 
 The repo executes the same Def 2.1 stochastic-schedule semantics through
 several independent code paths — the scalar reference engine, the
-oblivious lockstep path, the frontier-memoized batched engine, and the
-sharded parallel backend — and claims agreement with analytic oracles
+oblivious lockstep path and the frontier-memoized batched engine — and
+claims agreement with analytic oracles
 (exact Markov makespans, the Malewicz optimal regimen, certified lower
 bounds, rounding certificates, congestion targets).  This package is the
 machinery that *checks* those claims continuously:

@@ -10,8 +10,8 @@ The oracle table (also in ``docs/architecture.md``):
 ===================  =======================================================
 check                what must agree
 ===================  =======================================================
-``engines``          scalar vs lockstep/batched vs sharded sample moments,
-                     engine routing, sample-range invariants (makespans are
+``engines``          scalar vs lockstep/batched sample moments, engine
+                     routing, sample-range invariants (makespans are
                      1-based, censoring consistent)
 ``markov``           exact Markov expected makespan vs every applicable
                      engine's Monte Carlo mean (z-gated, two-stage), plus
@@ -108,10 +108,6 @@ class CheckConfig:
     #: door, so it is gated a little tighter than the plain MC checks.
     portfolio_jobs: int = 6
     portfolio_machines: int = 3
-    #: Shards used to exercise the parallel merge path (serial executor:
-    #: the merged numbers are worker-count invariant by construction, so
-    #: process pools would only add fork latency to every fuzz case).
-    shards: int = 3
 
 
 # ----------------------------------------------------------------------
@@ -158,7 +154,6 @@ class CaseContext:
         #: censoring paths) or the config default.
         self.max_steps = spec.max_steps or cfg.max_steps
         self.routes: dict[str, dict] = dict(_engine_routes(schedule))
-        self.routes["sharded"] = {"executor": "serial", "shards": cfg.shards}
         self._estimates: dict | None = None
         self._rounding: tuple | None = None
 
@@ -179,7 +174,7 @@ class CaseContext:
 
     @property
     def estimates(self) -> dict:
-        """Estimates per engine route plus the sharded merge route."""
+        """Estimates per engine route."""
         if self._estimates is None:
             self._estimates = {label: self.estimate(label) for label in self.routes}
         return self._estimates

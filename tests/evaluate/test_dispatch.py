@@ -99,14 +99,6 @@ class TestAutoPicksMonteCarlo:
         report = evaluate(tiny_independent, pol, reps=5, seed=0)
         assert (report.mode, report.engine) == ("mc", "scalar")
 
-    def test_parallel_knobs_force_sharded_mc(self, tiny_independent):
-        sched = serial_baseline(tiny_independent).schedule
-        report = evaluate(
-            tiny_independent, sched, reps=50, seed=0, shards=2, executor="serial"
-        )
-        assert report.mode == "mc"
-        assert report.sharded
-
     def test_precision_target_forces_mc(self, tiny_independent):
         sched = serial_baseline(tiny_independent).schedule
         report = evaluate(tiny_independent, sched, reps=40, seed=0, rtol=0.5)

@@ -1,8 +1,7 @@
 """Cross-route equivalence through the front door.
 
 A joint makespan + curve request samples exactly what a makespan-only
-request samples, and the sharded route is worker-count invariant through
-the facade.
+request samples.
 """
 
 from __future__ import annotations
@@ -49,16 +48,3 @@ class TestJointMetrics:
                 (joint.samples <= t).mean()
             )
 
-
-class TestWorkerInvariance:
-    def test_workers_2_matches_serial_through_facade(self, inst):
-        """Satellite: ``workers=2`` invariance through the facade."""
-        sched = serial_baseline(inst).schedule
-        serial = evaluate(
-            inst, sched, reps=60, seed=7, shards=3, executor="serial"
-        )
-        parallel = evaluate(inst, sched, reps=60, seed=7, shards=3, workers=2)
-        assert parallel.makespan == serial.makespan
-        assert parallel.std_err == serial.std_err
-        assert (parallel.min, parallel.max) == (serial.min, serial.max)
-        assert parallel.sharded and serial.sharded

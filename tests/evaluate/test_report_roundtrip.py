@@ -62,7 +62,6 @@ def reports(draw):
             if (d := draw(curves)) is not None
             else None
         ),
-        sharded=draw(st.booleans()),
         rounds=draw(st.integers(1, 16)),
         precision_met=draw(st.one_of(st.none(), st.booleans())),
         reason=draw(st.text(max_size=40)),

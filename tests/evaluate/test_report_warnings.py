@@ -2,7 +2,7 @@
 
 Satellite acceptance: ``CensoredEstimateWarning`` and
 ``ExactSolverLimitError`` surface identically through ``evaluate()`` for
-all routes (scalar, batched, sharded) — regression tests included.
+all routes (lockstep, batched, scalar) — regression tests included.
 """
 
 from __future__ import annotations
@@ -38,11 +38,6 @@ def _routes(inst):
         ("oblivious-lockstep", serial_baseline(inst).schedule, {}),
         ("batched", greedy_prob_policy(inst).schedule, {}),
         ("scalar", random_policy(inst).schedule, {}),
-        (
-            "sharded",
-            serial_baseline(inst).schedule,
-            {"shards": 2, "executor": "serial"},
-        ),
     ]
 
 
@@ -107,7 +102,7 @@ class TestCensoringParity:
         assert len(censored) == 1
         assert censored[0].filename == __file__
 
-    @pytest.mark.parametrize("extra", [{}, {"shards": 2, "executor": "serial"}])
+    @pytest.mark.parametrize("extra", [{}, {"engine": "scalar"}])
     def test_require_finished_raises_identically(self, hopeless, extra):
         sched = serial_baseline(hopeless).schedule
         with pytest.raises(SimulationLimitError, match="step budget"):

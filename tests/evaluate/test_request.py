@@ -49,9 +49,12 @@ class TestRejections:
             ({"budget": 1000}, "no effect without a precision target"),
             ({"budget": 50, "reps": 100, "rtol": 0.1}, "cover at least the initial"),
             ({"max_states": 0}, "max_states must be >= 1"),
-            ({"workers": 0}, "workers must be >= 1"),
-            ({"shards": 0}, "shards must be >= 1"),
-            ({"executor": "threads"}, "unknown executor"),
+            ({"engine": "sparse", "rtol": 0.1}, "no effect on the exact route"),
+            (
+                {"metrics": ("state_distribution",), "horizon": 5, "target_ci": 0.5},
+                "no effect on the exact route",
+            ),
+            ({"metrics": 5}, "metrics must be a metric name"),
             ({"metrics": ("completion_curve",)}, "require horizon"),
             ({"metrics": ("state_distribution",)}, "require horizon"),
             ({"metrics": ("completion_curve",), "horizon": 0}, "horizon must be >= 1"),
@@ -74,20 +77,12 @@ class TestRejections:
         with pytest.raises(ValidationError, match=match):
             EvaluationRequest(**kwargs)
 
-    @pytest.mark.parametrize("parallel", [{"workers": 2}, {"executor": "serial"}, {"shards": 3}])
-    def test_exact_mode_conflicts_with_parallel_knobs(self, parallel):
-        with pytest.raises(ValidationError, match="conflicting request"):
-            EvaluationRequest(mode="exact", **parallel)
-
-    def test_sparse_engine_conflicts_with_parallel_knobs(self):
-        with pytest.raises(ValidationError, match="conflicting request"):
-            EvaluationRequest(engine="sparse", workers=2)
-
-    def test_state_distribution_conflicts_with_parallel_knobs(self):
-        with pytest.raises(ValidationError, match="conflicting request"):
-            EvaluationRequest(
-                metrics=("state_distribution",), horizon=5, shards=2
-            )
+    @pytest.mark.parametrize("knob", ["workers", "executor", "shards"])
+    def test_process_pool_knobs_are_not_request_fields(self, knob):
+        # Spreading replications over processes is the experiment
+        # runner's job (run_experiment(spec, workers=N)), not a request's.
+        with pytest.raises(TypeError, match=knob):
+            EvaluationRequest(mode="mc", **{knob: 2})
 
     @pytest.mark.parametrize(
         "precision", [{"rtol": 0.1}, {"target_ci": 0.5}, {"rtol": 0.1, "budget": 400}]

@@ -4,8 +4,8 @@ Satellite acceptance: ``wall_time_s`` covers validation + dispatch (it
 bounds the root span, which bounds the sum of its children), the report's
 ``to_json`` carries the telemetry block, the span tree stays well-formed
 when :class:`~repro.errors.ExactSolverLimitError` unwinds mid-evaluate,
-and merged counters are bitwise identical for ``workers=1`` vs
-``workers=2`` at the same seed.
+and the experiment runner's merged counters are bitwise identical for
+``workers=1`` vs ``workers=2`` at the same seed.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from repro import SUUInstance, obs
 from repro.algorithms.baselines import round_robin_baseline
 from repro.errors import ExactSolverLimitError
 from repro.evaluate import evaluate
+from repro.experiments import ExperimentSpec, run_experiment
 
 
 @pytest.fixture(autouse=True)
@@ -105,24 +106,25 @@ class TestExceptionWellFormedness:
 
 
 class TestWorkerCountInvariance:
-    def test_counters_identical_for_one_and_two_workers(self, inst, sched):
-        reports = {}
+    def test_counters_identical_for_one_and_two_workers(self):
+        spec = ExperimentSpec(
+            name="telemetry-invariance",
+            generator="random",
+            generator_params={"n": 5, "m": 3, "dag_kind": "independent"},
+            instance_seed=11,
+            algorithm="round_robin",
+            reps=120,
+            sim_seed=7,
+        )
+        results = {}
         counters = {}
         for workers in (1, 2):
             with obs.capture() as tel:
-                reports[workers] = evaluate(
-                    inst,
-                    sched,
-                    mode="mc",
-                    reps=120,
-                    seed=7,
-                    workers=workers,
-                    executor="process",
-                )
+                results[workers] = run_experiment(spec, cache_dir=None, workers=workers)
             counters[workers] = dict(tel.counters)
         # Same shard plan at every worker count → bitwise-equal estimate
         # and integer-equal merged counters.
-        assert reports[1].makespan == reports[2].makespan
+        assert results[1].mean == results[2].mean
         assert counters[1] == counters[2]
-        assert counters[1]["mc.reps"] == 120
+        assert counters[1]["mc.reps"] == spec.reps
         assert counters[1]["parallel.shards"] >= 2

@@ -2,7 +2,7 @@
 
 The two invariants everything else stands on:
 
-* shard plans are pure functions of (reps, seed, n_shards) — seeds come
+* shard plans are pure functions of (reps, seed) — seeds come
   from ``SeedSequence.spawn`` children, sizes are balanced, nothing
   depends on the environment;
 * moment merging reproduces the statistics numpy computes on the
@@ -59,14 +59,6 @@ class TestShardPlan:
         draws = {float(s.rng().random()) for s in plan.shards}
         assert len(draws) == plan.n_shards
 
-    def test_override_shard_count(self):
-        plan = make_shard_plan(100, seed=0, n_shards=10)
-        assert plan.n_shards == 10
-        with pytest.raises(ValidationError):
-            make_shard_plan(4, seed=0, n_shards=5)
-        with pytest.raises(ValidationError):
-            make_shard_plan(4, seed=0, n_shards=0)
-
     def test_reps_validated(self):
         with pytest.raises(ValidationError):
             make_shard_plan(0, seed=0)
@@ -78,12 +70,13 @@ class TestShardPlan:
         assert clone.shards[3].rng().random() == plan.shards[3].rng().random()
 
     def test_root_seed_resolution(self):
+        # Only an integer sim_seed names a reproducible plan; spec JSON
+        # comes from outside the program, so anything else is rejected.
         assert resolve_root_seed(42) == 42
-        gen = np.random.default_rng(0)
-        assert isinstance(resolve_root_seed(gen), int)
-        assert isinstance(resolve_root_seed(None), int)
-        with pytest.raises(ValidationError):
-            resolve_root_seed("seed")
+        assert resolve_root_seed(np.int64(42)) == 42
+        for bad in ("seed", None, 4.0, np.random.default_rng(0)):
+            with pytest.raises(ValidationError):
+                resolve_root_seed(bad)
 
 
 class TestPartialEstimate:

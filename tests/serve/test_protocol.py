@@ -169,6 +169,13 @@ class TestErrorMapping:
         with pytest.raises(ServeError, match="HTTP 400"):
             served.evaluate_raw(inst.to_dict(), sched.to_dict(), {"reps": 0})
 
+    def test_process_pool_knobs_are_400(self, served, inst, sched):
+        # A served request cannot start processes: the pool knobs are not
+        # request fields, so the body is refused before any work is queued.
+        request = {"mode": "mc", "reps": 4000, "seed": 1, "workers": 12, "shards": 12}
+        with pytest.raises(ServeError, match="HTTP 400.*workers"):
+            served.evaluate_raw(inst.to_dict(), sched.to_dict(), request)
+
     def test_shed_is_429_with_retry_after(self, inst, sched):
         config = ServerConfig(cache_dir=None, max_queue=0, retry_after_s=0.75)
         with _HttpServerThread(config) as handle:

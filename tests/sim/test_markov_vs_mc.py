@@ -2,18 +2,21 @@
 
 The exact expected makespan from :mod:`repro.sim.markov` must sit inside
 the 99% confidence interval of every Monte Carlo engine path: the scalar
-reference engine, the batched frontier-memoized engine, and the sharded
-parallel backend with two worker processes.  A regimen exercises all
-three paths with one schedule object (it is batchable, scalar-executable,
-and pickles to worker processes).
+reference engine, the batched frontier-memoized engine, and the
+experiment runner's sharded route with two worker processes.  A regimen
+exercises all three paths (it is batchable and scalar-executable, and the
+runner's workers rebuild it from its spec).
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.evaluate import evaluate
+from repro.experiments import ExperimentSpec, run_experiment
 from repro.opt.malewicz import optimal_regimen
 
 #: 99% two-sided normal quantile.
@@ -45,8 +48,8 @@ def exact_makespan(instance, regimen, engine) -> float:
 class TestMarkovVsMonteCarlo:
     def _assert_in_ci(self, est, exact, label):
         half = Z99 * est.std_err + 1e-9
-        assert abs(est.makespan - exact) <= half, (
-            f"{label}: mean {est.makespan:.4f} outside exact {exact:.4f} ± {half:.4f}"
+        assert abs(est.mean - exact) <= half, (
+            f"{label}: mean {est.mean:.4f} outside exact {exact:.4f} ± {half:.4f}"
         )
 
     def test_scalar_engine_inside_99_ci(self, small_case, exact_engine):
@@ -61,10 +64,18 @@ class TestMarkovVsMonteCarlo:
         est = evaluate(instance, sol.regimen, mode="mc", reps=4000, seed=43, engine="batched")
         self._assert_in_ci(est, exact, "batched")
 
-    def test_workers2_inside_99_ci(self, small_case, exact_engine):
-        instance, sol = small_case
-        exact = exact_makespan(instance, sol.regimen, exact_engine)
-        est = evaluate(instance, sol.regimen, mode="mc", reps=4000, seed=44, workers=2)
+    def test_workers2_inside_99_ci(self, exact_engine):
+        spec = ExperimentSpec(
+            name="markov-vs-runner",
+            generator_params={"n": 6, "m": 2, "dag_kind": "chains"},
+            algorithm="state_round_robin",
+            reps=4000,
+            sim_seed=44,
+        )
+        exact_spec = replace(spec, evaluation={"mode": "exact", "engine": exact_engine})
+        exact = run_experiment(exact_spec, cache_dir=None).mean
+        est = run_experiment(spec, cache_dir=None, workers=2)
+        assert est.engine_used == "batched"
         self._assert_in_ci(est, exact, "workers=2")
 
     def test_dp_value_matches_markov_evaluator(self, small_case, exact_engine):

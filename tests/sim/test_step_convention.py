@@ -20,6 +20,7 @@ from repro import (
     SUUInstance,
 )
 from repro.evaluate import evaluate
+from repro.experiments import ExperimentSpec, run_experiment
 from repro.sim import simulate
 from repro.sim.batch import simulate_batch
 
@@ -73,7 +74,6 @@ class TestOneBasedConvention:
             (one_job_policy(), {"engine": "batched"}),
             (one_job_policy(), {"engine": "scalar"}),
             (one_job_regimen(), {}),  # auto → batched
-            (one_job_cycle(), {"workers": 2}),  # sharded process backend
         ]
         for schedule, kwargs in routes:
             est = evaluate(inst, schedule, mode="mc", reps=20, seed=0, keep_samples=True, **kwargs)
@@ -81,6 +81,15 @@ class TestOneBasedConvention:
             assert est.samples.tolist() == [1] * 20, kwargs
             assert est.makespan == 1.0
             assert est.min == est.max == 1.0
+        # The experiment runner's sharded process route (2 shards of 25).
+        spec = ExperimentSpec(
+            name="one-certain-job",
+            generator_params={"n": 1, "m": 1, "lo": 1.0, "hi": 1.0},
+            algorithm="serial",
+            reps=50,
+        )
+        res = run_experiment(spec, cache_dir=None, workers=2)
+        assert res.min == res.max == res.mean == 1.0
 
     def test_completion_curve_first_entry_is_step_one(self):
         # curve[0] is Pr[all done by step 1] — not a phantom "step 0".

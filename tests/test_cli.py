@@ -19,6 +19,14 @@ class TestParser:
             build_parser().parse_args(["--version"])
         assert "suu" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["portfolio", "evaluate"])
+    def test_process_pool_flags_are_gone(self, command, capsys):
+        # Only run-experiments spreads replications over processes.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "inst.json", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
 
 class TestGenerate:
     def test_writes_file(self, tmp_path, capsys):
@@ -185,21 +193,19 @@ class TestRunExperiments:
         )
         assert "hit" in capsys.readouterr().out
 
-    def test_conflicting_executor_flags_rejected(self):
-        from repro.errors import ValidationError
+    @staticmethod
+    def _assert_rejected_in_one_line(argv, capsys):
+        # A bad pool fails like every other subcommand's bad input: one
+        # line on stderr and exit code 2, not a traceback.
+        assert main(["run-experiments", "--smoke", "--no-cache", *argv]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("run-experiments failed:") and "\n" not in err
 
-        with pytest.raises(ValidationError):
-            main(
-                [
-                    "run-experiments",
-                    "--smoke",
-                    "--no-cache",
-                    "--executor",
-                    "serial",
-                    "--workers",
-                    "4",
-                ]
-            )
+    def test_conflicting_executor_flags_rejected(self, capsys):
+        self._assert_rejected_in_one_line(["--executor", "serial", "--workers", "2"], capsys)
+
+    def test_zero_workers_rejected(self, capsys):
+        self._assert_rejected_in_one_line(["--workers", "0"], capsys)
 
     def test_json_output(self, tmp_path, capsys):
         target = tmp_path / "results.json"
