@@ -15,8 +15,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.core import SUUInstance
 from repro.evaluate import evaluate
-from repro.experiments import ExperimentSpec, run_experiment
+from repro.experiments import GENERATORS, ExperimentSpec, run_experiment
 from repro.opt.malewicz import optimal_regimen
 
 #: 99% two-sided normal quantile.
@@ -64,7 +65,29 @@ class TestMarkovVsMonteCarlo:
         est = evaluate(instance, sol.regimen, mode="mc", reps=4000, seed=43, engine="batched")
         self._assert_in_ci(est, exact, "batched")
 
-    def test_workers2_inside_99_ci(self, exact_engine):
+    def test_workers2_inside_99_ci(self, small_case, exact_engine, monkeypatch):
+        instance, sol = small_case
+        exact = exact_makespan(instance, sol.regimen, exact_engine)
+        # Runner workers rebuild the instance from spec JSON, so the fixture
+        # travels as generator params; forked workers inherit the entry.
+        monkeypatch.setitem(
+            GENERATORS, "fixture", lambda rng, instance: SUUInstance.from_dict(instance)
+        )
+        spec = ExperimentSpec(
+            name="markov-vs-runner",
+            generator="fixture",
+            generator_params={"instance": instance.to_dict()},
+            algorithm="exact",
+            reps=4000,
+            sim_seed=44,
+        )
+        est = run_experiment(spec, cache_dir=None, workers=2)
+        assert est.engine_used == "batched"
+        self._assert_in_ci(est, exact, "workers=2")
+
+    def test_workers2_state_round_robin_inside_99_ci(self, exact_engine):
+        # A larger spec whose exact value also comes through the runner,
+        # via its evaluation block rather than the fixture's regimen.
         spec = ExperimentSpec(
             name="markov-vs-runner",
             generator_params={"n": 6, "m": 2, "dag_kind": "chains"},
