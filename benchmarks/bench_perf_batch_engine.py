@@ -51,10 +51,9 @@ def _measure():
         )
         t_scalar = time.perf_counter() - t0
         t0 = time.perf_counter()
-        batched = evaluate(
-            inst, policy, mode="mc", reps=REPS, seed=2, max_steps=MAX_STEPS, engine="batched"
-        )
+        batched = evaluate(inst, policy, mode="mc", reps=REPS, seed=2, max_steps=MAX_STEPS)
         t_batched = time.perf_counter() - t0
+        assert batched.engine_used == "batched"
         rows.append(
             {
                 "regime": regime,
@@ -104,8 +103,7 @@ def test_perf_batched_vs_scalar(benchmark, recorder, phase_breakdown):
         kind="telemetry",
         **phase_breakdown(
             lambda: evaluate(
-                inst, policy, mode="mc", reps=REPS, seed=2,
-                max_steps=MAX_STEPS, engine="batched",
+                inst, policy, mode="mc", reps=REPS, seed=2, max_steps=MAX_STEPS
             )
         ),
     )
@@ -135,10 +133,7 @@ def _hook_calls_per_run(inst, policy) -> int:
     obs.span, obs.add = counting_span, counting_add
     try:
         with obs.capture():
-            evaluate(
-                inst, policy, mode="mc", reps=REPS, seed=3,
-                max_steps=MAX_STEPS, engine="batched",
-            )
+            evaluate(inst, policy, mode="mc", reps=REPS, seed=3, max_steps=MAX_STEPS)
     finally:
         obs.span, obs.add = real_span, real_add
     return calls
@@ -166,15 +161,11 @@ def test_perf_disabled_telemetry_overhead(recorder):
     policy = suu_i_adaptive(inst).schedule
 
     obs.disable()
-    evaluate(  # warm-up
-        inst, policy, mode="mc", reps=REPS, seed=3, max_steps=MAX_STEPS,
-        engine="batched",
-    )
+    evaluate(inst, policy, mode="mc", reps=REPS, seed=3, max_steps=MAX_STEPS)  # warm-up
     run_s = min(
         _timed(
             lambda: evaluate(
-                inst, policy, mode="mc", reps=REPS, seed=3,
-                max_steps=MAX_STEPS, engine="batched",
+                inst, policy, mode="mc", reps=REPS, seed=3, max_steps=MAX_STEPS
             )
         )
         for _ in range(3)

@@ -58,7 +58,7 @@ def _measure():
     inst = random_instance(N, M, dag_kind="chains", num_chains=4, rng=7)
     regimen = state_round_robin_regimen(inst).schedule
     t_sparse, v_sparse = _best_of(
-        lambda: evaluate(inst, regimen, mode="exact", engine="sparse").makespan
+        lambda: evaluate(inst, regimen, mode="exact").makespan
     )
     t0 = time.perf_counter()
     v_scalar = evaluate(inst, regimen, mode="exact", engine="scalar").makespan
@@ -77,7 +77,7 @@ def _measure():
     inst_c = random_instance(N_CYCLIC, M, dag_kind="layered", layers=4, rng=9)
     cyclic = round_robin_baseline(inst_c).schedule
     t_sparse, v_sparse = _best_of(
-        lambda: evaluate(inst_c, cyclic, mode="exact", engine="sparse").makespan
+        lambda: evaluate(inst_c, cyclic, mode="exact").makespan
     )
     t0 = time.perf_counter()
     v_scalar = evaluate(inst_c, cyclic, mode="exact", engine="scalar").makespan
@@ -127,6 +127,6 @@ def test_perf_sparse_vs_scalar_exact(benchmark, recorder, phase_breakdown):
     recorder.add(
         kind="telemetry",
         **phase_breakdown(
-            lambda: evaluate(inst, regimen, mode="exact", engine="sparse")
+            lambda: evaluate(inst, regimen, mode="exact")
         ),
     )

@@ -174,8 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument(
         "--engine",
         default="auto",
-        choices=["auto", "sparse", "scalar", "batched"],
-        help="sparse forces the exact route, batched the MC route",
+        choices=["auto", "scalar"],
+        help="scalar runs the golden reference engine of the chosen route",
     )
     ev.add_argument("--max-states", type=int, default=None)
     ev.add_argument("--rtol", type=float, default=None, help="target relative CI half-width")

@@ -3,10 +3,10 @@
 The decision tree (also rendered in ``docs/architecture.md``):
 
 ```
-request forces exact?  (mode="exact" | engine="sparse" | state_distribution)
+request forces exact?  (mode="exact" | state_distribution)
 ├── yes → exact Markov     (ValidationError if the schedule has no finite
 │                           chain; ExactSolverLimitError if the guard trips)
-├── request forces MC?  (mode="mc" | engine="batched" | rtol/target_ci/budget)
+├── request forces MC?  (mode="mc" | rtol/target_ci/budget)
 │   └── yes → Monte Carlo
 └── auto:
     schedule is a Regimen / CyclicSchedule serving all metrics,
@@ -15,6 +15,9 @@ request forces exact?  (mode="exact" | engine="sparse" | state_distribution)
     └── no  → Monte Carlo  (the estimator's own lockstep/batched/scalar
                             routing, see repro.sim.montecarlo)
 ```
+
+``engine="scalar"`` never changes the route: it swaps in the golden
+reference engine of whichever route is chosen.
 
 The choice is recorded on the report (``mode`` / ``engine`` / ``reason``)
 so callers and tests can assert on it — "auto picked exact here" is a
@@ -44,7 +47,7 @@ class Route:
     """A resolved dispatch decision."""
 
     mode: str  # "exact" | "mc"
-    engine: str  # exact: "sparse"|"scalar"; mc: "auto"|"batched"|"scalar"
+    engine: str  # exact: "sparse"|"scalar"; mc: "auto"|"scalar"
     reason: str
     #: Auto-mode cost model, recorded as dispatch-span attributes: the
     #: exact DP allocation this request would need and the cap it was
@@ -118,11 +121,7 @@ def exact_state_cost(
 
 
 def _exact_engine(request: EvaluationRequest) -> str:
-    return "sparse" if request.engine in ("auto", "sparse") else request.engine
-
-
-def _mc_engine(request: EvaluationRequest) -> str:
-    return "auto" if request.engine == "auto" else request.engine
+    return "scalar" if request.engine == "scalar" else "sparse"
 
 
 def select_route(instance: SUUInstance, schedule, request: EvaluationRequest) -> Route:
@@ -132,15 +131,10 @@ def select_route(instance: SUUInstance, schedule, request: EvaluationRequest) ->
         if not ok:
             raise ValidationError(f"mode='exact' cannot serve this request: {why_not}")
         return Route("exact", _exact_engine(request), "exact route requested")
-    forced_mc = (
-        request.mode == "mc"
-        or request.engine == "batched"
-        or request.wants_precision
-    )
-    if forced_mc:
+    if request.mode == "mc" or request.wants_precision:
         return Route(
             "mc",
-            _mc_engine(request),
+            request.engine,
             "MC route requested (mode/engine/precision argument)",
         )
     # mode="auto": prefer exact whenever the whole request fits the guard.
@@ -157,9 +151,9 @@ def select_route(instance: SUUInstance, schedule, request: EvaluationRequest) ->
             )
         return Route(
             "mc",
-            _mc_engine(request),
+            request.engine,
             f"auto: exact chain needs {cost} DP entries > max_states {cap}",
             cost=cost,
             cap=cap,
         )
-    return Route("mc", _mc_engine(request), f"auto: {why_not}")
+    return Route("mc", request.engine, f"auto: {why_not}")

@@ -28,7 +28,7 @@ from .dispatch import Route, schedule_kind, select_route
 from .report import EvaluationReport, censoring
 from .request import EvaluationRequest, step_budget
 
-__all__ = ["evaluate"]
+__all__ = ["evaluate", "resolve_schedule"]
 
 
 def evaluate(
@@ -100,16 +100,7 @@ def _evaluate(
                     "pass either a pre-built EvaluationRequest or keyword "
                     f"arguments, not both (got request= plus {sorted(kwargs)})"
                 )
-            if isinstance(schedule, str):
-                # Solver-name sugar: schedule through the registry with a
-                # deterministic solver stream (the experiment runner's
-                # derivation), decoupled from the simulation stream.
-                from ..algorithms.registry import resolve_solver
-
-                base = request.seed if isinstance(request.seed, int) else 0
-                schedule = resolve_solver(schedule).build(
-                    instance, rng=np.random.default_rng((base, 0xA16))
-                ).schedule
+            schedule = resolve_schedule(instance, schedule, request.seed)
             if hasattr(schedule, "validate_against"):  # oblivious / cyclic tables
                 schedule.validate_against(instance)
         with obs.span("evaluate.dispatch") as dspan:
@@ -141,6 +132,25 @@ def _evaluate(
     return report
 
 
+def resolve_schedule(instance: SUUInstance, schedule, seed):
+    """Solver-name sugar: build the named solver's schedule, else pass through.
+
+    The solver gets a deterministic stream derived from an integer (or
+    NumPy integer) ``seed`` — the experiment runner's derivation —
+    decoupled from the simulation stream; any other seed derives from 0.
+    """
+    if not isinstance(schedule, str):
+        return schedule
+    from ..algorithms.registry import resolve_solver
+
+    base = int(seed) if isinstance(seed, (int, np.integer)) else 0
+    return (
+        resolve_solver(schedule)
+        .build(instance, rng=np.random.default_rng((base, 0xA16)))
+        .schedule
+    )
+
+
 # ----------------------------------------------------------------------
 # Exact route
 # ----------------------------------------------------------------------
@@ -151,44 +161,31 @@ def _run_exact(
     route: Route,
 ) -> EvaluationReport:
     # The facade is the one sanctioned internal caller of the engine layer.
-    from ..sim.markov import (
-        _exact_completion_curve,
-        _expected_makespan_cyclic,
-        _expected_makespan_regimen,
-        _state_distribution,
-    )
+    from ..sim.exact import scalar, sparse
 
+    solver = scalar if route.engine == "scalar" else sparse
     max_states = (
         request.max_states if request.max_states is not None else DEFAULT_MAX_STATES
     )
+
+    def solve(op: str, fn, *args):
+        with obs.span("exact.solve", op=op, engine=route.engine, n=instance.n):
+            return fn(instance, schedule, *args, max_states=max_states)
+
     makespan = None
     curve = None
     dist = None
     if "makespan" in request.metrics:
         if isinstance(schedule, Regimen):
-            makespan = _expected_makespan_regimen(
-                instance, schedule, max_states=max_states, engine=route.engine
-            )
+            makespan = solve("makespan_regimen", solver.expected_makespan_regimen)
         else:
-            makespan = _expected_makespan_cyclic(
-                instance, schedule, max_states=max_states, engine=route.engine
-            )
+            makespan = solve("makespan_cyclic", solver.expected_makespan_cyclic)
     if "completion_curve" in request.metrics:
-        curve = _exact_completion_curve(
-            instance,
-            schedule,
-            request.horizon,
-            max_states=max_states,
-            engine=route.engine,
+        curve = solve(
+            "completion_curve", solver.exact_completion_curve, request.horizon
         )
     if "state_distribution" in request.metrics:
-        dist = _state_distribution(
-            instance,
-            schedule,
-            request.horizon,
-            max_states=max_states,
-            engine=route.engine,
-        )
+        dist = solve("state_distribution", solver.state_distribution, request.horizon)
     return EvaluationReport(
         mode="exact",
         engine=f"markov-{route.engine}",

@@ -42,15 +42,10 @@ METRICS = ("makespan", "completion_curve", "state_distribution")
 #: ``auto`` resolves to the cheapest admissible route (see dispatch.py).
 MODES = ("auto", "exact", "mc")
 
-#: engine name → the modes it can serve.  ``auto`` defers to the route
-#: (sparse for exact, the estimator's own routing for MC); ``scalar``
-#: names the golden reference of *both* layers.
-ENGINES = {
-    "auto": ("exact", "mc"),
-    "scalar": ("exact", "mc"),
-    "sparse": ("exact",),
-    "batched": ("mc",),
-}
+#: ``auto`` lets the route pick its engine (the sparse exact solver, or
+#: the estimator's own lockstep/batched/scalar routing for MC); ``scalar``
+#: names the golden reference of whichever route is chosen.
+ENGINES = ("auto", "scalar")
 
 #: Default replication budget, as a multiple of ``reps``, when a precision
 #: target (``rtol`` / ``target_ci``) is set without an explicit ``budget``.
@@ -58,6 +53,11 @@ DEFAULT_BUDGET_FACTOR = 32
 
 #: Arguments that steer the adaptive-precision Monte Carlo loop.
 _PRECISION_FIELDS = ("rtol", "target_ci", "budget")
+
+#: Counts and caps: an int or NumPy integer, never a bool; the optional
+#: ones may also be None.
+_INT_FIELDS = ("reps", "max_steps")
+_OPTIONAL_INT_FIELDS = ("horizon", "budget", "max_states")
 
 
 def step_budget(metrics, horizon: int | None, max_steps: int) -> int:
@@ -108,9 +108,8 @@ class EvaluationRequest:
         (relative), or ``budget`` total replications are spent (default
         ``DEFAULT_BUDGET_FACTOR * reps``).
     engine:
-        One of :data:`ENGINES`.  ``sparse`` forces the exact route,
-        ``batched`` the MC route, ``scalar`` names the golden reference
-        of whichever route is chosen.
+        One of :data:`ENGINES`.  ``scalar`` names the golden reference of
+        whichever route is chosen; ``mode`` alone picks the route.
     max_states:
         Exact-solver guard on the full DP allocation (default
         ``repro.sim.exact.DEFAULT_MAX_STATES``); in auto mode it is also
@@ -137,6 +136,10 @@ class EvaluationRequest:
     def __post_init__(self):
         object.__setattr__(self, "metrics", _normalize_metrics(self.metrics))
         self.validate()
+        for name in _INT_FIELDS + _OPTIONAL_INT_FIELDS:
+            # NumPy integers hash and serialize as the ints they equal.
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, int(getattr(self, name)))
 
     # -- derived views ---------------------------------------------------
     @property
@@ -147,11 +150,7 @@ class EvaluationRequest:
     @property
     def forces_exact(self) -> bool:
         """Can this request only be served by the exact route?"""
-        return (
-            self.mode == "exact"
-            or self.engine == "sparse"
-            or "state_distribution" in self.metrics
-        )
+        return self.mode == "exact" or "state_distribution" in self.metrics
 
     def effective_budget(self) -> int:
         """Total-replication cap for the adaptive-precision loop."""
@@ -228,13 +227,14 @@ class EvaluationRequest:
             )
         if self.engine not in ENGINES:
             raise ValidationError(
-                f"unknown engine {self.engine!r}; expected one of {tuple(ENGINES)}"
+                f"unknown engine {self.engine!r}; expected one of {ENGINES}"
             )
-        if self.mode in ("exact", "mc") and self.mode not in ENGINES[self.engine]:
-            raise ValidationError(
-                f"engine {self.engine!r} cannot serve mode {self.mode!r} "
-                f"(it serves {ENGINES[self.engine]})"
-            )
+        for name in _INT_FIELDS + _OPTIONAL_INT_FIELDS:
+            value = getattr(self, name)
+            if value is None and name in _OPTIONAL_INT_FIELDS:
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.reps < 1:
             raise ValidationError(f"reps must be >= 1, got {self.reps}")
         if self.max_steps < 1:
@@ -298,9 +298,4 @@ class EvaluationRequest:
                 raise ValidationError(
                     f"{'/'.join(given_precision)} have no effect on the exact "
                     "route (its answer carries no sampling error)"
-                )
-            if self.engine == "batched":
-                raise ValidationError(
-                    "engine='batched' is a Monte Carlo engine but the request "
-                    "can only resolve to the exact route"
                 )

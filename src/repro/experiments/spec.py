@@ -35,12 +35,12 @@ SPEC_VERSION = 4
 
 #: Keys the ``evaluation:`` block accepts.  ``mode`` selects the runner
 #: route ("mc" — the sharded default — or "exact", one front-door call);
-#: ``engine`` / ``max_states`` configure the exact route.  Adaptive
-#: precision (rtol/budget) is deliberately unsupported here: the cached
-#: runner pre-plans its replication shards, so open-ended rep counts would
-#: break both the shard plan and the cache key — call
+#: ``max_states`` guards the exact route.  Adaptive precision
+#: (rtol/budget) is deliberately unsupported here: the cached runner
+#: pre-plans its replication shards, so open-ended rep counts would break
+#: both the shard plan and the cache key — call
 #: :func:`repro.evaluate.evaluate` directly for that.
-EVALUATION_KEYS = ("mode", "engine", "max_states")
+EVALUATION_KEYS = ("mode", "max_states")
 
 
 @dataclass
@@ -58,16 +58,15 @@ class ExperimentSpec:
     algorithm / algorithm_params:
         Registry key and keyword arguments for the scheduling algorithm
         (e.g. ``{"constants": "paper"}``).
-    reps / max_steps / sim_seed / engine:
+    reps / max_steps / sim_seed:
         Monte Carlo estimator parameters for the sharded evaluation route
-        (the within-shard engine routing of ``repro.sim.montecarlo``).
+        (each shard runs the engine routing of ``repro.sim.montecarlo``).
     evaluation:
         Declarative evaluation block (:data:`EVALUATION_KEYS`): pure data
         describing *how* to judge the schedule, resolved through the
         :mod:`repro.evaluate` front door.  ``{"mode": "exact"}`` replaces
         the spec's whole shard plan with one exact Markov solve
-        (``engine``/``max_states`` inside the block tune it; the
-        top-level ``engine`` must stay ``"auto"`` then, and
+        (``max_states`` inside the block guards it, and
         ``reps``/``max_steps``/``sim_seed`` are ignored — an exact answer
         has no sampling parameters); the default ``mode="mc"`` keeps the
         sharded Monte Carlo route driven by the fields above.
@@ -86,7 +85,6 @@ class ExperimentSpec:
     reps: int = 200
     max_steps: int = 200_000
     sim_seed: int = 0
-    engine: str = "auto"
     evaluation: dict = field(default_factory=dict)
     compute_reference: bool = False
     exact_limit: int = 10
@@ -109,25 +107,9 @@ class ExperimentSpec:
             )
         # Validate the exact-route settings at construction time: a bad
         # spec must fail here, not mid-suite inside a worker process —
-        # and under mode="mc" these keys would be silently inert (the mc
-        # route reads the top-level `engine`), so they are rejected.
+        # and under mode="mc" they would be silently inert, so they are
+        # rejected.
         if mode == "exact":
-            if self.engine != "auto":
-                # The mirror asymmetry of the inert-key check below: the
-                # exact route reads evaluation["engine"], never the
-                # top-level MC engine field.
-                raise ExperimentError(
-                    f"spec {self.name!r}: top-level engine={self.engine!r} is "
-                    "inert under evaluation mode='exact'; set the exact "
-                    "engine inside the evaluation block instead "
-                    '(evaluation={"mode": "exact", "engine": ...})'
-                )
-            engine = self.evaluation.get("engine", "auto")
-            if engine not in ("auto", "sparse", "scalar"):
-                raise ExperimentError(
-                    f"spec {self.name!r}: evaluation engine for mode='exact' "
-                    f"must be 'auto', 'sparse' or 'scalar', got {engine!r}"
-                )
             max_states = self.evaluation.get("max_states")
             if max_states is not None and (
                 not isinstance(max_states, int) or max_states < 1
@@ -142,7 +124,7 @@ class ExperimentSpec:
                 raise ExperimentError(
                     f"spec {self.name!r}: evaluation keys {inert} only apply "
                     "to mode='exact'; the mc route is configured by the "
-                    "spec's top-level reps/max_steps/sim_seed/engine fields"
+                    "spec's top-level reps/max_steps/sim_seed fields"
                 )
 
     # -- evaluation routing ----------------------------------------------
@@ -162,7 +144,6 @@ class ExperimentSpec:
         return EvaluationRequest(
             metrics=("makespan",),
             mode="exact",
-            engine=self.evaluation.get("engine", "auto"),
             max_states=self.evaluation.get("max_states"),
         )
 

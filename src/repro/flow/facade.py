@@ -1,12 +1,13 @@
 """The flow-engine facade: one constructor, two interchangeable engines.
 
-Mirrors the ``engine=`` facades of :mod:`repro.sim.markov` and
-:mod:`repro.lp.acc_mass`: ``"array"`` (default) is the flat-array
-iterative Dinic of :mod:`repro.flow.arrays`; ``"scalar"`` is the original
-edge-object recursive Dinic of :mod:`repro.flow.dinic`, kept verbatim as
-the golden reference.  Both enforce identical validation (negative
-capacities, self-loops, out-of-range endpoints) and compute identical
-max-flow values — property-tested and fuzzed via the ``lpflow`` oracle.
+Mirrors the exact-Markov engines of :mod:`repro.sim.exact` and the
+``engine=`` argument of :mod:`repro.lp.acc_mass`: ``"array"`` (default)
+is the flat-array iterative Dinic of :mod:`repro.flow.arrays`;
+``"scalar"`` is the original edge-object recursive Dinic of
+:mod:`repro.flow.dinic`, kept verbatim as the golden reference.  Both
+enforce identical validation (negative capacities, self-loops,
+out-of-range endpoints) and compute identical max-flow values —
+property-tested and fuzzed via the ``lpflow`` oracle.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ LP lower bound ``T^OPT >= T*/16``.
 
 Two construction engines live behind the ``engine=`` argument of every
 builder and solver here, mirroring the exact-Markov facade in
-:mod:`repro.sim.markov`:
+:func:`repro.evaluate.evaluate` (``mode="exact"``):
 
 * ``"vector"`` (default) — sparse-matrix construction: the positive
   ``(i, j)`` pairs come from one ``np.nonzero``, variables register in

@@ -302,7 +302,7 @@ _NULL_SPAN = _NullSpan()
 
 
 def span(name: str, **attrs):
-    """Open a span (``with obs.span("dispatch", engine="sparse"): ...``).
+    """Open a span (``with obs.span("mc.round", round=1, reps=200): ...``).
 
     Returns the shared no-op span when collection is disabled, so the
     disabled path allocates nothing.

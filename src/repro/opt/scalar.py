@@ -16,7 +16,7 @@ import numpy as np
 from ..core.instance import SUUInstance
 from ..core.schedule import Regimen
 from ..errors import ExactSolverLimitError
-from ..sim.markov import eligible_bitmask, transition_distribution
+from ..sim.exact.scalar import eligible_bitmask, transition_distribution
 from .bruteforce import count_assignments, iter_assignments
 from .malewicz import ExactSolution
 

@@ -55,7 +55,6 @@ def _estimate_partial(
     schedule,
     shard: Shard,
     max_steps: int,
-    engine: str,
     trace: bool = False,
 ) -> ShardOutcome:
     """Run one shard through the (single-process) estimator and summarize it."""
@@ -76,7 +75,6 @@ def _estimate_partial(
                 rng=shard.rng(),
                 max_steps=max_steps,
                 keep_samples=True,
-                engine=engine,
             )
     assert est.samples is not None
     return ShardOutcome(
@@ -165,7 +163,6 @@ def run_spec_task(task: SpecTask) -> SpecTaskOutcome:
             result.schedule,
             task.shard,
             max_steps=spec.max_steps,
-            engine=spec.engine,
             trace=task.trace,
         )
         # Certificates ride on shard 0 only: every shard holds the same

@@ -35,7 +35,9 @@ __all__ = ["start_http_server", "decode_schedule", "PROTOCOL_VERSION"]
 #: v2: envelope provenance no longer carries ``batched_with``.
 #: v3: requests no longer take ``workers`` / ``executor`` / ``shards``, and
 #: the envelope's report lost ``sharded`` and ``request.workers/shards``.
-PROTOCOL_VERSION = 3
+#: v4: ``engine`` accepts only ``auto`` / ``scalar`` (``sparse`` and
+#: ``batched`` re-spelled ``mode``).
+PROTOCOL_VERSION = 4
 
 _MAX_BODY = 64 * 1024 * 1024  # refuse absurd payloads before buffering them
 

@@ -36,7 +36,7 @@ from .. import obs
 from ..core.instance import SUUInstance
 from ..errors import AdmissionError, ServeError, ValidationError, censored_message
 from ..evaluate.dispatch import exact_state_cost, select_route
-from ..evaluate.facade import _evaluate
+from ..evaluate.facade import _evaluate, resolve_schedule
 from ..evaluate.report import censoring
 from ..evaluate.request import EvaluationRequest
 from .cache import DEFAULT_SERVE_CACHE_DIR, ResultCache
@@ -80,20 +80,6 @@ class Job:
     envelope: dict
     queue_sw: obs.Stopwatch = field(default_factory=obs.stopwatch)
     exact_cost: int = 0
-
-
-def _resolve_schedule(instance, schedule, request):
-    """Registry-name sugar, resolved exactly as the facade resolves it."""
-    if not isinstance(schedule, str):
-        return schedule
-    from ..algorithms.registry import resolve_solver
-
-    base = request.seed if isinstance(request.seed, int) else 0
-    return (
-        resolve_solver(schedule)
-        .build(instance, rng=np.random.default_rng((base, 0xA16)))
-        .schedule
-    )
 
 
 class EvaluationServer:
@@ -200,7 +186,7 @@ class EvaluationServer:
         if not self._accepting:
             raise ServeError("server is not accepting requests (stopped/draining)")
         self._count("serve.requests")
-        concrete = _resolve_schedule(instance, schedule, request)
+        concrete = resolve_schedule(instance, schedule, request.seed)
         if hasattr(concrete, "validate_against"):
             concrete.validate_against(instance)
         route = select_route(instance, concrete, request)

@@ -12,15 +12,15 @@ Three execution engines share one set of semantics (Def 2.1); see
 * :mod:`.batch` — lockstep path for adaptive policies with frontier-state
   memoization.
 
-The exact analytic layer (:mod:`.markov`, a facade over :mod:`.exact`)
-solves the Figure-1 Markov chain itself: a vectorized sparse engine by
-default, with the original scalar DP retained behind ``engine="scalar"``.
+The exact analytic layer (:mod:`.exact`) solves the Figure-1 Markov
+chain itself: a vectorized sparse engine by default, with the original
+scalar DP retained behind ``engine="scalar"``.
 """
 
 from .batch import BatchExecutionResult, batchable, simulate_batch
 from .engine import DEFAULT_MAX_STEPS, ExecutionResult, eligible_mask, simulate, simulate_or_raise
 from .exec_tree import ExecutionTree, build_execution_tree
-from .markov import EXACT_ENGINES, eligible_bitmask, transition_distribution
+from .exact.scalar import eligible_bitmask, transition_distribution
 from .montecarlo import MakespanEstimate
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "simulate_or_raise",
     "ExecutionTree",
     "build_execution_tree",
-    "EXACT_ENGINES",
     "eligible_bitmask",
     "transition_distribution",
     "MakespanEstimate",

@@ -1,14 +1,40 @@
-"""Exact analytic layer: the Figure-1 Markov chain, two engines.
+"""Exact expected makespan via the Markov chain over unfinished sets.
 
-* :mod:`.sparse` — vectorized CSR/layered-sweep solvers (the default);
+Figure 1 (left) of the paper depicts a regimen as a Markov chain whose
+states are the subsets of unfinished jobs.  For small ``n`` we can compute
+expected makespans *exactly* by dynamic programming over that chain:
+transitions only remove jobs, so processing states in order of increasing
+popcount solves the chain without any linear-system machinery — except for
+self-loops, handled in closed form.
+
+Two schedule shapes are supported:
+
+* :class:`~repro.core.schedule.Regimen` (assignment depends on the state
+  only): ``E[S] = (1 + sum_{S' ⊊ S} P(S→S') E[S']) / (1 - P(S→S))``.
+* :class:`~repro.core.schedule.CyclicSchedule` (assignment depends on the
+  step only): states are ``(S, τ)`` pairs with ``τ`` a position in the
+  prefix+cycle; for fixed ``S`` the positions form a "rho" shape whose
+  cycle part is a cyclic linear recurrence solved in closed form.
+
+Both are exponential in ``n`` and guarded by ``max_states``, which caps
+the **full** DP allocation ``2^n × width`` (``width`` = schedule positions
+or horizon steps), not just the subset count.
+
+Two engines implement the same four solvers (regimen and cyclic
+makespan, completion curve, state distribution); they agree to ≤1e-9,
+property-tested:
+
+* :mod:`.sparse` — vectorized CSR/layered-sweep solvers (the default,
+  practical to n ≈ 18–20 for regimens);
 * :mod:`.scalar` — the original per-state dict DP, kept as the golden
-  reference behind ``engine="scalar"``;
+  reference behind ``engine="scalar"``; its per-state primitives
+  :func:`~.scalar.eligible_bitmask` and
+  :func:`~.scalar.transition_distribution` also serve the golden
+  per-state Malewicz DP (:mod:`repro.opt.scalar`) and the execution tree;
 * :mod:`.lattice` — the shared vectorized subset-lattice structure.
 
-Use the :mod:`repro.sim.markov` facade unless you need an engine module
-directly; the facade routes on its ``engine=`` argument and re-exports
-the scalar per-state primitives used by the golden per-state Malewicz
-DP (:mod:`repro.opt.scalar`) and the execution tree.
+Reach them through :func:`repro.evaluate.evaluate` (``mode="exact"``),
+which picks the engine module and opens the ``exact.solve`` span.
 """
 
 from .lattice import (

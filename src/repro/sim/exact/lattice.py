@@ -127,7 +127,7 @@ def popcount_array(x: np.ndarray) -> np.ndarray:
 def eligibility_masks(instance: SUUInstance) -> np.ndarray:
     """Eligible-job bitmask for every unfinished set, as a ``(2^n,)`` array.
 
-    Vectorized counterpart of :func:`repro.sim.markov.eligible_bitmask`:
+    Vectorized counterpart of :func:`repro.sim.exact.scalar.eligible_bitmask`:
     job ``j`` is eligible in state ``S`` iff it is unfinished and none of
     its predecessors is (``S & pred_mask(j) == 0``).  Built by doubling
     over the highest job: for every set ``S`` of jobs below ``j``, the set

@@ -5,9 +5,9 @@ subset-lattice DP, kept verbatim as the executable specification of the
 vectorized engine in :mod:`repro.sim.exact.sparse`: every solver here is
 one state at a time, one transition dict at a time, with no clever
 layout — easy to audit against the paper, slow past n ≈ 12.  Reach it
-through the :mod:`repro.sim.markov` facade with ``engine="scalar"``;
-equivalence with the sparse engine to ≤1e-9 is property-tested in
-``tests/sim/test_exact_engines_equiv.py``.
+through :func:`repro.evaluate.evaluate` with ``mode="exact",
+engine="scalar"``; equivalence with the sparse engine to ≤1e-9 is
+property-tested in ``tests/sim/test_exact_engines_equiv.py``.
 
 The per-state primitives (:func:`eligible_bitmask`,
 :func:`transition_distribution`) also serve the golden per-state

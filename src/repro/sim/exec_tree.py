@@ -24,7 +24,7 @@ from .._util import as_rng
 from ..core.instance import SUUInstance
 from ..core.schedule import AdaptivePolicy, CyclicSchedule, ObliviousSchedule, Regimen
 from ..errors import ExactSolverLimitError
-from .markov import eligible_bitmask, transition_distribution
+from .exact.scalar import eligible_bitmask, transition_distribution
 
 __all__ = ["ExecTreeNode", "ExecutionTree", "build_execution_tree"]
 

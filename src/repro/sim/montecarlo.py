@@ -9,7 +9,7 @@ never over steps or replications.  Deterministic adaptive
 policies and regimens run on the frontier-memoized batched engine
 (:mod:`repro.sim.batch`); randomized policies fall back to the scalar
 engine one replication at a time.  ``docs/architecture.md`` documents the
-decision tree, and ``engine="scalar"``/``"batched"`` forces a path.
+decision tree, and ``engine="scalar"`` forces the scalar reference engine.
 """
 
 from __future__ import annotations
@@ -214,9 +214,7 @@ def _estimate_makespan(
     adaptive policies and regimens use the batched frontier-memoized
     engine; randomized policies and anything else run through the scalar
     engine one replication at a time.  ``engine="scalar"`` forces the
-    scalar reference engine for every schedule type; ``engine="batched"``
-    forces :func:`repro.sim.batch.simulate_batch` (rejecting schedules it
-    cannot batch).
+    scalar reference engine for every schedule type.
 
     The experiment runner calls this once per replication shard
     (:mod:`repro.parallel.worker`); that is the only place replications
@@ -229,8 +227,8 @@ def _estimate_makespan(
     """
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
-    if engine not in ("auto", "batched", "scalar"):
-        raise ValidationError(f"unknown engine {engine!r}; expected auto|batched|scalar")
+    if engine not in ("auto", "scalar"):
+        raise ValidationError(f"unknown engine {engine!r}; expected auto|scalar")
     rng = as_rng(rng)
     if isinstance(schedule, (ObliviousSchedule, CyclicSchedule)):
         # Validate regardless of engine choice: the scalar loop would
@@ -243,7 +241,7 @@ def _estimate_makespan(
                 instance, schedule, reps, rng, max_steps
             )
         truncated = int((~finished_flags).sum())
-    elif engine == "batched" or (engine == "auto" and batchable(schedule)):
+    elif engine == "auto" and batchable(schedule):
         engine_used = "batched"
         with obs.span("mc.engine", engine=engine_used, reps=reps):
             batch = simulate_batch(

@@ -305,14 +305,14 @@ def check_engines(ctx: CaseContext) -> list[Discrepancy]:
 
 
 def _exact_expected_makespan(
-    instance, schedule, cfg: CheckConfig, engine: str = "sparse"
+    instance, schedule, cfg: CheckConfig, engine: str = "auto"
 ) -> float | None:
     """Exact E[makespan] when an analytic oracle applies, else None.
 
     Triangulates ``mode="exact"`` against the ``mode="mc"`` routes through
     the *same* front door the rest of the repo uses.  ``engine`` selects
-    the exact solver: the vectorized sparse engine (the default the whole
-    suite measures against) or the scalar golden path (used by
+    the exact solver: ``"auto"``, the vectorized sparse engine the whole
+    suite measures against, or ``"scalar"``, the golden path (used by
     :func:`check_markov` to triangulate the two).
     """
     if instance.n > cfg.markov_jobs:

@@ -286,7 +286,7 @@ class TestDenseRegimen:
         inst = SUUInstance(np.array([[0.5, 0.5]]))
         r = Regimen(2, 1, {0b11: np.array([0]), 0b10: np.array([1])})
         with pytest.raises(ScheduleError, match="no assignment for state 0x1"):
-            evaluate(inst, r, mode="exact", engine="sparse")
+            evaluate(inst, r, mode="exact")
 
     def test_over_budget_table_is_refused_before_allocation(self):
         # 2^40 x 2 int32 entries would be 8 TiB: reaching the allocation

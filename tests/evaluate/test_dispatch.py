@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import SUUInstance
+from repro import SUUInstance, obs
 from repro.algorithms.baselines import (
     greedy_prob_policy,
     random_policy,
@@ -28,6 +28,7 @@ from repro.evaluate import (
     select_route,
 )
 from repro.sim.exact.lattice import DEFAULT_MAX_STATES
+from repro.workloads import random_instance
 
 
 def _instance(n, m=3, seed=0):
@@ -106,20 +107,10 @@ class TestAutoPicksMonteCarlo:
 
 
 class TestForcedRoutes:
-    def test_engine_sparse_forces_exact(self, tiny_independent):
-        sched = serial_baseline(tiny_independent).schedule
-        report = evaluate(tiny_independent, sched, engine="sparse")
-        assert (report.mode, report.engine) == ("exact", "markov-sparse")
-
     def test_engine_scalar_with_exact_mode(self, tiny_independent):
         sched = serial_baseline(tiny_independent).schedule
         report = evaluate(tiny_independent, sched, mode="exact", engine="scalar")
         assert report.engine == "markov-scalar"
-
-    def test_engine_batched_forces_mc_on_regimen(self, tiny_independent):
-        regimen = state_round_robin_regimen(tiny_independent).schedule
-        report = evaluate(tiny_independent, regimen, engine="batched", reps=5, seed=0)
-        assert (report.mode, report.engine) == ("mc", "batched")
 
     def test_exact_mode_rejects_adaptive(self, tiny_independent):
         pol = greedy_prob_policy(tiny_independent).schedule
@@ -162,6 +153,50 @@ class TestForcedRoutes:
         )
         assert report.mode == "exact"
         assert report.state_distribution.shape == (7, 1 << tiny_independent.n)
+
+
+class TestExactRouteSpans:
+    """A traced exact ``evaluate()`` nests one ``exact.solve`` span per
+    metric under ``evaluate`` → ``evaluate.run``, for either engine."""
+
+    @pytest.mark.parametrize("engine, used", [("auto", "sparse"), ("scalar", "scalar")])
+    @pytest.mark.parametrize(
+        "solver, metrics, ops",
+        [
+            (state_round_robin_regimen, ("makespan",), ["makespan_regimen"]),
+            (round_robin_baseline, ("makespan",), ["makespan_cyclic"]),
+            (round_robin_baseline, ("completion_curve",), ["completion_curve"]),
+            (round_robin_baseline, ("state_distribution",), ["state_distribution"]),
+            (
+                round_robin_baseline,
+                ("makespan", "completion_curve", "state_distribution"),
+                ["makespan_cyclic", "completion_curve", "state_distribution"],
+            ),
+        ],
+    )
+    def test_one_solve_span_per_metric(
+        self, tiny_independent, engine, used, solver, metrics, ops
+    ):
+        schedule = solver(tiny_independent).schedule
+        horizon = None if metrics == ("makespan",) else 6
+        with obs.capture():
+            report = evaluate(
+                tiny_independent,
+                schedule,
+                mode="exact",
+                engine=engine,
+                metrics=metrics,
+                horizon=horizon,
+            )
+        root = report.telemetry["span"]
+        assert root["name"] == "evaluate"
+        assert (root["attrs"]["mode"], root["attrs"]["engine"]) == ("exact", used)
+        (run,) = [c for c in root["children"] if c["name"] == "evaluate.run"]
+        assert run["attrs"] == {"mode": "exact", "engine": used}
+        n = tiny_independent.n
+        assert [(c["name"], c["attrs"]) for c in run["children"]] == [
+            ("exact.solve", {"op": op, "engine": used, "n": n}) for op in ops
+        ]
 
 
 class TestStateCost:
@@ -217,6 +252,17 @@ class TestSolverNameSugar:
                      keep_samples=True)
         b = evaluate(tiny_independent, "chains", mode="mc", reps=20, seed=3,
                      keep_samples=True)
+        assert np.array_equal(a.samples, b.samples)
+
+    def test_numpy_integer_seed_matches_python_int(self):
+        # The solver stream derives from the seed's value, whatever its
+        # integer type; request_hash() already treats the two as equal.
+        inst = random_instance(6, 2, dag_kind="chains", rng=0)
+        a, b = (
+            evaluate(inst, "chains", mode="mc", reps=50, seed=seed, keep_samples=True)
+            for seed in (5, np.int64(5))
+        )
+        assert a.makespan == b.makespan
         assert np.array_equal(a.samples, b.samples)
 
     def test_unknown_name_raises_registry_error(self, tiny_independent):

@@ -23,7 +23,7 @@ def test_evaluate_is_both_callable_and_module():
 
 
 @pytest.mark.parametrize(
-    "module", ["repro", "repro.sim", "repro.sim.markov", "repro.sim.montecarlo"]
+    "module", ["repro", "repro.sim", "repro.sim.exact", "repro.sim.montecarlo"]
 )
 def test_evaluate_is_the_only_estimator_entry_point(module):
     mod = importlib.import_module(module)

@@ -137,7 +137,7 @@ class TestExactLimitParity:
                 max_states=4,
             )
 
-    @pytest.mark.parametrize("engine", ["sparse", "scalar"])
+    @pytest.mark.parametrize("engine", ["auto", "scalar"], ids=["sparse", "scalar"])
     def test_both_exact_engines_raise_the_same_error_type(self, tiny_independent, engine):
         sched = serial_baseline(tiny_independent).schedule
         with pytest.raises(ExactSolverLimitError):

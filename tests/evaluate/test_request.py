@@ -4,6 +4,7 @@ path used to accept silently or reject inconsistently)."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import ValidationError
@@ -38,8 +39,8 @@ class TestRejections:
             ({"metrics": ("makespan", "makespan")}, "duplicate"),
             ({"mode": "montecarlo"}, "unknown mode"),
             ({"engine": "gpu"}, "unknown engine"),
-            ({"mode": "exact", "engine": "batched"}, "cannot serve mode"),
-            ({"mode": "mc", "engine": "sparse"}, "cannot serve mode"),
+            ({"reps": 2.5}, "reps must be an integer"),
+            ({"reps": True}, "reps must be an integer"),
             ({"reps": 0}, "reps must be >= 1"),
             ({"reps": -3}, "reps must be >= 1"),
             ({"max_steps": 0}, "max_steps must be >= 1"),
@@ -49,7 +50,7 @@ class TestRejections:
             ({"budget": 1000}, "no effect without a precision target"),
             ({"budget": 50, "reps": 100, "rtol": 0.1}, "cover at least the initial"),
             ({"max_states": 0}, "max_states must be >= 1"),
-            ({"engine": "sparse", "rtol": 0.1}, "no effect on the exact route"),
+            ({"mode": "exact", "engine": "scalar", "rtol": 0.1}, "no effect on the exact route"),
             (
                 {"metrics": ("state_distribution",), "horizon": 5, "target_ci": 0.5},
                 "no effect on the exact route",
@@ -71,11 +72,54 @@ class TestRejections:
                 },
                 "must cover horizon",
             ),
+            ({"max_steps": 100.5}, "max_steps must be an integer"),
+            (
+                {"metrics": ("completion_curve",), "horizon": 2.5},
+                "horizon must be an integer",
+            ),
+            ({"budget": 20.5, "rtol": 0.1}, "budget must be an integer"),
+            ({"max_states": 1e6}, "max_states must be an integer"),
+            ({"max_states": False}, "max_states must be an integer"),
+            ({"reps": None}, "reps must be an integer"),
         ],
     )
     def test_invalid_requests(self, kwargs, match):
         with pytest.raises(ValidationError, match=match):
             EvaluationRequest(**kwargs)
+
+    @pytest.mark.parametrize("engine", ["sparse", "batched"])
+    @pytest.mark.parametrize("mode", ["auto", "exact", "mc"])
+    def test_engine_aliases_are_unknown(self, engine, mode):
+        # ``mode`` picks the route; ``engine`` only names auto or the
+        # scalar golden reference.
+        with pytest.raises(
+            ValidationError,
+            match=rf"unknown engine '{engine}'; expected one of \('auto', 'scalar'\)",
+        ):
+            EvaluationRequest(mode=mode, engine=engine)
+
+    def test_numpy_integers_are_integers(self):
+        req = EvaluationRequest(
+            metrics=("makespan", "completion_curve"),
+            reps=np.int64(50),
+            max_steps=np.int32(400),
+            horizon=np.int64(20),
+            rtol=0.1,
+            budget=np.int64(200),
+            max_states=np.int64(1 << 10),
+        )
+        assert req.effective_budget() == 200
+        plain = EvaluationRequest(
+            metrics=("makespan", "completion_curve"),
+            reps=50,
+            max_steps=400,
+            horizon=20,
+            rtol=0.1,
+            budget=200,
+            max_states=1 << 10,
+        )
+        assert req == plain
+        assert req.request_hash() == plain.request_hash()
 
     @pytest.mark.parametrize("knob", ["workers", "executor", "shards"])
     def test_process_pool_knobs_are_not_request_fields(self, knob):
@@ -90,12 +134,6 @@ class TestRejections:
     def test_exact_mode_rejects_precision_targets(self, precision):
         with pytest.raises(ValidationError, match="no effect on the exact route"):
             EvaluationRequest(mode="exact", **precision)
-
-    def test_batched_engine_with_forced_exact_metric(self):
-        with pytest.raises(ValidationError, match="cannot serve mode|exact route"):
-            EvaluationRequest(
-                metrics=("state_distribution",), horizon=5, engine="batched"
-            )
 
     def test_request_and_kwargs_are_mutually_exclusive(self, tiny_independent):
         from repro.algorithms.baselines import serial_baseline

@@ -105,24 +105,27 @@ class TestEvaluationBlockValidation:
     """The evaluation: block fails at construction, never inside a worker."""
 
     def test_exact_mode_accepted(self):
-        spec = ExperimentSpec(name="ok", evaluation={"mode": "exact", "engine": "scalar"})
+        spec = ExperimentSpec(name="ok", evaluation={"mode": "exact", "max_states": 64})
         assert spec.evaluation_mode == "exact"
         req = spec.evaluation_request()
-        assert (req.mode, req.engine) == ("exact", "scalar")
+        assert (req.mode, req.engine, req.max_states) == ("exact", "auto", 64)
 
     def test_bad_exact_engine_rejected_eagerly(self):
-        with pytest.raises(ExperimentError, match="must be 'auto', 'sparse' or 'scalar'"):
-            ExperimentSpec(name="bad", evaluation={"mode": "exact", "engine": "batched"})
+        # The block names no engine: the runner's exact route is the
+        # sparse solver (the scalar one is evaluate(..., engine="scalar")).
+        for engine in ("scalar", "batched"):
+            with pytest.raises(ExperimentError, match="unknown evaluation keys"):
+                ExperimentSpec(name="bad", evaluation={"mode": "exact", "engine": engine})
 
     def test_bad_max_states_rejected_eagerly(self):
         with pytest.raises(ExperimentError, match="positive int"):
             ExperimentSpec(name="bad", evaluation={"mode": "exact", "max_states": 0})
 
     def test_inert_keys_under_mc_mode_rejected(self):
-        # engine/max_states are only read on the exact route; silently
-        # accepting them would let authors believe they forced an engine.
+        # max_states is only read on the exact route; silently accepting
+        # it would let authors believe they guarded the mc route.
         with pytest.raises(ExperimentError, match="only apply to mode='exact'"):
-            ExperimentSpec(name="bad", evaluation={"engine": "scalar"})
+            ExperimentSpec(name="bad", evaluation={"max_states": 1 << 10})
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ExperimentError, match="unknown evaluation keys"):
@@ -132,6 +135,6 @@ class TestEvaluationBlockValidation:
         with pytest.raises(ExperimentError, match="'auto' is\\s+not allowed"):
             ExperimentSpec(name="bad", evaluation={"mode": "auto"})
 
-    def test_inert_toplevel_engine_under_exact_mode_rejected(self):
-        with pytest.raises(ExperimentError, match="inert under evaluation mode='exact'"):
-            ExperimentSpec(name="bad", engine="scalar", evaluation={"mode": "exact"})
+    def test_engine_is_not_a_spec_field(self):
+        with pytest.raises(TypeError, match="engine"):
+            ExperimentSpec(name="x", engine="auto")

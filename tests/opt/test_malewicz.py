@@ -40,7 +40,7 @@ class TestOptimality:
     def test_beats_all_fixed_regimens(self, rng):
         """The DP value is <= the exact value of 50 random regimens."""
         from repro.core.schedule import Regimen
-        from repro.sim.markov import eligible_bitmask
+        from repro.sim.exact.scalar import eligible_bitmask
 
         p = rng.uniform(0.1, 0.9, size=(2, 3))
         inst = SUUInstance(p)

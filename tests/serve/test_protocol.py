@@ -169,6 +169,17 @@ class TestErrorMapping:
         with pytest.raises(ServeError, match="HTTP 400"):
             served.evaluate_raw(inst.to_dict(), sched.to_dict(), {"reps": 0})
 
+    def test_non_integer_reps_is_400_naming_reps(self, served, inst, sched):
+        # Validated before any work is queued, not a 500 from the kernel.
+        with pytest.raises(ServeError, match="HTTP 400.*reps must be an integer"):
+            served.evaluate_raw(inst.to_dict(), sched.to_dict(), {"reps": 2.5})
+
+    @pytest.mark.parametrize("engine", ["sparse", "batched"])
+    def test_engine_aliases_are_400(self, served, inst, sched, engine):
+        request = {"mode": "mc", "reps": 10, "seed": 1, "engine": engine}
+        with pytest.raises(ServeError, match="HTTP 400.*unknown engine"):
+            served.evaluate_raw(inst.to_dict(), sched.to_dict(), request)
+
     def test_process_pool_knobs_are_400(self, served, inst, sched):
         # A served request cannot start processes: the pool knobs are not
         # request fields, so the body is refused before any work is queued.

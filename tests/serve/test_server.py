@@ -251,6 +251,20 @@ class TestLifecycleAndRoutes:
         envelope = asyncio.run(run())
         assert _strip(envelope["report"]) == _solo_dict(inst, "serial", request)
 
+    def test_numpy_seed_solver_name_matches_solo(self, inst):
+        # The int-seed job fills the cache under the same request hash, so
+        # the NumPy-seed job's answer must be its own solo answer too.
+        int_request = EvaluationRequest(mode="mc", reps=40, seed=6)
+        np_request = EvaluationRequest(mode="mc", reps=40, seed=np.int64(6))
+
+        async def run():
+            async with EvaluationServer(_config()) as server:
+                await server.submit(inst, "chains", int_request)
+                return await server.submit(inst, "chains", np_request)
+
+        envelope = asyncio.run(run())
+        assert _strip(envelope["report"]) == _solo_dict(inst, "chains", np_request)
+
     def test_exact_route_matches_solo(self, inst):
         cycle = np.tile(np.arange(inst.n, dtype=np.int32)[:, None], (1, inst.m))
         sched_cyc = CyclicSchedule(

@@ -148,9 +148,8 @@ class TestStatisticalEquivalence:
         scalar = evaluate(
             inst, policy, mode="mc", reps=600, seed=101, max_steps=100_000, engine="scalar"
         )
-        batched = evaluate(
-            inst, policy, mode="mc", reps=600, seed=202, max_steps=100_000, engine="batched"
-        )
+        batched = evaluate(inst, policy, mode="mc", reps=600, seed=202, max_steps=100_000)
+        assert batched.engine == "batched"
         # Two independent estimators of the same mean: the gap is normal
         # with s.e. = hypot(se1, se2); 4 sigma keeps the seeded test stable.
         gap_se = float(np.hypot(scalar.std_err, batched.std_err))
@@ -161,9 +160,8 @@ class TestStatisticalEquivalence:
 
         sol = optimal_regimen(tiny_independent)
         exact = evaluate(tiny_independent, sol.regimen, mode="exact").makespan
-        est = evaluate(
-            tiny_independent, sol.regimen, mode="mc", reps=4000, seed=17, engine="batched"
-        )
+        est = evaluate(tiny_independent, sol.regimen, mode="mc", reps=4000, seed=17)
+        assert est.engine == "batched"
         lo, hi = est.ci95
         slack = 3 * est.std_err
         assert lo - slack <= exact <= hi + slack
@@ -180,8 +178,9 @@ class TestStatisticalEquivalence:
                 max_steps=100_000,
                 engine=engine,
             )
-            for seed, engine in ((1, "scalar"), (2, "batched"))
+            for seed, engine in ((1, "scalar"), (2, "auto"))
         )
+        assert batched.engine == "batched"
         gap_se = float(np.hypot(scalar.std_err, batched.std_err))
         assert abs(scalar.makespan - batched.makespan) <= 4.0 * gap_se
 
@@ -219,11 +218,12 @@ class TestMemoizationTransparency:
 class TestEstimatorRouting:
     def test_auto_equals_batched_for_deterministic_policy(self, medium_independent):
         policy = suu_i_adaptive(medium_independent).schedule
-        auto = evaluate(medium_independent, policy, mode="mc", reps=60, seed=9)
-        forced = evaluate(medium_independent, policy, mode="mc", reps=60, seed=9, engine="batched")
-        assert auto.engine_used == forced.engine_used == "batched"
-        assert auto.makespan == forced.makespan
-        assert auto.std_err == forced.std_err
+        auto = evaluate(
+            medium_independent, policy, mode="mc", reps=60, seed=9, keep_samples=True
+        )
+        direct = simulate_batch(medium_independent, policy, reps=60, rng=9)
+        assert auto.engine_used == "batched"
+        assert np.array_equal(auto.samples, direct.makespans)
 
     def test_randomized_policy_takes_scalar_path(self, tiny_independent):
         policy = random_policy(tiny_independent).schedule

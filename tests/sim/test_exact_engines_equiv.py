@@ -41,7 +41,8 @@ from repro.sim.exact.lattice import (
     eligibility_masks,
     popcount_array,
 )
-from repro.sim.markov import EXACT_ENGINES, eligible_bitmask
+from repro.evaluate.request import ENGINES
+from repro.sim.exact.scalar import eligible_bitmask
 from repro.verify.cases import DAG_KINDS, PROB_MODELS, CaseSpec, build_instance
 from repro.workloads import random_instance
 
@@ -88,7 +89,7 @@ def _curve(instance, schedule, horizon, engine):
 def _solve_both(fn):
     """Run ``fn(engine)`` on both engines; outcomes must have the same kind."""
     outcomes = {}
-    for engine in EXACT_ENGINES:
+    for engine in ENGINES:
         try:
             outcomes[engine] = ("ok", fn(engine))
         except ScheduleError:
@@ -119,8 +120,8 @@ def test_sparse_matches_scalar_on_fuzzer_families(family):
             ("regimen", lambda e: _exact(instance, regimen, e).makespan),
         ]:
             outcomes = _solve_both(fn)
-            if outcomes["sparse"][0] == "ok":
-                sparse, scalar = outcomes["sparse"][1], outcomes["scalar"][1]
+            if outcomes["auto"][0] == "ok":
+                sparse, scalar = outcomes["auto"][1], outcomes["scalar"][1]
                 assert abs(sparse - scalar) <= 1e-9 * max(1.0, abs(scalar)), (
                     f"{family} trial {trial} {label}: sparse {sparse!r} vs "
                     f"scalar {scalar!r}"
@@ -135,7 +136,7 @@ def test_state_distribution_engines_agree(family):
         _exact(
             instance, cyclic, e, metrics="state_distribution", horizon=10
         ).state_distribution
-        for e in ("sparse", "scalar")
+        for e in ENGINES
     )
     np.testing.assert_allclose(sparse, scalar, atol=1e-12)
     np.testing.assert_allclose(sparse.sum(axis=1), 1.0, atol=1e-12)
@@ -145,13 +146,13 @@ def test_state_distribution_engines_agree(family):
 def test_completion_curve_is_a_cdf_prefix(family):
     instance = _instance(family, 0)
     cyclic = round_robin_baseline(instance).schedule
-    for engine in EXACT_ENGINES:
+    for engine in ENGINES:
         curve = _curve(instance, cyclic, 12, engine)
         assert curve.shape == (12,)
         assert np.all(np.diff(curve) >= -1e-12), f"{engine}: curve not monotone"
         assert curve[-1] <= 1.0 + 1e-12, f"{engine}: curve exceeds 1"
         assert curve[0] >= -1e-12
-    sparse = _curve(instance, cyclic, 12, "sparse")
+    sparse = _curve(instance, cyclic, 12, "auto")
     scalar = _curve(instance, cyclic, 12, "scalar")
     np.testing.assert_allclose(sparse, scalar, atol=1e-12)
 
@@ -174,7 +175,7 @@ def test_sparse_reaches_beyond_old_scalar_ceiling():
 
     instance = SUUInstance(p, name="n17")
     serial = serial_baseline(instance).schedule
-    value = _exact(instance, serial, "sparse").makespan
+    value = _exact(instance, serial, "auto").makespan
     q = 1.0 - (1.0 - p[0]) * (1.0 - p[1])
     # The serial cycle works each job for several consecutive steps then
     # moves on; cross-check against Monte Carlo instead of a closed form.

@@ -1,7 +1,7 @@
-"""Tests for repro.sim.markov — exact subset-lattice expectations.
+"""Tests for the exact Markov route — subset-lattice expectations.
 
 Solver tests are parametrized over both exact engines: the vectorized
-sparse sweep (default) and the retained scalar golden reference.
+sparse sweep (``engine="auto"``) and the retained scalar golden reference.
 """
 
 from __future__ import annotations
@@ -19,10 +19,11 @@ from repro import (
 )
 from repro.errors import ExactSolverLimitError
 from repro.evaluate import evaluate
-from repro.sim.markov import eligible_bitmask, transition_distribution
+from repro.sim.exact.scalar import eligible_bitmask, transition_distribution
 
 
-@pytest.fixture(params=["sparse", "scalar"])
+# Test ids name the exact engine that runs.
+@pytest.fixture(params=["auto", "scalar"], ids=["sparse", "scalar"])
 def engine(request):
     return request.param
 
@@ -270,7 +271,7 @@ class TestAllocationGuard:
         table = np.vstack([np.arange(7), np.arange(2, 9)]).astype(np.int32)
         cyc = CyclicSchedule(ObliviousSchedule.empty(7), ObliviousSchedule(table))
         with pytest.raises(ExactSolverLimitError, match="subset-table"):
-            exact_makespan(inst, cyc, max_states=1 << 10, engine="sparse")
+            exact_makespan(inst, cyc, max_states=1 << 10, engine="auto")
         value = exact_makespan(inst, cyc, max_states=1 << 10, engine="scalar")
         assert np.isfinite(value) and value > 1.0
 
@@ -284,9 +285,9 @@ class TestAllocationGuard:
         cyc = CyclicSchedule(ObliviousSchedule.empty(7), ObliviousSchedule(table))
         budget = 1 << 11
         with pytest.raises(ExactSolverLimitError, match="17496 subset-table"):
-            exact_makespan(inst, cyc, max_states=budget, engine="sparse")
+            exact_makespan(inst, cyc, max_states=budget, engine="auto")
         with pytest.raises(ExactSolverLimitError, match="17496 subset-table"):
-            exact_state_distribution(inst, cyc, horizon=2, max_states=budget, engine="sparse")
+            exact_state_distribution(inst, cyc, horizon=2, max_states=budget, engine="auto")
         value = exact_makespan(inst, cyc, max_states=budget, engine="scalar")
         assert np.isfinite(value) and value > 1.0
         dist = exact_state_distribution(inst, cyc, horizon=2, max_states=budget, engine="scalar")

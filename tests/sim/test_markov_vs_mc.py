@@ -1,6 +1,6 @@
 """Markov-vs-Monte-Carlo agreement on small instances (≤ 4 jobs).
 
-The exact expected makespan from :mod:`repro.sim.markov` must sit inside
+The exact expected makespan from ``evaluate(mode="exact")`` must sit inside
 the 99% confidence interval of every Monte Carlo engine path: the scalar
 reference engine, the batched frontier-memoized engine, and the
 experiment runner's sharded route with two worker processes.  A regimen
@@ -36,9 +36,10 @@ def small_case(request):
     return instance, sol
 
 
-@pytest.fixture(params=["sparse", "scalar"])
+@pytest.fixture(params=["auto", "scalar"], ids=["sparse", "scalar"])
 def exact_engine(request):
-    """Both exact Markov engines must anchor the same Monte Carlo CIs."""
+    """Both exact Markov engines must anchor the same Monte Carlo CIs
+    (test ids name the engine that runs)."""
     return request.param
 
 
@@ -62,7 +63,8 @@ class TestMarkovVsMonteCarlo:
     def test_batched_engine_inside_99_ci(self, small_case, exact_engine):
         instance, sol = small_case
         exact = exact_makespan(instance, sol.regimen, exact_engine)
-        est = evaluate(instance, sol.regimen, mode="mc", reps=4000, seed=43, engine="batched")
+        est = evaluate(instance, sol.regimen, mode="mc", reps=4000, seed=43)
+        assert est.engine_used == "batched"
         self._assert_in_ci(est, exact, "batched")
 
     def test_workers2_inside_99_ci(self, small_case, exact_engine, monkeypatch):
@@ -86,8 +88,8 @@ class TestMarkovVsMonteCarlo:
         self._assert_in_ci(est, exact, "workers=2")
 
     def test_workers2_state_round_robin_inside_99_ci(self, exact_engine):
-        # A larger spec whose exact value also comes through the runner,
-        # via its evaluation block rather than the fixture's regimen.
+        # A larger spec whose exact value comes from its own instance and
+        # schedule; the runner's evaluation block must agree with it.
         spec = ExperimentSpec(
             name="markov-vs-runner",
             generator_params={"n": 6, "m": 2, "dag_kind": "chains"},
@@ -95,8 +97,12 @@ class TestMarkovVsMonteCarlo:
             reps=4000,
             sim_seed=44,
         )
-        exact_spec = replace(spec, evaluation={"mode": "exact", "engine": exact_engine})
-        exact = run_experiment(exact_spec, cache_dir=None).mean
+        instance = spec.build_instance()
+        regimen = spec.build_schedule(instance).schedule
+        exact = exact_makespan(instance, regimen, exact_engine)
+        if exact_engine == "auto":
+            exact_spec = replace(spec, evaluation={"mode": "exact"})
+            assert run_experiment(exact_spec, cache_dir=None).mean == exact
         est = run_experiment(spec, cache_dir=None, workers=2)
         assert est.engine_used == "batched"
         self._assert_in_ci(est, exact, "workers=2")

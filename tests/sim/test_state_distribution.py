@@ -10,7 +10,8 @@ from repro.errors import ExactSolverLimitError
 from repro.evaluate import evaluate
 
 
-@pytest.fixture(params=["sparse", "scalar"])
+# Test ids name the exact engine that runs.
+@pytest.fixture(params=["auto", "scalar"], ids=["sparse", "scalar"])
 def engine(request):
     return request.param
 

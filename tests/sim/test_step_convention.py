@@ -71,7 +71,7 @@ class TestOneBasedConvention:
         routes = [
             (one_job_cycle(), {}),  # oblivious lockstep
             (one_job_cycle(), {"engine": "scalar"}),
-            (one_job_policy(), {"engine": "batched"}),
+            (one_job_policy(), {}),  # auto → batched
             (one_job_policy(), {"engine": "scalar"}),
             (one_job_regimen(), {}),  # auto → batched
         ]

@@ -110,14 +110,22 @@ class TestExact:
 
     def test_fresh_solve_both_engines_agree(self, instance_file, capsys):
         values = {}
-        for engine in ("sparse", "scalar"):
+        for engine, used in (("auto", "sparse"), ("scalar", "scalar")):
             argv = ["evaluate", str(instance_file), "--mode", "exact", "--engine", engine]
             assert main(argv) == 0
             out = capsys.readouterr().out
-            assert f"engine            : markov-{engine}" in out
-            values[engine] = self._value(out)
+            assert f"engine            : markov-{used}" in out
+            values[used] = self._value(out)
         assert values["sparse"] == pytest.approx(values["scalar"], rel=1e-9)
         assert values["sparse"] >= 1.0
+
+    @pytest.mark.parametrize("engine", ["sparse", "batched"])
+    def test_engine_aliases_exit_two(self, instance_file, capsys, engine):
+        # --mode picks the route; --engine is auto or the scalar reference.
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", str(instance_file), "--engine", engine])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_saved_schedule_and_curve(self, instance_file, tmp_path, capsys):
         sched = tmp_path / "sched.json"

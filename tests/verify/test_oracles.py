@@ -84,12 +84,12 @@ class TestPlantedBugs:
         The oracles consume the exact value through the evaluate() front
         door, so the bug is planted in the engine layer underneath it.
         """
-        import repro.sim.markov as markov
+        from repro.sim.exact import sparse
 
-        real = markov._expected_makespan_regimen
+        real = sparse.expected_makespan_regimen
         monkeypatch.setattr(
-            markov,
-            "_expected_makespan_regimen",
+            sparse,
+            "expected_makespan_regimen",
             lambda inst, reg, **kw: real(inst, reg, **kw) + 0.75,
         )
         out = check_case(spec_for("exact_regimen", n=2), cfg=FAST)
