@@ -10,17 +10,26 @@ records the wall-clock speedup:
   sweeps the lattice one popcount layer at a time with CSR-style subset
   tables; the scalar path builds one transition dict per state.
 * **cyclic**: a round-robin prefix+cycle schedule, where the chain's
-  states are ``(S, τ)`` pairs and the sparse engine additionally
-  vectorizes the rho-shape cycle solve across each layer.
+  states are ``(S, τ)`` pairs and the sparse engine solves every
+  position of a popcount layer in one pass per active-count block, then
+  the rho-shape cycle solve across the layer.
+* **cyclic, long prefix**: a ``solve()`` pipeline schedule on chains
+  (n=9, m=3) with hundreds of positions but only ~20 distinct
+  assignments, which the sparse engine stores once each.
+* **state distribution**: the forward pass of the cyclic workload's
+  schedule over 48 steps (four cycles).
 
 ``REPRO_PERF_EXACT_N`` resizes the regimen workload; below n=14 only a
 1.5× win is asserted.  CI's perf-smoke job runs the full n=14 size,
 where ≥10× is asserted, as does the committed
 ``benchmarks/results/perf_exact_markov.json``.  The sparse engine is
 timed best-of-3 — its absolute runtime is tens of milliseconds, where
-timer noise matters; the scalar path is timed once.  Engine agreement
-to ≤1e-9 is asserted here *and* property-tested across all workload
-families in ``tests/sim/test_exact_engines_equiv.py``.
+timer noise matters; the scalar path is timed once.  Every row asserts
+engine agreement to ≤1e-9 (largest absolute difference, for the
+distribution); agreement is also property-tested across all workload
+families in ``tests/sim/test_exact_engines_equiv.py``.  Two traced
+sparse solves record the lattice-build vs layer-sweep split, for the
+regimen and the cyclic workload.
 """
 
 from __future__ import annotations
@@ -28,15 +37,21 @@ from __future__ import annotations
 import os
 import time
 
+import numpy as np
+
 from repro.algorithms import round_robin_baseline, state_round_robin_regimen
 from repro.analysis import Table
-from repro import evaluate
+from repro import evaluate, solve
 from repro.workloads import random_instance
 
 #: Regimen workload size; the acceptance claim is pinned at n = 14.
 N = int(os.environ.get("REPRO_PERF_EXACT_N", "14"))
 M = 4
 N_CYCLIC = min(N, 12)
+#: Long-prefix cyclic workload: a solve() schedule on chains.
+N_LONG, M_LONG = 9, 3
+#: Forward-pass steps of the state-distribution row (four cycles).
+HORIZON = 4 * N_CYCLIC
 
 #: Below the acceptance size the bench only requires a win, not 10x.
 SPEEDUP_FLOOR = 10.0 if N >= 14 else 1.5
@@ -74,8 +89,7 @@ def _measure():
         }
     )
 
-    inst_c = random_instance(N_CYCLIC, M, dag_kind="layered", layers=4, rng=9)
-    cyclic = round_robin_baseline(inst_c).schedule
+    inst_c, cyclic = _cyclic_workload()
     t_sparse, v_sparse = _best_of(
         lambda: evaluate(inst_c, cyclic, mode="exact").makespan
     )
@@ -92,7 +106,61 @@ def _measure():
             "agreement": abs(v_sparse - v_scalar),
         }
     )
+
+    inst_l, long_prefix = _long_prefix_workload()
+    positions = long_prefix.prefix_length + long_prefix.cycle_length
+    t_sparse, v_sparse = _best_of(
+        lambda: evaluate(inst_l, long_prefix, mode="exact").makespan
+    )
+    t0 = time.perf_counter()
+    v_scalar = evaluate(inst_l, long_prefix, mode="exact", engine="scalar").makespan
+    t_scalar = time.perf_counter() - t0
+    rows.append(
+        {
+            "workload": f"cyclic solve() n={N_LONG} m={M_LONG} positions={positions}",
+            "scalar_s": t_scalar,
+            "sparse_s": t_sparse,
+            "speedup": t_scalar / t_sparse,
+            "value": v_sparse,
+            "agreement": abs(v_sparse - v_scalar),
+        }
+    )
+
+    def distribution(engine):
+        return evaluate(
+            inst_c,
+            cyclic,
+            mode="exact",
+            engine=engine,
+            metrics="state_distribution",
+            horizon=HORIZON,
+        ).state_distribution
+
+    t_sparse, d_sparse = _best_of(lambda: distribution("auto"))
+    t0 = time.perf_counter()
+    d_scalar = distribution("scalar")
+    t_scalar = time.perf_counter() - t0
+    rows.append(
+        {
+            "workload": f"state_distribution n={N_CYCLIC} m={M} horizon={HORIZON}",
+            "scalar_s": t_scalar,
+            "sparse_s": t_sparse,
+            "speedup": t_scalar / t_sparse,
+            "value": float(d_sparse[-1, 0]),
+            "agreement": float(np.max(np.abs(d_sparse - d_scalar))),
+        }
+    )
     return rows
+
+
+def _long_prefix_workload():
+    inst = random_instance(N_LONG, M_LONG, dag_kind="chains", rng=1)
+    return inst, solve(inst, rng=np.random.default_rng(0)).schedule
+
+
+def _cyclic_workload():
+    inst = random_instance(N_CYCLIC, M, dag_kind="layered", layers=4, rng=9)
+    return inst, round_robin_baseline(inst).schedule
 
 
 def test_perf_sparse_vs_scalar_exact(benchmark, recorder, phase_breakdown):
@@ -129,4 +197,11 @@ def test_perf_sparse_vs_scalar_exact(benchmark, recorder, phase_breakdown):
         **phase_breakdown(
             lambda: evaluate(inst, regimen, mode="exact")
         ),
+    )
+    # The same split for the cyclic workload.
+    inst_c, cyclic = _cyclic_workload()
+    recorder.add(
+        kind="telemetry",
+        workload="cyclic",
+        **phase_breakdown(lambda: evaluate(inst_c, cyclic, mode="exact")),
     )

@@ -12,14 +12,22 @@ so the repo exposes exactly one evaluation API:
 
 ``evaluate()`` dispatches any schedule kind (cyclic, finite oblivious,
 regimen, adaptive policy) to the cheapest engine satisfying the request:
-exact sparse Markov when the ``2^n × width`` guard admits it, batched or
-lockstep Monte Carlo otherwise.  See :class:`EvaluationRequest` for the
+exact sparse Markov when the engine's guards admit it (the ``2^n ×
+width`` DP table and the sparse subset tables), batched or lockstep
+Monte Carlo otherwise.  See :class:`EvaluationRequest` for the
 knobs and :class:`EvaluationReport` for the result shape.  Spreading
 replications over processes is the experiment runner's job
 (``run_experiment(spec, workers=N)``).
 """
 
-from .dispatch import Route, exact_state_cost, exact_supported, schedule_kind, select_route
+from .dispatch import (
+    Route,
+    exact_state_cost,
+    exact_subset_entries,
+    exact_supported,
+    schedule_kind,
+    select_route,
+)
 from .facade import evaluate
 from .report import EvaluationReport
 from .request import ENGINES, METRICS, MODES, EvaluationRequest
@@ -33,6 +41,7 @@ __all__ = [
     "schedule_kind",
     "exact_supported",
     "exact_state_cost",
+    "exact_subset_entries",
     "METRICS",
     "MODES",
     "ENGINES",

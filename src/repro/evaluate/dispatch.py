@@ -9,12 +9,22 @@ request forces exact?  (mode="exact" | state_distribution)
 ├── request forces MC?  (mode="mc" | rtol/target_ci/budget)
 │   └── yes → Monte Carlo
 └── auto:
-    schedule is a Regimen / CyclicSchedule serving all metrics,
-    and the full DP allocation 2^n × width fits max_states?
-    ├── yes → exact Markov (sparse)
-    └── no  → Monte Carlo  (the estimator's own lockstep/batched/scalar
-                            routing, see repro.sim.montecarlo)
+    schedule is a Regimen / CyclicSchedule serving all metrics?
+    ├── no  → Monte Carlo
+    └── yes: the full DP allocation 2^n × width fits max_states?
+        ├── no  → Monte Carlo
+        └── yes: the sparse engine's subset tables (Σ 2^k over its
+            (distinct assignment, state) rows) fit 8 × max_states?
+            ├── yes → exact Markov (sparse)
+            └── no  → Monte Carlo  (the estimator's own lockstep/batched/
+                                    scalar routing, see repro.sim.montecarlo)
 ```
+
+Auto mode prices both allocations the sparse engine guards, with the
+same counts (:func:`exact_state_cost` and :func:`exact_subset_entries`,
+the latter through :func:`~repro.sim.exact.lattice.subset_table_entries`),
+so it never promises an exact route the engine then refuses.  A forced
+``mode="exact"`` skips the pricing and lets the engine's guards raise.
 
 ``engine="scalar"`` never changes the route: it swaps in the golden
 reference engine of whichever route is chosen.
@@ -36,10 +46,25 @@ from ..core.schedule import (
     Regimen,
 )
 from ..errors import ValidationError
-from ..sim.exact.lattice import DEFAULT_MAX_STATES
+from ..sim.exact.lattice import (
+    DEFAULT_MAX_STATES,
+    SUBSET_TABLE_FACTOR,
+    eligibility_masks,
+    popcount_array,
+    regimen_active_sets,
+    step_rules,
+    subset_table_entries,
+)
 from .request import EvaluationRequest
 
-__all__ = ["Route", "select_route", "schedule_kind", "exact_supported", "exact_state_cost"]
+__all__ = [
+    "Route",
+    "select_route",
+    "schedule_kind",
+    "exact_supported",
+    "exact_state_cost",
+    "exact_subset_entries",
+]
 
 
 @dataclass(frozen=True)
@@ -120,6 +145,35 @@ def exact_state_cost(
     return (1 << instance.n) * width
 
 
+def exact_subset_entries(
+    instance: SUUInstance,
+    schedule,
+    metrics: tuple[str, ...],
+    horizon: int | None,
+) -> int:
+    """Subset-table entries of the sparse engine's transition structure.
+
+    The count the engine's own guard applies before it builds anything:
+    one row per state of a regimen, or per (distinct assignment, state)
+    pair over the schedule positions the solve reads — ``P + L`` for a
+    makespan, the first ``horizon`` for a forward curve or distribution —
+    each holding ``2^k`` entries.  A makespan reads every position, so
+    with one in ``metrics`` it bounds the forward solves too.  Counting
+    costs one pass over the ``2^n`` states per distinct assignment (per
+    machine for a regimen), far below the solve it prices.
+    """
+    elig = eligibility_masks(instance)
+    if isinstance(schedule, Regimen):
+        active = regimen_active_sets(instance, schedule.table, elig)
+    else:
+        positions = schedule.prefix_length + schedule.cycle_length
+        if "makespan" not in metrics and horizon is not None:
+            positions = min(positions, horizon)
+        served = step_rules(instance, schedule.truncate(positions).table).served
+        active = elig[None, :] & served[:, None]
+    return subset_table_entries(popcount_array(active))
+
+
 def _exact_engine(request: EvaluationRequest) -> str:
     return "scalar" if request.engine == "scalar" else "sparse"
 
@@ -137,18 +191,12 @@ def select_route(instance: SUUInstance, schedule, request: EvaluationRequest) ->
             request.engine,
             "MC route requested (mode/engine/precision argument)",
         )
-    # mode="auto": prefer exact whenever the whole request fits the guard.
-    if ok:
-        cost = exact_state_cost(instance, schedule, request.metrics, request.horizon)
-        cap = request.max_states if request.max_states is not None else DEFAULT_MAX_STATES
-        if cost <= cap:
-            return Route(
-                "exact",
-                _exact_engine(request),
-                f"auto: exact chain fits ({cost} <= max_states {cap})",
-                cost=cost,
-                cap=cap,
-            )
+    # mode="auto": prefer exact whenever the whole request fits the guards.
+    if not ok:
+        return Route("mc", request.engine, f"auto: {why_not}")
+    cost = exact_state_cost(instance, schedule, request.metrics, request.horizon)
+    cap = request.max_states if request.max_states is not None else DEFAULT_MAX_STATES
+    if cost > cap:
         return Route(
             "mc",
             request.engine,
@@ -156,4 +204,22 @@ def select_route(instance: SUUInstance, schedule, request: EvaluationRequest) ->
             cost=cost,
             cap=cap,
         )
-    return Route("mc", request.engine, f"auto: {why_not}")
+    entries = exact_subset_entries(instance, schedule, request.metrics, request.horizon)
+    limit = SUBSET_TABLE_FACTOR * cap
+    if entries > limit:
+        return Route(
+            "mc",
+            request.engine,
+            f"auto: exact chain fits ({cost} <= max_states {cap}) but its sparse "
+            f"subset tables need {entries} entries > {limit} "
+            f"({SUBSET_TABLE_FACTOR} x max_states)",
+            cost=cost,
+            cap=cap,
+        )
+    return Route(
+        "exact",
+        _exact_engine(request),
+        f"auto: exact chain fits ({cost} <= max_states {cap})",
+        cost=cost,
+        cap=cap,
+    )

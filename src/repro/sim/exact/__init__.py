@@ -39,23 +39,27 @@ which picks the engine module and opens the ``exact.solve`` span.
 
 from .lattice import (
     DEFAULT_MAX_STATES,
+    StepStructure,
     TransitionBlock,
-    build_position_structures,
     build_regimen_structure,
+    build_step_structure,
     check_state_budget,
     eligibility_masks,
     popcount_array,
+    subset_table_entries,
 )
 from . import scalar, sparse
 
 __all__ = [
     "DEFAULT_MAX_STATES",
+    "StepStructure",
     "TransitionBlock",
-    "build_position_structures",
     "build_regimen_structure",
+    "build_step_structure",
     "check_state_budget",
     "eligibility_masks",
     "popcount_array",
     "scalar",
     "sparse",
+    "subset_table_entries",
 ]

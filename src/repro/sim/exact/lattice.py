@@ -10,30 +10,36 @@ layer at a time without any per-state Python:
 
 * :func:`eligibility_masks` — the eligible-set bitmask of every state, as
   one ``(2^n,)`` int64 array, doubled over the highest job (``2^n`` work).
-* :class:`TransitionBlock` — all states with the same *active count* ``k``
-  under one assignment rule, stored CSR-style: ``states`` sorted by
-  popcount with a ``layer_ptr`` row pointer, and per state the ``2^k``
-  completion subsets as XOR ``deltas`` plus their product-measure
-  ``weights`` (column 0 is the empty subset — the self-loop probability).
-* :func:`build_position_structures` / :func:`build_regimen_structure` —
-  group the whole lattice into blocks for each oblivious assignment of a
-  schedule (shared ``q`` vector) or for a per-state regimen table
-  (per-state ``q`` via a machine sweep, the "assignment signature" of
-  each state).
+* :class:`TransitionBlock` — rows with the same *active count* ``k``,
+  stored CSR-style: per row, a state and the ``2^k`` completion subsets
+  ``T`` of its active set as XOR ``targets`` (``S ^ T``) with their
+  product-measure ``weights`` (column 0 is the empty subset — the
+  self-loop), grouped by a row pointer ``ptr``.
+* :func:`build_step_structure` — an oblivious schedule's blocks, one per
+  ``k``, whose rows are (distinct assignment, state) pairs: an assignment
+  that many positions repeat is stored once.  Rows come grouped by
+  popcount layer (the backward makespan sweep) or by assignment (the
+  forward pass).
+* :func:`build_regimen_structure` — the blocks of a per-state assignment
+  table (a regimen; per-state ``q`` via a machine sweep, the "assignment
+  signature" of each state), grouped by layer.
 
 Every kernel costs about the size of what it returns: active-bit
 positions are peeled lowest bit first and the ``2^k`` subset tables
 double bit by bit, so no step builds a bit matrix or a full-width
-temporary per bit.
+temporary per bit.  :func:`subset_table_entries` counts those tables
+before any is built; the engine's guard and auto dispatch's pricing
+both call it.
 
-Because a job set can only shrink, ``S XOR delta`` always lands in a
-strictly lower layer (for ``delta != 0``), which is what makes the
-layer-at-a-time backward sweep well-founded.
+Because a job set can only shrink, ``S ^ T`` always lands in a strictly
+lower layer (for ``T != 0``), which is what makes the layer-at-a-time
+backward sweep well-founded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,13 +49,20 @@ from ...errors import ExactSolverLimitError
 
 __all__ = [
     "DEFAULT_MAX_STATES",
+    "SUBSET_TABLE_FACTOR",
     "check_state_budget",
+    "subset_table_entries",
     "popcount_array",
+    "popcount_order",
     "eligibility_masks",
     "assignment_success",
     "bit_positions",
     "TransitionBlock",
-    "build_position_structures",
+    "StepRules",
+    "StepStructure",
+    "step_rules",
+    "regimen_active_sets",
+    "build_step_structure",
     "build_regimen_structure",
 ]
 
@@ -59,6 +72,10 @@ __all__ = [
 #: schedules up to n ≈ 14–16 with short periods fit comfortably.
 DEFAULT_MAX_STATES = 1 << 22
 
+#: The sparse engine's subset tables may hold this many entries per
+#: ``max_states`` DP entry (see :func:`subset_table_entries`).
+SUBSET_TABLE_FACTOR = 8
+
 
 def check_state_budget(n: int, width: int, max_states: int) -> None:
     """Guard the *full* DP allocation, not just the subset count.
@@ -66,8 +83,6 @@ def check_state_budget(n: int, width: int, max_states: int) -> None:
     ``width`` is the number of DP entries per unfinished set: 1 for a
     regimen, ``P + L`` for a cyclic schedule (the chain's true states are
     ``(S, τ)`` pairs), ``horizon + 1`` for the forward state distribution.
-    The pre-fix guard only checked ``2^n <= max_states``, so a long cycle
-    or horizon could pass the guard and still exhaust memory.
     """
     if n > 62:
         raise ExactSolverLimitError(f"bitmask solver limited to 62 jobs, got {n}")
@@ -81,27 +96,35 @@ def check_state_budget(n: int, width: int, max_states: int) -> None:
         )
 
 
-def _check_structure_budget(karrs: list[np.ndarray], max_states: int) -> None:
-    """Guard the subset tables, the sparse engine's own footprint.
+def subset_table_entries(counts: np.ndarray) -> int:
+    """Subset-table entries of the blocks built from active counts ``counts``.
 
-    Each state's block row holds ``2^k`` completion subsets (``k`` = its
-    active-job count, up to ``m``), so one structure is ``Σ_S 2^{k(S)}``
-    entries — independent of the DP-table size the ``max_states`` guard
+    Each row holds ``2^k`` completion subsets (``k`` = its active-job
+    count, up to ``m``), so a structure is ``Σ 2^k`` entries over its
+    rows — independent of the DP-table size the ``max_states`` guard
     covers, and the dominant allocation when many jobs are active at
-    once.  ``karrs`` holds the active-count array of every structure a
-    solver keeps alive at once (one per distinct position of a cyclic
-    schedule), and the budget covers their sum: ``8 × max_states``
-    (the same order as the DP table at typical ``m``).  Past it, the
-    scalar engine — whose per-state dicts are transient — is the right
-    tool.
+    once.  ``counts`` has one entry per row: per state for a regimen, per
+    (distinct assignment, state) pair for an oblivious schedule.  The
+    sparse engine allows ``SUBSET_TABLE_FACTOR × max_states`` entries (the
+    same order as the DP table at typical ``m``); its guard and auto
+    dispatch's pricing both count with this function.
     """
-    entries = sum(int(np.sum(np.left_shift(np.int64(1), karr))) for karr in karrs)
-    limit = 8 * int(max_states)
+    return int(np.sum(np.left_shift(np.int64(1), counts)))
+
+
+def _check_subset_budget(counts: np.ndarray, max_states: int) -> None:
+    """Refuse a structure past ``SUBSET_TABLE_FACTOR × max_states`` entries.
+
+    Checked before any block is built.  Past the budget, the scalar
+    engine — whose per-state dicts are transient — is the right tool.
+    """
+    entries = subset_table_entries(counts)
+    limit = SUBSET_TABLE_FACTOR * int(max_states)
     if entries > limit:
         raise ExactSolverLimitError(
             f"sparse transition structure would need {entries} subset-table "
-            f"entries (limit {limit} = 8 x max_states); too many jobs are "
-            'active per state — use engine="scalar" or raise max_states'
+            f"entries (limit {limit} = {SUBSET_TABLE_FACTOR} x max_states); too "
+            'many jobs are active per state — use engine="scalar" or raise max_states'
         )
 
 
@@ -177,62 +200,73 @@ def assignment_success(
 
 @dataclass(frozen=True)
 class TransitionBlock:
-    """All states with the same active count ``k`` under one step rule.
+    """Rows with the same active count ``k``, grouped by a row pointer.
 
-    ``states`` is sorted by popcount (CSR rows via ``layer_ptr``); columns
-    of ``deltas``/``weights`` enumerate the ``2^k`` completion subsets of
-    each state's active set.  Column 0 is always the empty subset:
-    ``deltas[:, 0] == 0`` and ``weights[:, 0]`` is the self-loop (stay)
-    probability.  Rows of ``weights`` sum to 1 (a product measure).
+    Row ``r`` is one state ``states[r]`` under one step rule; the columns
+    of ``targets``/``weights`` enumerate the ``2^k`` completion subsets
+    ``T`` of its active set, ``targets[r, t] = states[r] ^ T``.  Column 0
+    is always the empty subset: ``targets[:, 0] == states`` and
+    ``weights[:, 0]`` is the self-loop (stay) probability.  Rows of
+    ``weights`` sum to 1 (a product measure).  Group ``g`` is rows
+    ``ptr[g]:ptr[g + 1]``: a popcount layer for a regimen and for a
+    layer-major :class:`StepStructure`, a distinct assignment for a
+    rule-major one.  ``rules`` gives each row's distinct assignment in a
+    :class:`StepStructure` (``None`` for a regimen).
     """
 
     states: np.ndarray
-    deltas: np.ndarray
+    targets: np.ndarray
     weights: np.ndarray
-    layer_ptr: np.ndarray
+    ptr: np.ndarray
+    rules: np.ndarray | None = None
 
     @property
     def k(self) -> int:
-        """Active jobs per state (``deltas`` has ``2^k`` columns)."""
-        return int(self.deltas.shape[1]).bit_length() - 1
+        """Active jobs per row (``targets`` has ``2^k`` columns)."""
+        return int(self.targets.shape[1]).bit_length() - 1
 
-    def layer(self, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The block's rows for popcount layer ``c`` (may be empty)."""
-        lo, hi = self.layer_ptr[c], self.layer_ptr[c + 1]
-        return self.states[lo:hi], self.deltas[lo:hi], self.weights[lo:hi]
+    def rows(self, g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The block's ``(states, targets, weights)`` for group ``g`` (may be empty)."""
+        lo, hi = self.ptr[g], self.ptr[g + 1]
+        return self.states[lo:hi], self.targets[lo:hi], self.weights[lo:hi]
 
 
 def _make_block(
-    sel: np.ndarray, bits: np.ndarray, qbits: np.ndarray, pc: np.ndarray, n: int
+    states: np.ndarray,
+    bits: np.ndarray,
+    qbits: np.ndarray,
+    ptr: np.ndarray,
+    rules: np.ndarray | None = None,
 ) -> TransitionBlock:
-    """Assemble one block from its states (in popcount order), their
-    active-bit positions and the bits' success probabilities.
+    """Assemble one block from its rows' states, their active-bit
+    positions and the bits' success probabilities.
 
     The subset tables double bit by bit, as the Malewicz DP's do: subset
     ``t`` completes active bit ``b`` iff bit ``b`` of ``t`` is set, so the
-    first ``2^b`` subsets give the next ``2^b`` by adding bit ``b``, and
+    first ``2^b`` subsets give the next ``2^b`` by clearing bit ``b``, and
     each weight multiplies its bit factors (``q`` or ``1 - q``) in bit
     order starting from 1.0.  Each table is doubled subset-major, then
-    transposed once into the stored ``(G, 2^k)`` layout, the one the
-    sweeps' ``einsum`` sums in; the deltas are transposed before the
+    transposed once into the stored ``(R, 2^k)`` layout, the one the
+    sweeps' ``einsum`` sums in; the targets are transposed before the
     weights are doubled, so at most three tables are alive at once.
     """
     k = bits.shape[1]
-    deltas = np.empty((1 << k, sel.size), dtype=np.int64)
-    deltas[0] = 0
+    targets = np.empty((1 << k, states.size), dtype=np.int64)
+    targets[0] = states
     for b in range(k):
         c = 1 << b
-        np.bitwise_or(deltas[:c], np.left_shift(np.int64(1), bits[:, b]), out=deltas[c : 2 * c])
-    deltas = np.ascontiguousarray(deltas.T)
-    weights = np.empty((1 << k, sel.size), dtype=np.float64)
+        np.bitwise_xor(
+            targets[:c], np.left_shift(np.int64(1), bits[:, b]), out=targets[c : 2 * c]
+        )
+    targets = np.ascontiguousarray(targets.T)
+    weights = np.empty((1 << k, states.size), dtype=np.float64)
     weights[0] = 1.0
     for b in range(k):
         c = 1 << b
         np.multiply(weights[:c], qbits[:, b], out=weights[c : 2 * c])
         weights[:c] *= 1.0 - qbits[:, b]
     weights = np.ascontiguousarray(weights.T)
-    layer_ptr = np.searchsorted(pc[sel], np.arange(n + 2))
-    return TransitionBlock(sel, deltas, weights, layer_ptr)
+    return TransitionBlock(states, targets, weights, ptr, rules)
 
 
 def bit_positions(act: np.ndarray, k: int) -> np.ndarray:
@@ -251,61 +285,145 @@ def bit_positions(act: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _active_classes(act: np.ndarray, karr: np.ndarray, order: np.ndarray):
-    """``(sel, bits)`` per active count ``k``, ascending in ``k``.
-
-    ``order`` lists every state in popcount order (see
-    :func:`_popcount_order`), so each ``sel`` comes out sorted by popcount
-    and, within a popcount, by state.
-    """
-    korder = karr[order]
-    for k in np.flatnonzero(np.bincount(karr)):
-        sel = order[korder == k]
-        yield sel, bit_positions(act[sel], int(k))
-
-
-def _popcount_order(pc: np.ndarray) -> np.ndarray:
+def popcount_order(pc: np.ndarray) -> np.ndarray:
     """Every state sorted by popcount, ties by state (one stable sort)."""
     return np.argsort(pc.astype(np.uint8), kind="stable")
 
 
-def build_position_structures(
+class StepRules(NamedTuple):
+    """The distinct assignments of an oblivious schedule's positions."""
+
+    #: ``(positions,)`` index of each position's distinct assignment.
+    rule_of: np.ndarray
+    #: ``(D, n)`` per-job one-step success probability of each assignment.
+    q: np.ndarray
+    #: ``(D,)`` bitmask of the jobs each assignment serves with ``q > 0``;
+    #: a state's active set under rule ``d`` is ``elig & served[d]``.
+    served: np.ndarray
+
+
+def step_rules(instance: SUUInstance, table: np.ndarray) -> StepRules:
+    """Dedupe the rows of an oblivious ``(positions, m)`` table into rules.
+
+    Rules are numbered in order of first appearance.
+    """
+    index: dict[bytes, int] = {}
+    distinct = []
+    rule_of = np.empty(len(table), dtype=np.int64)
+    for tau, a in enumerate(table):
+        d = index.setdefault(a.tobytes(), len(index))
+        if d == len(distinct):
+            distinct.append(assignment_success(instance.p, a))
+        rule_of[tau] = d
+    q = np.array([q for q, _ in distinct], dtype=np.float64).reshape(-1, instance.n)
+    served = np.array([served for _, served in distinct], dtype=np.int64)
+    return StepRules(rule_of, q, served)
+
+
+@dataclass(frozen=True)
+class StepStructure:
+    """An oblivious schedule's transition blocks, one per active count.
+
+    Each block stacks the (distinct assignment, state) rows with that
+    ``k``; ``rule_of`` maps a schedule position to its assignment, so
+    positions that repeat an assignment share its rows.
+    """
+
+    rule_of: np.ndarray
+    blocks: list[TransitionBlock]
+
+
+def build_step_structure(
     instance: SUUInstance,
-    assignments: list[np.ndarray],
+    table: np.ndarray,
     elig: np.ndarray,
     pc: np.ndarray,
     max_states: int = DEFAULT_MAX_STATES,
-) -> list[list[TransitionBlock]]:
-    """Transition blocks of the whole lattice for each oblivious step.
+    *,
+    rule_major: bool = False,
+) -> StepStructure:
+    """Transition blocks of the whole lattice for an oblivious step table.
 
-    All states of a step share its assignment's ``q`` vector; they are
-    grouped by active count ``k`` so each group has a rectangular
-    ``(G, 2^k)`` subset table.  States with ``k = 0`` (nothing progresses,
-    including the absorbing empty state) form the ``2^0``-column block.
-    Steps that repeat an assignment share one structure — long serial
-    tails repeat one for many positions — so construction is linear in
-    the number of *distinct* assignments.  A solver keeps every distinct
-    structure alive through its sweep, so the subset-table budget covers
-    their sum, checked before any block is built.
+    ``table`` is the ``(positions, m)`` assignment table of the schedule
+    positions a solver reads.  All states under one assignment share its
+    ``q`` vector; rows are grouped by active count ``k`` so each block has
+    a rectangular ``(R, 2^k)`` subset table, and states with ``k = 0``
+    (nothing progresses, including the absorbing empty state) form the
+    ``2^0``-column block.  Each distinct assignment is built once, and the
+    subset-table budget covers the rows of all of them, checked before
+    any block is built.
+
+    Layer-major rows (the default) are sorted by (popcount, state,
+    assignment) and ``ptr`` points at popcount layers: the backward sweep
+    solves a layer of every position in one pass per block.  Rule-major
+    rows are sorted by (assignment, popcount, state) and ``ptr`` points at
+    assignments: a forward step reads its assignment's rows as contiguous
+    slices.  A row's subset table does not depend on the order.
     """
     n = instance.n
-    keys = [a.tobytes() for a in assignments]
-    steps = {}
-    for key, a in zip(keys, assignments):
-        if key not in steps:
-            q, served = assignment_success(instance.p, a)
-            act = elig & served
-            steps[key] = (q, act, popcount_array(act))
-    _check_structure_budget([karr for _, _, karr in steps.values()], max_states)
-    order = _popcount_order(pc)
-    structures = {
-        key: [
-            _make_block(sel, bits, q[bits], pc, n)
-            for sel, bits in _active_classes(act, karr, order)
-        ]
-        for key, (q, act, karr) in steps.items()
-    }
-    return [structures[key] for key in keys]
+    rule_of, q, served = step_rules(instance, table)
+    D = served.size
+    order = popcount_order(pc)
+    elig = elig[order]
+    # counts[d, j]: active jobs of the j-th state in popcount order under
+    # rule d.
+    counts = popcount_array(elig[None, :] & served[:, None]).astype(np.uint8)
+    _check_subset_budget(counts, max_states)
+    # Scan a (rule, state) grid for rule-major rows or a (state, rule) grid
+    # for layer-major ones.  The minor side is a power of two (the rule
+    # side padded with a count no row has), so a flat index splits into
+    # (major, minor) by shifts.
+    if rule_major:
+        grid, shift = counts, n
+    else:
+        shift = max(D - 1, 0).bit_length()
+        grid = np.full((pc.size, 1 << shift), 255, dtype=np.uint8)
+        grid[:, :D] = counts.T
+    flat = grid.ravel()
+    blocks = []
+    for k in np.flatnonzero(np.bincount(counts.ravel())):
+        k = int(k)
+        cell = np.flatnonzero(flat == k)
+        major, minor = cell >> shift, cell & ((1 << shift) - 1)
+        rules, col = (major, minor) if rule_major else (minor, major)
+        states = order[col]
+        if rule_major:
+            ptr = np.searchsorted(rules, np.arange(D + 1))
+        else:
+            ptr = np.searchsorted(pc[states], np.arange(n + 2))
+        bits = bit_positions(elig[col] & served[rules], k)
+        blocks.append(_make_block(states, bits, q[rules[:, None], bits], ptr, rules))
+    return StepStructure(rule_of, blocks)
+
+
+def regimen_active_sets(
+    instance: SUUInstance, table: np.ndarray, elig: np.ndarray
+) -> np.ndarray:
+    """Active set of every state under a regimen's dense ``(2^n, m)`` table.
+
+    A job is active in ``S`` when it is eligible and some machine of row
+    ``S`` serves it with positive probability; the empty state has none.
+    """
+    jobbit, _ = _machine_factors(instance)
+    served = np.zeros(1 << instance.n, dtype=np.int64)
+    for i in range(instance.m):
+        served |= jobbit[i, table[:, i]]
+    act = elig & served
+    act[0] = 0
+    return act
+
+
+def _machine_factors(instance: SUUInstance) -> tuple[np.ndarray, np.ndarray]:
+    """Per machine, indexed by table entry: the bit of a job it serves with
+    positive probability, and the job's failure factor.  The two padding
+    columns at the end are what IDLE (-1) and UNDEFINED (-2) index."""
+    p = instance.p
+    n, m = instance.n, instance.m
+    jobbit = np.zeros((m, n + 2), dtype=np.int64)
+    jobbit[:, :n] = np.where(p > 0.0, np.left_shift(np.int64(1), np.arange(n)), 0)
+    fail = np.ones((m, n + 2), dtype=np.float64)
+    fail[:, :n] = 1.0 - p
+    return jobbit, fail
 
 
 def build_regimen_structure(
@@ -323,28 +441,22 @@ def build_regimen_structure(
     probabilities are accumulated machine by machine: machine ``i``
     multiplies ``1 - p[i, j]`` into the failure product of the active bit
     it points at, found by its rank among the state's active bits (the
-    popcount of the lower ones).
+    popcount of the lower ones).  Rows are states in popcount order and
+    ``ptr`` points at popcount layers.
     """
-    p = instance.p
     n, m = instance.n, instance.m
-    # Per machine, indexed by table entry: the bit of a job it serves with
-    # positive probability, and the job's failure factor.  The two padding
-    # columns at the end are what IDLE (-1) and UNDEFINED (-2) index.
-    jobbit = np.zeros((m, n + 2), dtype=np.int64)
-    jobbit[:, :n] = np.where(p > 0.0, np.left_shift(np.int64(1), np.arange(n)), 0)
-    fail = np.ones((m, n + 2), dtype=np.float64)
-    fail[:, :n] = 1.0 - p
-    served = np.zeros(1 << n, dtype=np.int64)
-    for i in range(m):
-        served |= jobbit[i, table[:, i]]
-    act = elig & served
-    act[0] = 0
+    jobbit, fail = _machine_factors(instance)
+    act = regimen_active_sets(instance, table, elig)
     karr = popcount_array(act)
-    _check_structure_budget([karr], max_states)
+    _check_subset_budget(karr, max_states)
+    order = popcount_order(pc)
+    korder = karr[order]
     blocks = []
-    for sel, bits in _active_classes(act, karr, _popcount_order(pc)):
-        k = bits.shape[1]
+    for k in np.flatnonzero(np.bincount(karr)):
+        k = int(k)
+        sel = order[korder == k]
         act_sel = act[sel]
+        bits = bit_positions(act_sel, k)
         rows = np.arange(sel.size)
         # A machine on no active job has hit = 0, so its rank (the
         # popcount of act & -1) is k: the spare column k absorbs it.
@@ -353,5 +465,6 @@ def build_regimen_structure(
             j = table[sel, i]
             hit = act_sel & jobbit[i, j]
             failb[rows, popcount_array(act_sel & (hit - 1))] *= fail[i, j]
-        blocks.append(_make_block(sel, bits, 1.0 - failb[:, :k], pc, n))
+        layer_ptr = np.searchsorted(pc[sel], np.arange(n + 2))
+        blocks.append(_make_block(sel, bits, 1.0 - failb[:, :k], layer_ptr))
     return blocks

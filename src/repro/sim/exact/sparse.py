@@ -7,24 +7,38 @@ but executed as NumPy sweeps over the CSR-style
 per-state Python dict loops:
 
 1. the lattice structure (eligibility, active sets, completion-subset
-   deltas and weights) is built **once** per assignment rule;
+   targets and weights) is built **once** per distinct assignment rule;
 2. states are processed one popcount layer at a time — every XOR target
    of a nonempty completion subset lies in a strictly lower layer, so a
-   single gather ``E[S ^ deltas]`` reads only finished values;
-3. within a layer, each block solves all its states with one fused
-   gather → weighted-sum → divide (regimen) or one rho closed form over
-   the schedule positions (cyclic), with no per-state Python at all.
+   single gather ``E[S ^ T]`` reads only finished values;
+3. within a layer, each block solves all its rows with one fused
+   gather → weighted-sum → divide (regimen), or one gather → weighted sum
+   over every (state, schedule position) pair of the layer followed by the
+   rho closed form (cyclic), with no per-state Python at all.
 
-The forward solver (:func:`state_distribution`) reuses the same blocks and
-scatters each step with ``np.bincount`` over the XOR targets.
+A cyclic schedule's blocks stack the rows of every distinct assignment
+(:func:`~repro.sim.exact.lattice.build_step_structure`); positions that
+repeat an assignment are expanded by an index built once per solve, and
+the gathers read the ``(positions × 2^n)`` DP table through flat indices.
+So the makespan sweep runs one gather + ``einsum`` per (popcount layer,
+active count ``k``) — at most ``m + 1`` per layer — however many positions
+the schedule has; only a pass that would gather more than ``2^20``
+subset-table entries at once is split into chunks of that size.
+
+The forward solver (:func:`state_distribution`) reads the same blocks in
+assignment-major row order and scatters each step with ``np.bincount``
+over the XOR targets.
 
 Agreement with the scalar golden reference to ≤1e-9 is property-tested
-across all workload families in ``tests/sim/test_exact_engines_equiv.py``;
-the measured speedup (≥10× on regimen makespans at n=14) is recorded by
+across all workload families in ``tests/sim/test_exact_engines_equiv.py``,
+which also holds the cyclic solvers bitwise to the per-position sweep they
+replaced; the measured speedup is recorded by
 ``benchmarks/bench_perf_exact_markov.py``.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,12 +49,13 @@ from ...core.schedule import CyclicSchedule, Regimen
 from ...errors import ScheduleError
 from .lattice import (
     DEFAULT_MAX_STATES,
-    TransitionBlock,
-    build_position_structures,
+    StepStructure,
     build_regimen_structure,
+    build_step_structure,
     check_state_budget,
     eligibility_masks,
     popcount_array,
+    popcount_order,
 )
 
 __all__ = [
@@ -53,6 +68,11 @@ __all__ = [
 #: Self-loop probabilities at or above this are treated as "no progress",
 #: matching the scalar engine's threshold.
 _STAY_EPS = 1e-15
+
+#: Most subset-table entries one cyclic-sweep gather reads at once.  A
+#: block's rows expand by the positions of their assignment, so a long
+#: prefix would otherwise gather a copy of its tables per position.
+_CHUNK = 1 << 20
 
 
 def _regimen_table(instance: SUUInstance, regimen: Regimen) -> np.ndarray:
@@ -101,7 +121,7 @@ def expected_makespan_regimen(
         expect = np.zeros(size, dtype=np.float64)
         for c in range(1, n + 1):
             for block in blocks:
-                sel, deltas, weights = block.layer(c)
+                sel, targets, weights = block.rows(c)
                 if sel.size == 0:
                     continue
                 stay = weights[:, 0]
@@ -112,28 +132,74 @@ def expected_makespan_regimen(
                         f"regimen makes no progress from state "
                         f"{iterable_from_bitmask(bad)}; expected makespan is infinite"
                     )
-                succ = expect[sel[:, None] ^ deltas[:, 1:]]
+                succ = expect[targets[:, 1:]]
                 acc = 1.0 + np.einsum("gt,gt->g", weights[:, 1:], succ)
                 expect[sel] = acc / (1.0 - stay)
     return float(expect[size - 1])
 
 
-def _position_assignment(schedule: CyclicSchedule, tau: int) -> np.ndarray:
-    P = schedule.prefix_length
-    return schedule.prefix.table[tau] if tau < P else schedule.cycle.table[tau - P]
+class _Expansion(NamedTuple):
+    """One layer-major block's rows expanded to (row, schedule position) entries.
+
+    Entries follow the block's rows, each row once per position of its
+    assignment in ascending order, so ``ptr`` (per popcount layer) is the
+    block's layer pointer in entry units.
+    """
+
+    #: Block row of each entry, or None when no assignment repeats (one
+    #: entry per row, so an entry's index is its row's).
+    rows: np.ndarray | None
+    #: Flat index of each entry in its layer's ``(positions, G)`` tables.
+    dest: np.ndarray
+    #: Flat offset of the entry's next position's row in the DP table.
+    nxt: np.ndarray
+    ptr: np.ndarray
 
 
-def _position_structures(
-    instance: SUUInstance,
-    schedule: CyclicSchedule,
-    positions: int,
-    elig: np.ndarray,
-    pc: np.ndarray,
-    max_states: int,
-) -> list[list[TransitionBlock]]:
-    """One block list per schedule position, shared by equal assignments."""
-    assignments = [_position_assignment(schedule, tau) for tau in range(positions)]
-    return build_position_structures(instance, assignments, elig, pc, max_states)
+def _expand_positions(
+    structure: StepStructure, pc: np.ndarray, order: np.ndarray, prefix: int
+) -> list[_Expansion]:
+    """Map every block row to the schedule positions that use its assignment.
+
+    Built once per solve.  A layer's ``G`` states are ranked in popcount
+    order, so the entry for state ``S`` at position ``τ`` lands at
+    ``τ · G + rank(S)`` of its layer's ``(positions, G)`` tables, and its
+    successors are read at ``next(τ) · 2^n + (S ^ T)`` of the DP table.
+    """
+    size = pc.size
+    rule_of = structure.rule_of
+    total = rule_of.size
+    per_rule = np.bincount(rule_of)
+    by_rule = np.argsort(rule_of, kind="stable")
+    first = np.cumsum(per_rule) - per_rule
+    next_row = np.arange(1, total + 1, dtype=np.int64) * size
+    next_row[-1] = prefix * size
+    layer_size = np.bincount(pc)
+    width = layer_size[pc]
+    rank = np.empty(size, dtype=np.int64)
+    rank[order] = np.arange(size) - (np.cumsum(layer_size) - layer_size)[pc[order]]
+    shared = bool(np.any(per_rule > 1))
+    expansions = []
+    for block in structure.blocks:
+        if shared:
+            counts = per_rule[block.rules]
+            ends = np.cumsum(counts)
+            rows = np.repeat(np.arange(counts.size), counts)
+            tau = np.repeat(first[block.rules] - (ends - counts), counts)
+            tau += np.arange(rows.size)
+            tau = by_rule[tau]
+            ptr = np.concatenate(([0], ends))[block.ptr]
+            states = block.states[rows]
+        else:
+            rows = None
+            tau = by_rule[block.rules]
+            ptr = block.ptr
+            states = block.states
+        dest = width[states]
+        dest *= tau
+        dest += rank[states]
+        expansions.append(_Expansion(rows, dest, next_row[tau], ptr))
+    return expansions
 
 
 def expected_makespan_cyclic(
@@ -144,11 +210,13 @@ def expected_makespan_cyclic(
     """Exact expected makespan of a prefix+cycle schedule, vectorized.
 
     Identical recurrence and rho-shape closed form as the scalar engine
-    (see :func:`repro.sim.exact.scalar.expected_makespan_cyclic`), but the
-    per-position coefficients ``a_τ = 1 + Σ_{T≠∅} w_T E[S^T, next(τ)]``
-    and ``b_τ = w_∅`` are produced for a whole popcount layer at once,
-    and the cycle solve / backward substitution run vectorized over the
-    layer's states.
+    (see :func:`repro.sim.exact.scalar.expected_makespan_cyclic`).  For
+    one popcount layer, the coefficients ``a_τ = 1 + Σ_{T≠∅} w_T
+    E[S^T, next(τ)]`` and ``b_τ = w_∅`` of every (state, position) pair
+    come from one gather + einsum per active-count block; the cycle closed
+    form runs as sequential ``accumulate`` calls over the layer's cycle
+    positions and the backward substitution as a loop over positions,
+    each vectorized across the layer's states.
     """
     n = instance.n
     schedule.validate_against(instance)
@@ -163,57 +231,63 @@ def expected_makespan_cyclic(
     with obs.span("exact.lattice.build", states=size, positions=total, op="cyclic"):
         elig = eligibility_masks(instance)
         pc = popcount_array(np.arange(size, dtype=np.int64))
-        structures = _position_structures(
-            instance, schedule, total, elig, pc, max_states
+        structure = build_step_structure(
+            instance, schedule.truncate(total).table, elig, pc, max_states
         )
-    expect = np.zeros((size, total), dtype=np.float64)
+        order = popcount_order(pc)
+        expansions = _expand_positions(structure, pc, order, P)
+    # Position-major DP table: row τ holds E[·, τ], so a layer's
+    # successors are one flat gather at next(τ) · 2^n + (S ^ T).
+    expect = np.zeros((total, size), dtype=np.float64)
+    flat = expect.reshape(-1)
+    layer_end = np.cumsum(np.bincount(pc))
     with obs.span("exact.layer_sweep", layers=n, positions=total, op="cyclic"):
         for c in range(1, n + 1):
-            lay = np.flatnonzero(pc == c)
-            G = lay.size
-            a = np.empty((G, total), dtype=np.float64)
-            b = np.empty((G, total), dtype=np.float64)
-            for tau in range(total):
-                nxt_tau = tau + 1 if tau + 1 < total else P
-                for block in structures[tau]:
-                    sel, deltas, weights = block.layer(c)
-                    if sel.size == 0:
+            lay = order[layer_end[c - 1] : layer_end[c]]
+            a = np.empty(total * lay.size, dtype=np.float64)
+            b = np.empty(total * lay.size, dtype=np.float64)
+            for block, ex in zip(structure.blocks, expansions):
+                step = max(_CHUNK >> block.k, 1)
+                for lo in range(ex.ptr[c], ex.ptr[c + 1], step):
+                    hi = min(lo + step, ex.ptr[c + 1])
+                    # Without repeats an entry is its block row.
+                    rows = slice(lo, hi) if ex.rows is None else ex.rows[lo:hi]
+                    dest = ex.dest[lo:hi]
+                    weights = block.weights[rows]
+                    b[dest] = weights[:, 0]
+                    if block.k == 0:
+                        a[dest] = 1.0
                         continue
-                    pos = np.searchsorted(lay, sel)
-                    b[pos, tau] = weights[:, 0]
-                    if deltas.shape[1] > 1:
-                        w = weights[:, 1:]
-                        succ = expect[sel[:, None] ^ deltas[:, 1:], nxt_tau]
-                        # Zero-weight subsets may point at dead (E = inf)
-                        # states; mask them so 0 * inf never produces NaN
-                        # (the scalar engine drops zero-probability branches).
-                        a[pos, tau] = 1.0 + np.einsum(
-                            "gt,gt->g", w, np.where(w > 0.0, succ, 0.0)
-                        )
-                    else:
-                        a[pos, tau] = 1.0
-            # Cycle closed form: E_P = A + B E_P around the loop (rho shape).
-            A = np.zeros(G, dtype=np.float64)
-            B = np.ones(G, dtype=np.float64)
-            with np.errstate(invalid="ignore"):
-                for off in range(L):
-                    tau = P + off
-                    A = A + B * a[:, tau]
-                    B = B * b[:, tau]
-                dead = (B >= 1.0 - _STAY_EPS) | ~np.isfinite(A)
-                e_start = np.where(
-                    dead, np.inf, A / np.where(dead, 1.0, 1.0 - B)
-                )
-                # Backward substitution; b == 0 short-circuits so that a dead
-                # successor (E = inf) does not poison a zero-probability link.
-                e_next = e_start
-                for tau in range(total - 1, -1, -1):
-                    e_tau = np.where(
-                        b[:, tau] == 0.0, a[:, tau], a[:, tau] + b[:, tau] * e_next
+                    w = weights[:, 1:]
+                    succ = flat[block.targets[rows, 1:] + ex.nxt[lo:hi, None]]
+                    # Zero-weight subsets may point at dead (E = inf)
+                    # states; mask them so 0 * inf never produces NaN (the
+                    # scalar engine drops zero-probability branches).
+                    a[dest] = 1.0 + np.einsum(
+                        "gt,gt->g", w, np.where(w > 0.0, succ, 0.0)
                     )
-                    expect[lay, tau] = e_tau
-                    e_next = e_tau
-    value = float(expect[size - 1, 0])
+            a = a.reshape(total, lay.size)
+            b = b.reshape(total, lay.size)
+            with np.errstate(invalid="ignore"):
+                # Cycle closed form: E_P = A + B E_P around the loop (rho
+                # shape), A = Σ_i (Π_{j<i} b_{P+j}) a_{P+i} and B = Π b,
+                # both accumulated left to right like the scalar loop.
+                prods = np.multiply.accumulate(b[P:], axis=0)
+                terms = a[P:].copy()
+                terms[1:] *= prods[:-1]
+                A = np.add.accumulate(terms, axis=0)[-1]
+                B = prods[-1]
+                dead = (B >= 1.0 - _STAY_EPS) | ~np.isfinite(A)
+                e_next = np.where(dead, np.inf, A / np.where(dead, 1.0, 1.0 - B))
+                # Backward substitution in place; b == 0 short-circuits so
+                # that a dead successor (E = inf) does not poison a
+                # zero-probability link.
+                live = b != 0.0
+                for tau in range(total - 1, -1, -1):
+                    np.add(a[tau], b[tau] * e_next, out=a[tau], where=live[tau])
+                    e_next = a[tau]
+            expect[:, lay] = a
+    value = float(expect[0, size - 1])
     if not np.isfinite(value):
         raise ScheduleError(
             "cyclic schedule makes no progress from some reachable state; "
@@ -232,8 +306,10 @@ def state_distribution(
 
     Row ``t`` is the distribution of the unfinished set after ``t`` steps;
     each step pushes every state's mass along its block's subset table in
-    one flattened ``np.bincount`` (weights sum to 1 per state, so each row
-    remains a distribution exactly as in the scalar engine).
+    one flattened ``np.bincount`` per active count (weights sum to 1 per
+    state, so each row remains a distribution exactly as in the scalar
+    engine).  The blocks are rule-major, so a step's rows are contiguous
+    slices of its assignment.
     """
     n = instance.n
     check_state_budget(n, horizon + 1, max_states)
@@ -250,20 +326,26 @@ def state_distribution(
     ):
         elig = eligibility_masks(instance)
         pc = popcount_array(np.arange(size, dtype=np.int64))
-        structures = _position_structures(
-            instance, schedule, positions, elig, pc, max_states
+        structure = build_step_structure(
+            instance,
+            schedule.truncate(positions).table,
+            elig,
+            pc,
+            max_states,
+            rule_major=True,
         )
     with obs.span("exact.layer_sweep", steps=horizon, op="forward"):
         for t in range(horizon):
-            tau = t if t < P else P + (t - P) % L
+            rule = structure.rule_of[t if t < P else P + (t - P) % L]
             row = dist[t]
             nxt = dist[t + 1]
-            for block in structures[tau]:
-                mass = row[block.states]
-                targets = block.states[:, None] ^ block.deltas
+            for block in structure.blocks:
+                states, targets, weights = block.rows(rule)
+                if states.size == 0:
+                    continue
                 nxt += np.bincount(
                     targets.ravel(),
-                    weights=(mass[:, None] * block.weights).ravel(),
+                    weights=(row[states][:, None] * weights).ravel(),
                     minlength=size,
                 )
     return dist

@@ -19,15 +19,17 @@ from repro.algorithms.baselines import (
     serial_baseline,
     state_round_robin_regimen,
 )
+from repro.algorithms.registry import resolve_solver
 from repro.core.schedule import ObliviousSchedule
-from repro.errors import ValidationError
+from repro.errors import ExactSolverLimitError, ValidationError
 from repro.evaluate import (
     EvaluationRequest,
     evaluate,
     exact_state_cost,
+    exact_subset_entries,
     select_route,
 )
-from repro.sim.exact.lattice import DEFAULT_MAX_STATES
+from repro.sim.exact.lattice import DEFAULT_MAX_STATES, SUBSET_TABLE_FACTOR
 from repro.workloads import random_instance
 
 
@@ -79,6 +81,58 @@ class TestAutoPicksMonteCarlo:
         assert exact.mode == "exact"
         mc = evaluate(inst, sched, reps=5, seed=0, max_states=8, max_steps=500)
         assert mc.mode == "mc"
+
+    @pytest.mark.parametrize("solver, n", [("round_robin", 17), ("state_round_robin", 18)])
+    def test_subset_tables_past_budget_fall_back_to_mc(self, solver, n):
+        # The DP table fits max_states, but with 8 machines on independent
+        # jobs the sparse engine's subset tables do not: auto must not
+        # promise an exact route the engine would refuse.
+        inst = random_instance(n, 8, "independent", rng=1)
+        sched = resolve_solver(solver).build(inst).schedule
+        assert exact_state_cost(inst, sched, ("makespan",), None) <= DEFAULT_MAX_STATES
+        entries = exact_subset_entries(inst, sched, ("makespan",), None)
+        assert entries > SUBSET_TABLE_FACTOR * DEFAULT_MAX_STATES
+        report = evaluate(inst, sched, reps=50, seed=1)
+        assert report.mode == "mc"
+        assert "subset tables" in report.reason and str(entries) in report.reason
+        # The golden engine takes the same route.
+        req = EvaluationRequest(reps=50, seed=1, engine="scalar")
+        assert select_route(inst, sched, req).mode == "mc"
+
+    def test_forced_exact_still_refuses_past_subset_budget(self):
+        inst = random_instance(17, 8, "independent", rng=1)
+        sched = round_robin_baseline(inst).schedule
+        with pytest.raises(ExactSolverLimitError, match="subset-table entries"):
+            evaluate(inst, sched, mode="exact")
+
+    @pytest.mark.parametrize("kind", ["cyclic", "regimen"])
+    def test_auto_prices_subset_tables_like_the_engine_guard(self, kind):
+        # At the subset-table boundary, auto picks exact exactly when a
+        # forced exact solve is admitted.
+        inst = random_instance(10, 8, "independent", rng=2)
+        build = round_robin_baseline if kind == "cyclic" else state_round_robin_regimen
+        sched = build(inst).schedule
+        entries = exact_subset_entries(inst, sched, ("makespan",), None)
+        edge = -(-entries // SUBSET_TABLE_FACTOR)
+        assert exact_state_cost(inst, sched, ("makespan",), None) < edge - 1
+        for max_states, mode in [(edge - 1, "mc"), (edge, "exact")]:
+            req = EvaluationRequest(reps=5, seed=0, max_states=max_states)
+            assert select_route(inst, sched, req).mode == mode, max_states
+            if mode == "mc":
+                with pytest.raises(ExactSolverLimitError):
+                    evaluate(inst, sched, mode="exact", max_states=max_states)
+            else:
+                evaluate(inst, sched, mode="exact", max_states=max_states)
+
+    def test_curve_prices_only_the_positions_it_reads(self):
+        # A forward curve reads the first `horizon` positions only.
+        inst = random_instance(10, 8, "independent", rng=2)
+        sched = round_robin_baseline(inst).schedule
+        full = exact_subset_entries(inst, sched, ("makespan",), None)
+        one = exact_subset_entries(inst, sched, ("completion_curve",), 1)
+        assert 0 < one < full
+        both = exact_subset_entries(inst, sched, ("makespan", "completion_curve"), 1)
+        assert both == full
 
     def test_finite_oblivious_is_mc(self, tiny_independent):
         sched = ObliviousSchedule(

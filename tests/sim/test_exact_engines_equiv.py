@@ -12,8 +12,14 @@ ending at most 1.
 The lattice kernels the sparse engine, ``state_round_robin`` and the
 Malewicz DP share are held *bitwise* to the bit-matrix kernels they
 replaced, kept here as the golden reference: eligibility masks, active-bit
-positions, and every transition block's states, deltas, weights and layer
-pointers.
+positions, and every transition row's state, targets and weights.
+
+The cyclic solvers are held *bitwise* to the per-position sweep and
+forward pass they replaced, also kept here: one block list per schedule
+position (equal assignments sharing one), swept per (layer, position,
+block).  Makespans, state distributions and completion curves must match
+to the bit, ``inf`` included, on round-robin, serial and pipeline
+schedules — the last with a long prefix whose assignments repeat.
 """
 
 from __future__ import annotations
@@ -23,23 +29,26 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro import SUUInstance, solve
 from repro.algorithms.baselines import (
     round_robin_baseline,
     serial_baseline,
     state_round_robin_regimen,
 )
 from repro._util import iterable_from_bitmask
-from repro.core.schedule import Regimen
-from repro.errors import ScheduleError, ValidationError
+from repro.core.schedule import CyclicSchedule, ObliviousSchedule, Regimen
+from repro.errors import ScheduleError, UnsupportedDagError, ValidationError
 from repro.evaluate import evaluate
 from repro.opt.malewicz import optimal_regimen
 from repro.sim.exact.lattice import (
     assignment_success,
     bit_positions,
-    build_position_structures,
     build_regimen_structure,
+    build_step_structure,
     eligibility_masks,
     popcount_array,
+    step_rules,
+    subset_table_entries,
 )
 from repro.evaluate.request import ENGINES
 from repro.sim.exact.scalar import eligible_bitmask
@@ -74,6 +83,24 @@ def _instance(family: str, trial: int):
         params=params,
     )
     return build_instance(spec)
+
+
+def _pipeline_schedule(instance):
+    """A ``solve()`` schedule: a long prefix that repeats assignments, then a cycle.
+
+    The pipelines reject general DAGs (the ``diamond`` kind); there the
+    same shape is built by hand: three serial cycles and one round-robin
+    cycle as the prefix, the round-robin cycle after it.
+    """
+    try:
+        schedule = solve(instance, rng=np.random.default_rng(0)).schedule
+    except UnsupportedDagError:
+        rr = round_robin_baseline(instance).schedule.cycle.table
+        serial = serial_baseline(instance).schedule.cycle.table
+        prefix = ObliviousSchedule(np.vstack([serial, serial, serial, rr]))
+        schedule = CyclicSchedule(prefix, ObliviousSchedule(rr))
+    assert isinstance(schedule, CyclicSchedule)
+    return schedule
 
 
 def _exact(instance, schedule, engine, **kwargs):
@@ -269,19 +296,70 @@ def _golden_regimen_structure(instance, table, elig, pc):
     return blocks
 
 
+def _assert_rows_identical(block, rows, golden, label):
+    """``block``'s rows ``rows`` against one golden block, bit for bit."""
+    states, deltas, weights, _ = golden
+    for name, got, want in [
+        ("states", block.states[rows], states),
+        ("targets", block.targets[rows], states[:, None] ^ deltas),
+        ("weights", block.weights[rows].view(np.int64), weights.view(np.int64)),
+    ]:
+        assert got.dtype == want.dtype, f"{label} {name} dtype"
+        np.testing.assert_array_equal(got, want, err_msg=f"{label} {name}")
+    for name, table in [("targets", block.targets), ("weights", block.weights)]:
+        # The sweeps' einsum sums in layout order: keep (R, 2^k) C order.
+        assert table.flags.c_contiguous, f"{label} {name} layout"
+
+
 def _assert_blocks_identical(blocks, golden, label):
     assert len(blocks) == len(golden), label
-    for i, (block, (states, deltas, weights, layer_ptr)) in enumerate(zip(blocks, golden)):
-        for name, got, want in [
-            ("states", block.states, states),
-            ("deltas", block.deltas, deltas),
-            ("weights", block.weights.view(np.int64), weights.view(np.int64)),
-            ("layer_ptr", block.layer_ptr, layer_ptr),
-        ]:
-            assert got.dtype == want.dtype, f"{label} block {i} {name} dtype"
-            # The sweeps' einsum sums in layout order: keep (G, 2^k) C order.
-            assert got.flags.c_contiguous, f"{label} block {i} {name} layout"
-            np.testing.assert_array_equal(got, want, err_msg=f"{label} block {i} {name}")
+    for i, (block, want) in enumerate(zip(blocks, golden)):
+        _assert_rows_identical(block, slice(None), want, f"{label} block {i}")
+        np.testing.assert_array_equal(block.ptr, want[3], err_msg=f"{label} block {i} ptr")
+
+
+def _assert_step_structure(structure, table, golden_of, pc, rule_major, label):
+    """A stacked structure against the golden per-position blocks.
+
+    Rules dedupe the table's rows exactly; each position's golden blocks
+    are the rows of its rule, in popcount order; rows are sorted and
+    pointed at by layer (layer-major) or by rule (rule-major).
+    """
+    n = pc.size.bit_length() - 1
+    keys = [a.tobytes() for a in table]
+    D = len(set(keys))
+    assert sorted(set(structure.rule_of.tolist())) == list(range(D)), label
+    for key, rule in zip(keys, structure.rule_of):
+        assert keys[int(np.flatnonzero(structure.rule_of == rule)[0])] == key, label
+    # One block per active-count class: the sweeps run at most m + 1 (or
+    # n + 1) passes per layer, however many positions the schedule has.
+    assert len(structure.blocks) <= min(n, table.shape[1]) + 1, label
+    assert [b.k for b in structure.blocks] == sorted({b.k for b in structure.blocks}), label
+    for block in structure.blocks:
+        order = (
+            np.lexsort((block.states, pc[block.states], block.rules))
+            if rule_major
+            else np.lexsort((block.rules, block.states, pc[block.states]))
+        )
+        np.testing.assert_array_equal(order, np.arange(block.states.size), err_msg=label)
+        group = block.rules if rule_major else pc[block.states]
+        groups = D if rule_major else n + 1
+        np.testing.assert_array_equal(
+            block.ptr, np.searchsorted(group, np.arange(groups + 1)), err_msg=label
+        )
+    by_k = {block.k: block for block in structure.blocks}
+    for rule in range(D):
+        tau = int(np.flatnonzero(structure.rule_of == rule)[0])
+        rows_of_rule = sum(int(np.sum(block.rules == rule)) for block in structure.blocks)
+        assert rows_of_rule == pc.size, f"{label} position {tau}"
+        for i, want in enumerate(golden_of(table[tau])):
+            block = by_k[want[1].shape[1].bit_length() - 1]
+            _assert_rows_identical(
+                block,
+                np.flatnonzero(block.rules == rule),
+                want,
+                f"{label} position {tau} block {i}",
+            )
 
 
 #: Every fuzzer family at two trials, plus one n=16, m=4 chains instance
@@ -315,21 +393,30 @@ def test_lattice_kernels_match_golden_bitwise(family, trial):
             bit_positions(act, int(k)), _golden_bit_positions(act, int(k), n)
         )
     pc = popcount_array(np.arange(1 << n, dtype=np.int64))
-    for name, schedule in [
+    schedules = [
         ("round_robin", round_robin_baseline(instance).schedule),
         ("serial", serial_baseline(instance).schedule),
-    ]:
-        P = schedule.prefix_length
-        assignments = [
-            schedule.prefix.table[tau] if tau < P else schedule.cycle.table[tau - P]
-            for tau in range(P + schedule.cycle_length)
-        ]
-        structures = build_position_structures(instance, assignments, elig, pc)
-        for tau, (a, blocks) in enumerate(zip(assignments, structures)):
-            _assert_blocks_identical(
-                blocks,
-                _golden_step_structure(instance, a, elig, pc),
-                f"{label} {name} position {tau}",
+    ]
+    if family is not None:
+        schedules.append(("pipeline", _pipeline_schedule(instance)))
+    golden = {}
+
+    def golden_of(a):
+        key = a.tobytes()
+        if key not in golden:
+            golden[key] = _golden_step_structure(instance, a, elig, pc)
+        return golden[key]
+
+    for name, schedule in schedules:
+        table = schedule.truncate(schedule.prefix_length + schedule.cycle_length).table
+        for rule_major in (False, True):
+            _assert_step_structure(
+                build_step_structure(instance, table, elig, pc, rule_major=rule_major),
+                table,
+                golden_of,
+                pc,
+                rule_major,
+                f"{label} {name} rule_major={rule_major}",
             )
     regimens = [("state_round_robin", state_round_robin_regimen(instance).schedule)]
     if n <= 8:
@@ -349,3 +436,188 @@ def test_eligibility_masks_match_definition(family):
     assert elig.shape == (1 << instance.n,)
     for state in range(1 << instance.n):
         assert elig[state] == eligible_bitmask(instance, state), f"state {state:#x}"
+
+
+# ----------------------------------------------------------------------
+# Golden cyclic solvers: the per-position structure (one block list per
+# schedule position, equal assignments sharing one) and the sweeps that
+# ran per (popcount layer, position, block), as they were before the
+# stacked structure.  Blocks are the golden kernels' tuples above.
+# ----------------------------------------------------------------------
+def _golden_position_structures(instance, schedule, positions, elig, pc):
+    shared = {}
+    structures = []
+    for tau in range(positions):
+        a = schedule.assignment_at(tau)
+        key = a.tobytes()
+        if key not in shared:
+            shared[key] = _golden_step_structure(instance, a, elig, pc)
+        structures.append(shared[key])
+    return structures
+
+
+def _golden_cyclic_makespan(instance, schedule):
+    """The per-(layer, position, block) sweep; ``inf`` when no progress."""
+    n = instance.n
+    P, L = schedule.prefix_length, schedule.cycle_length
+    total = P + L
+    if n == 0:
+        return 0.0
+    size = 1 << n
+    elig = _golden_eligibility_masks(instance)
+    pc = popcount_array(np.arange(size, dtype=np.int64))
+    structures = _golden_position_structures(instance, schedule, total, elig, pc)
+    expect = np.zeros((size, total), dtype=np.float64)
+    for c in range(1, n + 1):
+        lay = np.flatnonzero(pc == c)
+        G = lay.size
+        a = np.empty((G, total), dtype=np.float64)
+        b = np.empty((G, total), dtype=np.float64)
+        for tau in range(total):
+            nxt_tau = tau + 1 if tau + 1 < total else P
+            for states, deltas, weights, layer_ptr in structures[tau]:
+                lo, hi = layer_ptr[c], layer_ptr[c + 1]
+                if lo == hi:
+                    continue
+                sel, deltas, weights = states[lo:hi], deltas[lo:hi], weights[lo:hi]
+                pos = np.searchsorted(lay, sel)
+                b[pos, tau] = weights[:, 0]
+                if deltas.shape[1] > 1:
+                    w = weights[:, 1:]
+                    succ = expect[sel[:, None] ^ deltas[:, 1:], nxt_tau]
+                    a[pos, tau] = 1.0 + np.einsum(
+                        "gt,gt->g", w, np.where(w > 0.0, succ, 0.0)
+                    )
+                else:
+                    a[pos, tau] = 1.0
+        A = np.zeros(G, dtype=np.float64)
+        B = np.ones(G, dtype=np.float64)
+        with np.errstate(invalid="ignore"):
+            for off in range(L):
+                A = A + B * a[:, P + off]
+                B = B * b[:, P + off]
+            dead = (B >= 1.0 - 1e-15) | ~np.isfinite(A)
+            e_next = np.where(dead, np.inf, A / np.where(dead, 1.0, 1.0 - B))
+            for tau in range(total - 1, -1, -1):
+                e_tau = np.where(
+                    b[:, tau] == 0.0, a[:, tau], a[:, tau] + b[:, tau] * e_next
+                )
+                expect[lay, tau] = e_tau
+                e_next = e_tau
+    return float(expect[size - 1, 0])
+
+
+def _golden_state_distribution(instance, schedule, horizon):
+    """The per-step forward pass over each position's block list."""
+    n = instance.n
+    size = 1 << n
+    P, L = schedule.prefix_length, schedule.cycle_length
+    elig = _golden_eligibility_masks(instance)
+    pc = popcount_array(np.arange(size, dtype=np.int64))
+    structures = _golden_position_structures(
+        instance, schedule, min(horizon, P + L), elig, pc
+    )
+    dist = np.zeros((horizon + 1, size), dtype=np.float64)
+    dist[0, size - 1] = 1.0
+    for t in range(horizon):
+        tau = t if t < P else P + (t - P) % L
+        for states, deltas, weights, _ in structures[tau]:
+            targets = states[:, None] ^ deltas
+            dist[t + 1] += np.bincount(
+                targets.ravel(),
+                weights=(dist[t][states][:, None] * weights).ravel(),
+                minlength=size,
+            )
+    return dist
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def _sparse_makespan(instance, schedule):
+    try:
+        return _exact(instance, schedule, "auto").makespan
+    except ScheduleError:
+        return np.inf
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_cyclic_solvers_match_per_position_golden_bitwise(family):
+    instance = _instance(family, 0)
+    for name, schedule in [
+        ("round_robin", round_robin_baseline(instance).schedule),
+        ("serial", serial_baseline(instance).schedule),
+        ("pipeline", _pipeline_schedule(instance)),
+    ]:
+        label = f"{family} {name}"
+        got = _sparse_makespan(instance, schedule)
+        want = _golden_cyclic_makespan(instance, schedule)
+        assert _bits(got) == _bits(want), f"{label}: {got!r} != golden {want!r}"
+        # Horizons that wrap the cycle (twice, plus a step).
+        horizon = schedule.prefix_length + 2 * schedule.cycle_length + 1
+        golden = _golden_state_distribution(instance, schedule, horizon)
+        dist = _exact(
+            instance, schedule, "auto", metrics="state_distribution", horizon=horizon
+        ).state_distribution
+        np.testing.assert_array_equal(_bits(dist), _bits(golden), err_msg=label)
+        curve = _curve(instance, schedule, horizon, "auto")
+        np.testing.assert_array_equal(
+            _bits(curve), _bits(golden[1:, 0]), err_msg=f"{label} curve"
+        )
+
+
+@pytest.mark.parametrize("family", FAMILIES[::7])
+def test_chunked_cyclic_sweep_matches_golden_bitwise(family, monkeypatch):
+    # A (layer, k) pass gathering more subset-table entries than the chunk
+    # is split; a small chunk splits the passes of these schedules, and no
+    # value may move a bit.
+    from repro.sim.exact import sparse
+
+    monkeypatch.setattr(sparse, "_CHUNK", 256)
+    instance = _instance(family, 0)
+    for schedule in (round_robin_baseline(instance).schedule, _pipeline_schedule(instance)):
+        got = _sparse_makespan(instance, schedule)
+        assert _bits(got) == _bits(_golden_cyclic_makespan(instance, schedule)), family
+
+
+def test_golden_cyclic_makespan_reports_inf_like_the_engines():
+    # A schedule that never serves job 1 never finishes: both the golden
+    # sweep and the sparse engine see an infinite expectation.
+    instance = SUUInstance(np.full((2, 2), 0.5))
+    schedule = CyclicSchedule(
+        ObliviousSchedule(np.array([[0, 1]], dtype=np.int32)),
+        ObliviousSchedule(np.array([[0, 0]], dtype=np.int32)),
+    )
+    assert _golden_cyclic_makespan(instance, schedule) == np.inf
+    assert _sparse_makespan(instance, schedule) == np.inf
+
+
+def test_repeated_assignments_share_their_subset_tables():
+    # 200 prefix positions and a 3-step cycle go through 3 assignments,
+    # each serving 6 of 8 independent jobs.  Counted per position the subset tables would
+    # pass the 8 x max_states budget at the DP table's own size; counted
+    # per distinct assignment they fit, and the solve is admitted.
+    rng = np.random.default_rng(11)
+    n, m = 8, 6
+    instance = SUUInstance(rng.uniform(0.2, 0.8, size=(m, n)))
+    rules = np.array([[0, 1, 2, 3, 4, 5], [2, 3, 4, 5, 6, 7], [4, 5, 6, 7, 0, 1]])
+    prefix = ObliviousSchedule(rules[np.arange(200) % 3].astype(np.int32))
+    schedule = CyclicSchedule(prefix, ObliviousSchedule(rules.astype(np.int32)))
+    total = schedule.prefix_length + schedule.cycle_length
+    max_states = (1 << n) * total
+    elig = eligibility_masks(instance)
+    table = schedule.truncate(total).table
+    per_position = subset_table_entries(
+        popcount_array(elig[None, :] & _served_masks(instance, table)[:, None])
+    )
+    served = step_rules(instance, table).served
+    distinct = subset_table_entries(popcount_array(elig[None, :] & served[:, None]))
+    assert distinct <= 8 * max_states < per_position
+    report = evaluate(instance, schedule, max_states=max_states)
+    assert (report.mode, report.engine) == ("exact", "markov-sparse")
+    assert _bits(report.makespan) == _bits(_golden_cyclic_makespan(instance, schedule))
+
+
+def _served_masks(instance, table):
+    return np.array([assignment_success(instance.p, a)[1] for a in table], dtype=np.int64)
