@@ -1,7 +1,9 @@
-"""PERF — second-generation LP construction and flow engines vs the golden paths.
+"""PERF — the production LP builders and max-flow vs their golden references.
 
-Builds the AccMass LPs and solves Figure-3-shaped flow networks with both
-engine generations on identical workloads and records the wall-clock
+Builds the AccMass LPs and solves Figure-3-shaped flow networks with the
+production code and with the golden references, called directly
+(``repro.lp.scalar``'s builders and solvers, ``repro.flow.dinic``'s
+``FlowNetwork``), on identical workloads, and records the wall-clock
 speedups plus exact-agreement evidence:
 
 * **LP2 construction** (the acceptance workload): assemble (LP2) for an
@@ -10,12 +12,13 @@ speedups plus exact-agreement evidence:
   where the scalar golden path loops per variable and per row.
 * **LP1 construction**: the chains variant, whose per-pair window rows
   make the scalar loops quadratically chattier.
-* **LP2 solve agreement**: both engines solved end to end; HiGHS receives
+* **LP2 solve agreement**: both paths solved end to end; HiGHS receives
   byte-identical matrices, so the optima must agree to ≤1e-9.
 * **flow end-to-end**: build + max-flow on a rounding-shaped bipartite
-  network.  The array engine's win is in graph construction (flat list
-  appends vs two edge-dataclass allocations per edge); the blocking-flow
-  phases themselves are near-identical on these shallow networks.
+  network.  ``ArrayFlowNetwork``'s win is in graph construction (flat
+  list appends vs two edge-dataclass allocations per edge); the
+  blocking-flow phases themselves are near-identical on these shallow
+  networks.
 * **LP solve call**: the (LP1)s a ``solve()`` of the ``pipeline_mc``
   shape meets (n=40, m=8: a chains instance, the Lemma 4.6 blocks of an
   out-tree and of a mixed forest), each solved by
@@ -27,13 +30,12 @@ speedups plus exact-agreement evidence:
   the whole LP set.
 
 ``REPRO_PERF_LP_N`` resizes the workloads (CI's perf-smoke job runs
-n=128 and asserts only that the vector engine wins; the committed
+n=128 and asserts only that the production builders win; the committed
 ``benchmarks/results/perf_lp_rounding.json`` records the full n=512 run,
-where ≥5x is asserted on LP2 construction).  New-engine timings are
+where ≥5x is asserted on LP2 construction).  Production timings are
 best-of-3; golden paths are timed once.  Exact agreement is additionally
-property-tested in ``tests/lp/test_lp_engines_equiv.py`` and
-``tests/flow/test_flow_engines_equiv.py`` and fuzzed continuously by the
-``lpflow`` oracle.
+property-tested in ``tests/lp/`` and ``tests/flow/`` and fuzzed
+continuously by the ``lpflow`` oracle.
 """
 
 from __future__ import annotations
@@ -46,8 +48,9 @@ from scipy.optimize import linprog
 
 from repro.analysis import Table
 from repro.decomp.chain_decomposition import decompose_forest
-from repro.flow import make_flow_network
-from repro.lp.acc_mass import build_lp1, build_lp2, solve_lp2
+from repro.flow import ArrayFlowNetwork, FlowNetwork
+from repro.lp.acc_mass import DEFAULT_TARGET_MASS, build_lp1, build_lp2, solve_lp2
+from repro.lp.scalar import build_lp1_scalar, build_lp2_scalar, solve_lp2_scalar
 from repro.workloads import random_instance
 
 #: LP workload size; the acceptance claim is pinned at n = 512.
@@ -93,14 +96,14 @@ def _lp_row(workload, scalar_fn, vector_fn, agreement=0.0):
     }
 
 
-def _flow_workload(engine: str, num_jobs: int, num_machines: int) -> int:
+def _flow_workload(network_cls, num_jobs: int, num_machines: int) -> int:
     """Build + solve one rounding-shaped bipartite network end to end."""
     rng = np.random.default_rng(3)
     mask = rng.random((num_jobs, num_machines)) < 0.2
     caps = rng.integers(1, 6, size=(num_jobs, num_machines))
     demands = rng.integers(1, 8, size=num_jobs)
     source, sink = num_jobs + num_machines, num_jobs + num_machines + 1
-    net = make_flow_network(sink + 1, engine=engine)
+    net = network_cls(sink + 1)
     for j in range(num_jobs):
         net.add_edge(source, j, int(demands[j]))
     for j in range(num_jobs):
@@ -154,24 +157,25 @@ def _measure():
     rows.append(
         _lp_row(
             f"LP2 construction n={N} m={M}",
-            lambda: build_lp2(inst, engine="scalar").assemble(),
-            lambda: build_lp2(inst, engine="vector").assemble(),
+            lambda: build_lp2_scalar(inst, DEFAULT_TARGET_MASS).assemble(),
+            lambda: build_lp2(inst).assemble(),
         )
     )
     inst_c = random_instance(N, M, dag_kind="chains", num_chains=max(1, N // 16), rng=7)
+    chains = inst_c.dag.chains()
     rows.append(
         _lp_row(
             f"LP1 construction n={N} m={M}",
-            lambda: build_lp1(inst_c, engine="scalar").assemble(),
-            lambda: build_lp1(inst_c, engine="vector").assemble(),
+            lambda: build_lp1_scalar(inst_c, chains, DEFAULT_TARGET_MASS).assemble(),
+            lambda: build_lp1(inst_c, chains).assemble(),
         )
     )
     # Solve agreement at a solver-friendly size: identical matrices reach
     # HiGHS either way, so the optima must coincide to float precision.
     n_solve, m_solve = min(N, 256), 32
     inst_s = random_instance(n_solve, m_solve, dag_kind="independent", rng=11)
-    t_scalar, frac_scalar = _time_once(lambda: solve_lp2(inst_s, engine="scalar"))
-    t_vector, frac_vector = _best_of(lambda: solve_lp2(inst_s, engine="vector"))
+    t_scalar, frac_scalar = _time_once(lambda: solve_lp2_scalar(inst_s))
+    t_vector, frac_vector = _best_of(lambda: solve_lp2(inst_s))
     rows.append(
         {
             "workload": f"LP2 solve n={n_solve} m={m_solve}",
@@ -182,13 +186,13 @@ def _measure():
         }
     )
     # Flow: the rounding path rebuilds its network every call, so the
-    # engine comparison is end-to-end construction + max-flow.
+    # comparison is end-to-end construction + max-flow.
     num_jobs, num_machines = 3 * N, max(8, 2 * N // 5)
     t_scalar, v_scalar = _time_once(
-        lambda: _flow_workload("scalar", num_jobs, num_machines)
+        lambda: _flow_workload(FlowNetwork, num_jobs, num_machines)
     )
     t_vector, v_array = _best_of(
-        lambda: _flow_workload("array", num_jobs, num_machines)
+        lambda: _flow_workload(ArrayFlowNetwork, num_jobs, num_machines)
     )
     rows.append(
         {
@@ -207,7 +211,7 @@ def test_perf_lp_rounding(benchmark, recorder, phase_breakdown):
     rows = benchmark.pedantic(_measure, rounds=1, iterations=1)
     table = Table(
         ["workload", "scalar (s)", "new (s)", "speedup", "|Δ|"],
-        title="PERF  second-generation LP/flow engines vs golden paths",
+        title="PERF  production LP builders / max-flow vs golden references",
         ndigits=4,
     )
     for r in rows:
@@ -235,7 +239,7 @@ def test_perf_lp_rounding(benchmark, recorder, phase_breakdown):
     )
     recorder.claim("array_flow_beats_scalar", flow_row["speedup"] > 1.0)
     recorder.claim("lp_engines_agree_1e9", solve_row["agreement"] <= 1e-9)
-    recorder.claim("flow_engines_agree_exact", flow_row["agreement"] == 0)
+    recorder.claim("array_flow_agrees_with_golden_exact", flow_row["agreement"] == 0)
     assert lp2_row["speedup"] >= LP2_SPEEDUP_FLOOR
     assert lp1_row["speedup"] > 1.0
     assert flow_row["speedup"] >= FLOW_SPEEDUP_FLOOR
@@ -248,13 +252,14 @@ def test_perf_lp_rounding(benchmark, recorder, phase_breakdown):
     assert call_row["bitwise"], "milp and linprog solved vectors differ"
     assert call_row["speedup"] >= LP_CALL_SPEEDUP_FLOOR
 
-    # Phase-time breakdown of one traced vector LP2 solve plus the array
-    # flow workload: lp.build vs lp.solve, with rows/nnz/phase counters.
+    # Phase-time breakdown of one traced production LP2 solve plus the
+    # array flow workload: lp.build vs lp.solve, with rows/nnz/phase
+    # counters.
     n_solve, m_solve = min(N, 256), 32
     inst_s = random_instance(n_solve, m_solve, dag_kind="independent", rng=11)
 
     def traced():
-        solve_lp2(inst_s, engine="vector")
-        _flow_workload("array", 3 * N, max(8, 2 * N // 5))
+        solve_lp2(inst_s)
+        _flow_workload(ArrayFlowNetwork, 3 * N, max(8, 2 * N // 5))
 
     recorder.add(kind="telemetry", **phase_breakdown(traced))

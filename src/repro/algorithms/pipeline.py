@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from ..core.instance import SUUInstance
 from ..core.schedule import ScheduleResult
-from ..errors import UnsupportedDagError
+from ..errors import UnsupportedDagError, ValidationError
 from .constants import PRACTICAL, SUUConstants
 from .registry import SOLVERS, resolve_solver
 
@@ -68,7 +68,9 @@ def solve(
     violations surface as the solver's own error, with its own wording.
     """
     if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {sorted(_METHODS)}")
+        raise ValidationError(
+            f"unknown method {method!r}; expected one of {sorted(_METHODS)}"
+        )
     if method != "auto":
         return resolve_solver(method).build(instance, constants=constants, rng=rng)
 

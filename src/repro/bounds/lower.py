@@ -99,17 +99,16 @@ def _greedy_path_cover(instance: SUUInstance) -> list[list[int]]:
     return chains
 
 
-def lp_lower_bound(instance: SUUInstance, engine: str = "vector") -> float:
-    """``T*/16`` via Lemma 4.2, with a greedy path cover as the chains.
-
-    ``engine`` selects the LP construction engine
-    (:data:`repro.lp.LP_ENGINES`); both give the same bound to 1e-9.
-    """
+def _lp_chains(instance: SUUInstance) -> list[list[int]]:
+    """The chains of the Lemma 4.2 bound: the DAG's own, else a path cover."""
     if instance.classify() in (DagClass.INDEPENDENT, DagClass.CHAINS):
-        chains = instance.dag.chains()
-    else:
-        chains = _greedy_path_cover(instance)
-    frac = solve_lp1(instance, chains=chains, engine=engine)
+        return instance.dag.chains()
+    return _greedy_path_cover(instance)
+
+
+def lp_lower_bound(instance: SUUInstance) -> float:
+    """``T*/16`` via Lemma 4.2, with a greedy path cover as the chains."""
+    frac = solve_lp1(instance, chains=_lp_chains(instance))
     return frac.t / LEMMA42_FACTOR
 
 

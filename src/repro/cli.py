@@ -42,6 +42,7 @@ from .algorithms import LEAN, PAPER, PRACTICAL, resolve_solver, solve
 from .analysis import Table, compare_algorithms
 from .bounds import lower_bounds
 from .core import SUUInstance
+from .errors import ReproError
 from .workloads import grid_computing, project_management, random_instance
 
 __all__ = ["main", "build_parser"]
@@ -419,7 +420,6 @@ def _cmd_algorithms(args) -> int:
 
 def _cmd_portfolio(args) -> int:
     from .algorithms import run_portfolio
-    from .errors import ReproError
     from .workloads import greedy_trap
 
     name = str(args.input)
@@ -534,7 +534,6 @@ def _load_or_solve_schedule(args, inst):
 
 def _cmd_evaluate(args) -> int:
     from . import obs
-    from .errors import ReproError
     from .evaluate import EvaluationRequest, evaluate
 
     inst = _load_instance(args.input)
@@ -647,7 +646,6 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_run_experiments(args) -> int:
-    from .errors import ReproError
     from .experiments import DEFAULT_CACHE_DIR, suite_names
     from .parallel import get_executor
 
@@ -846,7 +844,13 @@ def main(argv: list[str] | None = None) -> int:
         "trace": _cmd_trace,
         "serve": _cmd_serve,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ReproError as exc:
+        # Deliberate errors (bad --method, a DAG outside the method's
+        # class, ...) are one stderr line, never a traceback.
+        print(f"suu {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,25 +1,21 @@
 """Integral max-flow and the Theorem 4.1 rounding network.
 
-Two max-flow engines sit behind :func:`make_flow_network` (and the
-``engine=`` argument of :func:`build_rounding_network`): ``"array"`` —
-the flat-array iterative Dinic in :mod:`repro.flow.arrays` (default) —
-and ``"scalar"`` — the original edge-object recursive Dinic in
-:mod:`repro.flow.dinic`, kept verbatim as the golden reference.
+The Figure 3 network is always solved on :class:`ArrayFlowNetwork`, the
+flat-array iterative Dinic of :mod:`repro.flow.arrays`.  The original
+edge-object recursive Dinic, :class:`FlowNetwork` in
+:mod:`repro.flow.dinic`, is kept verbatim as the golden reference that the
+flow parity tests and the ``lpflow`` oracle construct directly.
 """
 
 from .arrays import ArrayFlowEdge, ArrayFlowNetwork
 from .dinic import FlowEdge, FlowNetwork
-from .facade import FLOW_ENGINES, make_flow_network, require_flow_engine
 from .network import RoundingNetwork, build_rounding_network
 
 __all__ = [
     "ArrayFlowEdge",
     "ArrayFlowNetwork",
-    "FLOW_ENGINES",
     "FlowEdge",
     "FlowNetwork",
     "RoundingNetwork",
     "build_rounding_network",
-    "make_flow_network",
-    "require_flow_engine",
 ]

@@ -1,7 +1,7 @@
 """Array-based integral max-flow: iterative Dinic on flat edge arrays.
 
-The second-generation flow engine behind ``engine="array"`` of
-:func:`repro.flow.make_flow_network`.  Same algorithm family as the
+The flow engine every Theorem 4.1 rounding runs on
+(:func:`repro.flow.build_rounding_network`).  Same algorithm family as the
 golden-reference :class:`~repro.flow.dinic.FlowNetwork` (Dinic's blocking
 flows, so the integrality theorem applies identically), but the graph
 lives in four flat lists — ``frm``/``to``/``cap``/original capacity —
@@ -16,9 +16,10 @@ both phases run iteratively:
 
 No per-edge objects, no attribute dispatch, no recursion depth limits —
 which is where the measured speedup over the golden path comes from
-(``benchmarks/bench_perf_lp_rounding.py``).  Results are cross-checked
-edge for edge against the scalar engine by the ``lpflow`` fuzz oracle and
-``tests/flow/test_flow_engines_equiv.py``.
+(``benchmarks/bench_perf_lp_rounding.py``).  Max-flow values are
+cross-checked against the golden reference by the ``lpflow`` fuzz oracle
+and by the parity tests in ``tests/flow/``, on random networks and on
+networks from the real Figure 3 builder.
 """
 
 from __future__ import annotations

@@ -6,11 +6,12 @@ integral capacities has an integral maximum flow.  Dinic's algorithm finds
 one in ``O(V^2 E)``, more than fast enough for the rounding networks here
 (one node per job and machine).
 
-This module is the **golden reference** flow engine (``engine="scalar"``
-of :func:`repro.flow.make_flow_network`), preserved verbatim the way
-``sim/exact/scalar.py`` keeps the dict-DP exact engine: the flat-array
-engine in :mod:`repro.flow.arrays` is triangulated against it by the
-``lpflow`` fuzz oracle and ``tests/flow/test_flow_engines_equiv.py``.
+This module is the **golden reference** flow engine, preserved verbatim
+the way ``sim/exact/scalar.py`` keeps the dict-DP exact engine.
+Production never runs it: the flat-array engine in
+:mod:`repro.flow.arrays` solves every rounding network, and is
+triangulated against :class:`FlowNetwork` by the ``lpflow`` fuzz oracle
+and the parity tests in ``tests/flow/``, which construct it directly.
 Do not optimize it.
 """
 

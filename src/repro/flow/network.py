@@ -18,8 +18,6 @@ import numpy as np
 from .. import obs
 from ..errors import RoundingError, ValidationError
 from .arrays import ArrayFlowEdge, ArrayFlowNetwork
-from .dinic import FlowEdge, FlowNetwork
-from .facade import make_flow_network
 
 __all__ = ["RoundingNetwork", "build_rounding_network"]
 
@@ -30,23 +28,22 @@ class RoundingNetwork:
 
     Attributes
     ----------
-    network: the underlying :class:`FlowNetwork`.
+    network: the underlying :class:`ArrayFlowNetwork`.
     source, sink: node ids of ``u`` and ``v``.
     pair_edges: maps ``(job, machine)`` to the forward edge carrying
         ``x*_ij`` after the max-flow call.
     demands: per-job ``D_j``.
     """
 
-    network: FlowNetwork | ArrayFlowNetwork
+    network: ArrayFlowNetwork
     source: int
     sink: int
-    pair_edges: dict[tuple[int, int], FlowEdge | ArrayFlowEdge]
+    pair_edges: dict[tuple[int, int], ArrayFlowEdge]
     demands: dict[int, int]
 
     def solve(self) -> int:
         """Run max-flow; returns the flow value."""
-        engine = type(self.network).__name__
-        with obs.span("flow.solve", engine=engine, nodes=self.network.num_nodes):
+        with obs.span("flow.solve", nodes=self.network.num_nodes):
             return self.network.max_flow(self.source, self.sink)
 
     def solve_or_raise(self) -> int:
@@ -78,7 +75,6 @@ def build_rounding_network(
     pair_caps: dict[tuple[int, int], int],
     machine_cap: int,
     num_machines: int,
-    engine: str = "array",
 ) -> RoundingNetwork:
     """Assemble the Figure-3 network.
 
@@ -91,7 +87,6 @@ def build_rounding_network(
     machine_cap: capacity of each machine→sink edge (the paper's ``⌈2t⌉``).
     num_machines: total machines (machines without surviving pairs get no
         node edges but keep their ids dense).
-    engine: flow engine (:data:`repro.flow.FLOW_ENGINES`) to solve on.
     """
     if machine_cap < 0:
         raise ValidationError("machine_cap must be >= 0")
@@ -100,12 +95,12 @@ def build_rounding_network(
     machine_ids = {i: len(job_ids) + k for k, i in enumerate(machines_used)}
     source = len(job_ids) + len(machine_ids)
     sink = source + 1
-    net = make_flow_network(sink + 1, engine=engine)
+    net = ArrayFlowNetwork(sink + 1)
     for j in jobs:
         if demands.get(j, 0) < 0:
             raise ValidationError(f"negative demand for job {j}")
         net.add_edge(source, job_ids[j], int(demands.get(j, 0)))
-    pair_edges: dict[tuple[int, int], FlowEdge | ArrayFlowEdge] = {}
+    pair_edges: dict[tuple[int, int], ArrayFlowEdge] = {}
     for (j, i), cap in sorted(pair_caps.items()):
         if j not in job_ids:
             raise ValidationError(f"pair ({j}, {i}) references a non-flow job")

@@ -1,13 +1,13 @@
 """Linear programming layer: generic model plus the AccMass LPs.
 
-The AccMass builders/solvers take ``engine="vector"`` (default — sparse
-COO-block construction) or ``engine="scalar"`` (the original per-variable
-loops in :mod:`repro.lp.scalar`, kept as the golden reference).
+The AccMass builders/solvers in :mod:`repro.lp.acc_mass` use sparse
+COO-block construction; the original per-variable loops stay in
+:mod:`repro.lp.scalar` as the golden reference that tests, the ``lpflow``
+oracle and the LP perf bench call directly.
 """
 
 from .acc_mass import (
     DEFAULT_TARGET_MASS,
-    LP_ENGINES,
     FractionalAccMass,
     build_lp1,
     build_lp2,
@@ -19,7 +19,6 @@ from .model import LinearProgram, LPSolution, VariableIndexer
 
 __all__ = [
     "DEFAULT_TARGET_MASS",
-    "LP_ENGINES",
     "FractionalAccMass",
     "build_lp1",
     "build_lp2",

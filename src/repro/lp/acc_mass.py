@@ -16,20 +16,15 @@ The LP optimum ``T*`` relates to the optimal expected makespan through
 Lemma 4.2: ``T* <= 16 T^OPT`` — which is also how the package derives its
 LP lower bound ``T^OPT >= T*/16``.
 
-Two construction engines live behind the ``engine=`` argument of every
-builder and solver here, mirroring the exact-Markov facade in
-:func:`repro.evaluate.evaluate` (``mode="exact"``):
-
-* ``"vector"`` (default) — sparse-matrix construction: the positive
-  ``(i, j)`` pairs come from one ``np.nonzero``, variables register in
-  bulk, and each constraint family lands as a single COO block
-  (:meth:`~repro.lp.model.LinearProgram.add_le_rows`).
-* ``"scalar"`` — the original per-variable Python loops, kept verbatim in
-  :mod:`repro.lp.scalar` as the golden reference.
-
-Both produce the same named rows in the same order and the same optimum
-(≤1e-9, property-tested in ``tests/lp/test_lp_engines_equiv.py`` and
-fuzzed continuously by the ``lpflow`` oracle of :mod:`repro.verify`).
+Production builds both programs with sparse-matrix construction: the
+positive ``(i, j)`` pairs come from one ``np.nonzero``, variables register
+in bulk, and each constraint family lands as a single COO block
+(:meth:`~repro.lp.model.LinearProgram.add_le_rows`).  The original
+per-variable Python loops stay verbatim in :mod:`repro.lp.scalar` as the
+golden reference; ``tests/lp/test_lp_engines_equiv.py`` asserts that both
+produce the same variables and named rows in the same order and the same
+matrices, and the ``lpflow`` oracle of :mod:`repro.verify` fuzzes their
+optima (≤1e-9) continuously.
 """
 
 from __future__ import annotations
@@ -46,7 +41,6 @@ from .model import LinearProgram, LPSolution
 
 __all__ = [
     "FractionalAccMass",
-    "LP_ENGINES",
     "build_lp1",
     "build_lp2",
     "solve_lp1",
@@ -57,25 +51,16 @@ __all__ = [
 #: Target mass per job in the LP (the paper's 1/2).
 DEFAULT_TARGET_MASS = 0.5
 
-#: Names accepted by the ``engine=`` argument of the builders/solvers.
-LP_ENGINES = ("vector", "scalar")
-
-
-def _require_engine(engine: str) -> str:
-    if engine not in LP_ENGINES:
-        raise ValidationError(
-            f"unknown LP engine {engine!r}; expected one of {LP_ENGINES}"
-        )
-    return engine
-
 
 @dataclass
 class FractionalAccMass:
     """A fractional AccMass solution.
 
     ``x`` is dense ``(m, n)`` (zero where ``p_ij = 0``), ``d`` the per-job
-    window lengths (all ones for LP2, where the constraint is absent), and
-    ``t`` the LP optimum ``T*``.
+    window lengths (all ones for LP2, where the constraint is absent),
+    ``t`` the LP optimum ``T*``, and ``masses`` the per-job fractional mass
+    ``Σ_i p_ij x_ij``.  Build one with :meth:`from_arrays`, which derives
+    ``masses`` from the instance.
     """
 
     x: np.ndarray
@@ -83,14 +68,27 @@ class FractionalAccMass:
     t: float
     target_mass: float
     chains: list[list[int]]
+    masses: np.ndarray
 
-    @property
-    def masses(self) -> np.ndarray:
-        """Per-job fractional mass ``Σ_i p_ij x_ij`` (needs the instance's p).
-
-        Stored at solve time; see :func:`solve_lp1`.
-        """
-        return self._masses  # type: ignore[attr-defined]
+    @classmethod
+    def from_arrays(
+        cls,
+        instance: SUUInstance,
+        x: np.ndarray,
+        d: np.ndarray,
+        t: float,
+        target_mass: float,
+        chains: list[list[int]],
+    ) -> FractionalAccMass:
+        """The solution ``(x, d, t)`` read out of a solved (LP1)/(LP2)."""
+        return cls(
+            x=x,
+            d=d,
+            t=float(t),
+            target_mass=target_mass,
+            chains=chains,
+            masses=(instance.p * x).sum(axis=0),
+        )
 
 
 def _validate_chains(instance: SUUInstance, chains: list[list[int]]) -> None:
@@ -116,7 +114,7 @@ def _chain_labels(n: int, chains: list[list[int]]) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Vectorized construction (engine="vector")
+# Builders and solvers
 # ----------------------------------------------------------------------
 def _pair_index(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-major ``(i, j)`` arrays of the positive pairs — the x variables."""
@@ -129,21 +127,22 @@ def _x_keys(ii: np.ndarray, jj: np.ndarray) -> list:
     return list(zip(repeat("x"), ii.tolist(), jj.tolist()))
 
 
-def _build_lp1_vector(
-    instance: SUUInstance, chains: list[list[int]], target_mass: float
-) -> LinearProgram:
+def _add_mass_and_load_rows(
+    lp: LinearProgram,
+    instance: SUUInstance,
+    ii: np.ndarray,
+    jj: np.ndarray,
+    t_idx: int,
+    x_idx: np.ndarray,
+    target_mass: float,
+) -> None:
+    """The two constraint families (LP1) and (LP2) share."""
     m, n = instance.m, instance.n
-    p = instance.p
-    ii, jj = _pair_index(p)
-    lp = LinearProgram()
-    t_idx = lp.add_var("t", lb=0.0, obj=1.0)
-    d_idx = lp.add_vars([("d", j) for j in range(n)], lb=1.0)
-    x_idx = lp.add_vars(_x_keys(ii, jj), lb=0.0)
     # (1) mass: -Σ_i p_ij x_ij <= -target (one row per job, ge stored negated)
     lp.add_ge_rows(
         rows=jj,
         cols=x_idx,
-        data=p[ii, jj],
+        data=instance.p[ii, jj],
         rhs=np.full(n, target_mass),
         names=[f"mass[{j}]" for j in range(n)],
     )
@@ -155,60 +154,77 @@ def _build_lp1_vector(
         rhs=np.zeros(m),
         names=[f"load[{i}]" for i in range(m)],
     )
-    # (3) chain length: Σ_{j∈C_k} d_j - t <= 0 (one row per chain)
-    num_chains = len(chains)
-    labels = _chain_labels(n, chains)
-    lp.add_le_rows(
-        rows=np.concatenate([labels, np.arange(num_chains)]),
-        cols=np.concatenate([d_idx, np.full(num_chains, t_idx)]),
-        data=np.concatenate([np.ones(n), -np.ones(num_chains)]),
-        rhs=np.zeros(num_chains),
-        names=[f"chain[{k}]" for k in range(num_chains)],
-    )
-    # (4) windows: x_ij - d_j <= 0 (one row per positive pair)
-    pair_rows = np.arange(ii.size)
-    lp.add_le_rows(
-        rows=np.concatenate([pair_rows, pair_rows]),
-        cols=np.concatenate([x_idx, d_idx[jj]]),
-        data=np.concatenate([np.ones(ii.size), -np.ones(ii.size)]),
-        rhs=np.zeros(ii.size),
-        names=[f"win[{i},{j}]" for i, j in zip(ii.tolist(), jj.tolist())],
-    )
-    return lp
 
 
-def _build_lp2_vector(instance: SUUInstance, target_mass: float) -> LinearProgram:
-    m, n = instance.m, instance.n
-    p = instance.p
-    ii, jj = _pair_index(p)
-    lp = LinearProgram()
-    t_idx = lp.add_var("t", lb=0.0, obj=1.0)
-    x_idx = lp.add_vars(_x_keys(ii, jj), lb=0.0)
-    lp.add_ge_rows(
-        rows=jj,
-        cols=x_idx,
-        data=p[ii, jj],
-        rhs=np.full(n, target_mass),
-        names=[f"mass[{j}]" for j in range(n)],
-    )
-    lp.add_le_rows(
-        rows=np.concatenate([ii, np.arange(m)]),
-        cols=np.concatenate([x_idx, np.full(m, t_idx)]),
-        data=np.concatenate([np.ones(ii.size), -np.ones(m)]),
-        rhs=np.zeros(m),
-        names=[f"load[{i}]" for i in range(m)],
-    )
-    return lp
+def build_lp1(
+    instance: SUUInstance,
+    chains: list[list[int]] | None = None,
+    target_mass: float = DEFAULT_TARGET_MASS,
+) -> LinearProgram:
+    """Assemble (LP1) for ``instance`` with the given chain partition.
+
+    ``chains`` defaults to the instance DAG's own chains (requires a
+    disjoint-chains DAG).  Singleton chains are allowed, so the same
+    builder covers independent jobs with window semantics.
+    """
+    if chains is None:
+        chains = instance.dag.chains()
+    _validate_chains(instance, chains)
+    n = instance.n
+    with obs.span("lp.build", lp="lp1", n=n, m=instance.m):
+        ii, jj = _pair_index(instance.p)
+        lp = LinearProgram()
+        t_idx = lp.add_var("t", lb=0.0, obj=1.0)
+        d_idx = lp.add_vars([("d", j) for j in range(n)], lb=1.0)
+        x_idx = lp.add_vars(_x_keys(ii, jj), lb=0.0)
+        _add_mass_and_load_rows(lp, instance, ii, jj, t_idx, x_idx, target_mass)
+        # (3) chain length: Σ_{j∈C_k} d_j - t <= 0 (one row per chain)
+        num_chains = len(chains)
+        labels = _chain_labels(n, chains)
+        lp.add_le_rows(
+            rows=np.concatenate([labels, np.arange(num_chains)]),
+            cols=np.concatenate([d_idx, np.full(num_chains, t_idx)]),
+            data=np.concatenate([np.ones(n), -np.ones(num_chains)]),
+            rhs=np.zeros(num_chains),
+            names=[f"chain[{k}]" for k in range(num_chains)],
+        )
+        # (4) windows: x_ij - d_j <= 0 (one row per positive pair)
+        pair_rows = np.arange(ii.size)
+        lp.add_le_rows(
+            rows=np.concatenate([pair_rows, pair_rows]),
+            cols=np.concatenate([x_idx, d_idx[jj]]),
+            data=np.concatenate([np.ones(ii.size), -np.ones(ii.size)]),
+            rhs=np.zeros(ii.size),
+            names=[f"win[{i},{j}]" for i, j in zip(ii.tolist(), jj.tolist())],
+        )
+        return lp
 
 
-def _extract_vector(
-    instance: SUUInstance, sol: LPSolution, has_d: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Array readout of ``(x, d)`` using the vector builders' layout.
+def build_lp2(
+    instance: SUUInstance, target_mass: float = DEFAULT_TARGET_MASS
+) -> LinearProgram:
+    """Assemble (LP2): (LP1) without chain/window constraints (Thm 4.5)."""
+    with obs.span("lp.build", lp="lp2", n=instance.n, m=instance.m):
+        ii, jj = _pair_index(instance.p)
+        lp = LinearProgram()
+        t_idx = lp.add_var("t", lb=0.0, obj=1.0)
+        x_idx = lp.add_vars(_x_keys(ii, jj), lb=0.0)
+        _add_mass_and_load_rows(lp, instance, ii, jj, t_idx, x_idx, target_mass)
+        return lp
 
-    The vector builders register ``t``, then (for LP1) the ``d`` block,
-    then the ``x`` block in row-major pair order — so the solved vector
-    slices directly into the dense matrices with two fancy-index writes.
+
+def _extract(
+    instance: SUUInstance,
+    sol: LPSolution,
+    chains: list[list[int]],
+    target_mass: float,
+    has_d: bool,
+) -> FractionalAccMass:
+    """Array readout of ``(x, d)`` using the builders' variable layout.
+
+    The builders register ``t``, then (for LP1) the ``d`` block, then the
+    ``x`` block in row-major pair order — so the solved vector slices
+    directly into the dense matrices with two fancy-index writes.
     """
     m, n = instance.m, instance.n
     ii, jj = _pair_index(instance.p)
@@ -219,95 +235,28 @@ def _extract_vector(
         d = np.maximum(1.0, sol.x[1 : 1 + n])
     else:
         d = np.maximum(1.0, x.max(axis=0, initial=0.0))
-    return x, d
-
-
-# ----------------------------------------------------------------------
-# Public builders/solvers (engine facade)
-# ----------------------------------------------------------------------
-def build_lp1(
-    instance: SUUInstance,
-    chains: list[list[int]] | None = None,
-    target_mass: float = DEFAULT_TARGET_MASS,
-    engine: str = "vector",
-) -> LinearProgram:
-    """Assemble (LP1) for ``instance`` with the given chain partition.
-
-    ``chains`` defaults to the instance DAG's own chains (requires a
-    disjoint-chains DAG).  Singleton chains are allowed, so the same
-    builder covers independent jobs with window semantics.
-    """
-    _require_engine(engine)
-    if chains is None:
-        chains = instance.dag.chains()
-    _validate_chains(instance, chains)
-    with obs.span("lp.build", lp="lp1", engine=engine, n=instance.n, m=instance.m):
-        if engine == "scalar":
-            from . import scalar
-
-            return scalar.build_lp1_scalar(instance, chains, target_mass)
-        return _build_lp1_vector(instance, chains, target_mass)
-
-
-def build_lp2(
-    instance: SUUInstance,
-    target_mass: float = DEFAULT_TARGET_MASS,
-    engine: str = "vector",
-) -> LinearProgram:
-    """Assemble (LP2): (LP1) without chain/window constraints (Thm 4.5)."""
-    _require_engine(engine)
-    with obs.span("lp.build", lp="lp2", engine=engine, n=instance.n, m=instance.m):
-        if engine == "scalar":
-            from . import scalar
-
-            return scalar.build_lp2_scalar(instance, target_mass)
-        return _build_lp2_vector(instance, target_mass)
-
-
-def _extract(
-    instance: SUUInstance,
-    sol: LPSolution,
-    chains: list[list[int]],
-    target_mass: float,
-    has_d: bool,
-    engine: str,
-) -> FractionalAccMass:
-    if engine == "scalar":
-        from . import scalar
-
-        x, d = scalar.extract_scalar(instance, sol, has_d)
-    else:
-        x, d = _extract_vector(instance, sol, has_d)
-    frac = FractionalAccMass(
-        x=x, d=d, t=float(sol.value), target_mass=target_mass, chains=chains
-    )
-    frac._masses = (instance.p * x).sum(axis=0)  # type: ignore[attr-defined]
-    return frac
+    return FractionalAccMass.from_arrays(instance, x, d, sol.value, target_mass, chains)
 
 
 def solve_lp1(
     instance: SUUInstance,
     chains: list[list[int]] | None = None,
     target_mass: float = DEFAULT_TARGET_MASS,
-    engine: str = "vector",
 ) -> FractionalAccMass:
     """Solve (LP1); always feasible (assign enough steps to every job)."""
     if chains is None:
         chains = instance.dag.chains()
-    lp = build_lp1(instance, chains, target_mass, engine=engine)
-    return _extract(instance, lp.solve(), chains, target_mass, has_d=True, engine=engine)
+    lp = build_lp1(instance, chains, target_mass)
+    return _extract(instance, lp.solve(), chains, target_mass, has_d=True)
 
 
 def solve_lp2(
-    instance: SUUInstance,
-    target_mass: float = DEFAULT_TARGET_MASS,
-    engine: str = "vector",
+    instance: SUUInstance, target_mass: float = DEFAULT_TARGET_MASS
 ) -> FractionalAccMass:
     """Solve (LP2) for independent jobs."""
-    _require_engine(engine)
     chains = [[j] for j in range(instance.n)]
-    lp = build_lp2(instance, target_mass, engine=engine)
-    return _extract(instance, lp.solve(), chains, target_mass, has_d=False, engine=engine)
+    lp = build_lp2(instance, target_mass)
+    return _extract(instance, lp.solve(), chains, target_mass, has_d=False)
 
 
 # ----------------------------------------------------------------------

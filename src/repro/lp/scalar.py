@@ -4,11 +4,12 @@ This module preserves the first-generation AccMass LP construction code
 verbatim (the same way ``sim/exact/scalar.py`` keeps the dict-DP exact
 engine): one ``add_var``/``add_le`` call per variable and constraint, a
 Python loop over every ``(i, j)`` pair, and a per-entry extraction of the
-solved vector.  It is selected with ``engine="scalar"`` on the builders in
-:mod:`repro.lp.acc_mass` and exists so the vectorized generation always
-has an independent implementation to triangulate against — the fuzzer's
-``lpflow`` oracle and ``tests/lp/test_lp_engines_equiv.py`` assert the two
-agree on every constraint system and every optimum.
+solved vector.  Production never runs it; it exists so the vectorized
+builders of :mod:`repro.lp.acc_mass` always have an independent
+implementation to triangulate against.  ``tests/lp/test_lp_engines_equiv.py``
+compares the assembled programs, and the fuzzer's ``lpflow`` oracle, the
+Lemma 4.2 sandwich test and ``benchmarks/bench_perf_lp_rounding.py`` call
+:func:`solve_lp1_scalar` / :func:`solve_lp2_scalar` directly.
 
 Do not optimize this module; its slowness is the benchmark baseline and
 its simplicity is the verification anchor.
@@ -19,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.instance import SUUInstance
+from .acc_mass import DEFAULT_TARGET_MASS, FractionalAccMass
 from .model import LinearProgram, LPSolution
 
 
@@ -98,3 +100,26 @@ def extract_scalar(
     else:
         d = np.maximum(1.0, x.max(axis=0))
     return x, d
+
+
+def solve_lp1_scalar(
+    instance: SUUInstance,
+    chains: list[list[int]] | None = None,
+    target_mass: float = DEFAULT_TARGET_MASS,
+) -> FractionalAccMass:
+    """Build, solve and read out (LP1) on the golden path."""
+    if chains is None:
+        chains = instance.dag.chains()
+    sol = build_lp1_scalar(instance, chains, target_mass).solve()
+    x, d = extract_scalar(instance, sol, has_d=True)
+    return FractionalAccMass.from_arrays(instance, x, d, sol.value, target_mass, chains)
+
+
+def solve_lp2_scalar(
+    instance: SUUInstance, target_mass: float = DEFAULT_TARGET_MASS
+) -> FractionalAccMass:
+    """Build, solve and read out (LP2) on the golden path."""
+    chains = [[j] for j in range(instance.n)]
+    sol = build_lp2_scalar(instance, target_mass).solve()
+    x, d = extract_scalar(instance, sol, has_d=False)
+    return FractionalAccMass.from_arrays(instance, x, d, sol.value, target_mass, chains)

@@ -36,8 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.instance import SUUInstance
-from ..errors import RoundingError
-from ..flow.facade import require_flow_engine
+from ..errors import RoundingError, ValidationError
 from ..flow.network import build_rounding_network
 from ..lp.acc_mass import FractionalAccMass
 
@@ -161,7 +160,6 @@ def round_acc_mass(
     frac: FractionalAccMass,
     independent: bool = False,
     low_scale: int = _LOW_SCALE,
-    flow_engine: str = "array",
 ) -> IntegralAccMass:
     """Round a fractional AccMass solution per Theorem 4.1.
 
@@ -175,15 +173,13 @@ def round_acc_mass(
     reciprocal.  The A2 ablation sweeps it — smaller values give shorter
     schedules at the cost of a larger κ scale-up.
 
-    ``flow_engine`` selects the max-flow engine for the Figure-3 network
-    (:data:`repro.flow.FLOW_ENGINES`).  Both engines yield the same flow
-    value (the saturated demand, enforced either way) and a certified
-    integral solution; the individual ``x*_ij`` may differ between
-    engines, as any integral maximum flow is a valid rounding.
+    The Figure-3 network is solved on
+    :class:`~repro.flow.arrays.ArrayFlowNetwork`; full demand saturation
+    is enforced, and since the source edges cap the flow at ``Σ D_j``,
+    saturation certifies a maximum flow.
     """
     if low_scale < 2:
-        raise ValueError("low_scale must be >= 2")
-    require_flow_engine(flow_engine)
+        raise ValidationError("low_scale must be >= 2")
     m, n = instance.m, instance.n
     p = instance.p
     x, d, t = frac.x, frac.d, frac.t
@@ -284,7 +280,6 @@ def round_acc_mass(
             pair_caps=pair_caps,
             machine_cap=machine_cap,
             num_machines=m,
-            engine=flow_engine,
         )
         flow_value = net.solve_or_raise()
         x_flow = net.extract_x(m, n)
@@ -303,7 +298,6 @@ def round_acc_mass(
             "high_jobs": high_jobs,
             "bucket_count": bucket_count,
             "low_scale": low_scale,
-            "flow_engine": flow_engine,
             "flow_value": flow_value,
         },
     )

@@ -26,13 +26,12 @@ check                what must agree
                      brute-force MaxSumMass optimum
 ``rounding``         ``IntegralAccMass.check`` certificate on the rounded
                      (LP1) solution; κ-scaled mass reaches the target
-``lpflow``           vector vs scalar LP engines: identical (LP1)/(LP2)
-                     optima (1e-9) and feasible ``check_fractional``
-                     certificates; array vs scalar flow engines: equal
-                     max-flow value, conservation, and min-cut capacity
-                     on an instance-derived network; rounding one shared
-                     fractional solution through both flow engines gives
-                     the same case, equal flow values, valid certificates
+``lpflow``           production vs golden LP builders (``lp/scalar.py``):
+                     identical (LP1)/(LP2) optima (1e-9) and feasible
+                     ``check_fractional`` certificates;
+                     ``ArrayFlowNetwork`` vs the golden ``FlowNetwork``:
+                     equal max-flow value, conservation, and min-cut
+                     capacity on an instance-derived network
 ``delays``           ``find_good_delays`` honours its congestion target and
                      reporting contract; delays preserve pseudo-schedule
                      load; flattening yields a feasible schedule
@@ -63,8 +62,9 @@ from ..core.schedule import AdaptivePolicy, CyclicSchedule, ObliviousSchedule, R
 from ..delay.flatten import flatten_pseudo
 from ..delay.random_delay import find_good_delays
 from ..errors import ExactSolverLimitError, ReproError, RoundingError
-from ..flow import FLOW_ENGINES, make_flow_network
-from ..lp.acc_mass import LP_ENGINES, check_fractional, solve_lp1, solve_lp2
+from ..flow import ArrayFlowNetwork, FlowNetwork
+from ..lp.acc_mass import check_fractional, solve_lp1, solve_lp2
+from ..lp.scalar import solve_lp1_scalar, solve_lp2_scalar
 from ..opt import scalar as golden_dp
 from ..opt.bruteforce import count_assignments, max_sum_mass_opt
 from ..opt.malewicz import optimal_regimen
@@ -630,17 +630,22 @@ def check_rounding(ctx: CaseContext) -> list[Discrepancy]:
     return out
 
 
-def _instance_flow_network(instance, engine: str):
+#: The two max-flow implementations the ``lpflow`` oracle compares.
+_FLOW_NETWORKS = {"array": ArrayFlowNetwork, "scalar": FlowNetwork}
+
+
+def _instance_flow_network(instance, network_cls):
     """A deterministic Figure-3-shaped network derived from the instance.
 
     Source → jobs (cap ``1 + j mod 3``) → machines where ``p_ij > 0``
-    (cap ``⌈4 p_ij⌉``) → sink (cap ``2 + i mod 2``).  A pure function of
-    the case spec, so any engine disagreement shrinks deterministically.
+    (cap ``⌈4 p_ij⌉``) → sink (cap ``2 + i mod 2``), built on
+    ``network_cls``.  A pure function of the case spec, so any engine
+    disagreement shrinks deterministically.
     Returns ``(network, flow_value, source, sink)``.
     """
     m, n = instance.m, instance.n
     source, sink = m + n, m + n + 1
-    net = make_flow_network(sink + 1, engine=engine)
+    net = network_cls(sink + 1)
     for j in range(n):
         net.add_edge(source, j, 1 + j % 3)
     ii, jj = np.nonzero(instance.p > 0.0)
@@ -652,26 +657,29 @@ def _instance_flow_network(instance, engine: str):
 
 
 def check_lpflow(ctx: CaseContext) -> list[Discrepancy]:
-    """Second-generation LP/flow engines agree with the scalar golden paths.
+    """The production LP builders and max-flow agree with the golden paths.
 
-    Three differential layers, all on the identical inputs:
+    Two differential layers, all on the identical inputs:
 
-    * raw max-flow on the instance-derived network — values must match
-      exactly, and each engine's flow must conserve and be certified
-      optimal by its own min cut;
-    * (LP2) through both LP engines — optima within 1e-9 and feasible
-      :func:`~repro.lp.acc_mass.check_fractional` certificates;
-    * on chain-pipeline instances, (LP1) through both LP engines, then
-      Theorem 4.1 rounding of the *same* fractional solution through both
-      flow engines — same outcome kind, same rounding case, equal flow
-      values, and a valid ``IntegralAccMass.check`` certificate each.
+    * raw max-flow on the instance-derived network, on
+      :class:`~repro.flow.arrays.ArrayFlowNetwork` and on the golden
+      :class:`~repro.flow.dinic.FlowNetwork` — values must match exactly,
+      and each flow must conserve and be certified optimal by its own
+      min cut;
+    * (LP2), and on chain-pipeline instances (LP1), through the
+      production builders and the golden ones of :mod:`repro.lp.scalar` —
+      optima within 1e-9 and feasible
+      :func:`~repro.lp.acc_mass.check_fractional` certificates.
+
+    The production rounding itself is certified by the ``rounding``
+    oracle.
     """
     instance = ctx.instance
     out: list[Discrepancy] = []
     # --- raw flow differential --------------------------------------------
     flow_values: dict[str, int] = {}
-    for eng in FLOW_ENGINES:
-        net, value, source, sink = _instance_flow_network(instance, eng)
+    for eng, network_cls in _FLOW_NETWORKS.items():
+        net, value, source, sink = _instance_flow_network(instance, network_cls)
         flow_values[eng] = value
         if not net.check_flow_conservation(source, sink):
             out.append(
@@ -705,19 +713,11 @@ def check_lpflow(ctx: CaseContext) -> list[Discrepancy]:
         )
     # --- (LP2) differential -----------------------------------------------
     try:
-        lp2 = {eng: solve_lp2(instance, engine=eng) for eng in LP_ENGINES}
+        lp2 = {"vector": solve_lp2(instance), "scalar": solve_lp2_scalar(instance)}
     except ReproError as exc:
         out.append(Discrepancy("lpflow", f"(LP2) solve failed: {exc}"))
         return out
-    t_v, t_s = lp2["vector"].t, lp2["scalar"].t
-    if abs(t_v - t_s) > 1e-9 * max(1.0, abs(t_s)):
-        out.append(
-            Discrepancy(
-                "lpflow",
-                f"(LP2) optima diverge: vector {t_v:.12f} vs scalar {t_s:.12f}",
-                {"vector": t_v, "scalar": t_s},
-            )
-        )
+    out.extend(_lp_optima_agree("(LP2)", lp2))
     for eng, frac in lp2.items():
         cert = check_fractional(instance, frac, windows=False)
         if not cert["ok"]:
@@ -728,13 +728,13 @@ def check_lpflow(ctx: CaseContext) -> list[Discrepancy]:
                     {"engine": eng, "certificate": cert},
                 )
             )
-    # --- (LP1) + both rounding paths --------------------------------------
+    # --- (LP1) differential -----------------------------------------------
     if not _chain_pipeline_applicable(instance):
         return out
     lp1: dict[str, tuple[str, object]] = {}
-    for eng in LP_ENGINES:
+    for eng, solver in (("vector", solve_lp1), ("scalar", solve_lp1_scalar)):
         try:
-            lp1[eng] = ("ok", solve_lp1(instance, engine=eng))
+            lp1[eng] = ("ok", solver(instance))
         except ReproError as exc:
             lp1[eng] = (type(exc).__name__, str(exc))
     if lp1["vector"][0] != lp1["scalar"][0]:
@@ -747,18 +747,10 @@ def check_lpflow(ctx: CaseContext) -> list[Discrepancy]:
         )
         return out
     if lp1["vector"][0] != "ok":
-        return out  # both engines failed identically; rounding oracle reports
-    frac_v, frac_s = lp1["vector"][1], lp1["scalar"][1]
-    if abs(frac_v.t - frac_s.t) > 1e-9 * max(1.0, abs(frac_s.t)):
-        out.append(
-            Discrepancy(
-                "lpflow",
-                f"(LP1) optima diverge: vector {frac_v.t:.12f} vs scalar "
-                f"{frac_s.t:.12f}",
-                {"vector": frac_v.t, "scalar": frac_s.t},
-            )
-        )
-    for eng, frac in (("vector", frac_v), ("scalar", frac_s)):
+        return out  # both paths failed identically; rounding oracle reports
+    fracs = {eng: outcome[1] for eng, outcome in lp1.items()}
+    out.extend(_lp_optima_agree("(LP1)", fracs))
+    for eng, frac in fracs.items():
         cert = check_fractional(instance, frac)
         if not cert["ok"]:
             out.append(
@@ -768,57 +760,21 @@ def check_lpflow(ctx: CaseContext) -> list[Discrepancy]:
                     {"engine": eng, "certificate": cert},
                 )
             )
-    rounded: dict[str, tuple[str, object]] = {}
-    for feng in FLOW_ENGINES:
-        try:
-            rounded[feng] = ("ok", round_acc_mass(instance, frac_v, flow_engine=feng))
-        except RoundingError as exc:
-            rounded[feng] = ("RoundingError", str(exc))
-        except ReproError as exc:
-            rounded[feng] = (type(exc).__name__, str(exc))
-    if rounded["array"][0] != rounded["scalar"][0]:
-        out.append(
-            Discrepancy(
-                "lpflow",
-                f"rounding outcome kinds diverge on the same fractional "
-                f"solution: array {rounded['array'][0]} vs scalar "
-                f"{rounded['scalar'][0]}",
-                {k: v[0] for k, v in rounded.items()},
-            )
-        )
-        return out
-    if rounded["array"][0] != "ok":
-        return out  # consistent failure; the rounding oracle classifies it
-    int_a, int_s = rounded["array"][1], rounded["scalar"][1]
-    if int_a.meta["case"] != int_s.meta["case"]:
-        out.append(
-            Discrepancy(
-                "lpflow",
-                f"rounding cases diverge: array {int_a.meta['case']!r} vs "
-                f"scalar {int_s.meta['case']!r}",
-            )
-        )
-    if int_a.meta.get("flow_value", 0) != int_s.meta.get("flow_value", 0):
-        out.append(
-            Discrepancy(
-                "lpflow",
-                f"rounding flow values diverge: array "
-                f"{int_a.meta.get('flow_value', 0)} vs scalar "
-                f"{int_s.meta.get('flow_value', 0)}",
-            )
-        )
-    for feng, integral in (("array", int_a), ("scalar", int_s)):
-        try:
-            integral.check(instance)
-        except RoundingError as exc:
-            out.append(
-                Discrepancy(
-                    "lpflow",
-                    f"{feng}-flow rounding certificate violated: {exc}",
-                    {"flow_engine": feng},
-                )
-            )
     return out
+
+
+def _lp_optima_agree(label: str, fracs: dict) -> list[Discrepancy]:
+    """The vector and scalar optima of one program agree to 1e-9."""
+    t_v, t_s = fracs["vector"].t, fracs["scalar"].t
+    if abs(t_v - t_s) <= 1e-9 * max(1.0, abs(t_s)):
+        return []
+    return [
+        Discrepancy(
+            "lpflow",
+            f"{label} optima diverge: vector {t_v:.12f} vs scalar {t_s:.12f}",
+            {"vector": t_v, "scalar": t_s},
+        )
+    ]
 
 
 def check_delays(ctx: CaseContext) -> list[Discrepancy]:

@@ -7,8 +7,8 @@ import pytest
 from repro.algorithms import serial_baseline, suu_i_adaptive
 from repro.algorithms.msm import msm_alg, msm_mass_of_assignment
 from repro.analysis import compare_algorithms, measure_ratio, reference_makespan
-from repro.bounds.lower import lp_lower_bound
-from repro.lp import LP_ENGINES
+from repro.bounds.lower import LEMMA42_FACTOR, _lp_chains, lp_lower_bound
+from repro.lp.scalar import solve_lp1_scalar
 from repro.opt.bruteforce import max_sum_mass_opt
 from repro.opt.malewicz import optimal_expected_makespan
 from repro.verify.cases import CaseSpec, build_instance
@@ -53,7 +53,7 @@ class TestScenarioGuarantees:
     """Paper guarantees on the named scenario workloads, routed through
     the second-generation LP layer: Theorem 3.2's MSM-ALG 1/3 bound and
     the Lemma 4.2 lower-bound sandwich ``T*/16 ≤ T^OPT ≤ E[schedule]``,
-    with both LP engines agreeing on every bound along the way."""
+    with the golden (LP1) builder agreeing on every bound along the way."""
 
     @staticmethod
     def _scenario(family: str):
@@ -72,7 +72,13 @@ class TestScenarioGuarantees:
     @pytest.mark.parametrize("family", ["grid", "project", "greedy_trap"])
     def test_lp_lower_bound_sandwich(self, family, rng):
         instance = self._scenario(family)
-        bounds = {e: lp_lower_bound(instance, engine=e) for e in LP_ENGINES}
+        # The same greedy path cover through the golden (LP1): the only
+        # golden check of (LP1) on the cover of a non-chain DAG.
+        golden = solve_lp1_scalar(instance, chains=_lp_chains(instance))
+        bounds = {
+            "vector": lp_lower_bound(instance),
+            "scalar": golden.t / LEMMA42_FACTOR,
+        }
         assert bounds["vector"] == pytest.approx(bounds["scalar"], abs=1e-9)
         topt = optimal_expected_makespan(instance, max_states=1 << 12)
         assert bounds["vector"] <= topt + 1e-9

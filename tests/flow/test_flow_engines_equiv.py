@@ -1,12 +1,12 @@
-"""Array-vs-scalar equivalence of the max-flow engines.
+"""The production max-flow against its golden reference.
 
 Property tests over deterministic random networks plus the Figure-3
 rounding networks: the flat-array iterative Dinic (`repro.flow.arrays`)
-and the recursive edge-object golden path (`repro.flow.dinic`) must
-compute exactly the same max-flow value, each conserving flow and
-certifying optimality with its own min cut — and both must enforce the
-same validation contract (negative capacities, self-loops, out-of-range
-endpoints, unknown engine names) with identical messages.
+and the recursive edge-object golden path (`repro.flow.dinic`), each
+constructed directly, must compute exactly the same max-flow value, each
+conserving flow and certifying optimality with its own min cut — and
+both must enforce the same validation contract (negative capacities,
+self-loops, out-of-range endpoints) with identical messages.
 """
 
 from __future__ import annotations
@@ -17,14 +17,10 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.flow import (
-    FLOW_ENGINES,
-    ArrayFlowNetwork,
-    FlowNetwork,
-    build_rounding_network,
-    make_flow_network,
-    require_flow_engine,
-)
+from repro.flow import ArrayFlowNetwork, FlowNetwork, build_rounding_network
+
+#: The production network class and the golden reference, by label.
+NETWORKS = {"array": ArrayFlowNetwork, "scalar": FlowNetwork}
 
 
 def _random_network(trial: int):
@@ -40,8 +36,8 @@ def _random_network(trial: int):
     return num_nodes, 0, num_nodes - 1, edges
 
 
-def _solve(engine: str, num_nodes: int, s: int, t: int, edges):
-    net = make_flow_network(num_nodes, engine=engine)
+def _solve(network_cls, num_nodes: int, s: int, t: int, edges):
+    net = network_cls(num_nodes)
     for u, v, c in edges:
         net.add_edge(u, v, c)
     return net, net.max_flow(s, t)
@@ -51,8 +47,8 @@ def _solve(engine: str, num_nodes: int, s: int, t: int, edges):
 def test_engines_agree_on_random_networks(trial):
     num_nodes, s, t, edges = _random_network(trial)
     values = {}
-    for engine in FLOW_ENGINES:
-        net, value = _solve(engine, num_nodes, s, t, edges)
+    for engine, network_cls in NETWORKS.items():
+        net, value = _solve(network_cls, num_nodes, s, t, edges)
         values[engine] = value
         assert net.check_flow_conservation(s, t), f"{engine}: conservation"
         cut = net.min_cut_side(s)
@@ -66,7 +62,11 @@ def test_engines_agree_on_random_networks(trial):
 
 @pytest.mark.parametrize("trial", range(10))
 def test_engines_agree_on_rounding_networks(trial):
-    """Figure-3-shaped bipartite networks through the real builder."""
+    """Figure-3-shaped bipartite networks through the real builder.
+
+    The builder's network is replayed edge for edge onto the golden
+    :class:`FlowNetwork`, which must find the same max-flow value.
+    """
     digest = hashlib.sha256(f"round#{trial}".encode()).digest()
     rng = np.random.default_rng(int.from_bytes(digest[:4], "little"))
     n, m = int(rng.integers(2, 8)), int(rng.integers(1, 5))
@@ -79,57 +79,28 @@ def test_engines_agree_on_rounding_networks(trial):
         if rng.random() < 0.6
     }
     machine_cap = int(rng.integers(1, 12))
-    results = {}
-    for engine in FLOW_ENGINES:
-        net = build_rounding_network(
-            jobs=jobs,
-            demands=demands,
-            pair_caps=pair_caps,
-            machine_cap=machine_cap,
-            num_machines=m,
-            engine=engine,
-        )
-        value = net.solve()
-        x = net.extract_x(m, n)
-        assert int(x.sum()) == value
-        for (j, i), cap in pair_caps.items():
-            assert 0 <= x[i, j] <= cap
-        assert np.all(x.sum(axis=1) <= machine_cap)
-        results[engine] = value
-    assert results["array"] == results["scalar"], f"trial {trial}: {results}"
-
-
-def test_rounding_network_engine_types():
-    kwargs = dict(
-        jobs=[0], demands={0: 1}, pair_caps={(0, 0): 1}, machine_cap=1, num_machines=1
+    net = build_rounding_network(
+        jobs=jobs,
+        demands=demands,
+        pair_caps=pair_caps,
+        machine_cap=machine_cap,
+        num_machines=m,
     )
-    assert isinstance(
-        build_rounding_network(engine="array", **kwargs).network, ArrayFlowNetwork
-    )
-    assert isinstance(
-        build_rounding_network(engine="scalar", **kwargs).network, FlowNetwork
-    )
+    value = net.solve()
+    x = net.extract_x(m, n)
+    assert int(x.sum()) == value
+    for (j, i), cap in pair_caps.items():
+        assert 0 <= x[i, j] <= cap
+    assert np.all(x.sum(axis=1) <= machine_cap)
+    golden = FlowNetwork(net.network.num_nodes)
+    for e in net.network.edges:
+        golden.add_edge(e.src, e.dst, e.capacity)
+    golden_value = golden.max_flow(net.source, net.sink)
+    assert value == golden_value, f"trial {trial}: array {value} vs {golden_value}"
 
 
 class TestFacadeContract:
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValidationError, match="unknown flow engine"):
-            make_flow_network(4, engine="warp")
-        with pytest.raises(ValidationError, match="unknown flow engine"):
-            require_flow_engine("quantum")
-        with pytest.raises(ValidationError, match="unknown flow engine"):
-            build_rounding_network(
-                jobs=[0],
-                demands={0: 1},
-                pair_caps={(0, 0): 1},
-                machine_cap=1,
-                num_machines=1,
-                engine="warp",
-            )
-
-    def test_known_engines_accepted(self):
-        for engine in FLOW_ENGINES:
-            assert require_flow_engine(engine) == engine
+    """The constructor and validation contract both network classes share."""
 
     @pytest.mark.parametrize(
         "bad_edge, message",
@@ -142,8 +113,8 @@ class TestFacadeContract:
     def test_validation_messages_identical_across_engines(self, bad_edge, message):
         """Both engines reject bad edges with byte-identical messages."""
         errors = {}
-        for engine in FLOW_ENGINES:
-            net = make_flow_network(4, engine=engine)
+        for engine, network_cls in NETWORKS.items():
+            net = network_cls(4)
             with pytest.raises(ValidationError, match=message) as exc_info:
                 net.add_edge(*bad_edge)
             errors[engine] = str(exc_info.value)
@@ -151,14 +122,14 @@ class TestFacadeContract:
 
     def test_same_source_sink_rejected_identically(self):
         errors = {}
-        for engine in FLOW_ENGINES:
-            net = make_flow_network(3, engine=engine)
+        for engine, network_cls in NETWORKS.items():
+            net = network_cls(3)
             with pytest.raises(ValidationError, match="source and sink") as exc_info:
                 net.max_flow(1, 1)
             errors[engine] = str(exc_info.value)
         assert errors["array"] == errors["scalar"]
 
     def test_negative_node_count_rejected_identically(self):
-        for engine in FLOW_ENGINES:
+        for network_cls in NETWORKS.values():
             with pytest.raises(ValidationError, match="num_nodes must be >= 0"):
-                make_flow_network(-1, engine=engine)
+                network_cls(-1)

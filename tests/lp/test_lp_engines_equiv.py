@@ -1,14 +1,14 @@
-"""Vector-vs-scalar equivalence of the LP construction engines.
+"""The LP builders against their golden reference.
 
 Property tests over fuzzer-generated instances: every DAG kind crossed
 with every probability model (the same 42 families `repro.verify` draws
 from, mirroring ``tests/sim/test_exact_engines_equiv.py``).  The sparse
-vector builders (`repro.lp.acc_mass`) and the per-variable scalar golden
-path (`repro.lp.scalar`) must produce structurally identical programs
-(same variables, same named rows in the same order, same assembled
-matrices), optima within 1e-9, feasible `check_fractional` certificates —
-and, downstream, Theorem 4.1 roundings through both flow engines with the
-same outcome kind, equal flow values, and valid certificates.
+builders (`repro.lp.acc_mass`) and the per-variable golden builders
+(`repro.lp.scalar`) must produce structurally identical programs (same
+variables, same named rows in the same order, same assembled matrices),
+optima within 1e-9, feasible `check_fractional` certificates — and,
+downstream, a Theorem 4.1 rounding of the production (LP1) solution that
+succeeds with a valid certificate.
 """
 
 from __future__ import annotations
@@ -18,15 +18,19 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.errors import ReproError, RoundingError, ValidationError
-from repro.flow import FLOW_ENGINES
 from repro.lp.acc_mass import (
-    LP_ENGINES,
+    DEFAULT_TARGET_MASS,
     build_lp1,
     build_lp2,
     check_fractional,
     solve_lp1,
     solve_lp2,
+)
+from repro.lp.scalar import (
+    build_lp1_scalar,
+    build_lp2_scalar,
+    solve_lp1_scalar,
+    solve_lp2_scalar,
 )
 from repro.rounding.round_lp import round_acc_mass
 from repro.verify.cases import DAG_KINDS, PROB_MODELS, CaseSpec, build_instance
@@ -68,7 +72,7 @@ def _instance(family: str, trial: int):
 
 
 def _assert_same_structure(lp_vector, lp_scalar):
-    """Both engines build the *same program*: variables, rows, matrices."""
+    """Both builders emit the *same program*: variables, rows, matrices."""
     assert lp_vector.num_vars == lp_scalar.num_vars
     assert lp_vector.num_rows == lp_scalar.num_rows
     assert lp_vector.vars.names == lp_scalar.vars.names
@@ -86,10 +90,9 @@ def test_lp2_engines_match_on_fuzzer_families(family):
     for trial in range(2):
         instance = _instance(family, trial)
         _assert_same_structure(
-            build_lp2(instance, engine="vector"),
-            build_lp2(instance, engine="scalar"),
+            build_lp2(instance), build_lp2_scalar(instance, DEFAULT_TARGET_MASS)
         )
-        fracs = {eng: solve_lp2(instance, engine=eng) for eng in LP_ENGINES}
+        fracs = {"vector": solve_lp2(instance), "scalar": solve_lp2_scalar(instance)}
         t_v, t_s = fracs["vector"].t, fracs["scalar"].t
         assert abs(t_v - t_s) <= 1e-9 * max(1.0, abs(t_s)), (
             f"{family} trial {trial}: vector {t_v!r} vs scalar {t_s!r}"
@@ -105,51 +108,27 @@ def test_lp1_and_rounding_engines_match(family):
         instance = _instance(family, trial)
         chains = instance.dag.chains()
         _assert_same_structure(
-            build_lp1(instance, chains, engine="vector"),
-            build_lp1(instance, chains, engine="scalar"),
+            build_lp1(instance, chains),
+            build_lp1_scalar(instance, chains, DEFAULT_TARGET_MASS),
         )
-        fracs = {eng: solve_lp1(instance, engine=eng) for eng in LP_ENGINES}
+        fracs = {"vector": solve_lp1(instance), "scalar": solve_lp1_scalar(instance)}
         t_v, t_s = fracs["vector"].t, fracs["scalar"].t
         assert abs(t_v - t_s) <= 1e-9 * max(1.0, abs(t_s))
         for eng, frac in fracs.items():
             cert = check_fractional(instance, frac)
             assert cert["ok"], f"{family} trial {trial} {eng}: {cert}"
-        # Round the *same* fractional solution through both flow engines:
-        # identical feasibility kind; on success, same rounding case, equal
-        # flow values, and a valid certificate from each path.
-        outcomes = {}
-        for feng in FLOW_ENGINES:
-            try:
-                outcomes[feng] = (
-                    "ok",
-                    round_acc_mass(instance, fracs["vector"], flow_engine=feng),
-                )
-            except RoundingError:
-                outcomes[feng] = ("rounding-error", None)
-            except ReproError:
-                outcomes[feng] = ("error", None)
-        kinds = {kind for kind, _ in outcomes.values()}
-        assert len(kinds) == 1, f"flow engines disagree on feasibility: {outcomes}"
-        if outcomes["array"][0] == "ok":
-            int_a, int_s = outcomes["array"][1], outcomes["scalar"][1]
-            assert int_a.meta["case"] == int_s.meta["case"]
-            assert int_a.meta.get("flow_value", 0) == int_s.meta.get("flow_value", 0)
-            for integral in (int_a, int_s):
-                integral.check(instance)
-
-
-def test_unknown_lp_engine_rejected(tiny_independent):
-    with pytest.raises(ValidationError, match="unknown LP engine"):
-        solve_lp2(tiny_independent, engine="warp")
-    with pytest.raises(ValidationError, match="unknown LP engine"):
-        build_lp1(tiny_independent, engine="warp")
+        # The production rounding of the production solution must succeed
+        # (a RoundingError here is a bug, as in the `rounding` oracle) and
+        # certify itself.
+        integral = round_acc_mass(instance, fracs["vector"])
+        integral.check(instance)
 
 
 def test_solutions_share_extraction_layout(tiny_independent):
     """Dense (x, d) readouts agree entrywise, not just the optimum."""
-    for solver, kwargs in ((solve_lp1, {}), (solve_lp2, {})):
-        frac_v = solver(tiny_independent, engine="vector", **kwargs)
-        frac_s = solver(tiny_independent, engine="scalar", **kwargs)
+    for vector, golden in ((solve_lp1, solve_lp1_scalar), (solve_lp2, solve_lp2_scalar)):
+        frac_v = vector(tiny_independent)
+        frac_s = golden(tiny_independent)
         np.testing.assert_allclose(frac_v.x, frac_s.x, atol=1e-9)
         np.testing.assert_allclose(frac_v.d, frac_s.d, atol=1e-9)
         np.testing.assert_allclose(frac_v.masses, frac_s.masses, atol=1e-9)

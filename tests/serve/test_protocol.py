@@ -211,6 +211,8 @@ class TestErrorMapping:
                     headers={"Content-Type": "application/json"},
                 )
                 resp = conn.getresponse()
+                resp.read()
+                resp.close()
                 assert resp.status == 429
                 assert resp.getheader("Retry-After") == "0.75"
             finally:

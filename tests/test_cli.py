@@ -235,6 +235,36 @@ class TestRunExperiments:
         assert all("spec" in rec and "mean" in rec for rec in data)
 
 
+class TestReproErrorsInOneLine:
+    """A ReproError escaping any subcommand is one stderr line, exit 2."""
+
+    @staticmethod
+    def _instance(tmp_path, dag):
+        out = tmp_path / f"{dag}.json"
+        main(["generate", str(out), "-n", "8", "-m", "3", "--dag", dag, "--seed", "2"])
+        return out
+
+    @staticmethod
+    def _one_line_error(command, capsys):
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"suu {command}: ") and "\n" not in err
+        return err
+
+    @pytest.mark.parametrize("command", ["solve", "gantt", "evaluate"])
+    def test_unknown_method(self, command, tmp_path, capsys):
+        inst = self._instance(tmp_path, "chains")
+        capsys.readouterr()
+        assert main([command, str(inst), "--method", "bogus"]) == 2
+        assert "unknown method 'bogus'" in self._one_line_error(command, capsys)
+
+    def test_method_outside_its_dag_class(self, tmp_path, capsys):
+        inst = self._instance(tmp_path, "out_tree")
+        capsys.readouterr()
+        assert main(["solve", str(inst), "--method", "chains"]) == 2
+        err = self._one_line_error("solve", capsys)
+        assert "requires a disjoint-chains DAG" in err
+
+
 class TestGantt:
     @pytest.fixture
     def instance_file(self, tmp_path):

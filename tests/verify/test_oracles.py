@@ -134,21 +134,33 @@ class TestPlantedBugs:
         out = check_case(spec_for("serial"), cfg=FAST, only="opt")
         assert any(d.check == "opt" and "golden" in d.message for d in out)
 
-    def test_broken_vector_lp_engine_is_caught(self, monkeypatch):
-        """An inflated vector-engine optimum must trip the lpflow oracle."""
-        real = oracles.solve_lp2
+    @staticmethod
+    def _inflate_optimum(monkeypatch, solver: str):
+        """Make the oracle's production ``solver`` report ``t + 0.125``."""
+        real = getattr(oracles, solver)
 
-        def biased(instance, *args, engine="vector", **kw):
-            frac = real(instance, *args, engine=engine, **kw)
-            if engine == "vector":
-                frac.t += 0.125
+        def biased(instance, *args, **kw):
+            frac = real(instance, *args, **kw)
+            frac.t += 0.125
             return frac
 
-        monkeypatch.setattr(oracles, "solve_lp2", biased)
+        monkeypatch.setattr(oracles, solver, biased)
+
+    def test_broken_vector_lp_engine_is_caught(self, monkeypatch):
+        """An inflated production (LP2) optimum must trip the lpflow oracle."""
+        self._inflate_optimum(monkeypatch, "solve_lp2")
         out = check_case(spec_for("serial"), cfg=FAST, only="lpflow")
         assert any(d.check == "lpflow" and "(LP2)" in d.message for d in out)
 
-    def test_broken_array_flow_engine_is_caught(self, monkeypatch):
+    def test_broken_lp1_is_caught(self, monkeypatch):
+        """An inflated production (LP1) optimum must trip the lpflow oracle."""
+        self._inflate_optimum(monkeypatch, "solve_lp1")
+        out = check_case(spec_for("serial"), cfg=FAST, only="lpflow")
+        assert any(
+            d.check == "lpflow" and "(LP1) optima diverge" in d.message for d in out
+        )
+
+    def test_lossy_array_max_flow_is_caught(self, monkeypatch):
         """An array engine that undershoots max-flow must trip lpflow."""
         from repro.flow.arrays import ArrayFlowNetwork
 
