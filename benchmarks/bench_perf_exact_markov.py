@@ -7,8 +7,10 @@ records the wall-clock speedup:
 * **regimen** (the acceptance workload): the eligible-set round-robin
   regimen on an n-job chains instance — 2^n states, each with its own
   assignment, the worst case for signature sharing.  The sparse engine
-  sweeps the lattice one popcount layer at a time with CSR-style subset
-  tables; the scalar path builds one transition dict per state.
+  sweeps the lattice one popcount layer at a time through the
+  first-passage kernel it shares with the Malewicz DP, which adds the
+  terms in the scalar order; the scalar path builds one transition dict
+  per state.
 * **cyclic**: a round-robin prefix+cycle schedule, where the chain's
   states are ``(S, τ)`` pairs and the sparse engine solves every
   position of a popcount layer in one pass per active-count block, then
@@ -20,14 +22,16 @@ records the wall-clock speedup:
   schedule over 48 steps (four cycles).
 
 ``REPRO_PERF_EXACT_N`` resizes the regimen workload; below n=14 only a
-1.5× win is asserted.  CI's perf-smoke job runs the full n=14 size,
-where ≥10× is asserted, as does the committed
+1.5× win is asserted, and the run writes its own record
+(``perf_exact_markov.n12.json`` at n=12).  CI's perf-smoke job runs the
+full n=14 size, where ≥10× is asserted, as does the committed
 ``benchmarks/results/perf_exact_markov.json``.  The sparse engine is
 timed best-of-3 — its absolute runtime is tens of milliseconds, where
 timer noise matters; the scalar path is timed once.  Every row asserts
 engine agreement to ≤1e-9 (largest absolute difference, for the
-distribution); agreement is also property-tested across all workload
-families in ``tests/sim/test_exact_engines_equiv.py``.  Two traced
+distribution), and the regimen row exact equality (``|Δ| = 0``);
+agreement is also property-tested across all workload families in
+``tests/sim/test_exact_engines_equiv.py``.  Two traced
 sparse solves record the lattice-build vs layer-sweep split, for the
 regimen and the cyclic workload.
 """
@@ -47,6 +51,8 @@ from repro.workloads import random_instance
 #: Regimen workload size; the acceptance claim is pinned at n = 14.
 N = int(os.environ.get("REPRO_PERF_EXACT_N", "14"))
 M = 4
+#: Results file: the committed record is the n = 14 run.
+RECORD = "perf_exact_markov" if N == 14 else f"perf_exact_markov.n{N}"
 N_CYCLIC = min(N, 12)
 #: Long-prefix cyclic workload: a solve() schedule on chains.
 N_LONG, M_LONG = 9, 3
@@ -184,9 +190,11 @@ def test_perf_sparse_vs_scalar_exact(benchmark, recorder, phase_breakdown):
     )
     recorder.claim("sparse_beats_scalar", all(r["speedup"] > 1.0 for r in rows))
     recorder.claim("engines_agree_1e9", all(r["agreement"] <= 1e-9 for r in rows))
+    recorder.claim("regimen_bitwise_equal", regimen_row["agreement"] == 0.0)
     assert regimen_row["speedup"] >= SPEEDUP_FLOOR
     assert all(r["speedup"] > 1.0 for r in rows)
     assert all(r["agreement"] <= 1e-9 for r in rows)
+    assert regimen_row["agreement"] == 0.0
 
     # Phase-time breakdown of one traced sparse solve on the acceptance
     # workload: lattice build vs layer sweep, plus the states counter.

@@ -32,7 +32,8 @@ speedups plus exact-agreement evidence:
 ``REPRO_PERF_LP_N`` resizes the workloads (CI's perf-smoke job runs
 n=128 and asserts only that the production builders win; the committed
 ``benchmarks/results/perf_lp_rounding.json`` records the full n=512 run,
-where ≥5x is asserted on LP2 construction).  Production timings are
+where ≥5x is asserted on LP2 construction).  A resized run writes its own
+record, ``perf_lp_rounding.n128.json`` at n=128.  Production timings are
 best-of-3; golden paths are timed once.  Exact agreement is additionally
 property-tested in ``tests/lp/`` and ``tests/flow/`` and fuzzed
 continuously by the ``lpflow`` oracle.
@@ -56,6 +57,8 @@ from repro.workloads import random_instance
 #: LP workload size; the acceptance claim is pinned at n = 512.
 N = int(os.environ.get("REPRO_PERF_LP_N", "512"))
 M = 64
+#: Results file: the committed record is the n = 512 run.
+RECORD = "perf_lp_rounding" if N == 512 else f"perf_lp_rounding.n{N}"
 
 #: Below the acceptance size the bench only requires a win, not 5x.
 LP2_SPEEDUP_FLOOR = 5.0 if N >= 512 else 1.5

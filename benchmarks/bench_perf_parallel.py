@@ -25,7 +25,8 @@ A final traced run (telemetry captured through ``repro.obs``) records the
 per-shard and per-phase wall-clock breakdown into the same results file,
 so the JSON shows *where* suite time goes, not just the totals.
 ``REPRO_PERF_PARALLEL_REPS`` overrides the replication count for quick
-local runs.
+local runs, which write their own record (``perf_parallel.reps200.json``
+at 200) instead of the committed one.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ from repro.parallel import ProcessExecutor, default_workers
 from repro.parallel.worker import _clear_worker_caches
 
 REPS = int(os.environ.get("REPRO_PERF_PARALLEL_REPS", "1000"))
+#: Results file: the committed record is the 1000-replication run.
+RECORD = "perf_parallel" if REPS == 1000 else f"perf_parallel.reps{REPS}"
 MAX_STEPS = 300_000
 WORKER_COUNTS = (1, 2, 4)
 REQUIRED_SPEEDUP = 2.5

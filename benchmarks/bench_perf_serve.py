@@ -15,6 +15,9 @@ measured numbers are what the results JSON reports.
 Sizing via environment (CI keeps the defaults)::
 
     REPRO_PERF_SERVE_REQUESTS=96  REPRO_PERF_SERVE_CLIENTS=8
+
+A resized run writes its own record (``perf_serve.r48c4.json`` for 48
+requests from 4 clients) and leaves the committed one alone.
 """
 
 from __future__ import annotations
@@ -29,6 +32,12 @@ REPO = Path(__file__).resolve().parent.parent
 
 N_REQUESTS = int(os.environ.get("REPRO_PERF_SERVE_REQUESTS", "96"))
 N_CLIENTS = int(os.environ.get("REPRO_PERF_SERVE_CLIENTS", "8"))
+#: Results file: the committed record is the default 96-request, 8-client run.
+RECORD = (
+    "perf_serve"
+    if (N_REQUESTS, N_CLIENTS) == (96, 8)
+    else f"perf_serve.r{N_REQUESTS}c{N_CLIENTS}"
+)
 
 
 def _load_runner():

@@ -69,10 +69,13 @@ def recorder(request):
 
     Module-scoped so that a bench file with several tests (e.g. the main
     sweep plus a telemetry-overhead guard) accumulates all rows into one
-    results JSON instead of the last test overwriting the first.
+    results JSON instead of the last test overwriting the first.  A bench
+    whose workload an environment variable resizes names its record in a
+    module-level ``RECORD``, so a resized run writes its own file and
+    leaves the committed full-size record alone.
     """
-    module = request.module.__name__
-    exp_id = module.replace("bench_", "")
+    module = request.module
+    exp_id = getattr(module, "RECORD", module.__name__.replace("bench_", ""))
     rec = ExperimentRecorder(exp_id)
     yield rec
     rec.flush()

@@ -11,7 +11,6 @@ Subcommands
                      and print the provenance-carrying leaderboard
 ``evaluate``         the one evaluation front door (repro.evaluate): exact or
                      MC, auto-dispatched, with engine provenance
-``simulate``         legacy alias: Monte-Carlo estimate + baselines table
 ``gantt``            render a schedule (or a fresh solve) as an ASCII Gantt chart
 ``demo``             end-to-end demonstration on a built-in scenario
 ``run-experiments``  run a named experiment suite through the cached runner
@@ -42,7 +41,7 @@ from .algorithms import LEAN, PAPER, PRACTICAL, resolve_solver, solve
 from .analysis import Table, compare_algorithms
 from .bounds import lower_bounds
 from .core import SUUInstance
-from .errors import ReproError
+from .errors import ReproError, ValidationError
 from .workloads import grid_computing, project_management, random_instance
 
 __all__ = ["main", "build_parser"]
@@ -192,19 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(open in Perfetto or chrome://tracing); also prints a phase table",
     )
 
-    r = sub.add_parser(
-        "simulate",
-        help="estimate expected makespan (legacy alias: the baselines "
-        "comparison table; single-schedule evaluation lives in `evaluate`)",
-    )
-    r.add_argument("input", type=Path)
-    r.add_argument("--method", default="auto")
-    r.add_argument("--constants", default="practical", choices=sorted(_PRESETS))
-    r.add_argument("--reps", type=int, default=200)
-    r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--max-steps", type=int, default=200_000)
-    r.add_argument("--baselines", action="store_true", help="also run baselines")
-
     ga = sub.add_parser("gantt", help="render a schedule as an ASCII Gantt chart")
     ga.add_argument("input", type=Path, help="instance .json")
     ga.add_argument("--schedule", type=Path, help="schedule .json (default: solve now)")
@@ -345,8 +331,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_json(path: Path, what: str, *keys: str):
+    """The JSON in ``path``, an object holding ``keys`` when any are named;
+    anything else raises one :class:`ValidationError` naming the file."""
+    try:
+        data = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
+    if keys and not (isinstance(data, dict) and set(keys) <= data.keys()):
+        expected = f"expected a JSON object with {', '.join(keys)}"
+        raise ValidationError(f"cannot read {what} {path}: {expected}")
+    return data
+
+
 def _load_instance(path: Path) -> SUUInstance:
-    return SUUInstance.from_json(path.read_text())
+    return SUUInstance.from_dict(_read_json(path, "instance", "p", "dag"))
+
+
+def _load_schedule(path: Path):
+    """A schedule as ``suu solve --save`` writes it: cyclic or oblivious."""
+    from .core import CyclicSchedule, ObliviousSchedule
+
+    data = _read_json(path, "schedule", "kind")
+    kind = CyclicSchedule if data["kind"] == "cyclic" else ObliviousSchedule
+    return kind.from_dict(data)
 
 
 def _cmd_generate(args) -> int:
@@ -478,8 +486,8 @@ def _cmd_portfolio(args) -> int:
     return 0 if report.entries else 1
 
 
-#: ``simulate --baselines`` / ``demo`` comparator set: display label →
-#: registry solver name (the historical ``all_baselines`` table).
+#: ``demo`` comparator set: display label → registry solver name (the
+#: historical ``all_baselines`` table).
 _BASELINE_SOLVERS = {
     "serial": "serial",
     "round_robin": "round_robin",
@@ -488,43 +496,10 @@ _BASELINE_SOLVERS = {
 }
 
 
-def _baseline_results(inst):
-    return {
-        label: resolve_solver(name).build(inst)
-        for label, name in _BASELINE_SOLVERS.items()
-    }
-
-
-def _cmd_simulate(args) -> int:
-    inst = _load_instance(args.input)
-    rng = np.random.default_rng(args.seed)
-    results = {args.method: solve(inst, constants=_PRESETS[args.constants], rng=rng, method=args.method)}
-    if args.baselines:
-        results.update(_baseline_results(inst))
-    records = compare_algorithms(
-        inst, results, reps=args.reps, rng=rng, max_steps=args.max_steps
-    )
-    table = Table(
-        ["algorithm", "E[makespan]", "±se", "reference", "kind", "ratio"],
-        title=inst.name or "instance",
-    )
-    for rec in records:
-        table.add_row(
-            [rec.algorithm, rec.mean_makespan, rec.std_err, rec.reference, rec.reference_kind, rec.ratio]
-        )
-    print(table.render())
-    return 0
-
-
 def _load_or_solve_schedule(args, inst):
     """Schedule acquisition for `evaluate`: load ``--schedule`` or solve now."""
-    from .core import CyclicSchedule, ObliviousSchedule
-
     if args.schedule:
-        data = json.loads(args.schedule.read_text())
-        if data.get("kind") == "cyclic":
-            return CyclicSchedule.from_dict(data)
-        return ObliviousSchedule.from_dict(data)
+        return _load_schedule(args.schedule)
     result = solve(
         inst, constants=_PRESETS[args.constants], rng=args.seed, method=args.method
     )
@@ -598,16 +573,11 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_gantt(args) -> int:
-    from .core import CyclicSchedule, ObliviousSchedule
     from .viz import render_gantt
 
     inst = _load_instance(args.input)
     if args.schedule:
-        data = json.loads(args.schedule.read_text())
-        if data.get("kind") == "cyclic":
-            schedule = CyclicSchedule.from_dict(data)
-        else:
-            schedule = ObliviousSchedule.from_dict(data)
+        schedule = _load_schedule(args.schedule)
     else:
         result = solve(
             inst, constants=_PRESETS[args.constants], rng=args.seed, method=args.method
@@ -631,7 +601,8 @@ def _cmd_demo(args) -> int:
         inst = random_instance(16, 6, rng=rng)
     print(f"scenario: {inst!r}")
     results = {"paper_algorithm": solve(inst, rng=rng)}
-    results.update(_baseline_results(inst))
+    for label, name in _BASELINE_SOLVERS.items():
+        results[label] = resolve_solver(name).build(inst)
     records = compare_algorithms(inst, results, reps=args.reps, rng=rng)
     table = Table(
         ["algorithm", "E[makespan]", "±se", "reference", "kind", "ratio"],
@@ -771,12 +742,7 @@ def _cmd_lint(args) -> int:
 def _cmd_trace(args) -> int:
     from .obs import render_summary, summarize_trace
 
-    try:
-        trace = json.loads(args.input.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot read trace {args.input}: {exc}", file=sys.stderr)
-        return 2
-    print(render_summary(summarize_trace(trace)))
+    print(render_summary(summarize_trace(_read_json(args.input, "trace"))))
     return 0
 
 
@@ -835,7 +801,6 @@ def main(argv: list[str] | None = None) -> int:
         "algorithms": _cmd_algorithms,
         "portfolio": _cmd_portfolio,
         "evaluate": _cmd_evaluate,
-        "simulate": _cmd_simulate,
         "gantt": _cmd_gantt,
         "demo": _cmd_demo,
         "run-experiments": _cmd_run_experiments,

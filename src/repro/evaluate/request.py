@@ -34,7 +34,9 @@ __all__ = [
 #: v2: the step-free oblivious Monte Carlo kernel changed every
 #: oblivious/cyclic MC number at a fixed seed.
 #: v3: the payload lost the ``workers`` / ``executor`` / ``shards`` keys.
-REQUEST_HASH_VERSION = 3
+#: v4: exact regimen values are summed in the scalar engine's order (one
+#: first-passage kernel with the Malewicz DP), which moves their last bits.
+REQUEST_HASH_VERSION = 4
 
 #: Metrics a request may ask for.  ``state_distribution`` is exact-only.
 METRICS = ("makespan", "completion_curve", "state_distribution")

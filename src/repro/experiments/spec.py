@@ -31,7 +31,9 @@ __all__ = ["ExperimentSpec", "SPEC_VERSION", "EVALUATION_KEYS"]
 #: v4: oblivious/cyclic Monte Carlo draws each job's completion step from
 #: its cumulative hazard (one exponential per job and replication), which
 #: consumes the stream differently and changes those numbers.
-SPEC_VERSION = 4
+#: v5: exact regimen values are summed in the scalar engine's order (one
+#: first-passage kernel with the Malewicz DP), which moves their last bits.
+SPEC_VERSION = 5
 
 #: Keys the ``evaluation:`` block accepts.  ``mode`` selects the runner
 #: route ("mc" — the sharded default — or "exact", one front-door call);

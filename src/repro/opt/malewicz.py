@@ -21,17 +21,19 @@ group of states at a time.  The states of a group share the ``k^m``
 assignment *signatures* (machine ``i`` takes the ``σ_i``-th eligible
 job), enumerated once in :func:`~repro.opt.bruteforce.iter_assignments`
 order.  For every state × signature the group computes the success
-probability of each *slot* (a distinct job the signature serves), the
-subset weights and XOR deltas, gathers ``E[S ^ delta]`` from the finished
-layers, and keeps each state's first minimizing signature.  A group runs
-in chunks of at most :data:`CHUNK_ENTRIES` subset-table entries, so
-memory stays bounded however large the group.
+probability of each *slot* (a distinct job the signature serves), hands
+the (state, signature) rows to the first-passage kernel a regimen's exact
+evaluation uses too (:func:`~repro.sim.exact.lattice.first_passage`), and
+keeps each state's first minimizing signature.  A group runs in chunks of
+at most :data:`CHUNK_ENTRIES` subset-table entries, so memory stays
+bounded however large the group.
 
 Every candidate value is computed with the floating-point operations of
 the per-state loop in :mod:`repro.opt.scalar` (the golden reference), in
 the same order, and the choice follows its rule (a later signature wins
 only when lower by more than 1e-15), so the two agree bit for bit;
-property tests hold them to equal values and identical tables.  The work is
+property tests hold them to equal values and identical tables, and the
+optimum to the exact value of its own regimen.  The work is
 ``O(2^n · k^m · 2^min(k, m))`` — exact ground truth on the constant-width,
 constant-``m`` instances Malewicz proved tractable.
 """
@@ -45,18 +47,16 @@ import numpy as np
 from ..core.instance import SUUInstance
 from ..core.schedule import Regimen
 from ..errors import ExactSolverLimitError
-from ..sim.exact.lattice import bit_positions, eligibility_masks, popcount_array
+from ..sim.exact.lattice import (
+    CHUNK_ENTRIES,
+    bit_positions,
+    eligibility_masks,
+    first_passage,
+    popcount_array,
+)
 from .bruteforce import count_assignments
 
 __all__ = ["ExactSolution", "optimal_regimen", "optimal_expected_makespan"]
-
-#: Entry budget of one chunk's ``(2^slots, states, signatures)`` subset
-#: tables (weights and XOR deltas, 16 MiB each).
-CHUNK_ENTRIES = 1 << 21
-
-#: A self-loop probability at or above this makes no progress (infinite
-#: expectation), as in the scalar DP.
-_STAY_EPS = 1e-15
 
 #: A later signature replaces the best so far only when its value is lower
 #: by more than this, as in the scalar DP.
@@ -89,21 +89,6 @@ def _signatures(k: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sig, slot_of, slot_rank
 
 
-def _sum_order(slots: int) -> np.ndarray:
-    """Subset columns in the order the scalar DP adds their terms.
-
-    Column ``t`` completes slot ``s`` iff bit ``s`` of ``t`` is set.  The
-    scalar transition dict lists subsets with slot 0 as the leading digit,
-    "completes" before "stays"; column 0 (nothing completes, the
-    self-loop) comes last there and is not summed.
-    """
-    pos = np.arange((1 << slots) - 1)
-    order = np.zeros_like(pos)
-    for s in range(slots):
-        order |= ((~pos >> (slots - 1 - s)) & 1) << s
-    return order
-
-
 def _signature_values(p, states, jobs, bitval, sig, slot_of, slot_rank, expect):
     """``E`` of every (state, signature) pair of one chunk; ``inf`` if stuck.
 
@@ -119,23 +104,8 @@ def _signature_values(p, states, jobs, bitval, sig, slot_of, slot_rank, expect):
     for i in range(p.shape[0]):
         f = 1.0 - p[i][jobs[:, sig[:, i]]]
         fail *= np.where(slot_of[:, i] == slot_ids, f, 1.0)
-    q = 1.0 - fail
-    # Subset tables, doubled slot by slot: column t completes slot s iff
-    # bit s of t is set, and weights multiply slot factors in slot order.
-    w = np.empty((1 << slots, *shape))
-    d = np.empty((1 << slots, *shape), dtype=np.int64)
-    w[0], d[0] = 1.0, 0
-    for s in range(slots):
-        c = 1 << s
-        np.multiply(w[:c], q[s], out=w[c : 2 * c])
-        w[:c] *= 1.0 - q[s]
-        np.bitwise_or(d[:c], bitval[:, slot_rank[:, s]], out=d[c : 2 * c])
-    acc = np.ones(shape)
-    for t in _sum_order(slots):
-        acc += w[t] * expect[states[:, None] ^ d[t]]
-    stay = w[0]
-    moves = stay < 1.0 - _STAY_EPS
-    return np.where(moves, acc / np.where(moves, 1.0 - stay, 1.0), np.inf)
+    bits = np.moveaxis(bitval[:, slot_rank], -1, 0)  # (slots, states, signatures)
+    return first_passage(states[:, None], 1.0 - fail, bits, expect)
 
 
 def _solve_group(p, states, jobs, signatures, expect):

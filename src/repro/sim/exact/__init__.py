@@ -21,17 +21,18 @@ the **full** DP allocation ``2^n × width`` (``width`` = schedule positions
 or horizon steps), not just the subset count.
 
 Two engines implement the same four solvers (regimen and cyclic
-makespan, completion curve, state distribution); they agree to ≤1e-9,
-property-tested:
+makespan, completion curve, state distribution); they agree bitwise on
+regimens and to ≤1e-9 on cyclic schedules, property-tested:
 
-* :mod:`.sparse` — vectorized CSR/layered-sweep solvers (the default,
+* :mod:`.sparse` — vectorized layered-sweep solvers (the default,
   practical to n ≈ 18–20 for regimens);
 * :mod:`.scalar` — the original per-state dict DP, kept as the golden
   reference behind ``engine="scalar"``; its per-state primitives
   :func:`~.scalar.eligible_bitmask` and
   :func:`~.scalar.transition_distribution` also serve the golden
   per-state Malewicz DP (:mod:`repro.opt.scalar`) and the execution tree;
-* :mod:`.lattice` — the shared vectorized subset-lattice structure.
+* :mod:`.lattice` — the shared vectorized subset-lattice kernels, among
+  them the first-passage kernel of regimens and the Malewicz DP.
 
 Reach them through :func:`repro.evaluate.evaluate` (``mode="exact"``),
 which picks the engine module and opens the ``exact.solve`` span.
@@ -41,7 +42,6 @@ from .lattice import (
     DEFAULT_MAX_STATES,
     StepStructure,
     TransitionBlock,
-    build_regimen_structure,
     build_step_structure,
     check_state_budget,
     eligibility_masks,
@@ -54,7 +54,6 @@ __all__ = [
     "DEFAULT_MAX_STATES",
     "StepStructure",
     "TransitionBlock",
-    "build_regimen_structure",
     "build_step_structure",
     "check_state_budget",
     "eligibility_masks",

@@ -1,28 +1,29 @@
-"""Vectorized subset-lattice structure shared by the sparse exact solvers.
+"""Vectorized subset-lattice kernels shared by the exact solvers.
 
 The Figure-1 Markov chain lives on the lattice of unfinished-job subsets:
 state ``S`` is a bitmask, transitions only *remove* jobs, and the jobs that
 can leave in one step are the *active* ones — eligible (no unfinished
 predecessor) **and** served by a machine with positive success probability.
-This module turns that structure into flat NumPy arrays once, so the
-solvers in :mod:`repro.sim.exact.sparse` can sweep the chain one popcount
-layer at a time without any per-state Python:
+This module turns that structure into flat NumPy arrays, so the solvers in
+:mod:`repro.sim.exact.sparse` and the Malewicz DP sweep the chain one
+popcount layer at a time without any per-state Python:
 
 * :func:`eligibility_masks` — the eligible-set bitmask of every state, as
   one ``(2^n,)`` int64 array, doubled over the highest job (``2^n`` work).
-* :class:`TransitionBlock` — rows with the same *active count* ``k``,
-  stored CSR-style: per row, a state and the ``2^k`` completion subsets
-  ``T`` of its active set as XOR ``targets`` (``S ^ T``) with their
-  product-measure ``weights`` (column 0 is the empty subset — the
-  self-loop), grouped by a row pointer ``ptr``.
+* :func:`first_passage` — the one kernel for ``E[S] = (1 + Σ_{T≠∅} w_T
+  E[S ^ T]) / (1 - w_∅)``, bitwise the scalar engines' value, over rows
+  that are states (a regimen, grouped by :func:`regimen_slots`) or
+  (state, assignment signature) pairs (the Malewicz DP).
+* :class:`TransitionBlock` — an oblivious schedule's rows with the same
+  active count ``k``, stored CSR-style: per row, a state and the ``2^k``
+  completion subsets ``T`` of its active set as XOR ``targets``
+  (``S ^ T``) with their product-measure ``weights`` (column 0 is the
+  empty subset — the self-loop), grouped by a row pointer ``ptr``.
 * :func:`build_step_structure` — an oblivious schedule's blocks, one per
   ``k``, whose rows are (distinct assignment, state) pairs: an assignment
   that many positions repeat is stored once.  Rows come grouped by
   popcount layer (the backward makespan sweep) or by assignment (the
   forward pass).
-* :func:`build_regimen_structure` — the blocks of a per-state assignment
-  table (a regimen; per-state ``q`` via a machine sweep, the "assignment
-  signature" of each state), grouped by layer.
 
 Every kernel costs about the size of what it returns: active-bit
 positions are peeled lowest bit first and the ``2^k`` subset tables
@@ -38,6 +39,7 @@ backward sweep well-founded.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -50,6 +52,7 @@ from ...errors import ExactSolverLimitError
 __all__ = [
     "DEFAULT_MAX_STATES",
     "SUBSET_TABLE_FACTOR",
+    "CHUNK_ENTRIES",
     "check_state_budget",
     "subset_table_entries",
     "popcount_array",
@@ -57,13 +60,14 @@ __all__ = [
     "eligibility_masks",
     "assignment_success",
     "bit_positions",
+    "first_passage",
+    "regimen_slots",
     "TransitionBlock",
     "StepRules",
     "StepStructure",
     "step_rules",
     "regimen_active_sets",
     "build_step_structure",
-    "build_regimen_structure",
 ]
 
 #: Default cap on the number of DP entries an exact solver may allocate
@@ -75,6 +79,13 @@ DEFAULT_MAX_STATES = 1 << 22
 #: The sparse engine's subset tables may hold this many entries per
 #: ``max_states`` DP entry (see :func:`subset_table_entries`).
 SUBSET_TABLE_FACTOR = 8
+
+#: Entry budget of one :func:`first_passage` call's subset tables (its
+#: weights, targets and terms, 16 MiB each); callers chunk their rows to it.
+CHUNK_ENTRIES = 1 << 21
+
+#: A self-loop of at least ``1 - _STAY_EPS`` makes no progress, as in the scalar engines.
+_STAY_EPS = 1e-15
 
 
 def check_state_budget(n: int, width: int, max_states: int) -> None:
@@ -97,25 +108,25 @@ def check_state_budget(n: int, width: int, max_states: int) -> None:
 
 
 def subset_table_entries(counts: np.ndarray) -> int:
-    """Subset-table entries of the blocks built from active counts ``counts``.
+    """Subset-table entries of the rows with active counts ``counts``.
 
-    Each row holds ``2^k`` completion subsets (``k`` = its active-job
-    count, up to ``m``), so a structure is ``Σ 2^k`` entries over its
-    rows — independent of the DP-table size the ``max_states`` guard
-    covers, and the dominant allocation when many jobs are active at
-    once.  ``counts`` has one entry per row: per state for a regimen, per
-    (distinct assignment, state) pair for an oblivious schedule.  The
-    sparse engine allows ``SUBSET_TABLE_FACTOR × max_states`` entries (the
-    same order as the DP table at typical ``m``); its guard and auto
+    Each row has ``2^k`` completion subsets (``k`` = its active-job count,
+    up to ``m``), so a solve works through ``Σ 2^k`` entries — independent
+    of the DP-table size the ``max_states`` guard covers.  ``counts`` has
+    one entry per row: per state for a regimen (whose tables live one
+    chunk at a time, so this prices work), per (distinct assignment,
+    state) pair for an oblivious schedule (whose blocks store them all).
+    The sparse engine allows ``SUBSET_TABLE_FACTOR × max_states`` entries
+    (the same order as the DP table at typical ``m``); its guard and auto
     dispatch's pricing both count with this function.
     """
     return int(np.sum(np.left_shift(np.int64(1), counts)))
 
 
 def _check_subset_budget(counts: np.ndarray, max_states: int) -> None:
-    """Refuse a structure past ``SUBSET_TABLE_FACTOR × max_states`` entries.
+    """Refuse a solve past ``SUBSET_TABLE_FACTOR × max_states`` entries.
 
-    Checked before any block is built.  Past the budget, the scalar
+    Checked before any subset table is built.  Past the budget, the scalar
     engine — whose per-state dicts are transient — is the right tool.
     """
     entries = subset_table_entries(counts)
@@ -208,17 +219,16 @@ class TransitionBlock:
     is always the empty subset: ``targets[:, 0] == states`` and
     ``weights[:, 0]`` is the self-loop (stay) probability.  Rows of
     ``weights`` sum to 1 (a product measure).  Group ``g`` is rows
-    ``ptr[g]:ptr[g + 1]``: a popcount layer for a regimen and for a
-    layer-major :class:`StepStructure`, a distinct assignment for a
-    rule-major one.  ``rules`` gives each row's distinct assignment in a
-    :class:`StepStructure` (``None`` for a regimen).
+    ``ptr[g]:ptr[g + 1]``: a popcount layer for a layer-major
+    :class:`StepStructure`, a distinct assignment for a rule-major one.
+    ``rules`` gives each row's distinct assignment.
     """
 
     states: np.ndarray
     targets: np.ndarray
     weights: np.ndarray
     ptr: np.ndarray
-    rules: np.ndarray | None = None
+    rules: np.ndarray
 
     @property
     def k(self) -> int:
@@ -283,6 +293,54 @@ def bit_positions(act: np.ndarray, k: int) -> np.ndarray:
         out[:, b] = popcount_array(low - 1)
         rest ^= low
     return out
+
+
+@functools.cache
+def _sum_order(slots: int) -> np.ndarray:
+    """Subset columns in the order the scalar engines add their terms.
+
+    Column ``t`` completes slot ``s`` iff bit ``s`` of ``t`` is set.  The
+    scalar transition dict lists subsets with slot 0 as the leading digit,
+    "completes" before "stays"; column 0 (nothing completes, the
+    self-loop) comes last there and is not summed.
+    """
+    pos = np.arange((1 << slots) - 1)
+    order = np.zeros_like(pos)
+    for s in range(slots):
+        order |= ((~pos >> (slots - 1 - s)) & 1) << s
+    order.setflags(write=False)  # one cached array serves every caller
+    return order
+
+
+def first_passage(
+    states: np.ndarray, q: np.ndarray, bits: np.ndarray, expect: np.ndarray
+) -> np.ndarray:
+    """``E[S] = (1 + Σ_{T≠∅} w_T E[S ^ T]) / (1 - w_∅)`` per row; ``inf`` if stuck.
+
+    Row ``r`` is state ``states[r]`` (broadcast to ``q.shape[1:]``), whose
+    slot ``s`` completes with probability ``q[s, r]`` and clears bit
+    ``bits[s, r]`` (0 for a padding slot, which has ``q = 0``); ``expect``
+    holds every lower layer.  These are the scalar engines' operations in
+    their order (weights multiply slot factors in slot order, terms add in
+    :func:`_sum_order`), so each value is theirs bit for bit.
+    """
+    slots, shape = q.shape[0], q.shape[1:]
+    w = np.empty((1 << slots, *shape), dtype=np.float64)
+    targets = np.empty((1 << slots, *shape), dtype=np.int64)
+    w[0], targets[0] = 1.0, states
+    for s in range(slots):
+        c = 1 << s
+        np.multiply(w[:c], q[s], out=w[c : 2 * c])
+        w[:c] *= 1.0 - q[s]
+        np.bitwise_xor(targets[:c], bits[s], out=targets[c : 2 * c])
+    terms = expect[targets]
+    terms *= w
+    acc = np.ones(shape, dtype=np.float64)
+    for t in _sum_order(slots):
+        acc += terms[t]
+    stay = w[0]
+    moves = stay < 1.0 - _STAY_EPS
+    return np.where(moves, acc / np.where(moves, 1.0 - stay, 1.0), np.inf)
 
 
 def popcount_order(pc: np.ndarray) -> np.ndarray:
@@ -426,23 +484,22 @@ def _machine_factors(instance: SUUInstance) -> tuple[np.ndarray, np.ndarray]:
     return jobbit, fail
 
 
-def build_regimen_structure(
+def regimen_slots(
     instance: SUUInstance,
     table: np.ndarray,
     elig: np.ndarray,
     pc: np.ndarray,
     max_states: int = DEFAULT_MAX_STATES,
-) -> list[TransitionBlock]:
-    """Transition blocks for a per-state assignment table (a regimen).
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """A regimen's ``(states, q, bits, ptr)`` per active count ``k``.
 
     ``table`` is a regimen's dense ``(2^n, m)`` table (row ``S`` is the
-    assignment in state ``S``; row 0 is ignored).  Unlike the oblivious
-    case there is no shared ``q`` vector, so per-state success
-    probabilities are accumulated machine by machine: machine ``i``
-    multiplies ``1 - p[i, j]`` into the failure product of the active bit
-    it points at, found by its rank among the state's active bits (the
-    popcount of the lower ones).  Rows are states in popcount order and
-    ``ptr`` points at popcount layers.
+    assignment in state ``S``; row 0 is ignored).  ``states`` are in
+    popcount order with ``ptr`` over the layers, and ``q``/``bits`` are the
+    ``(k, R)`` :func:`first_passage` slots: each state's active jobs,
+    ascending.  Machine ``i`` multiplies ``1 - p[i, j]`` into the failure
+    product of the active bit it points at, found by its rank among the
+    state's active bits (the popcount of the lower ones).
     """
     n, m = instance.n, instance.m
     jobbit, fail = _machine_factors(instance)
@@ -451,20 +508,20 @@ def build_regimen_structure(
     _check_subset_budget(karr, max_states)
     order = popcount_order(pc)
     korder = karr[order]
-    blocks = []
+    classes = []
     for k in np.flatnonzero(np.bincount(karr)):
         k = int(k)
         sel = order[korder == k]
         act_sel = act[sel]
-        bits = bit_positions(act_sel, k)
         rows = np.arange(sel.size)
         # A machine on no active job has hit = 0, so its rank (the
-        # popcount of act & -1) is k: the spare column k absorbs it.
-        failb = np.ones((sel.size, k + 1), dtype=np.float64)
+        # popcount of act & -1) is k: the spare row k absorbs it.
+        failb = np.ones((k + 1, sel.size), dtype=np.float64)
         for i in range(m):
             j = table[sel, i]
             hit = act_sel & jobbit[i, j]
-            failb[rows, popcount_array(act_sel & (hit - 1))] *= fail[i, j]
+            failb[popcount_array(act_sel & (hit - 1)), rows] *= fail[i, j]
+        bits = np.left_shift(np.int64(1), bit_positions(act_sel, k).T)
         layer_ptr = np.searchsorted(pc[sel], np.arange(n + 2))
-        blocks.append(_make_block(sel, bits, 1.0 - failb[:, :k], layer_ptr))
-    return blocks
+        classes.append((sel, 1.0 - failb[:k], bits, layer_ptr))
+    return classes

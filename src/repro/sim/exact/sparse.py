@@ -2,21 +2,17 @@
 
 Same math as :mod:`repro.sim.exact.scalar` — the Figure-1 DP over the
 subset lattice with closed-form self-loops and rho-shaped cycle solving —
-but executed as NumPy sweeps over the CSR-style
-:class:`~repro.sim.exact.lattice.TransitionBlock` structure instead of
-per-state Python dict loops:
+but executed as NumPy sweeps instead of per-state Python dict loops.
+States are processed one popcount layer at a time: every XOR target of a
+nonempty completion subset lies in a strictly lower layer, so a gather
+``E[S ^ T]`` reads only finished values.
 
-1. the lattice structure (eligibility, active sets, completion-subset
-   targets and weights) is built **once** per distinct assignment rule;
-2. states are processed one popcount layer at a time — every XOR target
-   of a nonempty completion subset lies in a strictly lower layer, so a
-   single gather ``E[S ^ T]`` reads only finished values;
-3. within a layer, each block solves all its rows with one fused
-   gather → weighted-sum → divide (regimen), or one gather → weighted sum
-   over every (state, schedule position) pair of the layer followed by the
-   rho closed form (cyclic), with no per-state Python at all.
-
-A cyclic schedule's blocks stack the rows of every distinct assignment
+A regimen stores no subset tables: each (popcount layer, active count)
+group goes, in chunks, through :func:`~repro.sim.exact.lattice.first_passage`,
+the kernel the Malewicz DP uses too, which adds the terms in the scalar
+engine's order.  A cyclic schedule's
+:class:`~repro.sim.exact.lattice.TransitionBlock` blocks are built once per
+solve and stack the rows of every distinct assignment
 (:func:`~repro.sim.exact.lattice.build_step_structure`); positions that
 repeat an assignment are expanded by an index built once per solve, and
 the gathers read the ``(positions × 2^n)`` DP table through flat indices.
@@ -29,11 +25,11 @@ The forward solver (:func:`state_distribution`) reads the same blocks in
 assignment-major row order and scatters each step with ``np.bincount``
 over the XOR targets.
 
-Agreement with the scalar golden reference to ≤1e-9 is property-tested
-across all workload families in ``tests/sim/test_exact_engines_equiv.py``,
-which also holds the cyclic solvers bitwise to the per-position sweep they
-replaced; the measured speedup is recorded by
-``benchmarks/bench_perf_exact_markov.py``.
+Agreement with the scalar golden reference (bitwise for regimens, ≤1e-9
+for cyclic schedules) is property-tested across all workload families in
+``tests/sim/test_exact_engines_equiv.py``, which also holds the cyclic
+solvers bitwise to the per-position sweep they replaced; the measured
+speedup is recorded by ``benchmarks/bench_perf_exact_markov.py``.
 """
 
 from __future__ import annotations
@@ -48,14 +44,17 @@ from ...core.instance import SUUInstance
 from ...core.schedule import CyclicSchedule, Regimen
 from ...errors import ScheduleError
 from .lattice import (
+    _STAY_EPS,
+    CHUNK_ENTRIES,
     DEFAULT_MAX_STATES,
     StepStructure,
-    build_regimen_structure,
     build_step_structure,
     check_state_budget,
     eligibility_masks,
+    first_passage,
     popcount_array,
     popcount_order,
+    regimen_slots,
 )
 
 __all__ = [
@@ -64,10 +63,6 @@ __all__ = [
     "state_distribution",
     "exact_completion_curve",
 ]
-
-#: Self-loop probabilities at or above this are treated as "no progress",
-#: matching the scalar engine's threshold.
-_STAY_EPS = 1e-15
 
 #: Most subset-table entries one cyclic-sweep gather reads at once.  A
 #: block's rows expand by the positions of their assignment, so a long
@@ -98,11 +93,12 @@ def expected_makespan_regimen(
 ) -> float:
     """Exact expected makespan of ``regimen``, vectorized per layer.
 
-    Reads the regimen's dense table directly.  For every state block,
-    ``E[S] = (1 + Σ_{T≠∅} w_T E[S ^ T]) / (1 - w_∅)`` is evaluated as one
-    gather + einsum over the block's subset table.  Raises
-    :class:`ScheduleError` when some state has no assignment or makes no
-    progress (infinite expectation), like the scalar engine.
+    Reads the regimen's dense table directly and solves every (popcount
+    layer, active count) group through
+    :func:`~repro.sim.exact.lattice.first_passage`, so each value is the
+    scalar engine's bit for bit.  Raises :class:`ScheduleError` when some
+    state has no assignment or makes no progress (infinite expectation),
+    naming the state the scalar engine names: the first in popcount order.
     """
     n = instance.n
     check_state_budget(n, 1, max_states)
@@ -114,27 +110,24 @@ def expected_makespan_regimen(
     with obs.span("exact.lattice.build", states=size, op="regimen"):
         elig = eligibility_masks(instance)
         pc = popcount_array(np.arange(size, dtype=np.int64))
-        blocks = build_regimen_structure(
-            instance, table, elig, pc, max_states=max_states
-        )
-    with obs.span("exact.layer_sweep", layers=n, blocks=len(blocks), op="regimen"):
+        classes = regimen_slots(instance, table, elig, pc, max_states=max_states)
+    with obs.span("exact.layer_sweep", layers=n, blocks=len(classes), op="regimen"):
         expect = np.zeros(size, dtype=np.float64)
         for c in range(1, n + 1):
-            for block in blocks:
-                sel, targets, weights = block.rows(c)
-                if sel.size == 0:
-                    continue
-                stay = weights[:, 0]
-                blocked = stay >= 1.0 - _STAY_EPS
-                if np.any(blocked):
-                    bad = int(sel[int(np.argmax(blocked))])
-                    raise ScheduleError(
-                        f"regimen makes no progress from state "
-                        f"{iterable_from_bitmask(bad)}; expected makespan is infinite"
-                    )
-                succ = expect[targets[:, 1:]]
-                acc = 1.0 + np.einsum("gt,gt->g", weights[:, 1:], succ)
-                expect[sel] = acc / (1.0 - stay)
+            stuck = size
+            for states, q, bits, ptr in classes:
+                step = max(CHUNK_ENTRIES >> q.shape[0], 1)
+                for lo in range(ptr[c], ptr[c + 1], step):
+                    rows = slice(lo, min(lo + step, ptr[c + 1]))
+                    sel = states[rows]
+                    e = expect[sel] = first_passage(sel, q[:, rows], bits[:, rows], expect)
+                    if np.isinf(e).any():
+                        stuck = min(stuck, int(sel[np.argmax(np.isinf(e))]))
+            if stuck < size:
+                raise ScheduleError(
+                    f"regimen makes no progress from state "
+                    f"{iterable_from_bitmask(stuck)}; expected makespan is infinite"
+                )
     return float(expect[size - 1])
 
 

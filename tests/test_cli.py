@@ -27,6 +27,14 @@ class TestParser:
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
 
+    def test_simulate_is_gone(self, capsys):
+        # Per-solver numbers are `suu portfolio FILE --solver ...`; the
+        # baselines table is `suu demo`.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["simulate", "inst.json"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'simulate'" in capsys.readouterr().err
+
 
 class TestGenerate:
     def test_writes_file(self, tmp_path, capsys):
@@ -75,26 +83,6 @@ class TestInfoSolveSimulate:
         assert main(["solve", str(instance_file), "--save", str(target)]) == 0
         data = json.loads(target.read_text())
         assert data["kind"] == "cyclic"
-
-    def test_simulate_table(self, instance_file, capsys):
-        assert (
-            main(
-                [
-                    "simulate",
-                    str(instance_file),
-                    "--reps",
-                    "20",
-                    "--method",
-                    "serial",
-                    "--seed",
-                    "1",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "E[makespan]" in out
-        assert "serial" in out
 
 
 class TestExact:
@@ -263,6 +251,39 @@ class TestReproErrorsInOneLine:
         assert main(["solve", str(inst), "--method", "chains"]) == 2
         err = self._one_line_error("solve", capsys)
         assert "requires a disjoint-chains DAG" in err
+
+    @pytest.mark.parametrize(
+        "command,text",
+        [
+            ("info", "not json {"),
+            ("solve", None),
+            ("info", "[1, 2]"),
+            ("info", '{"p": [[0.5]]}'),
+        ],
+        ids=["info-not-json", "solve-missing", "info-array", "info-no-dag"],
+    )
+    def test_unreadable_instance_file(self, command, text, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        if text is not None:
+            path.write_text(text)
+        assert main([command, str(path)]) == 2
+        err = self._one_line_error(command, capsys)
+        assert f"cannot read instance {path}" in err
+
+    @pytest.mark.parametrize(
+        "command,text",
+        [("evaluate", "not json {"), ("gantt", None), ("evaluate", "[]")],
+        ids=["evaluate-not-json", "gantt-missing", "evaluate-array"],
+    )
+    def test_unreadable_schedule_file(self, command, text, tmp_path, capsys):
+        inst = self._instance(tmp_path, "chains")
+        path = tmp_path / "sched.json"
+        if text is not None:
+            path.write_text(text)
+        capsys.readouterr()
+        assert main([command, str(inst), "--schedule", str(path)]) == 2
+        err = self._one_line_error(command, capsys)
+        assert f"cannot read schedule {path}" in err
 
 
 class TestGantt:

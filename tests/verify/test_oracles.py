@@ -95,6 +95,18 @@ class TestPlantedBugs:
         out = check_case(spec_for("exact_regimen", n=2), cfg=FAST)
         assert any(d.check in ("markov", "opt") for d in out)
 
+    def test_reordered_regimen_sum_is_caught(self, monkeypatch):
+        """Summing the first-passage terms out of the scalar engine's order
+        must trip the markov oracle's bitwise regimen comparison."""
+        from repro.sim.exact import lattice
+
+        spec = spec_for("exact_regimen", n=5, instance_seed=12)
+        assert check_case(spec, cfg=FAST, only="markov") == []
+        real = lattice._sum_order
+        monkeypatch.setattr(lattice, "_sum_order", lambda slots: real(slots)[::-1])
+        out = check_case(spec, cfg=FAST, only="markov")
+        assert any(d.check == "markov" and "scalar golden" in d.message for d in out)
+
     def test_broken_curve_is_caught(self, monkeypatch):
         """A curve that is not the samples' CDF must trip the curve oracle."""
         from repro.evaluate import facade
