@@ -38,7 +38,7 @@ from repro import obs
 from repro.analysis import Table
 from repro.experiments import ExperimentSpec, run_suite
 from repro.experiments.suites import A3_REGIMES
-from repro.parallel import ProcessExecutor, default_workers
+from repro.parallel import ProcessExecutor, default_workers, make_shard_plan
 from repro.parallel.worker import _clear_worker_caches
 
 REPS = int(os.environ.get("REPRO_PERF_PARALLEL_REPS", "1000"))
@@ -205,8 +205,11 @@ def test_perf_parallel_scaling(benchmark, recorder):
         f"{slowest['shard']} at {slowest['wall_ms']:.1f} ms; counters: "
         f"{breakdown['counters']}"
     )
-    recorder.claim("telemetry_covers_every_shard", n_shards >= 16)
-    assert n_shards >= 16, "traced run lost shard spans in the merge"
+    planned = sum(len(make_shard_plan(s.reps, s.sim_seed).shards) for s in _suite())
+    recorder.claim("telemetry_covers_every_shard", n_shards == planned)
+    assert n_shards == planned, (
+        f"traced run has {n_shards} shard spans, the plan {planned}"
+    )
 
     if cores >= 4:
         recorder.claim(

@@ -742,7 +742,7 @@ def _cmd_lint(args) -> int:
 def _cmd_trace(args) -> int:
     from .obs import render_summary, summarize_trace
 
-    print(render_summary(summarize_trace(_read_json(args.input, "trace"))))
+    print(render_summary(summarize_trace(_read_json(args.input, "trace", "traceEvents"))))
     return 0
 
 

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .._util import bitmask_from_iterable, iterable_from_bitmask
-from ..errors import CycleError, ValidationError
+from ..errors import CycleError, ValidationError, payload_errors
 
 __all__ = ["DagClass", "PrecedenceDAG"]
 
@@ -479,4 +479,5 @@ class PrecedenceDAG:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PrecedenceDAG":
-        return cls(int(data["n"]), [tuple(e) for e in data["edges"]])
+        with payload_errors("DAG"):
+            return cls(int(data["n"]), [tuple(e) for e in data["edges"]])

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .._util import check_prob_matrix
-from ..errors import ValidationError
+from ..errors import ValidationError, payload_errors
 from .dag import DagClass, PrecedenceDAG
 
 __all__ = ["SUUInstance"]
@@ -147,11 +147,12 @@ class SUUInstance:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SUUInstance":
-        return cls(
-            np.asarray(data["p"], dtype=np.float64),
-            PrecedenceDAG.from_dict(data["dag"]),
-            name=data.get("name", ""),
-        )
+        with payload_errors("instance"):
+            return cls(
+                np.asarray(data["p"], dtype=np.float64),
+                PrecedenceDAG.from_dict(data["dag"]),
+                name=data.get("name", ""),
+            )
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())

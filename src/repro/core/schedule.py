@@ -31,7 +31,7 @@ from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
-from ..errors import ExactSolverLimitError, ScheduleError, ValidationError
+from ..errors import ExactSolverLimitError, ScheduleError, ValidationError, payload_errors
 from . import mass as mass_mod
 from .instance import SUUInstance
 
@@ -98,10 +98,6 @@ class ObliviousSchedule:
     def idle(cls, length: int, m: int) -> "ObliviousSchedule":
         """``length`` steps of every machine idling."""
         return cls(np.full((length, m), IDLE, dtype=np.int32))
-
-    @classmethod
-    def single_step(cls, assignment: np.ndarray) -> "ObliviousSchedule":
-        return cls(np.asarray(assignment, dtype=np.int32)[None, :])
 
     @classmethod
     def from_machine_sequences(
@@ -266,7 +262,8 @@ class ObliviousSchedule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ObliviousSchedule":
-        return cls(np.asarray(data["table"], dtype=np.int32))
+        with payload_errors("oblivious schedule"):
+            return cls(np.asarray(data["table"], dtype=np.int32))
 
 
 class CyclicSchedule:
@@ -341,14 +338,15 @@ class CyclicSchedule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CyclicSchedule":
-        m = len(data["cycle"][0]) if data["cycle"] else 0
-        prefix_tab = np.asarray(data["prefix"], dtype=np.int32)
-        if prefix_tab.size == 0:
-            prefix_tab = prefix_tab.reshape(0, m)
-        return cls(
-            ObliviousSchedule(prefix_tab),
-            ObliviousSchedule(np.asarray(data["cycle"], dtype=np.int32)),
-        )
+        with payload_errors("cyclic schedule"):
+            m = len(data["cycle"][0]) if data["cycle"] else 0
+            prefix_tab = np.asarray(data["prefix"], dtype=np.int32)
+            if prefix_tab.size == 0:
+                prefix_tab = prefix_tab.reshape(0, m)
+            return cls(
+                ObliviousSchedule(prefix_tab),
+                ObliviousSchedule(np.asarray(data["cycle"], dtype=np.int32)),
+            )
 
 
 # ----------------------------------------------------------------------
@@ -566,9 +564,6 @@ class JobWindow:
     def end(self) -> int:
         """One past the last step of the window."""
         return self.start + self.length
-
-    def total_units(self) -> int:
-        return sum(u for _, u in self.machine_units)
 
     def shifted(self, delay: int) -> "JobWindow":
         return JobWindow(self.job, self.start + delay, self.length, self.machine_units)

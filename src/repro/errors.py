@@ -6,6 +6,9 @@ All exceptions raised deliberately by this library derive from
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import Iterator
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` package."""
@@ -17,6 +20,19 @@ class ValidationError(ReproError, ValueError):
 
 class CycleError(ValidationError):
     """A precedence graph contains a directed cycle."""
+
+
+@contextmanager
+def payload_errors(what: str) -> Iterator[None]:
+    """Raise a ``from_dict`` decoder's lookup or conversion error on a
+    malformed ``what`` payload as one :class:`ValidationError`; a
+    :class:`ReproError` from the constructor passes unchanged."""
+    try:
+        yield
+    except ReproError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ValidationError(f"bad {what} payload: {type(exc).__name__}: {exc}") from None
 
 
 class ScheduleError(ReproError):

@@ -36,7 +36,9 @@ __all__ = [
 #: v3: the payload lost the ``workers`` / ``executor`` / ``shards`` keys.
 #: v4: exact regimen values are summed in the scalar engine's order (one
 #: first-passage kernel with the Malewicz DP), which moves their last bits.
-REQUEST_HASH_VERSION = 4
+#: v5: exact cyclic values are summed in the scalar engine's order too,
+#: which moves their last bits.
+REQUEST_HASH_VERSION = 5
 
 #: Metrics a request may ask for.  ``state_distribution`` is exact-only.
 METRICS = ("makespan", "completion_curve", "state_distribution")
@@ -114,7 +116,7 @@ class EvaluationRequest:
         whichever route is chosen; ``mode`` alone picks the route.
     max_states:
         Exact-solver guard on the full DP allocation (default
-        ``repro.sim.exact.DEFAULT_MAX_STATES``); in auto mode it is also
+        ``repro.sim.exact.lattice.DEFAULT_MAX_STATES``); in auto mode it is also
         the exact-vs-MC dispatch threshold.
     keep_samples / require_finished:
         Passed through to the estimator: retain the per-replication

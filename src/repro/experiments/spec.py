@@ -33,7 +33,9 @@ __all__ = ["ExperimentSpec", "SPEC_VERSION", "EVALUATION_KEYS"]
 #: consumes the stream differently and changes those numbers.
 #: v5: exact regimen values are summed in the scalar engine's order (one
 #: first-passage kernel with the Malewicz DP), which moves their last bits.
-SPEC_VERSION = 5
+#: v6: exact cyclic values are summed in the scalar engine's order too,
+#: which moves their last bits.
+SPEC_VERSION = 6
 
 #: Keys the ``evaluation:`` block accepts.  ``mode`` selects the runner
 #: route ("mc" — the sharded default — or "exact", one front-door call);

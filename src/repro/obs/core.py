@@ -272,9 +272,6 @@ class Span:
             "children": [c.to_dict() for c in self.children],
         }
 
-    def total_child_ns(self) -> int:
-        return sum(c.dur_ns or 0 for c in self.children)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         dur = f"{self.dur_ns / 1e6:.3f}ms" if self.closed else "open"
         return f"Span({self.name!r}, {dur}, children={len(self.children)})"

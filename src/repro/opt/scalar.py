@@ -5,8 +5,9 @@ The original pure-Python implementation of
 executable specification of the vectorized DP: one state at a time, one
 assignment at a time, one transition dict per assignment.  Easy to audit
 against the first-passage equation, slow past n ≈ 8.  The vectorized DP
-is held to it — equal values and identical regimen tables — by
-``tests/opt/test_malewicz_equiv.py`` and the fuzzer's ``opt`` oracle.
+is held to it — values equal bit for bit (``==``) and identical regimen
+tables — by ``tests/opt/test_malewicz_equiv.py`` and the fuzzer's
+``opt`` oracle.
 """
 
 from __future__ import annotations

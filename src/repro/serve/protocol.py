@@ -80,10 +80,7 @@ def _decode_evaluate_body(body: bytes):
     missing = {"instance", "schedule"} - set(payload)
     if missing:
         raise ValidationError(f"request body is missing {sorted(missing)}")
-    try:
-        instance = SUUInstance.from_dict(payload["instance"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"bad instance payload: {exc}") from None
+    instance = SUUInstance.from_dict(payload["instance"])
     schedule = decode_schedule(payload["schedule"])
     req_kwargs = payload.get("request") or {}
     if not isinstance(req_kwargs, dict):

@@ -21,8 +21,8 @@ the **full** DP allocation ``2^n × width`` (``width`` = schedule positions
 or horizon steps), not just the subset count.
 
 Two engines implement the same four solvers (regimen and cyclic
-makespan, completion curve, state distribution); they agree bitwise on
-regimens and to ≤1e-9 on cyclic schedules, property-tested:
+makespan, completion curve, state distribution); their makespans agree
+bit for bit, property-tested:
 
 * :mod:`.sparse` — vectorized layered-sweep solvers (the default,
   practical to n ≈ 18–20 for regimens);
@@ -31,34 +31,14 @@ regimens and to ≤1e-9 on cyclic schedules, property-tested:
   :func:`~.scalar.eligible_bitmask` and
   :func:`~.scalar.transition_distribution` also serve the golden
   per-state Malewicz DP (:mod:`repro.opt.scalar`) and the execution tree;
-* :mod:`.lattice` — the shared vectorized subset-lattice kernels, among
-  them the first-passage kernel of regimens and the Malewicz DP.
+* :mod:`.lattice` — the shared vectorized subset-lattice kernels: one
+  subset-table builder and one ordered sum, which every sparse solver
+  and the Malewicz DP use.
 
 Reach them through :func:`repro.evaluate.evaluate` (``mode="exact"``),
 which picks the engine module and opens the ``exact.solve`` span.
 """
 
-from .lattice import (
-    DEFAULT_MAX_STATES,
-    StepStructure,
-    TransitionBlock,
-    build_step_structure,
-    check_state_budget,
-    eligibility_masks,
-    popcount_array,
-    subset_table_entries,
-)
 from . import scalar, sparse
 
-__all__ = [
-    "DEFAULT_MAX_STATES",
-    "StepStructure",
-    "TransitionBlock",
-    "build_step_structure",
-    "check_state_budget",
-    "eligibility_masks",
-    "popcount_array",
-    "scalar",
-    "sparse",
-    "subset_table_entries",
-]
+__all__ = ["scalar", "sparse"]

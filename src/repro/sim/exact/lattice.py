@@ -10,15 +10,20 @@ popcount layer at a time without any per-state Python:
 
 * :func:`eligibility_masks` — the eligible-set bitmask of every state, as
   one ``(2^n,)`` int64 array, doubled over the highest job (``2^n`` work).
-* :func:`first_passage` — the one kernel for ``E[S] = (1 + Σ_{T≠∅} w_T
-  E[S ^ T]) / (1 - w_∅)``, bitwise the scalar engines' value, over rows
-  that are states (a regimen, grouped by :func:`regimen_slots`) or
-  (state, assignment signature) pairs (the Malewicz DP).
+* :func:`subset_tables` — the one builder of subset tables: per row, the
+  ``2^k`` completion subsets ``T`` of its active set as XOR ``targets``
+  (``S ^ T``) with their product-measure ``weights``, subset-major, row 0
+  the empty subset (the self-loop).
+* :func:`ordered_sum` — the one way subset terms are added: ``1 +
+  Σ_{T≠∅}`` in the order of the scalar engines' transition dicts, so
+  every exact makespan is theirs bit for bit.
+* :func:`first_passage` — ``E[S] = (1 + Σ_{T≠∅} w_T E[S ^ T]) / (1 -
+  w_∅)`` through those two, over rows that are states (a regimen, grouped
+  by :func:`regimen_slots`) or (state, assignment signature) pairs (the
+  Malewicz DP).
 * :class:`TransitionBlock` — an oblivious schedule's rows with the same
-  active count ``k``, stored CSR-style: per row, a state and the ``2^k``
-  completion subsets ``T`` of its active set as XOR ``targets``
-  (``S ^ T``) with their product-measure ``weights`` (column 0 is the
-  empty subset — the self-loop), grouped by a row pointer ``ptr``.
+  active count ``k``: their states and ``(2^k, R)`` subset tables, grouped
+  by a row pointer ``ptr``.
 * :func:`build_step_structure` — an oblivious schedule's blocks, one per
   ``k``, whose rows are (distinct assignment, state) pairs: an assignment
   that many positions repeat is stored once.  Rows come grouped by
@@ -60,6 +65,8 @@ __all__ = [
     "eligibility_masks",
     "assignment_success",
     "bit_positions",
+    "subset_tables",
+    "ordered_sum",
     "first_passage",
     "regimen_slots",
     "TransitionBlock",
@@ -139,23 +146,9 @@ def _check_subset_budget(counts: np.ndarray, max_states: int) -> None:
         )
 
 
-_POPCOUNT_LUT: np.ndarray | None = None
-
-
 def popcount_array(x: np.ndarray) -> np.ndarray:
     """Per-element popcount of an int64 array."""
-    x = np.asarray(x, dtype=np.int64)
-    if hasattr(np, "bitwise_count"):  # NumPy >= 2.0
-        return np.bitwise_count(x).astype(np.int64)
-    global _POPCOUNT_LUT  # pragma: no cover - NumPy < 2.0 fallback
-    if _POPCOUNT_LUT is None:  # pragma: no cover
-        _POPCOUNT_LUT = np.array(
-            [bin(i).count("1") for i in range(1 << 16)], dtype=np.int64
-        )
-    out = np.zeros_like(x)  # pragma: no cover
-    for shift in (0, 16, 32, 48):  # pragma: no cover
-        out += _POPCOUNT_LUT[(x >> shift) & 0xFFFF]
-    return out  # pragma: no cover
+    return np.bitwise_count(np.asarray(x, dtype=np.int64)).astype(np.int64)
 
 
 def eligibility_masks(instance: SUUInstance) -> np.ndarray:
@@ -213,13 +206,13 @@ def assignment_success(
 class TransitionBlock:
     """Rows with the same active count ``k``, grouped by a row pointer.
 
-    Row ``r`` is one state ``states[r]`` under one step rule; the columns
-    of ``targets``/``weights`` enumerate the ``2^k`` completion subsets
-    ``T`` of its active set, ``targets[r, t] = states[r] ^ T``.  Column 0
-    is always the empty subset: ``targets[:, 0] == states`` and
-    ``weights[:, 0]`` is the self-loop (stay) probability.  Rows of
-    ``weights`` sum to 1 (a product measure).  Group ``g`` is rows
-    ``ptr[g]:ptr[g + 1]``: a popcount layer for a layer-major
+    Row ``r`` is one state ``states[r]`` under one step rule; the
+    subset-major ``(2^k, R)`` tables of :func:`subset_tables` enumerate
+    the completion subsets ``T`` of its active set, ``targets[t, r] =
+    states[r] ^ T``.  Subset 0 is always the empty one: ``targets[0] ==
+    states`` and ``weights[0]`` is the self-loop (stay) probability.
+    Columns of ``weights`` sum to 1 (a product measure).  Group ``g`` is
+    rows ``ptr[g]:ptr[g + 1]``: a popcount layer for a layer-major
     :class:`StepStructure`, a distinct assignment for a rule-major one.
     ``rules`` gives each row's distinct assignment.
     """
@@ -232,13 +225,8 @@ class TransitionBlock:
 
     @property
     def k(self) -> int:
-        """Active jobs per row (``targets`` has ``2^k`` columns)."""
-        return int(self.targets.shape[1]).bit_length() - 1
-
-    def rows(self, g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The block's ``(states, targets, weights)`` for group ``g`` (may be empty)."""
-        lo, hi = self.ptr[g], self.ptr[g + 1]
-        return self.states[lo:hi], self.targets[lo:hi], self.weights[lo:hi]
+        """Active jobs per row (``targets`` has ``2^k`` rows)."""
+        return int(self.targets.shape[0]).bit_length() - 1
 
 
 def _make_block(
@@ -246,36 +234,12 @@ def _make_block(
     bits: np.ndarray,
     qbits: np.ndarray,
     ptr: np.ndarray,
-    rules: np.ndarray | None = None,
+    rules: np.ndarray,
 ) -> TransitionBlock:
-    """Assemble one block from its rows' states, their active-bit
-    positions and the bits' success probabilities.
-
-    The subset tables double bit by bit, as the Malewicz DP's do: subset
-    ``t`` completes active bit ``b`` iff bit ``b`` of ``t`` is set, so the
-    first ``2^b`` subsets give the next ``2^b`` by clearing bit ``b``, and
-    each weight multiplies its bit factors (``q`` or ``1 - q``) in bit
-    order starting from 1.0.  Each table is doubled subset-major, then
-    transposed once into the stored ``(R, 2^k)`` layout, the one the
-    sweeps' ``einsum`` sums in; the targets are transposed before the
-    weights are doubled, so at most three tables are alive at once.
-    """
-    k = bits.shape[1]
-    targets = np.empty((1 << k, states.size), dtype=np.int64)
-    targets[0] = states
-    for b in range(k):
-        c = 1 << b
-        np.bitwise_xor(
-            targets[:c], np.left_shift(np.int64(1), bits[:, b]), out=targets[c : 2 * c]
-        )
-    targets = np.ascontiguousarray(targets.T)
-    weights = np.empty((1 << k, states.size), dtype=np.float64)
-    weights[0] = 1.0
-    for b in range(k):
-        c = 1 << b
-        np.multiply(weights[:c], qbits[:, b], out=weights[c : 2 * c])
-        weights[:c] *= 1.0 - qbits[:, b]
-    weights = np.ascontiguousarray(weights.T)
+    """One block from its rows' states, their ``(R, k)`` active-bit
+    positions and the bits' success probabilities: each active bit is a
+    :func:`subset_tables` slot."""
+    weights, targets = subset_tables(states, qbits.T, np.left_shift(np.int64(1), bits.T))
     return TransitionBlock(states, targets, weights, ptr, rules)
 
 
@@ -297,19 +261,61 @@ def bit_positions(act: np.ndarray, k: int) -> np.ndarray:
 
 @functools.cache
 def _sum_order(slots: int) -> np.ndarray:
-    """Subset columns in the order the scalar engines add their terms.
+    """Rows of a nonempty-subset table in the order the scalar engines add them.
 
-    Column ``t`` completes slot ``s`` iff bit ``s`` of ``t`` is set.  The
-    scalar transition dict lists subsets with slot 0 as the leading digit,
-    "completes" before "stays"; column 0 (nothing completes, the
-    self-loop) comes last there and is not summed.
+    Row ``t - 1`` holds subset ``t``, which completes slot ``s`` iff bit
+    ``s`` of ``t`` is set.  The scalar transition dict lists subsets with
+    slot 0 as the leading digit, "completes" before "stays"; the empty
+    subset (the self-loop) comes last there and is not summed.
     """
     pos = np.arange((1 << slots) - 1)
     order = np.zeros_like(pos)
     for s in range(slots):
         order |= ((~pos >> (slots - 1 - s)) & 1) << s
+    order -= 1
     order.setflags(write=False)  # one cached array serves every caller
     return order
+
+
+def subset_tables(
+    states: np.ndarray, q: np.ndarray, bits: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(weights, targets)`` of every row's ``2^slots`` completion subsets.
+
+    Row ``r`` is state ``states[r]`` (broadcast to ``q.shape[1:]``), whose
+    slot ``s`` completes with probability ``q[s, r]`` and clears bit
+    ``bits[s, r]`` (0 for a padding slot, which has ``q = 0``).  Both
+    tables are subset-major, ``(2^slots, *q.shape[1:])``: subset ``t``
+    completes slot ``s`` iff bit ``s`` of ``t`` is set, so they double slot
+    by slot — the first ``2^s`` subsets give the next ``2^s`` — and each
+    weight multiplies its slot factors (``q`` or ``1 - q``) in slot order
+    starting from 1.0, as the scalar engines do.  Subset 0 is the
+    self-loop: ``targets[0]`` is the state and ``weights[0]`` the stay
+    probability.
+    """
+    slots, shape = q.shape[0], q.shape[1:]
+    weights = np.empty((1 << slots, *shape), dtype=np.float64)
+    targets = np.empty((1 << slots, *shape), dtype=np.int64)
+    weights[0], targets[0] = 1.0, states
+    for s in range(slots):
+        c = 1 << s
+        np.multiply(weights[:c], q[s], out=weights[c : 2 * c])
+        weights[:c] *= 1.0 - q[s]
+        np.bitwise_xor(targets[:c], bits[s], out=targets[c : 2 * c])
+    return weights, targets
+
+
+def ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """``1 + Σ_{T≠∅} terms[T]``, added in the scalar engines' order.
+
+    ``terms`` holds the nonempty subsets only: row ``t - 1`` is subset
+    ``t`` of a :func:`subset_tables` table.  Every vectorized exact solver
+    adds its subset terms here, so each sum is the scalar one bit for bit.
+    """
+    acc = np.ones(terms.shape[1:], dtype=np.float64)
+    for t in _sum_order((terms.shape[0] + 1).bit_length() - 1):
+        acc += terms[t]
+    return acc
 
 
 def first_passage(
@@ -317,27 +323,14 @@ def first_passage(
 ) -> np.ndarray:
     """``E[S] = (1 + Σ_{T≠∅} w_T E[S ^ T]) / (1 - w_∅)`` per row; ``inf`` if stuck.
 
-    Row ``r`` is state ``states[r]`` (broadcast to ``q.shape[1:]``), whose
-    slot ``s`` completes with probability ``q[s, r]`` and clears bit
-    ``bits[s, r]`` (0 for a padding slot, which has ``q = 0``); ``expect``
-    holds every lower layer.  These are the scalar engines' operations in
-    their order (weights multiply slot factors in slot order, terms add in
-    :func:`_sum_order`), so each value is theirs bit for bit.
+    Rows and slots are those of :func:`subset_tables`; ``expect`` holds
+    every lower layer.  The terms add through :func:`ordered_sum`, so each
+    value is the scalar engines' bit for bit.
     """
-    slots, shape = q.shape[0], q.shape[1:]
-    w = np.empty((1 << slots, *shape), dtype=np.float64)
-    targets = np.empty((1 << slots, *shape), dtype=np.int64)
-    w[0], targets[0] = 1.0, states
-    for s in range(slots):
-        c = 1 << s
-        np.multiply(w[:c], q[s], out=w[c : 2 * c])
-        w[:c] *= 1.0 - q[s]
-        np.bitwise_xor(targets[:c], bits[s], out=targets[c : 2 * c])
-    terms = expect[targets]
-    terms *= w
-    acc = np.ones(shape, dtype=np.float64)
-    for t in _sum_order(slots):
-        acc += terms[t]
+    w, targets = subset_tables(states, q, bits)
+    terms = expect[targets[1:]]
+    terms *= w[1:]
+    acc = ordered_sum(terms)
     stay = w[0]
     moves = stay < 1.0 - _STAY_EPS
     return np.where(moves, acc / np.where(moves, 1.0 - stay, 1.0), np.inf)
@@ -378,8 +371,7 @@ def step_rules(instance: SUUInstance, table: np.ndarray) -> StepRules:
     return StepRules(rule_of, q, served)
 
 
-@dataclass(frozen=True)
-class StepStructure:
+class StepStructure(NamedTuple):
     """An oblivious schedule's transition blocks, one per active count.
 
     Each block stacks the (distinct assignment, state) rows with that
@@ -405,9 +397,9 @@ def build_step_structure(
     ``table`` is the ``(positions, m)`` assignment table of the schedule
     positions a solver reads.  All states under one assignment share its
     ``q`` vector; rows are grouped by active count ``k`` so each block has
-    a rectangular ``(R, 2^k)`` subset table, and states with ``k = 0``
+    rectangular ``(2^k, R)`` subset tables, and states with ``k = 0``
     (nothing progresses, including the absorbing empty state) form the
-    ``2^0``-column block.  Each distinct assignment is built once, and the
+    one-subset block.  Each distinct assignment is built once, and the
     subset-table budget covers the rows of all of them, checked before
     any block is built.
 

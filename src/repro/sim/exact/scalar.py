@@ -6,8 +6,10 @@ vectorized engine in :mod:`repro.sim.exact.sparse`: every solver here is
 one state at a time, one transition dict at a time, with no clever
 layout — easy to audit against the paper, slow past n ≈ 12.  Reach it
 through :func:`repro.evaluate.evaluate` with ``mode="exact",
-engine="scalar"``; equivalence with the sparse engine to ≤1e-9 is
-property-tested in ``tests/sim/test_exact_engines_equiv.py``.
+engine="scalar"``.  The sparse engine's makespans equal these bit for
+bit — it adds each transition's terms in the order of
+:func:`transition_distribution`'s dict — which
+``tests/sim/test_exact_engines_equiv.py`` property-tests.
 
 The per-state primitives (:func:`eligible_bitmask`,
 :func:`transition_distribution`) also serve the golden per-state

@@ -7,29 +7,31 @@ States are processed one popcount layer at a time: every XOR target of a
 nonempty completion subset lies in a strictly lower layer, so a gather
 ``E[S ^ T]`` reads only finished values.
 
-A regimen stores no subset tables: each (popcount layer, active count)
-group goes, in chunks, through :func:`~repro.sim.exact.lattice.first_passage`,
-the kernel the Malewicz DP uses too, which adds the terms in the scalar
-engine's order.  A cyclic schedule's
+Subset tables come from one builder and subset terms add through one
+ordered sum (:mod:`~repro.sim.exact.lattice`), in the scalar engine's
+order, so every makespan here is the scalar engine's bit for bit.  A
+regimen stores no subset tables: each (popcount layer, active count)
+group goes, in chunks, through
+:func:`~repro.sim.exact.lattice.first_passage`, the kernel the Malewicz DP
+uses too.  A cyclic schedule's
 :class:`~repro.sim.exact.lattice.TransitionBlock` blocks are built once per
 solve and stack the rows of every distinct assignment
 (:func:`~repro.sim.exact.lattice.build_step_structure`); positions that
 repeat an assignment are expanded by an index built once per solve, and
 the gathers read the ``(positions × 2^n)`` DP table through flat indices.
-So the makespan sweep runs one gather + ``einsum`` per (popcount layer,
+So the makespan sweep runs one gather + ordered sum per (popcount layer,
 active count ``k``) — at most ``m + 1`` per layer — however many positions
 the schedule has; only a pass that would gather more than ``2^20``
 subset-table entries at once is split into chunks of that size.
 
 The forward solver (:func:`state_distribution`) reads the same blocks in
-assignment-major row order and scatters each step with ``np.bincount``
-over the XOR targets.
+assignment-major row order, copied row-major once per solve, and scatters
+each step with ``np.bincount`` over the XOR targets.
 
-Agreement with the scalar golden reference (bitwise for regimens, ≤1e-9
-for cyclic schedules) is property-tested across all workload families in
-``tests/sim/test_exact_engines_equiv.py``, which also holds the cyclic
-solvers bitwise to the per-position sweep they replaced; the measured
-speedup is recorded by ``benchmarks/bench_perf_exact_markov.py``.
+Bitwise agreement with the scalar golden reference is property-tested
+across all workload families in ``tests/sim/test_exact_engines_equiv.py``;
+the measured speedup is recorded by
+``benchmarks/bench_perf_exact_markov.py``.
 """
 
 from __future__ import annotations
@@ -48,10 +50,12 @@ from .lattice import (
     CHUNK_ENTRIES,
     DEFAULT_MAX_STATES,
     StepStructure,
+    TransitionBlock,
     build_step_structure,
     check_state_budget,
     eligibility_masks,
     first_passage,
+    ordered_sum,
     popcount_array,
     popcount_order,
     regimen_slots,
@@ -203,13 +207,14 @@ def expected_makespan_cyclic(
     """Exact expected makespan of a prefix+cycle schedule, vectorized.
 
     Identical recurrence and rho-shape closed form as the scalar engine
-    (see :func:`repro.sim.exact.scalar.expected_makespan_cyclic`).  For
-    one popcount layer, the coefficients ``a_τ = 1 + Σ_{T≠∅} w_T
-    E[S^T, next(τ)]`` and ``b_τ = w_∅`` of every (state, position) pair
-    come from one gather + einsum per active-count block; the cycle closed
-    form runs as sequential ``accumulate`` calls over the layer's cycle
-    positions and the backward substitution as a loop over positions,
-    each vectorized across the layer's states.
+    (see :func:`repro.sim.exact.scalar.expected_makespan_cyclic`), and the
+    same value bit for bit.  For one popcount layer, the coefficients
+    ``a_τ = 1 + Σ_{T≠∅} w_T E[S^T, next(τ)]`` and ``b_τ = w_∅`` of every
+    (state, position) pair come from one gather + ordered sum per
+    active-count block; the cycle closed form runs as sequential
+    ``accumulate`` calls over the layer's cycle positions and the backward
+    substitution as a loop over positions, each vectorized across the
+    layer's states.
     """
     n = instance.n
     schedule.validate_against(instance)
@@ -246,19 +251,19 @@ def expected_makespan_cyclic(
                     # Without repeats an entry is its block row.
                     rows = slice(lo, hi) if ex.rows is None else ex.rows[lo:hi]
                     dest = ex.dest[lo:hi]
-                    weights = block.weights[rows]
-                    b[dest] = weights[:, 0]
+                    weights = block.weights[:, rows]
+                    b[dest] = weights[0]
                     if block.k == 0:
                         a[dest] = 1.0
                         continue
-                    w = weights[:, 1:]
-                    succ = flat[block.targets[rows, 1:] + ex.nxt[lo:hi, None]]
+                    w = weights[1:]
+                    succ = flat[block.targets[1:, rows] + ex.nxt[lo:hi]]
                     # Zero-weight subsets may point at dead (E = inf)
                     # states; mask them so 0 * inf never produces NaN (the
                     # scalar engine drops zero-probability branches).
-                    a[dest] = 1.0 + np.einsum(
-                        "gt,gt->g", w, np.where(w > 0.0, succ, 0.0)
-                    )
+                    terms = np.where(w > 0.0, succ, 0.0)
+                    terms *= w
+                    a[dest] = ordered_sum(terms)
             a = a.reshape(total, lay.size)
             b = b.reshape(total, lay.size)
             with np.errstate(invalid="ignore"):
@@ -289,6 +294,12 @@ def expected_makespan_cyclic(
     return value
 
 
+def _row_major(block: TransitionBlock) -> tuple[np.ndarray, ...]:
+    """A block's ``(states, targets, weights, ptr)``, tables copied ``(R, 2^k)``."""
+    targets, weights = (np.ascontiguousarray(t.T) for t in (block.targets, block.weights))
+    return block.states, targets, weights, block.ptr
+
+
 def state_distribution(
     instance: SUUInstance,
     schedule: CyclicSchedule,
@@ -302,7 +313,8 @@ def state_distribution(
     one flattened ``np.bincount`` per active count (weights sum to 1 per
     state, so each row remains a distribution exactly as in the scalar
     engine).  The blocks are rule-major, so a step's rows are contiguous
-    slices of its assignment.
+    slices of its assignment, and their tables are copied ``(R, 2^k)``:
+    each step adds in (row, subset) order.
     """
     n = instance.n
     check_state_budget(n, horizon + 1, max_states)
@@ -319,7 +331,7 @@ def state_distribution(
     ):
         elig = eligibility_masks(instance)
         pc = popcount_array(np.arange(size, dtype=np.int64))
-        structure = build_step_structure(
+        rule_of, blocks = build_step_structure(
             instance,
             schedule.truncate(positions).table,
             elig,
@@ -327,18 +339,22 @@ def state_distribution(
             max_states,
             rule_major=True,
         )
+        # The scatter adds in (row, subset) order: copy each block's tables
+        # row-major, dropping its subset-major ones before the next copy.
+        for i in range(len(blocks)):
+            blocks[i] = _row_major(blocks[i])
     with obs.span("exact.layer_sweep", steps=horizon, op="forward"):
         for t in range(horizon):
-            rule = structure.rule_of[t if t < P else P + (t - P) % L]
+            rule = rule_of[t if t < P else P + (t - P) % L]
             row = dist[t]
             nxt = dist[t + 1]
-            for block in structure.blocks:
-                states, targets, weights = block.rows(rule)
-                if states.size == 0:
+            for states, targets, weights, ptr in blocks:
+                lo, hi = ptr[rule], ptr[rule + 1]
+                if lo == hi:
                     continue
                 nxt += np.bincount(
-                    targets.ravel(),
-                    weights=(row[states][:, None] * weights).ravel(),
+                    targets[lo:hi].ravel(),
+                    weights=(row[states[lo:hi]][:, None] * weights[lo:hi]).ravel(),
                     minlength=size,
                 )
     return dist

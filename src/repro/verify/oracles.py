@@ -15,13 +15,13 @@ check                what must agree
                      1-based, censoring consistent)
 ``markov``           exact Markov expected makespan vs every applicable
                      engine's Monte Carlo mean (z-gated, two-stage), plus
-                     sparse-vs-scalar exact-engine agreement: bitwise
-                     for a regimen, to 1e-9 for a cyclic schedule
+                     sparse-vs-scalar exact-engine agreement, bitwise
 ``curve``            ``completion_curve`` vs the estimator's own samples
                      (censoring handling, CDF shape) and vs the exact
                      Markov completion CDF (DKW band)
-``opt``              Malewicz DP vs the scalar golden DP and (bitwise) vs
-                     the Markov re-evaluation of its regimen;
+``opt``              Malewicz DP vs the scalar golden DP (value and table)
+                     and vs the Markov re-evaluation of its regimen, all
+                     bitwise;
                      ``bounds.lower`` certified bounds ≤ T^OPT; every
                      simulated schedule ≥ T^OPT and ≥ the lower bounds
 ``msm``              greedy MSM-ALG mass within [OPT/3, OPT] of the
@@ -350,15 +350,12 @@ def check_markov(ctx: CaseContext) -> list[Discrepancy]:
     out: list[Discrepancy] = []
     # Exact vs exact: the sparse layered-sweep engine against the scalar
     # golden path (same chain, independent implementations, no statistics).
-    # A regimen is summed in the golden order, so it must match to the bit.
+    # Every sum is added in the golden order, so it must match to the bit.
     if ctx.instance.n <= 6:
         scalar_exact = _exact_expected_makespan(
             ctx.instance, ctx.schedule, cfg, engine="scalar"
         )
-        tol = 0.0 if isinstance(ctx.schedule, Regimen) else 1e-9
-        if scalar_exact is not None and abs(exact - scalar_exact) > tol * max(
-            1.0, abs(scalar_exact)
-        ):
+        if scalar_exact is not None and exact != scalar_exact:
             out.append(
                 Discrepancy(
                     "markov",
@@ -404,8 +401,7 @@ def check_opt(ctx: CaseContext) -> list[Discrepancy]:
     out: list[Discrepancy] = []
     golden = golden_dp.optimal_regimen(instance)
     same_table = np.array_equal(sol.regimen.table, golden.regimen.table)
-    gap = abs(sol.expected_makespan - golden.expected_makespan)
-    if not same_table or gap > 1e-12 * max(1.0, golden.expected_makespan):
+    if not same_table or sol.expected_makespan != golden.expected_makespan:
         out.append(
             Discrepancy(
                 "opt",

@@ -4,7 +4,7 @@ Property tests over fuzzer-generated instances (every DAG kind crossed
 with every probability model, the families ``repro.verify`` draws from)
 plus hand-built edge cases.  The vectorized DP (``repro.opt.malewicz``)
 and the scalar golden DP (``repro.opt.scalar``) must give the same value
-to 1e-12, the same regimen table and the same ``states_solved``, and
+bit for bit, the same regimen table and the same ``states_solved``, and
 raise ``ExactSolverLimitError`` on the same cases.  Cut into many chunks,
 the vectorized DP must give bit for bit what one chunk per group gives.
 """
@@ -67,8 +67,9 @@ def _assert_same(instance: SUUInstance, label: str) -> None:
     assert (fast is None) == (gold is None), f"{label}: only one DP hit a limit"
     if gold is None:
         return
-    tol = 1e-12 * max(1.0, gold.expected_makespan)
-    assert abs(fast.expected_makespan - gold.expected_makespan) <= tol, label
+    assert fast.expected_makespan == gold.expected_makespan, (
+        f"{label}: {fast.expected_makespan!r} vs golden {gold.expected_makespan!r}"
+    )
     np.testing.assert_array_equal(fast.regimen.table, gold.regimen.table, err_msg=label)
     assert fast.states_solved == gold.states_solved, label
 

@@ -165,6 +165,25 @@ class TestErrorMapping:
         finally:
             conn.close()
 
+    @pytest.mark.parametrize(
+        "where,payload,match",
+        [
+            ("schedule", {"kind": "cyclic"}, "bad cyclic schedule payload: KeyError"),
+            ("schedule", {"kind": "oblivious", "table": [["a"]]}, "bad oblivious schedule"),
+            ("edges", [[0]], "bad DAG payload"),
+        ],
+        ids=["cyclic-without-cycle", "non-integer-table", "one-ended-edge"],
+    )
+    def test_malformed_payloads_are_400(self, served, inst, sched, where, payload, match):
+        # Decoded into one ValidationError, not a 500 "internal error".
+        inst_dict, sched_dict = inst.to_dict(), sched.to_dict()
+        if where == "edges":
+            inst_dict["dag"]["edges"] = payload
+        else:
+            sched_dict = payload
+        with pytest.raises(ServeError, match=f"HTTP 400.*{match}"):
+            served.evaluate_raw(inst_dict, sched_dict, {"mode": "mc", "reps": 10, "seed": 1})
+
     def test_invalid_request_kwargs_are_400(self, served, inst, sched):
         with pytest.raises(ServeError, match="HTTP 400"):
             served.evaluate_raw(inst.to_dict(), sched.to_dict(), {"reps": 0})

@@ -2,19 +2,21 @@
 
 Property tests over fuzzer-generated instances: every DAG kind crossed
 with every probability model (the same families `repro.verify` draws
-from), evaluated as both a cyclic schedule and an explicit regimen.  The
+from), evaluated as cyclic schedules and as an explicit regimen.  The
 vectorized sparse engine (`repro.sim.exact.sparse`) and the scalar golden
 path (`repro.sim.exact.scalar`) must agree — including on *which* cases
 are infeasible (no-progress ``ScheduleError``) — and the exact completion
 curve must be a CDF prefix: monotone nondecreasing and ending at most 1.
 
-Regimen values must agree *bitwise*: the sparse engine and the Malewicz
-DP share one first-passage kernel that adds its terms in the scalar
-engine's order.  ``state_round_robin`` regimens, DP optima (whose value
-must also equal the exact evaluation of their own regimen), chunked
+Every makespan must agree *bitwise*: the sparse engine and the Malewicz
+DP build their subset tables with one builder and add their terms in the
+scalar engine's order.  Round-robin, serial and ``solve()`` cyclic
+schedules, chunked cyclic sweeps and a long prefix of repeated
+assignments, ``state_round_robin`` regimens, DP optima (whose value must
+also equal the exact evaluation of their own regimen), chunked regimen
 sweeps and random regimens with idle machines and machines on ineligible
-or finished jobs are checked; on a no-progress regimen both engines must
-raise the same message.  Cyclic values agree to ≤1e-9.
+or finished jobs are checked; on a no-progress schedule or regimen both
+engines must raise the same message.
 
 The lattice kernels the sparse engine, ``state_round_robin`` and the
 Malewicz DP share are held *bitwise* to the bit-matrix kernels they
@@ -22,12 +24,12 @@ replaced, kept here as the golden reference: eligibility masks, active-bit
 positions, and every oblivious transition row's state, targets and
 weights.
 
-The cyclic solvers are held *bitwise* to the per-position sweep and
-forward pass they replaced, also kept here: one block list per schedule
-position (equal assignments sharing one), swept per (layer, position,
-block).  Makespans, state distributions and completion curves must match
-to the bit, ``inf`` included, on round-robin, serial and pipeline
-schedules — the last with a long prefix whose assignments repeat.
+The forward pass is held *bitwise* to the per-position pass it replaced,
+also kept here: one block list per schedule position (equal assignments
+sharing one), scattered per (step, block).  State distributions and
+completion curves must match to the bit on round-robin, serial and
+pipeline schedules — the last with a long prefix whose assignments
+repeat.
 """
 
 from __future__ import annotations
@@ -148,22 +150,20 @@ def test_sparse_matches_scalar_on_fuzzer_families(family):
         np.testing.assert_array_equal(
             regimen.table, expected, err_msg=f"{family} trial {trial}"
         )
+        pipeline = _pipeline_schedule(instance)
         for label, fn in [
             ("cyclic/rr", lambda e: _exact(instance, cyclic, e).makespan),
             ("cyclic/serial", lambda e: _exact(instance, serial, e).makespan),
+            ("cyclic/pipeline", lambda e: _exact(instance, pipeline, e).makespan),
             ("regimen", lambda e: _exact(instance, regimen, e).makespan),
         ]:
             outcomes = _solve_both(fn)
             if outcomes["auto"][0] == "ok":
                 sparse, scalar = outcomes["auto"][1], outcomes["scalar"][1]
-                message = (
+                assert _bits(sparse) == _bits(scalar), (
                     f"{family} trial {trial} {label}: sparse {sparse!r} vs "
                     f"scalar {scalar!r}"
                 )
-                if label == "regimen":
-                    assert _bits(sparse) == _bits(scalar), message
-                else:
-                    assert abs(sparse - scalar) <= 1e-9 * max(1.0, abs(scalar)), message
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -211,14 +211,14 @@ def test_chunked_regimen_sweep_matches_scalar_bitwise(family, monkeypatch):
         optimal_regimen(instance).regimen,
     ):
         chunks.clear()
-        whole = _sparse_makespan(instance, regimen)
+        whole = _makespan(instance, regimen)
         if whole == np.inf:
             continue  # no progress: the sweep stops at the first stuck layer
         groups = len(chunks)
         chunks.clear()
         with monkeypatch.context() as patch:
             patch.setattr(sparse, "CHUNK_ENTRIES", 2)
-            split = _sparse_makespan(instance, regimen)
+            split = _makespan(instance, regimen)
         assert len(chunks) > groups, family
         assert all(rows == 1 or rows << k <= 2 for rows, k in chunks), family
         scalar = _exact(instance, regimen, "scalar").makespan
@@ -387,17 +387,21 @@ def _golden_step_structure(instance, assignment, elig, pc):
 
 
 def _assert_rows_identical(block, rows, golden, label):
-    """``block``'s rows ``rows`` against one golden block, bit for bit."""
+    """``block``'s rows ``rows`` against one golden block, bit for bit.
+
+    The golden rows are ``(R, 2^k)``; the stored tables are subset-major
+    ``(2^k, R)`` and C-contiguous, so rows are read through the transpose.
+    """
     states, deltas, weights, _ = golden
     for name, got, want in [
         ("states", block.states[rows], states),
-        ("targets", block.targets[rows], states[:, None] ^ deltas),
-        ("weights", block.weights[rows].view(np.int64), weights.view(np.int64)),
+        ("targets", block.targets.T[rows], states[:, None] ^ deltas),
+        ("weights", block.weights.T[rows].view(np.int64), weights.view(np.int64)),
     ]:
         assert got.dtype == want.dtype, f"{label} {name} dtype"
         np.testing.assert_array_equal(got, want, err_msg=f"{label} {name}")
     for name, table in [("targets", block.targets), ("weights", block.weights)]:
-        # The sweeps' einsum sums in layout order: keep (R, 2^k) C order.
+        assert table.shape == (1 << block.k, block.states.size), f"{label} {name} shape"
         assert table.flags.c_contiguous, f"{label} {name} layout"
 
 
@@ -513,10 +517,10 @@ def test_eligibility_masks_match_definition(family):
 
 
 # ----------------------------------------------------------------------
-# Golden cyclic solvers: the per-position structure (one block list per
-# schedule position, equal assignments sharing one) and the sweeps that
-# ran per (popcount layer, position, block), as they were before the
-# stacked structure.  Blocks are the golden kernels' tuples above.
+# Golden forward pass: the per-position structure (one block list per
+# schedule position, equal assignments sharing one) and the scatter that
+# ran per (step, block), as it was before the stacked structure.  Blocks
+# are the golden kernels' tuples above.
 # ----------------------------------------------------------------------
 def _golden_position_structures(instance, schedule, positions, elig, pc):
     shared = {}
@@ -528,57 +532,6 @@ def _golden_position_structures(instance, schedule, positions, elig, pc):
             shared[key] = _golden_step_structure(instance, a, elig, pc)
         structures.append(shared[key])
     return structures
-
-
-def _golden_cyclic_makespan(instance, schedule):
-    """The per-(layer, position, block) sweep; ``inf`` when no progress."""
-    n = instance.n
-    P, L = schedule.prefix_length, schedule.cycle_length
-    total = P + L
-    if n == 0:
-        return 0.0
-    size = 1 << n
-    elig = _golden_eligibility_masks(instance)
-    pc = popcount_array(np.arange(size, dtype=np.int64))
-    structures = _golden_position_structures(instance, schedule, total, elig, pc)
-    expect = np.zeros((size, total), dtype=np.float64)
-    for c in range(1, n + 1):
-        lay = np.flatnonzero(pc == c)
-        G = lay.size
-        a = np.empty((G, total), dtype=np.float64)
-        b = np.empty((G, total), dtype=np.float64)
-        for tau in range(total):
-            nxt_tau = tau + 1 if tau + 1 < total else P
-            for states, deltas, weights, layer_ptr in structures[tau]:
-                lo, hi = layer_ptr[c], layer_ptr[c + 1]
-                if lo == hi:
-                    continue
-                sel, deltas, weights = states[lo:hi], deltas[lo:hi], weights[lo:hi]
-                pos = np.searchsorted(lay, sel)
-                b[pos, tau] = weights[:, 0]
-                if deltas.shape[1] > 1:
-                    w = weights[:, 1:]
-                    succ = expect[sel[:, None] ^ deltas[:, 1:], nxt_tau]
-                    a[pos, tau] = 1.0 + np.einsum(
-                        "gt,gt->g", w, np.where(w > 0.0, succ, 0.0)
-                    )
-                else:
-                    a[pos, tau] = 1.0
-        A = np.zeros(G, dtype=np.float64)
-        B = np.ones(G, dtype=np.float64)
-        with np.errstate(invalid="ignore"):
-            for off in range(L):
-                A = A + B * a[:, P + off]
-                B = B * b[:, P + off]
-            dead = (B >= 1.0 - 1e-15) | ~np.isfinite(A)
-            e_next = np.where(dead, np.inf, A / np.where(dead, 1.0, 1.0 - B))
-            for tau in range(total - 1, -1, -1):
-                e_tau = np.where(
-                    b[:, tau] == 0.0, a[:, tau], a[:, tau] + b[:, tau] * e_next
-                )
-                expect[lay, tau] = e_tau
-                e_next = e_tau
-    return float(expect[size - 1, 0])
 
 
 def _golden_state_distribution(instance, schedule, horizon):
@@ -609,9 +562,9 @@ def _bits(x):
     return np.asarray(x, dtype=np.float64).view(np.int64)
 
 
-def _sparse_makespan(instance, schedule):
+def _makespan(instance, schedule, engine="auto"):
     try:
-        return _exact(instance, schedule, "auto").makespan
+        return _exact(instance, schedule, engine).makespan
     except ScheduleError:
         return np.inf
 
@@ -625,9 +578,9 @@ def test_cyclic_solvers_match_per_position_golden_bitwise(family):
         ("pipeline", _pipeline_schedule(instance)),
     ]:
         label = f"{family} {name}"
-        got = _sparse_makespan(instance, schedule)
-        want = _golden_cyclic_makespan(instance, schedule)
-        assert _bits(got) == _bits(want), f"{label}: {got!r} != golden {want!r}"
+        got = _makespan(instance, schedule)
+        want = _makespan(instance, schedule, "scalar")
+        assert _bits(got) == _bits(want), f"{label}: {got!r} != scalar {want!r}"
         # Horizons that wrap the cycle (twice, plus a step).
         horizon = schedule.prefix_length + 2 * schedule.cycle_length + 1
         golden = _golden_state_distribution(instance, schedule, horizon)
@@ -645,26 +598,31 @@ def test_cyclic_solvers_match_per_position_golden_bitwise(family):
 def test_chunked_cyclic_sweep_matches_golden_bitwise(family, monkeypatch):
     # A (layer, k) pass gathering more subset-table entries than the chunk
     # is split; a small chunk splits the passes of these schedules, and no
-    # value may move a bit.
+    # value may move a bit off the scalar engine's.
     from repro.sim.exact import sparse
 
     monkeypatch.setattr(sparse, "_CHUNK", 256)
     instance = _instance(family, 0)
     for schedule in (round_robin_baseline(instance).schedule, _pipeline_schedule(instance)):
-        got = _sparse_makespan(instance, schedule)
-        assert _bits(got) == _bits(_golden_cyclic_makespan(instance, schedule)), family
+        got = _makespan(instance, schedule)
+        assert _bits(got) == _bits(_makespan(instance, schedule, "scalar")), family
 
 
-def test_golden_cyclic_makespan_reports_inf_like_the_engines():
-    # A schedule that never serves job 1 never finishes: both the golden
-    # sweep and the sparse engine see an infinite expectation.
+def test_no_progress_cyclic_schedule_raises_like_the_scalar_engine():
+    # A cycle that never serves job 1 never finishes once the prefix has
+    # failed on it: both engines see an infinite expectation and raise
+    # the same message.
     instance = SUUInstance(np.full((2, 2), 0.5))
     schedule = CyclicSchedule(
         ObliviousSchedule(np.array([[0, 1]], dtype=np.int32)),
         ObliviousSchedule(np.array([[0, 0]], dtype=np.int32)),
     )
-    assert _golden_cyclic_makespan(instance, schedule) == np.inf
-    assert _sparse_makespan(instance, schedule) == np.inf
+    messages = []
+    for engine in ENGINES:
+        with pytest.raises(ScheduleError, match="makes no progress") as info:
+            _exact(instance, schedule, engine)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1], messages
 
 
 def test_repeated_assignments_share_their_subset_tables():
@@ -690,7 +648,8 @@ def test_repeated_assignments_share_their_subset_tables():
     assert distinct <= 8 * max_states < per_position
     report = evaluate(instance, schedule, max_states=max_states)
     assert (report.mode, report.engine) == ("exact", "markov-sparse")
-    assert _bits(report.makespan) == _bits(_golden_cyclic_makespan(instance, schedule))
+    scalar = _exact(instance, schedule, "scalar", max_states=max_states).makespan
+    assert _bits(report.makespan) == _bits(scalar)
 
 
 def _served_masks(instance, table):

@@ -286,6 +286,31 @@ class TestReproErrorsInOneLine:
         assert f"cannot read schedule {path}" in err
 
 
+    @pytest.mark.parametrize(
+        "command,text,message",
+        [
+            ("info", '{"p": [[0.5, 0.5]], "dag": 3}', "bad DAG payload"),
+            ("evaluate", '{"kind": "cyclic"}', "bad cyclic schedule payload: KeyError"),
+            ("trace", "[1, 2]", "expected a JSON object with traceEvents"),
+        ],
+        ids=["info-dag-not-object", "evaluate-cyclic-without-cycle", "trace-array"],
+    )
+    def test_malformed_nested_input(self, command, text, message, tmp_path, capsys):
+        # The file is JSON, but what it holds does not decode.
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        if command == "info":
+            argv = ["info", str(path)]
+        elif command == "evaluate":
+            inst = self._instance(tmp_path, "chains")
+            argv = ["evaluate", str(inst), "--schedule", str(path)]
+        else:
+            argv = ["trace", "summarize", str(path)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert message in self._one_line_error(command, capsys)
+
+
 class TestGantt:
     @pytest.fixture
     def instance_file(self, tmp_path):

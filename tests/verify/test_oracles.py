@@ -107,6 +107,18 @@ class TestPlantedBugs:
         out = check_case(spec, cfg=FAST, only="markov")
         assert any(d.check == "markov" and "scalar golden" in d.message for d in out)
 
+    def test_reordered_cyclic_sum_is_caught(self, monkeypatch):
+        """Summing a cyclic schedule's coefficients out of the scalar
+        engine's order must trip the markov oracle's bitwise comparison."""
+        from repro.sim.exact import lattice
+
+        spec = spec_for("round_robin", n=5, instance_seed=1)
+        assert check_case(spec, cfg=FAST, only="markov") == []
+        real = lattice._sum_order
+        monkeypatch.setattr(lattice, "_sum_order", lambda slots: real(slots)[::-1])
+        out = check_case(spec, cfg=FAST, only="markov")
+        assert any(d.check == "markov" and "scalar golden" in d.message for d in out)
+
     def test_broken_curve_is_caught(self, monkeypatch):
         """A curve that is not the samples' CDF must trip the curve oracle."""
         from repro.evaluate import facade
