@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import solve
-from repro.algorithms import all_baselines
+from repro.algorithms import resolve_solver
 from repro.analysis import Table, compare_algorithms
 from repro.bounds import lower_bounds
 from repro.workloads import project_management
@@ -41,7 +41,8 @@ for key, value in lbs.as_dict().items():
 # --- schedules ---------------------------------------------------------
 paper = solve(instance, rng=rng)  # Theorem 4.4 oblivious schedule
 contenders = {"paper (Thm 4.4, oblivious)": paper}
-contenders.update(all_baselines(instance))
+for name in ("serial", "round_robin", "greedy", "random_policy"):
+    contenders[name] = resolve_solver(name).build(instance)
 
 records = compare_algorithms(instance, contenders, reps=150, rng=rng, max_steps=300_000)
 table = Table(

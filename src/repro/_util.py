@@ -13,6 +13,7 @@ __all__ = [
     "as_rng",
     "ceil_log2",
     "check_prob_matrix",
+    "json_numbers",
     "log2p",
     "popcount",
     "iter_submasks",
@@ -79,6 +80,27 @@ def check_prob_matrix(p: np.ndarray) -> np.ndarray:
             f"every job needs some machine with p_ij > 0; jobs {bad.tolist()} have none"
         )
     return np.ascontiguousarray(arr)
+
+
+def json_numbers(value, dtype) -> np.ndarray:
+    """Decoded JSON lists of numbers as a ``dtype`` array, strictly.
+
+    ``np.asarray`` casts what it is given (``2.5``, ``true`` and ``"2"``
+    become the integers 2, 1 and 2), so every ``from_dict`` decoder reads
+    numbers here instead.  An integer ``dtype`` admits JSON integers only,
+    a float ``dtype`` integers and reals.  Booleans, strings, ``null`` and
+    ragged rows raise :class:`TypeError`, and an integer outside
+    ``dtype``'s range raises :class:`OverflowError`; decoders run inside
+    :func:`~repro.errors.payload_errors`, which names the payload.
+    """
+    entries = np.array(value, dtype=object)
+    allowed = {int} if np.issubdtype(dtype, np.integer) else {int, float}
+    bad = set(map(type, entries.flat)) - allowed
+    if bad:
+        names = ", ".join(sorted(t.__name__ for t in bad))
+        kind = "integers" if allowed == {int} else "numbers"
+        raise TypeError(f"expected JSON {kind}, got {names}")
+    return entries.astype(dtype)
 
 
 def popcount(mask: int) -> int:

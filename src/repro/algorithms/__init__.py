@@ -9,7 +9,6 @@ first-party code).
 """
 
 from .baselines import (
-    all_baselines,
     exact_baseline,
     greedy_prob_policy,
     msm_eligible_policy,
@@ -19,7 +18,7 @@ from .baselines import (
     state_round_robin_regimen,
 )
 from .chains import build_chain_bands, solve_chains
-from .constants import LEAN, PAPER, PRACTICAL, SUUConstants
+from .constants import LEAN, PAPER, PRACTICAL, PRESETS, SUUConstants, resolve_constants
 from .independent import suu_i_adaptive, suu_i_lp, suu_i_oblivious
 from .layered import depth_layers, solve_layered
 from .msm import MSMExtendedResult, msm_alg, msm_e_alg, msm_mass_of_assignment
@@ -42,7 +41,9 @@ __all__ = [
     "LEAN",
     "PAPER",
     "PRACTICAL",
+    "PRESETS",
     "SUUConstants",
+    "resolve_constants",
     "MSMExtendedResult",
     "msm_alg",
     "msm_e_alg",
@@ -71,7 +72,6 @@ __all__ = [
     "greedy_assignment",
     "replicate_with_tail",
     "serial_tail",
-    "all_baselines",
     "exact_baseline",
     "state_round_robin_regimen",
     "greedy_prob_policy",

@@ -42,7 +42,6 @@ __all__ = [
     "msm_eligible_policy",
     "exact_baseline",
     "state_round_robin_regimen",
-    "all_baselines",
 ]
 
 
@@ -190,12 +189,3 @@ def state_round_robin_regimen(
         algorithm="state_round_robin",
     )
 
-
-def all_baselines(instance: SUUInstance) -> dict[str, ScheduleResult]:
-    """The standard comparator set (excluding the exact solver)."""
-    return {
-        "serial": serial_baseline(instance),
-        "round_robin": round_robin_baseline(instance),
-        "greedy": greedy_prob_policy(instance),
-        "random": random_policy(instance),
-    }

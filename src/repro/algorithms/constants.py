@@ -10,8 +10,11 @@ algorithmic structure; only the constants differ:
   for the A1 ablation.
 * :data:`PRACTICAL` — smaller constants with the same asymptotic shape,
   used by default in examples and benchmarks (A1 quantifies the gap).
+* :data:`LEAN` — the most aggressive constants that keep every mechanism.
 
-Every constant is documented with the paper location it comes from.
+:data:`PRESETS` names the three; specs and the CLI carry the name and
+resolve it with :func:`resolve_constants`.  Every constant is documented
+with the paper location it comes from.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ import math
 from dataclasses import dataclass, replace
 
 from .._util import log2p
+from ..errors import ExperimentError
 
-__all__ = ["SUUConstants", "PAPER", "PRACTICAL", "LEAN"]
+__all__ = ["SUUConstants", "PAPER", "PRACTICAL", "LEAN", "PRESETS", "resolve_constants"]
 
 
 @dataclass(frozen=True)
@@ -93,3 +97,22 @@ LEAN = SUUConstants(
     delay_alpha=3.0,
     derandomize_delays=False,
 )
+
+#: Preset name → constants: the one table specs and the CLI resolve.
+PRESETS = {"paper": PAPER, "practical": PRACTICAL, "lean": LEAN}
+
+
+def resolve_constants(value: str | SUUConstants) -> SUUConstants:
+    """Map a :data:`PRESETS` name to its constants.
+
+    Specs carry the preset *name* so they stay JSON-serializable; an
+    :class:`SUUConstants` instance is passed through unchanged.
+    """
+    if isinstance(value, SUUConstants):
+        return value
+    try:
+        return PRESETS[value]
+    except KeyError:
+        raise ExperimentError(
+            f"unknown constants preset {value!r}; expected one of {sorted(PRESETS)}"
+        ) from None

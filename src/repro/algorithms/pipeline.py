@@ -26,23 +26,9 @@ from ..core.instance import SUUInstance
 from ..core.schedule import ScheduleResult
 from ..errors import UnsupportedDagError, ValidationError
 from .constants import PRACTICAL, SUUConstants
-from .registry import SOLVERS, resolve_solver
+from .registry import SOLVERS, solver_names
 
 __all__ = ["solve"]
-
-#: ``method=`` names accepted by :func:`solve`.  Every non-auto method is
-#: a registry solver name; ``auto`` runs the strongest-applicable query.
-_METHODS = {
-    "auto",
-    "adaptive",
-    "oblivious",
-    "lp",
-    "chains",
-    "tree",
-    "forest",
-    "layered",
-    "serial",
-}
 
 
 def solve(
@@ -54,25 +40,22 @@ def solve(
 ) -> ScheduleResult:
     """Schedule ``instance`` with the strongest applicable paper algorithm.
 
-    ``method`` forces a specific algorithm:
-
-    * ``"adaptive"`` — SUU-I-ALG (independent jobs only);
-    * ``"oblivious"`` — SUU-I-OBL (independent jobs only);
-    * ``"lp"`` — Theorem 4.5 LP schedule (independent jobs only);
-    * ``"chains"`` / ``"tree"`` / ``"forest"`` — the §4 pipelines;
-    * ``"layered"`` — the general-DAG depth-layer extension;
-    * ``"serial"`` — the always-correct serial baseline;
-    * ``"auto"`` — dispatch on the DAG class (default).
+    ``method`` is ``"auto"`` (dispatch on the DAG class, the default) or
+    any solver registry name (``suu algorithms list``), which forces that
+    solver: ``"adaptive"``/``"oblivious"``/``"lp"`` for SUU-I,
+    ``"chains"``/``"tree"``/``"forest"`` for the §4 pipelines,
+    ``"layered"`` for general DAGs, the baselines, ``"online_greedy"``, ...
 
     A forced method runs its solver unconditionally — capability
     violations surface as the solver's own error, with its own wording.
     """
-    if method not in _METHODS:
-        raise ValidationError(
-            f"unknown method {method!r}; expected one of {sorted(_METHODS)}"
-        )
     if method != "auto":
-        return resolve_solver(method).build(instance, constants=constants, rng=rng)
+        if method not in SOLVERS:
+            raise ValidationError(
+                f"unknown method {method!r}; expected one of "
+                f"{sorted(['auto', *solver_names()])}"
+            )
+        return SOLVERS[method].build(instance, constants=constants, rng=rng)
 
     cls = instance.classify()
     ranked = sorted(

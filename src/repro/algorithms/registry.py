@@ -4,16 +4,21 @@ Every scheduling algorithm in the repo is registered here exactly once as
 a :class:`Solver` record: the callable plus its *declared capabilities* —
 which :class:`~repro.core.dag.DagClass`\\ es it accepts, what kind of
 schedule it emits, its approximation guarantee, whether it consumes
-constants / randomness, and the paper it comes from.  Three consumers
-query the seam instead of importing concrete solver functions:
+constants / randomness, and the paper it comes from.  Every consumer
+reads this one table, so a name means one thing everywhere:
 
 * :func:`repro.algorithms.pipeline.solve` — the front door picks the
-  strongest applicable record (``auto_rank``) for the instance's class;
-* :mod:`repro.experiments.registry` — the experiment ``ALGORITHMS`` table
-  is generated from these records, so a name means one thing everywhere;
+  strongest applicable record (``auto_rank``) for the instance's class,
+  and ``method=`` forces any record by name (so does the CLI's
+  ``--method``);
+* :class:`repro.experiments.ExperimentSpec` — a spec's ``algorithm`` is a
+  record name (or ``"solve"``, the front door), built by
+  :meth:`Solver.build`;
 * :func:`repro.algorithms.portfolio.run_portfolio` and the verify fuzzer
   — both enumerate :func:`iter_solvers`, so a newly registered solver is
-  benchmarked and fuzzed automatically.
+  benchmarked and fuzzed automatically;
+* ``evaluate(instance, "<name>")`` (so also the evaluation server) and
+  ``suu demo`` — by name, through :func:`resolve_solver`.
 
 First-party imports of the concrete solver functions outside
 ``repro/algorithms/`` are banned by the ``solver-callsite`` lint rule;

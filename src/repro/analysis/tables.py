@@ -1,4 +1,4 @@
-"""ASCII/markdown tables for experiment output.
+"""ASCII tables for experiment output.
 
 The benchmark harness prints "the rows the paper would report"; this module
 renders them deterministically with aligned columns so bench output diffs
@@ -61,21 +61,6 @@ class Table:
         for row in cells:
             lines.append("  ".join(v.rjust(w) for v, w in zip(row, widths)))
         return "\n".join(lines)
-
-    def render_markdown(self) -> str:
-        cells = self._cells()
-        lines = []
-        if self.title:
-            lines.append(f"**{self.title}**")
-            lines.append("")
-        lines.append("| " + " | ".join(self.headers) + " |")
-        lines.append("|" + "|".join("---" for _ in self.headers) + "|")
-        for row in cells:
-            lines.append("| " + " | ".join(row) + " |")
-        return "\n".join(lines)
-
-    def to_records(self) -> list[dict]:
-        return [dict(zip(self.headers, row)) for row in self.rows]
 
     def __str__(self) -> str:
         return self.render()

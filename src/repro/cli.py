@@ -31,22 +31,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .algorithms import LEAN, PAPER, PRACTICAL, resolve_solver, solve
+from .algorithms import PRESETS, resolve_solver, solve
 from .analysis import Table, compare_algorithms
 from .bounds import lower_bounds
-from .core import SUUInstance
+from .core import SUUInstance, schedule_from_dict
 from .errors import ReproError, ValidationError
-from .workloads import grid_computing, project_management, random_instance
+from .workloads import DAG_KINDS, PROB_MODELS, random_instance
 
 __all__ = ["main", "build_parser"]
-
-_PRESETS = {"paper": PAPER, "practical": PRACTICAL, "lean": LEAN}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,31 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("output", type=Path, help="output .json path ('-' for stdout)")
     g.add_argument("-n", "--jobs", type=int, default=20)
     g.add_argument("-m", "--machines", type=int, default=6)
-    g.add_argument(
-        "--dag",
-        default="independent",
-        choices=[
-            "independent",
-            "chains",
-            "out_tree",
-            "in_tree",
-            "mixed_forest",
-            "layered",
-            "diamond",
-        ],
-    )
-    g.add_argument(
-        "--prob",
-        default="uniform",
-        choices=[
-            "uniform",
-            "machine_speed",
-            "specialist",
-            "power_law",
-            "sparse",
-            "heterogeneous",
-        ],
-    )
+    g.add_argument("--dag", default="independent", choices=DAG_KINDS)
+    g.add_argument("--prob", default="uniform", choices=PROB_MODELS)
     g.add_argument("--seed", type=int, default=0)
 
     i = sub.add_parser("info", help="summarize an instance file")
@@ -95,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="schedule an instance")
     s.add_argument("input", type=Path)
     s.add_argument("--method", default="auto")
-    s.add_argument("--constants", default="practical", choices=sorted(_PRESETS))
+    s.add_argument("--constants", default="practical", choices=sorted(PRESETS))
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--save", type=Path, help="write the schedule JSON here")
 
@@ -117,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     po.add_argument(
         "input",
-        help="instance .json path, or a built-in scenario name "
-        "(grid / project / greedy_trap)",
+        help="instance .json path, or a registered instance generator built "
+        "at --seed with its defaults (grid / project / greedy_trap / ...)",
     )
     po.add_argument(
         "--solver",
@@ -128,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict the field to these registry solvers (repeatable; "
         "default: every capability-admitting solver)",
     )
-    po.add_argument("--constants", default="practical", choices=sorted(_PRESETS))
+    po.add_argument("--constants", default="practical", choices=sorted(PRESETS))
     po.add_argument("--reps", type=int, default=200)
     po.add_argument("--seed", type=int, default=0)
     po.add_argument("--max-steps", type=int, default=200_000)
@@ -151,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--schedule", type=Path, help="schedule .json (default: solve now)"
     )
     ev.add_argument("--method", default="auto")
-    ev.add_argument("--constants", default="practical", choices=sorted(_PRESETS))
+    ev.add_argument("--constants", default="practical", choices=sorted(PRESETS))
     ev.add_argument(
         "--mode",
         default="auto",
@@ -195,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     ga.add_argument("input", type=Path, help="instance .json")
     ga.add_argument("--schedule", type=Path, help="schedule .json (default: solve now)")
     ga.add_argument("--method", default="auto")
-    ga.add_argument("--constants", default="practical", choices=sorted(_PRESETS))
+    ga.add_argument("--constants", default="practical", choices=sorted(PRESETS))
     ga.add_argument("--steps", type=int, default=60)
     ga.add_argument("--seed", type=int, default=0)
 
@@ -350,11 +326,7 @@ def _load_instance(path: Path) -> SUUInstance:
 
 def _load_schedule(path: Path):
     """A schedule as ``suu solve --save`` writes it: cyclic or oblivious."""
-    from .core import CyclicSchedule, ObliviousSchedule
-
-    data = _read_json(path, "schedule", "kind")
-    kind = CyclicSchedule if data["kind"] == "cyclic" else ObliviousSchedule
-    return kind.from_dict(data)
+    return schedule_from_dict(_read_json(path, "schedule", "kind"))
 
 
 def _cmd_generate(args) -> int:
@@ -389,7 +361,7 @@ def _cmd_info(args) -> int:
 def _cmd_solve(args) -> int:
     inst = _load_instance(args.input)
     result = solve(
-        inst, constants=_PRESETS[args.constants], rng=args.seed, method=args.method
+        inst, constants=PRESETS[args.constants], rng=args.seed, method=args.method
     )
     print(f"algorithm: {result.algorithm}")
     for key, value in sorted(result.certificates.items(), key=lambda kv: kv[0]):
@@ -428,24 +400,18 @@ def _cmd_algorithms(args) -> int:
 
 def _cmd_portfolio(args) -> int:
     from .algorithms import run_portfolio
-    from .workloads import greedy_trap
+    from .experiments import GENERATORS
 
     name = str(args.input)
-    if name in ("grid", "project", "greedy_trap"):
-        rng = np.random.default_rng(args.seed)
-        if name == "grid":
-            inst = grid_computing(rng=rng)
-        elif name == "project":
-            inst = project_management(rng=rng)
-        else:
-            inst = greedy_trap(12, 4)
+    if name in GENERATORS:
+        inst = GENERATORS[name](np.random.default_rng(args.seed))
     else:
         inst = _load_instance(Path(name))
     try:
         report = run_portfolio(
             inst,
             solvers=args.solver,
-            constants=_PRESETS[args.constants],
+            constants=PRESETS[args.constants],
             seed=args.seed,
             reps=args.reps,
             max_steps=args.max_steps,
@@ -486,14 +452,8 @@ def _cmd_portfolio(args) -> int:
     return 0 if report.entries else 1
 
 
-#: ``demo`` comparator set: display label → registry solver name (the
-#: historical ``all_baselines`` table).
-_BASELINE_SOLVERS = {
-    "serial": "serial",
-    "round_robin": "round_robin",
-    "greedy": "greedy",
-    "random": "random_policy",
-}
+#: ``demo`` comparators, by registry name.
+_BASELINE_SOLVERS = ("serial", "round_robin", "greedy", "random_policy")
 
 
 def _load_or_solve_schedule(args, inst):
@@ -501,7 +461,7 @@ def _load_or_solve_schedule(args, inst):
     if args.schedule:
         return _load_schedule(args.schedule)
     result = solve(
-        inst, constants=_PRESETS[args.constants], rng=args.seed, method=args.method
+        inst, constants=PRESETS[args.constants], rng=args.seed, method=args.method
     )
     print(f"algorithm: {result.algorithm}")
     return result.schedule
@@ -580,7 +540,7 @@ def _cmd_gantt(args) -> int:
         schedule = _load_schedule(args.schedule)
     else:
         result = solve(
-            inst, constants=_PRESETS[args.constants], rng=args.seed, method=args.method
+            inst, constants=PRESETS[args.constants], rng=args.seed, method=args.method
         )
         if not result.is_oblivious:
             print("adaptive policies have no fixed table to draw", file=sys.stderr)
@@ -592,17 +552,15 @@ def _cmd_gantt(args) -> int:
 
 
 def _cmd_demo(args) -> int:
+    from .experiments import resolve_generator
+
     rng = np.random.default_rng(args.seed)
-    if args.scenario == "project":
-        inst = project_management(rng=rng)
-    elif args.scenario == "grid":
-        inst = grid_computing(rng=rng)
-    else:
-        inst = random_instance(16, 6, rng=rng)
+    generator = "random" if args.scenario == "independent" else args.scenario
+    inst = resolve_generator(generator)(rng)
     print(f"scenario: {inst!r}")
     results = {"paper_algorithm": solve(inst, rng=rng)}
-    for label, name in _BASELINE_SOLVERS.items():
-        results[label] = resolve_solver(name).build(inst)
+    for name in _BASELINE_SOLVERS:
+        results[name] = resolve_solver(name).build(inst)
     records = compare_algorithms(inst, results, reps=args.reps, rng=rng)
     table = Table(
         ["algorithm", "E[makespan]", "±se", "reference", "kind", "ratio"],
@@ -810,12 +768,20 @@ def main(argv: list[str] | None = None) -> int:
         "serve": _cmd_serve,
     }
     try:
-        return handlers[args.command](args)
+        status = handlers[args.command](args)
+        sys.stdout.flush()
+        return status
     except ReproError as exc:
         # Deliberate errors (bad --method, a DAG outside the method's
         # class, ...) are one stderr line, never a traceback.
         print(f"suu {args.command}: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader went away (`suu ... | head`).  As the Python docs
+        # advise, point stdout at devnull so the interpreter's final flush
+        # cannot fail again, and exit non-zero without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -23,6 +23,7 @@ from .schedule import (
     PseudoSchedule,
     Regimen,
     ScheduleResult,
+    schedule_from_dict,
     validate_assignment,
 )
 
@@ -40,6 +41,7 @@ __all__ = [
     "PseudoSchedule",
     "Regimen",
     "ScheduleResult",
+    "schedule_from_dict",
     "validate_assignment",
     "assignment_mass",
     "assignment_success_prob",

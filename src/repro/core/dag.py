@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .._util import bitmask_from_iterable, iterable_from_bitmask
+from .._util import bitmask_from_iterable, iterable_from_bitmask, json_numbers
 from ..errors import CycleError, ValidationError, payload_errors
 
 __all__ = ["DagClass", "PrecedenceDAG"]
@@ -268,10 +268,6 @@ class PrecedenceDAG:
         """Number of descendants (excluding self) per job."""
         return np.array([m.bit_count() for m in self._desc_masks], dtype=np.int64)
 
-    def ancestor_counts(self) -> np.ndarray:
-        """Number of ancestors (excluding self) per job."""
-        return np.array([m.bit_count() for m in self._anc_masks], dtype=np.int64)
-
     # ------------------------------------------------------------------
     # Structure classification
     # ------------------------------------------------------------------
@@ -454,25 +450,6 @@ class PrecedenceDAG:
         """The DAG with every edge reversed (out-trees become in-trees)."""
         return PrecedenceDAG(self._n, [(v, u) for (u, v) in self._edges])
 
-    def transitive_reduction(self) -> "PrecedenceDAG":
-        """Remove edges implied by transitivity.
-
-        The SUU semantics only depend on the reachability relation, so the
-        reduction is behaviour-preserving; it can move a GENERAL-looking
-        graph into a forest class.
-        """
-        keep: list[tuple[int, int]] = []
-        for u, v in self._edges:
-            # (u, v) is redundant iff some other successor of u reaches v.
-            redundant = False
-            for w in self._succs[u]:
-                if w != v and (self._desc_masks[w] >> v) & 1:
-                    redundant = True
-                    break
-            if not redundant:
-                keep.append((u, v))
-        return PrecedenceDAG(self._n, keep)
-
     def to_dict(self) -> dict:
         """JSON-serializable representation."""
         return {"n": self._n, "edges": [list(e) for e in self._edges]}
@@ -480,4 +457,11 @@ class PrecedenceDAG:
     @classmethod
     def from_dict(cls, data: dict) -> "PrecedenceDAG":
         with payload_errors("DAG"):
-            return cls(int(data["n"]), [tuple(e) for e in data["edges"]])
+            n, edges = data["n"], json_numbers(data["edges"], np.int64)
+            if type(n) is not int:
+                raise TypeError(f"n must be a JSON integer, got {n!r}")
+            if edges.size == 0:
+                edges = edges.reshape(0, 2)
+            if edges.ndim != 2 or edges.shape[1] != 2:
+                raise ValueError("edges must be a list of [u, v] pairs")
+            return cls(n, edges.tolist())

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .._util import check_prob_matrix
+from .._util import check_prob_matrix, json_numbers
 from ..errors import ValidationError, payload_errors
 from .dag import DagClass, PrecedenceDAG
 
@@ -131,10 +131,6 @@ class SUUInstance:
         """Same probabilities, different precedence constraints."""
         return SUUInstance(self._p, dag, name=self._name)
 
-    def with_chains(self, chains: Sequence[Sequence[int]]) -> "SUUInstance":
-        """Same probabilities, disjoint-chain constraints built from lists."""
-        return self.with_dag(PrecedenceDAG.from_chains(chains, n=self.n))
-
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
@@ -149,7 +145,7 @@ class SUUInstance:
     def from_dict(cls, data: dict) -> "SUUInstance":
         with payload_errors("instance"):
             return cls(
-                np.asarray(data["p"], dtype=np.float64),
+                json_numbers(data["p"], np.float64),
                 PrecedenceDAG.from_dict(data["dag"]),
                 name=data.get("name", ""),
             )

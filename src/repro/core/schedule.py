@@ -31,6 +31,7 @@ from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
+from .._util import json_numbers
 from ..errors import ExactSolverLimitError, ScheduleError, ValidationError, payload_errors
 from . import mass as mass_mod
 from .instance import SUUInstance
@@ -47,6 +48,7 @@ __all__ = [
     "ChainBands",
     "PseudoSchedule",
     "ScheduleResult",
+    "schedule_from_dict",
 ]
 
 #: Sentinel job id meaning "machine is idle" (the paper's ⊥).
@@ -263,7 +265,7 @@ class ObliviousSchedule:
     @classmethod
     def from_dict(cls, data: dict) -> "ObliviousSchedule":
         with payload_errors("oblivious schedule"):
-            return cls(np.asarray(data["table"], dtype=np.int32))
+            return cls(json_numbers(data["table"], np.int32))
 
 
 class CyclicSchedule:
@@ -339,14 +341,27 @@ class CyclicSchedule:
     @classmethod
     def from_dict(cls, data: dict) -> "CyclicSchedule":
         with payload_errors("cyclic schedule"):
-            m = len(data["cycle"][0]) if data["cycle"] else 0
-            prefix_tab = np.asarray(data["prefix"], dtype=np.int32)
-            if prefix_tab.size == 0:
-                prefix_tab = prefix_tab.reshape(0, m)
-            return cls(
-                ObliviousSchedule(prefix_tab),
-                ObliviousSchedule(np.asarray(data["cycle"], dtype=np.int32)),
-            )
+            cycle = json_numbers(data["cycle"], np.int32)
+            prefix = json_numbers(data["prefix"], np.int32)
+            if prefix.size == 0:
+                prefix = prefix.reshape(0, cycle.shape[-1])
+            return cls(ObliviousSchedule(prefix), ObliviousSchedule(cycle))
+
+
+def schedule_from_dict(payload: dict) -> ObliviousSchedule | CyclicSchedule:
+    """The table schedule a ``to_dict`` payload describes, by its ``kind``.
+
+    The one map from a schedule kind to its class: schedule files read by
+    the CLI and tables on the server's wire both decode here.
+    """
+    kind = payload.get("kind")
+    if kind == "oblivious":
+        return ObliviousSchedule.from_dict(payload)
+    if kind == "cyclic":
+        return CyclicSchedule.from_dict(payload)
+    raise ValidationError(
+        f"unknown schedule kind {kind!r}; expected 'oblivious' or 'cyclic'"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -738,32 +753,9 @@ class PseudoSchedule:
                     best = len(jobs)
         return best
 
-    def collision_histogram(self) -> dict[int, int]:
-        """How many (machine, step) pairs have each collision count >= 1."""
-        hist: dict[int, int] = {}
-        for row in self._steps:
-            for jobs in row:
-                c = len(jobs)
-                if c:
-                    hist[c] = hist.get(c, 0) + 1
-        return hist
-
     def is_feasible(self) -> bool:
         """True iff no machine ever has more than one job (an oblivious schedule)."""
         return self.max_collision() <= 1
-
-    def to_oblivious(self) -> ObliviousSchedule:
-        """Convert, requiring feasibility (use delay+flatten otherwise)."""
-        if not self.is_feasible():
-            raise ScheduleError(
-                "pseudo-schedule has collisions; apply delays/flattening first"
-            )
-        table = np.full((self.length, self._m), IDLE, dtype=np.int32)
-        for t, row in enumerate(self._steps):
-            for i, jobs in enumerate(row):
-                if jobs:
-                    table[t, i] = jobs[0]
-        return ObliviousSchedule(table)
 
     def __repr__(self) -> str:
         return (

@@ -31,7 +31,7 @@ def payload_errors(what: str) -> Iterator[None]:
         yield
     except ReproError:
         raise
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad {what} payload: {type(exc).__name__}: {exc}") from None
 
 

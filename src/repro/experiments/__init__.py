@@ -4,23 +4,16 @@ The unified experiment layer (see ``docs/architecture.md``):
 
 * :class:`ExperimentSpec` — a JSON-serializable description of one
   measurement (instance generator × algorithm × estimator parameters);
-* registries (:data:`GENERATORS`, :data:`ALGORITHMS`, :data:`SUITES`) —
-  string-named extension points so specs stay pure data;
+  its algorithm is a solver registry name or ``"solve"``;
+* registries (:data:`GENERATORS`, :data:`SUITES`) — string-named
+  extension points so specs stay pure data;
 * :func:`run_experiment` / :func:`run_suite` — execution with on-disk
   result caching keyed by the spec hash;
 * built-in suites shared by ``benchmarks/bench_*.py`` and the CLI
   (``python -m repro run-experiments``).
 """
 
-from .registry import (
-    ALGORITHMS,
-    GENERATORS,
-    register_algorithm,
-    register_generator,
-    resolve_algorithm,
-    resolve_constants,
-    resolve_generator,
-)
+from .registry import GENERATORS, register_generator, resolve_generator
 from .runner import (
     DEFAULT_CACHE_DIR,
     RESULT_SCHEMA_VERSION,
@@ -32,7 +25,6 @@ from .spec import SPEC_VERSION, ExperimentSpec
 from .suites import SUITES, get_suite, register_suite, suite_names
 
 __all__ = [
-    "ALGORITHMS",
     "GENERATORS",
     "SUITES",
     "SPEC_VERSION",
@@ -40,11 +32,8 @@ __all__ = [
     "DEFAULT_CACHE_DIR",
     "ExperimentSpec",
     "ExperimentResult",
-    "register_algorithm",
     "register_generator",
     "register_suite",
-    "resolve_algorithm",
-    "resolve_constants",
     "resolve_generator",
     "run_experiment",
     "run_suite",

@@ -1,8 +1,10 @@
 """Declarative experiment specifications.
 
 An :class:`ExperimentSpec` is a pure-data description of one measurement:
-*instance generator × algorithm × estimator parameters*, all named through
-the registries in :mod:`repro.experiments.registry` so the spec is JSON
+*instance generator × algorithm × estimator parameters*.  The generator is
+named in :mod:`repro.experiments.registry`, the algorithm in the solver
+registry (:mod:`repro.algorithms.registry`, or ``"solve"`` for the front
+door), and the constants by preset name, so the spec is JSON
 round-trippable.  The spec's canonical-JSON hash keys the on-disk result
 cache — two specs that describe the same computation hash identically
 regardless of field order or the human-facing ``name`` label.
@@ -16,10 +18,11 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from ..algorithms import resolve_constants, resolve_solver, solve
 from ..core.instance import SUUInstance
 from ..core.schedule import ScheduleResult
 from ..errors import ExperimentError
-from .registry import resolve_algorithm, resolve_generator
+from .registry import resolve_generator
 
 __all__ = ["ExperimentSpec", "SPEC_VERSION", "EVALUATION_KEYS"]
 
@@ -60,8 +63,11 @@ class ExperimentSpec:
     generator / generator_params / instance_seed:
         Registry key, keyword arguments, and RNG seed for the instance.
     algorithm / algorithm_params:
-        Registry key and keyword arguments for the scheduling algorithm
-        (e.g. ``{"constants": "paper"}``).
+        A solver registry name, or ``"solve"`` for the auto-dispatching
+        front door, and its keyword arguments.  ``constants`` names a
+        :data:`~repro.algorithms.PRESETS` entry (default ``"practical"``),
+        e.g. ``{"constants": "paper"}``; ``"solve"`` also takes
+        ``method`` and ``allow_fallback``.
     reps / max_steps / sim_seed:
         Monte Carlo estimator parameters for the sharded evaluation route
         (each shard runs the engine routing of ``repro.sim.montecarlo``).
@@ -195,12 +201,16 @@ class ExperimentSpec:
         return instance
 
     def build_schedule(self, instance: SUUInstance) -> ScheduleResult:
-        alg = resolve_algorithm(self.algorithm)
+        params = dict(self.algorithm_params)
+        constants = resolve_constants(params.pop("constants", "practical"))
+        build = (
+            solve if self.algorithm == "solve" else resolve_solver(self.algorithm).build
+        )
         # The solver gets its own deterministic stream, decoupled from the
         # simulation stream so reps/sim_seed changes never alter the
         # schedule under test.
         rng = np.random.default_rng((self.instance_seed, 0xA16))
-        result = alg(instance, rng, **self.algorithm_params)
+        result = build(instance, constants=constants, rng=rng, **params)
         if not isinstance(result, ScheduleResult):
             raise ExperimentError(
                 f"algorithm {self.algorithm!r} returned "

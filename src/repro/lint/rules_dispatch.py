@@ -17,8 +17,7 @@ def _callee_name(node: ast.Call) -> str | None:
     return None
 
 
-#: Concrete solver functions — the registry records' ``fn`` targets plus
-#: the ``all_baselines`` convenience bundle they replaced.
+#: Concrete solver functions — the registry records' ``fn`` targets.
 SOLVER_FUNCTIONS = frozenset(
     {
         "suu_i_adaptive",
@@ -36,7 +35,6 @@ SOLVER_FUNCTIONS = frozenset(
         "exact_baseline",
         "state_round_robin_regimen",
         "online_greedy",
-        "all_baselines",
     }
 )
 

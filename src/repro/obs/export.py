@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import json
 
+from ..errors import ValidationError
+
 __all__ = [
     "chrome_trace",
     "chrome_trace_json",
@@ -91,15 +93,31 @@ def summarize_trace(trace: dict) -> list[dict]:
     descending: ``{"name", "count", "total_ms", "mean_ms", "min_ms",
     "max_ms"}``.  Counter ("C") events are appended after the span rows as
     ``{"name", "counter": value}`` entries so one table shows both.
+
+    A trace file is input: an event that is not an object, or an "X" or
+    "C" event without a string ``name`` (or with a non-numeric ``dur``, or
+    non-object ``args``), raises :class:`~repro.errors.ValidationError`
+    naming the event.
     """
     spans: dict[str, list[float]] = {}
     counters: dict[str, float] = {}
-    for event in trace.get("traceEvents", ()):
-        ph = event.get("ph")
+    events = trace.get("traceEvents", [])
+    if not isinstance(events, list):
+        raise ValidationError("traceEvents must be a list of event objects")
+    for index, event in enumerate(events):
+        if not isinstance(event, dict):
+            raise _malformed(index, event)
+        ph, name = event.get("ph"), event.get("name")
         if ph == "X":
-            spans.setdefault(event["name"], []).append(event.get("dur", 0) / 1000.0)
+            dur = event.get("dur", 0)
+            if not isinstance(name, str) or type(dur) not in (int, float):
+                raise _malformed(index, event)
+            spans.setdefault(name, []).append(dur / 1000.0)
         elif ph == "C":
-            counters[event["name"]] = event.get("args", {}).get("value", 0)
+            args = event.get("args", {})
+            if not isinstance(name, str) or not isinstance(args, dict):
+                raise _malformed(index, event)
+            counters[name] = args.get("value", 0)
     rows = [
         {
             "name": name,
@@ -116,6 +134,10 @@ def summarize_trace(trace: dict) -> list[dict]:
         {"name": name, "counter": counters[name]} for name in sorted(counters)
     )
     return rows
+
+
+def _malformed(index: int, event) -> ValidationError:
+    return ValidationError(f"malformed trace event {index}: {event!r}")
 
 
 def render_summary(rows: list[dict]) -> str:

@@ -24,7 +24,7 @@ import json
 
 from .. import obs
 from ..core.instance import SUUInstance
-from ..core.schedule import CyclicSchedule, ObliviousSchedule
+from ..core.schedule import schedule_from_dict
 from ..errors import AdmissionError, ReproError, ValidationError
 from ..evaluate.request import EvaluationRequest
 from .server import EvaluationServer
@@ -55,15 +55,7 @@ def decode_schedule(payload):
     if isinstance(payload, str):
         return payload
     if isinstance(payload, dict):
-        kind = payload.get("kind")
-        if kind == "oblivious":
-            return ObliviousSchedule.from_dict(payload)
-        if kind == "cyclic":
-            return CyclicSchedule.from_dict(payload)
-        raise ValidationError(
-            f"unknown schedule kind {kind!r}; the wire protocol carries "
-            "'oblivious'/'cyclic' tables or a registry solver name"
-        )
+        return schedule_from_dict(payload)
     raise ValidationError(
         f"schedule must be a table dict or a solver name, got "
         f"{type(payload).__name__}"

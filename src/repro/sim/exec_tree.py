@@ -93,10 +93,6 @@ class ExecutionTree:
     def prob_all_finished(self) -> float:
         return float(sum(leaf.prob for leaf in self.leaves() if leaf.state == 0))
 
-    def total_leaf_probability(self) -> float:
-        """Should be 1 up to floating error; used as a sanity check."""
-        return float(sum(leaf.prob for leaf in self.leaves()))
-
 
 def _assignment_at(
     instance: SUUInstance,

@@ -23,8 +23,14 @@ from ..algorithms.registry import ALL_CLASSES, SOLVERS, resolve_solver
 from ..core.instance import SUUInstance
 from ..errors import ValidationError
 from ..opt.malewicz import optimal_regimen
-from ..workloads import grid_computing, project_management, random_instance
-from ..workloads.generators import greedy_trap
+from ..workloads import (
+    DAG_KINDS,
+    PROB_MODELS,
+    greedy_trap,
+    grid_computing,
+    project_management,
+    random_instance,
+)
 
 __all__ = [
     "CaseSpec",
@@ -36,26 +42,6 @@ __all__ = [
     "sample_case",
 ]
 
-#: DAG kinds and probability models accepted by random_instance, kept in
-#: sync with :mod:`repro.workloads.generators` (test-asserted).
-DAG_KINDS = (
-    "independent",
-    "chains",
-    "out_tree",
-    "in_tree",
-    "mixed_forest",
-    "layered",
-    "diamond",
-)
-PROB_MODELS = (
-    "uniform",
-    "machine_speed",
-    "specialist",
-    "power_law",
-    "sparse",
-    "heterogeneous",
-)
-
 #: Scenario families with their own size semantics (n/m are derived).
 SCENARIO_FAMILIES = ("grid", "project", "greedy_trap")
 
@@ -63,6 +49,7 @@ SCENARIO_FAMILIES = ("grid", "project", "greedy_trap")
 INSTANCE_FAMILIES: tuple[str, ...] = tuple(
     f"{dag}/{prob}" for dag in DAG_KINDS for prob in PROB_MODELS
 ) + SCENARIO_FAMILIES
+
 
 def _fuzzable_solver_names() -> tuple[str, ...]:
     """Registry solvers cheap enough to fuzz on every drawn instance.

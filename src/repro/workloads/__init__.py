@@ -1,6 +1,8 @@
 """Synthetic workloads: DAG/probability generators and paper scenarios."""
 
 from .generators import (
+    DAG_KINDS,
+    PROB_MODELS,
     chains_dag,
     diamond_dag,
     greedy_trap,
@@ -14,6 +16,8 @@ from .generators import (
 from .scenarios import grid_computing, project_management
 
 __all__ = [
+    "DAG_KINDS",
+    "PROB_MODELS",
     "chains_dag",
     "diamond_dag",
     "greedy_trap",

@@ -4,11 +4,15 @@ The experiment suite needs controlled families of instances: DAG shape
 (independent / chains / trees / forests) crossed with probability models
 capturing the paper's motivating heterogeneity (machines differ per job).
 All generators take an explicit RNG and are deterministic given a seed.
+
+:data:`DAG_KINDS` and :data:`PROB_MODELS` list the names
+:func:`random_instance` and :func:`probability_matrix` accept; the CLI's
+``generate`` choices and the fuzzer's instance families read them.
 """
 
 from __future__ import annotations
 
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -18,6 +22,8 @@ from ..core.instance import SUUInstance
 from ..errors import ValidationError
 
 __all__ = [
+    "DAG_KINDS",
+    "PROB_MODELS",
     "probability_matrix",
     "chains_dag",
     "out_tree_dag",
@@ -28,15 +34,32 @@ __all__ = [
     "random_instance",
 ]
 
-ProbModel = Literal[
-    "uniform", "machine_speed", "specialist", "power_law", "sparse", "heterogeneous"
-]
+#: DAG kinds of :func:`random_instance`.
+DAG_KINDS = (
+    "independent",
+    "chains",
+    "out_tree",
+    "in_tree",
+    "mixed_forest",
+    "layered",
+    "diamond",
+)
+
+#: Probability models of :func:`probability_matrix`.
+PROB_MODELS = (
+    "uniform",
+    "machine_speed",
+    "specialist",
+    "power_law",
+    "sparse",
+    "heterogeneous",
+)
 
 
 def probability_matrix(
     m: int,
     n: int,
-    model: ProbModel = "uniform",
+    model: str = "uniform",
     rng: np.random.Generator | int | None = None,
     lo: float = 0.05,
     hi: float = 0.95,
@@ -259,17 +282,16 @@ def random_instance(
     n: int,
     m: int,
     dag_kind: str = "independent",
-    prob_model: ProbModel = "uniform",
+    prob_model: str = "uniform",
     rng: np.random.Generator | int | None = None,
     **kwargs,
 ) -> SUUInstance:
     """One-stop generator: DAG kind × probability model.
 
-    ``dag_kind``: ``independent`` / ``chains`` / ``out_tree`` / ``in_tree``
-    / ``mixed_forest`` / ``layered`` / ``diamond``.  Extra keyword
-    arguments go to the DAG generator (``num_chains``, ``max_children``,
-    ``width``, ...) or the probability model (``lo``, ``hi``,
-    ``zero_fraction``, ``speed_classes``).
+    ``dag_kind`` is one of :data:`DAG_KINDS` and ``prob_model`` one of
+    :data:`PROB_MODELS`.  Extra keyword arguments go to the DAG generator
+    (``num_chains``, ``max_children``, ``width``, ...) or the probability
+    model (``lo``, ``hi``, ``zero_fraction``, ``speed_classes``).
     """
     rng = as_rng(rng)
     prob_keys = {"lo", "hi", "zero_fraction", "speed_classes"}

@@ -21,7 +21,7 @@ from repro.algorithms.baselines import serial_baseline
 from repro.algorithms.chains import solve_chains
 from repro.algorithms.independent import suu_i_adaptive, suu_i_lp, suu_i_oblivious
 from repro.algorithms.layered import solve_layered
-from repro.algorithms.pipeline import _METHODS
+from repro.algorithms.registry import solver_names
 from repro.algorithms.trees import solve_forest, solve_tree
 from repro.core.dag import DagClass
 from repro.errors import UnsupportedDagError
@@ -36,13 +36,27 @@ from repro.workloads.generators import greedy_trap
 
 
 # ----------------------------------------------------------------------
-# Verbatim copy of the seed dispatcher (pre-registry pipeline.solve).
+# Verbatim copy of the seed dispatcher (pre-registry pipeline.solve), with
+# a frozen copy of the nine methods it accepted.
 # ----------------------------------------------------------------------
+_SEED_METHODS = {
+    "auto",
+    "adaptive",
+    "oblivious",
+    "lp",
+    "chains",
+    "tree",
+    "forest",
+    "layered",
+    "serial",
+}
+
+
 def _seed_solve(instance, constants=PRACTICAL, rng=None, method="auto",
                 allow_fallback=False):
-    if method not in _METHODS:
+    if method not in _SEED_METHODS:
         raise ValueError(
-            f"unknown method {method!r}; expected one of {sorted(_METHODS)}"
+            f"unknown method {method!r}; expected one of {sorted(_SEED_METHODS)}"
         )
     if method == "adaptive":
         return suu_i_adaptive(instance)
@@ -112,7 +126,7 @@ def _instances() -> list[tuple[str, SUUInstance]]:
 
 
 INSTANCES = _instances()
-CONFIGS = [(m, False) for m in sorted(_METHODS)] + [("auto", True)]
+CONFIGS = [(m, False) for m in sorted(_SEED_METHODS)] + [("auto", True)]
 
 
 def _mc_samples(instance, schedule):
@@ -159,11 +173,12 @@ def test_solve_matches_seed_dispatch(label, instance, method, fallback):
 
 
 def test_unknown_method_message_unchanged():
+    # The seed's wording, listing "auto" and every registry name.
     inst = INSTANCES[0][1]
     with pytest.raises(ValueError) as info:
         solve(inst, method="nope")
     assert str(info.value) == (
-        f"unknown method 'nope'; expected one of {sorted(_METHODS)}"
+        f"unknown method 'nope'; expected one of {sorted(['auto', *solver_names()])}"
     )
 
 

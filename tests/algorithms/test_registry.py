@@ -37,11 +37,6 @@ class TestRecords:
         assert [s.name for s in ranked] == ["lp", "chains", "tree", "forest", "layered"]
         assert [s for s in ranked if s.fallback] == [resolve_solver("layered")]
 
-    def test_method_names_are_registered(self):
-        from repro.algorithms.pipeline import _METHODS
-
-        assert _METHODS - {"auto"} <= set(SOLVERS)
-
     def test_solver_names_sorted(self):
         assert solver_names() == sorted(SOLVERS)
 

@@ -42,18 +42,6 @@ class TestTable:
         t.add_row([3.14159])
         assert "3.1" in t.render()
 
-    def test_markdown(self):
-        t = Table(["a", "b"], title="md")
-        t.add_row([1, 2])
-        md = t.render_markdown()
-        assert md.count("|") >= 6
-        assert "---" in md
-
-    def test_to_records(self):
-        t = Table(["a", "b"])
-        t.add_row([1, 2])
-        assert t.to_records() == [{"a": 1, "b": 2}]
-
     def test_empty_table_renders(self):
         t = Table(["a"])
         assert "a" in t.render()

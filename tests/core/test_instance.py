@@ -88,10 +88,6 @@ class TestTransforms:
         assert inst.dag == dag
         np.testing.assert_array_equal(inst.p, tiny_independent.p)
 
-    def test_with_chains(self, tiny_independent):
-        inst = tiny_independent.with_chains([[0, 1, 2]])
-        assert inst.classify() == DagClass.CHAINS
-
 
 class TestSerialization:
     def test_json_roundtrip(self, tiny_tree):

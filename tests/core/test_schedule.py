@@ -13,7 +13,6 @@ from repro import (
     CyclicSchedule,
     JobWindow,
     ObliviousSchedule,
-    PseudoSchedule,
     Regimen,
     ScheduleError,
     SUUInstance,
@@ -352,17 +351,3 @@ class TestChainBandsAndPseudo:
         assert mass[0] == pytest.approx(0.5 * 2 + 0.3 * 1)
         assert mass[2] == pytest.approx(0.1 * 2)
 
-    def test_to_oblivious_requires_feasible(self, bands):
-        with pytest.raises(ScheduleError):
-            bands.to_pseudo().to_oblivious()
-
-    def test_feasible_pseudo_converts(self):
-        pseudo = PseudoSchedule(2, [[[0], []], [[], [1]]])
-        s = pseudo.to_oblivious()
-        assert s.table[0, 0] == 0
-        assert s.table[0, 1] == IDLE
-
-    def test_collision_histogram(self, bands):
-        hist = bands.to_pseudo().collision_histogram()
-        assert hist[2] >= 1
-        assert all(k >= 1 for k in hist)

@@ -8,34 +8,30 @@ from repro.core.instance import SUUInstance
 from repro.core.schedule import ScheduleResult
 from repro.errors import ExperimentError
 from repro.experiments import (
-    ALGORITHMS,
     GENERATORS,
     ExperimentSpec,
-    register_algorithm,
     register_generator,
-    resolve_algorithm,
-    resolve_constants,
     resolve_generator,
 )
-from repro.algorithms import LEAN, PAPER, PRACTICAL
+from repro.algorithms import LEAN, PAPER, PRACTICAL, PRESETS, resolve_constants
 
 
 class TestRegistry:
     def test_builtins_present(self):
         assert {"random", "grid", "project", "greedy_trap"} <= set(GENERATORS)
-        assert {"solve", "adaptive", "oblivious", "lp", "serial"} <= set(ALGORITHMS)
+        assert set(PRESETS) == {"paper", "practical", "lean"}
 
     def test_unknown_names_raise(self):
         with pytest.raises(ExperimentError):
             resolve_generator("no-such-generator")
-        with pytest.raises(ExperimentError):
-            resolve_algorithm("no-such-algorithm")
+        spec = ExperimentSpec(name="x", generator_params={"n": 4, "m": 2},
+                              algorithm="no-such-algorithm")
+        with pytest.raises(ExperimentError, match="unknown solver 'no-such-algorithm'"):
+            spec.build_schedule(spec.build_instance())
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ExperimentError):
             register_generator("random")(lambda rng: None)
-        with pytest.raises(ExperimentError):
-            register_algorithm("solve")(lambda instance, rng: None)
 
     def test_resolve_constants(self):
         assert resolve_constants("paper") is PAPER

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import SUUInstance, solve
-from repro.algorithms import LEAN, PRACTICAL, all_baselines
+from repro.algorithms import LEAN, PRACTICAL, resolve_solver
 from repro.analysis import compare_algorithms
 from repro.evaluate import evaluate
 from repro.sim import simulate
@@ -63,7 +63,8 @@ class TestScenarios:
         rng = np.random.default_rng(2)
         inst = project_management(workstreams=3, tasks_per_stream=2, workers=4, rng=rng)
         results = {"paper": solve(inst, rng=rng)}
-        results.update(all_baselines(inst))
+        for name in ("serial", "round_robin", "greedy", "random_policy"):
+            results[name] = resolve_solver(name).build(inst)
         records = compare_algorithms(inst, results, reps=25, rng=rng, max_steps=300_000)
         assert len(records) == 5
         assert all(rec.ratio > 0 for rec in records)

@@ -24,8 +24,7 @@ from repro.core.dag import DagClass
 from repro.decomp.chain_decomposition import decompose_forest
 from repro.errors import LPError
 from repro.lp import LinearProgram, build_lp1, build_lp2
-from repro.verify.cases import DAG_KINDS, PROB_MODELS
-from repro.workloads import random_instance
+from repro.workloads import DAG_KINDS, PROB_MODELS, random_instance
 
 #: The fuzzer's 42 instance families (DAG kind × probability model), the
 #: same set ``test_lp_engines_equiv.py`` sweeps.

@@ -33,7 +33,8 @@ from repro.lp.scalar import (
     solve_lp2_scalar,
 )
 from repro.rounding.round_lp import round_acc_mass
-from repro.verify.cases import DAG_KINDS, PROB_MODELS, CaseSpec, build_instance
+from repro.verify.cases import CaseSpec, build_instance
+from repro.workloads import DAG_KINDS, PROB_MODELS
 
 FAMILIES = [f"{dag}/{prob}" for dag in DAG_KINDS for prob in PROB_MODELS]
 #: Families the (LP1) → rounding pipeline applies to (chain-shaped DAGs).

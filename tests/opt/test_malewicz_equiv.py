@@ -19,7 +19,8 @@ import pytest
 from repro import PrecedenceDAG, SUUInstance
 from repro.errors import ExactSolverLimitError
 from repro.opt import malewicz, scalar
-from repro.verify.cases import DAG_KINDS, PROB_MODELS, CaseSpec, build_instance
+from repro.verify.cases import CaseSpec, build_instance
+from repro.workloads import DAG_KINDS, PROB_MODELS
 
 FAMILIES = [f"{dag}/{prob}" for dag in DAG_KINDS for prob in PROB_MODELS]
 

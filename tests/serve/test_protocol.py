@@ -171,14 +171,49 @@ class TestErrorMapping:
             ("schedule", {"kind": "cyclic"}, "bad cyclic schedule payload: KeyError"),
             ("schedule", {"kind": "oblivious", "table": [["a"]]}, "bad oblivious schedule"),
             ("edges", [[0]], "bad DAG payload"),
+            ("schedule", {"kind": "regimen", "table": [[0, 1]]}, "unknown schedule kind"),
+            ("entry", 2**31, "bad oblivious schedule payload: OverflowError"),
+            ("entry", 2.5, "expected JSON integers, got float"),
+            ("entry", True, "expected JSON integers, got bool"),
+            ("entry", "2", "expected JSON integers, got str"),
+            ("n", 2.7, "bad DAG payload: TypeError: n must be a JSON integer"),
+            ("n", True, "bad DAG payload: TypeError: n must be a JSON integer"),
+            ("n", "2", "bad DAG payload: TypeError: n must be a JSON integer"),
+            ("edges", [[0, 1.5]], "bad DAG payload: TypeError: expected JSON integers"),
+            ("edges", [[0, True]], "bad DAG payload: TypeError: expected JSON integers"),
+            ("edges", [[0, "1"]], "bad DAG payload: TypeError: expected JSON integers"),
+            ("p", "0.5", "bad instance payload: TypeError: expected JSON numbers"),
+            ("p", True, "bad instance payload: TypeError: expected JSON numbers"),
         ],
-        ids=["cyclic-without-cycle", "non-integer-table", "one-ended-edge"],
+        ids=[
+            "cyclic-without-cycle",
+            "non-integer-table",
+            "one-ended-edge",
+            "regimen-kind",
+            "entry-2**31",
+            "entry-real",
+            "entry-bool",
+            "entry-string",
+            "n-real",
+            "n-bool",
+            "n-string",
+            "edge-real",
+            "edge-bool",
+            "edge-string",
+            "p-string",
+            "p-bool",
+        ],
     )
     def test_malformed_payloads_are_400(self, served, inst, sched, where, payload, match):
-        # Decoded into one ValidationError, not a 500 "internal error".
+        # Decoded into one ValidationError, not a 500 "internal error" and
+        # not a silent cast (2.5, true and "2" are not job ids).
         inst_dict, sched_dict = inst.to_dict(), sched.to_dict()
-        if where == "edges":
-            inst_dict["dag"]["edges"] = payload
+        if where in ("n", "edges"):
+            inst_dict["dag"][where] = payload
+        elif where == "p":
+            inst_dict["p"][0][0] = payload
+        elif where == "entry":
+            sched_dict["table"][0][0] = payload
         else:
             sched_dict = payload
         with pytest.raises(ServeError, match=f"HTTP 400.*{match}"):

@@ -31,8 +31,7 @@ from repro.evaluate import evaluate
 from repro.sim import simulate_batch
 from repro.sim.batch import batchable, frontier_eligible, frontier_success_prob
 from repro.sim.engine import effective_assignment, eligible_mask
-from repro.verify.cases import DAG_KINDS
-from repro.workloads import random_instance
+from repro.workloads import DAG_KINDS, random_instance
 
 
 def _flaky_instance(n=12, m=4, lo=0.05, hi=0.4, seed=3):

@@ -61,8 +61,8 @@ from repro.sim.exact.lattice import (
 )
 from repro.evaluate.request import ENGINES
 from repro.sim.exact.scalar import eligible_bitmask
-from repro.verify.cases import DAG_KINDS, PROB_MODELS, CaseSpec, build_instance
-from repro.workloads import random_instance
+from repro.verify.cases import CaseSpec, build_instance
+from repro.workloads import DAG_KINDS, PROB_MODELS, random_instance
 
 FAMILIES = [f"{dag}/{prob}" for dag in DAG_KINDS for prob in PROB_MODELS]
 

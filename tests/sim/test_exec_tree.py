@@ -21,7 +21,7 @@ class TestTreeStructure:
         tree = build_execution_tree(
             tiny_independent, cyc([[0, 1, 2]]), depth=4, job=0
         )
-        assert tree.total_leaf_probability() == pytest.approx(1.0)
+        assert sum(leaf.prob for leaf in tree.leaves()) == pytest.approx(1.0)
 
     def test_depth_zero(self, tiny_independent):
         tree = build_execution_tree(tiny_independent, cyc([[0, 1, 2]]), depth=0, job=0)

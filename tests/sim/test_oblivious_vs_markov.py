@@ -23,7 +23,8 @@ from repro.errors import CensoredEstimateWarning
 from repro.evaluate import evaluate
 from repro.sim.engine import DEFAULT_MAX_STEPS
 from repro.sim.montecarlo import _cycle_completion
-from repro.verify.cases import DAG_KINDS, CaseSpec, build_case
+from repro.verify.cases import CaseSpec, build_case
+from repro.workloads import DAG_KINDS
 
 REPS = 20_000
 #: Mean tolerance, in standard errors.

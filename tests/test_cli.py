@@ -3,10 +3,36 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import repro
+from repro.algorithms import resolve_solver, solver_names
 from repro.cli import build_parser, main
+from repro.core import SUUInstance
+from repro.experiments import GENERATORS
+
+#: A JSON instance whose DAG ``n`` or edges, or one of whose ``p`` entries,
+#: is replaced by the key's value (see ``_bad_instance``).
+_INSTANCE = {"p": [[0.5, 0.5]], "dag": {"n": 2, "edges": [[0, 1]]}}
+
+
+def _bad_instance(key: str, value) -> str:
+    data = json.loads(json.dumps(_INSTANCE))
+    if key == "p":
+        data["p"][0][0] = value
+    else:
+        data["dag"][key] = value
+    return json.dumps(data)
+
+
+def _bad_table(entry) -> str:
+    return json.dumps({"kind": "oblivious", "table": [[entry, 0, 1]]})
 
 
 class TestParser:
@@ -245,6 +271,19 @@ class TestReproErrorsInOneLine:
         assert main([command, str(inst), "--method", "bogus"]) == 2
         assert "unknown method 'bogus'" in self._one_line_error(command, capsys)
 
+    @pytest.mark.parametrize("name", solver_names())
+    def test_every_registry_name_is_a_method(self, name, tmp_path, capsys):
+        # A solver the chains instance admits runs (online_greedy among
+        # them); a forced one that does not fails in one line.
+        path = self._instance(tmp_path, "chains")
+        capsys.readouterr()
+        admitted = resolve_solver(name).supports(SUUInstance.from_json(path.read_text()))
+        assert main(["solve", str(path), "--method", name]) == (0 if admitted else 2)
+        if admitted:
+            assert "algorithm:" in capsys.readouterr().out
+        else:
+            self._one_line_error("solve", capsys)
+
     def test_method_outside_its_dag_class(self, tmp_path, capsys):
         inst = self._instance(tmp_path, "out_tree")
         capsys.readouterr()
@@ -292,8 +331,46 @@ class TestReproErrorsInOneLine:
             ("info", '{"p": [[0.5, 0.5]], "dag": 3}', "bad DAG payload"),
             ("evaluate", '{"kind": "cyclic"}', "bad cyclic schedule payload: KeyError"),
             ("trace", "[1, 2]", "expected a JSON object with traceEvents"),
+            ("info", _bad_instance("n", 2.7), "n must be a JSON integer"),
+            ("info", _bad_instance("n", True), "n must be a JSON integer"),
+            ("info", _bad_instance("n", "2"), "n must be a JSON integer"),
+            ("info", _bad_instance("edges", [[0, 1.5]]), "expected JSON integers"),
+            ("info", _bad_instance("edges", [[0, True]]), "expected JSON integers"),
+            ("info", _bad_instance("edges", [[0, "1"]]), "expected JSON integers"),
+            ("info", _bad_instance("p", "0.5"), "expected JSON numbers, got str"),
+            ("info", _bad_instance("p", True), "expected JSON numbers, got bool"),
+            ("evaluate", _bad_table(2**31), "bad oblivious schedule payload: OverflowError"),
+            ("evaluate", _bad_table(2.5), "expected JSON integers, got float"),
+            ("evaluate", _bad_table(True), "expected JSON integers, got bool"),
+            ("evaluate", _bad_table("2"), "expected JSON integers, got str"),
+            (
+                "evaluate",
+                '{"kind": "regimen", "table": [[0, 1]]}',
+                "unknown schedule kind 'regimen'",
+            ),
+            ("trace", '{"traceEvents": [{"ph": "X"}]}', "malformed trace event 0"),
+            ("trace", '{"traceEvents": [1]}', "malformed trace event 0: 1"),
         ],
-        ids=["info-dag-not-object", "evaluate-cyclic-without-cycle", "trace-array"],
+        ids=[
+            "info-dag-not-object",
+            "evaluate-cyclic-without-cycle",
+            "trace-array",
+            "info-n-real",
+            "info-n-bool",
+            "info-n-string",
+            "info-edge-real",
+            "info-edge-bool",
+            "info-edge-string",
+            "info-p-string",
+            "info-p-bool",
+            "evaluate-entry-2**31",
+            "evaluate-entry-real",
+            "evaluate-entry-bool",
+            "evaluate-entry-string",
+            "evaluate-regimen-kind",
+            "trace-span-without-name",
+            "trace-event-not-object",
+        ],
     )
     def test_malformed_nested_input(self, command, text, message, tmp_path, capsys):
         # The file is JSON, but what it holds does not decode.
@@ -442,3 +519,60 @@ class TestPortfolio:
         main(["generate", str(inst), "-n", "4", "-m", "2"])
         assert main(["portfolio", str(inst), "--solver", "nope"]) == 2
         assert "unknown solver" in capsys.readouterr().err
+
+
+class TestScenariosReadTheGenerators:
+    """Built-in scenarios are the experiment generators' instances."""
+
+    @pytest.mark.parametrize("name", ["grid", "project", "greedy_trap"])
+    def test_portfolio_scenario(self, name, monkeypatch, capsys):
+        import repro.algorithms
+
+        seen = []
+        run_portfolio = repro.algorithms.run_portfolio
+
+        def spy(instance, **kwargs):
+            seen.append(instance)
+            return run_portfolio(instance, **kwargs)
+
+        monkeypatch.setattr(repro.algorithms, "run_portfolio", spy)
+        argv = ["portfolio", name, "--solver", "serial", "--reps", "10", "--seed", "4"]
+        assert main(argv) == 0
+        assert seen == [GENERATORS[name](np.random.default_rng(4))]
+
+    @pytest.mark.parametrize(
+        "scenario,generator",
+        [("grid", "grid"), ("project", "project"), ("independent", "random")],
+    )
+    def test_demo_scenario(self, scenario, generator, monkeypatch, capsys):
+        import repro.cli
+
+        seen = []
+
+        def compare(instance, results, **kwargs):
+            seen.append((instance, sorted(results)))
+            return []
+
+        monkeypatch.setattr(repro.cli, "compare_algorithms", compare)
+        assert main(["demo", "--scenario", scenario, "--seed", "4"]) == 0
+        instance, labels = seen[0]
+        assert instance == GENERATORS[generator](np.random.default_rng(4))
+        assert labels == sorted(
+            ["paper_algorithm", "serial", "round_robin", "greedy", "random_policy"]
+        )
+
+
+def test_broken_pipe_exits_quietly(tmp_path):
+    # `suu info inst.json --bounds | head -1`: the reader goes away before
+    # the output is written.
+    inst = tmp_path / "inst.json"
+    main(["generate", str(inst), "-n", "6", "-m", "2", "--seed", "1"])
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+    argv = [sys.executable, "-m", "repro", "info", str(inst), "--bounds"]
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    ) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+    assert err == ""

@@ -5,14 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.errors import ValidationError
 from repro.verify import INSTANCE_FAMILIES, SCHEDULE_FAMILIES, CaseSpec, sample_case
-from repro.verify.cases import (
-    DAG_KINDS,
-    PROB_MODELS,
-    SCENARIO_FAMILIES,
-    build_case,
-    build_instance,
-)
+from repro.verify.cases import SCENARIO_FAMILIES, build_case, build_instance
+from repro.workloads import DAG_KINDS, PROB_MODELS, random_instance
 
 
 class TestFamilyRegistry:
@@ -26,17 +22,17 @@ class TestFamilyRegistry:
         for scenario in SCENARIO_FAMILIES:
             assert scenario in INSTANCE_FAMILIES
 
-    def test_in_sync_with_generator_registry(self):
-        # If a new dag kind / prob model is added to the generators, the
-        # fuzzer must learn about it (and vice versa).
-        from typing import get_args
-
-        from repro.workloads.generators import ProbModel, random_instance
-
-        assert set(PROB_MODELS) == set(get_args(ProbModel))
+    def test_every_listed_kind_and_model_builds(self):
+        # The fuzzer reads the generators' own tuples: every pair they
+        # list must build, and a name they do not list is refused.
         for dag in DAG_KINDS:
-            inst = random_instance(4, 2, dag_kind=dag, rng=0)
-            assert inst.n == 4
+            for prob in PROB_MODELS:
+                inst = random_instance(4, 2, dag_kind=dag, prob_model=prob, rng=0)
+                assert (inst.n, inst.m) == (4, 2)
+        with pytest.raises(ValidationError, match="unknown dag_kind"):
+            random_instance(4, 2, dag_kind="star", rng=0)
+        with pytest.raises(ValidationError, match="unknown probability model"):
+            random_instance(4, 2, prob_model="bimodal", rng=0)
 
 
 class TestCaseSpec:
