@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -138,11 +138,3 @@ def iterable_from_bitmask(mask: int) -> list[int]:
         i += 1
     return out
 
-
-def stable_argsort_desc(values: Sequence[float]) -> np.ndarray:
-    """Indices sorting ``values`` in non-increasing order, stable on ties."""
-    arr = np.asarray(values, dtype=np.float64)
-    # argsort of the negated array with a stable kind keeps the original
-    # order among equal entries, which the greedy algorithms rely on for
-    # determinism.
-    return np.argsort(-arr, kind="stable")

@@ -2,7 +2,7 @@
 
 from .ratios import RatioRecord, compare_algorithms, measure_ratio, reference_makespan
 from .robustness import PerturbationResult, perturb_instance, robustness_curve
-from .stats import bootstrap_ci, fit_log_growth, geometric_mean, loglog_slope, mean_ci
+from .stats import fit_log_growth, loglog_slope
 from .tables import Table
 
 __all__ = [
@@ -13,10 +13,7 @@ __all__ = [
     "PerturbationResult",
     "perturb_instance",
     "robustness_curve",
-    "bootstrap_ci",
     "fit_log_growth",
-    "geometric_mean",
     "loglog_slope",
-    "mean_ci",
     "Table",
 ]

@@ -2,52 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
-from .._util import as_rng
-
-__all__ = ["mean_ci", "bootstrap_ci", "geometric_mean", "loglog_slope", "fit_log_growth"]
-
-
-def mean_ci(samples: Sequence[float], z: float = 1.96) -> tuple[float, float, float]:
-    """``(mean, lo, hi)`` under the normal approximation."""
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("need at least one sample")
-    mean = float(arr.mean())
-    if arr.size == 1:
-        return mean, mean, mean
-    half = z * float(arr.std(ddof=1)) / math.sqrt(arr.size)
-    return mean, mean - half, mean + half
-
-
-def bootstrap_ci(
-    samples: Sequence[float],
-    stat=np.mean,
-    n_boot: int = 1000,
-    alpha: float = 0.05,
-    rng=None,
-) -> tuple[float, float, float]:
-    """``(stat, lo, hi)`` percentile-bootstrap interval."""
-    rng = as_rng(rng)
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("need at least one sample")
-    point = float(stat(arr))
-    idx = rng.integers(0, arr.size, size=(n_boot, arr.size))
-    boots = np.asarray([stat(arr[row]) for row in idx])
-    lo, hi = np.quantile(boots, [alpha / 2, 1 - alpha / 2])
-    return point, float(lo), float(hi)
-
-
-def geometric_mean(samples: Sequence[float]) -> float:
-    arr = np.asarray(samples, dtype=np.float64)
-    if np.any(arr <= 0):
-        raise ValueError("geometric mean needs positive samples")
-    return float(np.exp(np.mean(np.log(arr))))
+__all__ = ["loglog_slope", "fit_log_growth"]
 
 
 def loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -260,10 +260,6 @@ class PrecedenceDAG:
         """All jobs from which ``j`` is reachable (excluding ``j``)."""
         return iterable_from_bitmask(self._anc_masks[j])
 
-    def is_ancestor(self, u: int, v: int) -> bool:
-        """True iff there is a directed path from ``u`` to ``v`` (u != v)."""
-        return bool(self._desc_masks[u] >> v & 1)
-
     def descendant_counts(self) -> np.ndarray:
         """Number of descendants (excluding self) per job."""
         return np.array([m.bit_count() for m in self._desc_masks], dtype=np.int64)

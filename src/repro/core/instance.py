@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,6 +19,13 @@ from ..errors import ValidationError, payload_errors
 from .dag import DagClass, PrecedenceDAG
 
 __all__ = ["SUUInstance"]
+
+
+def _check_job_count(dag_n: int, n: int) -> None:
+    if dag_n != n:
+        raise ValidationError(
+            f"DAG has {dag_n} jobs but probability matrix has {n} columns"
+        )
 
 
 class SUUInstance:
@@ -50,10 +57,7 @@ class SUUInstance:
         m, n = self._p.shape
         if dag is None:
             dag = PrecedenceDAG.independent(n)
-        if dag.n != n:
-            raise ValidationError(
-                f"DAG has {dag.n} jobs but probability matrix has {n} columns"
-            )
+        _check_job_count(dag.n, n)
         self._dag = dag
         self._name = str(name)
 
@@ -99,16 +103,6 @@ class SUUInstance:
         """
         return 1.0 - np.prod(1.0 - self._p, axis=0)
 
-    def success_prob(self, job: int, machines: Iterable[int]) -> float:
-        """Probability that ``job`` completes when ``machines`` are assigned.
-
-        Implements ``1 - prod_{i in S} (1 - p_ij)`` from §2.2.
-        """
-        idx = np.fromiter((int(i) for i in machines), dtype=np.int64)
-        if idx.size == 0:
-            return 0.0
-        return float(1.0 - np.prod(1.0 - self._p[idx, job]))
-
     def classify(self) -> DagClass:
         """Structural class of the precedence DAG."""
         return self._dag.classify()
@@ -144,11 +138,14 @@ class SUUInstance:
     @classmethod
     def from_dict(cls, data: dict) -> "SUUInstance":
         with payload_errors("instance"):
-            return cls(
-                json_numbers(data["p"], np.float64),
-                PrecedenceDAG.from_dict(data["dag"]),
-                name=data.get("name", ""),
-            )
+            p = json_numbers(data["p"], np.float64)
+            # Refuse a job count that disagrees with p before the DAG
+            # allocates per-job structures for it.
+            dag = data["dag"]
+            n = dag.get("n") if isinstance(dag, dict) else None
+            if p.ndim == 2 and type(n) is int:
+                _check_job_count(n, p.shape[1])
+            return cls(p, PrecedenceDAG.from_dict(dag), name=data.get("name", ""))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())

@@ -753,10 +753,6 @@ class PseudoSchedule:
                     best = len(jobs)
         return best
 
-    def is_feasible(self) -> bool:
-        """True iff no machine ever has more than one job (an oblivious schedule)."""
-        return self.max_collision() <= 1
-
     def __repr__(self) -> str:
         return (
             f"PseudoSchedule(T={self.length}, m={self._m}, "

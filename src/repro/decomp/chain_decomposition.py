@@ -66,9 +66,6 @@ class ChainDecomposition:
     def jobs_of_block(self, b: int) -> list[int]:
         return [j for chain in self.blocks[b] for j in chain]
 
-    def all_jobs(self) -> list[int]:
-        return [j for b in range(self.width) for j in self.jobs_of_block(b)]
-
     def block_of(self) -> dict[int, int]:
         out: dict[int, int] = {}
         for b in range(self.width):

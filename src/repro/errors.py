@@ -68,14 +68,13 @@ class ExperimentError(ReproError):
 
 
 class StaleCacheWarning(UserWarning):
-    """A cached experiment entry was written under an older result schema.
+    """A cache entry was written under another entry schema.
 
-    Emitted by :func:`repro.experiments.runner.run_experiment` when it
-    discards (and recomputes) a version-mismatched cache entry, so silent
-    reuse of stale numbers is impossible but a cache upgrade does not brick
-    existing sweeps.  Loading such an entry directly via
-    :meth:`ExperimentResult.from_dict` raises
-    :class:`ExperimentError` instead.
+    Emitted by :func:`repro.store.read` — for every cache: experiment
+    results, in-flight task outcomes and served reports — when it discards
+    a version-mismatched entry, so silent reuse of stale numbers is
+    impossible but a cache upgrade does not brick existing sweeps; the
+    caller recomputes.
     """
 
 

@@ -11,12 +11,11 @@ exact or Monte Carlo — rejects malformed or conflicting arguments with a
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .. import store
 from ..errors import ValidationError
 from ..sim.engine import DEFAULT_MAX_STEPS
 
@@ -26,19 +25,7 @@ __all__ = [
     "MODES",
     "ENGINES",
     "DEFAULT_BUDGET_FACTOR",
-    "REQUEST_HASH_VERSION",
 ]
-
-#: Bump to invalidate every served/cached evaluation result when request
-#: semantics change (mirrors ``ExperimentSpec.SPEC_VERSION``).
-#: v2: the step-free oblivious Monte Carlo kernel changed every
-#: oblivious/cyclic MC number at a fixed seed.
-#: v3: the payload lost the ``workers`` / ``executor`` / ``shards`` keys.
-#: v4: exact regimen values are summed in the scalar engine's order (one
-#: first-passage kernel with the Malewicz DP), which moves their last bits.
-#: v5: exact cyclic values are summed in the scalar engine's order too,
-#: which moves their last bits.
-REQUEST_HASH_VERSION = 5
 
 #: Metrics a request may ask for.  ``state_distribution`` is exact-only.
 METRICS = ("makespan", "completion_curve", "state_distribution")
@@ -164,15 +151,14 @@ class EvaluationRequest:
     def request_hash(self) -> str:
         """Stable 16-hex-digit digest of everything that affects the answer.
 
-        The canonical-JSON hash mirrors ``ExperimentSpec.spec_hash``
-        semantics: salted with :data:`REQUEST_HASH_VERSION` and the
-        package version (so cached served results are invalidated when
-        estimation semantics change and across releases), insensitive to
-        construction spelling (``"completion-curve"`` and
-        ``"completion_curve"`` hash identically — the validator already
-        normalized the metrics), and sensitive to every knob that changes
-        the numbers: seed, reps, step budget, precision targets, engine
-        and guard caps.
+        A :func:`repro.store.result_key`, like ``ExperimentSpec.spec_hash``:
+        salted with the results version and the package version (so cached
+        served results are invalidated when the engines' numbers change
+        and across releases), insensitive to construction spelling
+        (``"completion-curve"`` and ``"completion_curve"`` hash
+        identically — the validator already normalized the metrics), and
+        sensitive to every knob that changes the numbers: seed, reps, step
+        budget, precision targets, engine and guard caps.
 
         Only reproducible requests hash: a live ``numpy`` ``Generator``
         seed has no stable content, so the server could neither dedup nor
@@ -180,8 +166,6 @@ class EvaluationRequest:
         :class:`~repro.errors.ValidationError` is raised instead of
         producing a digest that silently collides.
         """
-        from .. import __version__
-
         if self.seed is not None and not isinstance(self.seed, (int, np.integer)):
             raise ValidationError(
                 "request_hash() needs a reproducible request; seed must be an "
@@ -202,11 +186,8 @@ class EvaluationRequest:
             "max_states": self.max_states,
             "keep_samples": self.keep_samples,
             "require_finished": self.require_finished,
-            "__version__": REQUEST_HASH_VERSION,
-            "__package_version__": __version__,
         }
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+        return store.result_key(payload)
 
     # -- the one validator ------------------------------------------------
     def validate(self) -> None:

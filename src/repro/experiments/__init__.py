@@ -16,19 +16,16 @@ The unified experiment layer (see ``docs/architecture.md``):
 from .registry import GENERATORS, register_generator, resolve_generator
 from .runner import (
     DEFAULT_CACHE_DIR,
-    RESULT_SCHEMA_VERSION,
     ExperimentResult,
     run_experiment,
     run_suite,
 )
-from .spec import SPEC_VERSION, ExperimentSpec
+from .spec import ExperimentSpec
 from .suites import SUITES, get_suite, register_suite, suite_names
 
 __all__ = [
     "GENERATORS",
     "SUITES",
-    "SPEC_VERSION",
-    "RESULT_SCHEMA_VERSION",
     "DEFAULT_CACHE_DIR",
     "ExperimentSpec",
     "ExperimentResult",

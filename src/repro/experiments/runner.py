@@ -3,25 +3,24 @@
 One :class:`ExperimentResult` per spec.  Results are cached as JSON files
 keyed by ``ExperimentSpec.spec_hash()`` (the hash covers everything that
 affects the numbers), so re-running a benchmark sweep or a CLI suite
-recomputes only what changed.  The cache is a plain directory of
-self-describing JSON files — inspectable, diffable, and safe to delete
-wholesale.  Every entry carries :data:`RESULT_SCHEMA_VERSION`; loading an
-entry written under another schema raises
-:class:`~repro.errors.ExperimentError` (the runner warns with
-:class:`~repro.errors.StaleCacheWarning` and recomputes instead of reusing
-stale numbers).
+recomputes only what changed.  The cache is a :mod:`repro.store`
+directory: self-describing JSON files, inspectable, diffable, and safe to
+delete wholesale.  A damaged entry is a quiet miss; one written under
+another :data:`repro.store.SCHEMA_VERSION` warns
+(:class:`~repro.errors.StaleCacheWarning`); both are recomputed.
 
 Execution goes through the sharded parallel backend (:mod:`repro.parallel`)
 along both axes the backend offers: a suite fans its specs out to the
 executor, and each spec's replications split into independent
 ``SeedSequence``-seeded shards.  The default executor is serial — same
 shards, same merge order, same numbers — so ``executor="process",
-workers=N`` changes wall-clock only, never results.  In-flight shard
-partials are themselves cached (``<cache>/shards/``), so an interrupted
-sweep resumes from the shards it already finished; partials carry the same
-:data:`RESULT_SCHEMA_VERSION` as top-level entries, and a version mismatch
-warns (:class:`~repro.errors.StaleCacheWarning`) and recomputes instead of
-resuming from stale numbers.
+workers=N`` changes wall-clock only, never results.  Each of a spec's
+tasks (a shard, its exact evaluation, its reference solve) returns one
+:class:`~repro.parallel.worker.TaskOutcome`, cached on its own under
+``<cache>/shards/`` until the spec-level entry supersedes it, so an
+interrupted sweep resumes from the tasks it already finished.  A spec is
+assembled once, from its outcomes in task order, whether they were
+computed or resumed.
 
 ``docs/architecture.md`` documents how the runner, the registries, the
 simulation engines, and the parallel backend fit together.
@@ -29,26 +28,16 @@ simulation engines, and the parallel backend fit together.
 
 from __future__ import annotations
 
-import json
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-import numpy as np
-
-from .. import obs
-from ..errors import (
-    ExperimentError,
-    ScheduleError,
-    StaleCacheWarning,
-    ValidationError,
-    warn_censored,
-)
+from .. import obs, store
+from ..errors import ExperimentError, ScheduleError, ValidationError, warn_censored
 from ..parallel.executor import Executor, get_executor
-from ..parallel.merge import PartialEstimate, merge_partials
-from ..parallel.sharding import Shard, make_shard_plan
-from ..parallel.worker import ShardOutcome, SpecTask, run_spec_task, spec_payload
+from ..parallel.merge import merge_partials
+from ..parallel.sharding import make_shard_plan
+from ..parallel.worker import SpecTask, TaskOutcome, run_spec_task, spec_payload
 from .spec import ExperimentSpec
 
 __all__ = [
@@ -56,35 +45,10 @@ __all__ = [
     "run_experiment",
     "run_suite",
     "DEFAULT_CACHE_DIR",
-    "RESULT_SCHEMA_VERSION",
 ]
 
 #: Default on-disk cache location, relative to the working directory.
 DEFAULT_CACHE_DIR = Path(".repro_cache") / "experiments"
-
-#: Schema of cached ``ExperimentResult`` JSON.  Bump when the result shape
-#: or the meaning of a recorded field changes; mismatched entries are
-#: rejected loudly instead of silently reinterpreted.
-#: v2: sharded estimation (elapsed_s became aggregate worker seconds) and
-#: the explicit version field itself.
-RESULT_SCHEMA_VERSION = 2
-
-
-def _jsonable(v):
-    """Best-effort conversion of certificate/meta values to JSON types."""
-    if isinstance(v, (bool, int, float, str)) or v is None:
-        return v
-    if isinstance(v, np.integer):
-        return int(v)
-    if isinstance(v, np.floating):
-        return float(v)
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, dict):
-        return {str(k): _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    return repr(v)
 
 
 @dataclass
@@ -92,8 +56,8 @@ class ExperimentResult:
     """Measured outcome of one spec (plus provenance for the cache).
 
     ``elapsed_s`` is the aggregate compute time summed over the spec's
-    shard and reference tasks — under a process executor this exceeds the
-    wall-clock share the spec actually occupied.
+    tasks — under a process executor this exceeds the wall-clock share
+    the spec actually occupied.
     """
 
     spec: ExperimentSpec
@@ -118,7 +82,7 @@ class ExperimentResult:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": RESULT_SCHEMA_VERSION,
+            "schema_version": store.SCHEMA_VERSION,
             "spec": self.spec.to_dict(),
             "spec_hash": self.spec.spec_hash(),
             "algorithm": self.algorithm,
@@ -137,13 +101,6 @@ class ExperimentResult:
 
     @classmethod
     def from_dict(cls, data: dict, cache_hit: bool = False) -> "ExperimentResult":
-        version = data.get("schema_version")
-        if version != RESULT_SCHEMA_VERSION:
-            raise ExperimentError(
-                f"cached experiment result has schema_version={version!r}, this "
-                f"runner writes {RESULT_SCHEMA_VERSION}; the entry predates a "
-                "schema change and must be recomputed, not reinterpreted"
-            )
         return cls(
             spec=ExperimentSpec.from_dict(data["spec"]),
             algorithm=data["algorithm"],
@@ -163,128 +120,51 @@ class ExperimentResult:
 
 
 # ----------------------------------------------------------------------
-# Cache paths and loading
+# Cache entries
 # ----------------------------------------------------------------------
-def _cache_path(cache_dir: Path, spec: ExperimentSpec) -> Path:
-    # Keyed on the hash alone so renaming a spec (name is excluded from the
-    # hash) still finds its cached result; the name lives inside the JSON.
-    return cache_dir / f"{spec.spec_hash()}.json"
+def _task_path(cache_dir: Path, spec_hash: str, task: SpecTask) -> Path:
+    return cache_dir / "shards" / f"{spec_hash}.{task.name}.json"
 
 
-def _shard_dir(cache_dir: Path) -> Path:
-    return cache_dir / "shards"
-
-
-def _shard_cache_path(cache_dir: Path, spec_hash: str, shard: Shard) -> Path:
-    return _shard_dir(cache_dir) / (
-        f"{spec_hash}.s{shard.index:03d}of{shard.n_shards:03d}.json"
-    )
-
-
-def _reference_cache_path(cache_dir: Path, spec_hash: str) -> Path:
-    return _shard_dir(cache_dir) / f"{spec_hash}.ref.json"
-
-
-def _load_cached_result(path: Path) -> ExperimentResult | None:
-    """Read a spec-level cache entry; None on miss, corruption, or staleness.
-
-    A schema-version mismatch warns (:class:`StaleCacheWarning`) so stale
-    entries are never silently reused *and* never silently dropped; plain
-    corruption stays a quiet miss as before.
-    """
-    if not path.exists():
+def _load_result(path: Path) -> ExperimentResult | None:
+    """A spec-level cache entry; None on a miss, a stale entry or a defect."""
+    entry = store.read(path, "experiment result")
+    if entry is None:
         return None
     try:
-        data = json.loads(path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError):
-        return None  # corrupt entry: recompute and rewrite
+        return ExperimentResult.from_dict(entry, cache_hit=True)
+    except (AttributeError, KeyError, TypeError, ExperimentError):
+        return None
+
+
+def _load_outcome(path: Path, spec_hash: str, task: SpecTask) -> TaskOutcome | None:
+    """A task's cached outcome; None on a miss, a stale entry or a defect.
+
+    Entries come from outside the program, so the outcome must name this
+    spec and task, a shard's partial must cover the shard's replications,
+    and every field the assembly reads must have its type.
+    """
+    entry = store.read(path, f"{task.kind} task")
+    if entry is None or entry.get("spec_hash") != spec_hash or entry.get("task") != task.name:
+        return None
     try:
-        return ExperimentResult.from_dict(data, cache_hit=True)
-    except ExperimentError as exc:
-        warnings.warn(
-            StaleCacheWarning(f"discarding stale cache entry {path.name}: {exc}"),
-            stacklevel=4,
+        out = TaskOutcome.from_entry(entry["outcome"])
+    except (AttributeError, KeyError, TypeError, ValueError):
+        return None
+    number = (int, float)
+    if task.kind == "shard":
+        fits = (
+            out.shard_index == task.shard.index
+            and out.partial is not None
+            and out.partial.count == task.shard.reps
+            and isinstance(out.engine_used, str)
         )
-        return None
-    except (KeyError, TypeError):
-        return None
-
-
-def _stale_partial(path: Path, data: object, kind: str) -> bool:
-    """True (with a :class:`StaleCacheWarning`) for version-mismatched partials.
-
-    Shard and reference partials carry the same ``schema_version`` as
-    top-level results; resuming an interrupted sweep from partials written
-    under another schema would silently mix incompatible numbers into the
-    merge, so a mismatch is rejected as loudly as a stale spec-level entry.
-    """
-    version = data.get("schema_version") if isinstance(data, dict) else None
-    if version == RESULT_SCHEMA_VERSION:
-        return False
-    warnings.warn(
-        StaleCacheWarning(
-            f"discarding stale {kind} {path.name}: written under "
-            f"schema_version={version!r}, this runner writes "
-            f"{RESULT_SCHEMA_VERSION}; recomputing instead of resuming"
-        ),
-        stacklevel=5,
-    )
-    return True
-
-
-def _load_cached_shard(path: Path, spec_hash: str, shard: Shard) -> dict | None:
-    if not path.exists():
-        return None
-    try:
-        data = json.loads(path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError):
-        return None  # corrupt entry: a quiet miss, recomputed and rewritten
-    if _stale_partial(path, data, "shard partial"):
-        return None
-    try:
-        if (
-            data.get("spec_hash") != spec_hash
-            or data.get("shard_index") != shard.index
-            or data.get("n_shards") != shard.n_shards
-            or not isinstance(data["engine_used"], str)
-            or not isinstance(data["elapsed_s"], (int, float))
-        ):
-            return None
-        partial = PartialEstimate.from_dict(data["partial"])
-        if partial.count != shard.reps:
-            return None  # written under a different shard plan: recompute
-        data["partial"] = partial
-        return data
-    except (KeyError, TypeError, ValueError):
-        return None
-
-
-def _load_cached_reference(path: Path, spec_hash: str) -> dict | None:
-    """Read a cached reference solve; None on miss, staleness, or defect.
-
-    Validates every field the suite loop later reads, mirroring
-    :func:`_load_cached_shard` — corrupt entries are quiet misses, while a
-    ``schema_version`` mismatch warns with :class:`StaleCacheWarning`.
-    """
-    if not path.exists():
-        return None
-    try:
-        data = json.loads(path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError):
-        return None
-    if _stale_partial(path, data, "reference solve"):
-        return None
-    try:
-        if (
-            data.get("spec_hash") != spec_hash
-            or not isinstance(data["reference"], (int, float))
-            or not isinstance(data["reference_kind"], str)
-            or not isinstance(data["elapsed_s"], (int, float))
-        ):
-            return None
-        return data
-    except (KeyError, TypeError):
-        return None
+    elif task.kind == "exact":
+        fits = isinstance(out.value, number) and isinstance(out.engine_used, str)
+    else:
+        fits = isinstance(out.value, number) and isinstance(out.reference_kind, str)
+    ok = fits and out.kind == task.kind and isinstance(out.elapsed_s, number)
+    return out if ok else None
 
 
 # ----------------------------------------------------------------------
@@ -292,94 +172,76 @@ def _load_cached_reference(path: Path, spec_hash: str) -> dict | None:
 # ----------------------------------------------------------------------
 @dataclass
 class _PendingSpec:
-    """Bookkeeping for one cache-missed spec while its tasks are in flight.
-
-    ``plan`` is None for exact-mode specs (``evaluation: {"mode":
-    "exact"}``), whose whole shard plan is replaced by one front-door
-    evaluation task.
-    """
+    """One cache-missed spec: its tasks and the outcomes in so far, by task name."""
 
     spec: ExperimentSpec
     spec_hash: str
-    plan: object | None
-    need_reference: bool
-    shard_outcomes: dict[int, ShardOutcome] = field(default_factory=dict)
-    algorithm: str | None = None
-    certificates: dict = field(default_factory=dict)
-    reference: float | None = None
-    reference_kind: str | None = None
-    have_reference: bool = False
-    exact_value: float | None = None
-    engine_used: str | None = None
-    have_exact: bool = False
-    elapsed_s: float = 0.0
-    #: Worker telemetry snapshots for the non-shard tasks (shard snapshots
-    #: ride inside each ShardOutcome); grafted in a fixed order at
-    #: assembly time, not completion order.
-    exact_telemetry: dict | None = None
-    reference_telemetry: dict | None = None
+    tasks: list[SpecTask]
+    outcomes: dict[str, TaskOutcome] = field(default_factory=dict)
 
-    def complete(self) -> bool:
-        if self.plan is None:
-            done = self.have_exact
-        else:
-            done = len(self.shard_outcomes) == self.plan.n_shards
-        return done and (self.have_reference or not self.need_reference)
+
+def _spec_tasks(idx: int, spec: ExperimentSpec, trace: bool) -> list[SpecTask]:
+    """A spec's tasks in assembly order: the exact evaluation or the shards
+    by index, then the reference solve."""
+    payload = spec_payload(spec)
+    if spec.evaluation_mode == "exact":
+        # One front-door evaluation replaces the whole shard plan.
+        tasks = [SpecTask(idx, payload, "exact", trace=trace)]
+    else:
+        plan = make_shard_plan(spec.reps, spec.sim_seed)
+        tasks = [SpecTask(idx, payload, "shard", s, trace) for s in plan.shards]
+    if spec.compute_reference:
+        tasks.append(SpecTask(idx, payload, "reference", trace=trace))
+    return tasks
 
 
 def _assemble(pend: _PendingSpec) -> ExperimentResult:
     spec = pend.spec
-    # Graft order within a spec is fixed (exact, shards by index, then
-    # reference) regardless of task completion order, so a traced suite's
-    # per-spec subtrees are reproducible; counters are order-independent
-    # sums either way.
-    obs.graft_snapshot(pend.exact_telemetry)
-    if pend.plan is None:
-        assert pend.exact_value is not None
-        mean, std_err = pend.exact_value, 0.0
-        lo = hi = pend.exact_value
-        truncated = 0
-        engine_used = pend.engine_used or "markov-sparse"
-    else:
-        outcomes = sorted(pend.shard_outcomes.values(), key=lambda o: o.shard_index)
-        obs.add("parallel.shards", len(outcomes))
-        for o in outcomes:
-            obs.graft_snapshot(o.telemetry)
-        merged = merge_partials(o.partial for o in outcomes)
+    outcomes = [pend.outcomes[task.name] for task in pend.tasks]
+    # Grafting in task order, not completion order, makes a traced suite's
+    # per-spec subtrees reproducible; counters are order-independent sums
+    # either way.
+    for o in outcomes:
+        obs.graft_snapshot(o.telemetry)
+    shards = [o for o in outcomes if o.kind == "shard"]
+    if shards:
+        obs.add("parallel.shards", len(shards))
+        merged = merge_partials(o.partial for o in shards)
         if merged.count != spec.reps:
             raise ValidationError(
                 f"shard partials cover {merged.count} replications, "
                 f"expected {spec.reps}"
             )
-        engines = {o.engine_used for o in outcomes}
+        engines = {o.engine_used for o in shards}
         if len(engines) != 1:  # pragma: no cover - engine choice is deterministic
             raise ScheduleError(f"shards disagree on the engine: {sorted(engines)}")
         (engine_used,) = engines
         mean, std_err = merged.mean, merged.std_err
-        lo, hi = merged.min, merged.max
-        truncated = merged.truncated
+        lo, hi, truncated = merged.min, merged.max, merged.truncated
         if truncated:
             # One warning per spec, for the merged estimate.
             warn_censored(truncated, spec.reps, spec.max_steps, stacklevel=2)
-    obs.graft_snapshot(pend.reference_telemetry)
-    ratio = None
-    if pend.need_reference and pend.reference is not None:
-        ratio = mean / max(pend.reference, 1e-12)
+    else:
+        (exact,) = (o for o in outcomes if o.kind == "exact")
+        mean = lo = hi = exact.value
+        std_err, truncated, engine_used = 0.0, 0, exact.engine_used
+    ref = next((o for o in outcomes if o.kind == "reference"), None)
     return ExperimentResult(
         spec=spec,
-        algorithm=pend.algorithm or spec.algorithm,
+        algorithm=next((o.algorithm for o in outcomes if o.algorithm), spec.algorithm),
         mean=mean,
         std_err=std_err,
         min=lo,
         max=hi,
         truncated=truncated,
-        reference=pend.reference,
-        reference_kind=pend.reference_kind,
-        ratio=ratio,
+        reference=ref.value if ref else None,
+        reference_kind=ref.reference_kind if ref else None,
+        ratio=mean / max(ref.value, 1e-12) if ref else None,
         engine_used=engine_used,
-        certificates=pend.certificates,
-        elapsed_s=pend.elapsed_s,
-        cache_hit=False,
+        certificates=next(
+            (o.certificates for o in outcomes if o.certificates is not None), {}
+        ),
+        elapsed_s=sum(o.elapsed_s for o in outcomes),
     )
 
 
@@ -393,8 +255,8 @@ def run_suite(
 ) -> list[ExperimentResult]:
     """Run every spec, returning one result per spec in input order.
 
-    Cache-missed specs are decomposed into replication-shard and reference
-    tasks and fanned out to ``executor`` (default serial;
+    Cache-missed specs are decomposed into replication-shard, exact and
+    reference tasks and fanned out to ``executor`` (default serial;
     ``executor="process", workers=N`` or just ``workers=N`` for a worker
     pool).  Task payloads are spec JSON — workers rebuild instances and
     schedules from the registries — so every spec parallelizes, including
@@ -406,181 +268,73 @@ def run_suite(
     completion order under a process pool, input order otherwise.
     """
     cache = Path(cache_dir) if cache_dir is not None else None
+    reuse = cache is not None and not force
     exe = get_executor(executor, workers)
     owns_executor = not isinstance(executor, Executor)
     results: list[ExperimentResult | None] = [None] * len(specs)
     pending: dict[int, _PendingSpec] = {}
-    tasks: list[SpecTask] = []
+    to_run: list[SpecTask] = []
 
     def finish(idx: int, result: ExperimentResult) -> None:
         results[idx] = result
         if progress is not None:
             progress(specs[idx], result)
 
-    def store(idx: int, result: ExperimentResult) -> None:
-        pend = pending[idx]
+    def record(task: SpecTask, outcome: TaskOutcome) -> None:
+        pend = pending[task.spec_index]
+        pend.outcomes[task.name] = outcome
+        if len(pend.outcomes) < len(pend.tasks):
+            return
+        del pending[task.spec_index]
+        result = _assemble(pend)
         if cache is not None:
-            path = _cache_path(cache, specs[idx])
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(json.dumps(result.to_dict(), indent=2))
-            # The spec-level entry supersedes its in-flight partials.
-            for shard in pend.plan.shards if pend.plan is not None else ():
-                _shard_cache_path(cache, pend.spec_hash, shard).unlink(missing_ok=True)
-            _reference_cache_path(cache, pend.spec_hash).unlink(missing_ok=True)
-        finish(idx, result)
+            store.write(cache / f"{pend.spec_hash}.json", result.to_dict())
+            # The spec-level entry supersedes its task entries.
+            for t in pend.tasks:
+                _task_path(cache, pend.spec_hash, t).unlink(missing_ok=True)
+        finish(task.spec_index, result)
+
+    def on_task_done(task_idx: int, outcome: TaskOutcome) -> None:
+        task = to_run[task_idx]
+        if cache is not None:
+            spec_hash = pending[task.spec_index].spec_hash
+            store.write(
+                _task_path(cache, spec_hash, task),
+                {"spec_hash": spec_hash, "task": task.name, "outcome": outcome.to_entry()},
+            )
+        record(task, outcome)
 
     trace = obs.enabled()
     for idx, spec in enumerate(specs):
-        if cache is not None and not force:
-            hit = _load_cached_result(_cache_path(cache, spec))
+        # Keyed on the hash alone so renaming a spec (name is excluded from
+        # the hash) still finds its cached result; the name lives inside.
+        spec_hash = spec.spec_hash()
+        if reuse:
+            hit = _load_result(cache / f"{spec_hash}.json")
             if hit is not None:
                 obs.add("experiments.cache.hits")
                 finish(idx, hit)
                 continue
             obs.add("experiments.cache.misses")
-        exact_mode = spec.evaluation_mode == "exact"
-        pend = _PendingSpec(
-            spec=spec,
-            spec_hash=spec.spec_hash(),
-            plan=None if exact_mode else make_shard_plan(spec.reps, spec.sim_seed),
-            need_reference=spec.compute_reference,
-        )
-        pending[idx] = pend
-        payload = spec_payload(spec)
-        if exact_mode:
-            # One front-door evaluation replaces the whole shard plan; it
-            # is cheap and deterministic, so it has no partial cache.
-            tasks.append(
-                SpecTask(
-                    spec_index=idx, spec_json=payload, kind="exact", trace=trace
-                )
-            )
-        for shard in pend.plan.shards if pend.plan is not None else ():
+        pend = pending[idx] = _PendingSpec(spec, spec_hash, _spec_tasks(idx, spec, trace))
+        for task in pend.tasks:
             cached = None
-            if cache is not None and not force:
-                cached = _load_cached_shard(
-                    _shard_cache_path(cache, pend.spec_hash, shard),
-                    pend.spec_hash,
-                    shard,
-                )
+            if reuse:
+                cached = _load_outcome(_task_path(cache, spec_hash, task), spec_hash, task)
                 obs.add(
-                    "experiments.shard_cache.hits"
+                    "experiments.task_cache.hits"
                     if cached is not None
-                    else "experiments.shard_cache.misses"
+                    else "experiments.task_cache.misses"
                 )
-            if cached is not None:
-                pend.shard_outcomes[shard.index] = ShardOutcome(
-                    shard_index=shard.index,
-                    partial=cached["partial"],
-                    engine_used=cached["engine_used"],
-                    elapsed_s=cached["elapsed_s"],
-                )
-                pend.elapsed_s += cached["elapsed_s"]
-                pend.algorithm = pend.algorithm or cached.get("algorithm")
-                if cached.get("certificates") is not None:
-                    pend.certificates = cached["certificates"]
+            if cached is None:
+                to_run.append(task)
             else:
-                tasks.append(
-                    SpecTask(
-                        spec_index=idx,
-                        spec_json=payload,
-                        kind="shard",
-                        shard=shard,
-                        trace=trace,
-                    )
-                )
-        if pend.need_reference:
-            cached_ref = None
-            if cache is not None and not force:
-                cached_ref = _load_cached_reference(
-                    _reference_cache_path(cache, pend.spec_hash), pend.spec_hash
-                )
-            if cached_ref is not None:
-                pend.reference = cached_ref["reference"]
-                pend.reference_kind = cached_ref["reference_kind"]
-                pend.have_reference = True
-                pend.elapsed_s += cached_ref["elapsed_s"]
-            else:
-                tasks.append(
-                    SpecTask(
-                        spec_index=idx,
-                        spec_json=payload,
-                        kind="reference",
-                        trace=trace,
-                    )
-                )
-        if pend.complete():
-            # Every piece came from the shard cache (an interrupted run
-            # that had finished computing but not merging).
-            store(idx, _assemble(pend))
-            del pending[idx]
-
-    def on_task_done(_task_idx: int, outcome) -> None:
-        idx = outcome.spec_index
-        pend = pending[idx]
-        pend.elapsed_s += outcome.elapsed_s
-        if outcome.kind == "exact":
-            pend.exact_value = outcome.exact_value
-            pend.engine_used = outcome.engine_used
-            pend.exact_telemetry = outcome.telemetry
-            pend.have_exact = True
-            pend.algorithm = pend.algorithm or outcome.algorithm
-            if outcome.certificates is not None:
-                pend.certificates = outcome.certificates
-        elif outcome.kind == "shard":
-            pend.shard_outcomes[outcome.shard.shard_index] = outcome.shard
-            pend.algorithm = pend.algorithm or outcome.algorithm
-            if outcome.certificates is not None:
-                pend.certificates = outcome.certificates
-            if cache is not None:
-                shard = pend.plan.shards[outcome.shard.shard_index]
-                path = _shard_cache_path(cache, pend.spec_hash, shard)
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(
-                    json.dumps(
-                        {
-                            "schema_version": RESULT_SCHEMA_VERSION,
-                            "spec_hash": pend.spec_hash,
-                            "shard_index": shard.index,
-                            "n_shards": shard.n_shards,
-                            "partial": outcome.shard.partial.to_dict(),
-                            "engine_used": outcome.shard.engine_used,
-                            "algorithm": outcome.algorithm,
-                            "certificates": outcome.certificates,
-                            "elapsed_s": outcome.shard.elapsed_s,
-                        },
-                        indent=2,
-                    )
-                )
-        else:
-            pend.reference = outcome.reference
-            pend.reference_kind = outcome.reference_kind
-            pend.reference_telemetry = outcome.telemetry
-            pend.have_reference = True
-            if cache is not None:
-                path = _reference_cache_path(cache, pend.spec_hash)
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(
-                    json.dumps(
-                        {
-                            "schema_version": RESULT_SCHEMA_VERSION,
-                            "spec_hash": pend.spec_hash,
-                            "reference": outcome.reference,
-                            "reference_kind": outcome.reference_kind,
-                            "elapsed_s": outcome.elapsed_s,
-                        }
-                    )
-                )
-        if pend.complete():
-            store(idx, _assemble(pend))
-            del pending[idx]
+                record(task, cached)
 
     try:
-        if tasks:
-            with obs.span(
-                "experiments.map", tasks=len(tasks), executor=exe.name
-            ):
-                exe.map_tasks(run_spec_task, tasks, progress=on_task_done)
+        if to_run:
+            with obs.span("experiments.map", tasks=len(to_run), executor=exe.name):
+                exe.map_tasks(run_spec_task, to_run, progress=on_task_done)
     finally:
         if owns_executor:
             exe.close()
@@ -599,7 +353,7 @@ def run_experiment(
 
     ``cache_dir=None`` disables caching entirely; ``force=True`` recomputes
     and overwrites any cached entry.  Entries are files named
-    ``<spec_hash>.json``; corrupt entries are treated as misses (and
+    ``<spec_hash>.json``; damaged entries are treated as misses (and
     rewritten), schema-stale entries additionally warn with
     :class:`~repro.errors.StaleCacheWarning`.  ``workers=N`` fans the
     spec's replication shards out to a process pool.

@@ -12,33 +12,18 @@ regardless of field order or the human-facing ``name`` label.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .. import store
 from ..algorithms import resolve_constants, resolve_solver, solve
 from ..core.instance import SUUInstance
 from ..core.schedule import ScheduleResult
 from ..errors import ExperimentError
 from .registry import resolve_generator
 
-__all__ = ["ExperimentSpec", "SPEC_VERSION", "EVALUATION_KEYS"]
-
-#: Bump to invalidate every cached result when estimation semantics change.
-#: v2: estimation runs through the sharded backend (repro.parallel) — shard
-#: streams replaced the single sim_seed stream, changing every number.
-#: v3: specs gained the declarative ``evaluation:`` block (the field enters
-#: the canonical JSON, so every hash changes even though mc numbers do not).
-#: v4: oblivious/cyclic Monte Carlo draws each job's completion step from
-#: its cumulative hazard (one exponential per job and replication), which
-#: consumes the stream differently and changes those numbers.
-#: v5: exact regimen values are summed in the scalar engine's order (one
-#: first-passage kernel with the Malewicz DP), which moves their last bits.
-#: v6: exact cyclic values are summed in the scalar engine's order too,
-#: which moves their last bits.
-SPEC_VERSION = 6
+__all__ = ["ExperimentSpec", "EVALUATION_KEYS"]
 
 #: Keys the ``evaluation:`` block accepts.  ``mode`` selects the runner
 #: route ("mc" — the sharded default — or "exact", one front-door call);
@@ -168,25 +153,22 @@ class ExperimentSpec:
     def spec_hash(self) -> str:
         """Stable 16-hex-digit digest of everything that affects the result.
 
-        Salted with :data:`SPEC_VERSION` and the package version, so cached
-        results are invalidated both when estimation semantics change and
-        across releases.  Within one release, code edits to algorithms do
-        NOT change the hash — benchmarks and CLI users must clear the cache
-        (or pass ``force=True`` / set ``REPRO_BENCH_COLD=1``) to re-measure
-        after changing algorithm code.
+        A :func:`repro.store.result_key`, salted with the results version
+        and the package version, so cached results are invalidated when
+        the engines' numbers change and across releases.  Within one
+        release, code edits to algorithms do NOT change the hash —
+        benchmarks and CLI users must clear the cache (or pass
+        ``force=True`` / set ``REPRO_BENCH_COLD=1``) to re-measure after
+        changing algorithm code.
         """
-        from .. import __version__
         from ..parallel.sharding import default_shard_count
 
         payload = self.to_dict()
         payload.pop("name")
-        payload["__version__"] = SPEC_VERSION
-        payload["__package_version__"] = __version__
         # The default shard plan fixes the RNG stream structure, so a
         # change to the sharding constants must invalidate cached results.
         payload["__shards__"] = default_shard_count(self.reps)
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+        return store.result_key(payload)
 
     # -- execution -------------------------------------------------------
     def build_instance(self) -> SUUInstance:

@@ -297,12 +297,3 @@ class LinearProgram:
         if not res.success:
             raise LPError(f"LP solve failed: status={res.status} ({res.message})")
         return LPSolution(value=float(res.fun), x=res.x, indexer=self.vars)
-
-    def check_feasible(self, x: np.ndarray, tol: float = 1e-7) -> bool:
-        """Check that a candidate point satisfies all rows and bounds."""
-        _, A, b, bounds = self.assemble()
-        if np.any(A @ x > b + tol):
-            return False
-        return bool(
-            np.all(x >= bounds[:, 0] - tol) and np.all(x <= bounds[:, 1] + tol)
-        )

@@ -8,7 +8,14 @@ rebuilds the instance and schedule through the experiment registries.
 Rebuilding is deterministic (instance and solver seeds live in the spec),
 so every worker reconstructs the identical schedule — closure-based
 adaptive policies included — and a per-process LRU cache makes the
-rebuild a one-time cost per spec rather than per shard.
+rebuild a one-time cost per spec rather than per shard.  Which task pays
+for the rebuild is an accident of scheduling, so its telemetry reaches no
+trace: a task times and captures only its own work.
+
+Every task returns one :class:`TaskOutcome`, whatever its kind.  The
+runner caches an outcome minus its telemetry
+(:meth:`TaskOutcome.to_entry`), so a resumed outcome and a fresh one are
+assembled alike.
 
 Workers never warn about censoring: truncation counts travel back inside
 the partials, and the *parent* warns once for the merged estimate instead
@@ -18,72 +25,33 @@ of once per shard per process.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .. import obs
 from .merge import PartialEstimate
 from .sharding import Shard
 
-__all__ = [
-    "ShardOutcome",
-    "SpecTask",
-    "SpecTaskOutcome",
-    "run_spec_task",
-]
+__all__ = ["SpecTask", "TaskOutcome", "run_spec_task"]
 
 
-@dataclass(frozen=True)
-class ShardOutcome:
-    """What one replication shard sends back to the aggregator.
-
-    ``telemetry`` is the worker-side :meth:`~repro.obs.Telemetry.snapshot`
-    when the task asked for tracing (``None`` otherwise); the parent
-    grafts the snapshots back in shard-index order, so the reassembled
-    trace is deterministic and identical for every worker count.
-    """
-
-    shard_index: int
-    partial: PartialEstimate
-    engine_used: str
-    elapsed_s: float
-    telemetry: dict | None = None
-
-
-def _estimate_partial(
-    instance,
-    schedule,
-    shard: Shard,
-    max_steps: int,
-    trace: bool = False,
-) -> ShardOutcome:
-    """Run one shard through the (single-process) estimator and summarize it."""
-    # Engine-layer call: a shard is a slice of one spec's replications,
-    # below the repro.evaluate front door.
-    from ..sim.montecarlo import _estimate_makespan
-
-    sw = obs.stopwatch()
-    # The capture scopes this shard's spans/counters into its own snapshot
-    # whether the shard runs in a forked worker or in-process (serial
-    # executor) — both travel the same snapshot/graft protocol.
-    with obs.capture(enabled=trace) as tel:
-        with obs.span("parallel.shard", shard=shard.index, reps=shard.reps):
-            est = _estimate_makespan(
-                instance,
-                schedule,
-                reps=shard.reps,
-                rng=shard.rng(),
-                max_steps=max_steps,
-                keep_samples=True,
-            )
-    assert est.samples is not None
-    return ShardOutcome(
-        shard_index=shard.index,
-        partial=PartialEstimate.from_samples(est.samples, truncated=est.truncated),
-        engine_used=est.engine_used,
-        elapsed_s=sw.elapsed_s,
-        telemetry=tel.snapshot() if tel is not None else None,
-    )
+def _jsonable(v):
+    """Best-effort conversion of certificate values to JSON types."""
+    if isinstance(v, (bool, int, float, str)) or v is None:
+        return v
+    if isinstance(v, np.integer):
+        return int(v)
+    if isinstance(v, np.floating):
+        return float(v)
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, dict):
+        return {str(k): _jsonable(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_jsonable(x) for x in v]
+    return repr(v)
 
 
 @lru_cache(maxsize=8)
@@ -135,95 +103,119 @@ class SpecTask:
     shard: Shard | None = None
     trace: bool = False
 
+    @property
+    def name(self) -> str:
+        """The task's name within its spec: ``sNNNofMMM``, ``exact`` or ``ref``."""
+        if self.shard is not None:
+            return f"s{self.shard.index:03d}of{self.shard.n_shards:03d}"
+        return "ref" if self.kind == "reference" else self.kind
+
 
 @dataclass(frozen=True)
-class SpecTaskOutcome:
-    spec_index: int
+class TaskOutcome:
+    """What one task sends back to the runner.
+
+    A shard fills ``shard_index`` and ``partial``; ``value`` is the exact
+    makespan of an ``"exact"`` task or the ratio denominator of a
+    ``"reference"`` task, whose kind is ``reference_kind``.  Certificates
+    ride on shard 0 and the exact task only: every shard holds the same
+    schedule.  ``telemetry`` is the worker-side
+    :meth:`~repro.obs.Telemetry.snapshot` when the task asked for tracing
+    (``None`` otherwise); the parent grafts the snapshots back in task
+    order, so the reassembled trace is deterministic and identical for
+    every worker count.
+    """
+
     kind: str
-    shard: ShardOutcome | None = None
+    elapsed_s: float
+    shard_index: int | None = None
+    partial: PartialEstimate | None = None
+    value: float | None = None
+    reference_kind: str | None = None
+    engine_used: str | None = None
     algorithm: str | None = None
     certificates: dict | None = None
-    reference: float | None = None
-    reference_kind: str | None = None
-    #: Exact-evaluation outcome (kind="exact"): the analytic expected
-    #: makespan and the engine provenance reported by the front door.
-    exact_value: float | None = None
-    engine_used: str | None = None
-    elapsed_s: float = 0.0
-    #: Worker-side telemetry snapshot when the task asked for tracing.
     telemetry: dict | None = None
 
+    def to_entry(self) -> dict:
+        """This outcome as JSON types, minus its telemetry: its cache entry."""
+        entry = asdict(self)
+        del entry["telemetry"]
+        return entry
 
-def run_spec_task(task: SpecTask) -> SpecTaskOutcome:
-    if task.kind == "shard":
-        spec, instance, result = _build_from_spec(task.spec_json)
-        assert task.shard is not None
-        outcome = _estimate_partial(
-            instance,
-            result.schedule,
-            task.shard,
-            max_steps=spec.max_steps,
-            trace=task.trace,
-        )
-        # Certificates ride on shard 0 only: every shard holds the same
-        # schedule, so sending n_shards copies would be pure overhead.
-        certificates = None
-        if task.shard.index == 0:
-            from ..experiments.runner import _jsonable
+    @classmethod
+    def from_entry(cls, entry: dict) -> "TaskOutcome":
+        """Inverse of :meth:`to_entry`; a malformed entry raises."""
+        partial = entry.get("partial")
+        if partial is not None:
+            partial = PartialEstimate.from_dict(partial)
+        # An entry carries no telemetry; one written into the file is not grafted.
+        return cls(**{**entry, "partial": partial, "telemetry": None})
 
-            certificates = {k: _jsonable(v) for k, v in result.certificates.items()}
-        return SpecTaskOutcome(
-            spec_index=task.spec_index,
-            kind="shard",
-            shard=outcome,
-            algorithm=result.algorithm,
-            certificates=certificates,
-            elapsed_s=outcome.elapsed_s,
-            telemetry=outcome.telemetry,
-        )
-    if task.kind == "exact":
-        from ..evaluate import evaluate
 
-        spec, instance, result = _build_from_spec(task.spec_json)
-        sw = obs.stopwatch()
-        with obs.capture(enabled=task.trace) as tel:
+def run_spec_task(task: SpecTask) -> TaskOutcome:
+    """Run one task; only its own work is timed and traced."""
+    # The rebuild is cached per process: a throwaway capture keeps its
+    # telemetry out of the caller's trace under the serial executor, as a
+    # worker process drops it.
+    with obs.capture(enabled=task.trace):
+        if task.kind == "reference":
+            # Only the instance is needed; never pay for the spec's solver.
+            spec, instance = _build_instance_from_spec(task.spec_json)
+        else:
+            spec, instance, result = _build_from_spec(task.spec_json)
+    sw = obs.stopwatch()
+    with obs.capture(enabled=task.trace) as tel:
+        if task.kind == "shard":
+            # Engine-layer call: a shard is a slice of one spec's
+            # replications, below the repro.evaluate front door.
+            from ..sim.montecarlo import _estimate_makespan
+
+            shard = task.shard
+            with obs.span("parallel.shard", shard=shard.index, reps=shard.reps):
+                est = _estimate_makespan(
+                    instance,
+                    result.schedule,
+                    reps=shard.reps,
+                    rng=shard.rng(),
+                    max_steps=spec.max_steps,
+                    keep_samples=True,
+                )
+            fields = dict(
+                shard_index=shard.index,
+                partial=PartialEstimate.from_samples(est.samples, truncated=est.truncated),
+                engine_used=est.engine_used,
+            )
+        elif task.kind == "exact":
+            from ..evaluate import evaluate
+
             with obs.span("parallel.exact", spec=task.spec_index):
                 report = evaluate(
                     instance, result.schedule, request=spec.evaluation_request()
                 )
-        from ..experiments.runner import _jsonable
+            fields = dict(value=report.makespan, engine_used=report.engine)
+        elif task.kind == "reference":
+            from ..analysis.ratios import reference_makespan
 
-        certificates = {k: _jsonable(v) for k, v in result.certificates.items()}
-        return SpecTaskOutcome(
-            spec_index=task.spec_index,
-            kind="exact",
-            algorithm=result.algorithm,
-            certificates=certificates,
-            exact_value=report.makespan,
-            engine_used=report.engine,
-            elapsed_s=sw.elapsed_s,
-            telemetry=tel.snapshot() if tel is not None else None,
-        )
-    if task.kind == "reference":
-        from ..analysis.ratios import reference_makespan
-
-        # Only the instance is needed; never pay for the spec's solver here.
-        spec, instance = _build_instance_from_spec(task.spec_json)
-        sw = obs.stopwatch()
-        with obs.capture(enabled=task.trace) as tel:
             with obs.span("parallel.reference", spec=task.spec_index):
                 reference, kind = reference_makespan(
                     instance, exact_limit=spec.exact_limit
                 )
-        return SpecTaskOutcome(
-            spec_index=task.spec_index,
-            kind="reference",
-            reference=float(reference),
-            reference_kind=kind,
-            elapsed_s=sw.elapsed_s,
-            telemetry=tel.snapshot() if tel is not None else None,
-        )
-    raise ValueError(f"unknown spec task kind {task.kind!r}")
+            fields = dict(value=float(reference), reference_kind=kind)
+        else:
+            raise ValueError(f"unknown spec task kind {task.kind!r}")
+    if task.kind != "reference":
+        fields["algorithm"] = result.algorithm
+        if task.shard is None or task.shard.index == 0:
+            fields["certificates"] = {
+                k: _jsonable(v) for k, v in result.certificates.items()
+            }
+    return TaskOutcome(
+        kind=task.kind,
+        elapsed_s=sw.elapsed_s,
+        telemetry=tel.snapshot() if tel is not None else None,
+        **fields,
+    )
 
 
 def _clear_worker_caches() -> None:

@@ -13,7 +13,7 @@ matching client (:mod:`repro.serve.protocol`,
 and the protocol table.
 """
 
-from .cache import DEFAULT_SERVE_CACHE_DIR, SERVE_CACHE_SCHEMA_VERSION, ResultCache
+from .cache import DEFAULT_SERVE_CACHE_DIR, ResultCache
 from .client import ServeClient
 from .keys import instance_hash, job_key, schedule_hash
 from .protocol import PROTOCOL_VERSION, decode_schedule, start_http_server
@@ -25,7 +25,6 @@ __all__ = [
     "Job",
     "PROTOCOL_VERSION",
     "ResultCache",
-    "SERVE_CACHE_SCHEMA_VERSION",
     "ServeClient",
     "ServerConfig",
     "decode_schedule",

@@ -1,14 +1,13 @@
 """Result cache for the evaluation server: in-memory LRU over disk JSON.
 
-The disk layer is deliberately the experiment runner's discipline
-(:mod:`repro.experiments.runner`) applied to served evaluations: a plain
-directory of self-describing JSON files keyed by content hash —
-inspectable, diffable, safe to delete wholesale — living at
-``.repro_cache/serve/`` beside ``.repro_cache/experiments/``.  Every
-entry carries :data:`SERVE_CACHE_SCHEMA_VERSION`; a version-mismatched
-entry warns (:class:`~repro.errors.StaleCacheWarning`) and reads as a
-miss so stale numbers are never silently replayed, while plain
-corruption stays a quiet miss.
+The disk layer is a :mod:`repro.store` directory, the experiment runner's
+format applied to served evaluations: self-describing JSON files keyed by
+job key — inspectable, diffable, safe to delete wholesale — living at
+``.repro_cache/serve/`` beside ``.repro_cache/experiments/``.  A damaged
+entry is a quiet miss; one written under another
+:data:`repro.store.SCHEMA_VERSION` warns
+(:class:`~repro.errors.StaleCacheWarning`) and reads as a miss, so stale
+numbers are never silently replayed.
 
 The in-memory layer is a bounded LRU of deserialized
 :class:`~repro.evaluate.report.EvaluationReport` wire dicts, so a hot
@@ -17,22 +16,15 @@ key never touches the filesystem twice.
 
 from __future__ import annotations
 
-import json
-import warnings
 from collections import OrderedDict
 from pathlib import Path
 
-from ..errors import StaleCacheWarning
+from .. import store
 
-__all__ = ["ResultCache", "DEFAULT_SERVE_CACHE_DIR", "SERVE_CACHE_SCHEMA_VERSION"]
+__all__ = ["ResultCache", "DEFAULT_SERVE_CACHE_DIR"]
 
 #: Default on-disk cache location, a sibling of the experiments cache.
 DEFAULT_SERVE_CACHE_DIR = Path(".repro_cache") / "serve"
-
-#: Schema of cached served-report JSON.  Bump when the wire shape of
-#: ``EvaluationReport.to_dict()`` (or the meaning of a recorded field)
-#: changes; mismatched entries are discarded loudly, never reinterpreted.
-SERVE_CACHE_SCHEMA_VERSION = 1
 
 
 class ResultCache:
@@ -66,25 +58,8 @@ class ResultCache:
             self._memory.move_to_end(key)
             return hit
         path = self.path_for(key)
-        if path is None or not path.exists():
-            return None
-        try:
-            entry = json.loads(path.read_text())
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            return None  # corrupt entry: recompute and rewrite
-        version = entry.get("schema_version") if isinstance(entry, dict) else None
-        if version != SERVE_CACHE_SCHEMA_VERSION:
-            warnings.warn(
-                StaleCacheWarning(
-                    f"discarding stale serve-cache entry {path.name}: written "
-                    f"under schema_version={version!r}, this server writes "
-                    f"{SERVE_CACHE_SCHEMA_VERSION}; recomputing instead of "
-                    "replaying"
-                ),
-                stacklevel=3,
-            )
-            return None
-        report = entry.get("report")
+        entry = store.read(path, "served report") if path is not None else None
+        report = entry.get("report") if entry is not None else None
         if not isinstance(report, dict):
             return None
         self._remember(key, report)
@@ -94,15 +69,8 @@ class ResultCache:
     def put(self, key: str, report_dict: dict) -> None:
         self._remember(key, report_dict)
         path = self.path_for(key)
-        if path is None:
-            return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {
-            "schema_version": SERVE_CACHE_SCHEMA_VERSION,
-            "key": key,
-            "report": report_dict,
-        }
-        path.write_text(json.dumps(entry, indent=2))
+        if path is not None:
+            store.write(path, {"key": key, "report": report_dict})
 
     def _remember(self, key: str, report_dict: dict) -> None:
         self._memory[key] = report_dict

@@ -8,6 +8,10 @@ name for registry sugar), and the request's own
 clients POSTing the same triple — under any instance rename — coalesce
 to one computation in flight and one cache entry at rest.
 
+Every digest here is :func:`repro.store.digest`.  Only the request hash
+inside the job key is salted (:func:`repro.store.result_key`), so the
+instance and schedule digests are plain content digests.
+
 Only reproducible work is addressable: requests whose seed is a live
 generator (or ``None``) produce a fresh stream per run, so they get a
 unique per-submission key and bypass dedup/caching entirely (see
@@ -16,20 +20,13 @@ unique per-submission key and bypass dedup/caching entirely (see
 
 from __future__ import annotations
 
-import hashlib
-import json
-
 from ..core.instance import SUUInstance
 from ..core.schedule import CyclicSchedule, ObliviousSchedule
 from ..errors import ValidationError
 from ..evaluate.request import EvaluationRequest
+from ..store import digest
 
 __all__ = ["instance_hash", "schedule_hash", "job_key"]
-
-
-def _digest(payload: dict) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
 def instance_hash(instance: SUUInstance) -> str:
@@ -41,7 +38,7 @@ def instance_hash(instance: SUUInstance) -> str:
     """
     payload = instance.to_dict()
     payload.pop("name", None)
-    return _digest(payload)
+    return digest(payload)
 
 
 def schedule_hash(schedule) -> str:
@@ -55,9 +52,9 @@ def schedule_hash(schedule) -> str:
     rejected: the server's wire protocol cannot carry it anyway.
     """
     if isinstance(schedule, str):
-        return _digest({"kind": "solver", "name": schedule})
+        return digest({"kind": "solver", "name": schedule})
     if isinstance(schedule, (ObliviousSchedule, CyclicSchedule)):
-        return _digest(schedule.to_dict())
+        return digest(schedule.to_dict())
     raise ValidationError(
         f"cannot hash a {type(schedule).__name__} schedule for serving; the "
         "wire protocol carries oblivious/cyclic tables or a registry solver "
@@ -69,7 +66,7 @@ def job_key(
     instance: SUUInstance, schedule, request: EvaluationRequest
 ) -> str:
     """The one content key a served evaluation is deduplicated/cached by."""
-    return _digest(
+    return digest(
         {
             "instance": instance_hash(instance),
             "schedule": schedule_hash(schedule),

@@ -5,62 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    bootstrap_ci,
-    fit_log_growth,
-    geometric_mean,
-    loglog_slope,
-    mean_ci,
-)
-
-
-class TestMeanCI:
-    def test_contains_mean(self):
-        mean, lo, hi = mean_ci([1.0, 2.0, 3.0])
-        assert lo <= mean <= hi
-        assert mean == pytest.approx(2.0)
-
-    def test_single_sample(self):
-        mean, lo, hi = mean_ci([5.0])
-        assert mean == lo == hi == 5.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mean_ci([])
-
-    def test_width_shrinks_with_samples(self):
-        rng = np.random.default_rng(0)
-        small = mean_ci(rng.normal(size=20))
-        large = mean_ci(rng.normal(size=2000))
-        assert (large[2] - large[1]) < (small[2] - small[1])
-
-
-class TestBootstrap:
-    def test_interval_contains_point(self):
-        rng = np.random.default_rng(1)
-        samples = rng.exponential(size=100)
-        point, lo, hi = bootstrap_ci(samples, rng=2)
-        assert lo <= point <= hi
-
-    def test_deterministic_given_seed(self):
-        samples = [1.0, 2.0, 4.0, 8.0]
-        a = bootstrap_ci(samples, rng=3)
-        b = bootstrap_ci(samples, rng=3)
-        assert a == b
-
-    def test_custom_stat(self):
-        samples = [1.0, 2.0, 3.0, 100.0]
-        point, lo, hi = bootstrap_ci(samples, stat=np.median, rng=4)
-        assert point == pytest.approx(2.5)
-
-
-class TestGeometricMean:
-    def test_value(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
+from repro.analysis import fit_log_growth, loglog_slope
 
 
 class TestFits:

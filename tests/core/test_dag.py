@@ -162,11 +162,6 @@ class TestReachability:
         assert dag.ancestors(3) == [0, 1]
         assert dag.ancestors(0) == []
 
-    def test_is_ancestor(self, dag):
-        assert dag.is_ancestor(0, 3)
-        assert not dag.is_ancestor(3, 0)
-        assert not dag.is_ancestor(0, 5)
-
     def test_counts(self, dag):
         assert dag.descendant_counts().tolist() == [3, 2, 0, 0, 1, 0]
 

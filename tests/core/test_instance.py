@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -62,13 +64,6 @@ class TestQueries:
         expected0 = 1 - (1 - 0.9) * (1 - 0.3) * (1 - 0.1)
         assert q[0] == pytest.approx(expected0)
 
-    def test_success_prob_subset(self, tiny_independent):
-        q = tiny_independent.success_prob(0, [0, 2])
-        assert q == pytest.approx(1 - (1 - 0.9) * (1 - 0.1))
-
-    def test_success_prob_empty(self, tiny_independent):
-        assert tiny_independent.success_prob(0, []) == 0.0
-
     def test_classify_delegates(self, tiny_chain):
         assert tiny_chain.classify() == DagClass.CHAINS
 
@@ -98,6 +93,19 @@ class TestSerialization:
     def test_dict_roundtrip_preserves_name(self, tiny_chain):
         restored = SUUInstance.from_dict(tiny_chain.to_dict())
         assert restored.name == "tiny-chain"
+
+    def test_oversized_dag_refused_before_it_is_built(self):
+        # The payload's job count is checked against p's columns before
+        # the DAG allocates per-job structures for a million jobs.
+        payload = {"p": [[0.5, 0.5]], "dag": {"n": 1_000_000, "edges": []}}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="DAG has 1000000 jobs but"):
+                SUUInstance.from_dict(payload)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_equality_ignores_name(self, tiny_independent):
         other = SUUInstance(tiny_independent.p, name="different")

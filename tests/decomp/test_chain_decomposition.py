@@ -90,7 +90,7 @@ class TestRandomForests:
     def test_every_job_in_exactly_one_chain(self):
         dag = out_tree_dag(70, rng=3)
         deco = decompose_forest(dag)
-        jobs = deco.all_jobs()
+        jobs = [j for block in deco.blocks for chain in block for j in chain]
         assert sorted(jobs) == list(range(70))
 
 

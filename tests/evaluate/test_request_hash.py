@@ -3,7 +3,7 @@
 Satellite acceptance: the digest ignores construction spelling (the
 validator already normalized metrics), changes with every knob that
 changes the numbers, refuses irreproducible requests, and is salted with
-:data:`REQUEST_HASH_VERSION` so semantic changes invalidate at-rest
+:data:`repro.store.RESULTS_VERSION` so semantic changes invalidate at-rest
 served results wholesale.
 """
 
@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
+from repro import store
 from repro.evaluate import EvaluationRequest
-from repro.evaluate.request import REQUEST_HASH_VERSION
 
 
 class TestStability:
@@ -63,13 +63,8 @@ class TestSensitivity:
         assert varied.request_hash() != base.request_hash()
 
     def test_version_salt_invalidates_wholesale(self, monkeypatch):
-        import sys
-
-        request_module = sys.modules[EvaluationRequest.__module__]
         before = EvaluationRequest(seed=7).request_hash()
-        monkeypatch.setattr(
-            request_module, "REQUEST_HASH_VERSION", REQUEST_HASH_VERSION + 1
-        )
+        monkeypatch.setattr(store, "RESULTS_VERSION", store.RESULTS_VERSION + 1)
         assert EvaluationRequest(seed=7).request_hash() != before
 
 

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import pytest
 
+from repro import obs
 from repro.errors import CensoredEstimateWarning, ExperimentError, StaleCacheWarning
 from repro.experiments import (
-    RESULT_SCHEMA_VERSION,
     ExperimentResult,
     ExperimentSpec,
     get_suite,
@@ -16,7 +17,8 @@ from repro.experiments import (
     run_suite,
     suite_names,
 )
-from repro.parallel import ProcessExecutor
+from repro.parallel import PartialEstimate, ProcessExecutor, make_shard_plan
+from repro.store import SCHEMA_VERSION
 
 
 def _tiny_spec(**overrides) -> ExperimentSpec:
@@ -31,6 +33,32 @@ def _tiny_spec(**overrides) -> ExperimentSpec:
     )
     base.update(overrides)
     return ExperimentSpec(**base)
+
+
+def _write_task_entry(cache, spec, task, outcome, version=SCHEMA_VERSION):
+    """Write a task outcome where the runner keeps it,
+    ``<cache>/shards/<spec_hash>.<task>.json``; ``version=None`` omits the
+    schema version, as a pre-versioning writer did."""
+    entry = {"spec_hash": spec.spec_hash(), "task": task, "outcome": outcome}
+    if version is not None:
+        entry["schema_version"] = version
+    path = cache / "shards" / f"{spec.spec_hash()}.{task}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(entry))
+    return path
+
+
+def _poisoned_shard(shard) -> dict:
+    """A shard outcome whose every sample is 1000, so reuse shows in the merge."""
+    return {
+        "kind": "shard",
+        "elapsed_s": 0.0,
+        "shard_index": shard.index,
+        "partial": PartialEstimate.from_samples([1000.0] * shard.reps).to_dict(),
+        "engine_used": "batched",
+        "algorithm": "poisoned",
+        "certificates": {},
+    }
 
 
 class TestRunExperiment:
@@ -57,12 +85,15 @@ class TestRunExperiment:
         forced = run_experiment(spec, cache_dir=tmp_path, force=True)
         assert not forced.cache_hit
 
-    def test_corrupt_cache_entry_recomputed(self, tmp_path):
+    @pytest.mark.parametrize("damage", ["{not json", "[]", '"x"'])
+    def test_corrupt_cache_entry_recomputed(self, tmp_path, damage):
         spec = _tiny_spec()
         first = run_experiment(spec, cache_dir=tmp_path)
         (entry,) = tmp_path.glob("*.json")
-        entry.write_text("{not json")
-        res = run_experiment(spec, cache_dir=tmp_path)
+        entry.write_text(damage)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", StaleCacheWarning)  # a quiet miss
+            res = run_experiment(spec, cache_dir=tmp_path)
         assert not res.cache_hit
         assert res.mean == first.mean  # same seeds -> same numbers
         # the entry was repaired
@@ -91,31 +122,22 @@ class TestRunExperiment:
 class TestResultSchemaVersion:
     def test_to_dict_carries_version(self):
         res = run_experiment(_tiny_spec(), cache_dir=None)
-        assert res.to_dict()["schema_version"] == RESULT_SCHEMA_VERSION
-
-    def test_from_dict_rejects_other_versions(self):
-        data = run_experiment(_tiny_spec(), cache_dir=None).to_dict()
-        data["schema_version"] = RESULT_SCHEMA_VERSION + 1
-        with pytest.raises(ExperimentError, match="schema_version"):
-            ExperimentResult.from_dict(data)
-        data.pop("schema_version")  # pre-versioned entries are stale too
-        with pytest.raises(ExperimentError, match="schema_version"):
-            ExperimentResult.from_dict(data)
+        assert res.to_dict()["schema_version"] == SCHEMA_VERSION
 
     def test_stale_cache_entry_warns_and_recomputes(self, tmp_path):
         spec = _tiny_spec()
         first = run_experiment(spec, cache_dir=tmp_path)
         (entry,) = tmp_path.glob("*.json")
         data = json.loads(entry.read_text())
-        data["schema_version"] = RESULT_SCHEMA_VERSION - 1
+        data["schema_version"] = SCHEMA_VERSION - 1
         data["mean"] = -1.0  # poison: silent reuse would surface this
         entry.write_text(json.dumps(data))
-        with pytest.warns(StaleCacheWarning):
+        with pytest.warns(StaleCacheWarning, match="stale experiment result"):
             res = run_experiment(spec, cache_dir=tmp_path)
         assert not res.cache_hit
         assert res.mean == first.mean
         # the entry was upgraded in place
-        assert json.loads(entry.read_text())["schema_version"] == RESULT_SCHEMA_VERSION
+        assert json.loads(entry.read_text())["schema_version"] == SCHEMA_VERSION
 
 
 class TestParallelExecution:
@@ -153,146 +175,115 @@ class TestParallelExecution:
         assert sorted(seen) == [1, 2, 3]
 
     def test_corrupt_reference_partial_is_a_miss(self, tmp_path):
-        from repro.experiments.runner import _reference_cache_path
-
         spec = _tiny_spec(compute_reference=True, exact_limit=0)
-        path = _reference_cache_path(tmp_path, spec.spec_hash())
-        path.parent.mkdir(parents=True, exist_ok=True)
         # Parseable but missing reference_kind/elapsed_s: must recompute,
         # not crash.
-        path.write_text(
-            json.dumps(
-                {
-                    "schema_version": RESULT_SCHEMA_VERSION,
-                    "spec_hash": spec.spec_hash(),
-                    "reference": 3.0,
-                }
-            )
-        )
+        _write_task_entry(tmp_path, spec, "ref", {"kind": "reference", "value": 3.0})
         res = run_experiment(spec, cache_dir=tmp_path)
         assert res.reference is not None and res.reference_kind == "lower_bound"
 
     def test_shard_partials_cached_and_reused(self, tmp_path):
         # Replications shard at reps >= 50 (two shards of 25+).  Seed a
-        # poisoned partial for shard 0 into the shard cache: if the runner
+        # poisoned partial for shard 0 into the task cache: if the runner
         # really reuses cached partials, the poison shows up in the merge.
-        from repro.experiments.runner import _shard_cache_path
-        from repro.parallel import PartialEstimate, make_shard_plan
-
         spec = _tiny_spec(reps=50, sim_seed=5)
         fresh = run_experiment(spec, cache_dir=None)
         plan = make_shard_plan(spec.reps, spec.sim_seed)
         assert plan.n_shards == 2
         shard = plan.shards[0]
-        poison = PartialEstimate.from_samples([1000.0] * shard.reps)
-        path = _shard_cache_path(tmp_path, spec.spec_hash(), shard)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(
-                {
-                    "schema_version": RESULT_SCHEMA_VERSION,
-                    "spec_hash": spec.spec_hash(),
-                    "shard_index": shard.index,
-                    "n_shards": shard.n_shards,
-                    "partial": poison.to_dict(),
-                    "engine_used": "batched",
-                    "algorithm": "poisoned",
-                    "certificates": {},
-                    "elapsed_s": 0.0,
-                }
-            )
-        )
+        path = _write_task_entry(tmp_path, spec, "s000of002", _poisoned_shard(shard))
         res = run_experiment(spec, cache_dir=tmp_path)
         assert res.mean > fresh.mean  # shard 0 came from the poisoned cache
         assert res.max == 1000.0
-        # partials are cleaned up once the spec-level entry is written
+        # task entries are cleaned up once the spec-level entry is written
         assert not path.exists()
-        # force=True ignores the shard cache (file is gone anyway)
+        # force=True ignores the task cache (file is gone anyway)
         forced = run_experiment(spec, cache_dir=tmp_path, force=True)
         assert forced.mean == fresh.mean
 
+    def test_exact_outcome_cached_and_reused(self, tmp_path):
+        # An exact task's outcome is a task entry like a shard's: a
+        # poisoned one reaches the result, so an interrupted sweep keeps
+        # its finished exact solves.  Telemetry is no part of an entry, so
+        # a malformed one written into the file is never grafted.
+        spec = _tiny_spec(algorithm="serial", evaluation={"mode": "exact"})
+        fresh = run_experiment(spec, cache_dir=None)
+        outcome = {"kind": "exact", "elapsed_s": 0.0, "value": 999.0, "engine_used": "markov-sparse"}
+        path = _write_task_entry(
+            tmp_path, spec, "exact", {**outcome, "telemetry": {"spans": [1]}}
+        )
+        with obs.capture() as tel:
+            res = run_experiment(spec, cache_dir=tmp_path)
+        assert tel.counters["experiments.task_cache.hits"] == 1
+        assert res.mean == res.min == res.max == 999.0 != fresh.mean
+        assert res.std_err == 0.0 and res.engine_used == "markov-sparse"
+        assert not path.exists()
+        # the spec-level entry was assembled from the cached outcome
+        assert run_experiment(spec, cache_dir=tmp_path).mean == 999.0
+
+    @pytest.mark.parametrize(
+        "key, value", [("spec_hash", "0" * 16), ("task", "s001of003"), ("shard_index", 0)]
+    )
+    def test_outcome_of_another_task_is_a_miss(self, tmp_path, key, value):
+        # An entry at shard 1's path that names another spec, another shard
+        # plan or another shard must not be merged in shard 1's place.
+        spec = _tiny_spec(reps=50, sim_seed=5)
+        fresh = run_experiment(spec, cache_dir=None)
+        shard = make_shard_plan(spec.reps, spec.sim_seed).shards[1]
+        path = _write_task_entry(tmp_path, spec, "s001of002", _poisoned_shard(shard))
+        entry = json.loads(path.read_text())
+        (entry["outcome"] if key == "shard_index" else entry)[key] = value
+        path.write_text(json.dumps(entry))
+        assert run_experiment(spec, cache_dir=tmp_path).mean == fresh.mean
+
 
 class TestStalePartials:
-    """Version-mismatched shard/reference partials must never be resumed.
+    """Version-mismatched task entries must never be resumed.
 
-    Regression: partials under ``<cache>/shards/`` are schema-versioned
-    like top-level results; a ``RESULT_SCHEMA_VERSION`` bump warns with
+    Regression: task entries under ``<cache>/shards/`` are schema-versioned
+    like top-level results; a ``store.SCHEMA_VERSION`` bump warns with
     :class:`StaleCacheWarning` and recomputes instead of silently merging
     stale numbers into a resumed sweep.
     """
 
-    @staticmethod
-    def _poisoned_shard_entry(spec, shard, version):
-        from repro.parallel import PartialEstimate
-
-        poison = PartialEstimate.from_samples([1000.0] * shard.reps)
-        return {
-            "schema_version": version,
-            "spec_hash": spec.spec_hash(),
-            "shard_index": shard.index,
-            "n_shards": shard.n_shards,
-            "partial": poison.to_dict(),
-            "engine_used": "batched",
-            "algorithm": "poisoned",
-            "certificates": {},
-            "elapsed_s": 0.0,
-        }
-
     def test_stale_shard_partial_warns_and_recomputes(self, tmp_path):
-        from repro.experiments.runner import _shard_cache_path
-        from repro.parallel import make_shard_plan
-
         spec = _tiny_spec(reps=50, sim_seed=5)
         fresh = run_experiment(spec, cache_dir=None)
         shard = make_shard_plan(spec.reps, spec.sim_seed).shards[0]
-        path = _shard_cache_path(tmp_path, spec.spec_hash(), shard)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(
-                self._poisoned_shard_entry(spec, shard, RESULT_SCHEMA_VERSION - 1)
-            )
+        _write_task_entry(
+            tmp_path, spec, "s000of002", _poisoned_shard(shard), SCHEMA_VERSION - 1
         )
-        with pytest.warns(StaleCacheWarning, match="stale shard partial"):
+        with pytest.warns(StaleCacheWarning, match="stale shard task"):
             res = run_experiment(spec, cache_dir=tmp_path)
         # recomputed from scratch: the poisoned partial never reached the merge
         assert res.mean == fresh.mean
         assert res.max == fresh.max != 1000.0
 
     def test_unversioned_shard_partial_is_stale_too(self, tmp_path):
-        from repro.experiments.runner import _shard_cache_path
-        from repro.parallel import make_shard_plan
-
         spec = _tiny_spec(reps=50, sim_seed=6)
         fresh = run_experiment(spec, cache_dir=None)
         shard = make_shard_plan(spec.reps, spec.sim_seed).shards[0]
-        entry = self._poisoned_shard_entry(spec, shard, RESULT_SCHEMA_VERSION)
-        entry.pop("schema_version")  # pre-versioning writer
-        path = _shard_cache_path(tmp_path, spec.spec_hash(), shard)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(entry))
+        _write_task_entry(tmp_path, spec, "s000of002", _poisoned_shard(shard), None)
         with pytest.warns(StaleCacheWarning, match="schema_version=None"):
             res = run_experiment(spec, cache_dir=tmp_path)
         assert res.mean == fresh.mean
 
     def test_stale_reference_partial_warns_and_recomputes(self, tmp_path):
-        from repro.experiments.runner import _reference_cache_path
-
         spec = _tiny_spec(compute_reference=True, exact_limit=0)
         fresh = run_experiment(spec, cache_dir=None)
-        path = _reference_cache_path(tmp_path, spec.spec_hash())
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(
-                {
-                    "schema_version": RESULT_SCHEMA_VERSION - 1,
-                    "spec_hash": spec.spec_hash(),
-                    "reference": 999.0,  # poison: silent resume would surface it
-                    "reference_kind": "exact",
-                    "elapsed_s": 0.0,
-                }
-            )
+        _write_task_entry(
+            tmp_path,
+            spec,
+            "ref",
+            {
+                "kind": "reference",
+                "elapsed_s": 0.0,
+                "value": 999.0,  # poison: silent resume would surface it
+                "reference_kind": "exact",
+            },
+            SCHEMA_VERSION - 1,
         )
-        with pytest.warns(StaleCacheWarning, match="stale reference solve"):
+        with pytest.warns(StaleCacheWarning, match="stale reference task"):
             res = run_experiment(spec, cache_dir=tmp_path)
         assert res.reference == fresh.reference != 999.0
         assert res.reference_kind == "lower_bound"
@@ -300,20 +291,11 @@ class TestStalePartials:
     def test_current_version_shard_partial_still_resumes(self, tmp_path):
         # The loud staleness path must not break legitimate resume: a
         # current-version partial is merged without warnings.
-        import warnings as _warnings
-
-        from repro.experiments.runner import _shard_cache_path
-        from repro.parallel import make_shard_plan
-
         spec = _tiny_spec(reps=50, sim_seed=7)
         shard = make_shard_plan(spec.reps, spec.sim_seed).shards[0]
-        path = _shard_cache_path(tmp_path, spec.spec_hash(), shard)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(self._poisoned_shard_entry(spec, shard, RESULT_SCHEMA_VERSION))
-        )
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error", StaleCacheWarning)
+        _write_task_entry(tmp_path, spec, "s000of002", _poisoned_shard(shard))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", StaleCacheWarning)
             res = run_experiment(spec, cache_dir=tmp_path)
         assert res.max == 1000.0  # the cached partial really was reused
 

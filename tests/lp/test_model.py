@@ -87,14 +87,6 @@ class TestLinearProgram:
         lp.add_le({"x": 1.0}, 1.0, name="cap")
         assert lp.row_names == ["cap"]
 
-    def test_check_feasible(self):
-        lp = LinearProgram()
-        lp.add_var("x", lb=0.0, ub=5.0)
-        lp.add_le({"x": 1.0}, 3.0)
-        assert lp.check_feasible(np.array([2.0]))
-        assert not lp.check_feasible(np.array([4.0]))
-        assert not lp.check_feasible(np.array([-1.0]))
-
 
 def _two_variable_lp(a10: float = 3.0, rhs0: float = 4.0, obj0: float = 1.0, lb0: float = 0.0):
     """``min x + y  s.t.  x + 2y >= 4,  3x + y >= 6`` (optimum x=1.6, y=1.2)."""

@@ -23,7 +23,7 @@ from repro.core.schedule import CyclicSchedule, ObliviousSchedule
 from repro.errors import AdmissionError, CensoredEstimateWarning, ServeError, StaleCacheWarning
 from repro.evaluate import EvaluationRequest, evaluate
 from repro.serve import EvaluationServer, ResultCache, ServerConfig
-from repro.serve.cache import SERVE_CACHE_SCHEMA_VERSION
+from repro.store import SCHEMA_VERSION
 
 
 @pytest.fixture
@@ -136,17 +136,18 @@ class TestCache:
         cache.put("abc", {"makespan": 4.0})
         path = cache.path_for("abc")
         entry = json.loads(path.read_text())
-        entry["schema_version"] = SERVE_CACHE_SCHEMA_VERSION + 1
+        entry["schema_version"] = SCHEMA_VERSION + 1
         path.write_text(json.dumps(entry))
 
         cold = ResultCache(cache_dir=tmp_path)
-        with pytest.warns(StaleCacheWarning, match="schema_version"):
+        with pytest.warns(StaleCacheWarning, match="stale served report .*schema_version"):
             assert cold.get("abc") is None
 
-    def test_corrupt_entry_is_a_quiet_miss(self, tmp_path):
+    @pytest.mark.parametrize("damage", ["{half a json", "[]"])
+    def test_corrupt_entry_is_a_quiet_miss(self, tmp_path, damage):
         cache = ResultCache(cache_dir=tmp_path)
         cache.put("abc", {"makespan": 4.0})
-        cache.path_for("abc").write_text("{half a json")
+        cache.path_for("abc").write_text(damage)
         cold = ResultCache(cache_dir=tmp_path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

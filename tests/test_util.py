@@ -15,7 +15,6 @@ from repro._util import (
     iterable_from_bitmask,
     log2p,
     popcount,
-    stable_argsort_desc,
 )
 
 
@@ -79,13 +78,3 @@ class TestProbMatrix:
     def test_list_input(self):
         out = check_prob_matrix([[0.1, 0.2]])
         assert out.dtype == np.float64
-
-
-class TestStableSort:
-    def test_descending(self):
-        idx = stable_argsort_desc([1.0, 3.0, 2.0])
-        assert idx.tolist() == [1, 2, 0]
-
-    def test_ties_keep_order(self):
-        idx = stable_argsort_desc([1.0, 1.0, 1.0])
-        assert idx.tolist() == [0, 1, 2]
