@@ -36,7 +36,7 @@ def _sweep(rng):
         before, rand_after, det_after, bounds, tries = [], [], [], [], []
         for seed in range(2):
             inst, bands = _bands_for(n, m, 7000 + seed)
-            before.append(bands.to_pseudo().max_collision())
+            before.append(bands.max_collision())
             out_r = find_good_delays(bands, rng=rng, n_jobs=n)
             rand_after.append(out_r.max_collision)
             tries.append(out_r.attempts)

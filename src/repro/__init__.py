@@ -27,11 +27,8 @@ workers=N)`` spreads a spec's replications over worker processes.
 from .core import (
     IDLE,
     AdaptivePolicy,
-    ChainBand,
-    ChainBands,
     CyclicSchedule,
     DagClass,
-    JobWindow,
     ObliviousSchedule,
     PrecedenceDAG,
     PseudoSchedule,
@@ -78,11 +75,8 @@ __all__ = [
     # core
     "IDLE",
     "AdaptivePolicy",
-    "ChainBand",
-    "ChainBands",
     "CyclicSchedule",
     "DagClass",
-    "JobWindow",
     "ObliviousSchedule",
     "PrecedenceDAG",
     "PseudoSchedule",

@@ -24,22 +24,16 @@ Every stage's invariant is checked and recorded in the result certificates.
 
 from __future__ import annotations
 
-
 import numpy as np
 
 from .._util import as_rng
 from ..core.instance import SUUInstance
-from ..core.schedule import (
-    ChainBand,
-    ChainBands,
-    JobWindow,
-    ScheduleResult,
-)
+from ..core.schedule import PseudoSchedule, ScheduleResult
 from ..delay.derandomize import derandomized_delays
 from ..delay.flatten import flatten_pseudo
 from ..delay.random_delay import find_good_delays, ssw_collision_bound
 from ..errors import RoundingError, UnsupportedDagError
-from ..lp.acc_mass import FractionalAccMass, solve_lp1
+from ..lp.acc_mass import solve_lp1
 from ..rounding.round_lp import IntegralAccMass, round_acc_mass
 from .constants import PRACTICAL, SUUConstants
 from .replication import replicate_with_tail
@@ -50,7 +44,7 @@ __all__ = ["build_chain_bands", "solve_chains"]
 def build_chain_bands(
     instance: SUUInstance,
     integral: IntegralAccMass,
-) -> ChainBands:
+) -> PseudoSchedule:
     """Lay the integral solution out as per-chain job windows (Thm 4.1 proof).
 
     Chain ``C_k = j_1 ≺ j_2 ≺ ...`` gets consecutive windows: job ``j``
@@ -58,65 +52,28 @@ def build_chain_bands(
     ``ψ_j`` the sum of the window lengths of its chain predecessors;
     machine ``i`` works on ``j`` during the first ``x̂_ij`` steps of the
     window.  Jobs of *different* chains may share machine-steps — that is
-    the pseudo-schedule slack removed later by delays.
+    the pseudo-schedule slack removed later by delays.  The units come out
+    in (chain, window, machine, step) order, the order flattening keeps
+    within a cell.
     """
-    bands: list[ChainBand] = []
-    for k, chain in enumerate(integral.chains):
-        windows: list[JobWindow] = []
-        start = 0
-        for j in chain:
-            col = integral.x[:, j]
-            length = int(col.max())
-            if length <= 0:
-                raise RoundingError(
-                    f"job {j} received no machine units in the integral solution"
-                )
-            units = tuple(
-                (int(i), int(col[i])) for i in np.flatnonzero(col > 0)
-            )
-            windows.append(
-                JobWindow(job=int(j), start=start, length=length, machine_units=units)
-            )
-            start += length
-        bands.append(ChainBand(chain_id=k, windows=tuple(windows)))
-    return ChainBands(instance.m, bands)
-
-
-def _apply_delays(
-    bands: ChainBands,
-    instance: SUUInstance,
-    constants: SUUConstants,
-    rng,
-    window: int | None = None,
-    target: int | None = None,
-):
-    """Dispatch to the randomized or derandomized delay step.
-
-    The delay-candidate grid is coarsened to keep the number of candidate
-    delays polynomial (the paper's "reducing T^OPT" §4.1 trick): with
-    ``β = n·m`` candidate slots the union bound in the SSW argument stays
-    intact while the search space stays small.
-    """
-    if window is None:
-        window = bands.pi_max()
-    beta = max(4, instance.n * instance.m)
-    grid = max(1, window // beta)
-    if constants.derandomize_delays:
-        return derandomized_delays(
-            bands,
-            window=window,
-            n_jobs=instance.n,
-            alpha=constants.delay_alpha,
-            grid=grid,
+    sizes = np.array([len(c) for c in integral.chains], dtype=np.int64)
+    order = np.array([j for c in integral.chains for j in c], dtype=np.int64)
+    units = integral.x[:, order].T  # (window, machine) unit counts
+    lengths = units.max(axis=1, initial=0)
+    if (lengths <= 0).any():
+        raise RoundingError(
+            f"job {int(order[lengths <= 0][0])} received no machine units "
+            "in the integral solution"
         )
-    return find_good_delays(
-        bands,
-        window=window,
-        target=target,
-        rng=rng,
-        alpha=constants.delay_alpha,
-        n_jobs=instance.n,
-        grid=grid,
+    chain_of = np.repeat(np.arange(sizes.size), sizes)
+    before = np.cumsum(lengths) - lengths
+    start = before - before[(np.cumsum(sizes) - sizes)[chain_of]]
+    win, machine = np.nonzero(units > 0)
+    count = units[win, machine]
+    win, machine = np.repeat(win, count), np.repeat(machine, count)
+    offset = np.arange(win.size) - np.repeat(np.cumsum(count) - count, count)
+    return PseudoSchedule(
+        instance.m, sizes.size, order[win], machine, start[win] + offset, chain_of[win]
     )
 
 
@@ -125,10 +82,8 @@ def solve_chains(
     constants: SUUConstants = PRACTICAL,
     rng=None,
     chains: list[list[int]] | None = None,
-    delay_window: int | None = None,
     window_divisor: float | None = None,
     collision_target: int | None = None,
-    frac: FractionalAccMass | None = None,
 ) -> ScheduleResult:
     """Theorem 4.4: oblivious schedule for disjoint-chain precedence.
 
@@ -138,12 +93,10 @@ def solve_chains(
         Explicit chain partition (used by the tree/forest block scheduler,
         whose blocks carry their own chain structure); defaults to the
         instance DAG's chains.
-    delay_window / window_divisor / collision_target:
+    window_divisor / collision_target:
         Overrides for the delay step; the tree algorithm (Thm 4.8) passes
         ``window_divisor = log n`` (window ``Π_max / log n``) and a
         congestion target of ``O(log n)``.
-    frac:
-        A pre-solved (LP1) solution, to share work across ablations.
     """
     rng = as_rng(rng)
     if chains is None:
@@ -153,24 +106,39 @@ def solve_chains(
             "explicit multi-job chains given for an instance without edges"
         )
     # 1. LP relaxation.
-    if frac is None:
-        frac = solve_lp1(instance, chains, target_mass=constants.lp_target_mass)
+    frac = solve_lp1(instance, chains, target_mass=constants.lp_target_mass)
     # 2. Theorem 4.1 rounding.
     integral = round_acc_mass(
         instance, frac, low_scale=constants.rounding_low_scale
     )
-    # 3. Pseudo-schedule bands.
-    bands = build_chain_bands(instance, integral)
-    pi_max = bands.pi_max()
-    if delay_window is None and window_divisor is not None:
-        delay_window = max(1, int(pi_max / max(1.0, window_divisor)))
-    # 4. Random (or derandomized) delays.
-    outcome = _apply_delays(
-        bands, instance, constants, rng, window=delay_window, target=collision_target
-    )
+    # 3. Pseudo-schedule: one band of consecutive job windows per chain.
+    pseudo = build_chain_bands(instance, integral)
+    pi_max = pseudo.load()
+    window = pi_max
+    if window_divisor is not None:
+        window = max(1, int(pi_max / max(1.0, window_divisor)))
+    # 4. Random (or derandomized) delays.  The delay-candidate grid is
+    # coarsened to keep the number of candidate delays polynomial (the
+    # paper's "reducing T^OPT" §4.1 trick): with β = n·m candidate slots
+    # the union bound in the SSW argument stays intact while the search
+    # space stays small.
+    grid = max(1, window // max(4, instance.n * instance.m))
+    if constants.derandomize_delays:
+        outcome = derandomized_delays(
+            pseudo, window=window, n_jobs=instance.n, alpha=constants.delay_alpha, grid=grid
+        )
+    else:
+        outcome = find_good_delays(
+            pseudo,
+            window=window,
+            target=collision_target,
+            rng=rng,
+            alpha=constants.delay_alpha,
+            n_jobs=instance.n,
+            grid=grid,
+        )
     # 5. Flatten into a feasible oblivious schedule.
-    pseudo = outcome.bands.to_pseudo()
-    core = flatten_pseudo(pseudo)
+    core = flatten_pseudo(outcome.pseudo)
     # 6. Replicate and append the serial tail.
     sigma = constants.replication_sigma(instance.n)
     schedule = replicate_with_tail(core, instance, sigma)

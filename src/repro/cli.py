@@ -407,19 +407,15 @@ def _cmd_portfolio(args) -> int:
         inst = GENERATORS[name](np.random.default_rng(args.seed))
     else:
         inst = _load_instance(Path(name))
-    try:
-        report = run_portfolio(
-            inst,
-            solvers=args.solver,
-            constants=PRESETS[args.constants],
-            seed=args.seed,
-            reps=args.reps,
-            max_steps=args.max_steps,
-            mode=args.mode,
-        )
-    except ReproError as exc:
-        print(f"portfolio failed: {exc}", file=sys.stderr)
-        return 2
+    report = run_portfolio(
+        inst,
+        solvers=args.solver,
+        constants=PRESETS[args.constants],
+        seed=args.seed,
+        reps=args.reps,
+        max_steps=args.max_steps,
+        mode=args.mode,
+    )
     print(
         f"instance : {report.instance_name} "
         f"(n={report.n}, m={report.m}, dag={report.dag_class})"
@@ -474,26 +470,22 @@ def _cmd_evaluate(args) -> int:
     inst = _load_instance(args.input)
     schedule = _load_or_solve_schedule(args, inst)
     metrics = tuple(args.metric) if args.metric else ("makespan",)
-    try:
-        request = EvaluationRequest(
-            metrics=metrics,
-            mode=args.mode,
-            reps=args.reps,
-            seed=args.seed,
-            max_steps=args.max_steps,
-            horizon=args.horizon,
-            rtol=args.rtol,
-            target_ci=args.target_ci,
-            budget=args.budget,
-            engine=args.engine,
-            max_states=args.max_states,
-            require_finished=args.require_finished,
-        )
-        with obs.capture(enabled=args.trace is not None) as tel:
-            report = evaluate(inst, schedule, request=request)
-    except ReproError as exc:
-        print(f"evaluation failed: {exc}", file=sys.stderr)
-        return 2
+    request = EvaluationRequest(
+        metrics=metrics,
+        mode=args.mode,
+        reps=args.reps,
+        seed=args.seed,
+        max_steps=args.max_steps,
+        horizon=args.horizon,
+        rtol=args.rtol,
+        target_ci=args.target_ci,
+        budget=args.budget,
+        engine=args.engine,
+        max_states=args.max_states,
+        require_finished=args.require_finished,
+    )
+    with obs.capture(enabled=args.trace is not None) as tel:
+        report = evaluate(inst, schedule, request=request)
     print(f"mode              : {report.mode}")
     print(f"engine            : {report.engine}")
     print(f"schedule kind     : {report.schedule_kind}")
@@ -588,11 +580,7 @@ def _cmd_run_experiments(args) -> int:
     if not names:
         names = ["smoke"]
     cache_dir = None if args.no_cache else (args.cache_dir or DEFAULT_CACHE_DIR)
-    try:
-        executor = get_executor(args.executor, args.workers)
-    except ReproError as exc:
-        print(f"run-experiments failed: {exc}", file=sys.stderr)
-        return 2
+    executor = get_executor(args.executor, args.workers)
     if executor.name == "process":
         print(
             f"executor: process x {executor.workers} workers",
@@ -606,16 +594,11 @@ def _cmd_run_experiments(args) -> int:
 
 
 def _run_suites(names, args, cache_dir, executor) -> int:
-    from .errors import ExperimentError
     from .experiments import get_suite, run_suite
 
     all_results = []
     for suite in names:
-        try:
-            specs = get_suite(suite)
-        except ExperimentError as exc:
-            print(exc, file=sys.stderr)
-            return 2
+        specs = get_suite(suite)
         table = Table(
             ["experiment", "algorithm", "E[makespan]", "±se", "ratio", "engine", "cache"],
             title=f"suite: {suite} ({len(specs)} experiments)",

@@ -15,10 +15,7 @@ from .mass import (
 from .schedule import (
     IDLE,
     AdaptivePolicy,
-    ChainBand,
-    ChainBands,
     CyclicSchedule,
-    JobWindow,
     ObliviousSchedule,
     PseudoSchedule,
     Regimen,
@@ -33,10 +30,7 @@ __all__ = [
     "SUUInstance",
     "IDLE",
     "AdaptivePolicy",
-    "ChainBand",
-    "ChainBands",
     "CyclicSchedule",
-    "JobWindow",
     "ObliviousSchedule",
     "PseudoSchedule",
     "Regimen",

@@ -16,8 +16,8 @@ The paper works with four kinds of schedules:
   §3–4 constructions output (``Σ_{o,2} ∘ Σ_{o,3}^∞``).
 * **Pseudo-schedules** (Def 4.1): a machine may be assigned a *set* of jobs
   per step; produced by LP rounding for chains, made feasible later by
-  random delays + flattening.  :class:`PseudoSchedule` plus the structured
-  :class:`ChainBands` / :class:`JobWindow` used by the chain pipeline.
+  random delays + flattening.  :class:`PseudoSchedule` stores one entry
+  per machine-step unit, tagged with the chain a delay shifts.
 
 Execution semantics (shared by the simulator): at each step the scheduled
 job of each machine is looked up; if that job is already finished or not yet
@@ -43,9 +43,6 @@ __all__ = [
     "CyclicSchedule",
     "AdaptivePolicy",
     "Regimen",
-    "JobWindow",
-    "ChainBand",
-    "ChainBands",
     "PseudoSchedule",
     "ScheduleResult",
     "schedule_from_dict",
@@ -557,205 +554,86 @@ class Regimen:
 
 
 # ----------------------------------------------------------------------
-# Pseudo-schedules (Def 4.1) and chain bands
+# Pseudo-schedules (Def 4.1)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class JobWindow:
-    """One job's slot inside a chain band.
+class PseudoSchedule:
+    """A pseudo-schedule (Def 4.1), stored as one entry per machine-step unit.
 
-    ``machine_units[i]`` machines-steps of machine ``i`` are placed at
-    steps ``start .. start + machine_units[i] - 1`` (each machine occupies a
-    prefix of the window, exactly as in the proof of Theorem 4.1).  The
-    window has length ``length = max_i machine_units[i]`` (or the explicit
-    ``d``-driven length if longer).
+    Unit ``u`` puts job ``job[u]`` on machine ``machine[u]`` in step
+    ``step[u]`` and belongs to chain ``chain[u]``, the band one random delay
+    shifts (§4.1).  Several units may share a (machine, step) cell, which is
+    what makes the schedule *pseudo*; :func:`repro.delay.flatten_pseudo`
+    expands each step so they no longer do.  Units are kept in (chain,
+    window, machine, step) order, the order in which flattening lays out
+    the jobs of one cell.
     """
 
-    job: int
-    start: int
-    length: int
-    machine_units: tuple[tuple[int, int], ...]  # sorted (machine, units) pairs
-
-    @property
-    def end(self) -> int:
-        """One past the last step of the window."""
-        return self.start + self.length
-
-    def shifted(self, delay: int) -> "JobWindow":
-        return JobWindow(self.job, self.start + delay, self.length, self.machine_units)
-
-
-@dataclass(frozen=True)
-class ChainBand:
-    """The pseudo-schedule of one precedence chain: consecutive job windows."""
-
-    chain_id: int
-    windows: tuple[JobWindow, ...]
-
-    def length(self) -> int:
-        return max((w.end for w in self.windows), default=0)
-
-    def shifted(self, delay: int) -> "ChainBand":
-        if delay < 0:
-            raise ValidationError("delay must be >= 0")
-        return ChainBand(self.chain_id, tuple(w.shifted(delay) for w in self.windows))
-
-    def jobs(self) -> list[int]:
-        return [w.job for w in self.windows]
-
-    def machine_load(self, m: int) -> np.ndarray:
-        """Total units placed on each machine by this band."""
-        load = np.zeros(m, dtype=np.int64)
-        for w in self.windows:
-            for i, u in w.machine_units:
-                load[i] += u
-        return load
-
-
-class ChainBands:
-    """A structured pseudo-schedule: one band per chain (proof of Thm 4.1).
-
-    This keeps the chain structure explicit so the random-delay step can
-    shift whole chains, and converts to a flat :class:`PseudoSchedule` on
-    demand.
-    """
-
-    def __init__(self, m: int, bands: Sequence[ChainBand]):
+    def __init__(
+        self,
+        m: int,
+        num_chains: int,
+        job: np.ndarray,
+        machine: np.ndarray,
+        step: np.ndarray,
+        chain: np.ndarray,
+    ):
         self._m = int(m)
-        self._bands = tuple(bands)
-        seen: set[int] = set()
-        for band in self._bands:
-            for w in band.windows:
-                if w.job in seen:
-                    raise ValidationError(f"job {w.job} appears in two bands")
-                seen.add(w.job)
-                for i, u in w.machine_units:
-                    if not (0 <= i < self._m):
-                        raise ValidationError(f"machine {i} out of range")
-                    if u < 0:
-                        raise ValidationError("machine units must be >= 0")
-                    if u > w.length:
-                        raise ValidationError(
-                            f"job {w.job}: machine {i} has {u} units but window "
-                            f"length is only {w.length}"
-                        )
+        self._num_chains = int(num_chains)
+        self.job, self.machine, self.step, self.chain = (
+            np.asarray(a, dtype=np.int64) for a in (job, machine, step, chain)
+        )
 
     @property
     def m(self) -> int:
         return self._m
 
     @property
-    def bands(self) -> tuple[ChainBand, ...]:
-        return self._bands
+    def num_chains(self) -> int:
+        return self._num_chains
 
+    @property
     def length(self) -> int:
-        return max((b.length() for b in self._bands), default=0)
+        return int(self.step.max()) + 1 if self.step.size else 0
 
     def machine_loads(self) -> np.ndarray:
         """Per-machine total units (Def 4.2 load is the max of these)."""
-        load = np.zeros(self._m, dtype=np.int64)
-        for band in self._bands:
-            load += band.machine_load(self._m)
-        return load
+        return np.bincount(self.machine, minlength=self._m)
 
     def load(self) -> int:
-        """The pseudo-schedule load (Def 4.2): max over machines."""
-        loads = self.machine_loads()
-        return int(loads.max()) if loads.size else 0
+        """The load (Def 4.2), the paper's ``Π_max`` and default delay range."""
+        return int(self.machine_loads().max(initial=0))
 
-    def pi_max(self) -> int:
-        """The paper's ``Π_max``: the load, used as the delay range."""
-        return self.load()
-
-    def with_delays(self, delays: Sequence[int]) -> "ChainBands":
-        """Shift band ``k`` by ``delays[k]`` steps (the random-delay step)."""
-        if len(delays) != len(self._bands):
-            raise ValidationError(
-                f"got {len(delays)} delays for {len(self._bands)} bands"
-            )
-        return ChainBands(
-            self._m, [b.shifted(int(d)) for b, d in zip(self._bands, delays)]
-        )
-
-    def to_pseudo(self) -> "PseudoSchedule":
-        """Flatten the bands into a step-indexed pseudo-schedule."""
-        T = self.length()
-        steps: list[list[list[int]]] = [[[] for _ in range(self._m)] for _ in range(T)]
-        for band in self._bands:
-            for w in band.windows:
-                for i, u in w.machine_units:
-                    for t in range(w.start, w.start + u):
-                        steps[t][i].append(w.job)
-        return PseudoSchedule(self._m, steps)
-
-    def job_masses(self, instance: SUUInstance) -> np.ndarray:
-        """Uncapped per-job mass: ``sum_i p_ij * units_ij``."""
-        mass = np.zeros(instance.n, dtype=np.float64)
-        for band in self._bands:
-            for w in band.windows:
-                for i, u in w.machine_units:
-                    mass[w.job] += instance.p[i, w.job] * u
-        return mass
-
-    def __repr__(self) -> str:
-        return (
-            f"ChainBands(m={self._m}, chains={len(self._bands)}, "
-            f"length={self.length()}, load={self.load()})"
-        )
-
-
-class PseudoSchedule:
-    """A flat pseudo-schedule (Def 4.1): per step, per machine, a job list.
-
-    ``steps[t][i]`` is the list of jobs assigned to machine ``i`` in step
-    ``t`` — possibly more than one, which is what makes it *pseudo* (and
-    infeasible to execute directly).
-    """
-
-    def __init__(self, m: int, steps: Sequence[Sequence[Sequence[int]]]):
-        self._m = int(m)
-        self._steps: list[tuple[tuple[int, ...], ...]] = []
-        for t, row in enumerate(steps):
-            if len(row) != self._m:
-                raise ValidationError(
-                    f"step {t} has {len(row)} machine entries, expected {self._m}"
-                )
-            self._steps.append(tuple(tuple(int(j) for j in jobs) for jobs in row))
-
-    @property
-    def m(self) -> int:
-        return self._m
-
-    @property
-    def length(self) -> int:
-        return len(self._steps)
-
-    def jobs_at(self, t: int, i: int) -> tuple[int, ...]:
-        return self._steps[t][i]
-
-    def machine_loads(self) -> np.ndarray:
-        load = np.zeros(self._m, dtype=np.int64)
-        for row in self._steps:
-            for i, jobs in enumerate(row):
-                load[i] += len(jobs)
-        return load
-
-    def load(self) -> int:
-        """Def 4.2: maximum total units on any machine."""
-        loads = self.machine_loads()
-        return int(loads.max()) if loads.size else 0
+    def cells(self) -> np.ndarray:
+        """Each unit's (machine, step) cell as one index ``step · m + machine``."""
+        return self.step * self._m + self.machine
 
     def max_collision(self) -> int:
         """Max number of jobs on one machine in one step (the SSW quantity)."""
-        best = 0
-        for row in self._steps:
-            for jobs in row:
-                if len(jobs) > best:
-                    best = len(jobs)
-        return best
+        return int(np.bincount(self.cells()).max(initial=0))
+
+    def with_delays(self, delays: Sequence[int]) -> "PseudoSchedule":
+        """Shift chain ``k`` by ``delays[k]`` steps (the random-delay step)."""
+        if len(delays) != self._num_chains:
+            raise ValidationError(
+                f"got {len(delays)} delays for {self._num_chains} chains"
+            )
+        shift = np.asarray(delays, dtype=np.int64)
+        if (shift < 0).any():
+            raise ValidationError("delay must be >= 0")
+        return PseudoSchedule(
+            self._m, self._num_chains, self.job, self.machine,
+            self.step + shift[self.chain], self.chain,
+        )
+
+    def job_masses(self, instance: SUUInstance) -> np.ndarray:
+        """Uncapped per-job mass: ``sum_i p_ij * units_ij``."""
+        return np.bincount(
+            self.job, weights=instance.p[self.machine, self.job], minlength=instance.n
+        )
 
     def __repr__(self) -> str:
         return (
-            f"PseudoSchedule(T={self.length}, m={self._m}, "
+            f"PseudoSchedule(T={self.length}, m={self._m}, chains={self._num_chains}, "
             f"load={self.load()}, max_collision={self.max_collision()})"
         )
 

@@ -25,20 +25,22 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 
-from ..core.schedule import ChainBand, ChainBands
+import numpy as np
+
+from ..core.schedule import PseudoSchedule
 from .random_delay import DelayOutcome, ssw_collision_bound
 
 __all__ = ["derandomized_delays"]
 
 
-def _cells_of_band(band: ChainBand) -> dict[tuple[int, int], int]:
-    """Unit counts per (machine, step) cell for an (undelayed) band."""
-    cells: dict[tuple[int, int], int] = defaultdict(int)
-    for w in band.windows:
-        for i, u in w.machine_units:
-            for t in range(w.start, w.start + u):
-                cells[(i, t)] += 1
-    return dict(cells)
+def _chain_cells(pseudo: PseudoSchedule) -> list[dict[tuple[int, int], int]]:
+    """Unit counts per (machine, step) cell of each (undelayed) chain."""
+    cells: list[dict[tuple[int, int], int]] = [
+        defaultdict(int) for _ in range(pseudo.num_chains)
+    ]
+    for k, i, t in zip(pseudo.chain.tolist(), pseudo.machine.tolist(), pseudo.step.tolist()):
+        cells[k][(i, t)] += 1
+    return [dict(c) for c in cells]
 
 
 def _expected_factor_cells(
@@ -69,7 +71,7 @@ def _expected_factor_cells(
 
 
 def derandomized_delays(
-    bands: ChainBands,
+    pseudo: PseudoSchedule,
     window: int | None = None,
     lam: float = 1.0,
     n_jobs: int | None = None,
@@ -84,12 +86,12 @@ def derandomized_delays(
     more sharply but saturate sooner).
     """
     if window is None:
-        window = bands.pi_max()
+        window = pseudo.load()
     if n_jobs is None:
-        n_jobs = sum(len(b.windows) for b in bands.bands)
-    target = ssw_collision_bound(n_jobs, bands.m, alpha=alpha)
+        n_jobs = np.unique(pseudo.job).size
+    target = ssw_collision_bound(n_jobs, pseudo.m, alpha=alpha)
 
-    band_cells = [_cells_of_band(b) for b in bands.bands]
+    band_cells = _chain_cells(pseudo)
     band_log_ef = [
         _expected_factor_cells(c, window, lam, grid=grid) for c in band_cells
     ]
@@ -123,12 +125,11 @@ def derandomized_delays(
         for (i, t0), u in cells.items():
             fixed_load[(i, t0 + best_d)] += u
 
-    delayed = bands.with_delays(delays)
-    collision = delayed.to_pseudo().max_collision()
+    delayed = pseudo.with_delays(delays)
     return DelayOutcome(
-        bands=delayed,
+        pseudo=delayed,
         delays=delays,
-        max_collision=collision,
+        max_collision=delayed.max_collision(),
         attempts=1,
         window=window,
         target=target,

@@ -18,24 +18,17 @@ from ..core.schedule import IDLE, ObliviousSchedule, PseudoSchedule
 __all__ = ["flatten_pseudo"]
 
 
-def flatten_pseudo(pseudo: PseudoSchedule, expansion: int | None = None) -> ObliviousSchedule:
-    """Expand each step into ``expansion`` micro-steps (default: max collision).
+def flatten_pseudo(pseudo: PseudoSchedule) -> ObliviousSchedule:
+    """Expand each step into ``c`` micro-steps, ``c`` the max collision.
 
-    ``expansion`` must be at least the pseudo-schedule's max collision;
-    within an expanded step each machine's jobs occupy the first micro-steps
-    in their listed order and the machine idles for the rest.
+    Within an expanded step each machine's jobs occupy the first
+    micro-steps in unit order and the machine idles for the rest.
     """
-    c = pseudo.max_collision()
-    if expansion is None:
-        expansion = max(1, c)
-    if expansion < c:
-        raise ValueError(
-            f"expansion {expansion} below the max collision {c}"
-        )
-    T = pseudo.length
-    table = np.full((T * expansion, pseudo.m), IDLE, dtype=np.int32)
-    for t in range(T):
-        for i in range(pseudo.m):
-            for k, job in enumerate(pseudo.jobs_at(t, i)):
-                table[t * expansion + k, i] = job
+    c = max(1, pseudo.max_collision())
+    cells = pseudo.cells()
+    order = np.argsort(cells, kind="stable")
+    ranked = cells[order]
+    rank = np.arange(ranked.size) - np.searchsorted(ranked, ranked)
+    table = np.full((pseudo.length * c, pseudo.m), IDLE, dtype=np.int32)
+    table[pseudo.step[order] * c + rank, pseudo.machine[order]] = pseudo.job[order]
     return ObliviousSchedule(table)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._util import as_rng
-from ..core.schedule import ChainBands
+from ..core.schedule import PseudoSchedule
 from ..errors import ScheduleError
 
 __all__ = ["ssw_collision_bound", "DelayOutcome", "sample_delays", "find_good_delays"]
@@ -39,14 +39,14 @@ def ssw_collision_bound(n: int, m: int, alpha: float = 4.0) -> int:
 class DelayOutcome:
     """Result of the delay search.
 
-    ``bands`` is the delayed pseudo-schedule; ``delays`` the per-chain
+    ``pseudo`` is the delayed pseudo-schedule; ``delays`` the per-chain
     shifts; ``max_collision`` the achieved congestion; ``attempts`` how
     many delay samples the retry loop drew in total (1 for a first-try
     success; ``max_attempts`` when the budget was exhausted, in which case
     the best outcome seen is returned even if it was sampled earlier).
     """
 
-    bands: ChainBands
+    pseudo: PseudoSchedule
     delays: list[int]
     max_collision: int
     attempts: int
@@ -78,7 +78,7 @@ def sample_delays(
 
 
 def find_good_delays(
-    bands: ChainBands,
+    pseudo: PseudoSchedule,
     window: int | None = None,
     target: int | None = None,
     rng: np.random.Generator | int | None = None,
@@ -91,8 +91,8 @@ def find_good_delays(
 
     Parameters
     ----------
-    bands:
-        The undelayed chain bands (one band per chain).
+    pseudo:
+        The undelayed pseudo-schedule; each chain is shifted by its own delay.
     window:
         Delay range; defaults to the paper's ``Π_max`` (the load).  The
         tree algorithm (Thm 4.8) passes ``Π_max / log n`` instead.
@@ -104,25 +104,24 @@ def find_good_delays(
         outcome seen is returned rather than looping forever.
     n_jobs:
         Job count used for the default bound (defaults to the number of
-        jobs appearing in the bands).
+        jobs appearing in the pseudo-schedule).
     """
     rng = as_rng(rng)
     if window is None:
-        window = bands.pi_max()
+        window = pseudo.load()
     if n_jobs is None:
-        n_jobs = sum(len(b.windows) for b in bands.bands)
+        n_jobs = np.unique(pseudo.job).size
     if target is None:
-        target = ssw_collision_bound(n_jobs, bands.m, alpha=alpha)
+        target = ssw_collision_bound(n_jobs, pseudo.m, alpha=alpha)
     best: DelayOutcome | None = None
-    num_chains = len(bands.bands)
     for attempt in range(1, max_attempts + 1):
         # A fresh independent sample every attempt: the whp guarantee is
         # per-draw, so re-testing a stale sample would never terminate.
-        delays = sample_delays(num_chains, window, rng, grid=grid)
-        delayed = bands.with_delays(delays)
-        collision = delayed.to_pseudo().max_collision()
+        delays = sample_delays(pseudo.num_chains, window, rng, grid=grid)
+        delayed = pseudo.with_delays(delays)
+        collision = delayed.max_collision()
         outcome = DelayOutcome(
-            bands=delayed,
+            pseudo=delayed,
             delays=delays,
             max_collision=collision,
             attempts=attempt,

@@ -28,7 +28,7 @@ simulation engines, and the parallel backend fit together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -126,13 +126,18 @@ def _task_path(cache_dir: Path, spec_hash: str, task: SpecTask) -> Path:
     return cache_dir / "shards" / f"{spec_hash}.{task.name}.json"
 
 
-def _load_result(path: Path) -> ExperimentResult | None:
-    """A spec-level cache entry; None on a miss, a stale entry or a defect."""
+def _load_result(path: Path, spec: ExperimentSpec, spec_hash: str) -> ExperimentResult | None:
+    """``spec``'s cached result; None on a miss, a stale entry or a defect.
+
+    The entry must name ``spec_hash``.  A hit carries ``spec`` itself, so a
+    spec renamed since its result was cached (the name stays out of the
+    hash) is reported under its new name.
+    """
     entry = store.read(path, "experiment result")
-    if entry is None:
+    if entry is None or entry.get("spec_hash") != spec_hash:
         return None
     try:
-        return ExperimentResult.from_dict(entry, cache_hit=True)
+        return replace(ExperimentResult.from_dict(entry, cache_hit=True), spec=spec)
     except (AttributeError, KeyError, TypeError, ExperimentError):
         return None
 
@@ -307,10 +312,10 @@ def run_suite(
     trace = obs.enabled()
     for idx, spec in enumerate(specs):
         # Keyed on the hash alone so renaming a spec (name is excluded from
-        # the hash) still finds its cached result; the name lives inside.
+        # the hash) still finds its cached result, reported under the new name.
         spec_hash = spec.spec_hash()
         if reuse:
-            hit = _load_result(cache / f"{spec_hash}.json")
+            hit = _load_result(cache / f"{spec_hash}.json", spec, spec_hash)
             if hit is not None:
                 obs.add("experiments.cache.hits")
                 finish(idx, hit)

@@ -786,21 +786,22 @@ def check_delays(ctx: CaseContext) -> list[Discrepancy]:
         return []
     try:
         _, integral = ctx.rounding()
-        bands = build_chain_bands(instance, integral)
+        pseudo = build_chain_bands(instance, integral)
     except ReproError as exc:
         return [Discrepancy("delays", f"band construction failed: {exc}")]
     out: list[Discrepancy] = []
     max_attempts = 64
     outcome = find_good_delays(
-        bands, rng=spec.sim_seed, max_attempts=max_attempts
+        pseudo, rng=spec.sim_seed, max_attempts=max_attempts
     )
-    pseudo = outcome.bands.to_pseudo()
-    if pseudo.max_collision() != outcome.max_collision:
+    delayed = outcome.pseudo
+    collision = delayed.max_collision()
+    if collision != outcome.max_collision:
         out.append(
             Discrepancy(
                 "delays",
                 f"reported max_collision {outcome.max_collision} but the "
-                f"delayed pseudo-schedule measures {pseudo.max_collision()}",
+                f"delayed pseudo-schedule measures {collision}",
             )
         )
     if outcome.max_collision > outcome.target and outcome.attempts < max_attempts:
@@ -820,24 +821,24 @@ def check_delays(ctx: CaseContext) -> list[Discrepancy]:
                 f"[1, {max_attempts}]",
             )
         )
-    if outcome.bands.load() != bands.load():
+    if delayed.load() != pseudo.load():
         out.append(
             Discrepancy(
                 "delays",
                 f"delays changed the pseudo-schedule load "
-                f"{bands.load()} → {outcome.bands.load()}",
+                f"{pseudo.load()} → {delayed.load()}",
             )
         )
-    flat = flatten_pseudo(pseudo)
-    if pseudo.length and flat.length != pseudo.length * max(1, pseudo.max_collision()):
+    flat = flatten_pseudo(delayed)
+    if delayed.length and flat.length != delayed.length * max(1, collision):
         out.append(
             Discrepancy(
                 "delays",
-                f"flattening expanded {pseudo.length} steps to {flat.length}, "
-                f"expected ×{max(1, pseudo.max_collision())}",
+                f"flattening expanded {delayed.length} steps to {flat.length}, "
+                f"expected ×{max(1, collision)}",
             )
         )
-    masses = np.asarray(outcome.bands.job_masses(instance))
+    masses = delayed.job_masses(instance)
     if masses.size and float(masses.min()) + cfg.eps < integral.target_mass:
         out.append(
             Discrepancy(

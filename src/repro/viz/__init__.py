@@ -1,6 +1,5 @@
-"""Terminal visualization: ASCII Gantt charts and sparklines."""
+"""Terminal visualization: ASCII Gantt charts and machine timelines."""
 
-from .curves import render_curve, sparkline
 from .gantt import render_gantt, render_machine_timeline
 
-__all__ = ["render_curve", "sparkline", "render_gantt", "render_machine_timeline"]
+__all__ = ["render_gantt", "render_machine_timeline"]

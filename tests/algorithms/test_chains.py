@@ -5,8 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import CyclicSchedule, PrecedenceDAG, SUUInstance
+import dataclasses
+
+from repro import CyclicSchedule, PrecedenceDAG, SUUInstance, ValidationError
 from repro.algorithms import PRACTICAL, build_chain_bands, solve_chains
+from repro.errors import RoundingError
 from repro.evaluate import evaluate
 from repro.lp import solve_lp1
 from repro.rounding import round_acc_mass
@@ -25,21 +28,49 @@ class TestChainBands:
     def test_windows_sequential_within_chain(self, chains_instance):
         integral = round_acc_mass(chains_instance, solve_lp1(chains_instance))
         bands = build_chain_bands(chains_instance, integral)
-        for band in bands.bands:
+        assert bands.num_chains == len(integral.chains)
+        for k, chain in enumerate(integral.chains):
             end = 0
-            for w in band.windows:
-                assert w.start == end
-                end = w.end
+            for j in chain:
+                steps = bands.step[bands.job == j]
+                assert (bands.chain[bands.job == j] == k).all()
+                assert steps.min() == end
+                end = steps.max() + 1
+                assert end - steps.min() == integral.x[:, j].max()
 
     def test_units_match_integral_solution(self, chains_instance):
         integral = round_acc_mass(chains_instance, solve_lp1(chains_instance))
         bands = build_chain_bands(chains_instance, integral)
         x_back = np.zeros_like(integral.x)
-        for band in bands.bands:
-            for w in band.windows:
-                for i, u in w.machine_units:
-                    x_back[i, w.job] = u
+        np.add.at(x_back, (bands.machine, bands.job), 1)
         np.testing.assert_array_equal(x_back, integral.x)
+
+    def test_units_in_chain_window_machine_step_order(self, chains_instance):
+        # flattening lays out a cell's jobs in unit order, so the layout
+        # order is part of the schedule
+        integral = round_acc_mass(chains_instance, solve_lp1(chains_instance))
+        bands = build_chain_bands(chains_instance, integral)
+        window = np.empty(chains_instance.n, dtype=np.int64)
+        window[[j for chain in integral.chains for j in chain]] = np.arange(
+            chains_instance.n
+        )
+        keys = (bands.step, bands.machine, window[bands.job], bands.chain)
+        np.testing.assert_array_equal(np.lexsort(keys), np.arange(bands.job.size))
+
+    def test_job_in_two_chains_rejected(self):
+        # the chain partition is checked once, before any band is laid out
+        inst = SUUInstance(
+            np.full((2, 2), 0.5), PrecedenceDAG.from_chains([[0, 1]], 2)
+        )
+        with pytest.raises(ValidationError, match="job 0 appears in two chains"):
+            solve_lp1(inst, chains=[[0], [0, 1]])
+
+    def test_job_without_units_rejected(self, chains_instance):
+        integral = round_acc_mass(chains_instance, solve_lp1(chains_instance))
+        x = integral.x.copy()
+        x[:, 5] = 0
+        with pytest.raises(RoundingError, match="job 5 received no machine units"):
+            build_chain_bands(chains_instance, dataclasses.replace(integral, x=x))
 
     def test_load_equals_integral_loads(self, chains_instance):
         integral = round_acc_mass(chains_instance, solve_lp1(chains_instance))
@@ -105,11 +136,6 @@ class TestSolveChains:
 
         with pytest.raises(ValidationError):
             solve_chains(tiny_tree, PRACTICAL, rng=rng)
-
-    def test_shared_frac_solution(self, chains_instance, rng):
-        frac = solve_lp1(chains_instance)
-        r1 = solve_chains(chains_instance, PRACTICAL, rng=rng, frac=frac)
-        assert r1.certificates["lp_value"] == pytest.approx(frac.t)
 
     def test_single_chain_serializes(self, rng):
         # a single chain across all jobs: the pipeline must still work and

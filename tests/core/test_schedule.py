@@ -8,11 +8,9 @@ import pytest
 from repro import (
     IDLE,
     AdaptivePolicy,
-    ChainBand,
-    ChainBands,
     CyclicSchedule,
-    JobWindow,
     ObliviousSchedule,
+    PseudoSchedule,
     Regimen,
     ScheduleError,
     SUUInstance,
@@ -302,46 +300,58 @@ class TestDenseRegimen:
 class TestChainBandsAndPseudo:
     @pytest.fixture
     def bands(self):
-        w1 = JobWindow(job=0, start=0, length=2, machine_units=((0, 2), (1, 1)))
-        w2 = JobWindow(job=1, start=2, length=1, machine_units=((0, 1),))
-        w3 = JobWindow(job=2, start=0, length=2, machine_units=((0, 2),))
-        return ChainBands(2, [ChainBand(0, (w1, w2)), ChainBand(1, (w3,))])
+        # chain 0: job 0 on machine 0 for steps 0-1 and machine 1 for step 0,
+        # then job 1 on machine 0 at step 2; chain 1: job 2 on machine 0 for
+        # steps 0-1.
+        return PseudoSchedule(
+            2,
+            2,
+            job=[0, 0, 0, 1, 2, 2],
+            machine=[0, 0, 1, 0, 0, 0],
+            step=[0, 1, 0, 2, 0, 1],
+            chain=[0, 0, 0, 0, 1, 1],
+        )
 
     def test_length_and_load(self, bands):
-        assert bands.length() == 3
+        assert bands.length == 3
         # machine 0: 2 + 1 + 2 = 5 units
         assert bands.load() == 5
         assert bands.machine_loads().tolist() == [5, 1]
 
-    def test_window_validation(self):
-        with pytest.raises(ValidationError):
-            # 3 units in a window of length 2
-            JobWindow(job=0, start=0, length=2, machine_units=((0, 3),))
-            ChainBands(1, [ChainBand(0, (JobWindow(0, 0, 2, ((0, 3),)),))])
-
-    def test_duplicate_job_rejected(self):
-        w = JobWindow(job=0, start=0, length=1, machine_units=((0, 1),))
-        with pytest.raises(ValidationError):
-            ChainBands(1, [ChainBand(0, (w,)), ChainBand(1, (w,))])
-
     def test_with_delays(self, bands):
         shifted = bands.with_delays([1, 0])
-        assert shifted.length() == 4
-        jobs0 = shifted.bands[0].windows[0]
-        assert jobs0.start == 1
+        assert shifted.length == 4
+        assert shifted.step[shifted.job == 0].min() == 1
+        np.testing.assert_array_equal(shifted.step[shifted.chain == 1], [0, 1])
 
     def test_delay_count_mismatch(self, bands):
         with pytest.raises(ValidationError):
             bands.with_delays([1])
 
-    def test_to_pseudo_collisions(self, bands):
-        pseudo = bands.to_pseudo()
-        # step 0, machine 0 carries both job 0 and job 2
-        assert set(pseudo.jobs_at(0, 0)) == {0, 2}
-        assert pseudo.max_collision() == 2
+    def test_negative_delay_rejected(self, bands):
+        with pytest.raises(ValidationError):
+            bands.with_delays([0, -1])
 
-    def test_pseudo_load_matches_bands(self, bands):
-        assert bands.to_pseudo().load() == bands.load()
+    def test_cells(self, bands):
+        # one index per (machine, step): step * m + machine
+        assert bands.cells().tolist() == [0, 2, 1, 4, 0, 2]
+
+    def test_with_delays_keeps_loads_and_original(self, bands):
+        shifted = bands.with_delays([2, 1])
+        np.testing.assert_array_equal(shifted.machine_loads(), bands.machine_loads())
+        np.testing.assert_array_equal(shifted.job, bands.job)
+        np.testing.assert_array_equal(shifted.step - bands.step, [2, 2, 2, 2, 1, 1])
+        assert bands.step.tolist() == [0, 1, 0, 2, 0, 1]
+
+    def test_max_collision(self, bands):
+        # step 0, machine 0 carries both job 0 and job 2
+        assert set(bands.job[bands.cells() == 0].tolist()) == {0, 2}
+        assert bands.max_collision() == 2
+
+    def test_empty(self):
+        empty = PseudoSchedule(3, 0, [], [], [], [])
+        assert (empty.length, empty.load(), empty.max_collision()) == (0, 0, 0)
+        assert empty.machine_loads().tolist() == [0, 0, 0]
 
     def test_job_masses(self, bands):
         p = np.array([[0.5, 0.2, 0.1], [0.3, 0.1, 0.6]])
@@ -349,4 +359,3 @@ class TestChainBandsAndPseudo:
         mass = bands.job_masses(inst)
         assert mass[0] == pytest.approx(0.5 * 2 + 0.3 * 1)
         assert mass[2] == pytest.approx(0.1 * 2)
-

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
-from repro import ChainBand, ChainBands, JobWindow, SUUInstance
+from repro import PseudoSchedule, SUUInstance
+from repro.algorithms import build_chain_bands
 from repro.delay import (
     derandomized_delays,
     find_good_delays,
@@ -13,19 +16,22 @@ from repro.delay import (
     sample_delays,
     ssw_collision_bound,
 )
+from repro.lp import solve_lp1
+from repro.rounding import round_acc_mass
+from repro.workloads import random_instance
 
 
 def colliding_bands(num_chains=6, units=4, m=2):
-    """Bands that all start at step 0 on the same machines: max collisions."""
-    bands = []
-    job = 0
-    for k in range(num_chains):
-        w = JobWindow(
-            job=job, start=0, length=units, machine_units=((k % m, units),)
-        )
-        bands.append(ChainBand(k, (w,)))
-        job += 1
-    return ChainBands(m, bands)
+    """Single-job chains that all start at step 0: max collisions.
+
+    Chain ``k`` holds job ``k``, which runs ``units`` steps on machine
+    ``k % m``.
+    """
+    chain = np.repeat(np.arange(num_chains), units)
+    return PseudoSchedule(
+        m, num_chains, job=chain, machine=chain % m,
+        step=np.tile(np.arange(units), num_chains), chain=chain,
+    )
 
 
 class TestSSWBound:
@@ -62,7 +68,7 @@ class TestSampleDelays:
 class TestFindGoodDelays:
     def test_reduces_collisions(self, rng):
         bands = colliding_bands(num_chains=8, units=4, m=2)
-        before = bands.to_pseudo().max_collision()
+        before = bands.max_collision()
         outcome = find_good_delays(bands, rng=rng)
         assert outcome.max_collision < before
         assert outcome.max_collision <= outcome.target
@@ -71,7 +77,7 @@ class TestFindGoodDelays:
         bands = colliding_bands()
         outcome = find_good_delays(bands, rng=rng)
         np.testing.assert_array_equal(
-            outcome.bands.machine_loads(), bands.machine_loads()
+            outcome.pseudo.machine_loads(), bands.machine_loads()
         )
 
     def test_respects_explicit_window(self, rng):
@@ -80,7 +86,7 @@ class TestFindGoodDelays:
         assert all(d <= 3 for d in outcome.delays)
 
     def test_zero_chains(self, rng):
-        bands = ChainBands(2, [])
+        bands = PseudoSchedule(2, 0, [], [], [], [])
         outcome = find_good_delays(bands, rng=rng)
         assert outcome.delays == []
         assert outcome.max_collision == 0
@@ -93,9 +99,7 @@ class TestFindGoodDelays:
 
     def two_chain_bands(self):
         """Two single-job chains on one machine: delays in {0,1} collide iff equal."""
-        w0 = JobWindow(job=0, start=0, length=1, machine_units=((0, 1),))
-        w1 = JobWindow(job=1, start=0, length=1, machine_units=((0, 1),))
-        return ChainBands(1, [ChainBand(0, (w0,)), ChainBand(1, (w1,))])
+        return PseudoSchedule(1, 2, job=[0, 1], machine=[0, 0], step=[0, 0], chain=[0, 1])
 
     def test_second_attempt_draws_fresh_delays(self):
         # Seed 0: first draw is [1, 1] (collision 2 > target), second is
@@ -153,6 +157,16 @@ class TestDerandomized:
         bands = colliding_bands(num_chains=7, units=2, m=2)
         assert derandomized_delays(bands).delays == derandomized_delays(bands).delays
 
+    def test_pinned_on_chain_instance(self):
+        # The derandomizer sums its potential over each chain's cells in
+        # unit order, so the band layout order fixes the chosen delays.
+        inst = random_instance(24, 5, dag_kind="chains", rng=3)
+        bands = build_chain_bands(inst, round_acc_mass(inst, solve_lp1(inst)))
+        outcome = derandomized_delays(bands)
+        assert outcome.delays == [306, 0, 0, 54, 100, 136]
+        assert (outcome.max_collision, outcome.target) == (1, 12)
+        assert flatten_pseudo(outcome.pseudo).length == 400
+
     def test_grid_respected(self):
         bands = colliding_bands(num_chains=5, units=4, m=2)
         outcome = derandomized_delays(bands, window=8, grid=4)
@@ -161,40 +175,55 @@ class TestDerandomized:
 
 class TestFlatten:
     def test_flatten_feasible_noop_length(self):
-        bands = colliding_bands(num_chains=2, units=2, m=2)
-        pseudo = bands.to_pseudo()
+        pseudo = colliding_bands(num_chains=2, units=2, m=2)
         flat = flatten_pseudo(pseudo)
         assert flat.length == pseudo.length * pseudo.max_collision()
 
     def test_flatten_one_job_per_machine_step(self):
         bands = colliding_bands(num_chains=6, units=3, m=2)
-        flat = flatten_pseudo(bands.to_pseudo())
+        flat = flatten_pseudo(bands)
         # feasibility: table is an oblivious schedule by construction
         assert flat.table.ndim == 2
 
     def test_flatten_preserves_units(self):
-        bands = colliding_bands(num_chains=5, units=3, m=2)
-        pseudo = bands.to_pseudo()
+        pseudo = colliding_bands(num_chains=5, units=3, m=2)
         flat = flatten_pseudo(pseudo)
-        assert (flat.table >= 0).sum() == sum(
-            len(pseudo.jobs_at(t, i))
-            for t in range(pseudo.length)
-            for i in range(pseudo.m)
-        )
+        assert (flat.table >= 0).sum() == pseudo.job.size
 
     def test_flatten_preserves_step_order(self):
-        # two jobs of one chain in consecutive steps stay ordered
-        w1 = JobWindow(job=0, start=0, length=1, machine_units=((0, 1),))
-        w2 = JobWindow(job=1, start=1, length=1, machine_units=((0, 1),))
-        bands = ChainBands(1, [ChainBand(0, (w1, w2))])
-        flat = flatten_pseudo(bands.to_pseudo(), expansion=3)
+        # two jobs of one chain in consecutive steps stay ordered, also when
+        # a second chain's job 2 doubles every step
+        bands = PseudoSchedule(
+            1, 2, job=[0, 1, 2, 2], machine=[0, 0, 0, 0], step=[0, 1, 0, 1],
+            chain=[0, 0, 1, 1],
+        )
+        flat = flatten_pseudo(bands)
         col = flat.table[:, 0].tolist()
+        assert col == [0, 2, 1, 2]
         assert col.index(0) < col.index(1)
 
-    def test_explicit_expansion_too_small(self):
-        bands = colliding_bands(num_chains=4, units=2, m=1)
-        with pytest.raises(ValueError):
-            flatten_pseudo(bands.to_pseudo(), expansion=1)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_per_cell_lists(self, seed):
+        # Reference: append every unit's job to its cell's list in unit
+        # order, then lay each list out from the first micro-step.
+        inst = random_instance(24, 5, dag_kind="chains", rng=seed)
+        bands = build_chain_bands(inst, round_acc_mass(inst, solve_lp1(inst)))
+        for pseudo in (bands, find_good_delays(bands, rng=seed).pseudo):
+            cells = defaultdict(list)
+            for j, i, t in zip(pseudo.job.tolist(), pseudo.machine.tolist(), pseudo.step.tolist()):
+                cells[(i, t)].append(j)
+            c = max(len(jobs) for jobs in cells.values())
+            assert pseudo.max_collision() == c
+            loads = [sum(len(v) for (i, _), v in cells.items() if i == k) for k in range(inst.m)]
+            assert pseudo.machine_loads().tolist() == loads
+            expected = np.full((pseudo.length * c, inst.m), -1)
+            for (i, t), jobs in cells.items():
+                expected[t * c : t * c + len(jobs), i] = jobs
+            np.testing.assert_array_equal(flatten_pseudo(pseudo).table, expected)
+            mass = np.zeros(inst.n)
+            for j, i in zip(pseudo.job.tolist(), pseudo.machine.tolist()):
+                mass[j] += inst.p[i, j]
+            np.testing.assert_allclose(pseudo.job_masses(inst), mass, rtol=1e-12)
 
     def test_mass_preserved_end_to_end(self, rng):
         """Delays + flattening never change any job's total mass."""
@@ -203,6 +232,6 @@ class TestFlatten:
         inst = SUUInstance(p)
         mass_before = bands.job_masses(inst)
         outcome = find_good_delays(bands, rng=rng)
-        flat = flatten_pseudo(outcome.bands.to_pseudo())
+        flat = flatten_pseudo(outcome.pseudo)
         mass_after = flat.masses(inst, cap=False)
         np.testing.assert_allclose(mass_before, mass_after)

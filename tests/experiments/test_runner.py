@@ -99,6 +99,28 @@ class TestRunExperiment:
         # the entry was repaired
         assert json.loads(entry.read_text())["mean"] == first.mean
 
+    def test_renamed_spec_hit_reports_its_new_name(self, tmp_path):
+        first = run_experiment(_tiny_spec(name="old-name"), cache_dir=tmp_path)
+        renamed = _tiny_spec(name="new-name")
+        res = run_experiment(renamed, cache_dir=tmp_path)
+        assert res.cache_hit
+        assert res.spec == renamed
+        assert res.mean == first.mean
+
+    def test_entry_under_another_specs_hash_recomputed(self, tmp_path):
+        seven = _tiny_spec(instance_seed=7)
+        eight = _tiny_spec(instance_seed=8)
+        run_experiment(seven, cache_dir=tmp_path)
+        (entry,) = tmp_path.glob("*.json")
+        misfiled = tmp_path / f"{eight.spec_hash()}.json"
+        data = json.loads(entry.read_text())
+        data["mean"] = -1.0  # poison: serving the misfiled entry shows here
+        misfiled.write_text(json.dumps(data))
+        res = run_experiment(eight, cache_dir=tmp_path)
+        assert not res.cache_hit
+        assert res.spec == eight
+        assert res.mean == run_experiment(eight, cache_dir=None).mean
+
     def test_different_specs_different_entries(self, tmp_path):
         run_experiment(_tiny_spec(), cache_dir=tmp_path)
         run_experiment(_tiny_spec(sim_seed=9), cache_dir=tmp_path)

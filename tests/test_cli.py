@@ -155,7 +155,7 @@ class TestExact:
     def test_max_states_guard_reported(self, instance_file, capsys):
         argv = ["evaluate", str(instance_file), "--mode", "exact", "--max-states", "4"]
         assert main(argv) == 2
-        assert "evaluation failed" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("suu evaluate: ")
 
 
 class TestDemo:
@@ -221,13 +221,19 @@ class TestRunExperiments:
         # line on stderr and exit code 2, not a traceback.
         assert main(["run-experiments", "--smoke", "--no-cache", *argv]) == 2
         err = capsys.readouterr().err.strip()
-        assert err.startswith("run-experiments failed:") and "\n" not in err
+        assert err.startswith("suu run-experiments: ") and "\n" not in err
 
     def test_conflicting_executor_flags_rejected(self, capsys):
         self._assert_rejected_in_one_line(["--executor", "serial", "--workers", "2"], capsys)
 
     def test_zero_workers_rejected(self, capsys):
         self._assert_rejected_in_one_line(["--workers", "0"], capsys)
+
+    def test_unknown_suite_rejected(self, capsys):
+        assert main(["run-experiments", "--suite", "nosuch", "--no-cache"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("suu run-experiments: unknown suite 'nosuch'")
+        assert "\n" not in err
 
     def test_json_output(self, tmp_path, capsys):
         target = tmp_path / "results.json"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import CyclicSchedule, ObliviousSchedule
-from repro.viz import render_curve, render_gantt, render_machine_timeline, sparkline
+from repro.viz import render_gantt, render_machine_timeline
 
 
 class TestGantt:
@@ -62,36 +62,3 @@ class TestTimeline:
         sched = ObliviousSchedule.empty(2)
         assert "empty" in render_machine_timeline(sched, 0)
 
-
-class TestSparkline:
-    def test_length_preserved(self):
-        assert len(sparkline([1, 2, 3, 4])) == 4
-
-    def test_monotone_bars(self):
-        s = sparkline([0, 1, 2, 3, 4, 5, 6, 7])
-        assert s[0] == "▁" and s[-1] == "█"
-
-    def test_constant_series(self):
-        assert sparkline([5, 5, 5]) == "▁▁▁"
-
-    def test_empty(self):
-        assert sparkline([]) == ""
-
-    def test_explicit_bounds(self):
-        s = sparkline([0.5], lo=0.0, hi=1.0)
-        assert s in "▁▂▃▄▅▆▇█"
-
-
-class TestCurve:
-    def test_render_shape(self):
-        out = render_curve(np.linspace(0, 1, 200), width=40, height=5, title="cdf")
-        lines = out.splitlines()
-        assert lines[0] == "cdf"
-        assert len(lines) == 1 + 5 + 1  # title + bands + axis
-
-    def test_no_data(self):
-        assert render_curve([]) == "(no data)"
-
-    def test_short_series_not_resampled(self):
-        out = render_curve([1.0, 2.0], width=10, height=3)
-        assert "█" in out

@@ -119,6 +119,22 @@ class TestPlantedBugs:
         out = check_case(spec, cfg=FAST, only="markov")
         assert any(d.check == "markov" and "scalar golden" in d.message for d in out)
 
+    def test_misreported_collision_is_caught(self, monkeypatch):
+        """A delay search that under-reports its congestion must trip the
+        delays oracle, which re-measures the delayed pseudo-schedule."""
+        spec = spec_for("serial", family="chains/uniform", n=6)
+        assert check_case(spec, cfg=FAST, only="delays") == []
+        real = oracles.find_good_delays
+
+        def under_reported(pseudo, **kw):
+            outcome = real(pseudo, **kw)
+            outcome.max_collision -= 1
+            return outcome
+
+        monkeypatch.setattr(oracles, "find_good_delays", under_reported)
+        out = check_case(spec, cfg=FAST, only="delays")
+        assert any(d.check == "delays" and "reported max_collision" in d.message for d in out)
+
     def test_broken_curve_is_caught(self, monkeypatch):
         """A curve that is not the samples' CDF must trip the curve oracle."""
         from repro.evaluate import facade
