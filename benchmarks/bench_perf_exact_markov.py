@@ -5,12 +5,15 @@ Solves the Figure-1 subset-lattice DP with both engines (through the
 records the wall-clock speedup:
 
 * **regimen** (the acceptance workload): the eligible-set round-robin
-  regimen on an n-job chains instance — 2^n states, each with its own
-  assignment, the worst case for signature sharing.  The sparse engine
-  sweeps the lattice one popcount layer at a time through the
-  first-passage kernel it shares with the Malewicz DP, which adds the
-  terms in the scalar order; the scalar path builds one transition dict
-  per state.
+  regimen on an n-job chains instance — every reachable state with its
+  own assignment, the worst case for signature sharing.  Both engines
+  solve only the reachable (up-closed) states.  The sparse engine sweeps
+  them one popcount layer at a time through the first-passage kernel it
+  shares with the Malewicz DP, which adds the terms in the scalar order;
+  the scalar path builds one transition dict per state.
+* **regimen, independent jobs**: the same regimen with no precedence,
+  where every one of the 2^n states is reachable and the index of
+  reachable states is the whole lattice.
 * **cyclic**: a round-robin prefix+cycle schedule, where the chain's
   states are ``(S, τ)`` pairs and the sparse engine solves every
   position of a popcount layer in one pass per active-count block, then
@@ -27,7 +30,7 @@ records the wall-clock speedup:
 full n=14 size, where ≥10× is asserted, as does the committed
 ``benchmarks/results/perf_exact_markov.json``.  The sparse engine is
 timed best-of-3 — its absolute runtime is tens of milliseconds, where
-timer noise matters; the scalar path is timed once.  The three makespan
+timer noise matters; the scalar path is timed once.  The four makespan
 rows assert exact equality (``|Δ| = 0``): every exact solver adds its
 subset terms in the scalar engine's order.  The distribution row asserts
 agreement to ≤1e-9 (largest absolute difference); agreement is also
@@ -55,6 +58,8 @@ M = 4
 #: Results file: the committed record is the n = 14 run.
 RECORD = "perf_exact_markov" if N == 14 else f"perf_exact_markov.n{N}"
 N_CYCLIC = min(N, 12)
+#: Independent-jobs regimen workload: all 2^n states are reachable.
+N_INDEP = min(N, 12)
 #: Long-prefix cyclic workload: a solve() schedule on chains.
 N_LONG, M_LONG = 9, 3
 #: Forward-pass steps of the state-distribution row (four cycles).
@@ -88,6 +93,25 @@ def _measure():
     rows.append(
         {
             "workload": f"regimen n={N} m={M}",
+            "scalar_s": t_scalar,
+            "sparse_s": t_sparse,
+            "speedup": t_scalar / t_sparse,
+            "value": v_sparse,
+            "agreement": abs(v_sparse - v_scalar),
+        }
+    )
+
+    inst_i = random_instance(N_INDEP, M, dag_kind="independent", rng=7)
+    regimen_i = state_round_robin_regimen(inst_i).schedule
+    t_sparse, v_sparse = _best_of(
+        lambda: evaluate(inst_i, regimen_i, mode="exact").makespan
+    )
+    t0 = time.perf_counter()
+    v_scalar = evaluate(inst_i, regimen_i, mode="exact", engine="scalar").makespan
+    t_scalar = time.perf_counter() - t0
+    rows.append(
+        {
+            "workload": f"regimen independent n={N_INDEP} m={M}",
             "scalar_s": t_scalar,
             "sparse_s": t_sparse,
             "speedup": t_scalar / t_sparse,
@@ -183,7 +207,7 @@ def test_perf_sparse_vs_scalar_exact(benchmark, recorder, phase_breakdown):
         )
         recorder.add(**r)
     print("\n" + table.render())
-    regimen_row, makespan_rows = rows[0], rows[:3]
+    regimen_row, makespan_rows = rows[0], rows[:4]
     recorder.add(kind="summary", n=N, m=M, speedup_floor=SPEEDUP_FLOOR)
     recorder.claim(
         "sparse_at_least_10x_on_regimen_n14",

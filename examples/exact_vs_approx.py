@@ -52,8 +52,10 @@ mc = evaluate(inst, sol.regimen.as_policy(), mode="mc", reps=4000, seed=rng, max
 print(f"Monte-Carlo estimate ({mc.n_reps} runs):            {mc.makespan:.4f} ± {mc.std_err:.4f}")
 
 # --- a peek inside the regimen -------------------------------------------
+# The DP assigns only the sets an execution can reach: a job finishes after
+# its predecessors, so {0} (job 0 left while 1 and 2 are done) never occurs.
 print("\noptimal assignment for a few unfinished-sets:")
-for state in [0b11111, 0b00111, 0b00001, 0b11000]:
+for state in [0b11111, 0b00111, 0b00100, 0b11000]:
     a = sol.regimen.assignment_for_state(state)
     unfinished = [j for j in range(5) if (state >> j) & 1]
     print(f"  unfinished {unfinished}: machines -> jobs {a.tolist()}")

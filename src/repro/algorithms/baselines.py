@@ -157,9 +157,10 @@ def state_round_robin_regimen(
 
     The state-dependent cousin of :func:`round_robin_baseline`: in a state
     with ``k`` eligible jobs, machine ``i`` takes the ``(i mod k)``-th of
-    them in job order.  The dense table is filled from
-    :func:`~repro.sim.exact.lattice.eligibility_masks` with one vectorized
-    pass per eligible count and no per-state Python, so this is the
+    them in job order.  The dense table is filled at the reachable states
+    of :func:`~repro.sim.exact.lattice.state_index` with one vectorized
+    pass per eligible count and no per-state Python; other rows stay
+    :attr:`~repro.core.schedule.Regimen.UNDEFINED`.  So this is the
     standard *evaluation workload* for the exact Markov engines at n ≈
     14–20 (``benchmarks/bench_perf_exact_markov.py``, the
     engine-equivalence property tests, and the ``state_round_robin``
@@ -170,22 +171,21 @@ def state_round_robin_regimen(
     from ..sim.exact.lattice import (
         bit_positions,
         check_state_budget,
-        eligibility_masks,
         popcount_array,
+        state_index,
     )
 
     n, m = instance.n, instance.m
     check_state_budget(n, 1, max_states)
-    elig = eligibility_masks(instance)
-    count = popcount_array(elig)
+    index = state_index(instance)
+    count = popcount_array(index.elig)
     table = np.full((1 << n, m), Regimen.UNDEFINED, dtype=np.int32)
     # Every nonempty set has an eligible job: count 0 is the empty set's.
     for k in np.flatnonzero(np.bincount(count))[1:]:
-        states = np.flatnonzero(count == k)
-        jobs = bit_positions(elig[states], int(k))
-        table[states] = jobs[:, np.arange(m) % k]
+        rows = np.flatnonzero(count == k)
+        jobs = bit_positions(index.elig[rows], int(k))
+        table[index.states[rows]] = jobs[:, np.arange(m) % k]
     return ScheduleResult(
         schedule=Regimen.from_table(table),
         algorithm="state_round_robin",
     )
-

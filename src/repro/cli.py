@@ -41,7 +41,7 @@ from . import __version__
 from .algorithms import PRESETS, resolve_solver, solve
 from .analysis import Table, compare_algorithms
 from .bounds import lower_bounds
-from .core import SUUInstance, schedule_from_dict
+from .core import Regimen, SUUInstance, schedule_from_dict
 from .errors import ReproError, ValidationError
 from .workloads import DAG_KINDS, PROB_MODELS, random_instance
 
@@ -368,6 +368,13 @@ def _cmd_solve(args) -> int:
         if key != "blocks":
             print(f"  {key}: {value}")
     if args.save:
+        if isinstance(result.schedule, Regimen):
+            print(
+                "cannot save regimens as JSON: a schedule file holds an oblivious "
+                "or cyclic table, and regimens have no file format",
+                file=sys.stderr,
+            )
+            return 2
         if not result.is_oblivious:
             print("cannot save adaptive policies as JSON", file=sys.stderr)
             return 2

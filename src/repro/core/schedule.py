@@ -454,11 +454,14 @@ class Regimen:
 
     Stored as one dense ``(2^n, m)`` int32 table: row ``S`` is the
     assignment in the unfinished-set bitmask ``S``.  A row of
-    :attr:`UNDEFINED` marks a state the regimen assigns nothing; row 0
-    (every job finished) never needs an assignment.  Exponential in ``n``
-    and capped at :data:`REGIMEN_MAX_ENTRIES`.  Built by the exact
-    Malewicz solver and the ``state_round_robin`` baseline, and read
-    directly by the exact Markov engines.
+    :attr:`UNDEFINED` marks a state the regimen assigns nothing.  Only the
+    states an execution can reach need an assignment: the up-closed ones,
+    which hold every successor of each of their jobs.  Row 0 (every job
+    finished) never does, and neither does a state with a finished job
+    whose predecessor is unfinished.  Exponential in ``n`` and capped at
+    :data:`REGIMEN_MAX_ENTRIES`.  Built by the exact Malewicz solver and
+    the ``state_round_robin`` baseline, which fill the reachable rows
+    only, and read directly by the exact Markov engines.
     """
 
     #: Filler of a table row whose state has no assignment.
@@ -495,8 +498,13 @@ class Regimen:
             )
         n = rows.bit_length() - 1
         _check_regimen_shape(n, tab.shape[1])
-        undefined = np.all(tab == cls.UNDEFINED, axis=1)
-        bad = np.any((tab < IDLE) | (tab >= n), axis=1) & ~undefined
+        # Column by column: reducing along the short machine axis is slower.
+        undefined = tab[:, 0] == cls.UNDEFINED
+        bad = (tab[:, 0] < IDLE) | (tab[:, 0] >= n)
+        for i in range(1, tab.shape[1]):
+            undefined &= tab[:, i] == cls.UNDEFINED
+            bad |= (tab[:, i] < IDLE) | (tab[:, i] >= n)
+        bad &= ~undefined
         if np.any(bad):
             raise ValidationError(
                 f"regimen table row {int(np.argmax(bad)):#x} holds an entry that "

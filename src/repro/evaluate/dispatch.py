@@ -13,17 +13,20 @@ request forces exact?  (mode="exact" | state_distribution)
     ├── no  → Monte Carlo
     └── yes: the full DP allocation 2^n × width fits max_states?
         ├── no  → Monte Carlo
-        └── yes: the sparse engine's subset tables (Σ 2^k over its
+        └── yes: the subset tables of every lattice state (Σ 2^k over the
             (distinct assignment, state) rows) fit 8 × max_states?
             ├── yes → exact Markov (sparse)
             └── no  → Monte Carlo  (the estimator's own lockstep/batched/
                                     scalar routing, see repro.sim.montecarlo)
 ```
 
-Auto mode prices both allocations the sparse engine guards, with the
-same counts (:func:`exact_state_cost` and :func:`exact_subset_entries`,
-the latter through :func:`~repro.sim.exact.lattice.subset_table_entries`),
-so it never promises an exact route the engine then refuses.  A forced
+Auto mode prices both allocations the sparse engine guards
+(:func:`exact_state_cost` and :func:`exact_subset_entries`, the latter
+through :func:`~repro.sim.exact.lattice.subset_table_entries`).  The DP
+table is priced with the engine's own count.  The subset tables are
+priced over the whole lattice, while the engine builds the rows of the
+reachable states only: an upper bound of the engine's count, so auto
+never promises an exact route the engine then refuses.  A forced
 ``mode="exact"`` skips the pricing and lets the engine's guards raise.
 
 ``engine="scalar"`` never changes the route: it swaps in the golden
@@ -151,16 +154,19 @@ def exact_subset_entries(
     metrics: tuple[str, ...],
     horizon: int | None,
 ) -> int:
-    """Subset-table entries of the sparse engine's transition structure.
+    """Subset-table entries of the sparse engine's transition structure,
+    counted over the whole lattice.
 
-    The count the engine's own guard applies before it builds anything:
-    one row per state of a regimen, or per (distinct assignment, state)
+    One row per state of a regimen, or per (distinct assignment, state)
     pair over the schedule positions the solve reads — ``P + L`` for a
     makespan, the first ``horizon`` for a forward curve or distribution —
-    each holding ``2^k`` entries.  A makespan reads every position, so
-    with one in ``metrics`` it bounds the forward solves too.  Counting
-    costs one pass over the ``2^n`` states per distinct assignment (per
-    machine for a regimen), far below the solve it prices.
+    each holding ``2^k`` entries (a regimen's undefined row holds 1).
+    The engine's guard counts the same rows at the reachable states
+    only, so this is an upper bound of its count.  A makespan reads every
+    position, so with one in ``metrics`` it bounds the forward solves
+    too.  Counting costs one pass over the ``2^n`` states per distinct
+    assignment (per machine for a regimen), far below the solve it
+    prices.
     """
     elig = eligibility_masks(instance)
     if isinstance(schedule, Regimen):

@@ -15,9 +15,11 @@ layer, so solving the layers in increasing order makes every needed
 ``E[S']`` available.  Idle machines are never needed: assigning any
 eligible job weakly dominates idling.
 
-The DP is vectorized over the subset lattice of
-:mod:`repro.sim.exact.lattice`, one (popcount layer, eligible count ``k``)
-group of states at a time.  The states of a group share the ``k^m``
+The DP solves only the states the chain can reach, the up-closed sets of
+:func:`repro.sim.exact.lattice.state_index`, and the regimen it returns
+assigns nothing elsewhere.  It is vectorized over that index, one
+(popcount layer, eligible count ``k``) group of states at a time.  The
+states of a group share the ``k^m``
 assignment *signatures* (machine ``i`` takes the ``σ_i``-th eligible
 job), enumerated once in :func:`~repro.opt.bruteforce.iter_assignments`
 order.  For every state × signature the group computes the success
@@ -34,7 +36,8 @@ the same order, and the choice follows its rule (a later signature wins
 only when lower by more than 1e-15), so the two agree bit for bit;
 property tests hold them to equal values and identical tables, and the
 optimum to the exact value of its own regimen.  The work is
-``O(2^n · k^m · 2^min(k, m))`` — exact ground truth on the constant-width,
+``O(R · k^m · 2^min(k, m))`` over the ``R`` reachable states, ``O(n^w)``
+on a DAG of width ``w`` — exact ground truth on the constant-width,
 constant-``m`` instances Malewicz proved tractable.
 """
 
@@ -50,9 +53,9 @@ from ..errors import ExactSolverLimitError
 from ..sim.exact.lattice import (
     CHUNK_ENTRIES,
     bit_positions,
-    eligibility_masks,
     first_passage,
     popcount_array,
+    state_index,
 )
 from .bruteforce import count_assignments
 
@@ -144,10 +147,11 @@ def optimal_regimen(
     """Compute an exact optimal regimen by Malewicz's DP.
 
     Raises :class:`ExactSolverLimitError` when ``2^n`` exceeds
-    ``max_states`` or some state would require enumerating more than
-    ``max_assignments_per_state`` assignments — the guards that keep this
-    solver inside the "constant width, constant m" regime where it is
+    ``max_states`` or some reachable state would require enumerating more
+    than ``max_assignments_per_state`` assignments — the guards that keep
+    this solver inside the "constant width, constant m" regime where it is
     intended to run.  Both are checked before the DP tables are allocated.
+    ``states_solved`` counts the nonempty reachable states.
     """
     n, m = instance.n, instance.m
     if n > 62:
@@ -156,7 +160,8 @@ def optimal_regimen(
         raise ExactSolverLimitError(
             f"exact DP needs 2^{n} states (limit {max_states})"
         )
-    elig = eligibility_masks(instance)
+    index = state_index(instance)
+    elig = index.elig
     eligible = popcount_array(elig)
     k_max = int(eligible.max())
     total = count_assignments(m, k_max, allow_idle=False)
@@ -168,15 +173,18 @@ def optimal_regimen(
     size = 1 << n
     expect = np.zeros(size, dtype=np.float64)
     table = np.full((size, m), Regimen.UNDEFINED, dtype=np.int32)
-    # Groups of one (popcount layer, eligible count), lower layers first;
-    # the first group is the empty set alone, which needs no assignment.
-    key = popcount_array(np.arange(size)) * (n + 1) + eligible
+    # Groups of one (popcount layer, eligible count), lower layers first,
+    # states ascending; the first group is the empty set alone, which
+    # needs no assignment.
+    layer = np.repeat(np.arange(n + 1), np.diff(index.ptr))
+    key = layer * (n + 1) + eligible
     order = np.argsort(key, kind="stable")
     groups = np.split(order, np.flatnonzero(np.diff(key[order])) + 1)[1:]
     signatures = {k: _signatures(k, m) for k in map(int, np.unique(eligible[1:]))}
-    for states in groups:
-        k = int(eligible[states[0]])
-        jobs = bit_positions(elig[states], k)
+    for group in groups:
+        states = index.states[group]
+        k = int(eligible[group[0]])
+        jobs = bit_positions(elig[group], k)
         best_e, best_a = _solve_group(instance.p, states, jobs, signatures[k], expect)
         stuck = np.isinf(best_e)
         if stuck.any():
@@ -190,7 +198,7 @@ def optimal_regimen(
     return ExactSolution(
         regimen=Regimen.from_table(table),
         expected_makespan=float(expect[size - 1]),
-        states_solved=size - 1,
+        states_solved=index.states.size - 1,
     )
 
 

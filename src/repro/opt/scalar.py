@@ -1,8 +1,8 @@
 """Scalar Malewicz DP — the golden reference.
 
 The original pure-Python implementation of
-:func:`repro.opt.malewicz.optimal_regimen`, kept verbatim as the
-executable specification of the vectorized DP: one state at a time, one
+:func:`repro.opt.malewicz.optimal_regimen`, kept as the executable
+specification of the vectorized DP: one reachable state at a time, one
 assignment at a time, one transition dict per assignment.  Easy to audit
 against the first-passage equation, slow past n ≈ 8.  The vectorized DP
 is held to it — values equal bit for bit (``==``) and identical regimen
@@ -17,21 +17,11 @@ import numpy as np
 from ..core.instance import SUUInstance
 from ..core.schedule import Regimen
 from ..errors import ExactSolverLimitError
-from ..sim.exact.scalar import eligible_bitmask, transition_distribution
+from ..sim.exact.scalar import eligible_bitmask, reachable_states, transition_distribution
 from .bruteforce import count_assignments, iter_assignments
 from .malewicz import ExactSolution
 
 __all__ = ["optimal_regimen"]
-
-
-def _reachable_states(n: int) -> list[int]:
-    """All subsets ordered by increasing popcount (0 first).
-
-    Every subset can be reachable in principle (any combination of jobs can
-    complete in one step), so we solve the full lattice; the DP only reads
-    values of strict subsets.
-    """
-    return sorted(range(1 << n), key=lambda s: s.bit_count())
 
 
 def optimal_regimen(
@@ -56,14 +46,11 @@ def optimal_regimen(
         )
     expect = np.zeros(1 << n, dtype=np.float64)
     assignments: dict[int, np.ndarray] = {}
-    states = _reachable_states(n)
-    for state in states:
-        if state == 0:
-            continue
+    # A job finishes only after its predecessors, so the chain reaches
+    # only up-closed sets; the DP solves those and reads no others.
+    for state in reachable_states(instance):
         elig_mask = eligible_bitmask(instance, state)
         eligible = [j for j in range(n) if (elig_mask >> j) & 1]
-        if not eligible:  # unreachable in a valid execution, but stay total
-            eligible = [j for j in range(n) if (state >> j) & 1]
         total = count_assignments(m, len(eligible), allow_idle=False)
         if total > max_assignments_per_state:
             raise ExactSolverLimitError(

@@ -4,12 +4,20 @@ The Figure-1 Markov chain lives on the lattice of unfinished-job subsets:
 state ``S`` is a bitmask, transitions only *remove* jobs, and the jobs that
 can leave in one step are the *active* ones — eligible (no unfinished
 predecessor) **and** served by a machine with positive success probability.
-This module turns that structure into flat NumPy arrays, so the solvers in
+A job finishes only after its predecessors, so the chain only ever visits
+*up-closed* sets, which hold every successor of each of their jobs: on a
+DAG of width ``w`` there are ``O(n^w)`` of them, not ``2^n``.  This module
+turns that structure into flat NumPy arrays, so the solvers in
 :mod:`repro.sim.exact.sparse` and the Malewicz DP sweep the chain one
 popcount layer at a time without any per-state Python:
 
+* :func:`state_index` — the one index of reachable states: the up-closed
+  sets in popcount order with their eligible sets and a layer pointer.
+  Every exact solver runs over it; on an edgeless DAG it is the whole
+  lattice, returned without enumerating.
 * :func:`eligibility_masks` — the eligible-set bitmask of every state, as
-  one ``(2^n,)`` int64 array, doubled over the highest job (``2^n`` work).
+  one ``(2^n,)`` int64 array, doubled over the highest job (``2^n`` work):
+  what auto dispatch prices the full lattice with.
 * :func:`subset_tables` — the one builder of subset tables: per row, the
   ``2^k`` completion subsets ``T`` of its active set as XOR ``targets``
   (``S ^ T``) with their product-measure ``weights``, subset-major, row 0
@@ -18,28 +26,30 @@ popcount layer at a time without any per-state Python:
   Σ_{T≠∅}`` in the order of the scalar engines' transition dicts, so
   every exact makespan is theirs bit for bit.
 * :func:`first_passage` — ``E[S] = (1 + Σ_{T≠∅} w_T E[S ^ T]) / (1 -
-  w_∅)`` through those two, over rows that are states (a regimen, grouped
-  by :func:`regimen_slots`) or (state, assignment signature) pairs (the
-  Malewicz DP).
+  w_∅)`` through those two, over rows that are states (a regimen, whose
+  slots :func:`regimen_slots` lays out) or (state, assignment signature)
+  pairs (the Malewicz DP).
 * :class:`TransitionBlock` — an oblivious schedule's rows with the same
   active count ``k``: their states and ``(2^k, R)`` subset tables, grouped
   by a row pointer ``ptr``.
 * :func:`build_step_structure` — an oblivious schedule's blocks, one per
-  ``k``, whose rows are (distinct assignment, state) pairs: an assignment
-  that many positions repeat is stored once.  Rows come grouped by
-  popcount layer (the backward makespan sweep) or by assignment (the
-  forward pass).
+  ``k``, whose rows are (distinct assignment, reachable state) pairs: an
+  assignment that many positions repeat is stored once.  Rows come
+  grouped by popcount layer (the backward makespan sweep) or by
+  assignment (the forward pass).
 
 Every kernel costs about the size of what it returns: active-bit
 positions are peeled lowest bit first and the ``2^k`` subset tables
 double bit by bit, so no step builds a bit matrix or a full-width
 temporary per bit.  :func:`subset_table_entries` counts those tables
-before any is built; the engine's guard and auto dispatch's pricing
-both call it.
+before any is built: the engine's guard counts its reachable rows, and
+auto dispatch's pricing counts every state of the lattice, an upper
+bound of the engine's count.
 
 Because a job set can only shrink, ``S ^ T`` always lands in a strictly
 lower layer (for ``T != 0``), which is what makes the layer-at-a-time
-backward sweep well-founded.
+backward sweep well-founded; removing eligible jobs from an up-closed
+set leaves an up-closed set, so it also lands in the index.
 """
 
 from __future__ import annotations
@@ -62,12 +72,15 @@ __all__ = [
     "subset_table_entries",
     "popcount_array",
     "popcount_order",
+    "StateIndex",
+    "state_index",
     "eligibility_masks",
     "assignment_success",
     "bit_positions",
     "subset_tables",
     "ordered_sum",
     "first_passage",
+    "RegimenSlots",
     "regimen_slots",
     "TransitionBlock",
     "StepRules",
@@ -124,8 +137,10 @@ def subset_table_entries(counts: np.ndarray) -> int:
     chunk at a time, so this prices work), per (distinct assignment,
     state) pair for an oblivious schedule (whose blocks store them all).
     The sparse engine allows ``SUBSET_TABLE_FACTOR × max_states`` entries
-    (the same order as the DP table at typical ``m``); its guard and auto
-    dispatch's pricing both count with this function.
+    (the same order as the DP table at typical ``m``).  Its guard counts
+    the rows of the reachable states with this function, and auto
+    dispatch's pricing the rows of every lattice state: the same rows and
+    more, so auto never admits a solve the guard refuses.
     """
     return int(np.sum(np.left_shift(np.int64(1), counts)))
 
@@ -154,7 +169,9 @@ def popcount_array(x: np.ndarray) -> np.ndarray:
 def eligibility_masks(instance: SUUInstance) -> np.ndarray:
     """Eligible-job bitmask for every unfinished set, as a ``(2^n,)`` array.
 
-    Vectorized counterpart of :func:`repro.sim.exact.scalar.eligible_bitmask`:
+    Auto dispatch prices the whole lattice with it; the solvers read the
+    eligible sets of :func:`state_index` instead.  Vectorized counterpart
+    of :func:`repro.sim.exact.scalar.eligible_bitmask`:
     job ``j`` is eligible in state ``S`` iff it is unfinished and none of
     its predecessors is (``S & pred_mask(j) == 0``).  Built by doubling
     over the highest job: for every set ``S`` of jobs below ``j``, the set
@@ -341,6 +358,59 @@ def popcount_order(pc: np.ndarray) -> np.ndarray:
     return np.argsort(pc.astype(np.uint8), kind="stable")
 
 
+class StateIndex(NamedTuple):
+    """The states the chain can reach from "all unfinished", in popcount order.
+
+    These are the up-closed sets: each holds every successor of each of
+    its jobs.  Every exact solver runs over them; its dense tables keep
+    one entry per lattice state and read them by state value.
+    """
+
+    #: ``(R,)`` the states, by popcount, ties by state value; ``states[0]``
+    #: is the empty set and ``states[-1]`` the full one.
+    states: np.ndarray
+    #: ``(R,)`` each state's eligible-job bitmask.
+    elig: np.ndarray
+    #: ``(n + 2,)`` layer pointer: popcount layer ``c`` is
+    #: ``states[ptr[c]:ptr[c + 1]]``, and no layer is empty.
+    ptr: np.ndarray
+
+
+def state_index(instance: SUUInstance) -> StateIndex:
+    """The up-closed subsets of ``instance``'s jobs, with their eligible sets.
+
+    Jobs are added in reverse topological order, and a set takes job
+    ``j`` only if it already holds all of ``j``'s successors, so every set
+    built is up-closed and every up-closed set is built once.  An
+    edgeless DAG's sets are the whole lattice, returned in
+    :func:`popcount_order` without enumerating, each its own eligible
+    set.  Otherwise only jobs with predecessors need an eligibility test.
+    """
+    n = instance.n
+    dag = instance.dag
+    if dag.num_edges == 0:
+        pc = popcount_array(np.arange(1 << n, dtype=np.int64))
+        states = popcount_order(pc)
+        ptr = np.zeros(n + 2, dtype=np.int64)
+        np.cumsum(np.bincount(pc, minlength=n + 1), out=ptr[1:])
+        return StateIndex(states, states, ptr)
+    states = np.zeros(1, dtype=np.int64)
+    for j in reversed(dag.topological_order()):
+        succ = bitmask_from_iterable(dag.successors(j))
+        states = np.concatenate((states, states[(states & succ) == succ] | (1 << j)))
+    states.sort()
+    pc = popcount_array(states)
+    order = popcount_order(pc)
+    states = states[order]
+    elig = states.copy()
+    for j in range(n):
+        pm = dag.pred_mask(j)
+        if pm:
+            np.bitwise_and(elig, ~(1 << j), out=elig, where=(states & pm) != 0)
+    ptr = np.searchsorted(pc[order], np.arange(n + 2))
+    return StateIndex(states, elig, ptr)
+
+
 class StepRules(NamedTuple):
     """The distinct assignments of an oblivious schedule's positions."""
 
@@ -386,13 +456,12 @@ class StepStructure(NamedTuple):
 def build_step_structure(
     instance: SUUInstance,
     table: np.ndarray,
-    elig: np.ndarray,
-    pc: np.ndarray,
+    index: StateIndex,
     max_states: int = DEFAULT_MAX_STATES,
     *,
     rule_major: bool = False,
 ) -> StepStructure:
-    """Transition blocks of the whole lattice for an oblivious step table.
+    """Transition blocks of the reachable states for an oblivious step table.
 
     ``table`` is the ``(positions, m)`` assignment table of the schedule
     positions a solver reads.  All states under one assignment share its
@@ -410,25 +479,21 @@ def build_step_structure(
     assignments: a forward step reads its assignment's rows as contiguous
     slices.  A row's subset table does not depend on the order.
     """
-    n = instance.n
     rule_of, q, served = step_rules(instance, table)
     D = served.size
-    order = popcount_order(pc)
-    elig = elig[order]
-    # counts[d, j]: active jobs of the j-th state in popcount order under
-    # rule d.
-    counts = popcount_array(elig[None, :] & served[:, None]).astype(np.uint8)
+    # counts[d, r]: active jobs of the r-th index state under rule d.
+    counts = popcount_array(index.elig[None, :] & served[:, None]).astype(np.uint8)
     _check_subset_budget(counts, max_states)
     # Scan a (rule, state) grid for rule-major rows or a (state, rule) grid
-    # for layer-major ones.  The minor side is a power of two (the rule
-    # side padded with a count no row has), so a flat index splits into
-    # (major, minor) by shifts.
-    if rule_major:
-        grid, shift = counts, n
-    else:
-        shift = max(D - 1, 0).bit_length()
-        grid = np.full((pc.size, 1 << shift), 255, dtype=np.uint8)
-        grid[:, :D] = counts.T
+    # for layer-major ones.  The minor side is padded to a power of two
+    # with a count no row has, so a flat index splits into (major, minor)
+    # by shifts.
+    grid = counts if rule_major else counts.T
+    shift = max(grid.shape[1] - 1, 0).bit_length()
+    if grid.shape[1] != 1 << shift:
+        padded = np.full((grid.shape[0], 1 << shift), 255, dtype=np.uint8)
+        padded[:, : grid.shape[1]] = grid
+        grid = padded
     flat = grid.ravel()
     blocks = []
     for k in np.flatnonzero(np.bincount(counts.ravel())):
@@ -436,26 +501,30 @@ def build_step_structure(
         cell = np.flatnonzero(flat == k)
         major, minor = cell >> shift, cell & ((1 << shift) - 1)
         rules, col = (major, minor) if rule_major else (minor, major)
-        states = order[col]
         if rule_major:
             ptr = np.searchsorted(rules, np.arange(D + 1))
         else:
-            ptr = np.searchsorted(pc[states], np.arange(n + 2))
-        bits = bit_positions(elig[col] & served[rules], k)
-        blocks.append(_make_block(states, bits, q[rules[:, None], bits], ptr, rules))
+            ptr = np.searchsorted(col, index.ptr)
+        bits = bit_positions(index.elig[col] & served[rules], k)
+        blocks.append(
+            _make_block(index.states[col], bits, q[rules[:, None], bits], ptr, rules)
+        )
     return StepStructure(rule_of, blocks)
 
 
 def regimen_active_sets(
     instance: SUUInstance, table: np.ndarray, elig: np.ndarray
 ) -> np.ndarray:
-    """Active set of every state under a regimen's dense ``(2^n, m)`` table.
+    """Active set of every row of a regimen's ``(R, m)`` table.
 
-    A job is active in ``S`` when it is eligible and some machine of row
-    ``S`` serves it with positive probability; the empty state has none.
+    Row ``r`` is the assignment in a state whose eligible set is
+    ``elig[r]``; row 0 is the empty state's, which has none.  A job is
+    active when it is eligible and some machine of its row serves it with
+    positive probability, so an :attr:`~repro.core.schedule.Regimen.UNDEFINED`
+    row has none either.
     """
     jobbit, _ = _machine_factors(instance)
-    served = np.zeros(1 << instance.n, dtype=np.int64)
+    served = np.zeros(len(table), dtype=np.int64)
     for i in range(instance.m):
         served |= jobbit[i, table[:, i]]
     act = elig & served
@@ -476,44 +545,55 @@ def _machine_factors(instance: SUUInstance) -> tuple[np.ndarray, np.ndarray]:
     return jobbit, fail
 
 
+class RegimenSlots(NamedTuple):
+    """A regimen's :func:`first_passage` slots at the states of an index."""
+
+    #: ``(K, R)`` success probability of each slot; column ``r`` is index
+    #: state ``r``, ``K`` the largest active count.
+    q: np.ndarray
+    #: ``(K, R)`` the job bit each slot clears.
+    bits: np.ndarray
+    #: ``(n + 1,)`` largest active count of each popcount layer: the slots
+    #: one layer's rows need.
+    slots: np.ndarray
+
+
 def regimen_slots(
     instance: SUUInstance,
     table: np.ndarray,
-    elig: np.ndarray,
-    pc: np.ndarray,
+    index: StateIndex,
     max_states: int = DEFAULT_MAX_STATES,
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """A regimen's ``(states, q, bits, ptr)`` per active count ``k``.
+) -> RegimenSlots:
+    """A regimen's slots at every state of ``index``, padded to one width.
 
     ``table`` is a regimen's dense ``(2^n, m)`` table (row ``S`` is the
-    assignment in state ``S``; row 0 is ignored).  ``states`` are in
-    popcount order with ``ptr`` over the layers, and ``q``/``bits`` are the
-    ``(k, R)`` :func:`first_passage` slots: each state's active jobs,
-    ascending.  Machine ``i`` multiplies ``1 - p[i, j]`` into the failure
-    product of the active bit it points at, found by its rank among the
-    state's active bits (the popcount of the lower ones).
+    assignment in state ``S``; row 0 is ignored).  A state's slots are its
+    active jobs, ascending, then padding slots (``q = 0``, bit 0) that
+    complete nothing with weight 0, so one :func:`first_passage` call can
+    take a popcount layer whose states differ in active count and still
+    add every state's terms as the scalar engine does.  Machine ``i``
+    multiplies ``1 - p[i, j]`` into the failure product of the active bit
+    it points at, found by its rank among the state's active bits (the
+    popcount of the lower ones).
     """
-    n, m = instance.n, instance.m
     jobbit, fail = _machine_factors(instance)
-    act = regimen_active_sets(instance, table, elig)
+    rows = table[index.states]
+    act = regimen_active_sets(instance, rows, index.elig)
     karr = popcount_array(act)
     _check_subset_budget(karr, max_states)
-    order = popcount_order(pc)
-    korder = karr[order]
-    classes = []
-    for k in np.flatnonzero(np.bincount(karr)):
-        k = int(k)
-        sel = order[korder == k]
-        act_sel = act[sel]
-        rows = np.arange(sel.size)
-        # A machine on no active job has hit = 0, so its rank (the
-        # popcount of act & -1) is k: the spare row k absorbs it.
-        failb = np.ones((k + 1, sel.size), dtype=np.float64)
-        for i in range(m):
-            j = table[sel, i]
-            hit = act_sel & jobbit[i, j]
-            failb[popcount_array(act_sel & (hit - 1)), rows] *= fail[i, j]
-        bits = np.left_shift(np.int64(1), bit_positions(act_sel, k).T)
-        layer_ptr = np.searchsorted(pc[sel], np.arange(n + 2))
-        classes.append((sel, 1.0 - failb[:k], bits, layer_ptr))
-    return classes
+    K = int(karr.max())
+    cols = np.arange(act.size)
+    # A machine on no active job goes to the spare row K.
+    failb = np.ones((K + 1, act.size), dtype=np.float64)
+    for i in range(instance.m):
+        j = rows[:, i]
+        hit = act & jobbit[i, j]
+        rank = np.where(hit != 0, popcount_array(act & (hit - 1)), K)
+        failb[rank, cols] *= fail[i, j]
+    bits = np.empty((K, act.size), dtype=np.int64)
+    rest = act.copy()
+    for s in range(K):
+        np.bitwise_and(rest, -rest, out=bits[s])
+        rest ^= bits[s]
+    slots = np.maximum.reduceat(karr, index.ptr[:-1])
+    return RegimenSlots(1.0 - failb[:K], bits, slots)

@@ -1,7 +1,7 @@
 """Scalar (dict-of-dicts) exact Markov solvers — the golden reference.
 
 This is the original pure-Python implementation of the Figure-1
-subset-lattice DP, kept verbatim as the executable specification of the
+subset-lattice DP, kept as the executable specification of the
 vectorized engine in :mod:`repro.sim.exact.sparse`: every solver here is
 one state at a time, one transition dict at a time, with no clever
 layout — easy to audit against the paper, slow past n ≈ 12.  Reach it
@@ -11,8 +11,13 @@ bit — it adds each transition's terms in the order of
 :func:`transition_distribution`'s dict — which
 ``tests/sim/test_exact_engines_equiv.py`` property-tests.
 
+The regimen solver visits only the states the chain can reach, the
+up-closed ones (:func:`reachable_states`), tested one state at a time;
+the cyclic and forward solvers keep the whole lattice, so they remain an
+independent reference for the vectorized index of reachable states.
+
 The per-state primitives (:func:`eligible_bitmask`,
-:func:`transition_distribution`) also serve the golden per-state
+:func:`reachable_states`, :func:`transition_distribution`) also serve the golden per-state
 Malewicz DP (:mod:`repro.opt.scalar`) and the execution tree
 (:mod:`repro.sim.exec_tree`), which enumerate single states anyway.
 """
@@ -29,6 +34,8 @@ from .lattice import DEFAULT_MAX_STATES, check_state_budget
 
 __all__ = [
     "eligible_bitmask",
+    "up_closed",
+    "reachable_states",
     "transition_distribution",
     "expected_makespan_regimen",
     "expected_makespan_cyclic",
@@ -52,6 +59,35 @@ def eligible_bitmask(instance: SUUInstance, state: int) -> int:
             elig |= 1 << j
         s &= s - 1
     return elig
+
+
+def up_closed(instance: SUUInstance, state: int) -> bool:
+    """Can the chain reach unfinished set ``state`` from "all unfinished"?
+
+    A job finishes only after its predecessors, so a reachable state
+    holds every successor of each of its jobs: no finished job ``k`` has
+    an unfinished predecessor (``pred_mask(k) & state == 0``).
+    """
+    dag = instance.dag
+    done = ((1 << instance.n) - 1) & ~state
+    while done:
+        k = (done & -done).bit_length() - 1
+        if dag.pred_mask(k) & state:
+            return False
+        done &= done - 1
+    return True
+
+
+def reachable_states(instance: SUUInstance) -> list[int]:
+    """The nonempty states the chain can reach, by increasing popcount.
+
+    Each subset is tested on its own with :func:`up_closed`.  Any
+    combination of eligible jobs can complete in one step, and what it
+    leaves is up-closed again, so a DP over these states only reads
+    values of states in the list.
+    """
+    states = sorted(range(1, 1 << instance.n), key=lambda s: s.bit_count())
+    return [s for s in states if up_closed(instance, s)]
 
 
 def _per_job_success(instance: SUUInstance, assignment: np.ndarray, active: int) -> dict[int, float]:
@@ -100,8 +136,11 @@ def expected_makespan_regimen(
 ) -> float:
     """Exact expected makespan of ``regimen`` started from "all unfinished".
 
-    Raises :class:`ScheduleError` if from some reachable state the regimen
-    makes no progress (expected makespan would be infinite).
+    Solves the reachable states only, so the regimen needs an assignment
+    there and nowhere else.  Raises :class:`ScheduleError` if some
+    reachable state has no assignment (the first in popcount order) or if
+    from some reachable state the regimen makes no progress (expected
+    makespan would be infinite).
     """
     n = instance.n
     check_state_budget(n, 1, max_states)
@@ -109,11 +148,9 @@ def expected_makespan_regimen(
     expect = np.zeros(1 << n, dtype=np.float64)
     # Process states in order of increasing popcount: transitions from S
     # reach only subsets of S.
-    states = sorted(range(1 << n), key=lambda s: s.bit_count())
-    for state in states:
-        if state == 0:
-            continue
-        a = regimen.assignment_for_state(state)
+    states = reachable_states(instance)
+    assignments = [regimen.assignment_for_state(state) for state in states]
+    for state, a in zip(states, assignments):
         dist = transition_distribution(instance, state, a)
         stay = dist.get(state, 0.0)
         if stay >= 1.0 - 1e-15:

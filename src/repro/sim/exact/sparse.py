@@ -3,17 +3,20 @@
 Same math as :mod:`repro.sim.exact.scalar` — the Figure-1 DP over the
 subset lattice with closed-form self-loops and rho-shaped cycle solving —
 but executed as NumPy sweeps instead of per-state Python dict loops.
-States are processed one popcount layer at a time: every XOR target of a
-nonempty completion subset lies in a strictly lower layer, so a gather
-``E[S ^ T]`` reads only finished values.
+Every solver runs over the reachable states only, the up-closed sets of
+:func:`~repro.sim.exact.lattice.state_index`, processed one popcount
+layer at a time: every XOR target of a nonempty completion subset is a
+reachable state in a strictly lower layer, so a gather ``E[S ^ T]``
+reads only finished values.  The DP tables stay dense, one entry per
+lattice state read by state value; entries of unreachable states are
+never written or read.
 
 Subset tables come from one builder and subset terms add through one
 ordered sum (:mod:`~repro.sim.exact.lattice`), in the scalar engine's
 order, so every makespan here is the scalar engine's bit for bit.  A
-regimen stores no subset tables: each (popcount layer, active count)
-group goes, in chunks, through
-:func:`~repro.sim.exact.lattice.first_passage`, the kernel the Malewicz DP
-uses too.  A cyclic schedule's
+regimen stores no subset tables: each popcount layer goes, in chunks,
+through :func:`~repro.sim.exact.lattice.first_passage`, the kernel the
+Malewicz DP uses too.  A cyclic schedule's
 :class:`~repro.sim.exact.lattice.TransitionBlock` blocks are built once per
 solve and stack the rows of every distinct assignment
 (:func:`~repro.sim.exact.lattice.build_step_structure`); positions that
@@ -49,16 +52,15 @@ from .lattice import (
     _STAY_EPS,
     CHUNK_ENTRIES,
     DEFAULT_MAX_STATES,
+    StateIndex,
     StepStructure,
     TransitionBlock,
     build_step_structure,
     check_state_budget,
-    eligibility_masks,
     first_passage,
     ordered_sum,
-    popcount_array,
-    popcount_order,
     regimen_slots,
+    state_index,
 )
 
 __all__ = [
@@ -74,18 +76,25 @@ __all__ = [
 _CHUNK = 1 << 20
 
 
-def _regimen_table(instance: SUUInstance, regimen: Regimen) -> np.ndarray:
-    """The regimen's table, checked to fit ``instance`` and cover every state."""
+def _regimen_table(
+    instance: SUUInstance, regimen: Regimen, index: StateIndex
+) -> np.ndarray:
+    """The regimen's table, checked to fit ``instance`` and cover every
+    reachable state.
+
+    A missing row is named as the scalar engine names it: the first
+    nonempty reachable state in popcount order.
+    """
     if (regimen.n, regimen.m) != (instance.n, instance.m):
         raise ScheduleError(
             f"regimen is for n={regimen.n}, m={regimen.m}; "
             f"the instance has n={instance.n}, m={instance.m}"
         )
-    missing = ~regimen.defined()
-    missing[0] = False
+    missing = regimen.table[index.states[1:], 0] == Regimen.UNDEFINED
     if missing.any():
         raise ScheduleError(
-            f"regimen has no assignment for state {int(np.argmax(missing)):#x}"
+            f"regimen has no assignment for state "
+            f"{int(index.states[1 + np.argmax(missing)]):#x}"
         )
     return regimen.table
 
@@ -97,41 +106,44 @@ def expected_makespan_regimen(
 ) -> float:
     """Exact expected makespan of ``regimen``, vectorized per layer.
 
-    Reads the regimen's dense table directly and solves every (popcount
-    layer, active count) group through
-    :func:`~repro.sim.exact.lattice.first_passage`, so each value is the
-    scalar engine's bit for bit.  Raises :class:`ScheduleError` when some
-    state has no assignment or makes no progress (infinite expectation),
-    naming the state the scalar engine names: the first in popcount order.
+    Reads the regimen's dense table at the reachable states and solves
+    each popcount layer, in chunks, through one
+    :func:`~repro.sim.exact.lattice.first_passage` call, so each value is
+    the scalar engine's bit for bit.  Raises :class:`ScheduleError` when
+    some reachable state has no assignment or makes no progress (infinite
+    expectation), naming the state the scalar engine names: the first in
+    popcount order.
     """
     n = instance.n
     check_state_budget(n, 1, max_states)
     if n == 0:
         return 0.0
     size = 1 << n
-    table = _regimen_table(instance, regimen)
     obs.add("exact.states_allocated", size)
-    with obs.span("exact.lattice.build", states=size, op="regimen"):
-        elig = eligibility_masks(instance)
-        pc = popcount_array(np.arange(size, dtype=np.int64))
-        classes = regimen_slots(instance, table, elig, pc, max_states=max_states)
-    with obs.span("exact.layer_sweep", layers=n, blocks=len(classes), op="regimen"):
+    with obs.span("exact.lattice.build", states=size, op="regimen") as span:
+        index = state_index(instance)
+        span.set(reachable=index.states.size)
+        table = _regimen_table(instance, regimen, index)
+        q, bits, slots = regimen_slots(instance, table, index, max_states=max_states)
+    obs.add("exact.states_solved", index.states.size)
+    states, ptr = index.states, index.ptr
+    with obs.span("exact.layer_sweep", layers=n, op="regimen"):
         expect = np.zeros(size, dtype=np.float64)
         for c in range(1, n + 1):
-            stuck = size
-            for states, q, bits, ptr in classes:
-                step = max(CHUNK_ENTRIES >> q.shape[0], 1)
-                for lo in range(ptr[c], ptr[c + 1], step):
-                    rows = slice(lo, min(lo + step, ptr[c + 1]))
-                    sel = states[rows]
-                    e = expect[sel] = first_passage(sel, q[:, rows], bits[:, rows], expect)
-                    if np.isinf(e).any():
-                        stuck = min(stuck, int(sel[np.argmax(np.isinf(e))]))
-            if stuck < size:
-                raise ScheduleError(
-                    f"regimen makes no progress from state "
-                    f"{iterable_from_bitmask(stuck)}; expected makespan is infinite"
-                )
+            k = int(slots[c])
+            step = max(CHUNK_ENTRIES >> k, 1)
+            for lo in range(ptr[c], ptr[c + 1], step):
+                rows = slice(lo, min(lo + step, ptr[c + 1]))
+                sel = states[rows]
+                e = expect[sel] = first_passage(sel, q[:k, rows], bits[:k, rows], expect)
+                # Chunks run in popcount order: the first stuck state
+                # found is the one the scalar engine names.
+                if np.isinf(e).any():
+                    raise ScheduleError(
+                        f"regimen makes no progress from state "
+                        f"{iterable_from_bitmask(int(sel[np.argmax(np.isinf(e))]))}; "
+                        "expected makespan is infinite"
+                    )
     return float(expect[size - 1])
 
 
@@ -154,16 +166,15 @@ class _Expansion(NamedTuple):
 
 
 def _expand_positions(
-    structure: StepStructure, pc: np.ndarray, order: np.ndarray, prefix: int
+    structure: StepStructure, index: StateIndex, size: int, prefix: int
 ) -> list[_Expansion]:
     """Map every block row to the schedule positions that use its assignment.
 
-    Built once per solve.  A layer's ``G`` states are ranked in popcount
-    order, so the entry for state ``S`` at position ``τ`` lands at
+    Built once per solve.  A layer's ``G`` reachable states are ranked in
+    popcount order, so the entry for state ``S`` at position ``τ`` lands at
     ``τ · G + rank(S)`` of its layer's ``(positions, G)`` tables, and its
     successors are read at ``next(τ) · 2^n + (S ^ T)`` of the DP table.
     """
-    size = pc.size
     rule_of = structure.rule_of
     total = rule_of.size
     per_rule = np.bincount(rule_of)
@@ -171,10 +182,14 @@ def _expand_positions(
     first = np.cumsum(per_rule) - per_rule
     next_row = np.arange(1, total + 1, dtype=np.int64) * size
     next_row[-1] = prefix * size
-    layer_size = np.bincount(pc)
-    width = layer_size[pc]
+    # Layer width and rank in the layer, by state value; only the index's
+    # states are written or read.
+    layer_size = np.diff(index.ptr)
+    layer = np.repeat(np.arange(layer_size.size), layer_size)
+    width = np.empty(size, dtype=np.int64)
+    width[index.states] = layer_size[layer]
     rank = np.empty(size, dtype=np.int64)
-    rank[order] = np.arange(size) - (np.cumsum(layer_size) - layer_size)[pc[order]]
+    rank[index.states] = np.arange(index.states.size) - index.ptr[layer]
     shared = bool(np.any(per_rule > 1))
     expansions = []
     for block in structure.blocks:
@@ -226,22 +241,23 @@ def expected_makespan_cyclic(
         return 0.0
     size = 1 << n
     obs.add("exact.states_allocated", size * total)
-    with obs.span("exact.lattice.build", states=size, positions=total, op="cyclic"):
-        elig = eligibility_masks(instance)
-        pc = popcount_array(np.arange(size, dtype=np.int64))
+    with obs.span(
+        "exact.lattice.build", states=size, positions=total, op="cyclic"
+    ) as span:
+        index = state_index(instance)
+        span.set(reachable=index.states.size)
         structure = build_step_structure(
-            instance, schedule.truncate(total).table, elig, pc, max_states
+            instance, schedule.truncate(total).table, index, max_states
         )
-        order = popcount_order(pc)
-        expansions = _expand_positions(structure, pc, order, P)
+        expansions = _expand_positions(structure, index, size, P)
+    obs.add("exact.states_solved", index.states.size * total)
     # Position-major DP table: row τ holds E[·, τ], so a layer's
     # successors are one flat gather at next(τ) · 2^n + (S ^ T).
     expect = np.zeros((total, size), dtype=np.float64)
     flat = expect.reshape(-1)
-    layer_end = np.cumsum(np.bincount(pc))
     with obs.span("exact.layer_sweep", layers=n, positions=total, op="cyclic"):
         for c in range(1, n + 1):
-            lay = order[layer_end[c - 1] : layer_end[c]]
+            lay = index.states[index.ptr[c] : index.ptr[c + 1]]
             a = np.empty(total * lay.size, dtype=np.float64)
             b = np.empty(total * lay.size, dtype=np.float64)
             for block, ex in zip(structure.blocks, expansions):
@@ -308,8 +324,9 @@ def state_distribution(
 ) -> np.ndarray:
     """Exact forward state distribution, scattered with ``bincount``.
 
-    Row ``t`` is the distribution of the unfinished set after ``t`` steps;
-    each step pushes every state's mass along its block's subset table in
+    Row ``t`` is the distribution of the unfinished set after ``t`` steps,
+    dense over the lattice, with mass only at reachable states; each step
+    pushes every reachable state's mass along its block's subset table in
     one flattened ``np.bincount`` per active count (weights sum to 1 per
     state, so each row remains a distribution exactly as in the scalar
     engine).  The blocks are rule-major, so a step's rows are contiguous
@@ -328,14 +345,13 @@ def state_distribution(
     positions = min(horizon, P + L)
     with obs.span(
         "exact.lattice.build", states=size, positions=positions, op="forward"
-    ):
-        elig = eligibility_masks(instance)
-        pc = popcount_array(np.arange(size, dtype=np.int64))
+    ) as span:
+        index = state_index(instance)
+        span.set(reachable=index.states.size)
         rule_of, blocks = build_step_structure(
             instance,
             schedule.truncate(positions).table,
-            elig,
-            pc,
+            index,
             max_states,
             rule_major=True,
         )
@@ -343,6 +359,7 @@ def state_distribution(
         # row-major, dropping its subset-major ones before the next copy.
         for i in range(len(blocks)):
             blocks[i] = _row_major(blocks[i])
+    obs.add("exact.states_solved", index.states.size * (horizon + 1))
     with obs.span("exact.layer_sweep", steps=horizon, op="forward"):
         for t in range(horizon):
             rule = rule_of[t if t < P else P + (t - P) % L]

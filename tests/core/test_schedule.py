@@ -279,6 +279,16 @@ class TestDenseRegimen:
         with pytest.raises(ValidationError, match="row 0x3"):
             Regimen.from_table(table)
 
+    def test_from_table_rejects_a_partly_undefined_row(self):
+        # UNDEFINED marks a whole row; beside an assignment it is out of range.
+        table = np.full((4, 3), Regimen.UNDEFINED, dtype=np.int32)
+        table[3] = [0, 1, IDLE]
+        table[2, 1] = 1
+        with pytest.raises(ValidationError, match="row 0x2"):
+            Regimen.from_table(table)
+        table[2] = Regimen.UNDEFINED
+        assert Regimen.from_table(table).states == [3]
+
     def test_missing_state_fails_the_sparse_solver(self):
         inst = SUUInstance(np.array([[0.5, 0.5]]))
         r = Regimen(2, 1, {0b11: np.array([0]), 0b10: np.array([1])})

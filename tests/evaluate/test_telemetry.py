@@ -16,10 +16,11 @@ import numpy as np
 import pytest
 
 from repro import SUUInstance, obs
-from repro.algorithms.baselines import round_robin_baseline
+from repro.algorithms.baselines import round_robin_baseline, state_round_robin_regimen
 from repro.errors import ExactSolverLimitError
 from repro.evaluate import evaluate
 from repro.experiments import ExperimentSpec, run_experiment
+from repro.workloads import random_instance
 
 
 @pytest.fixture(autouse=True)
@@ -88,6 +89,24 @@ class TestReportTelemetry:
         payload = json.loads(report.to_json())
         assert payload["telemetry"]["counters"] == counters
         assert payload["telemetry"]["span"]["name"] == "evaluate"
+
+
+    def test_exact_solve_records_the_reachable_states(self):
+        # Two chains of n = 10 jobs reach far fewer than 2^10 states: the
+        # build span and the solved counter report them, the allocated
+        # counter the dense table.
+        inst = random_instance(10, 3, "chains", num_chains=2, rng=1)
+        regimen = state_round_robin_regimen(inst).schedule
+        reachable = len(regimen.states) + 1  # and the empty set
+        with obs.capture():
+            report = evaluate(inst, regimen, mode="exact")
+        counters = report.telemetry["counters"]
+        assert counters["exact.states_solved"] == reachable
+        assert counters["exact.states_allocated"] == 1 << inst.n
+        (build,) = [
+            s for s in _walk(report.telemetry["span"]) if s["name"] == "exact.lattice.build"
+        ]
+        assert build["attrs"]["reachable"] == reachable < build["attrs"]["states"]
 
 
 class TestExceptionWellFormedness:

@@ -22,7 +22,11 @@ The lattice kernels the sparse engine, ``state_round_robin`` and the
 Malewicz DP share are held *bitwise* to the bit-matrix kernels they
 replaced, kept here as the golden reference: eligibility masks, active-bit
 positions, and every oblivious transition row's state, targets and
-weights.
+weights, at the reachable states.  The index of reachable (up-closed)
+states is held to a scalar filter of all 2^n subsets, and the scalar
+forward pass, which sweeps the whole lattice, must put no mass outside
+it.  A regimen needs rows, and progress, only at reachable states, in
+both engines.
 
 The forward pass is held *bitwise* to the per-position pass it replaced,
 also kept here: one block list per schedule position (equal assignments
@@ -39,7 +43,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro import SUUInstance, solve
+from repro import PrecedenceDAG, SUUInstance, solve
 from repro.algorithms.baselines import (
     round_robin_baseline,
     serial_baseline,
@@ -56,11 +60,12 @@ from repro.sim.exact.lattice import (
     build_step_structure,
     eligibility_masks,
     popcount_array,
+    state_index,
     step_rules,
     subset_table_entries,
 )
 from repro.evaluate.request import ENGINES
-from repro.sim.exact.scalar import eligible_bitmask
+from repro.sim.exact.scalar import eligible_bitmask, up_closed
 from repro.verify.cases import CaseSpec, build_instance
 from repro.workloads import DAG_KINDS, PROB_MODELS, random_instance
 
@@ -142,9 +147,12 @@ def test_sparse_matches_scalar_on_fuzzer_families(family):
         cyclic = round_robin_baseline(instance).schedule
         serial = serial_baseline(instance).schedule
         regimen = state_round_robin_regimen(instance).schedule
-        # The vectorized table against its per-state definition.
+        # The vectorized table against its per-state definition, at the
+        # reachable states.
         expected = np.full((1 << instance.n, instance.m), Regimen.UNDEFINED)
         for state in range(1, 1 << instance.n):
+            if not up_closed(instance, state):
+                continue
             jobs = iterable_from_bitmask(eligible_bitmask(instance, state))
             expected[state] = [jobs[i % len(jobs)] for i in range(instance.m)]
         np.testing.assert_array_equal(
@@ -192,9 +200,8 @@ def test_regimen_values_match_scalar_bitwise(family):
 
 @pytest.mark.parametrize("family", FAMILIES[::7])
 def test_chunked_regimen_sweep_matches_scalar_bitwise(family, monkeypatch):
-    # Under a 2-entry budget every (layer, active count) group with a job
-    # to finish is split into one-state chunks, and no value may move a
-    # bit.
+    # Under a 2-entry budget every popcount layer with a job to finish is
+    # split into one-state chunks, and no value may move a bit.
     from repro.sim.exact import sparse
 
     chunks = []
@@ -214,12 +221,14 @@ def test_chunked_regimen_sweep_matches_scalar_bitwise(family, monkeypatch):
         whole = _makespan(instance, regimen)
         if whole == np.inf:
             continue  # no progress: the sweep stops at the first stuck layer
-        groups = len(chunks)
+        groups = list(chunks)
         chunks.clear()
         with monkeypatch.context() as patch:
             patch.setattr(sparse, "CHUNK_ENTRIES", 2)
             split = _makespan(instance, regimen)
-        assert len(chunks) > groups, family
+        # Every layer is cut into as many chunks as it has reachable states
+        # (pairs when nothing is active); a layer of one state stays whole.
+        assert len(chunks) == sum(-(-rows // max(2 >> k, 1)) for rows, k in groups), family
         assert all(rows == 1 or rows << k <= 2 for rows, k in chunks), family
         scalar = _exact(instance, regimen, "scalar").makespan
         assert _bits(split) == _bits(whole) == _bits(scalar), family
@@ -405,12 +414,13 @@ def _assert_rows_identical(block, rows, golden, label):
         assert table.flags.c_contiguous, f"{label} {name} layout"
 
 
-def _assert_step_structure(structure, table, golden_of, pc, rule_major, label):
+def _assert_step_structure(structure, table, golden_of, pc, reachable, rule_major, label):
     """A stacked structure against the golden per-position blocks.
 
-    Rules dedupe the table's rows exactly; each position's golden blocks
-    are the rows of its rule, in popcount order; rows are sorted and
-    pointed at by layer (layer-major) or by rule (rule-major).
+    Rules dedupe the table's rows exactly; each position's golden blocks,
+    cut to the ``reachable`` states, are the rows of its rule, in popcount
+    order; rows are sorted and pointed at by layer (layer-major) or by
+    rule (rule-major).
     """
     n = pc.size.bit_length() - 1
     keys = [a.tobytes() for a in table]
@@ -438,13 +448,18 @@ def _assert_step_structure(structure, table, golden_of, pc, rule_major, label):
     for rule in range(D):
         tau = int(np.flatnonzero(structure.rule_of == rule)[0])
         rows_of_rule = sum(int(np.sum(block.rules == rule)) for block in structure.blocks)
-        assert rows_of_rule == pc.size, f"{label} position {tau}"
+        assert rows_of_rule == np.count_nonzero(reachable), f"{label} position {tau}"
         for i, want in enumerate(golden_of(table[tau])):
-            block = by_k[want[1].shape[1].bit_length() - 1]
+            k = want[1].shape[1].bit_length() - 1
+            keep = reachable[want[0]]
+            if not keep.any():
+                assert k not in by_k or not np.any(by_k[k].rules == rule), label
+                continue
+            block = by_k[k]
             _assert_rows_identical(
                 block,
                 np.flatnonzero(block.rules == rule),
-                want,
+                tuple(part[keep] for part in want[:3]) + want[3:],
                 f"{label} position {tau} block {i}",
             )
 
@@ -480,6 +495,8 @@ def test_lattice_kernels_match_golden_bitwise(family, trial):
             bit_positions(act, int(k)), _golden_bit_positions(act, int(k), n)
         )
     pc = popcount_array(np.arange(1 << n, dtype=np.int64))
+    reachable = np.array([up_closed(instance, s) for s in range(1 << n)])
+    index = state_index(instance)
     schedules = [
         ("round_robin", round_robin_baseline(instance).schedule),
         ("serial", serial_baseline(instance).schedule),
@@ -498,13 +515,88 @@ def test_lattice_kernels_match_golden_bitwise(family, trial):
         table = schedule.truncate(schedule.prefix_length + schedule.cycle_length).table
         for rule_major in (False, True):
             _assert_step_structure(
-                build_step_structure(instance, table, elig, pc, rule_major=rule_major),
+                build_step_structure(instance, table, index, rule_major=rule_major),
                 table,
                 golden_of,
                 pc,
+                reachable,
                 rule_major,
                 f"{label} {name} rule_major={rule_major}",
             )
+
+
+@pytest.mark.parametrize(
+    "family,trial",
+    KERNEL_CASES,
+    ids=[f"{f}#{t}" if f else "chains-n16-m4" for f, t in KERNEL_CASES],
+)
+def test_state_index_matches_brute_force(family, trial):
+    # The index against a filter of all 2^n subsets with the scalar
+    # predicate: the same states in popcount order (ties by value), their
+    # eligible sets, and a pointer at every layer.
+    instance = _kernel_instance(family, trial)
+    n = instance.n
+    want = [
+        s for s in sorted(range(1 << n), key=lambda s: s.bit_count()) if up_closed(instance, s)
+    ]
+    index = state_index(instance)
+    assert index.states.dtype == index.elig.dtype == np.int64
+    assert index.states.tolist() == want
+    assert index.elig.tolist() == [eligible_bitmask(instance, s) for s in want]
+    counts = [s.bit_count() for s in want]
+    assert index.ptr.tolist() == [sum(c < layer for c in counts) for layer in range(n + 2)]
+
+
+@pytest.mark.parametrize("n", [1, 4, 9])
+def test_state_index_is_the_lattice_on_edgeless_dags(n):
+    index = state_index(SUUInstance(np.full((2, n), 0.5)))
+    pc = popcount_array(np.arange(1 << n, dtype=np.int64))
+    np.testing.assert_array_equal(index.states, np.argsort(pc, kind="stable"))
+    np.testing.assert_array_equal(index.elig, index.states)
+    np.testing.assert_array_equal(index.ptr, np.searchsorted(pc[index.states], np.arange(n + 2)))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_scalar_state_distribution_stays_on_the_index(family):
+    # The scalar forward pass sweeps the whole lattice; its mass must never
+    # leave the states the index holds.
+    instance = _instance(family, 0)
+    outside = np.ones(1 << instance.n, dtype=bool)
+    outside[state_index(instance).states] = False
+    for schedule in (round_robin_baseline(instance).schedule, _pipeline_schedule(instance)):
+        dist = _exact(
+            instance, schedule, "scalar", metrics="state_distribution", horizon=12
+        ).state_distribution
+        assert not dist[:, outside].any(), family
+
+
+def test_missing_state_named_alike_by_both_engines():
+    # Rows 0b100 and 0b011 have no assignment: the first missing state in
+    # popcount order is 0x4, though 0x3 has the lower number.
+    instance = SUUInstance(np.full((1, 3), 0.5))
+    table = np.array([[-2], [0], [1], [-2], [-2], [0], [1], [0]], dtype=np.int32)
+    regimen = Regimen.from_table(table)
+    messages = []
+    for engine in ENGINES:
+        with pytest.raises(ScheduleError, match="no assignment for state 0x4") as info:
+            _exact(instance, regimen, engine)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1], messages
+
+
+@pytest.mark.parametrize("unreachable_row", [Regimen.UNDEFINED, 1], ids=["undefined", "stuck"])
+def test_regimen_needs_rows_only_at_reachable_states(unreachable_row):
+    # Job 0 precedes job 1, so {0} is unreachable: whatever its row holds,
+    # no row or a machine on the finished job 1, the regimen is worth its
+    # reachable part, E[{1}] = 1 / 0.25 and E[{0, 1}] = (1 + 0.5 · 4) / 0.5.
+    instance = SUUInstance(np.array([[0.5, 0.25]]), PrecedenceDAG(2, [(0, 1)]))
+    table = np.array([[-2], [unreachable_row], [1], [0]], dtype=np.int32)
+    for engine in ENGINES:
+        assert _exact(instance, Regimen.from_table(table), engine).makespan == 6.0
+    table[2] = Regimen.UNDEFINED
+    for engine in ENGINES:
+        with pytest.raises(ScheduleError, match="no assignment for state 0x2"):
+            _exact(instance, Regimen.from_table(table), engine)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -111,6 +111,25 @@ class TestInfoSolveSimulate:
         assert data["kind"] == "cyclic"
 
 
+    @pytest.mark.parametrize("method", ["exact", "state_round_robin"])
+    def test_solve_save_refuses_regimens(self, tmp_path, capsys, method):
+        # A regimen is no adaptive policy; schedule files hold tables only.
+        inst = tmp_path / "c10.json"
+        main(["generate", str(inst), "-n", "10", "-m", "3", "--dag", "chains", "--seed", "3"])
+        target = tmp_path / "out.json"
+        assert main(["solve", str(inst), "--method", method, "--save", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot save regimens as JSON" in err and "adaptive" not in err
+        assert not target.exists()
+
+    def test_solve_save_refuses_adaptive_policies(self, instance_file, tmp_path, capsys):
+        target = tmp_path / "out.json"
+        argv = ["solve", str(instance_file), "--method", "msm_eligible", "--save", str(target)]
+        assert main(argv) == 2
+        assert "cannot save adaptive policies as JSON" in capsys.readouterr().err
+        assert not target.exists()
+
+
 class TestExact:
     @pytest.fixture
     def instance_file(self, tmp_path):
