@@ -55,10 +55,7 @@ def _run(rng):
     for name, inst, sched, T in _cases(rng):
         depth = int(math.ceil(2 * T))
         for job in range(inst.n):
-            if hasattr(sched, "assignment_for_state"):
-                tree = build_execution_tree(inst, sched, depth=depth, job=job, max_nodes=400_000)
-            else:
-                tree = build_execution_tree(inst, sched, depth=depth, job=job, max_nodes=400_000)
+            tree = build_execution_tree(inst, sched, depth=depth, job=job, max_nodes=400_000)
             prob = tree.prob_mass_at_least(0.25)
             rows.append(
                 {

@@ -157,12 +157,12 @@ def state_round_robin_regimen(
 
     The state-dependent cousin of :func:`round_robin_baseline`: in a state
     with ``k`` eligible jobs, machine ``i`` takes the ``(i mod k)``-th of
-    them in job order.  The dense table is filled at the reachable states
-    of :func:`~repro.sim.exact.lattice.state_index` with one vectorized
-    pass per eligible count and no per-state Python; other rows stay
-    :attr:`~repro.core.schedule.Regimen.UNDEFINED`.  So this is the
+    them in job order.  The regimen has one row per nonempty reachable
+    state of :func:`~repro.sim.exact.lattice.state_index`, filled with one
+    vectorized pass per eligible count and no per-state Python, and
+    nothing sized ``2^n``.  So this is the
     standard *evaluation workload* for the exact Markov engines at n ≈
-    14–20 (``benchmarks/bench_perf_exact_markov.py``, the
+    14–22 (``benchmarks/bench_perf_exact_markov.py``, the
     engine-equivalence property tests, and the ``state_round_robin``
     registry algorithm) — a nontrivial regimen whose exact expected
     makespan is well-defined because every eligible job set is nonempty
@@ -178,14 +178,14 @@ def state_round_robin_regimen(
     n, m = instance.n, instance.m
     check_state_budget(n, 1, max_states)
     index = state_index(instance)
-    count = popcount_array(index.elig)
-    table = np.full((1 << n, m), Regimen.UNDEFINED, dtype=np.int32)
-    # Every nonempty set has an eligible job: count 0 is the empty set's.
-    for k in np.flatnonzero(np.bincount(count))[1:]:
-        rows = np.flatnonzero(count == k)
-        jobs = bit_positions(index.elig[rows], int(k))
-        table[index.states[rows]] = jobs[:, np.arange(m) % k]
+    # Index state 0 is the empty set; every other has an eligible job.
+    elig = index.elig[1:]
+    count = popcount_array(elig)
+    rows = np.empty((elig.size, m), dtype=np.int32)
+    for k in np.flatnonzero(np.bincount(count)):
+        sel = np.flatnonzero(count == k)
+        rows[sel] = bit_positions(elig[sel], int(k))[:, np.arange(m) % k]
     return ScheduleResult(
-        schedule=Regimen.from_table(table),
+        schedule=Regimen.from_rows(n, index.states[1:], rows),
         algorithm="state_round_robin",
     )

@@ -7,8 +7,8 @@ The paper works with four kinds of schedules:
   a callable computing the assignment from the execution state — this covers
   SUU-I-ALG, the greedy baselines, and arbitrary custom policies.
 * **Regimens** (Def 2.2, Malewicz): the assignment depends only on the
-  unfinished set.  :class:`Regimen` stores the explicit table (exponential
-  in ``n``; used by the exact solver on small instances).
+  unfinished set.  :class:`Regimen` stores one row per state it assigns,
+  in practice the states an execution can reach.
 * **Oblivious schedules** (Def 2.3): one fixed assignment per step,
   independent of the unfinished set.  :class:`ObliviousSchedule` is a finite
   ``(T, m)`` job table; :class:`CyclicSchedule` is a finite prefix followed
@@ -32,7 +32,7 @@ from typing import Callable, Hashable, Mapping, Sequence
 import numpy as np
 
 from .._util import json_numbers
-from ..errors import ExactSolverLimitError, ScheduleError, ValidationError, payload_errors
+from ..errors import ScheduleError, ValidationError, payload_errors
 from . import mass as mass_mod
 from .instance import SUUInstance
 
@@ -432,117 +432,144 @@ class AdaptivePolicy:
         return f"AdaptivePolicy({self.name!r})"
 
 
-#: Entry budget of a dense regimen table: ``2^n · m`` int32 entries, 128 MiB.
-#: Room for a 2^22-state regimen (the exact solvers' default ceiling) at m = 8.
-REGIMEN_MAX_ENTRIES = 1 << 25
-
-
-def _check_regimen_shape(n: int, m: int) -> None:
-    """Reject a bad size or a table over budget, before allocating it."""
-    if n < 0 or m < 1:
-        raise ValidationError(f"regimen needs n >= 0 and m >= 1, got n={n}, m={m}")
-    entries = (1 << n) * m
-    if entries > REGIMEN_MAX_ENTRIES:
-        raise ExactSolverLimitError(
-            f"regimen table would need 2^{n} x {m} = {entries} entries "
-            f"(limit {REGIMEN_MAX_ENTRIES})"
-        )
-
-
 class Regimen:
     """An explicit regimen (Def 2.2): one assignment per unfinished set.
 
-    Stored as one dense ``(2^n, m)`` int32 table: row ``S`` is the
-    assignment in the unfinished-set bitmask ``S``.  A row of
-    :attr:`UNDEFINED` marks a state the regimen assigns nothing.  Only the
-    states an execution can reach need an assignment: the up-closed ones,
-    which hold every successor of each of their jobs.  Row 0 (every job
-    finished) never does, and neither does a state with a finished job
-    whose predecessor is unfinished.  Exponential in ``n`` and capped at
-    :data:`REGIMEN_MAX_ENTRIES`.  Built by the exact Malewicz solver and
-    the ``state_round_robin`` baseline, which fill the reachable rows
-    only, and read directly by the exact Markov engines.
+    Stored as two read-only arrays: :attr:`states`, the unfinished-set
+    bitmasks that have an assignment (int64, ascending), and :attr:`rows`,
+    their ``(R, m)`` int32 assignments.  Only the states an execution can
+    reach need one: the up-closed sets, which hold every successor of each
+    of their jobs, other than the empty set.  A DAG of width ``w`` has
+    ``O(n^w)`` of them, so the exact Malewicz solver and the
+    ``state_round_robin`` baseline emit rows at those states only, and
+    nothing here is sized ``2^n``.  Every consumer reads assignments
+    through :meth:`rows_at`.
     """
 
-    #: Filler of a table row whose state has no assignment.
-    UNDEFINED: int = -2
-
-    __slots__ = ("_table",)
+    __slots__ = ("_n", "_states", "_rows")
 
     def __init__(self, n: int, m: int, assignments: Mapping[int, np.ndarray]):
-        """Sugar for :meth:`from_table`: fill the table from ``{state: a}``."""
-        n, m = int(n), int(m)
-        _check_regimen_shape(n, m)
-        table = np.full((1 << n, m), self.UNDEFINED, dtype=np.int32)
-        for state, a in assignments.items():
-            s = int(state)
-            if not 0 <= s < table.shape[0]:
-                raise ValidationError(f"state {s:#x} is not a subset of {n} jobs")
-            table[s] = validate_assignment(np.asarray(a), n, m)
-        table.setflags(write=False)
-        self._table = table
+        """Sugar for :meth:`from_rows`: the rows of ``{state: a}``.
+
+        Each ``a`` passes :func:`validate_assignment`; the states must be
+        integers.
+        """
+        m = int(m)
+        rows = np.zeros((len(assignments), max(m, 0)), dtype=np.int32)
+        for r, a in enumerate(assignments.values()):
+            rows[r] = validate_assignment(a, n, m)
+        states = np.asarray(list(assignments)) if assignments else np.zeros(0, dtype=np.int64)
+        self._store(n, states, rows)
 
     @classmethod
-    def from_table(cls, table: np.ndarray) -> "Regimen":
-        """The regimen with dense ``(2^n, m)`` table ``table`` (copied).
+    def from_rows(cls, n: int, states: np.ndarray, rows: np.ndarray) -> "Regimen":
+        """The regimen assigning ``rows[r]`` in state ``states[r]`` (copied).
 
-        Each row must be an assignment (entries :data:`IDLE` or a job id
-        in ``[0, n)``) or a row of :attr:`UNDEFINED`.
+        ``states`` are distinct bitmasks of ``n`` jobs, in any order; each
+        row's entries are :data:`IDLE` or a job id in ``[0, n)``.
         """
-        tab = np.asarray(table)
-        rows = tab.shape[0] if tab.ndim == 2 else 0
-        if rows == 0 or rows & (rows - 1) or not np.issubdtype(tab.dtype, np.integer):
-            raise ValidationError(
-                "regimen table must be an integer array of shape (2^n, m), "
-                f"got {tab.dtype} {tab.shape}"
-            )
-        n = rows.bit_length() - 1
-        _check_regimen_shape(n, tab.shape[1])
-        # Column by column: reducing along the short machine axis is slower.
-        undefined = tab[:, 0] == cls.UNDEFINED
-        bad = (tab[:, 0] < IDLE) | (tab[:, 0] >= n)
-        for i in range(1, tab.shape[1]):
-            undefined &= tab[:, i] == cls.UNDEFINED
-            bad |= (tab[:, i] < IDLE) | (tab[:, i] >= n)
-        bad &= ~undefined
-        if np.any(bad):
-            raise ValidationError(
-                f"regimen table row {int(np.argmax(bad)):#x} holds an entry that "
-                f"is neither IDLE nor a job id in [0, {n})"
-            )
         regimen = cls.__new__(cls)
-        regimen._table = tab.astype(np.int32, copy=True)
-        regimen._table.setflags(write=False)
+        regimen._store(n, states, rows)
         return regimen
+
+    def _store(self, n: int, states: np.ndarray, rows: np.ndarray) -> None:
+        n = int(n)
+        states, rows = np.asarray(states), np.asarray(rows)
+        if not 0 <= n <= 62:
+            raise ValidationError(f"regimen states are int64 bitmasks: n={n} is not in [0, 62]")
+        if (
+            states.ndim != 1
+            or rows.ndim != 2
+            or rows.shape[0] != states.size
+            or rows.shape[1] < 1
+            or not np.issubdtype(states.dtype, np.integer)
+            or not np.issubdtype(rows.dtype, np.integer)
+        ):
+            raise ValidationError(
+                "regimen needs integer arrays of shape (R,) states and (R, m) rows, "
+                f"got {states.dtype} {states.shape} and {rows.dtype} {rows.shape}"
+            )
+        # Range checks before the casts, which would wrap.
+        outside = (states < 0) | (states >= 1 << n)
+        if outside.any():
+            s = int(states[np.argmax(outside)])
+            raise ValidationError(f"state {s:#x} is not a subset of {n} jobs")
+        bad = (rows < IDLE) | (rows >= n)
+        if bad.any():
+            raise ValidationError(
+                f"regimen row of state {int(states[np.argmax(bad.any(axis=1))]):#x} "
+                f"holds an entry that is neither IDLE nor a job id in [0, {n})"
+            )
+        order = np.argsort(states, kind="stable")
+        self._n = n
+        self._states = states[order].astype(np.int64, copy=False)
+        self._rows = np.take(rows, order, axis=0).astype(np.int32, copy=False)
+        repeated = self._states[1:] == self._states[:-1]
+        if repeated.any():
+            raise ValidationError(
+                f"state {int(self._states[np.argmax(repeated)]):#x} has more than one row"
+            )
+        self._states.setflags(write=False)
+        self._rows.setflags(write=False)
 
     @property
     def n(self) -> int:
-        return self._table.shape[0].bit_length() - 1
+        return self._n
 
     @property
     def m(self) -> int:
-        return self._table.shape[1]
+        return self._rows.shape[1]
 
     @property
-    def table(self) -> np.ndarray:
-        """The read-only ``(2^n, m)`` int32 table."""
-        return self._table
-
-    def defined(self) -> np.ndarray:
-        """``(2^n,)`` bool: which states have an assignment."""
-        return self._table[:, 0] != self.UNDEFINED
+    def states(self) -> np.ndarray:
+        """The read-only ``(R,)`` int64 states that have an assignment, ascending."""
+        return self._states
 
     @property
-    def states(self) -> list[int]:
-        """The states that have an assignment, ascending."""
-        return np.flatnonzero(self.defined()).tolist()
+    def rows(self) -> np.ndarray:
+        """The read-only ``(R, m)`` int32 assignments, row ``r`` in ``states[r]``."""
+        return self._rows
+
+    def rows_at(self, states: np.ndarray) -> np.ndarray:
+        """``(k, m)`` assignments in the ``k`` bitmasks ``states``.
+
+        Raises :class:`ScheduleError` naming the first of ``states``, in
+        the given order, that has no assignment.
+        """
+        want = np.asarray(states, dtype=np.int64)
+        have = self._states
+        if have.size and have[-1] - have[0] == have.size - 1:
+            # The states are one run of consecutive bitmasks, as every
+            # nonempty set of independent jobs is: a row is at its offset.
+            pos = want - have[0]
+            hit = (pos >= 0) & (pos < have.size)
+        else:
+            pos = np.searchsorted(have, want)
+            hit = np.take(have, pos, mode="clip") == want if have.size else np.zeros_like(pos, bool)
+        if not hit.all():
+            s = int(want[np.argmin(hit)])
+            raise ScheduleError(f"regimen has no assignment for state {s:#x}")
+        return np.take(self._rows, pos, axis=0)
 
     def assignment_for_state(self, state: int) -> np.ndarray:
-        """Assignment for the unfinished-set bitmask ``state``."""
+        """Assignment for the unfinished-set bitmask ``state``.
+
+        :meth:`rows_at` of one state, as one scalar search: the scalar
+        simulator and the execution tree call it once per step or node.
+        """
         s = int(state)
-        if not 0 <= s < self._table.shape[0] or self._table[s, 0] == self.UNDEFINED:
-            raise ScheduleError(f"regimen has no assignment for state {s:#x}")
-        return self._table[s]
+        pos = int(self._states.searchsorted(s)) if 0 <= s < 1 << self._n else 0
+        if pos < self._states.size and self._states[pos] == s:
+            return self._rows[pos]
+        raise ScheduleError(f"regimen has no assignment for state {s:#x}")
+
+    def validate_against(self, instance: SUUInstance) -> None:
+        """Check the job and machine counts against ``instance``."""
+        if (self.n, self.m) != (instance.n, instance.m):
+            raise ScheduleError(
+                f"regimen is for n={self.n}, m={self.m}; "
+                f"the instance has n={instance.n}, m={instance.m}"
+            )
 
     def as_policy(self) -> AdaptivePolicy:
         """View the regimen as an :class:`AdaptivePolicy` for the simulator."""
@@ -558,7 +585,7 @@ class Regimen:
         return AdaptivePolicy(rule, name="regimen", stationary=True, randomized=False)
 
     def __repr__(self) -> str:
-        return f"Regimen(n={self.n}, m={self.m}, states={int(self.defined().sum())})"
+        return f"Regimen(n={self.n}, m={self.m}, states={self._states.size})"
 
 
 # ----------------------------------------------------------------------

@@ -13,21 +13,21 @@ request forces exact?  (mode="exact" | state_distribution)
     ├── no  → Monte Carlo
     └── yes: the full DP allocation 2^n × width fits max_states?
         ├── no  → Monte Carlo
-        └── yes: the subset tables of every lattice state (Σ 2^k over the
-            (distinct assignment, state) rows) fit 8 × max_states?
+        └── yes: the subset tables of the reachable states (Σ 2^k over
+            the rows the engine builds) fit 8 × max_states?
             ├── yes → exact Markov (sparse)
             └── no  → Monte Carlo  (the estimator's own lockstep/batched/
                                     scalar routing, see repro.sim.montecarlo)
 ```
 
 Auto mode prices both allocations the sparse engine guards
-(:func:`exact_state_cost` and :func:`exact_subset_entries`, the latter
-through :func:`~repro.sim.exact.lattice.subset_table_entries`).  The DP
-table is priced with the engine's own count.  The subset tables are
-priced over the whole lattice, while the engine builds the rows of the
-reachable states only: an upper bound of the engine's count, so auto
-never promises an exact route the engine then refuses.  A forced
-``mode="exact"`` skips the pricing and lets the engine's guards raise.
+(:func:`exact_state_cost` and :func:`exact_subset_entries`), each with
+the engine's own count: the dense DP table, and the subset tables of
+the rows the engine builds at the reachable states of
+:func:`~repro.sim.exact.lattice.state_index`, counted by the helpers
+that feed the engine's guard.  So auto picks the exact route exactly
+when a forced ``mode="exact"``, which skips the pricing and lets the
+engine's guards raise, would be admitted.
 
 ``engine="scalar"`` never changes the route: it swaps in the golden
 reference engine of whichever route is chosen.
@@ -52,9 +52,11 @@ from ..errors import ValidationError
 from ..sim.exact.lattice import (
     DEFAULT_MAX_STATES,
     SUBSET_TABLE_FACTOR,
-    eligibility_masks,
     popcount_array,
     regimen_active_sets,
+    regimen_rows,
+    state_index,
+    step_active_counts,
     step_rules,
     subset_table_entries,
 )
@@ -154,30 +156,31 @@ def exact_subset_entries(
     metrics: tuple[str, ...],
     horizon: int | None,
 ) -> int:
-    """Subset-table entries of the sparse engine's transition structure,
-    counted over the whole lattice.
+    """Subset-table entries of the sparse engine's transition structure.
 
-    One row per state of a regimen, or per (distinct assignment, state)
-    pair over the schedule positions the solve reads — ``P + L`` for a
-    makespan, the first ``horizon`` for a forward curve or distribution —
-    each holding ``2^k`` entries (a regimen's undefined row holds 1).
-    The engine's guard counts the same rows at the reachable states
-    only, so this is an upper bound of its count.  A makespan reads every
-    position, so with one in ``metrics`` it bounds the forward solves
-    too.  Counting costs one pass over the ``2^n`` states per distinct
-    assignment (per machine for a regimen), far below the solve it
-    prices.
+    The rows the engine builds at the reachable states of
+    :func:`~repro.sim.exact.lattice.state_index`, counted with the
+    helpers that feed its guard: a regimen's rows there (a missing one
+    raises the engine's :class:`~repro.errors.ScheduleError`), or one row
+    per (distinct assignment, reachable state) pair over the schedule
+    positions the solve reads — ``P + L`` for a makespan, the first
+    ``horizon`` for a forward curve or distribution — each holding
+    ``2^k`` entries.  A makespan reads every position, so with one in
+    ``metrics`` it bounds the forward solves too.  Counting costs one pass
+    over the reachable states per distinct assignment (per machine for a
+    regimen), far below the solve it prices.
     """
-    elig = eligibility_masks(instance)
+    index = state_index(instance)
     if isinstance(schedule, Regimen):
-        active = regimen_active_sets(instance, schedule.table, elig)
+        rows = regimen_rows(schedule, index)
+        counts = popcount_array(regimen_active_sets(instance, rows, index.elig))
     else:
         positions = schedule.prefix_length + schedule.cycle_length
         if "makespan" not in metrics and horizon is not None:
             positions = min(positions, horizon)
         served = step_rules(instance, schedule.truncate(positions).table).served
-        active = elig[None, :] & served[:, None]
-    return subset_table_entries(popcount_array(active))
+        counts = step_active_counts(index, served)
+    return subset_table_entries(counts)
 
 
 def _exact_engine(request: EvaluationRequest) -> str:

@@ -101,7 +101,7 @@ def _evaluate(
                     f"arguments, not both (got request= plus {sorted(kwargs)})"
                 )
             schedule = resolve_schedule(instance, schedule, request.seed)
-            if hasattr(schedule, "validate_against"):  # oblivious / cyclic tables
+            if hasattr(schedule, "validate_against"):  # tables and regimens
                 schedule.validate_against(instance)
         with obs.span("evaluate.dispatch") as dspan:
             route = select_route(instance, schedule, request)

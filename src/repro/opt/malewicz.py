@@ -17,7 +17,7 @@ eligible job weakly dominates idling.
 
 The DP solves only the states the chain can reach, the up-closed sets of
 :func:`repro.sim.exact.lattice.state_index`, and the regimen it returns
-assigns nothing elsewhere.  It is vectorized over that index, one
+has rows there only.  It is vectorized over that index, one
 (popcount layer, eligible count ``k``) group of states at a time.  The
 states of a group share the ``k^m``
 assignment *signatures* (machine ``i`` takes the ``σ_i``-th eligible
@@ -34,7 +34,7 @@ Every candidate value is computed with the floating-point operations of
 the per-state loop in :mod:`repro.opt.scalar` (the golden reference), in
 the same order, and the choice follows its rule (a later signature wins
 only when lower by more than 1e-15), so the two agree bit for bit;
-property tests hold them to equal values and identical tables, and the
+property tests hold them to equal values and identical rows, and the
 optimum to the exact value of its own regimen.  The work is
 ``O(R · k^m · 2^min(k, m))`` over the ``R`` reachable states, ``O(n^w)``
 on a DAG of width ``w`` — exact ground truth on the constant-width,
@@ -172,7 +172,8 @@ def optimal_regimen(
         )
     size = 1 << n
     expect = np.zeros(size, dtype=np.float64)
-    table = np.full((size, m), Regimen.UNDEFINED, dtype=np.int32)
+    # One row per nonempty index state, as index.states[1:].
+    rows = np.empty((index.states.size - 1, m), dtype=np.int32)
     # Groups of one (popcount layer, eligible count), lower layers first,
     # states ascending; the first group is the empty set alone, which
     # needs no assignment.
@@ -194,9 +195,9 @@ def optimal_regimen(
                 "(some eligible job has p_ij = 0 on all machines?)"
             )
         expect[states] = best_e
-        table[states] = np.take_along_axis(jobs, signatures[k][0][best_a], axis=1)
+        rows[group - 1] = np.take_along_axis(jobs, signatures[k][0][best_a], axis=1)
     return ExactSolution(
-        regimen=Regimen.from_table(table),
+        regimen=Regimen.from_rows(n, index.states[1:], rows),
         expected_makespan=float(expect[size - 1]),
         states_solved=index.states.size - 1,
     )

@@ -181,19 +181,15 @@ def _frontier_assignments(
 ) -> np.ndarray:
     """``(k, m)`` raw assignments of ``schedule`` in ``k`` frontier states.
 
-    A regimen is read from its table in one gather.  An adaptive policy's
-    rule runs once per state, in row order, so what it draws from
-    ``policy_rng`` is fixed by the seed and the states' order.
+    A regimen is read with one :meth:`~repro.core.schedule.Regimen.rows_at`
+    lookup.  An adaptive policy's rule runs once per state, in row order,
+    so what it draws from ``policy_rng`` is fixed by the seed and the
+    states' order.
     """
     k = finished.shape[0]
     unfinished = ~finished
     if isinstance(schedule, Regimen):
-        states = unfinished @ (1 << np.arange(instance.n, dtype=np.int64))
-        undefined = schedule.table[states, 0] == Regimen.UNDEFINED
-        if undefined.any():
-            state = int(states[np.argmax(undefined)])
-            raise ScheduleError(f"regimen has no assignment for state {state:#x}")
-        return schedule.table[states]
+        return schedule.rows_at(unfinished @ (1 << np.arange(instance.n, dtype=np.int64)))
     jobs = range(instance.n)
     unfinished_rows = unfinished.tolist()
     open_rows = (unfinished & eligible).tolist()
@@ -253,11 +249,7 @@ def simulate_batch(
             )
         frontier_key = schedule.frontier_key
     elif isinstance(schedule, Regimen):
-        if (schedule.n, schedule.m) != (instance.n, instance.m):
-            raise ScheduleError(
-                f"regimen is for n={schedule.n}, m={schedule.m}; "
-                f"the instance has n={instance.n}, m={instance.m}"
-            )
+        schedule.validate_against(instance)
 
         # A regimen is stationary by definition (Def 2.2).
         def frontier_key(token, t):

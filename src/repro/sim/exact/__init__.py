@@ -30,9 +30,10 @@ makespan, completion curve, state distribution); their makespans agree
 bit for bit, property-tested:
 
 * :mod:`.sparse` — vectorized layered-sweep solvers over the reachable
-  states (the default; a regimen on chains solves at n = 22 in ~10 ms,
-  where building its dense table takes ~0.3 s, and on independent jobs,
-  where every state is reachable, at n = 18 in ~0.1 s);
+  states (the default; a regimen on chains, whose rows sit at those
+  states only, builds in ~1 ms and solves in under 10 ms at n = 22, and on
+  independent jobs, where every state is reachable, solves at n = 18 in
+  ~0.1 s);
 * :mod:`.scalar` — the original per-state dict DP, kept as the golden
   reference behind ``engine="scalar"``; its regimen solver skips the
   states that are not up-closed, one state at a time, and its cyclic and

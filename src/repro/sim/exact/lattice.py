@@ -15,9 +15,6 @@ popcount layer at a time without any per-state Python:
   sets in popcount order with their eligible sets and a layer pointer.
   Every exact solver runs over it; on an edgeless DAG it is the whole
   lattice, returned without enumerating.
-* :func:`eligibility_masks` — the eligible-set bitmask of every state, as
-  one ``(2^n,)`` int64 array, doubled over the highest job (``2^n`` work):
-  what auto dispatch prices the full lattice with.
 * :func:`subset_tables` — the one builder of subset tables: per row, the
   ``2^k`` completion subsets ``T`` of its active set as XOR ``targets``
   (``S ^ T``) with their product-measure ``weights``, subset-major, row 0
@@ -27,8 +24,9 @@ popcount layer at a time without any per-state Python:
   every exact makespan is theirs bit for bit.
 * :func:`first_passage` — ``E[S] = (1 + Σ_{T≠∅} w_T E[S ^ T]) / (1 -
   w_∅)`` through those two, over rows that are states (a regimen, whose
-  slots :func:`regimen_slots` lays out) or (state, assignment signature)
-  pairs (the Malewicz DP).
+  rows :func:`regimen_rows` reads at the index and whose slots
+  :func:`regimen_slots` lays out) or (state, assignment signature) pairs
+  (the Malewicz DP).
 * :class:`TransitionBlock` — an oblivious schedule's rows with the same
   active count ``k``: their states and ``(2^k, R)`` subset tables, grouped
   by a row pointer ``ptr``.
@@ -42,9 +40,11 @@ Every kernel costs about the size of what it returns: active-bit
 positions are peeled lowest bit first and the ``2^k`` subset tables
 double bit by bit, so no step builds a bit matrix or a full-width
 temporary per bit.  :func:`subset_table_entries` counts those tables
-before any is built: the engine's guard counts its reachable rows, and
-auto dispatch's pricing counts every state of the lattice, an upper
-bound of the engine's count.
+before any is built, over the rows the engine builds: the active sets of
+:func:`regimen_active_sets` or :func:`step_active_counts` at the index's
+states.  The engine's guard and auto dispatch's price both count them
+so, so auto never admits a solve the guard refuses, nor refuses one it
+admits.
 
 Because a job set can only shrink, ``S ^ T`` always lands in a strictly
 lower layer (for ``T != 0``), which is what makes the layer-at-a-time
@@ -62,6 +62,7 @@ import numpy as np
 
 from ..._util import bitmask_from_iterable
 from ...core.instance import SUUInstance
+from ...core.schedule import IDLE, Regimen
 from ...errors import ExactSolverLimitError
 
 __all__ = [
@@ -74,7 +75,6 @@ __all__ = [
     "popcount_order",
     "StateIndex",
     "state_index",
-    "eligibility_masks",
     "assignment_success",
     "bit_positions",
     "subset_tables",
@@ -82,10 +82,12 @@ __all__ = [
     "first_passage",
     "RegimenSlots",
     "regimen_slots",
+    "regimen_rows",
     "TransitionBlock",
     "StepRules",
     "StepStructure",
     "step_rules",
+    "step_active_counts",
     "regimen_active_sets",
     "build_step_structure",
 ]
@@ -137,10 +139,9 @@ def subset_table_entries(counts: np.ndarray) -> int:
     chunk at a time, so this prices work), per (distinct assignment,
     state) pair for an oblivious schedule (whose blocks store them all).
     The sparse engine allows ``SUBSET_TABLE_FACTOR × max_states`` entries
-    (the same order as the DP table at typical ``m``).  Its guard counts
-    the rows of the reachable states with this function, and auto
-    dispatch's pricing the rows of every lattice state: the same rows and
-    more, so auto never admits a solve the guard refuses.
+    (the same order as the DP table at typical ``m``).  Its guard and auto
+    dispatch's price both count the rows of the reachable states with this
+    function, so the two agree.
     """
     return int(np.sum(np.left_shift(np.int64(1), counts)))
 
@@ -148,8 +149,8 @@ def subset_table_entries(counts: np.ndarray) -> int:
 def _check_subset_budget(counts: np.ndarray, max_states: int) -> None:
     """Refuse a solve past ``SUBSET_TABLE_FACTOR × max_states`` entries.
 
-    Checked before any subset table is built.  Past the budget, the scalar
-    engine — whose per-state dicts are transient — is the right tool.
+    Checked before any subset table is built.  Past the budget, Monte
+    Carlo or a larger ``max_states`` is the way on, as for the DP table.
     """
     entries = subset_table_entries(counts)
     limit = SUBSET_TABLE_FACTOR * int(max_states)
@@ -157,42 +158,14 @@ def _check_subset_budget(counts: np.ndarray, max_states: int) -> None:
         raise ExactSolverLimitError(
             f"sparse transition structure would need {entries} subset-table "
             f"entries (limit {limit} = {SUBSET_TABLE_FACTOR} x max_states); too "
-            'many jobs are active per state — use engine="scalar" or raise max_states'
+            'many jobs are active per state — use Monte Carlo (mode="mc") or raise '
+            "max_states"
         )
 
 
 def popcount_array(x: np.ndarray) -> np.ndarray:
     """Per-element popcount of an int64 array."""
     return np.bitwise_count(np.asarray(x, dtype=np.int64)).astype(np.int64)
-
-
-def eligibility_masks(instance: SUUInstance) -> np.ndarray:
-    """Eligible-job bitmask for every unfinished set, as a ``(2^n,)`` array.
-
-    Auto dispatch prices the whole lattice with it; the solvers read the
-    eligible sets of :func:`state_index` instead.  Vectorized counterpart
-    of :func:`repro.sim.exact.scalar.eligible_bitmask`:
-    job ``j`` is eligible in state ``S`` iff it is unfinished and none of
-    its predecessors is (``S & pred_mask(j) == 0``).  Built by doubling
-    over the highest job: for every set ``S`` of jobs below ``j``, the set
-    ``S | 1<<j`` keeps the eligible jobs of ``S`` except ``j``'s direct
-    successors, and adds ``j`` itself when ``S`` holds none of its
-    predecessors — ``2^n`` work in total.
-    """
-    n = instance.n
-    dag = instance.dag
-    elig = np.zeros(1 << n, dtype=np.int64)
-    lower = np.arange(1 << max(n - 1, 0), dtype=np.int64)
-    for j in range(n):
-        half = 1 << j
-        upper = elig[half : 2 * half]
-        np.bitwise_and(elig[:half], ~bitmask_from_iterable(dag.successors(j)), out=upper)
-        pm = dag.pred_mask(j)
-        if pm:
-            np.bitwise_or(upper, 1 << j, out=upper, where=(lower[:half] & pm) == 0)
-        else:
-            upper |= 1 << j
-    return elig
 
 
 def assignment_success(
@@ -453,6 +426,15 @@ class StepStructure(NamedTuple):
     blocks: list[TransitionBlock]
 
 
+def step_active_counts(index: StateIndex, served: np.ndarray) -> np.ndarray:
+    """``(D, R)`` uint8: active jobs of index state ``r`` under rule ``d``.
+
+    One entry per (distinct assignment, reachable state) row that
+    :func:`build_step_structure` builds.
+    """
+    return popcount_array(index.elig[None, :] & served[:, None]).astype(np.uint8)
+
+
 def build_step_structure(
     instance: SUUInstance,
     table: np.ndarray,
@@ -481,8 +463,7 @@ def build_step_structure(
     """
     rule_of, q, served = step_rules(instance, table)
     D = served.size
-    # counts[d, r]: active jobs of the r-th index state under rule d.
-    counts = popcount_array(index.elig[None, :] & served[:, None]).astype(np.uint8)
+    counts = step_active_counts(index, served)
     _check_subset_budget(counts, max_states)
     # Scan a (rule, state) grid for rule-major rows or a (state, rule) grid
     # for layer-major ones.  The minor side is padded to a power of two
@@ -512,35 +493,47 @@ def build_step_structure(
     return StepStructure(rule_of, blocks)
 
 
+def regimen_rows(regimen: Regimen, index: StateIndex) -> np.ndarray:
+    """A regimen's ``(R, m)`` rows at the states of ``index``.
+
+    Row 0, the empty set's, is idle.  Raises the regimen's
+    :class:`~repro.errors.ScheduleError` at the first other state, in
+    popcount order, that has no assignment: the state the scalar engine
+    names.
+    """
+    rows = np.full((index.states.size, regimen.m), IDLE, dtype=np.int32)
+    rows[1:] = regimen.rows_at(index.states[1:])
+    return rows
+
+
 def regimen_active_sets(
-    instance: SUUInstance, table: np.ndarray, elig: np.ndarray
+    instance: SUUInstance, rows: np.ndarray, elig: np.ndarray
 ) -> np.ndarray:
-    """Active set of every row of a regimen's ``(R, m)`` table.
+    """Active set of every row of a regimen's :func:`regimen_rows`.
 
     Row ``r`` is the assignment in a state whose eligible set is
     ``elig[r]``; row 0 is the empty state's, which has none.  A job is
     active when it is eligible and some machine of its row serves it with
-    positive probability, so an :attr:`~repro.core.schedule.Regimen.UNDEFINED`
-    row has none either.
+    positive probability.
     """
     jobbit, _ = _machine_factors(instance)
-    served = np.zeros(len(table), dtype=np.int64)
+    served = np.zeros(len(rows), dtype=np.int64)
     for i in range(instance.m):
-        served |= jobbit[i, table[:, i]]
+        served |= jobbit[i, rows[:, i]]
     act = elig & served
     act[0] = 0
     return act
 
 
 def _machine_factors(instance: SUUInstance) -> tuple[np.ndarray, np.ndarray]:
-    """Per machine, indexed by table entry: the bit of a job it serves with
-    positive probability, and the job's failure factor.  The two padding
-    columns at the end are what IDLE (-1) and UNDEFINED (-2) index."""
+    """Per machine, indexed by row entry: the bit of a job it serves with
+    positive probability, and the job's failure factor.  The padding
+    column at the end is what IDLE (-1) indexes."""
     p = instance.p
     n, m = instance.n, instance.m
-    jobbit = np.zeros((m, n + 2), dtype=np.int64)
+    jobbit = np.zeros((m, n + 1), dtype=np.int64)
     jobbit[:, :n] = np.where(p > 0.0, np.left_shift(np.int64(1), np.arange(n)), 0)
-    fail = np.ones((m, n + 2), dtype=np.float64)
+    fail = np.ones((m, n + 1), dtype=np.float64)
     fail[:, :n] = 1.0 - p
     return jobbit, fail
 
@@ -560,24 +553,23 @@ class RegimenSlots(NamedTuple):
 
 def regimen_slots(
     instance: SUUInstance,
-    table: np.ndarray,
+    rows: np.ndarray,
     index: StateIndex,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> RegimenSlots:
     """A regimen's slots at every state of ``index``, padded to one width.
 
-    ``table`` is a regimen's dense ``(2^n, m)`` table (row ``S`` is the
-    assignment in state ``S``; row 0 is ignored).  A state's slots are its
-    active jobs, ascending, then padding slots (``q = 0``, bit 0) that
-    complete nothing with weight 0, so one :func:`first_passage` call can
-    take a popcount layer whose states differ in active count and still
-    add every state's terms as the scalar engine does.  Machine ``i``
+    ``rows`` are the regimen's :func:`regimen_rows` (row ``r`` is the
+    assignment in index state ``r``; row 0 is ignored).  A state's slots
+    are its active jobs, ascending, then padding slots (``q = 0``, bit 0)
+    that complete nothing with weight 0, so one :func:`first_passage` call
+    can take a popcount layer whose states differ in active count and
+    still add every state's terms as the scalar engine does.  Machine ``i``
     multiplies ``1 - p[i, j]`` into the failure product of the active bit
     it points at, found by its rank among the state's active bits (the
     popcount of the lower ones).
     """
     jobbit, fail = _machine_factors(instance)
-    rows = table[index.states]
     act = regimen_active_sets(instance, rows, index.elig)
     karr = popcount_array(act)
     _check_subset_budget(karr, max_states)

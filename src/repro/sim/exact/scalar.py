@@ -143,6 +143,7 @@ def expected_makespan_regimen(
     makespan would be infinite).
     """
     n = instance.n
+    regimen.validate_against(instance)
     check_state_budget(n, 1, max_states)
     full = (1 << n) - 1
     expect = np.zeros(1 << n, dtype=np.float64)

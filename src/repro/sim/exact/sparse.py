@@ -59,6 +59,7 @@ from .lattice import (
     check_state_budget,
     first_passage,
     ordered_sum,
+    regimen_rows,
     regimen_slots,
     state_index,
 )
@@ -76,29 +77,6 @@ __all__ = [
 _CHUNK = 1 << 20
 
 
-def _regimen_table(
-    instance: SUUInstance, regimen: Regimen, index: StateIndex
-) -> np.ndarray:
-    """The regimen's table, checked to fit ``instance`` and cover every
-    reachable state.
-
-    A missing row is named as the scalar engine names it: the first
-    nonempty reachable state in popcount order.
-    """
-    if (regimen.n, regimen.m) != (instance.n, instance.m):
-        raise ScheduleError(
-            f"regimen is for n={regimen.n}, m={regimen.m}; "
-            f"the instance has n={instance.n}, m={instance.m}"
-        )
-    missing = regimen.table[index.states[1:], 0] == Regimen.UNDEFINED
-    if missing.any():
-        raise ScheduleError(
-            f"regimen has no assignment for state "
-            f"{int(index.states[1 + np.argmax(missing)]):#x}"
-        )
-    return regimen.table
-
-
 def expected_makespan_regimen(
     instance: SUUInstance,
     regimen: Regimen,
@@ -106,8 +84,8 @@ def expected_makespan_regimen(
 ) -> float:
     """Exact expected makespan of ``regimen``, vectorized per layer.
 
-    Reads the regimen's dense table at the reachable states and solves
-    each popcount layer, in chunks, through one
+    Reads the regimen's rows at the reachable states and solves each
+    popcount layer, in chunks, through one
     :func:`~repro.sim.exact.lattice.first_passage` call, so each value is
     the scalar engine's bit for bit.  Raises :class:`ScheduleError` when
     some reachable state has no assignment or makes no progress (infinite
@@ -115,6 +93,7 @@ def expected_makespan_regimen(
     popcount order.
     """
     n = instance.n
+    regimen.validate_against(instance)
     check_state_budget(n, 1, max_states)
     if n == 0:
         return 0.0
@@ -123,8 +102,8 @@ def expected_makespan_regimen(
     with obs.span("exact.lattice.build", states=size, op="regimen") as span:
         index = state_index(instance)
         span.set(reachable=index.states.size)
-        table = _regimen_table(instance, regimen, index)
-        q, bits, slots = regimen_slots(instance, table, index, max_states=max_states)
+        assigned = regimen_rows(regimen, index)
+        q, bits, slots = regimen_slots(instance, assigned, index, max_states=max_states)
     obs.add("exact.states_solved", index.states.size)
     states, ptr = index.states, index.ptr
     with obs.span("exact.layer_sweep", layers=n, op="regimen"):

@@ -137,6 +137,8 @@ def build_execution_tree(
     """
     if not (0 <= job < instance.n):
         raise ValueError(f"job {job} out of range")
+    if hasattr(schedule, "validate_against"):
+        schedule.validate_against(instance)
     rng = as_rng(rng)
     p = instance.p
     full = (1 << instance.n) - 1

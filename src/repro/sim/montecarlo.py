@@ -230,9 +230,9 @@ def _estimate_makespan(
     if engine not in ("auto", "scalar"):
         raise ValidationError(f"unknown engine {engine!r}; expected auto|scalar")
     rng = as_rng(rng)
-    if isinstance(schedule, (ObliviousSchedule, CyclicSchedule)):
+    if hasattr(schedule, "validate_against"):
         # Validate regardless of engine choice: the scalar loop would
-        # otherwise fail deep inside with a raw IndexError.
+        # otherwise fail deep inside, or read a regimen of the wrong size.
         schedule.validate_against(instance)
     if engine == "auto" and isinstance(schedule, (ObliviousSchedule, CyclicSchedule)):
         engine_used = "oblivious-lockstep"

@@ -34,8 +34,10 @@ SCHEMA_VERSION = 3
 #: Salt of every result key.  Bump when the engines' numbers change at a
 #: fixed payload (a change to a key's payload already changes its digest).
 #: v7: one salt for the spec and request keys, which were salted
-#: separately up to spec v6 and request v5.
-RESULTS_VERSION = 7
+#: separately up to spec v6 and request v5.  v8: auto dispatch prices the
+#: subset tables of the reachable states only, so a request near that
+#: boundary may now route to exact where v7 sent it to Monte Carlo.
+RESULTS_VERSION = 8
 
 
 def digest(payload) -> str:

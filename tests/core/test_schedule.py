@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,6 @@ from repro import (
     ValidationError,
     evaluate,
 )
-from repro.core import schedule as schedule_mod
 from repro.core.schedule import validate_assignment
 from repro.errors import ExactSolverLimitError
 
@@ -241,53 +242,81 @@ class TestAdaptiveAndRegimen:
         assert a.tolist() == [0, 1, 2]
 
 
-class TestDenseRegimen:
-    """``Regimen`` is one dense ``(2^n, m)`` int32 table."""
+class TestRegimenRows:
+    """``Regimen`` is a sorted int64 ``states`` array and its ``(R, m)`` int32 rows."""
 
-    def test_dict_sugar_fills_the_table(self):
+    def test_dict_sugar_sorts_the_rows(self):
         r = Regimen(2, 1, {0b11: np.array([0]), 0b10: np.array([1])})
-        assert r.table.dtype == np.int32 and not r.table.flags.writeable
-        undefined = Regimen.UNDEFINED
-        assert r.table[:, 0].tolist() == [undefined, undefined, 1, 0]
-        assert r.states == [0b10, 0b11]
+        assert r.states.dtype == np.int64 and not r.states.flags.writeable
+        assert r.rows.dtype == np.int32 and not r.rows.flags.writeable
+        assert r.states.tolist() == [0b10, 0b11]
+        assert r.rows[:, 0].tolist() == [1, 0]
 
-    def test_from_table_round_trip(self):
-        r = Regimen(2, 2, {s: np.array([0, IDLE]) for s in (1, 2, 3)})
-        again = Regimen.from_table(r.table)
-        np.testing.assert_array_equal(again.table, r.table)
-        assert (again.n, again.m, again.states) == (2, 2, [1, 2, 3])
+    def test_from_rows_round_trip(self):
+        r = Regimen(2, 2, {s: np.array([0, IDLE]) for s in (3, 1, 2)})
+        again = Regimen.from_rows(r.n, r.states[::-1], r.rows[::-1])
+        np.testing.assert_array_equal(again.states, r.states)
+        np.testing.assert_array_equal(again.rows, r.rows)
+        assert (again.n, again.m, again.states.tolist()) == (2, 2, [1, 2, 3])
+
+    @pytest.mark.parametrize("last", [5, 3], ids=["searched", "one-run"])
+    def test_rows_at_names_the_first_missing_state_in_the_given_order(self, last):
+        # States {1, 2, 3} are one run of consecutive bitmasks, read by
+        # offset; {1, 2, 5} are searched.
+        r = Regimen(3, 1, {1: np.array([0]), 2: np.array([1]), last: np.array([2])})
+        np.testing.assert_array_equal(r.rows_at(np.array([last, 1, 2])), [[2], [0], [1]])
+        assert r.assignment_for_state(last).tolist() == [2]
+        with pytest.raises(ScheduleError, match="no assignment for state 0x4$"):
+            r.rows_at(np.array([2, 4, 3]))
+        with pytest.raises(ScheduleError, match="no assignment for state 0x0$"):
+            r.rows_at(np.array([1, 0]))
+        with pytest.raises(ScheduleError, match="no assignment for state 0x7"):
+            r.assignment_for_state(7)
+        with pytest.raises(ScheduleError, match="no assignment for state 0x1"):
+            Regimen(3, 1, {}).rows_at([1])
 
     @pytest.mark.parametrize(
-        "table",
+        "states, rows",
         [
-            np.zeros((3, 2), dtype=np.int32),
-            np.zeros(4, dtype=np.int32),
-            np.zeros((0, 2), dtype=np.int32),
-            np.zeros((4, 0), dtype=np.int32),
-            np.zeros((4, 2)),
+            (np.array([1, 2, 3]), np.zeros((2, 2), dtype=np.int32)),
+            (np.array([[1, 2]]), np.zeros((2, 2), dtype=np.int32)),
+            (np.array([1, 2]), np.zeros(2, dtype=np.int32)),
+            (np.array([1, 2]), np.zeros((2, 0), dtype=np.int32)),
+            (np.array([1, 2]), np.zeros((2, 2))),
+            (np.array([1.0, 2.0]), np.zeros((2, 2), dtype=np.int32)),
+            (np.array([True, False]), np.zeros((2, 2), dtype=np.int32)),
         ],
-        ids=["rows-not-a-power-of-2", "1-d", "no-rows", "no-machines", "float"],
+        ids=["rows-not-per-state", "2-d-states", "1-d-rows", "no-machines",
+             "float-rows", "float-states", "bool-states"],
     )
-    def test_from_table_rejects_a_wrong_shape(self, table):
+    def test_from_rows_rejects_a_wrong_shape_or_type(self, states, rows):
         with pytest.raises(ValidationError):
-            Regimen.from_table(table)
+            Regimen.from_rows(2, states, rows)
 
-    @pytest.mark.parametrize("entry", [2, -3])
-    def test_from_table_rejects_out_of_range_entries(self, entry):
-        table = np.zeros((4, 2), dtype=np.int32)
-        table[3, 1] = entry
-        with pytest.raises(ValidationError, match="row 0x3"):
-            Regimen.from_table(table)
+    def test_dict_sugar_refuses_a_non_integer_state(self):
+        # A float key is not read as the state it truncates to.
+        with pytest.raises(ValidationError):
+            Regimen(2, 1, {3.7: np.array([0])})
 
-    def test_from_table_rejects_a_partly_undefined_row(self):
-        # UNDEFINED marks a whole row; beside an assignment it is out of range.
-        table = np.full((4, 3), Regimen.UNDEFINED, dtype=np.int32)
-        table[3] = [0, 1, IDLE]
-        table[2, 1] = 1
-        with pytest.raises(ValidationError, match="row 0x2"):
-            Regimen.from_table(table)
-        table[2] = Regimen.UNDEFINED
-        assert Regimen.from_table(table).states == [3]
+    @pytest.mark.parametrize("entry", [2, -2])
+    def test_from_rows_rejects_out_of_range_entries(self, entry):
+        rows = np.zeros((3, 2), dtype=np.int32)
+        rows[2, 1] = entry
+        with pytest.raises(ValidationError, match="state 0x3"):
+            Regimen.from_rows(2, np.array([1, 2, 3]), rows)
+
+    @pytest.mark.parametrize("state", [-1, 4])
+    def test_from_rows_rejects_a_state_outside_the_lattice(self, state):
+        with pytest.raises(ValidationError, match="not a subset of 2 jobs"):
+            Regimen.from_rows(2, np.array([1, state]), np.zeros((2, 1), dtype=np.int32))
+
+    def test_from_rows_rejects_a_repeated_state(self):
+        with pytest.raises(ValidationError, match="state 0x2 has more than one row"):
+            Regimen.from_rows(2, np.array([2, 1, 2]), np.zeros((3, 1), dtype=np.int32))
+
+    def test_from_rows_refuses_more_than_62_jobs(self):
+        with pytest.raises(ValidationError, match="int64 bitmasks"):
+            Regimen.from_rows(63, np.array([1]), np.zeros((1, 1), dtype=np.int32))
 
     def test_missing_state_fails_the_sparse_solver(self):
         inst = SUUInstance(np.array([[0.5, 0.5]]))
@@ -296,15 +325,74 @@ class TestDenseRegimen:
             evaluate(inst, r, mode="exact")
 
     def test_over_budget_table_is_refused_before_allocation(self):
-        # 2^40 x 2 int32 entries would be 8 TiB: reaching the allocation
-        # would raise MemoryError, not the limit error.
+        # Nothing here is sized 2^n: a regimen on 40 jobs holds its one row,
+        # and the exact solver refuses its 2^40-entry DP table before
+        # allocating it (reaching the allocation would raise MemoryError).
+        r = Regimen(40, 2, {1: np.array([0, 0])})
+        assert (r.n, r.m, r.states.tolist()) == (40, 2, [1])
+        inst = SUUInstance(np.full((2, 40), 0.5))
         with pytest.raises(ExactSolverLimitError):
-            Regimen(40, 2, {1: np.array([0, 0])})
+            evaluate(inst, r, mode="exact")
 
-    def test_table_constructor_is_budgeted_too(self, monkeypatch):
-        monkeypatch.setattr(schedule_mod, "REGIMEN_MAX_ENTRIES", 4)
-        with pytest.raises(ExactSolverLimitError):
-            Regimen.from_table(np.zeros((4, 2), dtype=np.int32))
+    def test_state_round_robin_builds_the_reachable_rows_only(self):
+        # Five chains of 22 jobs (m=4) reach 2,100 of the 2^22 sets: the
+        # regimen holds those rows and no (2^22, m) table (~200 MB at m=4).
+        from repro.algorithms.baselines import state_round_robin_regimen
+        from repro.bounds.lower import lower_bounds
+        from repro.sim.exact.lattice import state_index
+        from repro.workloads import random_instance
+
+        inst = random_instance(22, 4, "chains", rng=1)
+        tracemalloc.start()
+        try:
+            regimen = state_round_robin_regimen(inst, max_states=1 << 22).schedule
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+        assert len(regimen.states) == state_index(inst).states.size - 1
+        value = evaluate(inst, regimen, mode="exact").makespan
+        assert np.isfinite(value) and value >= lower_bounds(inst).best
+
+
+def _regimen_routes():
+    from repro.sim import build_execution_tree
+    from repro.sim.batch import simulate_batch
+    from repro.sim.exact import scalar, sparse
+    from repro.sim.montecarlo import _estimate_makespan
+
+    return {
+        # The front door's routes...
+        "auto": lambda inst, r: evaluate(inst, r, reps=5, seed=0),
+        "sparse-exact": lambda inst, r: evaluate(inst, r, mode="exact"),
+        "scalar-exact": lambda inst, r: evaluate(inst, r, mode="exact", engine="scalar"),
+        "batched-mc": lambda inst, r: evaluate(inst, r, mode="mc", reps=5, seed=0),
+        "scalar-mc": lambda inst, r: evaluate(
+            inst, r, mode="mc", engine="scalar", reps=5, seed=0
+        ),
+        "execution-tree": lambda inst, r: build_execution_tree(inst, r, depth=3),
+        # ...and the engines behind it, entered directly.
+        "sparse-engine": lambda inst, r: sparse.expected_makespan_regimen(inst, r),
+        "scalar-engine": lambda inst, r: scalar.expected_makespan_regimen(inst, r),
+        "batch-engine": lambda inst, r: simulate_batch(inst, r, reps=5, rng=0),
+        "mc-estimator": lambda inst, r: _estimate_makespan(
+            inst, r, reps=5, rng=0, engine="scalar"
+        ),
+    }
+
+
+class TestRegimenOfAnotherSize:
+    """Every route refuses a regimen sized for another instance, alike."""
+
+    @pytest.mark.parametrize("route", sorted(_regimen_routes()))
+    @pytest.mark.parametrize("n, m", [(2, 2), (3, 3)], ids=["n-mismatch", "m-mismatch"])
+    def test_every_route_names_both_sizes(self, route, n, m):
+        inst = SUUInstance(np.full((2, 3), 0.5))
+        full = (1 << n) - 1
+        r = Regimen(n, m, {s: np.zeros(m, dtype=np.int32) for s in range(1, full + 1)})
+        want = f"regimen is for n={n}, m={m}; the instance has n=3, m=2"
+        with pytest.raises(ScheduleError, match=want):
+            _regimen_routes()[route](inst, r)
 
 
 class TestChainBandsAndPseudo:

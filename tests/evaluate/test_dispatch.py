@@ -21,7 +21,7 @@ from repro.algorithms.baselines import (
 )
 from repro.algorithms.registry import resolve_solver
 from repro.core.schedule import ObliviousSchedule
-from repro.errors import ExactSolverLimitError, ValidationError
+from repro.errors import ExactSolverLimitError, ScheduleError, ValidationError
 from repro.evaluate import (
     EvaluationRequest,
     evaluate,
@@ -30,7 +30,7 @@ from repro.evaluate import (
     select_route,
 )
 from repro.sim.exact.lattice import DEFAULT_MAX_STATES, SUBSET_TABLE_FACTOR
-from repro.workloads import random_instance
+from repro.workloads import DAG_KINDS, PROB_MODELS, random_instance
 
 
 def _instance(n, m=3, seed=0):
@@ -56,6 +56,26 @@ class TestAutoPicksExact:
         report = evaluate(inst, sched, reps=10)
         assert report.mode == "exact"
         assert report.engine == "markov-sparse"
+
+
+FAMILIES = [(dag, prob) for dag in DAG_KINDS for prob in PROB_MODELS]
+
+
+def _exact_route_edge(inst, sched):
+    """The exact route's boundary: the larger of the DP table and an eighth
+    of the subset tables, as auto prices them.  One below it auto picks
+    Monte Carlo and a forced exact solve is refused, naming the same
+    count; at it auto picks exact."""
+    entries = exact_subset_entries(inst, sched, ("makespan",), None)
+    cost = exact_state_cost(inst, sched, ("makespan",), None)
+    edge = max(cost, -(-entries // SUBSET_TABLE_FACTOR))
+    refused = f"need {entries} subset-table entries" if edge > cost else f"= {cost} states"
+    for max_states, mode in [(edge - 1, "mc"), (edge, "exact")]:
+        req = EvaluationRequest(reps=5, seed=0, max_states=max_states)
+        assert select_route(inst, sched, req).mode == mode, max_states
+    with pytest.raises(ExactSolverLimitError, match=refused):
+        evaluate(inst, sched, mode="exact", max_states=edge - 1)
+    return edge
 
 
 class TestAutoPicksMonteCarlo:
@@ -105,24 +125,45 @@ class TestAutoPicksMonteCarlo:
         with pytest.raises(ExactSolverLimitError, match="subset-table entries"):
             evaluate(inst, sched, mode="exact")
 
-    @pytest.mark.parametrize("kind", ["cyclic", "regimen"])
-    def test_auto_prices_subset_tables_like_the_engine_guard(self, kind):
-        # At the subset-table boundary, auto picks exact exactly when a
-        # forced exact solve is admitted.
-        inst = random_instance(10, 8, "independent", rng=2)
+    @pytest.mark.parametrize(
+        "dag, kind, edge",
+        [
+            pytest.param("independent", "cyclic", 32805, id="cyclic"),
+            pytest.param("independent", "regimen", 6966, id="regimen"),
+            # With precedence the engine builds the rows of the reachable
+            # states only; priced over all 2^n states, auto sent these to
+            # Monte Carlo below 10493, 19938 and 1478.
+            pytest.param("in_tree", "cyclic", 10240, id="in_tree-cyclic"),
+            pytest.param("layered", "cyclic", 10240, id="layered-cyclic"),
+            pytest.param("layered", "regimen", 1401, id="layered-regimen"),
+        ],
+    )
+    def test_auto_prices_subset_tables_like_the_engine_guard(self, dag, kind, edge):
+        # At the exact route's boundary, auto picks exact exactly when a
+        # forced exact solve is admitted, and that solve finishes.
+        inst = random_instance(10, 8, dag, rng=2)
         build = round_robin_baseline if kind == "cyclic" else state_round_robin_regimen
         sched = build(inst).schedule
-        entries = exact_subset_entries(inst, sched, ("makespan",), None)
-        edge = -(-entries // SUBSET_TABLE_FACTOR)
-        assert exact_state_cost(inst, sched, ("makespan",), None) < edge - 1
-        for max_states, mode in [(edge - 1, "mc"), (edge, "exact")]:
-            req = EvaluationRequest(reps=5, seed=0, max_states=max_states)
-            assert select_route(inst, sched, req).mode == mode, max_states
-            if mode == "mc":
-                with pytest.raises(ExactSolverLimitError):
-                    evaluate(inst, sched, mode="exact", max_states=max_states)
+        assert _exact_route_edge(inst, sched) == edge
+        report = evaluate(inst, sched, mode="exact", max_states=edge)
+        assert np.isfinite(report.makespan)
+
+    @pytest.mark.parametrize("dag, prob", FAMILIES, ids=[f"{d}/{p}" for d, p in FAMILIES])
+    def test_auto_prices_every_family_like_the_engine_guard(self, dag, prob):
+        inst = random_instance(10, 8, dag, prob, rng=0)
+        for build in (round_robin_baseline, state_round_robin_regimen):
+            sched = build(inst).schedule
+            edge = _exact_route_edge(inst, sched)
+            try:
+                report = evaluate(inst, sched, mode="exact", max_states=edge)
+            except ScheduleError as err:
+                # Admitted by the guards, but state_round_robin ignores p:
+                # on the sparse model it can put every machine on jobs it
+                # cannot serve.
+                assert "makes no progress" in str(err)
+                assert (build, prob) == (state_round_robin_regimen, "sparse")
             else:
-                evaluate(inst, sched, mode="exact", max_states=max_states)
+                assert np.isfinite(report.makespan)
 
     def test_curve_prices_only_the_positions_it_reads(self):
         # A forward curve reads the first `horizon` positions only.

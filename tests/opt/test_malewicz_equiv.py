@@ -71,7 +71,8 @@ def _assert_same(instance: SUUInstance, label: str) -> None:
     assert fast.expected_makespan == gold.expected_makespan, (
         f"{label}: {fast.expected_makespan!r} vs golden {gold.expected_makespan!r}"
     )
-    np.testing.assert_array_equal(fast.regimen.table, gold.regimen.table, err_msg=label)
+    np.testing.assert_array_equal(fast.regimen.states, gold.regimen.states, err_msg=label)
+    np.testing.assert_array_equal(fast.regimen.rows, gold.regimen.rows, err_msg=label)
     assert fast.states_solved == gold.states_solved, label
 
 
@@ -122,4 +123,5 @@ def test_chunked_run_is_bit_identical(monkeypatch):
     split = malewicz.optimal_regimen(instance)
     assert len(chunks) > 4 * groups and max(chunks) <= 40
     assert split.expected_makespan == whole.expected_makespan
-    np.testing.assert_array_equal(split.regimen.table, whole.regimen.table)
+    np.testing.assert_array_equal(split.regimen.states, whole.regimen.states)
+    np.testing.assert_array_equal(split.regimen.rows, whole.regimen.rows)

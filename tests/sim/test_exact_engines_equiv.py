@@ -20,9 +20,9 @@ engines must raise the same message.
 
 The lattice kernels the sparse engine, ``state_round_robin`` and the
 Malewicz DP share are held *bitwise* to the bit-matrix kernels they
-replaced, kept here as the golden reference: eligibility masks, active-bit
-positions, and every oblivious transition row's state, targets and
-weights, at the reachable states.  The index of reachable (up-closed)
+replaced, kept here as the golden reference: active-bit positions, and
+every oblivious transition row's state, targets and weights, at the
+reachable states.  The index of reachable (up-closed)
 states is held to a scalar filter of all 2^n subsets, and the scalar
 forward pass, which sweeps the whole lattice, must put no mass outside
 it.  A regimen needs rows, and progress, only at reachable states, in
@@ -58,7 +58,6 @@ from repro.sim.exact.lattice import (
     assignment_success,
     bit_positions,
     build_step_structure,
-    eligibility_masks,
     popcount_array,
     state_index,
     step_rules,
@@ -147,17 +146,16 @@ def test_sparse_matches_scalar_on_fuzzer_families(family):
         cyclic = round_robin_baseline(instance).schedule
         serial = serial_baseline(instance).schedule
         regimen = state_round_robin_regimen(instance).schedule
-        # The vectorized table against its per-state definition, at the
-        # reachable states.
-        expected = np.full((1 << instance.n, instance.m), Regimen.UNDEFINED)
-        for state in range(1, 1 << instance.n):
-            if not up_closed(instance, state):
-                continue
+        # The vectorized rows against their per-state definition, at the
+        # nonempty reachable states and nowhere else.
+        states = [s for s in range(1, 1 << instance.n) if up_closed(instance, s)]
+        expected = []
+        for state in states:
             jobs = iterable_from_bitmask(eligible_bitmask(instance, state))
-            expected[state] = [jobs[i % len(jobs)] for i in range(instance.m)]
-        np.testing.assert_array_equal(
-            regimen.table, expected, err_msg=f"{family} trial {trial}"
-        )
+            expected.append([jobs[i % len(jobs)] for i in range(instance.m)])
+        label = f"{family} trial {trial}"
+        np.testing.assert_array_equal(regimen.states, states, err_msg=label)
+        np.testing.assert_array_equal(regimen.rows, expected, err_msg=label)
         pipeline = _pipeline_schedule(instance)
         for label, fn in [
             ("cyclic/rr", lambda e: _exact(instance, cyclic, e).makespan),
@@ -248,8 +246,8 @@ def _random_regimen(instance, rng, progress):
         for state in range(1, 1 << n):
             jobs = iterable_from_bitmask(eligible_bitmask(instance, state))
             table[state, 0] = max(jobs, key=lambda j: instance.p[0, j])
-    table[0] = Regimen.UNDEFINED
-    return Regimen.from_table(table)
+    # A row at every nonempty state; the empty one has none.
+    return Regimen.from_rows(n, np.arange(1, 1 << n), table[1:])
 
 
 def _regimen_outcome(instance, regimen, engine):
@@ -341,10 +339,10 @@ def test_sparse_reaches_beyond_old_scalar_ceiling():
 
 
 # ----------------------------------------------------------------------
-# Golden lattice kernels: the boolean-scatter eligibility masks, the
-# bit-matrix active-bit positions, and blocks built with a matmul for the
-# deltas, one full-width ``np.where`` per bit for the weights and one
-# argsort per block.
+# Golden lattice kernels: the bit-matrix active-bit positions, and blocks
+# built with a matmul for the deltas, one full-width ``np.where`` per bit
+# for the weights and one argsort per block, over the eligible set of
+# every state (a boolean scatter).
 # ----------------------------------------------------------------------
 def _golden_eligibility_masks(instance):
     n = instance.n
@@ -484,10 +482,7 @@ def test_lattice_kernels_match_golden_bitwise(family, trial):
     instance = _kernel_instance(family, trial)
     label = f"{family}#{trial}"
     n = instance.n
-    elig = eligibility_masks(instance)
-    golden_elig = _golden_eligibility_masks(instance)
-    assert elig.dtype == golden_elig.dtype
-    np.testing.assert_array_equal(elig, golden_elig)
+    elig = _golden_eligibility_masks(instance)
     count = popcount_array(elig)
     for k in np.unique(count):
         act = elig[count == k]
@@ -571,11 +566,10 @@ def test_scalar_state_distribution_stays_on_the_index(family):
 
 
 def test_missing_state_named_alike_by_both_engines():
-    # Rows 0b100 and 0b011 have no assignment: the first missing state in
+    # States 0b100 and 0b011 have no row: the first missing state in
     # popcount order is 0x4, though 0x3 has the lower number.
     instance = SUUInstance(np.full((1, 3), 0.5))
-    table = np.array([[-2], [0], [1], [-2], [-2], [0], [1], [0]], dtype=np.int32)
-    regimen = Regimen.from_table(table)
+    regimen = Regimen.from_rows(3, np.array([1, 2, 5, 6, 7]), np.array([[0], [1], [0], [1], [0]]))
     messages = []
     for engine in ENGINES:
         with pytest.raises(ScheduleError, match="no assignment for state 0x4") as info:
@@ -584,28 +578,21 @@ def test_missing_state_named_alike_by_both_engines():
     assert messages[0] == messages[1], messages
 
 
-@pytest.mark.parametrize("unreachable_row", [Regimen.UNDEFINED, 1], ids=["undefined", "stuck"])
+@pytest.mark.parametrize("unreachable_row", [None, 1], ids=["undefined", "stuck"])
 def test_regimen_needs_rows_only_at_reachable_states(unreachable_row):
     # Job 0 precedes job 1, so {0} is unreachable: whatever its row holds,
     # no row or a machine on the finished job 1, the regimen is worth its
     # reachable part, E[{1}] = 1 / 0.25 and E[{0, 1}] = (1 + 0.5 · 4) / 0.5.
     instance = SUUInstance(np.array([[0.5, 0.25]]), PrecedenceDAG(2, [(0, 1)]))
-    table = np.array([[-2], [unreachable_row], [1], [0]], dtype=np.int32)
+    rows = {0b10: np.array([1]), 0b11: np.array([0])}
+    if unreachable_row is not None:
+        rows[0b01] = np.array([unreachable_row])
     for engine in ENGINES:
-        assert _exact(instance, Regimen.from_table(table), engine).makespan == 6.0
-    table[2] = Regimen.UNDEFINED
+        assert _exact(instance, Regimen(2, 1, rows), engine).makespan == 6.0
+    del rows[0b10]
     for engine in ENGINES:
         with pytest.raises(ScheduleError, match="no assignment for state 0x2"):
-            _exact(instance, Regimen.from_table(table), engine)
-
-
-@pytest.mark.parametrize("family", FAMILIES)
-def test_eligibility_masks_match_definition(family):
-    instance = _instance(family, 0)
-    elig = eligibility_masks(instance)
-    assert elig.shape == (1 << instance.n,)
-    for state in range(1 << instance.n):
-        assert elig[state] == eligible_bitmask(instance, state), f"state {state:#x}"
+            _exact(instance, Regimen(2, 1, rows), engine)
 
 
 # ----------------------------------------------------------------------
@@ -730,7 +717,8 @@ def test_repeated_assignments_share_their_subset_tables():
     schedule = CyclicSchedule(prefix, ObliviousSchedule(rules.astype(np.int32)))
     total = schedule.prefix_length + schedule.cycle_length
     max_states = (1 << n) * total
-    elig = eligibility_masks(instance)
+    # Independent jobs: the index holds every state.
+    elig = state_index(instance).elig
     table = schedule.truncate(total).table
     per_position = subset_table_entries(
         popcount_array(elig[None, :] & _served_masks(instance, table)[:, None])
