@@ -131,11 +131,13 @@ def msm_eligible_policy(instance: SUUInstance) -> ScheduleResult:
     """
     greedy = MSMGreedy(instance.p)
 
-    def rule(inst, unfinished, eligible, t, rng):
-        return greedy.assign(eligible)
+    def frontier_rule(inst, unfinished, eligible, t):
+        return greedy.assign_rows(eligible.tolist())
 
     return ScheduleResult(
-        schedule=AdaptivePolicy(rule, name="msm-eligible", stationary=True, randomized=False),
+        schedule=AdaptivePolicy(
+            name="msm-eligible", stationary=True, randomized=False, frontier_rule=frontier_rule
+        ),
         algorithm="msm_eligible_policy",
     )
 
@@ -156,17 +158,19 @@ def state_round_robin_regimen(
     """Round-robin over each state's *eligible* jobs, as an explicit regimen.
 
     The state-dependent cousin of :func:`round_robin_baseline`: in a state
-    with ``k`` eligible jobs, machine ``i`` takes the ``(i mod k)``-th of
-    them in job order.  The regimen has one row per nonempty reachable
-    state of :func:`~repro.sim.exact.lattice.state_index`, filled with one
-    vectorized pass per eligible count and no per-state Python, and
-    nothing sized ``2^n``.  So this is the
+    where machine ``i`` serves ``k_i`` of the eligible jobs (those with
+    ``p_ij > 0``), it takes the ``(i mod k_i)``-th of them in job order,
+    and idles if it serves none.  The regimen has one row per nonempty
+    reachable state of :func:`~repro.sim.exact.lattice.state_index`,
+    filled with one vectorized pass per served count of each distinct
+    served set (one set when every ``p_ij > 0``), with no per-state Python
+    and nothing sized ``2^n``.  So this is the
     standard *evaluation workload* for the exact Markov engines at n ≈
     14–22 (``benchmarks/bench_perf_exact_markov.py``, the
     engine-equivalence property tests, and the ``state_round_robin``
     registry algorithm) — a nontrivial regimen whose exact expected
-    makespan is well-defined because every eligible job set is nonempty
-    and every job has a positive-probability machine.
+    makespan is well-defined: every nonempty state has an eligible job,
+    some machine serves it, and that machine works on a job it serves.
     """
     from ..sim.exact.lattice import (
         bit_positions,
@@ -180,11 +184,17 @@ def state_round_robin_regimen(
     index = state_index(instance)
     # Index state 0 is the empty set; every other has an eligible job.
     elig = index.elig[1:]
-    count = popcount_array(elig)
-    rows = np.empty((elig.size, m), dtype=np.int32)
-    for k in np.flatnonzero(np.bincount(count)):
-        sel = np.flatnonzero(count == k)
-        rows[sel] = bit_positions(elig[sel], int(k))[:, np.arange(m) % k]
+    rows = np.full((elig.size, m), IDLE, dtype=np.int32)
+    serves = (instance.p > 0.0) @ (1 << np.arange(n, dtype=np.int64))
+    for mask in np.unique(serves):
+        machines = np.flatnonzero(serves == mask)
+        served = elig & mask
+        count = popcount_array(served)
+        groups = np.bincount(count, minlength=1)
+        groups[0] = 0  # a machine that serves no eligible job idles
+        for k in np.flatnonzero(groups):
+            sel = np.flatnonzero(count == k)
+            rows[sel[:, None], machines] = bit_positions(served[sel], int(k))[:, machines % k]
     return ScheduleResult(
         schedule=Regimen.from_rows(n, index.states[1:], rows),
         algorithm="state_round_robin",

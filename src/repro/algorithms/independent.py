@@ -52,15 +52,18 @@ def suu_i_adaptive(instance: SUUInstance) -> ScheduleResult:
 
     The returned schedule is an :class:`AdaptivePolicy`; it is stateless
     and deterministic given the unfinished set, i.e. a regimen presented
-    implicitly.
+    implicitly.  Its frontier rule answers every state the batched engine
+    has not seen yet in one :meth:`MSMGreedy.assign_rows` call.
     """
     _require_independent(instance, "SUU-I-ALG")
     greedy = MSMGreedy(instance.p)
 
-    def rule(inst, unfinished, eligible, t, rng):
-        return greedy.assign(unfinished)
+    def frontier_rule(inst, unfinished, eligible, t):
+        return greedy.assign_rows(unfinished.tolist())
 
-    policy = AdaptivePolicy(rule, name="suu-i-alg", stationary=True, randomized=False)
+    policy = AdaptivePolicy(
+        name="suu-i-alg", stationary=True, randomized=False, frontier_rule=frontier_rule
+    )
     return ScheduleResult(
         schedule=policy,
         algorithm="suu_i_adaptive",

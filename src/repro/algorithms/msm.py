@@ -17,15 +17,17 @@ Both greedies walk one order — the positive pairs sorted by
 ``(-p_ij, i, j)`` — and that order depends on ``p`` alone, never on the
 job subset.  :class:`MSMGreedy` sorts it once, on first use; each call then
 filters it by the subset and stops as soon as every machine is busy.
-SUU-I-ALG, which re-runs MSM-ALG on the unfinished set every step, so pays
-for the sort once per policy instead of once per step.
+SUU-I-ALG and the ``msm_eligible`` baseline re-run MSM-ALG in every state
+an execution reaches, so they pay for the sort once per policy, not once
+per step.  :meth:`MSMGreedy.assign_rows` answers a whole frontier of
+states in one call, each row bitwise what :meth:`MSMGreedy.assign` gives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -54,7 +56,8 @@ class MSMGreedy:
     """The greedy order of one probability matrix, sorted on first use.
 
     :meth:`assign` is MSM-ALG and :meth:`extend` is MSM-E-ALG, each over any
-    job subset.  Construction does no work, so a policy built on it costs
+    job subset; :meth:`assign_rows` is MSM-ALG over many subsets in one
+    call.  Construction does no work, so a policy built on it costs
     nothing until its first query.  The lazy sort publishes the finished
     order in one attribute store: a racing second caller recomputes the
     same order and never sees a half-built one.
@@ -64,25 +67,28 @@ class MSMGreedy:
 
     def __init__(self, p: np.ndarray):
         self._p = p
-        self._order: tuple[list[float], list[int], list[int]] | None = None
+        self._order: list[tuple[float, int, int]] | None = None
 
-    def _pairs(self, jobs: Iterable[int] | None):
-        """The job subset as a membership test, and the greedy order.
+    def _walk(self) -> list[tuple[float, int, int]]:
+        """The greedy order: ``(p_ij, i, j)`` triples over every positive pair.
 
-        The order is ``(p_ij, i, j)`` triples over every positive pair; the
-        callers skip pairs outside the subset as they walk it, so they can
-        stop at the first point where every machine is busy.
+        Callers skip pairs outside their subset as they walk it, so they
+        can stop at the first point where every machine is busy.
         """
         order = self._order
         if order is None:
-            order = self._order = tuple(a.tolist() for a in _sorted_pairs(self._p))
+            order = self._order = list(zip(*(a.tolist() for a in _sorted_pairs(self._p))))
+        return order
+
+    def _pairs(self, jobs: Iterable[int] | None):
+        """The job subset as a membership test, and the greedy order."""
         if jobs is None:
             member = range(self._p.shape[1])
         elif isinstance(jobs, (set, frozenset)):
             member = jobs
         else:
             member = frozenset(int(j) for j in jobs)
-        return member, zip(*order)
+        return member, self._walk()
 
     def assign(self, jobs: Iterable[int] | None = None) -> np.ndarray:
         """MSM-ALG over ``jobs`` (default: all): the ``(m,)`` assignment."""
@@ -99,6 +105,32 @@ class MSMGreedy:
                 if not free:
                     break
         return np.array(f, dtype=np.int32)
+
+    def assign_rows(self, member: Sequence[Sequence[bool]]) -> np.ndarray:
+        """MSM-ALG over ``k`` job subsets at once: the ``(k, m)`` assignments.
+
+        ``member[r][j]`` says whether job ``j`` is in row ``r``'s subset, as
+        in the ``tolist()`` of a ``(k, n)`` boolean mask.  Each row walks the
+        order with :meth:`assign`'s tests, load sums and early exit, so row
+        ``r`` is bitwise ``assign`` of its subset.  The walk is plain Python
+        per row: no NumPy call per row and nothing sized ``k·m·n``.
+        """
+        m, n = self._p.shape
+        order = self._walk()
+        rows = []
+        for row in member:
+            f = [IDLE] * m
+            load = [0.0] * n
+            free = m
+            for pij, i, j in order:
+                if row[j] and f[i] == IDLE and load[j] + pij <= _UNIT_MASS:
+                    f[i] = j
+                    load[j] += pij
+                    free -= 1
+                    if not free:
+                        break
+            rows.append(f)
+        return np.array(rows, dtype=np.int32).reshape(len(rows), m)
 
     def extend(
         self,

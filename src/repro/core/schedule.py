@@ -52,14 +52,18 @@ __all__ = [
 IDLE: int = -1
 
 
-def validate_assignment(assignment: np.ndarray, n: int, m: int) -> np.ndarray:
+def validate_assignment(
+    assignment: np.ndarray, n: int, m: int, rows: int | None = None
+) -> np.ndarray:
     """Validate a one-step assignment vector and return it as int32.
 
     ``assignment[i]`` is the job machine ``i`` works on, or :data:`IDLE`.
+    With ``rows=k`` it validates a ``(k, m)`` block of them in one pass.
     """
     a = np.asarray(assignment)
-    if a.shape != (m,):
-        raise ValidationError(f"assignment must have shape ({m},), got {a.shape}")
+    shape = (m,) if rows is None else (rows, m)
+    if a.shape != shape:
+        raise ValidationError(f"assignment must have shape {shape}, got {a.shape}")
     a = a.astype(np.int32, copy=True)
     if a.size and (a.min() < IDLE or a.max() >= n):
         raise ValidationError("assignment entries must be IDLE or a job id in [0, n)")
@@ -368,11 +372,22 @@ def schedule_from_dict(payload: dict) -> ObliviousSchedule | CyclicSchedule:
 class AdaptivePolicy:
     """A general schedule (Def 2.1) given by an assignment rule.
 
-    ``rule(instance, unfinished, eligible, t, rng)`` returns the ``(m,)``
-    assignment for step ``t`` (0-based) given the current sets of
-    unfinished and eligible jobs (as frozensets of job ids).  The rule may
-    use ``rng`` for randomized policies; deterministic rules simply ignore
-    it.
+    The rule comes in one of two forms:
+
+    ``rule(instance, unfinished, eligible, t, rng)``
+        returns the ``(m,)`` assignment for step ``t`` (0-based) given the
+        current sets of unfinished and eligible jobs (as frozensets of job
+        ids).  The rule may use ``rng`` for randomized policies;
+        deterministic rules simply ignore it.
+    ``frontier_rule(instance, unfinished, eligible, t)``
+        answers ``k`` states at once: ``unfinished`` and ``eligible`` are
+        ``(k, n)`` boolean masks and it returns the ``(k, m)`` assignments,
+        row ``s`` for state ``s``.  It takes no ``rng``.  The batched engine
+        calls it once per step for every state it has not seen yet, and
+        :meth:`assignment_for` is its one-row case.
+
+    In both forms ``eligible`` holds the jobs that are eligible *and*
+    unfinished.  Give exactly one of the two.
 
     Two flags describe the rule to the batched simulation engine
     (:mod:`repro.sim.batch`), which advances many replications in lockstep
@@ -399,13 +414,21 @@ class AdaptivePolicy:
     policy does — to unlock the batched fast path.
     """
 
-    rule: Callable[
-        [SUUInstance, frozenset[int], frozenset[int], int, np.random.Generator],
-        np.ndarray,
-    ]
+    rule: (
+        Callable[
+            [SUUInstance, frozenset[int], frozenset[int], int, np.random.Generator],
+            np.ndarray,
+        ]
+        | None
+    ) = None
     name: str = "adaptive"
     stationary: bool = False
     randomized: bool = True
+    frontier_rule: Callable[[SUUInstance, np.ndarray, np.ndarray, int], np.ndarray] | None = None
+
+    def __post_init__(self) -> None:
+        if (self.rule is None) == (self.frontier_rule is None):
+            raise ValidationError("an AdaptivePolicy takes exactly one of rule and frontier_rule")
 
     def assignment_for(
         self,
@@ -415,8 +438,18 @@ class AdaptivePolicy:
         t: int,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        a = self.rule(instance, unfinished, eligible, t, rng)
-        return validate_assignment(a, instance.n, instance.m)
+        """The validated ``(m,)`` assignment in one state."""
+        n, m = instance.n, instance.m
+        if self.frontier_rule is None:
+            return validate_assignment(self.rule(instance, unfinished, eligible, t, rng), n, m)
+        flags = bytearray(2 * n)
+        for j in unfinished:
+            flags[j] = 1
+        for j in eligible:
+            flags[n + j] = 1
+        masks = np.frombuffer(flags, dtype=bool).reshape(2, 1, n)
+        a = self.frontier_rule(instance, masks[0], masks[1], t)
+        return validate_assignment(a, n, m, rows=1)[0]
 
     def frontier_key(self, state_token: "Hashable", t: int) -> "Hashable":
         """Memoization key for a batch query in frontier state ``state_token``.
@@ -573,16 +606,16 @@ class Regimen:
 
     def as_policy(self) -> AdaptivePolicy:
         """View the regimen as an :class:`AdaptivePolicy` for the simulator."""
+        weights = 1 << np.arange(self._n, dtype=np.int64)
 
-        def rule(instance, unfinished, eligible, t, rng):
-            state = 0
-            for j in unfinished:
-                state |= 1 << j
-            return self.assignment_for_state(state)
+        def frontier_rule(instance, unfinished, eligible, t):
+            return self.rows_at(unfinished @ weights)
 
         # A regimen is a deterministic function of the unfinished set by
         # definition (Def 2.2), so the batched engine may memoize it.
-        return AdaptivePolicy(rule, name="regimen", stationary=True, randomized=False)
+        return AdaptivePolicy(
+            name="regimen", stationary=True, randomized=False, frontier_rule=frontier_rule
+        )
 
     def __repr__(self) -> str:
         return f"Regimen(n={self.n}, m={self.m}, states={self._states.size})"

@@ -6,12 +6,14 @@ This module advances *all* replications of an adaptive policy in lockstep:
 
 * state is a ``(reps, jobs)`` boolean completion matrix;
 * each step groups the replications by *frontier state* — the set of
-  completed jobs — and (for stationary policies) memoizes each state's
-  per-job success-probability vector across steps, exploiting that
-  Def 2.1 adaptive policies are functions of the completed-job set;
+  completed jobs, packed to bytes and sorted as one 1-D key — and (for
+  stationary policies) memoizes each state's per-job success-probability
+  vector across steps, exploiting that Def 2.1 adaptive policies are
+  functions of the completed-job set;
 * the frontier states missing from the memo are resolved together by
-  :func:`frontier_eligible` (one predecessor-matrix product), one rule
-  call per state — the only per-state Python left — and
+  :func:`frontier_eligible` (one predecessor-matrix product), one call of
+  the policy's frontier rule for all of them (a per-state rule runs once
+  per state instead), one validation of the ``(k, m)`` block, and
   :func:`frontier_success_prob` (Def 2.1 idling and the product-form
   success probability for all of them in one ``bincount``);
 * per-step job completions are drawn as one vectorized Bernoulli over the
@@ -19,8 +21,8 @@ This module advances *all* replications of an adaptive policy in lockstep:
 
 Because executions are monotone (jobs only finish), the number of distinct
 frontier states encountered is typically far below ``reps × steps``, so the
-policy's Python code runs orders of magnitude less often than in the scalar
-loop while the per-replication makespan distribution is exactly the same.
+policy answers orders of magnitude fewer states than in the scalar loop
+while the per-replication makespan distribution is exactly the same.
 Each success-probability row is bitwise the row that
 :func:`~repro.sim.engine.effective_assignment` and
 :func:`~repro.core.mass.assignment_success_prob` give for that state.
@@ -45,7 +47,13 @@ import numpy as np
 from .. import obs
 from .._util import as_rng
 from ..core.instance import SUUInstance
-from ..core.schedule import AdaptivePolicy, CyclicSchedule, ObliviousSchedule, Regimen
+from ..core.schedule import (
+    AdaptivePolicy,
+    CyclicSchedule,
+    ObliviousSchedule,
+    Regimen,
+    validate_assignment,
+)
 from ..errors import ScheduleError, ValidationError
 from .engine import DEFAULT_MAX_STEPS
 
@@ -73,8 +81,12 @@ class BatchExecutionResult:
     steps_executed:
         Steps simulated before every replication finished (or the budget).
     policy_queries:
-        Number of times the policy's rule actually ran — the quantity the
-        batching exists to minimize.
+        Frontier states answered by the policy (those missing from the
+        memo) — the quantity the batching exists to minimize.
+    rule_calls:
+        Calls into the policy for those answers: one per step that has
+        missing states for a frontier rule (a regimen's is one
+        ``rows_at`` gather), one per state for a per-state rule.
     memo_entries:
         Distinct frontier-state keys held by the memo table at the end.
     """
@@ -83,6 +95,7 @@ class BatchExecutionResult:
     finished: np.ndarray
     steps_executed: int
     policy_queries: int
+    rule_calls: int
     memo_entries: int
 
     @property
@@ -165,44 +178,56 @@ def frontier_success_prob(
     probs = instance.p[np.arange(m)[None, :], jobs][working]
     with np.errstate(divide="ignore"):
         contrib = np.log1p(-np.minimum(probs, 1.0 - 1e-300))
-    log_fail = np.bincount(cell, weights=contrib, minlength=k * n)
-    q = 1.0 - np.exp(log_fail)
+    # q starts as the per-cell log-failure sums (bincount returns ints when
+    # no machine works); exp and 1 - x run in place, as k·n temporaries
+    # would set a large frontier's memory peak.
+    q = np.bincount(cell, weights=contrib, minlength=k * n).astype(np.float64, copy=False)
+    np.subtract(1.0, np.exp(q, out=q), out=q)
     q[cell[probs >= 1.0]] = 1.0
     return q.reshape(k, n)
 
 
 def _frontier_assignments(
     instance: SUUInstance,
-    schedule,
+    policy: AdaptivePolicy,
     t: int,
     finished: np.ndarray,
     eligible: np.ndarray,
     policy_rng: np.random.Generator,
-) -> np.ndarray:
-    """``(k, m)`` raw assignments of ``schedule`` in ``k`` frontier states.
+) -> tuple[np.ndarray, int]:
+    """``(k, m)`` raw assignments of ``policy`` in ``k`` frontier states.
 
-    A regimen is read with one :meth:`~repro.core.schedule.Regimen.rows_at`
-    lookup.  An adaptive policy's rule runs once per state, in row order,
-    so what it draws from ``policy_rng`` is fixed by the seed and the
-    states' order.
+    Returns them with the number of calls into the policy.  A frontier
+    rule answers every state in one call.  A per-state rule runs once per
+    state, in row order, so what it draws from ``policy_rng`` is fixed by
+    the seed and the states' order.  The answers are validated once, as
+    one block.
     """
     k = finished.shape[0]
+    n, m = instance.n, instance.m
     unfinished = ~finished
-    if isinstance(schedule, Regimen):
-        return schedule.rows_at(unfinished @ (1 << np.arange(instance.n, dtype=np.int64)))
-    jobs = range(instance.n)
+    open_ = unfinished & eligible
+    if policy.frontier_rule is not None:
+        raw = policy.frontier_rule(instance, unfinished, open_, t)
+        return validate_assignment(raw, n, m, rows=k), 1
+    jobs = range(n)
     unfinished_rows = unfinished.tolist()
-    open_rows = (unfinished & eligible).tolist()
-    out = np.empty((k, instance.m), dtype=np.int32)
+    open_rows = open_.tolist()
+    rows = []
     for s in range(k):
-        out[s] = schedule.assignment_for(
-            instance,
-            frozenset(compress(jobs, unfinished_rows[s])),
-            frozenset(compress(jobs, open_rows[s])),
-            t,
-            policy_rng,
+        a = np.asarray(
+            policy.rule(
+                instance,
+                frozenset(compress(jobs, unfinished_rows[s])),
+                frozenset(compress(jobs, open_rows[s])),
+                t,
+                policy_rng,
+            )
         )
-    return out
+        if a.shape != (m,):
+            validate_assignment(a, n, m)  # raises, naming the shape
+        rows.append(a)
+    return validate_assignment(np.stack(rows), n, m, rows=k), k
 
 
 def simulate_batch(
@@ -241,23 +266,20 @@ def simulate_batch(
             "oblivious/cyclic schedules have their own lockstep path in "
             "repro.sim.montecarlo; simulate_batch is for adaptive policies"
         )
-    if isinstance(schedule, AdaptivePolicy):
-        if schedule.randomized:
-            raise ScheduleError(
-                f"policy {schedule.name!r} is randomized; batching would share "
-                "draws between replications — use the scalar engine"
-            )
-        frontier_key = schedule.frontier_key
-    elif isinstance(schedule, Regimen):
+    if isinstance(schedule, Regimen):
         schedule.validate_against(instance)
-
-        # A regimen is stationary by definition (Def 2.2).
-        def frontier_key(token, t):
-            return token
-    else:
+        # Its policy view is a stationary frontier rule: one rows_at gather.
+        schedule = schedule.as_policy()
+    if not isinstance(schedule, AdaptivePolicy):
         raise ScheduleError(
             f"cannot batch-execute schedule of type {type(schedule).__name__}"
         )
+    if schedule.randomized:
+        raise ScheduleError(
+            f"policy {schedule.name!r} is randomized; batching would share "
+            "draws between replications — use the scalar engine"
+        )
+    frontier_key = schedule.frontier_key
     rng = as_rng(rng)
     # Policies receive a dedicated generator so that a rule that (against
     # its declaration) consumes randomness cannot desynchronize the
@@ -271,8 +293,10 @@ def simulate_batch(
     done = np.zeros(reps, dtype=bool)
     memo: dict = {}
     queries = 0
+    rule_calls = 0
     lookups = 0
     steps = 0
+    key_dtype = np.dtype((np.void, (n + 7) // 8))
 
     for t in range(max_steps):
         if done.all():
@@ -281,12 +305,14 @@ def simulate_batch(
         active_idx = np.flatnonzero(~done)
         fin_active = finished[active_idx]  # (A, n) copy
         # Group replications by frontier state: one row per distinct
-        # completed-job set, scattered back via fancy indexing.
-        packed = np.packbits(fin_active, axis=1)
-        uniq, inverse = np.unique(packed, axis=0, return_inverse=True)
-        q_rows = np.empty((uniq.shape[0], n), dtype=np.float64)
-        lookups += uniq.shape[0]
-        keys = [frontier_key(row.tobytes(), t) for row in uniq]
+        # completed-job set, scattered back via fancy indexing.  Each
+        # packed row is one opaque key, so the sort compares byte strings;
+        # this is the order, inverse and keys of np.unique(axis=0).
+        packed = np.packbits(fin_active, axis=1).view(key_dtype).ravel()
+        uniq, inverse = np.unique(packed, return_inverse=True)
+        q_rows = np.empty((uniq.size, n), dtype=np.float64)
+        lookups += uniq.size
+        keys = [frontier_key(token, t) for token in uniq.tolist()]
         missing = []
         for k, key in enumerate(keys):
             q = memo.get(key) if memoize else None
@@ -295,12 +321,14 @@ def simulate_batch(
             else:
                 q_rows[k] = q
         if missing:
-            fin = np.unpackbits(uniq[missing], axis=1, count=n).astype(bool)
+            fin_bytes = uniq[missing].view(np.uint8).reshape(len(missing), -1)
+            fin = np.unpackbits(fin_bytes, axis=1, count=n).astype(bool)
             elig = frontier_eligible(instance, fin, pred)
-            raw = _frontier_assignments(instance, schedule, t, fin, elig, policy_rng)
+            raw, calls = _frontier_assignments(instance, schedule, t, fin, elig, policy_rng)
             q_new = frontier_success_prob(instance, raw, fin, elig)
             q_rows[missing] = q_new
             queries += len(missing)
+            rule_calls += calls
             if memoize:
                 for k, q in zip(missing, q_new):
                     memo[keys[k]] = q
@@ -318,6 +346,7 @@ def simulate_batch(
     # the disabled path costs nothing per step.
     obs.add("batch.steps", steps)
     obs.add("batch.policy_queries", queries)
+    obs.add("batch.rule_calls", rule_calls)
     obs.add("batch.memo_hits", lookups - queries)
     obs.add("batch.memo_entries", len(memo))
     return BatchExecutionResult(
@@ -325,5 +354,6 @@ def simulate_batch(
         finished=done.copy(),
         steps_executed=steps,
         policy_queries=queries,
+        rule_calls=rule_calls,
         memo_entries=len(memo),
     )

@@ -119,9 +119,9 @@ def assignment_for_step(
             state |= 1 << int(j)
         return schedule.assignment_for_state(state)
     if isinstance(schedule, AdaptivePolicy):
-        unfinished = frozenset(int(j) for j in np.flatnonzero(~finished))
+        unfinished = frozenset(np.flatnonzero(~finished).tolist())
         elig = eligible_mask(instance, finished)
-        eligible = frozenset(int(j) for j in np.flatnonzero(elig & ~finished))
+        eligible = frozenset(np.flatnonzero(elig & ~finished).tolist())
         return schedule.assignment_for(instance, unfinished, eligible, t, rng)
     raise ScheduleError(f"cannot execute schedule of type {type(schedule).__name__}")
 

@@ -36,8 +36,10 @@ SCHEMA_VERSION = 3
 #: v7: one salt for the spec and request keys, which were salted
 #: separately up to spec v6 and request v5.  v8: auto dispatch prices the
 #: subset tables of the reachable states only, so a request near that
-#: boundary may now route to exact where v7 sent it to Monte Carlo.
-RESULTS_VERSION = 8
+#: boundary may now route to exact where v7 sent it to Monte Carlo.  v9:
+#: ``state_round_robin`` puts each machine only on eligible jobs it can
+#: complete, which changes its values on instances with zero probabilities.
+RESULTS_VERSION = 9
 
 
 def digest(payload) -> str:

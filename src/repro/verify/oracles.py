@@ -447,16 +447,49 @@ def check_opt(ctx: CaseContext) -> list[Discrepancy]:
     return out
 
 
-def check_msm(ctx: CaseContext) -> list[Discrepancy]:
-    """Greedy MSM-ALG mass within [OPT/3, OPT] of brute force (Thm 3.2)."""
-    instance, cfg = ctx.instance, ctx.cfg
-    if count_assignments(instance.m, instance.n) > cfg.msm_enumeration:
-        return []
-    from ..algorithms.msm import msm_alg, msm_mass_of_assignment
+#: Seeded random job masks per case on which ``assign_rows`` is checked.
+MSM_RANDOM_MASKS = 4
 
+
+def check_msm(ctx: CaseContext) -> list[Discrepancy]:
+    """Greedy MSM-ALG: its frontier form, and its mass against brute force.
+
+    * ``MSMGreedy.assign_rows`` (one call for many job subsets, as the
+      batched engine asks) equals ``MSMGreedy.assign`` row by row on the
+      full mask, the empty mask and a few masks seeded by the case;
+    * the mass of MSM-ALG over all jobs lies within [OPT/3, OPT] of the
+      brute-force MaxSumMass optimum (Theorem 3.2), where that is small
+      enough to enumerate.
+    """
+    instance, cfg = ctx.instance, ctx.cfg
+    from ..algorithms.msm import MSMGreedy, msm_alg, msm_mass_of_assignment
+
+    n = instance.n
+    gen = np.random.default_rng(ctx.spec.sim_seed)
+    member = np.vstack(
+        [
+            np.ones(n, dtype=bool),
+            np.zeros(n, dtype=bool),
+            gen.random((MSM_RANDOM_MASKS, n)) < gen.random((MSM_RANDOM_MASKS, 1)),
+        ]
+    )
+    greedy = MSMGreedy(instance.p)
+    out: list[Discrepancy] = []
+    for mask, row in zip(member, greedy.assign_rows(member.tolist()).tolist()):
+        jobs = np.flatnonzero(mask).tolist()
+        expected = greedy.assign(jobs).tolist()
+        if row != expected:
+            out.append(
+                Discrepancy(
+                    "msm",
+                    f"assign_rows gives {row} on jobs {jobs}, assign gives {expected}",
+                    {"jobs": jobs, "assign_rows": row, "assign": expected},
+                )
+            )
+    if count_assignments(instance.m, n) > cfg.msm_enumeration:
+        return out
     opt_mass, _ = max_sum_mass_opt(instance.p, max_enumeration=cfg.msm_enumeration)
     greedy_mass = msm_mass_of_assignment(instance.p, msm_alg(instance.p))
-    out: list[Discrepancy] = []
     if greedy_mass > opt_mass + 1e-9:
         out.append(
             Discrepancy(

@@ -13,9 +13,13 @@ from repro.algorithms import (
     round_robin_baseline,
     serial_baseline,
 )
+from repro.algorithms.baselines import state_round_robin_regimen
+from repro.core.schedule import IDLE
 from repro.evaluate import evaluate
 from repro.opt import optimal_expected_makespan
 from repro.sim import simulate
+from repro.sim.engine import eligible_mask
+from repro.workloads import random_instance
 
 
 class TestSerial:
@@ -144,3 +148,28 @@ class TestMSMEligible:
             tiny_independent, frozenset({0, 1, 2}), frozenset({0, 1, 2}), 0, rng
         )
         assert a.tolist() == b.tolist()
+
+
+class TestStateRoundRobin:
+    def test_sparse_probabilities_still_make_progress(self):
+        # Round-robin over every eligible job put all machines of state
+        # {0, 1, 3} on jobs they cannot complete: exact evaluation raised
+        # "makes no progress".
+        inst = random_instance(10, 8, "independent", "sparse", rng=2)
+        regimen = state_round_robin_regimen(inst).schedule
+        sparse = evaluate(inst, regimen, mode="exact")
+        scalar = evaluate(inst, regimen, mode="exact", engine="scalar")
+        assert (sparse.engine, scalar.engine) == ("markov-sparse", "markov-scalar")
+        assert np.isfinite(sparse.makespan)
+        assert sparse.makespan == scalar.makespan
+
+    @pytest.mark.parametrize("kind", ["independent", "out_tree", "layered"])
+    def test_each_machine_cycles_the_eligible_jobs_it_serves(self, kind):
+        inst = random_instance(9, 5, kind, "sparse", rng=4)
+        regimen = state_round_robin_regimen(inst).schedule
+        for state, row in zip(regimen.states.tolist(), regimen.rows.tolist()):
+            unfinished = np.array([(state >> j) & 1 for j in range(inst.n)], dtype=bool)
+            open_jobs = np.flatnonzero(eligible_mask(inst, ~unfinished) & unfinished)
+            for i, job in enumerate(row):
+                served = [j for j in open_jobs.tolist() if inst.p[i, j] > 0.0]
+                assert job == (served[i % len(served)] if served else IDLE)

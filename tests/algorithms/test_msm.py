@@ -260,15 +260,14 @@ def _golden_msm_e_alg(
     return MSMExtendedResult(x=x, t=int(t), schedule=schedule, mass=mass)
 
 
-@st.composite
-def _greedy_cases(draw):
-    """``(p, jobs)``: a probability matrix and a job subset in some form.
+def _draw_matrix(draw, max_m: int = 9) -> tuple[np.ndarray, np.random.Generator]:
+    """A probability matrix, and the generator that drew it.
 
     ``tied`` rounds to the 0.1 grid, so equal probabilities (the sort's
     tie-breaks), zeros and ones are common; ``mixed`` plants exact zeros
     and ones into continuous values.
     """
-    m = draw(st.integers(1, 9))
+    m = draw(st.integers(1, max_m))
     n = draw(st.integers(1, 40))
     kind = draw(st.sampled_from(["continuous", "tied", "mixed"]))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -278,6 +277,14 @@ def _greedy_cases(draw):
     elif kind == "mixed":
         p[gen.random((m, n)) < 0.2] = 0.0
         p[gen.random((m, n)) < 0.1] = 1.0
+    return p, gen
+
+
+@st.composite
+def _greedy_cases(draw):
+    """``(p, jobs)``: a probability matrix and a job subset in some form."""
+    p, gen = _draw_matrix(draw)
+    n = p.shape[1]
     form = draw(st.sampled_from(["all", "empty", "partial", "unsorted", "frozenset"]))
     if form == "all":
         return p, None
@@ -287,6 +294,24 @@ def _greedy_cases(draw):
     if form == "unsorted":
         gen.shuffle(subset)
     return p, frozenset(subset) if form == "frozenset" else subset
+
+
+@st.composite
+def _frontier_cases(draw):
+    """``(p, member)``: a probability matrix and a ``(k, n)`` job mask.
+
+    Each row is full, empty or a random subset; ``k`` is 1 or more.
+    """
+    p, gen = _draw_matrix(draw)
+    n = p.shape[1]
+    forms = draw(st.lists(st.sampled_from(["full", "empty", "random"]), min_size=1, max_size=6))
+    member = np.zeros((len(forms), n), dtype=bool)
+    for row, form in zip(member, forms):
+        if form == "full":
+            row[:] = True
+        elif form == "random":
+            row[:] = gen.random(n) < gen.random()
+    return p, member
 
 
 class TestGoldenReference:
@@ -314,6 +339,21 @@ class TestGoldenReference:
         assert np.array_equal(got.x, expected.x)
         assert got.mass.tobytes() == expected.mass.tobytes()
         assert np.array_equal(got.schedule.table, expected.schedule.table)
+
+    @_settings
+    @given(case=_frontier_cases())
+    def test_assign_rows_matches_assign(self, case):
+        p, member = case
+        greedy = MSMGreedy(p)
+        got = greedy.assign_rows(member.tolist())
+        assert got.dtype == np.int32
+        assert got.shape == (member.shape[0], p.shape[0])
+        for row, mask in zip(got.tolist(), member):
+            assert row == greedy.assign(np.flatnonzero(mask).tolist()).tolist()
+
+    def test_assign_rows_of_no_rows(self):
+        got = MSMGreedy(np.full((3, 4), 0.5)).assign_rows([])
+        assert got.shape == (0, 3) and got.dtype == np.int32
 
     def test_unit_budget_absorbs_float_rounding(self):
         # 0.56 + 0.34 + 0.1 sums to just above 1.0 in floating point; the

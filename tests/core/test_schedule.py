@@ -40,6 +40,14 @@ class TestValidateAssignment:
         with pytest.raises(ValidationError):
             validate_assignment(np.array([3, 0, 0]), n=3, m=3)
 
+    def test_block_of_rows(self):
+        a = validate_assignment([[0, -1], [2, 2], [1, 0]], n=3, m=2, rows=3)
+        assert a.dtype == np.int32 and a.shape == (3, 2)
+        with pytest.raises(ValidationError, match=r"shape \(2, 2\), got \(3, 2\)"):
+            validate_assignment(a, n=3, m=2, rows=2)
+        with pytest.raises(ValidationError, match="IDLE or a job id"):
+            validate_assignment([[0, 0], [0, 3]], n=3, m=2, rows=2)
+
 
 class TestObliviousSchedule:
     def test_empty_and_idle(self):
@@ -217,6 +225,34 @@ class TestAdaptiveAndRegimen:
             bad.assignment_for(
                 tiny_independent, frozenset({0}), frozenset({0}), 0, np.random.default_rng(0)
             )
+
+    def test_frontier_policy_answers_one_state(self, tiny_independent):
+        calls = []
+
+        def frontier_rule(inst, unfinished, eligible, t):
+            calls.append((unfinished.tolist(), eligible.tolist(), t))
+            return np.where(eligible, np.arange(inst.n), IDLE)
+
+        policy = AdaptivePolicy(name="diagonal", frontier_rule=frontier_rule)
+        a = policy.assignment_for(
+            tiny_independent, frozenset({0, 1, 2}), frozenset({0, 2}), 4, np.random.default_rng(0)
+        )
+        assert a.dtype == np.int32
+        assert a.tolist() == [0, IDLE, 2]
+        assert calls == [([[True, True, True]], [[True, False, True]], 4)]
+
+    def test_frontier_policy_validates_its_row(self, tiny_independent):
+        two_rows = AdaptivePolicy(frontier_rule=lambda inst, u, e, t: np.zeros((2, inst.m)))
+        with pytest.raises(ValidationError, match=r"shape \(1, 3\), got \(2, 3\)"):
+            two_rows.assignment_for(
+                tiny_independent, frozenset({0}), frozenset({0}), 0, np.random.default_rng(0)
+            )
+
+    def test_policy_takes_exactly_one_rule(self):
+        with pytest.raises(ValidationError, match="exactly one"):
+            AdaptivePolicy()
+        with pytest.raises(ValidationError, match="exactly one"):
+            AdaptivePolicy(lambda *a: None, frontier_rule=lambda *a: None)
 
     def test_regimen_lookup(self):
         r = Regimen(2, 1, {0b11: np.array([0]), 0b01: np.array([0]), 0b10: np.array([1])})

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import AdaptivePolicy, CyclicSchedule, ObliviousSchedule, SUUInstance
+from repro import AdaptivePolicy, CyclicSchedule, ObliviousSchedule, SUUInstance, obs
 from repro.algorithms import (
     greedy_prob_policy,
     msm_eligible_policy,
@@ -25,8 +25,9 @@ from repro.algorithms import (
     suu_i_adaptive,
 )
 from repro.algorithms.baselines import state_round_robin_regimen
+from repro.algorithms.msm import MSMGreedy
 from repro.core.mass import assignment_success_prob
-from repro.errors import ScheduleError
+from repro.errors import ScheduleError, ValidationError
 from repro.evaluate import evaluate
 from repro.sim import simulate_batch
 from repro.sim.batch import batchable, frontier_eligible, frontier_success_prob
@@ -235,6 +236,96 @@ class TestEstimatorRouting:
         policy = suu_i_adaptive(tiny_independent).schedule
         with pytest.raises(ValueError):
             evaluate(tiny_independent, policy, mode="mc", reps=10, seed=0, engine="warp")
+
+
+def _per_state_suu_i(inst: SUUInstance) -> AdaptivePolicy:
+    """SUU-I-ALG as a per-state rule: one ``MSMGreedy.assign`` per state."""
+    greedy = MSMGreedy(inst.p)
+    return AdaptivePolicy(
+        lambda i, unfinished, e, t, r: greedy.assign(unfinished),
+        name="suu-i-per-state",
+        stationary=True,
+        randomized=False,
+    )
+
+
+class TestRuleCalls:
+    def test_frontier_rule_matches_its_per_state_rule(self):
+        inst = _flaky_instance()
+        frontier = simulate_batch(inst, suu_i_adaptive(inst).schedule, reps=120, rng=3)
+        per_state = simulate_batch(inst, _per_state_suu_i(inst), reps=120, rng=3)
+        assert np.array_equal(frontier.makespans, per_state.makespans)
+        assert frontier.policy_queries == per_state.policy_queries
+        # One call per step that meets new states, against one per state.
+        assert per_state.rule_calls == per_state.policy_queries
+        assert frontier.rule_calls <= frontier.steps_executed < frontier.policy_queries
+
+    @pytest.mark.parametrize("factory", [msm_eligible_policy, online_greedy])
+    def test_counters_flush_rule_calls_beside_queries(self, factory):
+        inst = random_instance(12, 4, "out_tree", rng=10)
+        with obs.capture() as tel:
+            res = simulate_batch(inst, factory(inst).schedule, reps=50, rng=1)
+        assert tel.counters["batch.rule_calls"] == res.rule_calls
+        assert tel.counters["batch.policy_queries"] == res.policy_queries
+        per_state = factory is online_greedy
+        assert (res.rule_calls == res.policy_queries) == per_state
+
+
+def _bad_answers():
+    """``(policy, message)`` pairs: rules whose answers fail validation.
+
+    The out-of-range answers appear only once a job has finished, so they
+    sit inside multi-row blocks, not in the first step's single state.
+    """
+
+    def per_state(rule):
+        return AdaptivePolicy(rule, stationary=True, randomized=False)
+
+    def frontier(rule):
+        return AdaptivePolicy(stationary=True, randomized=False, frontier_rule=rule)
+
+    def late(unfinished, n):
+        return np.where(unfinished.all(axis=-1, keepdims=True), 0, n)
+
+    shape, entries = "assignment must have shape", "IDLE or a job id"
+    return [
+        pytest.param(
+            per_state(lambda i, u, e, t, r: np.zeros(i.m + 1, dtype=np.int32)),
+            shape,
+            id="per-state-shape",
+        ),
+        pytest.param(
+            per_state(lambda i, u, e, t, r: np.full(i.m, 0 if len(u) == i.n else i.n)),
+            entries,
+            id="per-state-job",
+        ),
+        pytest.param(
+            frontier(lambda i, u, e, t: np.zeros((len(u), i.m + 1), dtype=np.int32)),
+            shape,
+            id="frontier-shape",
+        ),
+        pytest.param(
+            frontier(lambda i, u, e, t: np.broadcast_to(late(u, i.n), (len(u), i.m))),
+            entries,
+            id="frontier-job",
+        ),
+        pytest.param(
+            frontier(lambda i, u, e, t: np.zeros((len(u) + 1, i.m), dtype=np.int32)),
+            shape,
+            id="frontier-rows",
+        ),
+    ]
+
+
+class TestRuleValidation:
+    """A bad answer raises ``validate_assignment``'s error on either path."""
+
+    @pytest.mark.parametrize("policy, message", _bad_answers())
+    def test_bad_answers_raise_through_evaluate(self, policy, message):
+        inst = _flaky_instance()
+        assert batchable(policy)
+        with pytest.raises(ValidationError, match=message):
+            evaluate(inst, policy, mode="mc", reps=40, seed=0)
 
 
 def _certain_and_impossible(inst: SUUInstance, seed: int) -> SUUInstance:

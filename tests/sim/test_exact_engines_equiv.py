@@ -50,7 +50,7 @@ from repro.algorithms.baselines import (
     state_round_robin_regimen,
 )
 from repro._util import iterable_from_bitmask
-from repro.core.schedule import CyclicSchedule, ObliviousSchedule, Regimen
+from repro.core.schedule import IDLE, CyclicSchedule, ObliviousSchedule, Regimen
 from repro.errors import ScheduleError, UnsupportedDagError, ValidationError
 from repro.evaluate import evaluate
 from repro.opt.malewicz import optimal_regimen
@@ -147,12 +147,17 @@ def test_sparse_matches_scalar_on_fuzzer_families(family):
         serial = serial_baseline(instance).schedule
         regimen = state_round_robin_regimen(instance).schedule
         # The vectorized rows against their per-state definition, at the
-        # nonempty reachable states and nowhere else.
+        # nonempty reachable states and nowhere else: machine i cycles
+        # through the eligible jobs it serves (p_ij > 0), or idles.
         states = [s for s in range(1, 1 << instance.n) if up_closed(instance, s)]
         expected = []
         for state in states:
             jobs = iterable_from_bitmask(eligible_bitmask(instance, state))
-            expected.append([jobs[i % len(jobs)] for i in range(instance.m)])
+            row = []
+            for i in range(instance.m):
+                served = [j for j in jobs if instance.p[i, j] > 0.0]
+                row.append(served[i % len(served)] if served else IDLE)
+            expected.append(row)
         label = f"{family} trial {trial}"
         np.testing.assert_array_equal(regimen.states, states, err_msg=label)
         np.testing.assert_array_equal(regimen.rows, expected, err_msg=label)

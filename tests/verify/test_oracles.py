@@ -174,6 +174,19 @@ class TestPlantedBugs:
         out = check_case(spec_for("serial"), cfg=FAST, only="opt")
         assert any(d.check == "opt" and "golden" in d.message for d in out)
 
+    def test_broken_msm_frontier_kernel_is_caught(self, monkeypatch):
+        """An ``assign_rows`` that ignores its masks must trip the msm oracle."""
+        from repro.algorithms.msm import MSMGreedy
+
+        real = MSMGreedy.assign_rows
+
+        def every_job(self, member):
+            return real(self, [[True] * len(row) for row in member])
+
+        monkeypatch.setattr(MSMGreedy, "assign_rows", every_job)
+        out = check_case(spec_for("serial"), cfg=FAST, only="msm")
+        assert any(d.check == "msm" and "assign_rows" in d.message for d in out)
+
     @staticmethod
     def _inflate_optimum(monkeypatch, solver: str):
         """Make the oracle's production ``solver`` report ``t + 0.125``."""
